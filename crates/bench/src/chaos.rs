@@ -8,7 +8,7 @@
 //! violations, EMU, job outcomes, the tail-latency recovery time of
 //! every disruption, and a per-scenario run fingerprint. Writes
 //! `results/chaos.{txt,json}` — byte-identical for a given seed, for
-//! any shard or worker-thread count.
+//! any worker-thread count.
 
 use crate::Report;
 use rhythm_chaos::{Scenario, ScenarioOutcome};

@@ -13,10 +13,10 @@
 //! * **Scaling grid** — runs N ∈ {64, 256, 1024, 4096} machines
 //!   (quick: {64, 256}) at 1 and 8 worker threads, recording per-N wall
 //!   clock, simulated requests/s and per-machine throughput. This is the
-//!   warehouse-scale check for the sharded scheduler: per-machine
-//!   throughput should stay roughly flat as N grows (the per-epoch hot
-//!   path is shard-local), where the unsharded dispatcher degraded
-//!   quadratically.
+//!   warehouse-scale check for the scheduler: per-machine throughput
+//!   should stay roughly flat as N grows (dispatch caches its placement
+//!   rankings per pass), where rescoring every machine for every job
+//!   degraded quadratically.
 //! * **Snapshot overhead** — the N=256 cell with and without one
 //!   mid-run epoch-barrier capture ([`rhythm_cluster::ClusterRunner`]),
 //!   reported as `snapshot_overhead.overhead_frac` (target < 0.05).
@@ -135,34 +135,30 @@ fn scaling_grid(quick: bool) -> serde_json::Value {
         cfg.duration_s = duration_s;
         let mut walls = std::collections::BTreeMap::new();
         let mut requests = 0;
-        let mut sharding = (0usize, 0u64);
         for threads in [1usize, 8] {
             cfg.threads = threads;
             let start = Instant::now();
             let out = run_cluster(&ctx, &ControllerChoice::Rhythm, &cfg);
             walls.insert(threads, start.elapsed().as_secs_f64() * 1e3);
             requests = out.metrics.completed_requests;
-            sharding = (out.sharding.shards, out.sharding.steals);
         }
         let best = walls.values().fold(f64::INFINITY, |a, &b| a.min(b));
         let rps = requests as f64 / (best / 1e3);
         let per_machine = rps / n as f64;
         total_rps.push((n, rps));
         println!(
-            "N={n:<5} K={:<3} {requests:>9} req  wall 1t {:>9.1} ms / 8t {:>9.1} ms  \
-             {rps:>10.0} sim-req/s  {per_machine:>7.0} req/machine/s  steals {}",
-            sharding.0, walls[&1], walls[&8], sharding.1
+            "N={n:<5} {requests:>9} req  wall 1t {:>9.1} ms / 8t {:>9.1} ms  \
+             {rps:>10.0} sim-req/s  {per_machine:>7.0} req/machine/s",
+            walls[&1], walls[&8]
         );
         cells.push(serde_json::json!({
             "machines": n,
-            "shards": sharding.0,
             "requests": requests,
             "wall_ms_1_thread": walls[&1],
             "wall_ms_8_threads": walls[&8],
             "best_wall_ms": best,
             "sim_req_per_sec": rps,
             "req_per_machine_per_sec": per_machine,
-            "steals": sharding.1,
         }));
     }
     if let (Some(&(n0, small)), Some(&(n, big))) = (
@@ -171,8 +167,8 @@ fn scaling_grid(quick: bool) -> serde_json::Value {
     ) {
         // The host simulates N machines' worth of events per wall
         // second, so flat *total* sim-req/s across N means flat
-        // per-machine scheduler cost — the unsharded dispatcher's O(N²)
-        // placement would crater this ratio.
+        // per-machine scheduler cost — O(N²) placement (rescoring every
+        // machine for every job) would crater this ratio.
         println!(
             "total sim-req/s at N={n}: {:.2}x of N={n0} (flat = per-machine cost constant)",
             big / small

@@ -50,64 +50,45 @@ pub mod trace;
 pub use report::Report;
 
 /// Runs `jobs` closures in parallel across available cores and returns
-/// their results in input order.
+/// their results in input order. Workers pull the next job from a shared
+/// iterator, so long and short jobs balance across threads.
 pub fn parallel_map<T, F>(jobs: Vec<F>) -> Vec<T>
 where
     T: Send,
     F: FnOnce() -> T + Send,
 {
     let n = jobs.len();
-    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
     let threads = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(4)
         .min(n.max(1));
-    let queue: crossbeam::queue::SegQueue<(usize, F)> = crossbeam::queue::SegQueue::new();
-    for (i, j) in jobs.into_iter().enumerate() {
-        queue.push((i, j));
-    }
-    let slots: Vec<slot::Slot<T>> = (0..n).map(|_| slot::Slot::new()).collect();
-    crossbeam::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|_| {
-                while let Some((i, job)) = queue.pop() {
-                    slots[i].put(job());
-                }
-            });
+    let queue = std::sync::Mutex::new(jobs.into_iter().enumerate());
+    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // PANIC: the lock is only poisoned if another
+                        // worker panicked, which the join below re-raises.
+                        let Some((i, job)) = queue.lock().expect("job queue poisoned").next() else {
+                            break done;
+                        };
+                        done.push((i, job()));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            // PANIC: re-raise a job's panic on the caller.
+            for (i, v) in worker.join().expect("worker thread panicked") {
+                results[i] = Some(v);
+            }
         }
-    })
-    .expect("worker thread panicked");
-    for (i, slot) in slots.into_iter().enumerate() {
-        results[i] = slot.take();
-    }
+    });
+    // PANIC: every index was enumerated once and every worker joined.
     results.into_iter().map(|r| r.expect("job ran")).collect()
-}
-
-/// A tiny once-per-index result slot.
-mod slot {
-    use std::sync::Mutex;
-
-    pub struct Slot<T>(Mutex<Option<T>>);
-
-    impl<T> Slot<T> {
-        pub fn new() -> Self {
-            Slot(Mutex::new(None))
-        }
-
-        pub fn put(&self, v: T) {
-            *self.0.lock().expect("slot poisoned") = Some(v);
-        }
-
-        pub fn take(self) -> Option<T> {
-            self.0.into_inner().expect("slot poisoned")
-        }
-    }
-
-    impl<T> Default for Slot<T> {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@
 //!
 //! Everything is driven by the deterministic sim RNG and the runner's
 //! barrier discipline: the same seed produces byte-identical scenario
-//! results for any shard count and any worker-thread count.
+//! results for any worker-thread count.
 //!
 //! [`LoadGen`]: rhythm_workloads::LoadGen
 //! [`FaultPlan`]: rhythm_cluster::FaultPlan

@@ -24,7 +24,7 @@
 //!
 //! The series is produced single-threaded at the barriers, so the
 //! metric inherits the runner's determinism: same seed, same recovery
-//! time, for any shard or worker-thread count.
+//! time, for any worker-thread count.
 
 use rhythm_telemetry::TailPoint;
 use serde::{Deserialize, Serialize};

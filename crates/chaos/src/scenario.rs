@@ -18,7 +18,7 @@
 //! Every scenario reports the merged cluster metrics, the
 //! tail-latency [`Recovery`] estimate anchored at its first
 //! disruption, and a run fingerprint — same seed, same fingerprint,
-//! for any shard count and any worker-thread count.
+//! for any worker-thread count.
 //!
 //! [`FaultPlan`]: rhythm_cluster::FaultPlan
 
@@ -62,15 +62,13 @@ pub struct ScenarioOutcome {
     /// Crash-restart drill result (`None` for ordinary scenarios).
     pub restart: Option<RestartCheck>,
     /// FNV-1a fingerprint of the outcome: per-machine fingerprints
-    /// plus the merged metrics. Bit-identical across shard and thread
-    /// counts; any scheduling drift changes it.
+    /// plus the merged metrics. Bit-identical across thread counts; any
+    /// scheduling drift changes it.
     pub fingerprint: u64,
 }
 
 /// FNV-1a over everything a run measured: the per-machine engine
 /// fingerprints plus the merged cluster metrics and job outcomes.
-/// Sharding counters are deliberately excluded — they describe the
-/// partitioning, not the experiment, and legitimately vary with K.
 pub fn outcome_fingerprint(out: &ClusterOutcome) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut feed = |v: u64| {

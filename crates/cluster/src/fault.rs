@@ -7,7 +7,7 @@
 //! happens only at barriers and draws nothing from wall clock or
 //! ambient entropy, a run with a fault plan is exactly as reproducible
 //! as one without: same seed + same plan → bit-identical outcome for
-//! any shard count and any worker-thread count.
+//! any worker-thread count.
 //!
 //! Fault semantics (see DESIGN.md §13 for the model rationale):
 //!

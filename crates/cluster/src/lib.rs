@@ -19,13 +19,13 @@
 //! * [`fault`] — deterministic fault injection: a [`FaultPlan`] of
 //!   crash / recover / slow-node / correlated-failure events keyed to
 //!   virtual time, applied single-threaded at epoch barriers so chaos
-//!   runs stay bit-identical for any shard or thread count;
+//!   runs stay bit-identical for any thread count;
 //! * [`state`] — the N-machine cluster as service replicas, global
 //!   machine indexing, per-replica seed derivation;
 //! * [`runner`] — the parallel epoch-barrier runner: engines advance one
-//!   controller period at a time on crossbeam workers, cluster
-//!   bookkeeping happens single-threaded at the barrier, and results are
-//!   bit-identical for any worker-thread count;
+//!   controller period at a time on scoped threads over disjoint engine
+//!   slices, cluster bookkeeping happens single-threaded at the barrier,
+//!   and results are bit-identical for any worker-thread count;
 //! * [`metrics`] — merged cluster-wide EMU / utilization plus job
 //!   completion-time and wasted-work statistics;
 //! * [`snapshot`] — durable cluster state: [`ClusterSnapshot`] captured
@@ -52,29 +52,25 @@ pub mod state;
 /// snapshot file and checked on resume, so stale readers fail with
 /// [`rhythm_snapshot::SnapshotError::Incompatible`] instead of decoding
 /// garbage.
-pub const SNAPSHOT_SCHEMA: &str = "rhythm-cluster/v1: \
-     SeqSource{next_back:i64,next_front:i64}; \
+pub const SNAPSHOT_SCHEMA: &str = "rhythm-cluster/v2: \
      JobMeta{priority:u8,deadline_s:Option<f64>,enqueued_s:f64,key:Option<(u8,u64,i64,u64)>}; \
      JobQueue{meta:Vec<JobMeta>,next_back:i64,next_front:i64,requeues:u64,aging_s:Option<f64>}; \
      JobState{tag:u8,machine:u64?}; \
      ClusterJob{id:u64,spec:BeSpec,checkpoint:f64,wasted:f64,kills:u32,submitted_s:f64,\
      completed_s:Option<f64>,state:JobState,priority:u8,deadline_s:Option<f64>,gang:Option<u32>}; \
      GangState{members:Vec<u64>,patience_left:u32,forming:bool}; \
-     ShardState{queue:JobQueue,offered:Vec<Option<u64>>,bindings:BTreeMap<(u64,u64),u64>}; \
-     SchedulerState{jobs,shards,seq,rr_cursor:u64,gangs,events,steals:u64,fast_path_epochs:u64}; \
-     ClusterSnapshot{meta:{epoch:u32,t_ns,machines,pods,replicas,shards,seed,duration_s,\
+     SchedulerState{jobs,queue:JobQueue,offered:Vec<Option<u64>>,\
+     bindings:BTreeMap<(u64,u64),u64>,rr_cursor:u64,gangs,events}; \
+     ClusterSnapshot{meta:{epoch:u32,t_ns,machines,pods,replicas,seed,duration_s,\
      controller_period_ms:u64,managed:bool},sections:[meta,scheduler,engines,summaries,tail]}";
 
 pub use fault::{ChaosState, FaultEvent, FaultKind, FaultPlan};
 pub use job::{ClusterJob, JobId, JobSpec, JobState, JobStats};
-pub use metrics::{
-    machine_fingerprints, ClusterMetrics, ClusterOutcome, ClusterTelemetry, ShardingReport,
-};
+pub use metrics::{machine_fingerprints, ClusterMetrics, ClusterOutcome, ClusterTelemetry};
 pub use placement::{CandidateMachine, PlacementPolicy, Placer};
-pub use queue::{JobQueue, QueueKey, SeqSource};
+pub use queue::{JobQueue, QueueKey};
 pub use runner::{compare_cluster, run_cluster, ClusterRun, ClusterRunner};
 pub use snapshot::{
-    expected_schemas, ChaosSection, ClusterSnapshot, GangState, SchedulerState, ShardState,
-    SnapshotDiff,
+    expected_schemas, ChaosSection, ClusterSnapshot, GangState, SchedulerState, SnapshotDiff,
 };
-pub use state::{global_index, machine_ref, replica_seed, ClusterConfig, MachineRef, ShardMap};
+pub use state::{global_index, machine_ref, replica_seed, ClusterConfig, MachineRef};

@@ -92,32 +92,11 @@ impl ClusterMetrics {
     }
 }
 
-/// How the sharded scheduler carved up one run. Kept **outside**
-/// [`ClusterMetrics`] on purpose: metrics are bit-identical for any
-/// shard count, while these numbers describe the sharding itself (K=1
-/// trivially reports zero steals).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct ShardingReport {
-    /// Scheduler shards the runner used (K).
-    pub shards: usize,
-    /// Jobs placed on a machine outside their home shard (cross-shard
-    /// steals), summed over the run.
-    pub steals: u64,
-    /// Dispatch passes in which at least one shard was skipped outright
-    /// because none of its machines signalled AllowBEGrowth (the
-    /// placement fast path).
-    pub fast_path_epochs: u64,
-}
-
 /// Everything one cluster run produces.
 #[derive(Clone, Debug)]
 pub struct ClusterOutcome {
     /// Merged cluster metrics.
     pub metrics: ClusterMetrics,
-    /// Shard layout and steal counters of the scheduler ([`ClusterConfig::shards`]).
-    ///
-    /// [`ClusterConfig::shards`]: crate::ClusterConfig::shards
-    pub sharding: ShardingReport,
     /// Per-replica run metrics (index = replica).
     pub per_replica: Vec<RunMetrics>,
     /// The full job ledger.

@@ -177,15 +177,15 @@ impl Placer {
         self.cursor
     }
 
-    /// Moves the round-robin cursor (the sharded dispatcher keeps its
-    /// own rotation state and mirrors it back here).
+    /// Moves the round-robin cursor (the dispatcher keeps its own
+    /// rotation state per pass and mirrors it back here).
     pub(crate) fn set_cursor(&mut self, cursor: usize) {
         self.cursor = cursor;
     }
 
     /// The LeastPressure score of a machine: aggregate pressure of its
-    /// current BE population. Job-independent, so the sharded dispatcher
-    /// caches one ranking per dispatch pass.
+    /// current BE population. Job-independent, so the dispatcher caches
+    /// one ranking per dispatch pass.
     pub(crate) fn pressure_score(machine: &Machine, specs: &BTreeMap<String, BeSpec>) -> f64 {
         let p = Pressure::from_machine(machine, specs);
         p.cpu + p.llc + p.dram + p.net

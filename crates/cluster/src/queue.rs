@@ -15,49 +15,13 @@
 //!    waited its turn once, and resuming killed work first keeps the
 //!    wasted-work metric from compounding with extra queueing delay.
 
-// lint:snapshot-state — JobQueue / JobMeta / SeqSource are durable
-// snapshot state (rule S01: no hash containers or raw-pointer fields).
+// lint:snapshot-state — JobQueue / JobMeta are durable snapshot state (rule S01: no hash containers or raw-pointer fields).
 
 use crate::job::JobId;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Sort key of one queued job. Order: lowest tuple pops first. The key
-/// is globally comparable: a set of per-shard queues fed from one
-/// [`SeqSource`] pops in exactly the order a single shared queue would
-/// (the sharded runner's K-way merge relies on this).
+/// Sort key of one queued job. Order: lowest tuple pops first.
 pub type QueueKey = (u8, u64, i64, JobId);
-
-/// A shared sequence counter pair for queues that must preserve one
-/// global FIFO-with-requeue-to-front order across shards. Fresh
-/// submissions draw increasing positive sequences; requeues draw
-/// decreasing negative ones — exactly the numbering a single
-/// [`JobQueue`] would assign internally, so K shard queues driven from
-/// one `SeqSource` are order-equivalent to one global queue.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SeqSource {
-    next_back: i64,
-    next_front: i64,
-}
-
-impl SeqSource {
-    /// A fresh source (sequences start at 0 / -1).
-    pub fn new() -> SeqSource {
-        SeqSource::default()
-    }
-
-    /// The next back-of-queue (fresh submission) sequence.
-    pub fn back(&mut self) -> i64 {
-        let s = self.next_back;
-        self.next_back += 1;
-        s
-    }
-
-    /// The next front-of-queue (requeue) sequence.
-    pub fn front(&mut self) -> i64 {
-        self.next_front -= 1;
-        self.next_front
-    }
-}
 
 /// Per-job bookkeeping that survives pops (requeues reuse it).
 #[derive(Clone, Copy, Debug)]
@@ -144,19 +108,6 @@ impl JobQueue {
     pub fn submit_with(&mut self, id: JobId, priority: u8, deadline_s: Option<f64>, now_s: f64) {
         let seq = self.next_back;
         self.next_back += 1;
-        self.submit_with_seq(id, priority, deadline_s, now_s, seq);
-    }
-
-    /// [`JobQueue::submit_with`] with an externally assigned sequence
-    /// (from a [`SeqSource`] shared across shard queues).
-    pub fn submit_with_seq(
-        &mut self,
-        id: JobId,
-        priority: u8,
-        deadline_s: Option<f64>,
-        now_s: f64,
-        seq: i64,
-    ) {
         let m = JobMeta {
             priority,
             deadline_s,
@@ -186,12 +137,6 @@ impl JobQueue {
     pub fn requeue_at(&mut self, id: JobId, now_s: f64) {
         self.next_front -= 1;
         let seq = self.next_front;
-        self.requeue_at_seq(id, now_s, seq);
-    }
-
-    /// [`JobQueue::requeue_at`] with an externally assigned front
-    /// sequence (from a [`SeqSource`] shared across shard queues).
-    pub fn requeue_at_seq(&mut self, id: JobId, now_s: f64, seq: i64) {
         let m = self.meta.get(&id).copied().unwrap_or(JobMeta {
             priority: 0,
             deadline_s: None,
@@ -238,14 +183,6 @@ impl JobQueue {
         }
     }
 
-    /// The sort key of the job [`JobQueue::pop`] would return, without
-    /// removing it. Keys drawn from one [`SeqSource`] are comparable
-    /// *across* queues, so a K-way merge over shard queue heads pops in
-    /// exactly global order.
-    pub fn peek_key(&self) -> Option<QueueKey> {
-        self.order.iter().next().copied()
-    }
-
     /// Takes the next job to place: highest effective class, earliest
     /// deadline within the class, front-of-class for requeued work.
     pub fn pop(&mut self) -> Option<JobId> {
@@ -275,28 +212,6 @@ impl JobQueue {
     /// Ids of the waiting jobs, in pop order.
     pub fn queued_ids(&self) -> Vec<JobId> {
         self.order.iter().map(|k| k.3).collect()
-    }
-}
-
-impl rhythm_snapshot::Snapshot for SeqSource {
-    fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.i64(self.next_back);
-        w.i64(self.next_front);
-    }
-
-    fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
-        let next_back = r.i64()?;
-        let next_front = r.i64()?;
-        // Backs only ever count up from 0, fronts only down from 0.
-        if next_back < 0 || next_front > 0 {
-            return Err(rhythm_snapshot::SnapshotError::Corrupt(format!(
-                "sequence source out of range: back {next_back}, front {next_front}"
-            )));
-        }
-        Ok(SeqSource {
-            next_back,
-            next_front,
-        })
     }
 }
 
@@ -445,51 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_queues_pop_in_global_order() {
-        // Two queues fed from one SeqSource must pop (via K-way merge on
-        // peek_key) exactly like one shared queue, requeues included.
-        let mut seq_a = SeqSource::new();
-        let mut global = JobQueue::new();
-        let mut shards = [JobQueue::new(), JobQueue::new()];
-        let jobs: [(JobId, u8, Option<f64>); 5] = [
-            (0, 0, None),
-            (1, 2, Some(50.0)),
-            (2, 0, Some(10.0)),
-            (3, 1, None),
-            (4, 2, Some(20.0)),
-        ];
-        for &(id, prio, dl) in &jobs {
-            global.submit_with(id, prio, dl, 0.0);
-            let s = seq_a.back();
-            shards[id as usize % 2].submit_with_seq(id, prio, dl, 0.0, s);
-        }
-        // Requeue one job to the front of its class in both worlds.
-        assert_eq!(global.pop(), Some(4));
-        global.requeue_at(4, 1.0);
-        let merged_pop = |shards: &mut [JobQueue; 2]| -> Option<JobId> {
-            let head = (0..2)
-                .filter_map(|s| shards[s].peek_key().map(|k| (k, s)))
-                .min()?;
-            shards[head.1].pop()
-        };
-        assert_eq!(merged_pop(&mut shards), Some(4));
-        shards[0].requeue_at_seq(4, 1.0, seq_a.front());
-        let mut expect = Vec::new();
-        while let Some(id) = global.pop() {
-            expect.push(id);
-        }
-        let mut got = Vec::new();
-        while let Some(id) = merged_pop(&mut shards) {
-            got.push(id);
-        }
-        assert_eq!(expect, got);
-        assert_eq!(
-            global.requeue_count(),
-            shards[0].requeue_count() + shards[1].requeue_count()
-        );
-    }
-
-    #[test]
     fn snapshot_round_trips_mid_stream_queue() {
         use rhythm_snapshot::{Reader, Snapshot, Writer};
         let mut q = JobQueue::with_aging(10.0);
@@ -533,26 +403,6 @@ mod tests {
         // so the embedded QueueKey names a different job.
         bytes[8] = 9;
         let err = JobQueue::decode(&mut Reader::new(&bytes));
-        assert!(matches!(err.err(), Some(SnapshotError::Corrupt(_))));
-    }
-
-    #[test]
-    fn seq_source_snapshot_round_trips_and_validates() {
-        use rhythm_snapshot::{Reader, Snapshot, SnapshotError, Writer};
-        let mut s = SeqSource::new();
-        s.back();
-        s.back();
-        s.front();
-        let mut w = Writer::new();
-        s.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut back = SeqSource::decode(&mut Reader::new(&bytes)).unwrap();
-        assert_eq!(back.back(), 2);
-        assert_eq!(back.front(), -2);
-        let mut w = Writer::new();
-        w.i64(-1); // negative back counter: impossible
-        w.i64(0);
-        let err = SeqSource::decode(&mut Reader::new(&w.into_bytes()));
         assert!(matches!(err.err(), Some(SnapshotError::Corrupt(_))));
     }
 

@@ -1,46 +1,22 @@
-//! The parallel epoch-barrier cluster runner, sharded for warehouse
-//! scale.
+//! The parallel epoch-barrier cluster runner.
 //!
 //! Replicas advance **independently** between controller ticks: nothing
 //! couples two engines except the dispatcher, and the dispatcher only
 //! acts on controller signals, which are emitted every 2 s of virtual
-//! time. So the runner executes all engines up to the next epoch boundary
-//! on a pool of crossbeam worker threads, then performs the cluster-level
-//! bookkeeping (admission binding, kill/requeue, completion, placement)
-//! in a **single-threaded merge in fixed machine order**. Every engine
-//! owns independent splitmix-derived RNG streams and the merge never
-//! observes scheduling order, so the result is bit-identical for any
-//! worker-thread count — determinism is a property of the protocol, not
-//! of luck.
+//! time. So the runner advances all engines up to the next epoch boundary
+//! on scoped threads, each owning a disjoint slice of the engines, then
+//! performs the cluster-level bookkeeping (admission binding,
+//! kill/requeue, completion, placement) in a **single-threaded merge in
+//! fixed machine order**. Every engine owns independent splitmix-derived
+//! RNG streams and the merge never observes scheduling order, so the
+//! result is bit-identical for any worker-thread count — determinism is
+//! a property of the protocol, not of luck.
 //!
-//! # Sharding
-//!
-//! Cluster state is partitioned into K replica-aligned shards
-//! ([`ShardMap`]), each owning its slice of the job queue, outstanding
-//! offers and instance→job bindings. The per-epoch hot path touches
-//! shard-local state: eligibility and placement scores are computed once
-//! per shard per dispatch pass (machines do not change state during a
-//! pass, so scores are cacheable), a shard with no machine signalling
-//! AllowBEGrowth is skipped outright, and shards with nothing queued
-//! contribute nothing to the pop loop.
-//!
-//! Sharding **never changes decisions** — results are bit-identical for
-//! any K, including K=1:
-//!
-//! * All shard queues draw sequence numbers from one shared
-//!   [`SeqSource`], so their [`QueueKey`]s are exactly the keys a single
-//!   global queue would assign; a K-way merge over the shard heads pops
-//!   in exactly global order.
-//! * Placement considers every shard's cached ranking and takes the
-//!   global argmin with the same tie-break as the unsharded placer
-//!   (strictly-smaller score wins, ties keep the lowest global index).
-//! * Shards are contiguous and replica-aligned, so the merge's
-//!   shard-major iteration *is* the old replica-major iteration.
-//!
-//! A job whose global argmin lands outside its home shard (`id % K`) is
-//! *stolen* by the destination shard: the placement is identical to the
-//! unsharded one, the steal is pure bookkeeping ([`ShardingReport`], a
-//! `ShardSteal` telemetry event tagged with the destination shard).
+//! One scheduler holds the whole cluster's queue, offers and bindings.
+//! Dispatch caches placement rankings per pass: machine state is constant
+//! during a pass, so each job spec's ranking over the eligible machines
+//! is scored and sorted once, and later pops of the same spec resume at a
+//! cursor instead of rescoring every machine.
 //!
 //! Epoch protocol (epoch = controller period, paper: 2 s):
 //!
@@ -53,26 +29,22 @@
 //!    parallel (the controller tick at the boundary is included), then
 //!    syncs its own BE progress to the boundary — still inside the
 //!    parallel phase, since progress accrual is engine-local.
-//! 3. *Merge* — in shard-major (= replica) order bind admissions to
-//!    their offered jobs, roll killed jobs back to their checkpoint and
-//!    requeue them, and retire jobs whose progress reached 1.0. A gang
-//!    lifecycle pass follows: gangs whose members all run are *formed*;
-//!    a killed member — or patience running out while forming — aborts
-//!    the whole gang, rolling every running member back to its
-//!    checkpoint and requeueing the gang.
-//!
-//! [`QueueKey`]: crate::queue::QueueKey
+//! 3. *Merge* — in replica order bind admissions to their offered jobs,
+//!    roll killed jobs back to their checkpoint and requeue them, and
+//!    retire jobs whose progress reached 1.0. A gang lifecycle pass
+//!    follows: gangs whose members all run are *formed*; a killed member
+//!    — or patience running out while forming — aborts the whole gang,
+//!    rolling every running member back to its checkpoint and
+//!    requeueing the gang. Debug builds then check the scheduler's
+//!    cross-layer invariants (`Scheduler::check_invariants`).
 
 use crate::fault::{ChaosState, FaultKind, FaultPlan};
 use crate::job::{ClusterJob, JobId, JobState};
-use crate::metrics::{
-    machine_fingerprints, ClusterMetrics, ClusterOutcome, ClusterTelemetry, ShardingReport,
-};
+use crate::metrics::{machine_fingerprints, ClusterMetrics, ClusterOutcome, ClusterTelemetry};
 use crate::placement::{PlacementPolicy, Placer};
-use crate::queue::{JobQueue, SeqSource};
-use crate::snapshot::{ClusterSnapshot, GangState, SchedulerState, ShardState};
-use crate::state::{global_index, machine_ref, replica_seed, ClusterConfig, ShardMap};
-use crossbeam::queue::SegQueue;
+use crate::queue::JobQueue;
+use crate::snapshot::{ClusterSnapshot, GangState, SchedulerState};
+use crate::state::{global_index, machine_ref, replica_seed, ClusterConfig};
 use rhythm_controller::BeAction;
 use rhythm_core::experiment::{ControllerChoice, ExperimentConfig, ServiceContext};
 use rhythm_core::metrics::RunMetrics;
@@ -83,57 +55,7 @@ use rhythm_snapshot::{Reader, SnapshotError, Writer};
 use rhythm_telemetry::{ClusterEvent, ClusterEventKind, TailPoint};
 use rhythm_workloads::BeSpec;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// A sense-reversing spin barrier for the epoch boundary.
-///
-/// Epochs are microseconds of work, so parking workers in the kernel at
-/// every boundary (as `std::sync::Barrier` does) costs more than the
-/// epoch itself. Arrivals spin briefly and fall back to `yield_now` so
-/// an oversubscribed host still makes progress.
-struct SpinBarrier {
-    total: usize,
-    count: AtomicUsize,
-    generation: AtomicUsize,
-}
-
-impl SpinBarrier {
-    fn new(total: usize) -> SpinBarrier {
-        SpinBarrier {
-            total,
-            count: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-        }
-    }
-
-    fn wait(&self) {
-        if self.total == 1 {
-            return;
-        }
-        let gen = self.generation.load(Ordering::Acquire);
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
-            // Last arriver: reset and release the cohort. Nobody can
-            // re-enter `wait` until the generation advances, so the
-            // relaxed reset cannot race a new arrival.
-            self.count.store(0, Ordering::Relaxed);
-            self.generation.fetch_add(1, Ordering::Release);
-        } else {
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == gen {
-                spins += 1;
-                if spins < 256 {
-                    std::hint::spin_loop();
-                } else {
-                    // Short spin budget: on an oversubscribed (or
-                    // single-core) host the peer needs this CPU to make
-                    // the progress we are waiting for.
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-}
+use std::sync::Arc;
 
 /// Lifecycle bookkeeping for one gang-scheduled job.
 #[derive(Clone, Debug)]
@@ -147,61 +69,37 @@ struct GangTracker {
     forming: bool,
 }
 
-/// One shard's per-pass placement ranking for one job spec: `(score,
-/// global)` ascending, ties ascending by global index — exactly the
-/// order the unsharded argmin would visit minima in. Machine state is
-/// constant during a dispatch pass (offers apply after the pop loop, a
-/// claimed machine is merely excluded), so scores computed once per pass
-/// are exact, collapsing the old O(jobs × machines) rescoring to
-/// O(specs × machines log machines) per epoch.
+/// The per-pass placement ranking for one job spec: `(score, global)`
+/// ascending, ties ascending by global index — exactly the order an
+/// argmin scan would visit minima in. Machine state is constant during a
+/// dispatch pass (offers apply after the pop loop, a claimed machine is
+/// merely excluded), so scores computed once per pass are exact,
+/// collapsing O(jobs × machines) rescoring to O(specs × machines log
+/// machines) per epoch.
 struct Ranked {
     order: Vec<(f64, usize)>,
-    /// Entries before this are taken; the head is this shard's current
-    /// best offer for the spec.
+    /// Entries before this are taken; the head is the current best offer
+    /// for the spec.
     cursor: usize,
 }
 
-/// One scheduler shard: a contiguous replica-aligned slice of the
-/// cluster with its own queue, offers, bindings and per-pass placement
-/// cache. All mutation happens at the epoch barrier (single-threaded,
-/// fixed shard-major order).
-struct Shard {
-    /// Global machine range this shard owns.
-    globals: std::ops::Range<usize>,
-    /// This shard's slice of the job backlog (keys drawn from the shared
-    /// [`SeqSource`], so heads are comparable across shards).
-    queue: JobQueue,
-    /// Outstanding offer per machine, indexed by `global - globals.start`.
-    offered: Vec<Option<JobId>>,
-    /// (global machine, instance) → job currently running there.
-    bindings: BTreeMap<(usize, BeInstanceId), JobId>,
-    /// Scratch: machines eligible for new work this dispatch pass
-    /// (AllowBEGrowth, no outstanding offer), ascending global order.
-    eligible: Vec<usize>,
-    /// Scratch: per-spec rankings this dispatch pass (key `""` holds the
-    /// job-independent LeastPressure ranking).
-    ranked: BTreeMap<String, Ranked>,
-}
-
-impl Shard {
-    fn offer_slot(&mut self, g: usize) -> &mut Option<JobId> {
-        &mut self.offered[g - self.globals.start]
-    }
-}
-
-/// All cluster-level scheduling state: the job ledger, the sharded
-/// queues/offers/bindings, the placer and gang trackers. Mutated only at
-/// the epoch barrier (single-threaded, fixed iteration order), so every
-/// decision is deterministic — and, by construction, identical for any
-/// shard count.
+/// All cluster-level scheduling state: the job ledger, the queue, offers
+/// and bindings, the placer and gang trackers. Mutated only at the epoch
+/// barrier (single-threaded, fixed iteration order), so every decision is
+/// deterministic.
 struct Scheduler<'c> {
     cfg: &'c ClusterConfig,
     pods: usize,
-    map: ShardMap,
+    /// Whether a controller drives BE work (false for Solo runs, whose
+    /// backlog is never queued).
+    managed: bool,
     jobs: Vec<ClusterJob>,
-    shards: Vec<Shard>,
-    /// Shared sequence counter: keeps shard queue keys globally ordered.
-    seq: SeqSource,
+    /// The backlog awaiting placement.
+    queue: JobQueue,
+    /// Outstanding offer per machine (index = global machine index).
+    offered: Vec<Option<JobId>>,
+    /// (global machine, instance) → job currently running there.
+    bindings: BTreeMap<(usize, BeInstanceId), JobId>,
     placer: Placer,
     catalog: BTreeMap<String, BeSpec>,
     /// Gang id → tracker, for every gang entry of the plan.
@@ -211,17 +109,18 @@ struct Scheduler<'c> {
     plan: FaultPlan,
     /// Dynamic fault state: plan cursor + the set of down machines.
     chaos: ChaosState,
-    /// Scheduler events (gang lifecycle, deadline misses, steals),
+    /// Scheduler events (gang lifecycle, deadline misses, faults),
     /// emission order. Only populated when telemetry is enabled.
     events: Vec<ClusterEvent>,
-    /// Jobs placed outside their home shard.
-    steals: u64,
-    /// Dispatch passes in which ≥ 1 shard was skipped (no eligible
-    /// machines).
-    fast_path_epochs: u64,
     /// Normalized machine capacity per global index (pure function of
     /// the machine spec; filled on first dispatch).
     caps: Vec<f64>,
+    /// Scratch: machines eligible for new work this dispatch pass
+    /// (AllowBEGrowth, no outstanding offer, not down), ascending.
+    eligible: Vec<usize>,
+    /// Scratch: per-spec rankings this dispatch pass (key `""` holds the
+    /// job-independent LeastPressure ranking).
+    ranked: BTreeMap<String, Ranked>,
     /// Scratch, reused across passes: machines claimed this pass…
     taken: Vec<bool>,
     /// …and which entries of `taken` to reset next pass.
@@ -238,10 +137,9 @@ struct Scheduler<'c> {
 
 impl<'c> Scheduler<'c> {
     /// Builds the job ledger from the config's effective plan (gang
-    /// entries expand to their instance count) and queues the work on
-    /// each job's home shard: solitary jobs directly, gangs through
-    /// their first member.
-    fn new(cfg: &'c ClusterConfig, pods: usize, map: ShardMap, managed: bool) -> Scheduler<'c> {
+    /// entries expand to their instance count) and queues the work:
+    /// solitary jobs directly, gangs through their first member.
+    fn new(cfg: &'c ClusterConfig, pods: usize, managed: bool) -> Scheduler<'c> {
         let mut jobs: Vec<ClusterJob> = Vec::new();
         let mut gangs = BTreeMap::new();
         for (entry, spec) in cfg.effective_plan().iter().enumerate() {
@@ -268,23 +166,10 @@ impl<'c> Scheduler<'c> {
                 );
             }
         }
-        let mut shards: Vec<Shard> = (0..map.count())
-            .map(|s| {
-                let globals = map.global_range(s);
-                Shard {
-                    offered: vec![None; globals.len()],
-                    globals,
-                    queue: match cfg.queue_aging_s {
-                        Some(aging) => JobQueue::with_aging(aging),
-                        None => JobQueue::new(),
-                    },
-                    bindings: BTreeMap::new(),
-                    eligible: Vec::new(),
-                    ranked: BTreeMap::new(),
-                }
-            })
-            .collect();
-        let mut seq = SeqSource::new();
+        let mut queue = match cfg.queue_aging_s {
+            Some(aging) => JobQueue::with_aging(aging),
+            None => JobQueue::new(),
+        };
         if managed {
             for j in &jobs {
                 let leads_gang = match j.gang {
@@ -293,25 +178,19 @@ impl<'c> Scheduler<'c> {
                     None => true,
                 };
                 if leads_gang {
-                    let s = seq.back();
-                    shards[map.home_shard(j.id)].queue.submit_with_seq(
-                        j.id,
-                        j.priority,
-                        j.deadline_s,
-                        0.0,
-                        s,
-                    );
+                    queue.submit_with(j.id, j.priority, j.deadline_s, 0.0);
                 }
             }
         }
         Scheduler {
             cfg,
             pods,
-            map,
+            managed,
             taken: vec![false; cfg.machines],
+            offered: vec![None; cfg.machines],
             jobs,
-            shards,
-            seq,
+            queue,
+            bindings: BTreeMap::new(),
             placer: Placer::new(
                 cfg.policy,
                 rhythm_interference::InterferenceModel::calibrated(),
@@ -325,9 +204,9 @@ impl<'c> Scheduler<'c> {
             },
             chaos: ChaosState::default(),
             events: Vec::new(),
-            steals: 0,
-            fast_path_epochs: 0,
             caps: Vec::new(),
+            eligible: Vec::new(),
+            ranked: BTreeMap::new(),
             touched: Vec::new(),
             rr: BTreeSet::new(),
             assignments: Vec::new(),
@@ -346,36 +225,35 @@ impl<'c> Scheduler<'c> {
             .collect()
     }
 
+    /// Records a cluster event when telemetry is enabled.
+    fn note(&mut self, t_s: f64, kind: ClusterEventKind, job: u64, gang: Option<u32>) {
+        if self.cfg.telemetry.enabled {
+            self.events.push(ClusterEvent {
+                t_s,
+                kind,
+                job,
+                gang,
+            });
+        }
+    }
+
     /// Marks `jid` finished, recording a deadline-miss event if it
     /// completed past its deadline.
     fn complete(&mut self, jid: JobId, now_s: f64) {
         self.jobs[jid as usize].on_complete(now_s);
         let job = &self.jobs[jid as usize];
-        if self.cfg.telemetry.enabled && job.deadline_missed_at(now_s) {
-            self.events.push(ClusterEvent {
-                t_s: now_s,
-                kind: ClusterEventKind::DeadlineMiss,
-                job: jid,
-                gang: job.gang,
-                shard: None,
-            });
+        if job.deadline_missed_at(now_s) {
+            let gang = job.gang;
+            self.note(now_s, ClusterEventKind::DeadlineMiss, jid, gang);
         }
-    }
-
-    /// Requeues `jid` at the front of its class on its home shard.
-    fn requeue_home(&mut self, jid: JobId, now_s: f64) {
-        let seq = self.seq.front();
-        self.shards[self.map.home_shard(jid)]
-            .queue
-            .requeue_at_seq(jid, now_s, seq);
     }
 
     /// Applies every fault-plan event due at this barrier, in plan
     /// order. Runs single-threaded at the top of the epoch (before
     /// dispatch), so fault application is as deterministic as every
-    /// other barrier mutation: same plan + same seed → same outcome
-    /// for any shard count and any worker-thread count.
-    fn apply_faults(&mut self, engines: &mut [MutexGuard<'_, Engine>], now_s: f64) {
+    /// other barrier mutation: same plan + same seed → same outcome for
+    /// any worker-thread count.
+    fn apply_faults(&mut self, engines: &mut [Engine], now_s: f64) {
         while (self.chaos.applied as usize) < self.plan.events.len() {
             let ev = &self.plan.events[self.chaos.applied as usize];
             if ev.at_s > now_s {
@@ -384,15 +262,7 @@ impl<'c> Scheduler<'c> {
             let idx = self.chaos.applied;
             let kind = ev.kind.clone();
             self.chaos.applied += 1;
-            if self.cfg.telemetry.enabled {
-                self.events.push(ClusterEvent {
-                    t_s: now_s,
-                    kind: ClusterEventKind::FaultInjected,
-                    job: idx,
-                    gang: None,
-                    shard: None,
-                });
-            }
+            self.note(now_s, ClusterEventKind::FaultInjected, idx, None);
             match kind {
                 FaultKind::MachineCrash { machine } => {
                     self.crash_machine(machine as usize, engines, now_s);
@@ -421,24 +291,23 @@ impl<'c> Scheduler<'c> {
     /// blocks dispatch eligibility until recovery. The LC service is
     /// modeled as failing over invisibly — the cost of a crash is lost
     /// batch work plus redistribution pressure on the survivors.
-    fn crash_machine(&mut self, g: usize, engines: &mut [MutexGuard<'_, Engine>], now_s: f64) {
+    fn crash_machine(&mut self, g: usize, engines: &mut [Engine], now_s: f64) {
         if !self.chaos.down.insert(g as u64) {
             return; // already down
         }
-        let si = self.map.shard_of_global(g);
         let r = machine_ref(g, self.pods);
-        if let Some(jid) = self.shards[si].offer_slot(g).take() {
+        if let Some(jid) = self.offered[g].take() {
             engines[r.replica].set_be_offer(r.pod, None);
             self.jobs[jid as usize].state = JobState::Queued;
-            // A solitary job goes straight back to its queue; a forming
+            // A solitary job goes straight back to the queue; a forming
             // gang keeps waiting on its patience budget and the gang
             // pass aborts (and requeues) it when that runs out.
             if self.jobs[jid as usize].gang.is_none() {
-                self.requeue_home(jid, now_s);
+                self.queue.requeue_at(jid, now_s);
             }
         }
         let range = (g, BeInstanceId::MIN)..(g + 1, BeInstanceId::MIN);
-        let bound: Vec<(BeInstanceId, JobId)> = self.shards[si]
+        let bound: Vec<(BeInstanceId, JobId)> = self
             .bindings
             .range(range)
             .map(|(&(_, inst), &jid)| (inst, jid))
@@ -449,7 +318,7 @@ impl<'c> Scheduler<'c> {
             // so the rollback banks exactly what ran.
             let progress = engines[r.replica].be_progress(r.pod, inst).unwrap_or(0.0);
             engines[r.replica].remove_be(r.pod, inst);
-            self.shards[si].bindings.remove(&(g, inst));
+            self.bindings.remove(&(g, inst));
             if self.jobs[jid as usize].total_progress(progress) >= 1.0 {
                 self.complete(jid, now_s);
             } else {
@@ -459,73 +328,49 @@ impl<'c> Scheduler<'c> {
                     Some(gid) => {
                         dirty_gangs.insert(gid);
                     }
-                    None => self.requeue_home(jid, now_s),
+                    None => self.queue.requeue_at(jid, now_s),
                 }
             }
         }
         for gid in dirty_gangs {
             self.abort_gang(gid, engines, now_s);
         }
-        if self.cfg.telemetry.enabled {
-            self.events.push(ClusterEvent {
-                t_s: now_s,
-                kind: ClusterEventKind::MachineDown,
-                job: g as u64,
-                gang: None,
-                shard: Some(si as u32),
-            });
-        }
+        self.note(now_s, ClusterEventKind::MachineDown, g as u64, None);
     }
 
     /// Brings machine `g` back: removes it from the down set and
     /// restores its LC frequency to the ceiling (clearing straggler
     /// state), making it eligible for offers at this same barrier.
-    fn recover_machine(&mut self, g: usize, engines: &mut [MutexGuard<'_, Engine>], now_s: f64) {
+    fn recover_machine(&mut self, g: usize, engines: &mut [Engine], now_s: f64) {
         self.chaos.down.remove(&(g as u64));
         let r = machine_ref(g, self.pods);
         let max = engines[r.replica].lc_max_mhz(r.pod);
         engines[r.replica].set_lc_frequency(r.pod, max);
-        if self.cfg.telemetry.enabled {
-            self.events.push(ClusterEvent {
-                t_s: now_s,
-                kind: ClusterEventKind::MachineUp,
-                job: g as u64,
-                gang: None,
-                shard: Some(self.map.shard_of_global(g) as u32),
-            });
-        }
+        self.note(now_s, ClusterEventKind::MachineUp, g as u64, None);
     }
 
     /// Epoch step 1: withdraw unconsumed solitary offers, then place
     /// queued jobs on machines signalling AllowBEGrowth (one offer per
     /// machine per epoch; a gang claims one machine per live member,
     /// all-or-nothing).
-    ///
-    /// Runs on the main thread while the workers are parked at the epoch
-    /// barrier, so the engine locks are uncontended.
-    fn dispatch(&mut self, engines: &mut [MutexGuard<'_, Engine>], now_s: f64) {
-        for sh in &mut self.shards {
-            sh.queue.age(now_s);
-        }
+    fn dispatch(&mut self, engines: &mut [Engine], now_s: f64) {
+        self.queue.age(now_s);
         // Withdraw offers the controllers did not consume last epoch, in
         // reverse global order so the requeue-to-front restores the
         // original relative order. Offers of forming gangs stay out —
         // their patience counter bounds the wait instead.
-        for si in (0..self.shards.len()).rev() {
-            let lo = self.shards[si].globals.start;
-            for slot in (0..self.shards[si].offered.len()).rev() {
-                let Some(jid) = self.shards[si].offered[slot] else {
-                    continue;
-                };
-                if self.jobs[jid as usize].gang.is_some() {
-                    continue;
-                }
-                self.shards[si].offered[slot] = None;
-                let r = machine_ref(lo + slot, self.pods);
-                engines[r.replica].set_be_offer(r.pod, None);
-                self.jobs[jid as usize].state = JobState::Queued;
-                self.requeue_home(jid, now_s);
+        for g in (0..self.offered.len()).rev() {
+            let Some(jid) = self.offered[g] else {
+                continue;
+            };
+            if self.jobs[jid as usize].gang.is_some() {
+                continue;
             }
+            self.offered[g] = None;
+            let r = machine_ref(g, self.pods);
+            engines[r.replica].set_be_offer(r.pod, None);
+            self.jobs[jid as usize].state = JobState::Queued;
+            self.queue.requeue_at(jid, now_s);
         }
         // Capacity is a pure function of the machine spec: fill the
         // cache once and never touch `Machine` for it again.
@@ -537,33 +382,23 @@ impl<'c> Scheduler<'c> {
                 })
                 .collect();
         }
-        // Eligibility, once per pass per shard. Offers and controller
-        // signals do not change inside a pass, so this — and every score
-        // derived from it — stays valid until the pass ends. A shard
-        // with nothing eligible is skipped by every lookup below.
-        let mut any_skipped = false;
-        for sh in &mut self.shards {
-            sh.eligible.clear();
-            sh.ranked.clear();
-            for g in sh.globals.clone() {
-                if sh.offered[g - sh.globals.start].is_none()
-                    && (self.chaos.down.is_empty() || !self.chaos.down.contains(&(g as u64)))
-                    && allows_growth(engines, g, self.pods)
-                {
-                    sh.eligible.push(g);
-                }
+        // Eligibility, once per pass. Offers and controller signals do
+        // not change inside a pass, so this — and every score derived
+        // from it — stays valid until the pass ends.
+        self.eligible.clear();
+        self.ranked.clear();
+        for g in 0..self.cfg.machines {
+            if self.offered[g].is_none()
+                && (self.chaos.down.is_empty() || !self.chaos.down.contains(&(g as u64)))
+                && allows_growth(engines, g, self.pods)
+            {
+                self.eligible.push(g);
             }
-            any_skipped |= sh.eligible.is_empty();
-        }
-        if any_skipped {
-            self.fast_path_epochs += 1;
         }
         let rr_policy = self.placer.policy() == PlacementPolicy::RoundRobin;
         self.rr.clear();
         if rr_policy {
-            for sh in &self.shards {
-                self.rr.extend(sh.eligible.iter().copied());
-            }
+            self.rr.extend(self.eligible.iter().copied());
         }
         let mut rr_cursor = self.placer.cursor();
         for &g in &self.touched {
@@ -574,16 +409,8 @@ impl<'c> Scheduler<'c> {
         let mut chosen = std::mem::take(&mut self.chosen);
         let mut peer_caps = std::mem::take(&mut self.peer_caps);
         assignments.clear();
-        // Pop queued work in global key order (K-way merge over the
-        // shard heads) while eligible machines remain.
-        while let Some(home) = (0..self.shards.len())
-            .filter_map(|s| self.shards[s].queue.peek_key().map(|k| (k, s)))
-            .min()
-            .map(|(_, s)| s)
-        {
-            // PANIC: `home` was selected because its peek returned Some,
-            // and nothing popped between the peek and here.
-            let jid = self.shards[home].queue.pop().expect("peeked head pops");
+        // Pop queued work in queue order while eligible machines remain.
+        while let Some(jid) = self.queue.pop() {
             let members: Vec<JobId> = match self.jobs[jid as usize].gang {
                 Some(gid) => self.live_members(gid),
                 None => vec![jid],
@@ -594,7 +421,7 @@ impl<'c> Scheduler<'c> {
             for _ in 0..members.len() {
                 let pick = if rr_policy {
                     // First eligible machine at or after the cursor,
-                    // wrapping — the unsharded rotation exactly.
+                    // wrapping.
                     let p = self
                         .rr
                         .range(rr_cursor..)
@@ -607,17 +434,7 @@ impl<'c> Scheduler<'c> {
                     }
                     p
                 } else {
-                    pick_scored(
-                        &mut self.shards,
-                        &self.placer,
-                        &spec,
-                        &peer_caps,
-                        &self.taken,
-                        &self.caps,
-                        &self.catalog,
-                        engines,
-                        self.pods,
-                    )
+                    self.pick_scored(&spec, &peer_caps, engines)
                 };
                 match pick {
                     Some(g) => {
@@ -636,7 +453,7 @@ impl<'c> Scheduler<'c> {
                 for &g in &chosen {
                     self.taken[g] = false;
                 }
-                self.requeue_home(jid, now_s);
+                self.queue.requeue_at(jid, now_s);
                 break;
             }
             for (&g, &m) in chosen.iter().zip(&members) {
@@ -651,95 +468,148 @@ impl<'c> Scheduler<'c> {
         }
         self.placer.set_cursor(rr_cursor);
         for &(g, jid) in &assignments {
-            let dest = self.map.shard_of_global(g);
-            *self.shards[dest].offer_slot(g) = Some(jid);
+            self.offered[g] = Some(jid);
             self.jobs[jid as usize].state = JobState::Offered(g);
             let spec = Arc::clone(&self.jobs[jid as usize].spec);
             let priority = self.jobs[jid as usize].priority;
             let r = machine_ref(g, self.pods);
             engines[r.replica].set_be_offer_prio(r.pod, Some((spec, priority)));
-            if dest != self.map.home_shard(jid) {
-                // Placed outside its home shard: identical decision to
-                // the unsharded argmin, recorded as a steal.
-                self.steals += 1;
-                if self.cfg.telemetry.enabled {
-                    self.events.push(ClusterEvent {
-                        t_s: now_s,
-                        kind: ClusterEventKind::ShardSteal,
-                        job: jid,
-                        gang: self.jobs[jid as usize].gang,
-                        shard: Some(dest as u32),
-                    });
-                }
-            }
         }
         self.assignments = assignments;
         self.chosen = chosen;
         self.peer_caps = peer_caps;
     }
 
+    /// The best unclaimed eligible machine for `spec` from the pass's
+    /// cached ranking (built lazily, once per spec per pass). Ties keep
+    /// the lowest global index.
+    fn pick_scored(
+        &mut self,
+        spec: &BeSpec,
+        peer_caps: &[f64],
+        engines: &[Engine],
+    ) -> Option<usize> {
+        let policy = self.placer.policy();
+        // LeastPressure ignores the job entirely: one shared ranking.
+        let key: &str = if policy == PlacementPolicy::LeastPressure {
+            ""
+        } else {
+            &spec.name
+        };
+        if !self.ranked.contains_key(key) {
+            let mut order: Vec<(f64, usize)> = Vec::with_capacity(self.eligible.len());
+            for &g in &self.eligible {
+                let r = machine_ref(g, self.pods);
+                let machine = engines[r.replica].machine(r.pod);
+                let component = &engines[r.replica].service().nodes[r.pod].component;
+                let s = match policy {
+                    PlacementPolicy::LeastPressure => {
+                        Placer::pressure_score(machine, &self.catalog)
+                    }
+                    PlacementPolicy::InterferenceScore => {
+                        self.placer
+                            .score_on(spec, component, machine, &self.catalog)
+                    }
+                    PlacementPolicy::HeteroAware => {
+                        self.placer
+                            .hetero_base(spec, component, machine, &self.catalog)
+                    }
+                    PlacementPolicy::RoundRobin => unreachable!("RR uses the rotation set"),
+                };
+                order.push((s, g));
+            }
+            // Scores are finite and non-negative (pressures, inflations
+            // and capacities all are), so total_cmp is the plain `<`
+            // order here; ties keep ascending global.
+            order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            self.ranked
+                .insert(key.to_string(), Ranked { order, cursor: 0 });
+        }
+        // PANIC: the branch above inserted this key when it was absent.
+        let ranked = self.ranked.get_mut(key).expect("ranking just built");
+        let taken = &self.taken;
+        if policy == PlacementPolicy::HeteroAware && !peer_caps.is_empty() {
+            // Gang context shifts every machine's score by its own
+            // capacity-mismatch penalty, which reorders arbitrarily:
+            // scan the cached bases (skipping claimed machines) for the
+            // strict minimum, ties keeping the lowest global index.
+            let peer_mean = peer_caps.iter().sum::<f64>() / peer_caps.len() as f64;
+            let mut best: Option<(f64, usize)> = None;
+            for &(base, g) in &ranked.order {
+                if taken[g] {
+                    continue;
+                }
+                let s = base + Placer::STRAGGLER_WEIGHT * (self.caps[g] - peer_mean).abs();
+                match best {
+                    Some((bs, bg)) if !(s < bs || (s == bs && g < bg)) => {}
+                    _ => best = Some((s, g)),
+                }
+            }
+            return best.map(|(_, g)| g);
+        }
+        // Head of the ranking, skipping machines claimed earlier in the
+        // pass (claims never revert mid-pass, so the cursor only moves
+        // forward).
+        while ranked.cursor < ranked.order.len() && taken[ranked.order[ranked.cursor].1] {
+            ranked.cursor += 1;
+        }
+        ranked.order.get(ranked.cursor).map(|&(_, g)| g)
+    }
+
     /// Epoch step 3: the deterministic merge at the barrier. Every
     /// engine's BE progress was already synced to the boundary by the
-    /// worker that ran it (engine-local work), so reading or mutating BE
+    /// thread that ran it (engine-local work), so reading or mutating BE
     /// state — including the cross-replica gang rollback — cannot
     /// mis-attribute any fraction of the tick.
-    fn merge(&mut self, engines: &mut [MutexGuard<'_, Engine>], now: SimTime) {
+    fn merge(&mut self, engines: &mut [Engine], now: SimTime) {
         let now_s = now.as_secs_f64();
         let mut dirty_gangs: BTreeSet<u32> = BTreeSet::new();
-        // Shard-major, replicas ascending within each shard — shards are
-        // contiguous and replica-aligned, so this is exactly the old
-        // replica-major order.
-        for si in 0..self.shards.len() {
-            for r in self.map.replica_range(si) {
-                let engine = &mut engines[r];
-                // Admissions: bind each new instance to the job offered
-                // to its machine.
-                for adm in engine.take_be_admissions() {
-                    let g = global_index(r, adm.machine, self.pods);
-                    if let Some(jid) = self.shards[si].offer_slot(g).take() {
-                        self.shards[si].bindings.insert((g, adm.instance), jid);
-                        self.jobs[jid as usize].state = JobState::Running(g);
-                        engine.set_be_offer(adm.machine, None);
-                    }
+        for (r, engine) in engines.iter_mut().enumerate() {
+            // Admissions: bind each new instance to the job offered to
+            // its machine.
+            for adm in engine.take_be_admissions() {
+                let g = global_index(r, adm.machine, self.pods);
+                if let Some(jid) = self.offered[g].take() {
+                    self.bindings.insert((g, adm.instance), jid);
+                    self.jobs[jid as usize].state = JobState::Running(g);
+                    engine.set_be_offer(adm.machine, None);
                 }
-                // Kills: roll back to the checkpoint and requeue — unless
-                // the instance had in fact already finished the job by
-                // kill time. A killed gang member marks its gang for the
-                // abort pass.
-                for kill in engine.take_be_kills() {
-                    let g = global_index(r, kill.machine, self.pods);
-                    if let Some(jid) = self.shards[si].bindings.remove(&(g, kill.instance)) {
-                        if self.jobs[jid as usize].total_progress(kill.progress) >= 1.0 {
-                            self.complete(jid, now_s);
-                        } else {
-                            let job = &mut self.jobs[jid as usize];
-                            job.on_kill(kill.progress, self.cfg.checkpoint_fraction);
-                            match job.gang {
-                                Some(gid) => {
-                                    dirty_gangs.insert(gid);
-                                }
-                                None => self.requeue_home(jid, now_s),
+            }
+            // Kills: roll back to the checkpoint and requeue — unless the
+            // instance had in fact already finished the job by kill time.
+            // A killed gang member marks its gang for the abort pass.
+            for kill in engine.take_be_kills() {
+                let g = global_index(r, kill.machine, self.pods);
+                if let Some(jid) = self.bindings.remove(&(g, kill.instance)) {
+                    if self.jobs[jid as usize].total_progress(kill.progress) >= 1.0 {
+                        self.complete(jid, now_s);
+                    } else {
+                        let job = &mut self.jobs[jid as usize];
+                        job.on_kill(kill.progress, self.cfg.checkpoint_fraction);
+                        match job.gang {
+                            Some(gid) => {
+                                dirty_gangs.insert(gid);
                             }
+                            None => self.queue.requeue_at(jid, now_s),
                         }
                     }
                 }
-                // Completions: retire bound instances whose job reached
-                // 1.0.
-                let lo = (global_index(r, 0, self.pods), BeInstanceId::MIN);
-                let hi = (global_index(r + 1, 0, self.pods), BeInstanceId::MIN);
-                let bound: Vec<(usize, BeInstanceId, JobId)> = self.shards[si]
-                    .bindings
-                    .range(lo..hi)
-                    .map(|(&(g, inst), &jid)| (g, inst, jid))
-                    .collect();
-                for (g, inst, jid) in bound {
-                    let pod = machine_ref(g, self.pods).pod;
-                    let done = engine.be_progress(pod, inst).unwrap_or(0.0);
-                    if self.jobs[jid as usize].total_progress(done) >= 1.0 {
-                        engine.remove_be(pod, inst);
-                        self.complete(jid, now_s);
-                        self.shards[si].bindings.remove(&(g, inst));
-                    }
+            }
+            // Completions: retire bound instances whose job reached 1.0.
+            let lo = (global_index(r, 0, self.pods), BeInstanceId::MIN);
+            let hi = (global_index(r + 1, 0, self.pods), BeInstanceId::MIN);
+            let bound: Vec<(usize, BeInstanceId, JobId)> = self
+                .bindings
+                .range(lo..hi)
+                .map(|(&(g, inst), &jid)| (g, inst, jid))
+                .collect();
+            for (g, inst, jid) in bound {
+                let pod = machine_ref(g, self.pods).pod;
+                let done = engine.be_progress(pod, inst).unwrap_or(0.0);
+                if self.jobs[jid as usize].total_progress(done) >= 1.0 {
+                    engine.remove_be(pod, inst);
+                    self.complete(jid, now_s);
+                    self.bindings.remove(&(g, inst));
                 }
             }
         }
@@ -749,12 +619,7 @@ impl<'c> Scheduler<'c> {
     /// The gang lifecycle pass, in gang-id order: aborts gangs with a
     /// killed member, marks gangs whose live members all run as formed,
     /// and counts down (then aborts) the patience of still-forming ones.
-    fn gang_pass(
-        &mut self,
-        engines: &mut [MutexGuard<'_, Engine>],
-        dirty: &BTreeSet<u32>,
-        now_s: f64,
-    ) {
+    fn gang_pass(&mut self, engines: &mut [Engine], dirty: &BTreeSet<u32>, now_s: f64) {
         let gids: Vec<u32> = self.gangs.keys().copied().collect();
         for gid in gids {
             if dirty.contains(&gid) {
@@ -771,15 +636,8 @@ impl<'c> Scheduler<'c> {
             {
                 // PANIC: every gang id is registered in `gangs` at submission.
                 self.gangs.get_mut(&gid).expect("gang tracked").forming = false;
-                if self.cfg.telemetry.enabled {
-                    self.events.push(ClusterEvent {
-                        t_s: now_s,
-                        kind: ClusterEventKind::GangFormed,
-                        job: live.first().copied().unwrap_or_default(),
-                        gang: Some(gid),
-                        shard: None,
-                    });
-                }
+                let leader = live.first().copied().unwrap_or_default();
+                self.note(now_s, ClusterEventKind::GangFormed, leader, Some(gid));
             } else {
                 // PANIC: every gang id is registered in `gangs` at submission.
                 let tracker = self.gangs.get_mut(&gid).expect("gang tracked");
@@ -795,21 +653,19 @@ impl<'c> Scheduler<'c> {
     /// offers, kills its running members (progress rolls back to the
     /// last checkpoint; the loss counts as wasted work) and requeues the
     /// gang through its first live member.
-    fn abort_gang(&mut self, gid: u32, engines: &mut [MutexGuard<'_, Engine>], now_s: f64) {
+    fn abort_gang(&mut self, gid: u32, engines: &mut [Engine], now_s: f64) {
         let live = self.live_members(gid);
         for &m in &live {
             match self.jobs[m as usize].state {
                 JobState::Offered(g) => {
-                    let si = self.map.shard_of_global(g);
-                    *self.shards[si].offer_slot(g) = None;
+                    self.offered[g] = None;
                     let r = machine_ref(g, self.pods);
                     engines[r.replica].set_be_offer(r.pod, None);
                     self.jobs[m as usize].state = JobState::Queued;
                 }
                 JobState::Running(g) => {
-                    let si = self.map.shard_of_global(g);
                     let range = (g, BeInstanceId::MIN)..(g + 1, BeInstanceId::MIN);
-                    let inst = self.shards[si]
+                    let inst = self
                         .bindings
                         .range(range)
                         .find(|&(_, &jid)| jid == m)
@@ -820,7 +676,7 @@ impl<'c> Scheduler<'c> {
                         // merge, so the rollback banks exactly what ran.
                         let progress = engines[r.replica].be_progress(r.pod, inst).unwrap_or(0.0);
                         engines[r.replica].remove_be(r.pod, inst);
-                        self.shards[si].bindings.remove(&(g, inst));
+                        self.bindings.remove(&(g, inst));
                         self.jobs[m as usize].on_kill(progress, self.cfg.checkpoint_fraction);
                     }
                 }
@@ -836,27 +692,96 @@ impl<'c> Scheduler<'c> {
             // representative carries the gang's class and deadline into
             // the queue.
             let job = &self.jobs[leader as usize];
-            let (priority, deadline_s, submitted_s) = (job.priority, job.deadline_s, job.submitted_s);
-            self.shards[self.map.home_shard(leader)]
-                .queue
-                .adopt(leader, priority, deadline_s, submitted_s);
-            self.requeue_home(leader, now_s);
-            if self.cfg.telemetry.enabled {
-                self.events.push(ClusterEvent {
-                    t_s: now_s,
-                    kind: ClusterEventKind::GangAborted,
-                    job: leader,
-                    gang: Some(gid),
-                    shard: None,
-                });
-            }
+            let (priority, deadline_s, submitted_s) =
+                (job.priority, job.deadline_s, job.submitted_s);
+            self.queue.adopt(leader, priority, deadline_s, submitted_s);
+            self.queue.requeue_at(leader, now_s);
+            self.note(now_s, ClusterEventKind::GangAborted, leader, Some(gid));
         }
     }
 
-    /// Queue requeues summed over shards (one shared [`SeqSource`], so
-    /// the sum equals the single-queue count).
-    fn requeues(&self) -> u64 {
-        self.shards.iter().map(|s| s.queue.requeue_count()).sum()
+    /// Checks the cross-layer invariants that must hold at every epoch
+    /// barrier, naming the first violation:
+    ///
+    /// * `offered[g] == Some(j)` exactly when job `j` is `Offered(g)`;
+    /// * a binding `(g, _) → j` exists exactly when job `j` is
+    ///   `Running(g)`, and no job holds two bindings;
+    /// * queued ids are unique and every one of them is `Queued`;
+    /// * in managed runs, every `Queued` solitary job is in the queue
+    ///   (gang members wait through their representative);
+    /// * no down machine holds an offer or a binding.
+    fn check_invariants(&self) -> Result<(), String> {
+        let state = |j: JobId| self.jobs.get(j as usize).map(|job| job.state);
+        for (g, slot) in self.offered.iter().enumerate() {
+            if let Some(j) = *slot {
+                if state(j) != Some(JobState::Offered(g)) {
+                    return Err(format!(
+                        "machine {g} offers job {j}, whose state is {:?}",
+                        state(j)
+                    ));
+                }
+            }
+        }
+        let mut bound: BTreeMap<JobId, usize> = BTreeMap::new();
+        for (&(g, inst), &j) in &self.bindings {
+            if state(j) != Some(JobState::Running(g)) {
+                return Err(format!(
+                    "instance {inst} on machine {g} is bound to job {j}, whose state is {:?}",
+                    state(j)
+                ));
+            }
+            if bound.insert(j, g).is_some() {
+                return Err(format!("job {j} holds more than one binding"));
+            }
+        }
+        let queued = self.queue.queued_ids();
+        let in_queue: BTreeSet<JobId> = queued.iter().copied().collect();
+        if in_queue.len() != queued.len() {
+            return Err("the queue holds a job twice".into());
+        }
+        if let Some(&j) = queued.iter().find(|&&j| state(j) != Some(JobState::Queued)) {
+            return Err(format!("queued job {j} is in state {:?}", state(j)));
+        }
+        for job in &self.jobs {
+            match job.state {
+                JobState::Offered(g) if self.offered.get(g) != Some(&Some(job.id)) => {
+                    return Err(format!(
+                        "job {} is offered to machine {g}, which offers something else",
+                        job.id
+                    ));
+                }
+                JobState::Running(g) if bound.get(&job.id) != Some(&g) => {
+                    return Err(format!(
+                        "job {} runs on machine {g} without a binding there",
+                        job.id
+                    ));
+                }
+                JobState::Queued
+                    if self.managed && job.gang.is_none() && !in_queue.contains(&job.id) =>
+                {
+                    return Err(format!(
+                        "solitary job {} is queued but not in the queue",
+                        job.id
+                    ));
+                }
+                _ => {}
+            }
+        }
+        for &down in &self.chaos.down {
+            let g = down as usize;
+            if self.offered.get(g).is_some_and(Option::is_some) {
+                return Err(format!("down machine {g} holds an offer"));
+            }
+            if self
+                .bindings
+                .range((g, BeInstanceId::MIN)..(g + 1, BeInstanceId::MIN))
+                .next()
+                .is_some()
+            {
+                return Err(format!("down machine {g} holds a binding"));
+            }
+        }
+        Ok(())
     }
 
     /// Exports the scheduler's dynamic state. Caches (`caps`, rankings,
@@ -865,20 +790,13 @@ impl<'c> Scheduler<'c> {
     fn export_state(&self) -> SchedulerState {
         SchedulerState {
             jobs: self.jobs.clone(),
-            shards: self
-                .shards
+            queue: self.queue.clone(),
+            offered: self.offered.clone(),
+            bindings: self
+                .bindings
                 .iter()
-                .map(|sh| ShardState {
-                    queue: sh.queue.clone(),
-                    offered: sh.offered.clone(),
-                    bindings: sh
-                        .bindings
-                        .iter()
-                        .map(|(&(g, inst), &jid)| ((g as u64, inst), jid))
-                        .collect(),
-                })
+                .map(|(&(g, inst), &jid)| ((g as u64, inst), jid))
                 .collect(),
-            seq: self.seq,
             rr_cursor: self.placer.cursor() as u64,
             gangs: self
                 .gangs
@@ -893,16 +811,20 @@ impl<'c> Scheduler<'c> {
                 })
                 .collect(),
             events: self.events.clone(),
-            steals: self.steals,
-            fast_path_epochs: self.fast_path_epochs,
         }
     }
 
-    /// Replays captured dynamic state into a freshly built scheduler.
-    /// The plan-derived structure (job ledger shape, shard layout, gang
-    /// roster) must match what `Scheduler::new` built from the config;
-    /// state that contradicts it is refused rather than applied.
-    fn restore_state(&mut self, st: &SchedulerState) -> Result<(), SnapshotError> {
+    /// Replays captured dynamic state (and the fault state captured with
+    /// it) into a freshly built scheduler. The plan-derived structure
+    /// (job ledger shape, machine count, gang roster) must match what
+    /// `Scheduler::new` built from the config, and the restored state
+    /// must satisfy [`Scheduler::check_invariants`]; anything else is
+    /// refused rather than applied.
+    fn restore_state(
+        &mut self,
+        st: &SchedulerState,
+        chaos: Option<&ChaosState>,
+    ) -> Result<(), SnapshotError> {
         if st.jobs.len() != self.jobs.len() {
             return Err(SnapshotError::Corrupt(format!(
                 "snapshot ledgers {} jobs, the config's plan produces {}",
@@ -918,13 +840,6 @@ impl<'c> Scheduler<'c> {
                 )));
             }
         }
-        if st.shards.len() != self.shards.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "snapshot carries {} shard states, the runner built {}",
-                st.shards.len(),
-                self.shards.len()
-            )));
-        }
         let gangs_match = st.gangs.len() == self.gangs.len()
             && st
                 .gangs
@@ -936,57 +851,57 @@ impl<'c> Scheduler<'c> {
                 "snapshot gang roster differs from the config's job plan".into(),
             ));
         }
-        for (si, (sh, shs)) in self.shards.iter_mut().zip(&st.shards).enumerate() {
-            if shs.offered.len() != sh.offered.len() {
-                return Err(SnapshotError::Corrupt(format!(
-                    "shard {si} offers cover {} machines, its layout has {}",
-                    shs.offered.len(),
-                    sh.offered.len()
-                )));
-            }
-            for &(g, _inst) in shs.bindings.keys() {
-                if !sh.globals.contains(&(g as usize)) {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "shard {si} binds machine {g}, outside its global range"
-                    )));
-                }
-            }
+        if st.offered.len() != self.offered.len() {
+            return Err(SnapshotError::Corrupt(format!(
+                "snapshot offers cover {} machines, the cluster has {}",
+                st.offered.len(),
+                self.offered.len()
+            )));
         }
-        for (sh, shs) in self.shards.iter_mut().zip(&st.shards) {
-            sh.queue = shs.queue.clone();
-            sh.offered = shs.offered.clone();
-            sh.bindings = shs
-                .bindings
-                .iter()
-                .map(|(&(g, inst), &jid)| ((g as usize, inst), jid))
-                .collect();
+        if let Some(&(g, _)) = st
+            .bindings
+            .keys()
+            .find(|&&(g, _)| g >= self.cfg.machines as u64)
+        {
+            return Err(SnapshotError::Corrupt(format!(
+                "snapshot binds machine {g}, the cluster has {}",
+                self.cfg.machines
+            )));
         }
+        self.queue = st.queue.clone();
+        self.offered = st.offered.clone();
+        self.bindings = st
+            .bindings
+            .iter()
+            .map(|(&(g, inst), &jid)| ((g as usize, inst), jid))
+            .collect();
         self.jobs = st.jobs.clone();
-        self.seq = st.seq;
         self.placer.set_cursor(st.rr_cursor as usize);
         for (gid, gs) in &st.gangs {
-            // PANIC: restore_state validated st.gangs against the roster.
+            // PANIC: the roster was validated against `self.gangs` above.
             let t = self.gangs.get_mut(gid).expect("gang roster verified above");
             t.patience_left = gs.patience_left;
             t.forming = gs.forming;
         }
         self.events = st.events.clone();
-        self.steals = st.steals;
-        self.fast_path_epochs = st.fast_path_epochs;
-        Ok(())
+        if let Some(chaos) = chaos {
+            self.chaos = chaos.clone();
+        }
+        self.check_invariants().map_err(|why| {
+            SnapshotError::Corrupt(format!("scheduler state is inconsistent: {why}"))
+        })
     }
 
     /// Captures a full cluster snapshot at the epoch barrier: `epoch`
     /// epochs are complete, every engine is quiescent at virtual time
-    /// `now` (the merge has run and all guards are held), and the next
-    /// dispatch pass has not started.
+    /// `now` (the merge has run), and the next dispatch pass has not
+    /// started.
     fn capture(
         &self,
-        engines: &[MutexGuard<'_, Engine>],
+        engines: &[Engine],
         epoch: u32,
         now: SimTime,
         cluster_tail: &[TailPoint],
-        managed: bool,
     ) -> ClusterSnapshot {
         ClusterSnapshot {
             epoch,
@@ -994,11 +909,10 @@ impl<'c> Scheduler<'c> {
             machines: self.cfg.machines as u64,
             pods: self.pods as u64,
             replicas: engines.len() as u64,
-            shards: self.map.count() as u64,
             seed: self.cfg.seed,
             duration_s: self.cfg.duration_s,
             controller_period_ms: self.cfg.controller_period_ms,
-            managed,
+            managed: self.managed,
             scheduler: self.export_state(),
             engines: engines
                 .iter()
@@ -1016,96 +930,6 @@ impl<'c> Scheduler<'c> {
             }),
         }
     }
-}
-
-/// The global argmin over every shard's cached ranking for `spec`, with
-/// the unsharded tie-break (strictly-smaller score wins; equal scores
-/// keep the lowest global index). Rankings are built lazily, once per
-/// shard per spec per pass; shards with no eligible machine cost
-/// nothing.
-#[allow(clippy::too_many_arguments)]
-fn pick_scored(
-    shards: &mut [Shard],
-    placer: &Placer,
-    spec: &BeSpec,
-    peer_caps: &[f64],
-    taken: &[bool],
-    caps: &[f64],
-    catalog: &BTreeMap<String, BeSpec>,
-    engines: &[MutexGuard<'_, Engine>],
-    pods: usize,
-) -> Option<usize> {
-    let policy = placer.policy();
-    // LeastPressure ignores the job entirely: one shared ranking.
-    let key: &str = if policy == PlacementPolicy::LeastPressure {
-        ""
-    } else {
-        &spec.name
-    };
-    let peered = policy == PlacementPolicy::HeteroAware && !peer_caps.is_empty();
-    let peer_mean = peer_caps.iter().sum::<f64>() / peer_caps.len().max(1) as f64;
-    let mut best: Option<(f64, usize)> = None;
-    let better = |best: &mut Option<(f64, usize)>, s: f64, g: usize| match *best {
-        None => *best = Some((s, g)),
-        Some((bs, bg)) if s < bs || (s == bs && g < bg) => *best = Some((s, g)),
-        _ => {}
-    };
-    for sh in shards.iter_mut() {
-        if sh.eligible.is_empty() {
-            continue;
-        }
-        if !sh.ranked.contains_key(key) {
-            let mut order: Vec<(f64, usize)> = Vec::with_capacity(sh.eligible.len());
-            for &g in &sh.eligible {
-                let r = machine_ref(g, pods);
-                let machine = engines[r.replica].machine(r.pod);
-                let component = &engines[r.replica].service().nodes[r.pod].component;
-                let s = match policy {
-                    PlacementPolicy::LeastPressure => Placer::pressure_score(machine, catalog),
-                    PlacementPolicy::InterferenceScore => {
-                        placer.score_on(spec, component, machine, catalog)
-                    }
-                    PlacementPolicy::HeteroAware => {
-                        placer.hetero_base(spec, component, machine, catalog)
-                    }
-                    PlacementPolicy::RoundRobin => unreachable!("RR uses the rotation set"),
-                };
-                order.push((s, g));
-            }
-            // Scores are finite and non-negative (pressures, inflations
-            // and capacities all are), so total_cmp is the plain `<`
-            // order here; ties keep ascending global.
-            order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            sh.ranked.insert(key.to_string(), Ranked { order, cursor: 0 });
-        }
-        // PANIC: the branch above inserted this key when it was absent.
-        let ranked = sh.ranked.get_mut(key).expect("ranking just built");
-        if peered {
-            // Gang context shifts every machine's score by its own
-            // capacity-mismatch penalty, which reorders arbitrarily:
-            // scan the cached bases (skipping claimed machines). The
-            // explicit (score, global) tie-break makes the scan order
-            // irrelevant.
-            for &(base, g) in &ranked.order {
-                if taken[g] {
-                    continue;
-                }
-                let s = base + Placer::STRAGGLER_WEIGHT * (caps[g] - peer_mean).abs();
-                better(&mut best, s, g);
-            }
-        } else {
-            // Head of the ranking, skipping machines claimed earlier in
-            // the pass (claims never revert mid-pass, so the cursor only
-            // moves forward).
-            while ranked.cursor < ranked.order.len() && taken[ranked.order[ranked.cursor].1] {
-                ranked.cursor += 1;
-            }
-            if let Some(&(s, g)) = ranked.order.get(ranked.cursor) {
-                better(&mut best, s, g);
-            }
-        }
-    }
-    best.map(|(_, g)| g)
 }
 
 /// One [`ClusterRunner`] run: the experiment outcome plus every
@@ -1135,8 +959,8 @@ struct ResumeState {
 /// Captures happen at the single-threaded epoch barrier — after the
 /// merge, before the next dispatch — where every engine is quiescent, so
 /// the snapshot is exact, not racy. Resuming a snapshot continues the
-/// run **bit-identically** to one that never stopped, for any shard
-/// count and any worker-thread count.
+/// run **bit-identically** to one that never stopped, for any
+/// worker-thread count.
 pub struct ClusterRunner<'a> {
     ctx: &'a ServiceContext,
     choice: &'a ControllerChoice,
@@ -1216,12 +1040,10 @@ impl<'a> ClusterRunner<'a> {
         let pods = ctx.service.len();
         let replicas = cfg.machines / pods;
         let managed = !matches!(choice, ControllerChoice::Solo);
-        let map = ShardMap::new(replicas, pods, cfg.shards);
         let expect = [
             ("machines", cfg.machines as u64, snapshot.machines),
             ("pods", pods as u64, snapshot.pods),
             ("replicas", replicas as u64, snapshot.replicas),
-            ("shards", map.count() as u64, snapshot.shards),
             ("seed", cfg.seed, snapshot.seed),
             ("duration_s", cfg.duration_s, snapshot.duration_s),
             (
@@ -1269,10 +1091,11 @@ impl<'a> ClusterRunner<'a> {
             )));
         }
         let engines = runner.build_engines(Some(snapshot))?;
-        // Validate the scheduler state against the plan-derived shape by
-        // restoring it into a throwaway scheduler now; `run` re-applies
-        // it knowing it cannot fail.
-        Scheduler::new(cfg, pods, map, managed).restore_state(&snapshot.scheduler)?;
+        // Validate the scheduler state against the plan-derived shape and
+        // the barrier invariants by restoring it into a throwaway
+        // scheduler now; `run` re-applies it knowing it cannot fail.
+        let chaos = snapshot.chaos.as_ref().map(|c| &c.state);
+        Scheduler::new(cfg, pods, managed).restore_state(&snapshot.scheduler, chaos)?;
         Ok(ClusterRunner {
             resume: Some(ResumeState {
                 epoch: snapshot.epoch,
@@ -1346,10 +1169,9 @@ impl<'a> ClusterRunner<'a> {
         let ctx = self.ctx;
         let cfg = self.cfg;
         let pods = ctx.service.len();
-        let replicas = cfg.machines / pods;
         let managed = !matches!(self.choice, ControllerChoice::Solo);
 
-        let (engines, start_epoch, start_t, tail0, resume_sched, resume_chaos) =
+        let (mut engines, start_epoch, start_t, tail0, resume_sched, resume_chaos) =
             match self.resume.take() {
                 Some(rs) => (
                     rs.engines,
@@ -1372,164 +1194,86 @@ impl<'a> ClusterRunner<'a> {
                 ),
             };
 
-        let map = ShardMap::new(replicas, pods, cfg.shards);
-        let mut sched = Scheduler::new(cfg, pods, map, managed);
+        let mut sched = Scheduler::new(cfg, pods, managed);
         if let Some(st) = &resume_sched {
             sched
                 // PANIC: resume() already validated this state against
                 // the same config before handing it over.
-                .restore_state(st)
+                .restore_state(st, resume_chaos.as_ref())
                 .expect("scheduler state validated by resume()");
-        }
-        if let Some(chaos) = resume_chaos {
-            sched.chaos = chaos;
         }
 
         let epoch = SimDuration::from_millis(cfg.controller_period_ms.max(100));
         let end = SimTime::ZERO + SimDuration::from_secs(cfg.duration_s);
-        let capture_at = &self.capture_at;
-        let mut snapshots: Vec<(u32, ClusterSnapshot)> = Vec::new();
-
-        // The worker pool persists across the whole run: an epoch is only
-        // microseconds of engine work, so spawning threads per epoch (or
-        // parking them in the kernel at each boundary) would dominate the
-        // run. Workers wait at a spin barrier; the main thread opens each
-        // epoch by publishing the target time and filling the task queue,
-        // helps drain it, and does the single-threaded merge while the
-        // workers spin at the next barrier. Whoever ran an engine also
-        // syncs its BE progress to the boundary — engine-local work that
-        // used to serialize inside the merge.
-        let workers = cfg.threads.max(1).min(engines.len());
+        let threads = cfg.threads.max(1);
         let mut cluster_tail: Vec<TailPoint> = tail0;
-        let slots: Vec<Mutex<Engine>> = engines.into_iter().map(Mutex::new).collect();
-        let barrier = SpinBarrier::new(workers);
-        let tasks: SegQueue<usize> = SegQueue::new();
-        let until = AtomicU64::new(0);
-        let done = AtomicBool::new(false);
-
-        let advance = |i: usize, target: SimTime| {
-            // PANIC: a poisoned lock means a worker already panicked —
-            // propagating the abort is the only sound option.
-            let mut engine = slots[i].lock().expect("engine slot poisoned");
-            engine.run_until(target);
-            if target != SimTime::MAX {
-                // The final drain has no merge after it: nothing reads BE
-                // progress past `end`, so only epoch boundaries sync.
-                engine.sync_be_progress(target);
-                // The barrier is a utilization read point: settle the
-                // batched worker-busy integrals engine-locally, in the
-                // parallel phase (pure settlement — bit-identical for
-                // any thread count, like the progress sync above).
-                engine.flush_busy_integrals(target);
+        let mut snapshots: Vec<(u32, ClusterSnapshot)> = Vec::new();
+        let mut t = start_t;
+        let mut epoch_idx: u32 = start_epoch;
+        let have_faults = !sched.plan.is_empty();
+        while t < end {
+            // Faults first: a machine crashing at this barrier must not
+            // receive an offer in the same pass.
+            if have_faults {
+                sched.apply_faults(&mut engines, t.as_secs_f64());
             }
-        };
-
-        crossbeam::scope(|s| {
-            for _ in 1..workers {
-                s.spawn(|_| loop {
-                    barrier.wait();
-                    if done.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let target = SimTime::from_nanos(until.load(Ordering::Acquire));
-                    while let Some(i) = tasks.pop() {
-                        advance(i, target);
-                    }
-                    barrier.wait();
-                });
+            if managed {
+                sched.dispatch(&mut engines, t.as_secs_f64());
             }
-
-            // Advances every engine to `target` on the pool. Each engine
-            // is popped by exactly one worker and engines share no state,
-            // so pop order cannot affect results.
-            let run_to = |target: SimTime| {
-                until.store(target.as_nanos(), Ordering::Release);
-                for i in 0..slots.len() {
-                    tasks.push(i);
+            let next = (t + epoch).min(end);
+            advance_all(&mut engines, threads, next);
+            sched.merge(&mut engines, next);
+            if cfg!(debug_assertions) {
+                if let Err(why) = sched.check_invariants() {
+                    // PANIC: a broken barrier invariant is a scheduler
+                    // bug; debug builds stop at the first barrier that
+                    // shows it.
+                    panic!(
+                        "scheduler invariant broken after epoch {}: {why}",
+                        epoch_idx + 1
+                    );
                 }
-                barrier.wait();
-                while let Some(i) = tasks.pop() {
-                    advance(i, target);
+            }
+            // Telemetry at the barrier, always single-threaded and in
+            // fixed replica order: mark the epoch in every recorder,
+            // then merge the per-engine tail windows the controller tick
+            // just closed into one cluster-wide point. Independent of
+            // worker scheduling, so exports are bit-identical for any
+            // `threads`.
+            if cfg.telemetry.enabled {
+                for e in engines.iter_mut() {
+                    e.note_epoch(epoch_idx, next);
                 }
-                barrier.wait();
-            };
-
-            let mut t = start_t;
-            let mut epoch_idx: u32 = start_epoch;
-            let have_faults = !sched.plan.is_empty();
-            while t < end {
-                if managed || have_faults {
-                    // PANIC: poisoned lock = a worker already panicked.
-                    let mut guards: Vec<MutexGuard<'_, Engine>> =
-                        slots.iter().map(|m| m.lock().expect("engine slot poisoned")).collect();
-                    // Faults first: a machine crashing at this barrier
-                    // must not receive an offer in the same pass.
-                    if have_faults {
-                        sched.apply_faults(&mut guards, t.as_secs_f64());
+                // The engines' control tick does not fire at the very end
+                // of the run (`next == end`): no new window closed there.
+                if cfg.telemetry.tail && next < end {
+                    let mut merged = LatencyHistogram::new();
+                    for e in &engines {
+                        merged.merge(e.telemetry().tail.last_window());
                     }
-                    if managed {
-                        sched.dispatch(&mut guards, t.as_secs_f64());
-                    }
-                }
-                let next = (t + epoch).min(end);
-                run_to(next);
-                // PANIC: poisoned lock = a worker already panicked.
-                let mut guards: Vec<MutexGuard<'_, Engine>> =
-                    slots.iter().map(|m| m.lock().expect("engine slot poisoned")).collect();
-                sched.merge(&mut guards, next);
-                // Telemetry at the barrier, always single-threaded and in
-                // fixed replica order: mark the epoch in every recorder,
-                // then merge the per-engine tail windows the controller
-                // tick just closed into one cluster-wide point.
-                // Independent of worker scheduling, so exports are
-                // bit-identical for any `threads`.
-                if cfg.telemetry.enabled {
-                    for g in guards.iter_mut() {
-                        g.note_epoch(epoch_idx, next);
-                    }
-                    // The engines' control tick does not fire at the very
-                    // end of the run (`next == end`): no new window closed
-                    // there.
-                    if cfg.telemetry.tail && next < end {
-                        let mut merged = LatencyHistogram::new();
-                        for g in guards.iter() {
-                            merged.merge(g.telemetry().tail.last_window());
-                        }
-                        cluster_tail.push(TailPoint::from_window(
-                            &merged,
-                            next.as_secs_f64(),
-                            ctx.sla_ms,
-                        ));
-                    }
-                }
-                // Snapshot at the barrier: `epoch_idx + 1` epochs are now
-                // complete, the merge and telemetry splice have run, and
-                // all engine guards are held — the exact state a resumed
-                // run re-enters the loop with.
-                if capture_at.contains(&(epoch_idx + 1)) {
-                    snapshots.push((
-                        epoch_idx + 1,
-                        sched.capture(&guards, epoch_idx + 1, next, &cluster_tail, managed),
+                    cluster_tail.push(TailPoint::from_window(
+                        &merged,
+                        next.as_secs_f64(),
+                        ctx.sla_ms,
                     ));
                 }
-                drop(guards);
-                epoch_idx += 1;
-                t = next;
             }
-            // Drain in-flight requests past the end of the run.
-            run_to(SimTime::MAX);
-            done.store(true, Ordering::Release);
-            barrier.wait();
-        })
-        // PANIC: re-raise a worker thread's panic on the coordinator.
-        .expect("cluster worker panicked");
+            // Snapshot at the barrier: `epoch_idx + 1` epochs are now
+            // complete and the merge and telemetry splice have run — the
+            // exact state a resumed run re-enters the loop with.
+            if self.capture_at.contains(&(epoch_idx + 1)) {
+                snapshots.push((
+                    epoch_idx + 1,
+                    sched.capture(&engines, epoch_idx + 1, next, &cluster_tail),
+                ));
+            }
+            epoch_idx += 1;
+            t = next;
+        }
+        // Drain in-flight requests past the end of the run.
+        advance_all(&mut engines, threads, SimTime::MAX);
 
-        let mut outputs: Vec<_> = slots
-            .into_iter()
-            // PANIC: poisoned lock = a worker already panicked.
-            .map(|m| m.into_inner().expect("engine slot poisoned"))
-            .map(Engine::finish_run)
-            .collect();
+        let mut outputs: Vec<_> = engines.into_iter().map(Engine::finish_run).collect();
         let per_replica: Vec<RunMetrics> = outputs.iter().map(RunMetrics::from_output).collect();
         let fingerprints = machine_fingerprints(&outputs);
         let metrics = ClusterMetrics::merge(
@@ -1537,7 +1281,7 @@ impl<'a> ClusterRunner<'a> {
             &outputs,
             &per_replica,
             &sched.jobs,
-            sched.requeues(),
+            sched.queue.requeue_count(),
             cfg.duration_s as f64,
         );
         let telemetry = cfg.telemetry.enabled.then(|| ClusterTelemetry {
@@ -1550,11 +1294,6 @@ impl<'a> ClusterRunner<'a> {
         });
         let outcome = ClusterOutcome {
             metrics,
-            sharding: ShardingReport {
-                shards: map.count(),
-                steals: sched.steals,
-                fast_path_epochs: sched.fast_path_epochs,
-            },
             per_replica,
             jobs: sched.jobs,
             fingerprints,
@@ -1564,9 +1303,38 @@ impl<'a> ClusterRunner<'a> {
     }
 }
 
+/// Advances every engine to `target`, splitting the engines into at most
+/// `threads` contiguous chunks, one scoped thread each (the calling
+/// thread takes the first). Engines share no state, so the partition
+/// cannot affect results. At an epoch boundary each engine also syncs its
+/// BE progress and settles its busy integrals to `target` — engine-local
+/// work, so it runs here rather than in the single-threaded merge.
+fn advance_all(engines: &mut [Engine], threads: usize, target: SimTime) {
+    let advance = move |engine: &mut Engine| {
+        engine.run_until(target);
+        if target != SimTime::MAX {
+            // The final drain has no merge after it: nothing reads BE
+            // progress past `end`, so only epoch boundaries sync.
+            engine.sync_be_progress(target);
+            // The barrier is a utilization read point: settle the batched
+            // worker-busy integrals (pure settlement — bit-identical for
+            // any thread count, like the progress sync above).
+            engine.flush_busy_integrals(target);
+        }
+    };
+    let chunk = engines.len().div_ceil(threads.max(1)).max(1);
+    std::thread::scope(|s| {
+        let mut chunks = engines.chunks_mut(chunk);
+        let own = chunks.next();
+        for part in chunks {
+            s.spawn(move || part.iter_mut().for_each(advance));
+        }
+        own.into_iter().flatten().for_each(advance);
+    });
+}
+
 /// Runs one cluster experiment: `cfg.machines` machines under `choice`,
-/// with the shared BE backlog dispatched by `cfg.policy` across
-/// [`ClusterConfig::shards`] scheduler shards. Equivalent to
+/// with the shared BE backlog dispatched by `cfg.policy`. Equivalent to
 /// [`ClusterRunner::new`]`(..).run()` with no snapshots requested.
 ///
 /// # Panics
@@ -1593,7 +1361,7 @@ pub fn compare_cluster(ctx: &ServiceContext, cfg: &ClusterConfig) -> (ClusterOut
 
 /// A machine is eligible for new BE work when its controller currently
 /// allows growth (or has not ticked yet — the run just started).
-fn allows_growth(engines: &[MutexGuard<'_, Engine>], global: usize, pods: usize) -> bool {
+fn allows_growth(engines: &[Engine], global: usize, pods: usize) -> bool {
     let r = machine_ref(global, pods);
     match engines[r.replica].last_action(r.pod) {
         None | Some(BeAction::AllowBeGrowth) => true,
@@ -1639,8 +1407,6 @@ mod tests {
             out.metrics.jobs
         );
         assert_eq!(out.fingerprints.len(), 2);
-        assert_eq!(out.sharding.shards, 1, "one replica cannot shard further");
-        assert_eq!(out.sharding.steals, 0, "K=1 never steals");
     }
 
     #[test]
@@ -1716,31 +1482,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharded_run_matches_unsharded() {
-        // The linchpin invariant, in miniature: the same 8-machine run
-        // at K=1 and K=4 must produce identical fingerprints, metrics
-        // and job outcomes (sharding changes cost, never decisions).
-        let ctx = ctx();
-        let mut c = small_cfg();
-        c.machines = 8;
-        c.duration_s = 60;
-        c.policy = PlacementPolicy::InterferenceScore;
-        let run = |shards: usize| {
-            let mut c = c.clone();
-            c.shards = shards;
-            run_cluster(&ctx, &ControllerChoice::Rhythm, &c)
-        };
-        let a = run(1);
-        let b = run(4);
-        assert_eq!(b.sharding.shards, 4);
-        assert_eq!(a.fingerprints, b.fingerprints);
-        assert_eq!(a.metrics.requeues, b.metrics.requeues);
-        assert_eq!(a.metrics.completed_requests, b.metrics.completed_requests);
-        assert_eq!(a.metrics.jobs, b.metrics.jobs);
-        assert_eq!(a.sharding.steals, 0, "K=1 cannot steal");
-    }
-
     /// Every observable the outcome carries, compared bit-for-bit.
     fn assert_outcomes_identical(a: &ClusterOutcome, b: &ClusterOutcome, what: &str) {
         assert_eq!(a.fingerprints, b.fingerprints, "{what}: fingerprints");
@@ -1750,7 +1491,6 @@ mod tests {
             a.metrics.completed_requests, b.metrics.completed_requests,
             "{what}: completed requests"
         );
-        assert_eq!(a.sharding.steals, b.sharding.steals, "{what}: steals");
         match (&a.telemetry, &b.telemetry) {
             (None, None) => {}
             (Some(ta), Some(tb)) => {

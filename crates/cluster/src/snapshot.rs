@@ -2,8 +2,8 @@
 //!
 //! A [`ClusterSnapshot`] is everything the runner needs to continue a run
 //! **bit-identically** from an epoch barrier: the scheduler's dynamic
-//! state ([`SchedulerState`] — job ledger, per-shard queues/offers/
-//! bindings, shared sequence counters, gang trackers, event stream), one
+//! state ([`SchedulerState`] — job ledger, queue, offers, bindings,
+//! gang trackers, event stream), one
 //! opaque byte stream per replica engine (captured by
 //! [`Engine::snapshot_encode`]), a structural [`EngineSummary`] digest
 //! per replica (so [`ClusterSnapshot::diff`] can render a post-mortem
@@ -22,7 +22,7 @@
 
 use crate::fault::{ChaosState, CHAOS_SECTION_VERSION};
 use crate::job::{ClusterJob, JobId, JobState};
-use crate::queue::{JobQueue, SeqSource};
+use crate::queue::JobQueue;
 use rhythm_core::runtime::EngineSummary;
 use rhythm_snapshot::{
     fnv1a, schema_hash, Reader, Snapshot, SnapshotBuilder, SnapshotError, SnapshotFile, Writer,
@@ -72,35 +72,6 @@ impl Snapshot for GangState {
     }
 }
 
-/// One scheduler shard's durable state: its queue slice, outstanding
-/// offers (indexed by `global - range.start`) and instance bindings
-/// (`(global machine, instance) → job`).
-#[derive(Clone, Debug)]
-pub struct ShardState {
-    /// The shard's slice of the backlog.
-    pub queue: JobQueue,
-    /// Outstanding offer per machine of the shard.
-    pub offered: Vec<Option<JobId>>,
-    /// `(global machine, BE instance) → job` for running work.
-    pub bindings: BTreeMap<(u64, u64), JobId>,
-}
-
-impl Snapshot for ShardState {
-    fn encode(&self, w: &mut Writer) {
-        self.queue.encode(w);
-        self.offered.encode(w);
-        self.bindings.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(ShardState {
-            queue: Snapshot::decode(r)?,
-            offered: Snapshot::decode(r)?,
-            bindings: Snapshot::decode(r)?,
-        })
-    }
-}
-
 /// The cluster scheduler's full dynamic state at an epoch barrier. The
 /// runner exports this at capture and replays it on resume; everything
 /// else in the scheduler (placement caches, per-pass scratch, machine
@@ -109,10 +80,12 @@ impl Snapshot for ShardState {
 pub struct SchedulerState {
     /// The job ledger, indexed by job id.
     pub jobs: Vec<ClusterJob>,
-    /// Per-shard queues, offers and bindings, in shard order.
-    pub shards: Vec<ShardState>,
-    /// The shared sequence counter pair.
-    pub seq: SeqSource,
+    /// The backlog awaiting placement.
+    pub queue: JobQueue,
+    /// Outstanding offer per machine (index = global machine index).
+    pub offered: Vec<Option<JobId>>,
+    /// `(global machine, BE instance) → job` for running work.
+    pub bindings: BTreeMap<(u64, u64), JobId>,
     /// The round-robin placement cursor.
     pub rr_cursor: u64,
     /// Gang id → tracker.
@@ -120,34 +93,28 @@ pub struct SchedulerState {
     /// Cluster-scheduler events emitted so far (resume continues the
     /// stream without duplication).
     pub events: Vec<ClusterEvent>,
-    /// Jobs placed outside their home shard so far.
-    pub steals: u64,
-    /// Dispatch passes that skipped ≥ 1 shard so far.
-    pub fast_path_epochs: u64,
 }
 
 impl Snapshot for SchedulerState {
     fn encode(&self, w: &mut Writer) {
         self.jobs.encode(w);
-        self.shards.encode(w);
-        self.seq.encode(w);
+        self.queue.encode(w);
+        self.offered.encode(w);
+        self.bindings.encode(w);
         w.u64(self.rr_cursor);
         self.gangs.encode(w);
         self.events.encode(w);
-        w.u64(self.steals);
-        w.u64(self.fast_path_epochs);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         let state = SchedulerState {
             jobs: Snapshot::decode(r)?,
-            shards: Snapshot::decode(r)?,
-            seq: Snapshot::decode(r)?,
+            queue: Snapshot::decode(r)?,
+            offered: Snapshot::decode(r)?,
+            bindings: Snapshot::decode(r)?,
             rr_cursor: r.u64()?,
             gangs: Snapshot::decode(r)?,
             events: Snapshot::decode(r)?,
-            steals: r.u64()?,
-            fast_path_epochs: r.u64()?,
         };
         let n = state.jobs.len() as u64;
         for (i, j) in state.jobs.iter().enumerate() {
@@ -159,22 +126,14 @@ impl Snapshot for SchedulerState {
             }
         }
         let in_range = |jid: JobId| jid < n;
-        for (si, sh) in state.shards.iter().enumerate() {
-            if let Some(bad) = sh.queue.queued_ids().into_iter().find(|&j| !in_range(j)) {
-                return Err(SnapshotError::Corrupt(format!(
-                    "shard {si} queues unknown job {bad}"
-                )));
-            }
-            if let Some(bad) = sh.offered.iter().flatten().find(|&&j| !in_range(j)) {
-                return Err(SnapshotError::Corrupt(format!(
-                    "shard {si} offers unknown job {bad}"
-                )));
-            }
-            if let Some(bad) = sh.bindings.values().find(|&&j| !in_range(j)) {
-                return Err(SnapshotError::Corrupt(format!(
-                    "shard {si} binds unknown job {bad}"
-                )));
-            }
+        if let Some(bad) = state.queue.queued_ids().into_iter().find(|&j| !in_range(j)) {
+            return Err(SnapshotError::Corrupt(format!("queue holds unknown job {bad}")));
+        }
+        if let Some(bad) = state.offered.iter().flatten().find(|&&j| !in_range(j)) {
+            return Err(SnapshotError::Corrupt(format!("offer names unknown job {bad}")));
+        }
+        if let Some(bad) = state.bindings.values().find(|&&j| !in_range(j)) {
+            return Err(SnapshotError::Corrupt(format!("binding names unknown job {bad}")));
         }
         for (gid, g) in &state.gangs {
             if let Some(bad) = g.members.iter().find(|&&m| !in_range(m)) {
@@ -217,8 +176,6 @@ pub struct ClusterSnapshot {
     pub pods: u64,
     /// Service replicas (engines).
     pub replicas: u64,
-    /// Scheduler shards (effective K).
-    pub shards: u64,
     /// Base seed of the run.
     pub seed: u64,
     /// Configured run length in virtual seconds.
@@ -255,7 +212,6 @@ impl ClusterSnapshot {
         meta.u64(self.machines);
         meta.u64(self.pods);
         meta.u64(self.replicas);
-        meta.u64(self.shards);
         meta.u64(self.seed);
         meta.u64(self.duration_s);
         meta.u64(self.controller_period_ms);
@@ -312,7 +268,6 @@ impl ClusterSnapshot {
         let machines = r.u64()?;
         let pods = r.u64()?;
         let replicas = r.u64()?;
-        let shards = r.u64()?;
         let seed = r.u64()?;
         let duration_s = r.u64()?;
         let controller_period_ms = r.u64()?;
@@ -371,10 +326,10 @@ impl ClusterSnapshot {
                 summaries.len()
             )));
         }
-        if scheduler.shards.len() as u64 != shards {
+        if scheduler.offered.len() as u64 != machines {
             return Err(SnapshotError::Corrupt(format!(
-                "scheduler has {} shard states, meta declares {shards}",
-                scheduler.shards.len()
+                "scheduler offers cover {} machines, meta declares {machines}",
+                scheduler.offered.len()
             )));
         }
         if let Some(c) = &chaos {
@@ -390,7 +345,6 @@ impl ClusterSnapshot {
             machines,
             pods,
             replicas,
-            shards,
             seed,
             duration_s,
             controller_period_ms,
@@ -423,7 +377,6 @@ impl ClusterSnapshot {
         meta("machines", self.machines.to_string(), other.machines.to_string());
         meta("pods", self.pods.to_string(), other.pods.to_string());
         meta("replicas", self.replicas.to_string(), other.replicas.to_string());
-        meta("shards", self.shards.to_string(), other.shards.to_string());
         meta("seed", self.seed.to_string(), other.seed.to_string());
         meta("duration_s", self.duration_s.to_string(), other.duration_s.to_string());
         meta(
@@ -516,42 +469,22 @@ impl ClusterSnapshot {
         if job_diffs > MAX_LISTED {
             d.push(format!("jobs: … and {} more differing jobs", job_diffs - MAX_LISTED));
         }
-        let shards = a.shards.len().max(b.shards.len());
-        for si in 0..shards {
-            match (a.shards.get(si), b.shards.get(si)) {
-                (Some(sa), Some(sb)) => {
-                    let (qa, qb) = (sa.queue.queued_ids(), sb.queue.queued_ids());
-                    if qa != qb {
-                        d.push(format!("shard {si}: queue {qa:?} vs {qb:?}"));
-                    }
-                    if sa.queue.requeue_count() != sb.queue.requeue_count() {
-                        d.push(format!(
-                            "shard {si}: requeues {} vs {}",
-                            sa.queue.requeue_count(),
-                            sb.queue.requeue_count()
-                        ));
-                    }
-                    if sa.offered != sb.offered {
-                        d.push(format!("shard {si}: offers {:?} vs {:?}", sa.offered, sb.offered));
-                    }
-                    if sa.bindings != sb.bindings {
-                        d.push(format!(
-                            "shard {si}: bindings {:?} vs {:?}",
-                            sa.bindings, sb.bindings
-                        ));
-                    }
-                }
-                _ => d.push(format!("shard {si}: present on one side only")),
-            }
+        let (qa, qb) = (a.queue.queued_ids(), b.queue.queued_ids());
+        if qa != qb {
+            d.push(format!("scheduler: queue {qa:?} vs {qb:?}"));
         }
-        if a.steals != b.steals {
-            d.push(format!("scheduler: steals {} vs {}", a.steals, b.steals));
-        }
-        if a.fast_path_epochs != b.fast_path_epochs {
+        if a.queue.requeue_count() != b.queue.requeue_count() {
             d.push(format!(
-                "scheduler: fast-path epochs {} vs {}",
-                a.fast_path_epochs, b.fast_path_epochs
+                "scheduler: requeues {} vs {}",
+                a.queue.requeue_count(),
+                b.queue.requeue_count()
             ));
+        }
+        if a.offered != b.offered {
+            d.push(format!("scheduler: offers {:?} vs {:?}", a.offered, b.offered));
+        }
+        if a.bindings != b.bindings {
+            d.push(format!("scheduler: bindings {:?} vs {:?}", a.bindings, b.bindings));
         }
         if a.events.len() != b.events.len() {
             d.push(format!("scheduler: {} vs {} events", a.events.len(), b.events.len()));

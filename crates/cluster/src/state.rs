@@ -37,92 +37,6 @@ pub fn global_index(replica: usize, pod: usize, pods: usize) -> usize {
     replica * pods + pod
 }
 
-/// The partition of a cluster into K scheduler shards.
-///
-/// Shards are **contiguous, replica-aligned** blocks of machines: shard
-/// `s` owns a run of whole replicas (the first `replicas % K` shards get
-/// one extra), so every engine — and therefore every admission, kill and
-/// completion it reports — belongs to exactly one shard. The partition
-/// is a pure function of `(replicas, pods, K)`: no thread schedule, no
-/// iteration order, nothing run-time dependent.
-///
-/// Jobs have a **home shard** (`id % K`) holding their queue entry; the
-/// dispatcher may place a job on another shard's machine (a *steal*,
-/// see the runner), but its queue residency never moves.
-#[derive(Clone, Copy, Debug)]
-pub struct ShardMap {
-    pods: usize,
-    replicas: usize,
-    k: usize,
-    /// Replicas per shard (the first `extra` shards own `base + 1`).
-    base: usize,
-    extra: usize,
-}
-
-impl ShardMap {
-    /// Partitions `replicas` replicas of `pods` Servpods into
-    /// `requested` shards; `requested == 0` picks automatically (one
-    /// shard per 8 replicas, capped at 64). The shard count is always
-    /// clamped to `[1, replicas]`.
-    pub fn new(replicas: usize, pods: usize, requested: usize) -> ShardMap {
-        let replicas = replicas.max(1);
-        let want = if requested == 0 {
-            (replicas / 8).clamp(1, 64)
-        } else {
-            requested
-        };
-        let k = want.clamp(1, replicas);
-        ShardMap {
-            pods: pods.max(1),
-            replicas,
-            k,
-            base: replicas / k,
-            extra: replicas % k,
-        }
-    }
-
-    /// Number of shards (K).
-    pub fn count(&self) -> usize {
-        self.k
-    }
-
-    /// The replica range shard `s` owns.
-    pub fn replica_range(&self, s: usize) -> std::ops::Range<usize> {
-        debug_assert!(s < self.k);
-        let lo = s * self.base + s.min(self.extra);
-        let len = self.base + usize::from(s < self.extra);
-        lo..lo + len
-    }
-
-    /// The global machine range shard `s` owns.
-    pub fn global_range(&self, s: usize) -> std::ops::Range<usize> {
-        let r = self.replica_range(s);
-        r.start * self.pods..r.end * self.pods
-    }
-
-    /// The shard owning replica `r`.
-    pub fn shard_of_replica(&self, r: usize) -> usize {
-        debug_assert!(r < self.replicas);
-        let fat = (self.base + 1) * self.extra;
-        if r < fat {
-            r / (self.base + 1)
-        } else {
-            self.extra + (r - fat) / self.base
-        }
-    }
-
-    /// The shard owning global machine `g`.
-    pub fn shard_of_global(&self, g: usize) -> usize {
-        self.shard_of_replica(g / self.pods)
-    }
-
-    /// The home shard of job `id` (round-robin over shards, so every
-    /// shard's queue sees an equal slice of the backlog).
-    pub fn home_shard(&self, id: u64) -> usize {
-        (id % self.k as u64) as usize
-    }
-}
-
 /// An independent seed for one replica's engine (splitmix64 over the
 /// base seed, so replicas never share RNG streams and adding replicas
 /// never perturbs existing ones).
@@ -141,12 +55,6 @@ pub struct ClusterConfig {
     /// Worker threads for the parallel runner (results are identical for
     /// any value ≥ 1).
     pub threads: usize,
-    /// Scheduler shards (K): the runner partitions machines into K
-    /// replica-aligned shards, each with its own BE queue, placement
-    /// state and bindings. Results are **bit-identical for any K** —
-    /// sharding changes data layout and per-epoch cost, never decisions.
-    /// `0` (the default) picks automatically from the cluster size.
-    pub shards: usize,
     /// Placement policy of the BE dispatcher.
     pub policy: PlacementPolicy,
     /// Backlog size: jobs submitted at t=0 per machine.
@@ -201,7 +109,6 @@ impl ClusterConfig {
         ClusterConfig {
             machines,
             threads: 4,
-            shards: 0,
             policy: PlacementPolicy::InterferenceScore,
             jobs_per_machine: 4,
             checkpoint_fraction: 0.1,
@@ -282,48 +189,6 @@ mod tests {
                 assert!(r.pod < pods);
             }
         }
-    }
-
-    #[test]
-    fn shard_map_partitions_exactly() {
-        for replicas in [1usize, 2, 7, 8, 32, 100] {
-            for pods in [1usize, 2, 4] {
-                for k in [0usize, 1, 3, 8, 16, 1000] {
-                    let map = ShardMap::new(replicas, pods, k);
-                    assert!(map.count() >= 1 && map.count() <= replicas);
-                    // Replica ranges tile [0, replicas) in order.
-                    let mut next = 0;
-                    for s in 0..map.count() {
-                        let r = map.replica_range(s);
-                        assert_eq!(r.start, next, "gapless");
-                        assert!(!r.is_empty(), "no empty shard");
-                        for rep in r.clone() {
-                            assert_eq!(map.shard_of_replica(rep), s);
-                        }
-                        next = r.end;
-                    }
-                    assert_eq!(next, replicas, "full coverage");
-                    // Balanced: sizes differ by at most one.
-                    let sizes: Vec<usize> =
-                        (0..map.count()).map(|s| map.replica_range(s).len()).collect();
-                    let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-                    assert!(hi - lo <= 1, "{sizes:?}");
-                    // Global indexing agrees with replica indexing.
-                    for g in 0..replicas * pods {
-                        let s = map.shard_of_global(g);
-                        assert!(map.global_range(s).contains(&g));
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn home_shards_cover_all_shards() {
-        let map = ShardMap::new(16, 2, 4);
-        let homes: std::collections::BTreeSet<usize> =
-            (0u64..16).map(|id| map.home_shard(id)).collect();
-        assert_eq!(homes.len(), 4, "round-robin reaches every shard");
     }
 
     #[test]

@@ -190,10 +190,10 @@ fn deleting_a_real_encode_line_trips_s02() {
         "real snapshot.rs should be clean: {:#?}",
         clean.findings
     );
-    // Drop the `steals` write from SchedulerState::encode.
+    // Drop the `rr_cursor` write from SchedulerState::encode.
     let broken: String = src
         .lines()
-        .filter(|l| !l.contains("w.u64(self.steals);"))
+        .filter(|l| !l.contains("w.u64(self.rr_cursor);"))
         .collect::<Vec<_>>()
         .join("\n");
     assert_ne!(src, broken, "the drill line must exist in the real source");
@@ -201,7 +201,7 @@ fn deleting_a_real_encode_line_trips_s02() {
     assert!(
         l.findings
             .iter()
-            .any(|f| f.rule == "S02" && f.message.contains("`steals`")),
+            .any(|f| f.rule == "S02" && f.message.contains("`rr_cursor`")),
         "expected an S02 finding for the deleted field: {:#?}",
         l.findings
     );

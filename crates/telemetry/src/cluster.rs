@@ -20,9 +20,6 @@ pub enum ClusterEventKind {
     /// A job completed after its deadline, or the run ended with the
     /// deadline already passed.
     DeadlineMiss,
-    /// A job queued in one scheduler shard was placed on a machine of
-    /// another shard at the epoch barrier (cross-shard work stealing).
-    ShardSteal,
     /// A machine left the cluster (fault injection): its BE work was
     /// killed and requeued. For machine events the `job` field carries
     /// the **global machine index**, not a job id.
@@ -43,7 +40,6 @@ impl ClusterEventKind {
             ClusterEventKind::GangFormed => "gang_formed",
             ClusterEventKind::GangAborted => "gang_aborted",
             ClusterEventKind::DeadlineMiss => "deadline_miss",
-            ClusterEventKind::ShardSteal => "shard_steal",
             ClusterEventKind::MachineDown => "machine_down",
             ClusterEventKind::MachineUp => "machine_up",
             ClusterEventKind::FaultInjected => "fault_injected",
@@ -62,10 +58,6 @@ pub struct ClusterEvent {
     pub job: u64,
     /// Gang id for gang events (`None` for solitary jobs).
     pub gang: Option<u32>,
-    /// Scheduler shard that recorded the event (`None` when the runner
-    /// is unsharded). For steals this is the *destination* shard — the
-    /// shard whose machine absorbed the job.
-    pub shard: Option<u32>,
 }
 
 impl ClusterEvent {
@@ -80,9 +72,6 @@ impl ClusterEvent {
         if let Some(gid) = self.gang {
             pairs.push(("gang".into(), Value::UInt(gid as u64)));
         }
-        if let Some(shard) = self.shard {
-            pairs.push(("shard".into(), Value::UInt(shard as u64)));
-        }
         Value::Object(pairs)
     }
 }
@@ -93,10 +82,9 @@ impl rhythm_snapshot::Snapshot for ClusterEventKind {
             ClusterEventKind::GangFormed => 0,
             ClusterEventKind::GangAborted => 1,
             ClusterEventKind::DeadlineMiss => 2,
-            ClusterEventKind::ShardSteal => 3,
-            ClusterEventKind::MachineDown => 4,
-            ClusterEventKind::MachineUp => 5,
-            ClusterEventKind::FaultInjected => 6,
+            ClusterEventKind::MachineDown => 3,
+            ClusterEventKind::MachineUp => 4,
+            ClusterEventKind::FaultInjected => 5,
         });
     }
 
@@ -105,10 +93,9 @@ impl rhythm_snapshot::Snapshot for ClusterEventKind {
             0 => ClusterEventKind::GangFormed,
             1 => ClusterEventKind::GangAborted,
             2 => ClusterEventKind::DeadlineMiss,
-            3 => ClusterEventKind::ShardSteal,
-            4 => ClusterEventKind::MachineDown,
-            5 => ClusterEventKind::MachineUp,
-            6 => ClusterEventKind::FaultInjected,
+            3 => ClusterEventKind::MachineDown,
+            4 => ClusterEventKind::MachineUp,
+            5 => ClusterEventKind::FaultInjected,
             t => {
                 return Err(rhythm_snapshot::SnapshotError::Corrupt(format!(
                     "unknown cluster event kind {t}"
@@ -124,7 +111,6 @@ impl rhythm_snapshot::Snapshot for ClusterEvent {
         self.kind.encode(w);
         w.u64(self.job);
         self.gang.encode(w);
-        self.shard.encode(w);
     }
 
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
@@ -133,7 +119,6 @@ impl rhythm_snapshot::Snapshot for ClusterEvent {
             kind: rhythm_snapshot::Snapshot::decode(r)?,
             job: r.u64()?,
             gang: rhythm_snapshot::Snapshot::decode(r)?,
-            shard: rhythm_snapshot::Snapshot::decode(r)?,
         })
     }
 }
@@ -151,35 +136,30 @@ mod tests {
                 kind: ClusterEventKind::GangFormed,
                 job: 7,
                 gang: Some(3),
-                shard: Some(2),
             },
             ClusterEvent {
                 t_s: 30.0,
                 kind: ClusterEventKind::DeadlineMiss,
                 job: 9,
                 gang: None,
-                shard: None,
             },
             ClusterEvent {
                 t_s: 42.0,
                 kind: ClusterEventKind::MachineDown,
                 job: 5, // machine index for machine events
                 gang: None,
-                shard: Some(1),
             },
             ClusterEvent {
                 t_s: 60.0,
                 kind: ClusterEventKind::MachineUp,
                 job: 5,
                 gang: None,
-                shard: Some(1),
             },
             ClusterEvent {
                 t_s: 42.0,
                 kind: ClusterEventKind::FaultInjected,
                 job: 0, // plan-event index for fault records
                 gang: None,
-                shard: None,
             },
         ];
         let mut w = Writer::new();
@@ -197,22 +177,18 @@ mod tests {
             kind: ClusterEventKind::GangFormed,
             job: 7,
             gang: Some(3),
-            shard: Some(2),
         };
         let line = ev.to_value().to_json_string();
         assert!(line.starts_with("{\"type\":\"cluster_event\""), "{line}");
         assert!(line.contains("\"kind\":\"gang_formed\""), "{line}");
         assert!(line.contains("\"gang\":3"), "{line}");
-        assert!(line.contains("\"shard\":2"), "{line}");
         let solo = ClusterEvent {
             t_s: 30.0,
             kind: ClusterEventKind::DeadlineMiss,
             job: 9,
             gang: None,
-            shard: None,
         };
         let line = solo.to_value().to_json_string();
         assert!(!line.contains("gang"), "no gang key");
-        assert!(!line.contains("shard"), "no shard key");
     }
 }

@@ -49,7 +49,7 @@ pub mod tail;
 /// crate. Hashed into snapshot files; **bump the text whenever an encoding
 /// here changes shape** so stale snapshots are refused instead of
 /// misdecoded.
-pub const SNAPSHOT_SCHEMA: &str = "rhythm-telemetry/v1: \
+pub const SNAPSHOT_SCHEMA: &str = "rhythm-telemetry/v2: \
      Event=(t_ns:u64,kind:tagged) EventKind=tag:u8+payload ActionCode=severity:u8 \
      AdjustKind=tag:u8 BeSnapshot=6xu32 Trigger=tag:u8 \
      AuditRecord=(t_s,machine,pod,action,trigger,load,loadlimit,slack,slacklimit,\
@@ -59,7 +59,7 @@ pub const SNAPSHOT_SCHEMA: &str = "rhythm-telemetry/v1: \
      TelemetryConfig=(enabled:bool,ring_capacity:u64,audit:bool,tail:bool) \
      FlightRecorder=(enabled:bool,cap:u64,seq:u64,buf:[Event] raw slot order) \
      Telemetry=(cfg,recorder,audit:[AuditRecord],tail) \
-     ClusterEventKind=tag:u8 ClusterEvent=(t_s:f64,kind,job:u64,gang:Option<u32>,shard:Option<u32>)";
+     ClusterEventKind=tag:u8 ClusterEvent=(t_s:f64,kind,job:u64,gang:Option<u32>)";
 
 pub use audit::{AuditRecord, BeSnapshot, Trigger};
 pub use cluster::{ClusterEvent, ClusterEventKind};

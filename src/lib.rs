@@ -55,8 +55,7 @@ pub mod prelude {
     };
     pub use rhythm_cluster::{
         compare_cluster, run_cluster, ClusterConfig, ClusterMetrics, ClusterOutcome,
-        ClusterTelemetry, FaultKind, FaultPlan, JobSpec, PlacementPolicy, ShardMap,
-        ShardingReport,
+        ClusterTelemetry, FaultKind, FaultPlan, JobSpec, PlacementPolicy,
     };
     pub use rhythm_controller::{BeAction, ThresholdPolicy, Thresholds};
     pub use rhythm_core::experiment::{ControllerChoice, ExperimentConfig, ServiceContext};

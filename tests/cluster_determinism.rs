@@ -7,9 +7,11 @@
 //! barrier. This test runs randomly drawn (seed, size, policy, load,
 //! controller) cells with 1 worker and with 8 and requires the merged
 //! metrics and the per-machine fingerprints to match exactly. A second
-//! test pins a heterogeneous cluster (3 hardware classes, priority and
-//! deadline jobs, a gang, preemption, aging) and requires the full
-//! telemetry JSONL export to be byte-identical across 1/2/4/8 threads.
+//! test repeats the check on a 256-machine cell at 1, 2, 3 and 8 threads;
+//! 3 threads split its 128 replicas into ragged chunks. A third pins a
+//! heterogeneous cluster (3 hardware classes, priority and deadline
+//! jobs, a gang, preemption, aging) and requires the full telemetry
+//! JSONL export to be byte-identical across 1/2/4/8 threads.
 //!
 //! The vendored proptest shim runs a fixed 64 cases — far too many for
 //! whole-cluster runs — so the cells are drawn from a splitmix64 stream
@@ -79,6 +81,29 @@ fn cluster_runs_are_thread_count_invariant() {
         );
         // The parallel run must actually have done the work.
         assert!(serial.metrics.completed_requests > 0, "case {case}: empty run");
+    }
+}
+
+#[test]
+fn warehouse_cluster_runs_are_thread_count_invariant() {
+    // solr has 2 Servpods: 256 machines = 128 replicas.
+    let run = |threads: usize| {
+        let mut c = cell(0x5AAD, 256, PlacementPolicy::InterferenceScore, 0.5, threads);
+        c.duration_s = 20;
+        c.jobs_per_machine = 2;
+        run_cluster(ctx(), &ControllerChoice::Rhythm, &c)
+    };
+    let baseline = run(1);
+    assert!(baseline.metrics.completed_requests > 0, "empty run");
+    let base_metrics = serde_json::to_string(&baseline.metrics).unwrap();
+    for threads in [2usize, 3, 8] {
+        let other = run(threads);
+        assert_eq!(
+            baseline.fingerprints, other.fingerprints,
+            "fingerprints diverged at {threads} threads"
+        );
+        let metrics = serde_json::to_string(&other.metrics).unwrap();
+        assert_eq!(base_metrics, metrics, "metrics diverged at {threads} threads");
     }
 }
 

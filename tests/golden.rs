@@ -107,16 +107,15 @@ fn hetero_cluster_run() -> ClusterOutcome {
     run_cluster(&ctx, &ControllerChoice::Rhythm, &c)
 }
 
-/// The durable-state fixture: a 64-machine, 4-shard run snapshotted at
-/// epoch 5. The container bytes cover the codec layout, every engine's
-/// RNG/calendar/arena state and the full sharded scheduler, so the byte
+/// The durable-state fixture: a 64-machine run snapshotted at epoch 5.
+/// The container bytes cover the codec layout, every engine's
+/// RNG/calendar/arena state and the full scheduler, so the byte
 /// fingerprint pins all of them at once.
 fn snapshot_run() -> ClusterSnapshot {
     let ctx = ServiceContext::prepare(apps::solr(), &[BeSpec::of(BeKind::Wordcount)], 11);
     let mut c = ClusterConfig::new(64).with_scaled_jobs(0.02);
     c.duration_s = 20;
     c.load = LoadGen::constant(0.5);
-    c.shards = 4;
     c.threads = 2;
     let mut run = ClusterRunner::new(&ctx, &ControllerChoice::Rhythm, &c)
         .snapshot_at(5)
@@ -195,9 +194,13 @@ fn print_fingerprints() {
     );
     let snap = snapshot_run();
     println!(
-        "const SNAPSHOT_N64_K4_E5: (u64, usize) = ({:#018x}, {});",
+        "const SNAPSHOT_N64_E5: (u64, usize) = ({:#018x}, {});",
         snap.fingerprint(),
         snap.to_bytes().len()
+    );
+    println!(
+        "const SNAPSHOT_N64_E5_ENGINES: u64 = {:#018x};",
+        engine_streams_fingerprint(&snap)
     );
     println!("const CHAOS_CAMPAIGN: &[u64] = &{:?};", chaos_campaign());
     println!(
@@ -232,7 +235,23 @@ fn hetero_cluster_bit_identical() {
 fn snapshot_bytes_bit_identical() {
     let snap = snapshot_run();
     let len = snap.to_bytes().len();
-    assert_eq!((snap.fingerprint(), len), SNAPSHOT_N64_K4_E5);
+    assert_eq!((snap.fingerprint(), len), SNAPSHOT_N64_E5);
+}
+
+/// FNV-1a over the snapshot's concatenated per-replica engine streams:
+/// the engine half of the container, independent of the scheduler and
+/// container schemas.
+fn engine_streams_fingerprint(snap: &ClusterSnapshot) -> u64 {
+    rhythm::snapshot::fnv1a(&snap.engines.concat())
+}
+
+/// The engine streams alone. The container pin above also covers the
+/// scheduler section and the crate schema hashes, so it regenerates on
+/// any scheduler wire-format change; this pin must not, because no such
+/// change may alter what the engines did.
+#[test]
+fn snapshot_engine_streams_bit_identical() {
+    assert_eq!(engine_streams_fingerprint(&snapshot_run()), SNAPSHOT_N64_E5_ENGINES);
 }
 
 #[test]

@@ -9,12 +9,14 @@
 //!
 //! The final block runs whole cluster simulations per case (capped via
 //! `proptest_config`) and checks the chaos invariants of DESIGN.md §13:
-//! any fault plan leaves the run bit-reproducible across shard and
-//! worker-thread layouts, and the job ledger's recovery accounting
+//! any fault plan leaves the run bit-reproducible across worker-thread
+//! layouts, and the job ledger's recovery accounting
 //! never wastes more than one checkpoint interval per kill.
 
 use proptest::prelude::*;
-use rhythm::cluster::{run_cluster, ClusterConfig, FaultPlan, JobQueue, JobState};
+use rhythm::cluster::{
+    run_cluster, ClusterConfig, ClusterJob, FaultPlan, JobQueue, JobState, SchedulerState,
+};
 use rhythm::core::experiment::{ControllerChoice, ServiceContext};
 use rhythm::sim::SimRng;
 use rhythm::workloads::{apps, BeKind, BeSpec, LoadGen};
@@ -555,9 +557,11 @@ proptest! {
         prop_assert_eq!(a, b, "decoded queue pops in a different order");
     }
 
-    // Shard section: queue + outstanding offers + instance bindings.
+    // Scheduler section: job ledger + queue + outstanding offers +
+    // instance bindings.
     #[test]
-    fn snapshot_shard_section_round_trips(
+    fn snapshot_scheduler_section_round_trips(
+        jobs in 1u64..64,
         ids in prop::collection::btree_set(0u64..500, 0..24),
         offered in prop::collection::vec(prop::option::of(0u64..500), 0..16),
         bindings in prop::collection::btree_map(
@@ -565,16 +569,29 @@ proptest! {
             0u64..500,
             0..20,
         ),
+        rr_cursor in 0u64..16,
     ) {
+        // Every id the scheduler references must name a ledger entry.
+        let spec = std::sync::Arc::new(BeSpec::of(BeKind::Wordcount));
         let mut queue = JobQueue::new();
-        for &id in &ids {
+        for id in ids.iter().map(|id| id % jobs).collect::<std::collections::BTreeSet<_>>() {
             queue.submit(id);
         }
-        let shard = rhythm::cluster::ShardState { queue, offered, bindings };
-        let (decoded, _) = snapshot_round_trip(&shard);
-        prop_assert_eq!(decoded.offered, shard.offered);
-        prop_assert_eq!(decoded.bindings, shard.bindings);
-        prop_assert_eq!(decoded.queue.queued_ids(), shard.queue.queued_ids());
+        let state = SchedulerState {
+            jobs: (0..jobs).map(|id| ClusterJob::new(id, spec.clone(), 0.0)).collect(),
+            queue,
+            offered: offered.iter().map(|o| o.map(|j| j % jobs)).collect(),
+            bindings: bindings.iter().map(|(&k, &j)| (k, j % jobs)).collect(),
+            rr_cursor,
+            gangs: Default::default(),
+            events: Vec::new(),
+        };
+        let (decoded, _) = snapshot_round_trip(&state);
+        prop_assert_eq!(decoded.jobs.len(), state.jobs.len());
+        prop_assert_eq!(decoded.offered, state.offered);
+        prop_assert_eq!(decoded.bindings, state.bindings);
+        prop_assert_eq!(decoded.queue.queued_ids(), state.queue.queued_ids());
+        prop_assert_eq!(decoded.rr_cursor, state.rr_cursor);
     }
 
     // RNG section: a restored stream continues exactly where the
@@ -609,7 +626,7 @@ fn fault_ctx() -> &'static ServiceContext {
 
 /// A small managed cell with `plan` active: short horizon, scaled jobs
 /// so the backlog both completes and gets killed within it.
-fn fault_cell(plan: FaultPlan, threads: usize, shards: usize, ckpt: f64) -> ClusterConfig {
+fn fault_cell(plan: FaultPlan, threads: usize, ckpt: f64) -> ClusterConfig {
     let mut c = ClusterConfig::new(2 * fault_ctx().service.len()).with_scaled_jobs(0.02);
     c.duration_s = 40;
     c.jobs_per_machine = 4;
@@ -617,7 +634,6 @@ fn fault_cell(plan: FaultPlan, threads: usize, shards: usize, ckpt: f64) -> Clus
     c.load = LoadGen::constant(0.8);
     c.seed = 0xFA17;
     c.threads = threads;
-    c.shards = shards;
     c.faults = plan;
     c
 }
@@ -632,8 +648,8 @@ proptest! {
     /// Chaos does not break reproducibility: for an arbitrary fault
     /// plan (crashes, recoveries, stragglers, correlated failures at
     /// arbitrary epochs), the merged metrics serialize byte-identically
-    /// and the per-machine fingerprints match across worker-thread and
-    /// shard layouts.
+    /// and the per-machine fingerprints match across worker-thread
+    /// layouts (3 threads over 2 replicas leaves one thread idle).
     #[test]
     fn fault_runs_are_layout_invariant(
         ops in prop::collection::vec((0u8..4, 4u32..36, 0u64..32), 1..5),
@@ -652,13 +668,13 @@ proptest! {
             };
         }
         prop_assert!(plan.validate(machines).is_ok());
-        let runs: Vec<_> = [(1usize, 1usize), (3, 2), (2, 4)]
+        let runs: Vec<_> = [1usize, 3, 2]
             .iter()
-            .map(|&(threads, shards)| {
+            .map(|&threads| {
                 run_cluster(
                     fault_ctx(),
                     &ControllerChoice::Rhythm,
-                    &fault_cell(plan.clone(), threads, shards, ckpt),
+                    &fault_cell(plan.clone(), threads, ckpt),
                 )
             })
             .collect();
@@ -690,7 +706,7 @@ proptest! {
         let out = run_cluster(
             fault_ctx(),
             &ControllerChoice::Rhythm,
-            &fault_cell(plan, 2, 2, ckpt),
+            &fault_cell(plan, 2, ckpt),
         );
         prop_assert!(!out.jobs.is_empty());
         let mut kills = 0u64;

@@ -1,13 +1,14 @@
 //! The durable-state contract, end to end: a run snapshotted at epoch k
 //! and resumed to the horizon is **bit-identical** to a run that never
 //! stopped — same machine fingerprints, same metrics, same telemetry
-//! exports — for any shard count K and any worker-thread count.
+//! exports — for any worker-thread count.
 //!
 //! One straight-through reference run stands in for every grid cell:
-//! sharding and threading are already proven observation-invariant, so
-//! each (K, threads) resume must land on the same bytes.
+//! threading is already proven observation-invariant, so each resume
+//! must land on the same bytes.
 
 use rhythm::prelude::*;
+use rhythm::cluster::JobState;
 use rhythm::workloads::apps;
 
 const CAPTURE_EPOCH: u32 = 7;
@@ -16,13 +17,12 @@ fn ctx() -> ServiceContext {
     ServiceContext::prepare(apps::solr(), &[BeSpec::of(BeKind::Wordcount)], 11)
 }
 
-fn cfg(shards: usize, threads: usize) -> ClusterConfig {
-    // 16 machines over solr's 2 Servpods = 8 replicas, enough for K=8.
+fn cfg(threads: usize) -> ClusterConfig {
+    // 16 machines over solr's 2 Servpods = 8 replicas.
     let mut c = ClusterConfig::new(16).with_scaled_jobs(0.02);
     c.duration_s = 40;
     c.jobs_per_machine = 2;
     c.load = LoadGen::constant(0.5);
-    c.shards = shards;
     c.threads = threads;
     c.telemetry = TelemetryConfig::full();
     c
@@ -46,52 +46,74 @@ fn assert_identical(a: &ClusterOutcome, b: &ClusterOutcome, what: &str) {
 }
 
 #[test]
-fn resume_matches_straight_run_across_shard_and_thread_grid() {
+fn resume_matches_straight_run_across_thread_grid() {
     let ctx = ctx();
-    let mut fingerprints_across_k = None;
+    let reference = run_cluster(&ctx, &ControllerChoice::Rhythm, &cfg(1));
 
-    for shards in [1usize, 8] {
-        // Telemetry *events* legitimately differ across K (shard steals
-        // are tagged with the destination shard), so the bit-identity
-        // reference is per-K; fingerprints and metrics stay K-invariant
-        // and are cross-checked below.
-        let reference = run_cluster(&ctx, &ControllerChoice::Rhythm, &cfg(shards, 1));
-        match &fingerprints_across_k {
-            None => fingerprints_across_k = Some(reference.fingerprints.clone()),
-            Some(fp) => assert_eq!(fp, &reference.fingerprints, "sharding changed results"),
-        }
+    // Capture once (on one worker thread), resume on several thread
+    // counts — 3 splits the 8 replicas into ragged chunks: the snapshot
+    // must not remember how it was made.
+    let capture_run = ClusterRunner::new(&ctx, &ControllerChoice::Rhythm, &cfg(1))
+        .snapshot_at(CAPTURE_EPOCH)
+        .run();
+    assert_identical(&reference, &capture_run.outcome, "capturing run");
+    let bytes = capture_run.snapshots[0].1.to_bytes();
 
-        // Capture once per K (on one worker thread), resume on both
-        // thread counts: the snapshot must not remember how it was made.
-        let capture_run = ClusterRunner::new(&ctx, &ControllerChoice::Rhythm, &cfg(shards, 1))
-            .snapshot_at(CAPTURE_EPOCH)
+    for threads in [1usize, 3, 4] {
+        let snap = ClusterSnapshot::from_bytes(&bytes).expect("snapshot bytes parse");
+        let c = cfg(threads);
+        let resumed = ClusterRunner::resume(&snap, &ctx, &ControllerChoice::Rhythm, &c)
+            .expect("snapshot matches its config")
             .run();
         assert_identical(
             &reference,
-            &capture_run.outcome,
-            &format!("K={shards} capturing run"),
+            &resumed.outcome,
+            &format!("threads={threads} resumed run"),
         );
-        let bytes = capture_run.snapshots[0].1.to_bytes();
-
-        for threads in [1usize, 4] {
-            let snap = ClusterSnapshot::from_bytes(&bytes).expect("snapshot bytes parse");
-            let c = cfg(shards, threads);
-            let resumed = ClusterRunner::resume(&snap, &ctx, &ControllerChoice::Rhythm, &c)
-                .expect("snapshot matches its config")
-                .run();
-            assert_identical(
-                &reference,
-                &resumed.outcome,
-                &format!("K={shards} threads={threads} resumed run"),
-            );
-        }
     }
+}
+
+#[test]
+fn resume_rejects_inconsistent_scheduler_state() {
+    let ctx = ctx();
+    let c = cfg(1);
+    let run = ClusterRunner::new(&ctx, &ControllerChoice::Rhythm, &c)
+        .snapshot_at(CAPTURE_EPOCH)
+        .run();
+    let snap = &run.snapshots[0].1;
+    // Well-formed bytes, but the ledger now contradicts the bindings:
+    // every section decodes, yet the scheduler state is impossible.
+    // Resume must refuse it as corrupt, not panic later.
+    let (running, machine) = snap
+        .scheduler
+        .jobs
+        .iter()
+        .enumerate()
+        .find_map(|(j, job)| match job.state {
+            JobState::Running(g) => Some((j, g)),
+            _ => None,
+        })
+        .expect("some job runs at the capture barrier");
+    let elsewhere = JobState::Running((machine + 1) % c.machines);
+    for state in [JobState::Queued, JobState::Done, elsewhere] {
+        let mut bad = snap.clone();
+        bad.scheduler.jobs[running].state = state;
+        let bad = ClusterSnapshot::from_bytes(&bad.to_bytes()).expect("bytes still parse");
+        assert!(
+            matches!(
+                ClusterRunner::resume(&bad, &ctx, &ControllerChoice::Rhythm, &c).err(),
+                Some(SnapshotError::Corrupt(_))
+            ),
+            "job {running} flipped to {state:?} must be refused"
+        );
+    }
+    assert!(ClusterRunner::resume(snap, &ctx, &ControllerChoice::Rhythm, &c).is_ok());
 }
 
 #[test]
 fn snapshot_files_reject_corruption_and_truncation() {
     let ctx = ctx();
-    let run = ClusterRunner::new(&ctx, &ControllerChoice::Rhythm, &cfg(1, 1))
+    let run = ClusterRunner::new(&ctx, &ControllerChoice::Rhythm, &cfg(1))
         .snapshot_at(CAPTURE_EPOCH)
         .run();
     let bytes = run.snapshots[0].1.to_bytes();
