@@ -19,12 +19,20 @@
 //!
 //! Results are written as text + JSON under `results/` (override with
 //! `RHYTHM_RESULTS_DIR`). `--json` switches stdout from the text tables
-//! to the same JSON document written to `results/<id>.json`.
+//! to the same JSON document written to `results/<id>.json`. A bad
+//! argument or file prints one `repro: <msg>` line and exits 2.
 
 use rhythm_bench as b;
 use std::time::Instant;
 
-fn main() -> std::io::Result<()> {
+fn main() {
+    if let Err(e) = run() {
+        eprintln!("repro: {e}");
+        std::process::exit(2);
+    }
+}
+
+fn run() -> std::io::Result<()> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let json_mode = args.iter().any(|a| a == "--json");
     args.retain(|a| a != "--json");
@@ -110,8 +118,10 @@ fn main() -> std::io::Result<()> {
             "trace" => b::trace::run()?,
             "lint" => b::lint::run(github)?,
             other => {
-                eprintln!("[repro] unknown experiment id: {other}");
-                std::process::exit(2);
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    format!("unknown experiment id: {other}"),
+                ))
             }
         }
         eprintln!(

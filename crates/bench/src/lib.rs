@@ -30,9 +30,7 @@
 pub mod ablate;
 pub mod chaos;
 pub mod cluster;
-pub mod clusterbench;
 pub mod colocation;
-pub mod enginebench;
 pub mod fig02;
 pub mod fig06;
 pub mod fig07;

@@ -22,6 +22,13 @@ pub fn json_stdout() -> bool {
     JSON_STDOUT.load(Ordering::Relaxed)
 }
 
+/// Where results land: `RHYTHM_RESULTS_DIR` if set, else `results/`.
+pub fn results_dir() -> PathBuf {
+    std::env::var("RHYTHM_RESULTS_DIR")
+        .map(PathBuf::from)
+        .unwrap_or_else(|_| PathBuf::from("results"))
+}
+
 /// A report for one experiment id.
 pub struct Report {
     id: String,
@@ -33,14 +40,11 @@ pub struct Report {
 impl Report {
     /// Starts a report for experiment `id` (e.g. "fig09").
     pub fn new(id: &str, title: &str) -> Report {
-        let out_dir = std::env::var("RHYTHM_RESULTS_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| PathBuf::from("results"));
         Report {
             id: id.to_string(),
             title: title.to_string(),
             text: format!("== {id}: {title} ==\n"),
-            out_dir,
+            out_dir: results_dir(),
         }
     }
 

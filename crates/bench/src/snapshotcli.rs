@@ -16,6 +16,7 @@
 //! embedded), so the only inputs it needs are the file and, optionally, a
 //! worker-thread count — the continuation is bit-identical regardless.
 
+use crate::report::results_dir;
 use rhythm_cluster::{ClusterRunner, ClusterSnapshot};
 use rhythm_core::experiment::ControllerChoice;
 use std::io;
@@ -62,12 +63,6 @@ fn flag<T: std::str::FromStr>(
     }
 }
 
-fn results_dir() -> PathBuf {
-    std::env::var("RHYTHM_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("results"))
-}
-
 /// The standard cell for `snap`'s metadata: config fields that shape
 /// state (machines, seed, horizon, epoch length) come from the snapshot
 /// itself; everything else is [`crate::cluster::cell_config`].
@@ -77,6 +72,13 @@ fn cell_for(snap: &ClusterSnapshot, threads: usize) -> rhythm_cluster::ClusterCo
     cfg.controller_period_ms = snap.controller_period_ms;
     cfg.threads = threads;
     cfg
+}
+
+/// Reads and decodes a snapshot file; errors name the file.
+fn read_snapshot(path: &str) -> io::Result<ClusterSnapshot> {
+    let bytes =
+        std::fs::read(path).map_err(|e| io::Error::new(e.kind(), format!("{path}: {e}")))?;
+    ClusterSnapshot::from_bytes(&bytes).map_err(|e| invalid(format!("{path}: {e}")))
 }
 
 fn outcome_line(m: &rhythm_cluster::ClusterMetrics) -> String {
@@ -115,6 +117,12 @@ pub fn snapshot(args: &[String]) -> io::Result<()> {
     }
 
     let ctx = crate::cluster::context(seed);
+    let pods = ctx.service.len();
+    if machines < pods || !machines.is_multiple_of(pods) {
+        return Err(invalid(format!(
+            "--machines {machines}: must be a positive multiple of the service's {pods} Servpods"
+        )));
+    }
     let mut cfg = crate::cluster::cell_config(machines, seed);
     cfg.duration_s = duration;
     eprintln!(
@@ -152,8 +160,7 @@ pub fn resume(args: &[String]) -> io::Result<()> {
         return Err(invalid("usage: repro resume FILE [--threads T]".into()));
     };
     let threads: usize = flag(&pairs, "threads", 8)?;
-    let bytes = std::fs::read(path)?;
-    let snap = ClusterSnapshot::from_bytes(&bytes).map_err(|e| invalid(e.to_string()))?;
+    let snap = read_snapshot(path)?;
     let ctx = crate::cluster::context(snap.seed);
     let cfg = cell_for(&snap, threads);
     eprintln!(
@@ -176,11 +183,7 @@ pub fn diff(args: &[String]) -> io::Result<()> {
     let [a, b] = pos.as_slice() else {
         return Err(invalid("usage: repro snapshot-diff A B".into()));
     };
-    let read = |p: &String| -> io::Result<ClusterSnapshot> {
-        ClusterSnapshot::from_bytes(&std::fs::read(p)?)
-            .map_err(|e| invalid(format!("{p}: {e}")))
-    };
-    let (sa, sb) = (read(a)?, read(b)?);
+    let (sa, sb) = (read_snapshot(a)?, read_snapshot(b)?);
     print!("{}", sa.diff(&sb).render());
     Ok(())
 }

@@ -17,21 +17,13 @@
 //!
 //! Both exports are byte-identical for any worker-thread count.
 
-use crate::Report;
+use crate::report::{results_dir, Report};
 use rhythm_cluster::{run_cluster, ClusterConfig, PlacementPolicy};
 use rhythm_core::experiment::{ControllerChoice, ServiceContext};
 use rhythm_telemetry::TelemetryConfig;
 use rhythm_workloads::{apps, BeKind, BeSpec};
 use serde_json::json;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
-
-/// Where exports land (same rule as [`Report`]).
-fn results_dir() -> PathBuf {
-    std::env::var("RHYTHM_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("results"))
-}
 
 /// The traced cell: the paper's 4-machine testbed at 85% load, short
 /// enough to stay interactive, with every telemetry stream on.
