@@ -3,10 +3,10 @@
 use crate::profile::SojournProfile;
 use rhythm_sim::pearson;
 use rhythm_workloads::ServiceSpec;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The contribution of one Servpod, with the factors it was built from.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Contribution {
     /// Servpod name.
     pub name: String,

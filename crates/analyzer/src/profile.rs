@@ -1,9 +1,9 @@
 //! Solo-run sojourn profile: the analyzer's input.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Measurements at one load level of the solo-run sweep.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct LoadLevel {
     /// Offered load as a fraction of max load.
     pub load: f64,
@@ -19,7 +19,7 @@ pub struct LoadLevel {
 }
 
 /// The complete profile of one LC service from its solo-run sweep.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct SojournProfile {
     /// Servpod (component) names, fixing the per-Servpod vector order.
     pub pod_names: Vec<String>,

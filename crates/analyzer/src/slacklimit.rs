@@ -15,7 +15,7 @@
 //! with the candidate limits for a probation period, and backtracks one
 //! step when the SLA is violated.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Fraction of the full Algorithm 1 step taken per probation run.
 const ETA: f64 = 0.25;
@@ -25,7 +25,7 @@ const ETA: f64 = 0.25;
 const FLOOR: f64 = 0.02;
 
 /// Outcome of the slacklimit search.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct SlacklimitSearch {
     /// Final slacklimit per Servpod.
     pub slacklimits: Vec<f64>,

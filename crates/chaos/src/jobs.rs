@@ -15,11 +15,11 @@
 use rhythm_cluster::JobSpec;
 use rhythm_sim::{Dist, SimRng};
 use rhythm_workloads::BeSpec;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A job-size distribution for [`heavy_tailed_plan`], in solo-runtime
 /// virtual seconds.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub enum JobSizeDist {
     /// Lognormal: `exp(ln(median) + sigma · z)` with `z` standard
     /// normal. `sigma` ≈ 1.5–2 matches the published Alibaba batch

@@ -27,7 +27,7 @@
 //! time, for any worker-thread count.
 
 use rhythm_telemetry::TailPoint;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A window's p99 counts as recovered when it is at or below this
 /// multiple of the pre-fault baseline (15% headroom for sampling
@@ -39,7 +39,7 @@ pub const RECOVERY_THRESHOLD: f64 = 1.15;
 pub const RECOVERY_SUSTAIN_POINTS: usize = 3;
 
 /// A recovery-time estimate for one disruption.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Recovery {
     /// Median p99 (ms) of the non-empty pre-fault windows.
     pub baseline_p99_ms: f64,

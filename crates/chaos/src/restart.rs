@@ -14,10 +14,10 @@
 use crate::scenario::outcome_fingerprint;
 use rhythm_cluster::{ClusterConfig, ClusterOutcome, ClusterRunner, ClusterSnapshot};
 use rhythm_core::experiment::{ControllerChoice, ServiceContext};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// What the crash-restart drill observed.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct RestartCheck {
     /// Epoch barrier the snapshot was captured at.
     pub epoch: u32,

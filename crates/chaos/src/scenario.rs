@@ -30,7 +30,7 @@ use rhythm_core::experiment::{ControllerChoice, ServiceContext};
 use rhythm_sim::SimDuration;
 use rhythm_telemetry::TelemetryConfig;
 use rhythm_workloads::LoadGen;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One named chaos experiment.
 #[derive(Clone, Debug)]
@@ -50,7 +50,7 @@ pub struct Scenario {
 }
 
 /// What one scenario run produced.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct ScenarioOutcome {
     /// The scenario id.
     pub name: String,

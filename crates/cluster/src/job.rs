@@ -14,7 +14,7 @@
 // state (rule S01: no hash containers or raw-pointer fields).
 
 use rhythm_workloads::BeSpec;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Cluster-wide job identifier (dense, assigned at submission).
@@ -254,7 +254,7 @@ impl JobSpec {
 }
 
 /// Aggregate job outcomes of one cluster run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct JobStats {
     /// Jobs submitted.
     pub submitted: u64,

@@ -7,10 +7,10 @@ use rhythm_core::metrics::RunMetrics;
 use rhythm_core::runtime::EngineOutput;
 use rhythm_sim::LatencyHistogram;
 use rhythm_telemetry::{ClusterEvent, TailPoint, TelemetryOutput};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Merged metrics of one cluster run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct ClusterMetrics {
     /// Machines in the cluster.
     pub machines: usize,

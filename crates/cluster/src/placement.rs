@@ -24,11 +24,11 @@
 use rhythm_interference::{InterferenceModel, Pressure};
 use rhythm_machine::Machine;
 use rhythm_workloads::{BeSpec, ComponentSpec};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Which placement policy the dispatcher uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum PlacementPolicy {
     /// Rotate over eligible machines.
     RoundRobin,

@@ -16,7 +16,7 @@ use rhythm_telemetry::{
     per_mille_i16, per_mille_u16, ActionCode, AdjustKind, BeSnapshot, EventKind, FlightRecorder,
 };
 use rhythm_workloads::BeSpec;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Captures a machine's BE population and resource envelope for the
 /// telemetry audit trail.
@@ -55,7 +55,7 @@ pub struct AgentInputs {
 }
 
 /// Cumulative agent statistics (reported in Table 2 / Figure 17).
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, Serialize)]
 pub struct AgentStats {
     /// Control periods executed.
     pub ticks: u64,

@@ -1,10 +1,10 @@
 //! The decision policy: Algorithm 2 and the Heracles baseline.
 
 use crate::action::BeAction;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The two per-Servpod control thresholds (§3.5.1).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct Thresholds {
     /// Request-load ceiling (fraction of max load) above which BE jobs
     /// are suspended.
@@ -38,7 +38,7 @@ impl Thresholds {
 /// Rhythm instantiates one per Servpod with contribution-derived
 /// thresholds; the Heracles baseline uses [`Thresholds::heracles`] on
 /// every machine.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct ThresholdPolicy {
     thresholds: Thresholds,
 }

@@ -12,11 +12,11 @@
 
 use rhythm_machine::{Allocation, Machine};
 use rhythm_workloads::BeSpec;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Growth/admission configuration for the CPU/LLC and memory
 /// subcontrollers.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct GrowthConfig {
     /// Maximum BE instances per machine.
     pub max_instances: u32,

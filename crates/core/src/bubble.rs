@@ -14,10 +14,10 @@
 
 use crate::runtime::{ControlMode, Engine, EngineConfig};
 use rhythm_workloads::{BeKind, BeSpec, ServiceSpec};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which one-dimensional bubble to press with.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum Bubble {
     /// CPU-core pressure (CPU-stress).
     Cpu,
@@ -39,7 +39,7 @@ impl Bubble {
 }
 
 /// Result of pressing one Servpod with one bubble.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct BubbleScore {
     /// Servpod name.
     pub pod: String,

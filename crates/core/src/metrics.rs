@@ -10,10 +10,10 @@
 //!   BE kills.
 
 use crate::runtime::EngineOutput;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Per-Servpod metrics of one run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct PodMetrics {
     /// Servpod name.
     pub name: String,
@@ -32,7 +32,7 @@ pub struct PodMetrics {
 }
 
 /// Service-level metrics of one run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct RunMetrics {
     /// Average LC load (requests served / max load).
     pub lc_throughput: f64,

@@ -22,7 +22,7 @@ use rhythm_controller::Thresholds;
 use rhythm_sim::OnlineStats;
 use rhythm_tracer::{CaptureConfig, EventCapture, Pairer};
 use rhythm_workloads::{BeSpec, ServiceSpec};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Profiling configuration.
 #[derive(Clone, Debug)]
@@ -56,7 +56,7 @@ impl Default for ProfileConfig {
 }
 
 /// The thresholds Rhythm derives for one service.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct ServiceThresholds {
     /// Per-Servpod contributions (Equations 1-5).
     pub contributions: Vec<Contribution>,

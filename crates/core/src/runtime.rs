@@ -28,7 +28,7 @@ use rhythm_telemetry::{
 };
 use rhythm_tracer::capture::VisitNode;
 use rhythm_workloads::{BeSpec, LoadGen, ServiceSpec};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -199,7 +199,7 @@ struct BeProgress {
 }
 
 /// One point of the Figure 17 timeline (sampled every controller period).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct TimelinePoint {
     /// Sample time in seconds.
     pub t_s: f64,
@@ -220,7 +220,7 @@ pub struct TimelinePoint {
 }
 
 /// Per-pod aggregates over the measured (post-warmup) window.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct PodRuntime {
     /// Servpod name.
     pub name: String,

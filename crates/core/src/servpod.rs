@@ -7,11 +7,11 @@
 
 use rhythm_machine::{Allocation, Machine, MachineSpec};
 use rhythm_workloads::ServiceSpec;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// One Servpod: the mapping of a service component onto a machine.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Servpod {
     /// Index of the Servpod (== machine index == DAG node index).
     pub index: usize,

@@ -9,7 +9,7 @@
 use crate::pressure::Pressure;
 use rhythm_machine::Machine;
 use rhythm_workloads::ComponentSpec;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Isolation-effectiveness coefficients.
 ///
@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// queueing jitter; cpuset pins cores but the socket's power and L1/L2
 /// bandwidth budgets remain shared. Each coefficient is the fraction of
 /// raw pressure that leaks through the corresponding mechanism.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct InterferenceModel {
     /// LLC pressure fraction that bypasses the CAT partition.
     pub llc_leak: f64,

@@ -4,11 +4,11 @@
 //! isolation mechanism 1). A [`CpuSet`] is a bitmask over the machine's
 //! cores; the machine hands out disjoint sets and checks for overlap.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A set of physical core ids on one machine (up to 128 cores).
-#[derive(Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct CpuSet {
     bits: u128,
 }

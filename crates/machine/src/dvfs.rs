@@ -6,10 +6,10 @@
 //! still meets the SLA.
 
 use crate::spec::MachineSpec;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A frequency domain (one group of cores sharing a DVFS operating point).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct DvfsDomain {
     min_mhz: u32,
     max_mhz: u32,

@@ -15,7 +15,7 @@ use crate::dvfs::DvfsDomain;
 use crate::power::PowerModel;
 use crate::qdisc::Qdisc;
 use crate::spec::MachineSpec;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -23,7 +23,7 @@ use std::fmt;
 pub type BeInstanceId = u64;
 
 /// Run state of a BE instance.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum BeState {
     /// Scheduled on cores and making progress.
     Running,
@@ -32,7 +32,7 @@ pub enum BeState {
 }
 
 /// One BE job instance and its current grant.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct BeInstance {
     /// Stable id on this machine.
     pub id: BeInstanceId,

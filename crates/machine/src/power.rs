@@ -7,10 +7,10 @@
 //! with voltage roughly proportional to frequency).
 
 use crate::spec::MachineSpec;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Power model for one machine.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct PowerModel {
     /// Idle power of the whole machine in watts.
     pub idle_watts: f64,

@@ -4,10 +4,10 @@
 //! service's bandwidth `B_LC` and allocates `B_link − 1.2 · B_LC` to BE
 //! jobs, keeping a 20% headroom above the LC's observed usage.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A two-class bandwidth shaper for one NIC.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct Qdisc {
     link_mbps: f64,
     be_limit_mbps: f64,

@@ -1,6 +1,6 @@
 //! Machine capacity specification.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Static capacities of one physical machine.
 ///
@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(spec.total_llc_ways(), 80);
 /// assert_eq!(spec.total_mem_mb(), 4 * 64 * 1024);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct MachineSpec {
     /// Number of CPU sockets.
     pub sockets: u32,

@@ -6,7 +6,7 @@
 //! buckets with a configurable relative error (default 1%), the same idea
 //! as HdrHistogram's log-linear layout but simplified to pure log spacing.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Default relative error of quantile estimates.
 const DEFAULT_GAMMA_ERR: f64 = 0.01;
@@ -28,7 +28,7 @@ const DEFAULT_GAMMA_ERR: f64 = 0.01;
 /// let p99 = h.quantile(0.99);
 /// assert!((p99 - 990.0).abs() / 990.0 < 0.02);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct LatencyHistogram {
     /// `log(gamma)` where `gamma = (1 + err) / (1 - err)`.
     log_gamma: f64,

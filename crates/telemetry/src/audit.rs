@@ -2,7 +2,6 @@
 //! everything Algorithm 2 looked at when it chose an action.
 
 use crate::event::ActionCode;
-use serde_json::Value;
 
 /// The BE population and resource envelope on a machine, captured before
 /// and after a controller tick so the audit trail shows what each action
@@ -21,19 +20,6 @@ pub struct BeSnapshot {
     pub freq_mhz: u32,
     /// BE network bandwidth ceiling in Mbit/s.
     pub net_mbps: u32,
-}
-
-impl BeSnapshot {
-    fn to_value(self) -> Value {
-        Value::Object(vec![
-            ("instances".into(), Value::UInt(self.instances as u64)),
-            ("running".into(), Value::UInt(self.running as u64)),
-            ("cores".into(), Value::UInt(self.cores as u64)),
-            ("llc_ways".into(), Value::UInt(self.llc_ways as u64)),
-            ("freq_mhz".into(), Value::UInt(self.freq_mhz as u64)),
-            ("net_mbps".into(), Value::UInt(self.net_mbps as u64)),
-        ])
-    }
 }
 
 /// Which branch of Algorithm 2 fired. Mirrors the decision ladder in
@@ -193,40 +179,6 @@ pub struct AuditRecord {
 }
 
 impl AuditRecord {
-    /// Renders the record as a JSON object. `replica` tags which engine
-    /// it came from in cluster exports.
-    pub fn to_value(&self, replica: usize) -> Value {
-        let mut pairs: Vec<(String, Value)> = vec![
-            ("type".into(), Value::String("audit".into())),
-            ("replica".into(), Value::UInt(replica as u64)),
-            ("t_s".into(), Value::Float(self.t_s)),
-            ("machine".into(), Value::UInt(self.machine as u64)),
-            ("pod".into(), Value::String(self.pod.clone())),
-            ("action".into(), Value::String(self.action.name().into())),
-            ("trigger".into(), Value::String(self.trigger.name().into())),
-            ("load".into(), Value::Float(self.load)),
-            ("loadlimit".into(), Value::Float(self.loadlimit)),
-            ("slack".into(), Value::Float(self.slack)),
-            ("slacklimit".into(), Value::Float(self.slacklimit)),
-            ("tail_ms".into(), Value::Float(self.tail_ms)),
-            ("sla_ms".into(), Value::Float(self.sla_ms)),
-        ];
-        match self.hot_pod {
-            Some(idx) => {
-                pairs.push(("hot_pod".into(), Value::UInt(idx as u64)));
-                pairs.push((
-                    "hot_pod_name".into(),
-                    Value::String(self.hot_pod_name.clone()),
-                ));
-                pairs.push(("hot_pod_ms".into(), Value::Float(self.hot_pod_ms)));
-            }
-            None => pairs.push(("hot_pod".into(), Value::Null)),
-        }
-        pairs.push(("before".into(), self.before.to_value()));
-        pairs.push(("after".into(), self.after.to_value()));
-        Value::Object(pairs)
-    }
-
     /// One human-readable "why did Rhythm do X at t=Y" line.
     pub fn why(&self) -> String {
         let mut line = format!(
@@ -349,6 +301,16 @@ mod tests {
         assert_eq!(Trigger::classify(0.9, -0.5, ll, sl), Trigger::SlaViolated);
     }
 
+    /// The record's line in a one-replica JSONL export.
+    fn audit_line(rec: AuditRecord) -> String {
+        let rep = crate::TelemetryOutput {
+            audit: vec![rec],
+            ..Default::default()
+        };
+        let jsonl = crate::export_jsonl(&[rep], &[]);
+        jsonl.lines().nth(1).unwrap().to_owned()
+    }
+
     fn sample() -> AuditRecord {
         AuditRecord {
             t_s: 12.0,
@@ -395,7 +357,7 @@ mod tests {
 
     #[test]
     fn json_includes_thresholds_and_snapshots() {
-        let s = serde_json::to_string(&sample().to_value(0)).unwrap();
+        let s = audit_line(sample());
         assert!(s.contains("\"type\":\"audit\""), "{s}");
         assert!(s.contains("\"loadlimit\":0.6"), "{s}");
         assert!(s.contains("\"trigger\":\"slack_below_half_limit\""), "{s}");
@@ -406,7 +368,7 @@ mod tests {
     fn missing_hot_pod_serialises_as_null() {
         let mut r = sample();
         r.hot_pod = None;
-        let s = serde_json::to_string(&r.to_value(0)).unwrap();
+        let s = audit_line(r);
         assert!(s.contains("\"hot_pod\":null"), "{s}");
         assert!(!s.contains("hot_pod_name"), "{s}");
     }

@@ -6,11 +6,8 @@
 //! They are recorded here, always single-threaded at the barrier in fixed
 //! order, so the export stays byte-identical for any worker-thread count.
 
-use serde::{Deserialize, Serialize};
-use serde_json::Value;
-
 /// What happened at the cluster scheduler.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ClusterEventKind {
     /// Every instance of a gang job was admitted; the gang is running.
     GangFormed,
@@ -48,7 +45,7 @@ impl ClusterEventKind {
 }
 
 /// One cluster-scheduler event.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ClusterEvent {
     /// Virtual time of the epoch barrier that recorded the event.
     pub t_s: f64,
@@ -58,22 +55,6 @@ pub struct ClusterEvent {
     pub job: u64,
     /// Gang id for gang events (`None` for solitary jobs).
     pub gang: Option<u32>,
-}
-
-impl ClusterEvent {
-    /// Renders the event as one JSONL object.
-    pub fn to_value(&self) -> Value {
-        let mut pairs: Vec<(String, Value)> = vec![
-            ("type".into(), Value::String("cluster_event".into())),
-            ("kind".into(), Value::String(self.kind.name().into())),
-            ("t_s".into(), Value::Float(self.t_s)),
-            ("job".into(), Value::UInt(self.job)),
-        ];
-        if let Some(gid) = self.gang {
-            pairs.push(("gang".into(), Value::UInt(gid as u64)));
-        }
-        Value::Object(pairs)
-    }
 }
 
 impl rhythm_snapshot::Snapshot for ClusterEventKind {
@@ -178,17 +159,18 @@ mod tests {
             job: 7,
             gang: Some(3),
         };
-        let line = ev.to_value().to_json_string();
-        assert!(line.starts_with("{\"type\":\"cluster_event\""), "{line}");
-        assert!(line.contains("\"kind\":\"gang_formed\""), "{line}");
-        assert!(line.contains("\"gang\":3"), "{line}");
         let solo = ClusterEvent {
             t_s: 30.0,
             kind: ClusterEventKind::DeadlineMiss,
             job: 9,
             gang: None,
         };
-        let line = solo.to_value().to_json_string();
-        assert!(!line.contains("gang"), "no gang key");
+        let jsonl = crate::export_jsonl_with_events(&[], &[], &[ev, solo]);
+        let lines: Vec<&str> = jsonl.lines().collect();
+        let line = lines[1];
+        assert!(line.starts_with("{\"type\":\"cluster_event\""), "{line}");
+        assert!(line.contains("\"kind\":\"gang_formed\""), "{line}");
+        assert!(line.contains("\"gang\":3"), "{line}");
+        assert!(!lines[2].contains("gang"), "no gang key");
     }
 }

@@ -5,8 +5,6 @@
 //! a string (pod names, workload names) is resolved at export time from
 //! the index tables carried by [`crate::TelemetryOutput`].
 
-use serde_json::Value;
-
 /// One recorded event: a virtual timestamp plus the payload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Event {
@@ -336,62 +334,6 @@ pub fn per_mille_i16(x: f64) -> i16 {
     (x * 1000.0).clamp(i16::MIN as f64, i16::MAX as f64) as i16
 }
 
-impl Event {
-    /// Renders the event as a JSON object. `replica` tags which engine
-    /// the event came from in cluster exports.
-    pub fn to_value(&self, replica: usize) -> Value {
-        let mut pairs: Vec<(String, Value)> = vec![
-            ("type".into(), Value::String("event".into())),
-            ("replica".into(), Value::UInt(replica as u64)),
-            ("t_ns".into(), Value::UInt(self.t_ns)),
-            ("kind".into(), Value::String(self.kind.name().into())),
-        ];
-        match self.kind {
-            EventKind::RequestAdmitted => {}
-            EventKind::RequestCompleted { latency_us } => {
-                pairs.push(("latency_us".into(), Value::UInt(latency_us as u64)));
-            }
-            EventKind::BeAdmitted { machine, instance } => {
-                pairs.push(("machine".into(), Value::UInt(machine as u64)));
-                pairs.push(("instance".into(), Value::UInt(instance as u64)));
-            }
-            EventKind::BeKilled {
-                machine,
-                instance,
-                progress_pct,
-            } => {
-                pairs.push(("machine".into(), Value::UInt(machine as u64)));
-                pairs.push(("instance".into(), Value::UInt(instance as u64)));
-                pairs.push(("progress_pct".into(), Value::UInt(progress_pct as u64)));
-            }
-            EventKind::Action {
-                machine,
-                action,
-                load_pm,
-                slack_pm,
-            } => {
-                pairs.push(("machine".into(), Value::UInt(machine as u64)));
-                pairs.push(("action".into(), Value::String(action.name().into())));
-                pairs.push(("load_pm".into(), Value::UInt(load_pm as u64)));
-                pairs.push(("slack_pm".into(), Value::Int(slack_pm as i64)));
-            }
-            EventKind::Adjust {
-                machine,
-                kind,
-                value,
-            } => {
-                pairs.push(("machine".into(), Value::UInt(machine as u64)));
-                pairs.push(("dimension".into(), Value::String(kind.name().into())));
-                pairs.push(("value".into(), Value::Int(value as i64)));
-            }
-            EventKind::Epoch { epoch } => {
-                pairs.push(("epoch".into(), Value::UInt(epoch as u64)));
-            }
-        }
-        Value::Object(pairs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,7 +438,10 @@ mod tests {
                 slack_pm: 31,
             },
         };
-        let s = serde_json::to_string(&ev.to_value(1)).unwrap();
+        let mut replicas = vec![crate::TelemetryOutput::default(); 2];
+        replicas[1].events.push(ev);
+        let jsonl = crate::export_jsonl(&replicas, &[]);
+        let s = jsonl.lines().nth(1).unwrap();
         assert!(s.contains("\"kind\":\"action\""), "{s}");
         assert!(s.contains("\"action\":\"CutBE\""), "{s}");
         assert!(s.contains("\"replica\":1"), "{s}");

@@ -3,15 +3,17 @@
 //! `chrome://tracing` / Perfetto.
 //!
 //! Determinism contract: exports are plain functions of the collected
-//! data; replicas are always iterated in index order and objects are
-//! built with fixed key order, so two runs that collected identical
-//! telemetry (e.g. the same cluster run at different worker-thread
-//! counts) render byte-identical text.
+//! data; replicas are always iterated in index order and each record is
+//! streamed into the one output `String` with its keys in a fixed order
+//! (see `json.rs` for the number and escape rules), so two runs that
+//! collected identical telemetry (e.g. the same cluster run at different
+//! worker-thread counts) render byte-identical text.
 
-use crate::audit::AuditRecord;
+use crate::audit::{AuditRecord, BeSnapshot};
+use crate::cluster::ClusterEvent;
 use crate::event::{Event, EventKind};
+use crate::json::Obj;
 use crate::tail::TailPoint;
-use serde_json::Value;
 
 /// Everything one engine collected during a run.
 #[derive(Clone, Debug, Default)]
@@ -60,108 +62,211 @@ pub fn export_jsonl(replicas: &[TelemetryOutput], cluster_tail: &[TailPoint]) ->
 pub fn export_jsonl_with_events(
     replicas: &[TelemetryOutput],
     cluster_tail: &[TailPoint],
-    cluster_events: &[crate::cluster::ClusterEvent],
+    cluster_events: &[ClusterEvent],
 ) -> String {
-    let mut out = String::new();
-    let mut push = |v: Value| {
-        out.push_str(&v.to_json_string());
-        out.push('\n');
-    };
-
     let recorded: u64 = replicas.iter().map(|r| r.recorded).sum();
     let dropped: u64 = replicas.iter().map(|r| r.dropped).sum();
-    push(Value::Object(vec![
-        ("type".into(), Value::String("meta".into())),
-        ("schema".into(), Value::String("rhythm-trace/v1".into())),
-        ("replicas".into(), Value::UInt(replicas.len() as u64)),
-        ("events_recorded".into(), Value::UInt(recorded)),
-        ("events_dropped".into(), Value::UInt(dropped)),
-    ]));
-
+    let mut out = String::new();
+    Obj::open(&mut out)
+        .str("type", "meta")
+        .str("schema", "rhythm-trace/v1")
+        .uint("replicas", replicas.len() as u64)
+        .uint("events_recorded", recorded)
+        .uint("events_dropped", dropped)
+        .close();
+    out.push('\n');
     for (idx, rep) in replicas.iter().enumerate() {
         for ev in &rep.events {
-            push(ev.to_value(idx));
+            event_line(&mut out, ev, idx);
         }
         for rec in &rep.audit {
-            push(rec.to_value(idx));
+            audit_line(&mut out, rec, idx);
         }
         for pt in &rep.tail {
-            push(pt.to_value("replica", Some(idx)));
+            tail_line(&mut out, pt, Some(idx));
         }
     }
     for pt in cluster_tail {
-        push(pt.to_value("cluster", None));
+        tail_line(&mut out, pt, None);
     }
     for ev in cluster_events {
-        push(ev.to_value());
+        let mut o = Obj::open(&mut out);
+        o.str("type", "cluster_event")
+            .str("kind", ev.kind.name())
+            .float("t_s", ev.t_s)
+            .uint("job", ev.job);
+        if let Some(gid) = ev.gang {
+            o.uint("gang", gid);
+        }
+        o.close();
+        out.push('\n');
     }
     out
 }
 
-/// Converts one event into a Chrome-trace entry, or `None` for kinds too
-/// frequent to chart individually (per-request events).
-fn chrome_event(ev: &Event, replica: usize) -> Option<Value> {
-    let ts_us = ev.t_ns as f64 / 1000.0;
-    let instant = |name: String, machine: u16, args: Vec<(String, Value)>| {
-        Value::Object(vec![
-            ("name".into(), Value::String(name)),
-            ("ph".into(), Value::String("i".into())),
-            ("s".into(), Value::String("t".into())),
-            ("ts".into(), Value::Float(ts_us)),
-            ("pid".into(), Value::UInt(replica as u64)),
-            ("tid".into(), Value::UInt(machine as u64)),
-            ("args".into(), Value::Object(args)),
-        ])
-    };
+/// One `event` line; `replica` tags which engine the event came from.
+fn event_line(out: &mut String, ev: &Event, replica: usize) {
+    let mut o = Obj::open(out);
+    o.str("type", "event")
+        .uint("replica", replica as u64)
+        .uint("t_ns", ev.t_ns)
+        .str("kind", ev.kind.name());
     match ev.kind {
-        // Per-request events would swamp the viewer; the tail counters
-        // already summarise them.
-        EventKind::RequestAdmitted | EventKind::RequestCompleted { .. } => None,
-        EventKind::BeAdmitted { machine, instance } => Some(instant(
-            "be_admitted".into(),
-            machine,
-            vec![("instance".into(), Value::UInt(instance as u64))],
-        )),
+        EventKind::RequestAdmitted => {}
+        EventKind::RequestCompleted { latency_us } => {
+            o.uint("latency_us", latency_us);
+        }
+        EventKind::BeAdmitted { machine, instance } => {
+            o.uint("machine", machine).uint("instance", instance);
+        }
         EventKind::BeKilled {
             machine,
             instance,
             progress_pct,
-        } => Some(instant(
-            "be_killed".into(),
-            machine,
-            vec![
-                ("instance".into(), Value::UInt(instance as u64)),
-                ("progress_pct".into(), Value::UInt(progress_pct as u64)),
-            ],
-        )),
+        } => {
+            o.uint("machine", machine)
+                .uint("instance", instance)
+                .uint("progress_pct", progress_pct);
+        }
         EventKind::Action {
             machine,
             action,
             load_pm,
             slack_pm,
-        } => Some(instant(
-            action.name().into(),
-            machine,
-            vec![
-                ("load".into(), Value::Float(load_pm as f64 / 1000.0)),
-                ("slack".into(), Value::Float(slack_pm as f64 / 1000.0)),
-            ],
-        )),
+        } => {
+            o.uint("machine", machine)
+                .str("action", action.name())
+                .uint("load_pm", load_pm)
+                .int("slack_pm", slack_pm);
+        }
         EventKind::Adjust {
             machine,
             kind,
             value,
-        } => Some(instant(
-            kind.name().into(),
-            machine,
-            vec![("value".into(), Value::Int(value as i64))],
-        )),
-        EventKind::Epoch { epoch } => Some(instant(
-            "epoch".into(),
-            0,
-            vec![("epoch".into(), Value::UInt(epoch as u64))],
-        )),
+        } => {
+            o.uint("machine", machine)
+                .str("dimension", kind.name())
+                .int("value", value);
+        }
+        EventKind::Epoch { epoch } => {
+            o.uint("epoch", epoch);
+        }
     }
+    o.close();
+    out.push('\n');
+}
+
+/// One `audit` line; `hot_pod_name`/`hot_pod_ms` appear only when a
+/// hottest Servpod was attributed.
+fn audit_line(out: &mut String, rec: &AuditRecord, replica: usize) {
+    let mut o = Obj::open(out);
+    o.str("type", "audit")
+        .uint("replica", replica as u64)
+        .float("t_s", rec.t_s)
+        .uint("machine", rec.machine)
+        .str("pod", &rec.pod)
+        .str("action", rec.action.name())
+        .str("trigger", rec.trigger.name())
+        .float("load", rec.load)
+        .float("loadlimit", rec.loadlimit)
+        .float("slack", rec.slack)
+        .float("slacklimit", rec.slacklimit)
+        .float("tail_ms", rec.tail_ms)
+        .float("sla_ms", rec.sla_ms);
+    match rec.hot_pod {
+        Some(idx) => {
+            o.uint("hot_pod", idx)
+                .str("hot_pod_name", &rec.hot_pod_name)
+                .float("hot_pod_ms", rec.hot_pod_ms);
+        }
+        None => {
+            o.null("hot_pod");
+        }
+    }
+    o.obj("before", |b| be_snapshot(b, &rec.before))
+        .obj("after", |a| be_snapshot(a, &rec.after))
+        .close();
+    out.push('\n');
+}
+
+fn be_snapshot(o: &mut Obj<'_>, s: &BeSnapshot) {
+    o.uint("instances", s.instances)
+        .uint("running", s.running)
+        .uint("cores", s.cores)
+        .uint("llc_ways", s.llc_ways)
+        .uint("freq_mhz", s.freq_mhz)
+        .uint("net_mbps", s.net_mbps);
+}
+
+/// One `tail` line: scope `replica` with its index for per-engine
+/// series, scope `cluster` for the merged one.
+fn tail_line(out: &mut String, pt: &TailPoint, replica: Option<usize>) {
+    let mut o = Obj::open(out);
+    o.str("type", "tail");
+    match replica {
+        Some(r) => o.str("scope", "replica").uint("replica", r as u64),
+        None => o.str("scope", "cluster"),
+    };
+    o.float("t_s", pt.t_s)
+        .uint("count", pt.count)
+        .float("p50_ms", pt.p50_ms)
+        .float("p95_ms", pt.p95_ms)
+        .float("p99_ms", pt.p99_ms)
+        .float("slack", pt.slack)
+        .close();
+    out.push('\n');
+}
+
+/// Appends `,` and one Chrome-trace instant entry for `ev`, or nothing
+/// for kinds too frequent to chart individually (per-request events).
+fn chrome_event(out: &mut String, ev: &Event, replica: usize) {
+    let (name, machine) = match ev.kind {
+        // Per-request events would swamp the viewer; the tail counters
+        // already summarise them.
+        EventKind::RequestAdmitted | EventKind::RequestCompleted { .. } => return,
+        EventKind::BeAdmitted { machine, .. } => ("be_admitted", machine),
+        EventKind::BeKilled { machine, .. } => ("be_killed", machine),
+        EventKind::Action {
+            machine, action, ..
+        } => (action.name(), machine),
+        EventKind::Adjust { machine, kind, .. } => (kind.name(), machine),
+        EventKind::Epoch { .. } => ("epoch", 0),
+    };
+    out.push(',');
+    Obj::open(out)
+        .str("name", name)
+        .str("ph", "i")
+        .str("s", "t")
+        .float("ts", ev.t_ns as f64 / 1000.0)
+        .uint("pid", replica as u64)
+        .uint("tid", machine)
+        .obj("args", |a| match ev.kind {
+            EventKind::BeAdmitted { instance, .. } => {
+                a.uint("instance", instance);
+            }
+            EventKind::BeKilled {
+                instance,
+                progress_pct,
+                ..
+            } => {
+                a.uint("instance", instance)
+                    .uint("progress_pct", progress_pct);
+            }
+            EventKind::Action {
+                load_pm, slack_pm, ..
+            } => {
+                a.float("load", f64::from(load_pm) / 1000.0)
+                    .float("slack", f64::from(slack_pm) / 1000.0);
+            }
+            EventKind::Adjust { value, .. } => {
+                a.int("value", value);
+            }
+            EventKind::Epoch { epoch } => {
+                a.uint("epoch", epoch);
+            }
+            EventKind::RequestAdmitted | EventKind::RequestCompleted { .. } => {}
+        })
+        .close();
 }
 
 /// Renders telemetry as Chrome-trace JSON (`chrome://tracing` /
@@ -169,56 +274,50 @@ fn chrome_event(ev: &Event, replica: usize) -> Option<Value> {
 /// adjustments and BE lifecycle as instant events, per-replica tail
 /// series as counter tracks.
 pub fn chrome_trace(replicas: &[TelemetryOutput]) -> String {
-    let mut entries: Vec<Value> = Vec::new();
+    let mut out = String::from("{\"traceEvents\":[");
+    // Every replica opens with its `process_name` entry, so only that
+    // entry can be first; everything after it is comma-led.
     for (idx, rep) in replicas.iter().enumerate() {
-        entries.push(Value::Object(vec![
-            ("name".into(), Value::String("process_name".into())),
-            ("ph".into(), Value::String("M".into())),
-            ("pid".into(), Value::UInt(idx as u64)),
-            (
-                "args".into(),
-                Value::Object(vec![(
-                    "name".into(),
-                    Value::String(format!("replica {idx}")),
-                )]),
-            ),
-        ]));
+        if idx > 0 {
+            out.push(',');
+        }
+        Obj::open(&mut out)
+            .str("name", "process_name")
+            .str("ph", "M")
+            .uint("pid", idx as u64)
+            .obj("args", |a| {
+                a.str("name", &format!("replica {idx}"));
+            })
+            .close();
         for ev in &rep.events {
-            if let Some(v) = chrome_event(ev, idx) {
-                entries.push(v);
-            }
+            chrome_event(&mut out, ev, idx);
         }
         for pt in &rep.tail {
-            entries.push(Value::Object(vec![
-                ("name".into(), Value::String("tail_ms".into())),
-                ("ph".into(), Value::String("C".into())),
-                ("ts".into(), Value::Float(pt.t_s * 1e6)),
-                ("pid".into(), Value::UInt(idx as u64)),
-                (
-                    "args".into(),
-                    Value::Object(vec![
-                        ("p95".into(), Value::Float(pt.p95_ms)),
-                        ("p99".into(), Value::Float(pt.p99_ms)),
-                    ]),
-                ),
-            ]));
-            entries.push(Value::Object(vec![
-                ("name".into(), Value::String("slack".into())),
-                ("ph".into(), Value::String("C".into())),
-                ("ts".into(), Value::Float(pt.t_s * 1e6)),
-                ("pid".into(), Value::UInt(idx as u64)),
-                (
-                    "args".into(),
-                    Value::Object(vec![("slack".into(), Value::Float(pt.slack))]),
-                ),
-            ]));
+            let ts = pt.t_s * 1e6;
+            out.push(',');
+            Obj::open(&mut out)
+                .str("name", "tail_ms")
+                .str("ph", "C")
+                .float("ts", ts)
+                .uint("pid", idx as u64)
+                .obj("args", |a| {
+                    a.float("p95", pt.p95_ms).float("p99", pt.p99_ms);
+                })
+                .close();
+            out.push(',');
+            Obj::open(&mut out)
+                .str("name", "slack")
+                .str("ph", "C")
+                .float("ts", ts)
+                .uint("pid", idx as u64)
+                .obj("args", |a| {
+                    a.float("slack", pt.slack);
+                })
+                .close();
         }
     }
-    let doc = Value::Object(vec![
-        ("traceEvents".into(), Value::Array(entries)),
-        ("displayTimeUnit".into(), Value::String("ms".into())),
-    ]);
-    doc.to_json_string()
+    out.push_str("],\"displayTimeUnit\":\"ms\"}");
+    out
 }
 
 #[cfg(test)]

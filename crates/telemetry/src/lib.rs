@@ -28,7 +28,9 @@
 //!   thread count.
 //! * [`export`] — deterministic JSONL and Chrome-trace
 //!   (`chrome://tracing`) exporters over the collected
-//!   [`TelemetryOutput`]s.
+//!   [`TelemetryOutput`]s. They stream every record straight into one
+//!   output `String` through a small private JSON writer, so the crate
+//!   needs no serialization library.
 //!
 //! Everything is off by default ([`TelemetryConfig::disabled`]); the
 //! engine's hot path only ever pays the `enabled` check.
@@ -42,6 +44,7 @@ pub mod audit;
 pub mod cluster;
 pub mod event;
 pub mod export;
+mod json;
 pub mod recorder;
 pub mod tail;
 

@@ -9,7 +9,6 @@
 //! series bit-identical for any worker-thread count.
 
 use rhythm_sim::LatencyHistogram;
-use serde_json::Value;
 
 /// One closed window of the tail timeline.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -56,25 +55,6 @@ impl TailPoint {
                 1.0
             },
         }
-    }
-
-    /// Renders the point as a JSON object. `scope` is `"replica"` plus an
-    /// index for per-engine series or `"cluster"` for the merged one.
-    pub fn to_value(&self, scope: &str, replica: Option<usize>) -> Value {
-        let mut pairs: Vec<(String, Value)> = vec![
-            ("type".into(), Value::String("tail".into())),
-            ("scope".into(), Value::String(scope.into())),
-        ];
-        if let Some(r) = replica {
-            pairs.push(("replica".into(), Value::UInt(r as u64)));
-        }
-        pairs.push(("t_s".into(), Value::Float(self.t_s)));
-        pairs.push(("count".into(), Value::UInt(self.count)));
-        pairs.push(("p50_ms".into(), Value::Float(self.p50_ms)));
-        pairs.push(("p95_ms".into(), Value::Float(self.p95_ms)));
-        pairs.push(("p99_ms".into(), Value::Float(self.p99_ms)));
-        pairs.push(("slack".into(), Value::Float(self.slack)));
-        Value::Object(pairs)
     }
 }
 
@@ -271,10 +251,13 @@ mod tests {
             p99_ms: 3.0,
             slack: 0.97,
         };
-        let rep = serde_json::to_string(&p.to_value("replica", Some(3))).unwrap();
+        let mut replicas = vec![crate::TelemetryOutput::default(); 4];
+        replicas[3].tail.push(p);
+        let jsonl = crate::export_jsonl(&replicas, &[p]);
+        let lines: Vec<&str> = jsonl.lines().collect();
+        let (rep, clu) = (lines[1], lines[2]);
         assert!(rep.contains("\"scope\":\"replica\""), "{rep}");
         assert!(rep.contains("\"replica\":3"), "{rep}");
-        let clu = serde_json::to_string(&p.to_value("cluster", None)).unwrap();
         assert!(clu.contains("\"scope\":\"cluster\""), "{clu}");
         assert!(!clu.contains("\"replica\""), "{clu}");
     }

@@ -21,7 +21,8 @@
 use crate::capture::is_lc_program;
 use crate::event::{ContextId, EventKind, MessageId, SysEvent};
 use rhythm_sim::SimTime;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Result of pairing one event trace.
 #[derive(Clone, Debug, Default)]
@@ -84,6 +85,54 @@ struct PendingRecv {
     label: u64,
 }
 
+/// FIFO queues keyed by id. Live ids map to dense slot indices, handed
+/// out in first-seen order; a queue that empties gives its slot (and its
+/// allocation) back to a free list, so the map only ever holds ids with
+/// something pending and long traces reuse a small set of queues.
+struct SlotQueues<K, V> {
+    slots: BTreeMap<K, u32>,
+    queues: Vec<VecDeque<V>>,
+    free: Vec<u32>,
+}
+
+impl<K: Ord, V> SlotQueues<K, V> {
+    fn new() -> Self {
+        SlotQueues {
+            slots: BTreeMap::new(),
+            queues: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, key: K, v: V) {
+        let slot = match self.slots.entry(key) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let slot = self.free.pop().unwrap_or_else(|| {
+                    self.queues.push(VecDeque::new());
+                    u32::try_from(self.queues.len() - 1).expect("fewer than 2^32 live ids")
+                });
+                *e.insert(slot)
+            }
+        };
+        self.queues[slot as usize].push_back(v);
+    }
+
+    fn pop(&mut self, key: K) -> Option<V> {
+        let Entry::Occupied(e) = self.slots.entry(key) else {
+            return None;
+        };
+        let slot = *e.get();
+        let queue = &mut self.queues[slot as usize];
+        let v = queue.pop_front();
+        if queue.is_empty() {
+            e.remove();
+            self.free.push(slot);
+        }
+        v
+    }
+}
+
 /// The §3.3 pairing engine.
 pub struct Pairer {
     client_ip: u32,
@@ -101,13 +150,10 @@ impl Pairer {
     pub fn pair(&self, events: &[SysEvent]) -> PairingOutput {
         let mut out = PairingOutput::default();
         // FIFO of pending RECVs per context (intra-Servpod causality).
-        // BTreeMap, not HashMap: the leftover-RECV accounting at the end
-        // iterates it, and iteration order must be deterministic (D01).
-        let mut pending: BTreeMap<ContextId, VecDeque<PendingRecv>> = BTreeMap::new();
+        let mut pending: SlotQueues<ContextId, PendingRecv> = SlotQueues::new();
         // FIFO of request labels per in-flight message identifier
         // (inter-Servpod causality).
-        // lint:allow(D01) -- lookup-only: entry()/get_mut() by MessageId, never iterated
-        let mut in_flight: HashMap<MessageId, VecDeque<u64>> = HashMap::new();
+        let mut in_flight: SlotQueues<MessageId, u64> = SlotQueues::new();
         let mut next_label = 0u64;
 
         for e in events {
@@ -130,7 +176,7 @@ impl Pairer {
                         // Inherit from the matching SEND (FIFO per
                         // identifier: persistent connections share
                         // identifiers, so this can mis-attribute).
-                        match in_flight.get_mut(&e.msg).and_then(|q| q.pop_front()) {
+                        match in_flight.pop(e.msg) {
                             Some(l) => l,
                             None => {
                                 // A reply/message we never saw sent
@@ -142,15 +188,19 @@ impl Pairer {
                             }
                         }
                     };
-                    pending.entry(e.ctx).or_default().push_back(PendingRecv {
-                        at: e.timestamp,
-                        label,
-                    });
+                    pending.push(
+                        e.ctx,
+                        PendingRecv {
+                            at: e.timestamp,
+                            label,
+                        },
+                    );
+                    out.unmatched_recvs += 1;
                 }
                 EventKind::Send => {
-                    let popped = pending.get_mut(&e.ctx).and_then(|q| q.pop_front());
-                    match popped {
+                    match pending.pop(e.ctx) {
                         Some(recv) => {
+                            out.unmatched_recvs -= 1;
                             let pod = e.ctx.host_ip.saturating_sub(1);
                             let ms = e.timestamp.saturating_since(recv.at).as_millis_f64();
                             out.segments
@@ -158,10 +208,7 @@ impl Pairer {
                                 .or_default()
                                 .push((recv.label, ms));
                             // Propagate the label to the receiving side.
-                            in_flight
-                                .entry(e.msg)
-                                .or_default()
-                                .push_back(recv.label);
+                            in_flight.push(e.msg, recv.label);
                         }
                         None => {
                             out.unmatched_sends += 1;
@@ -170,13 +217,12 @@ impl Pairer {
                             // label (fan-out siblings share the parent's
                             // request).
                             let label = next_label.saturating_sub(1);
-                            in_flight.entry(e.msg).or_default().push_back(label);
+                            in_flight.push(e.msg, label);
                         }
                     }
                 }
             }
         }
-        out.unmatched_recvs = pending.values().map(|q| q.len() as u64).sum();
         out
     }
 }

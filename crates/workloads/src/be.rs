@@ -12,11 +12,11 @@
 //!    yields the paper's normalized *BE throughput* metric (§5.1: jobs
 //!    finished per hour normalized to a solo run).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The BE workload kinds of Table 1 (plus the big/small stream variants
 /// used in the §2 characterization).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum BeKind {
     /// CPU stress-testing tool; pure core pressure.
     CpuStress,
@@ -35,7 +35,7 @@ pub enum BeKind {
 }
 
 /// Full model of one BE workload.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct BeSpec {
     /// Workload kind.
     pub kind: BeKind,

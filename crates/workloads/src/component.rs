@@ -10,10 +10,10 @@
 
 use crate::sensitivity::Sensitivity;
 use rhythm_sim::Dist;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Specification of one LC component.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct ComponentSpec {
     /// Component name (unique within its service).
     pub name: String,

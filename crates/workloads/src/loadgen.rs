@@ -8,11 +8,11 @@
 //! variation, short bursts, and multiplicative noise.
 
 use rhythm_sim::{SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A time-varying offered load, expressed as a fraction of the service's
 /// maximum load.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub enum LoadGen {
     /// A fixed fraction of max load.
     Constant {

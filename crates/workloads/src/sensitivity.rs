@@ -7,7 +7,7 @@
 //! pressure on each resource. The interference model multiplies these by
 //! the actual (partial) pressure present on the machine.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Interference sensitivity of one component.
 ///
@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// is fully contended. Queueing then amplifies service-time inflation into
 /// much larger tail-latency inflation, matching the paper's log-scale
 /// Figure 2.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
 pub struct Sensitivity {
     /// Core/scheduler contention (CPU-stress on sibling cores).
     pub cpu: f64,

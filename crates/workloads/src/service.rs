@@ -8,10 +8,10 @@
 //! Equation 5).
 
 use crate::component::ComponentSpec;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A downstream call edge.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct Call {
     /// Index of the callee node in [`ServiceSpec::nodes`].
     pub target: usize,
@@ -39,7 +39,7 @@ impl Call {
 }
 
 /// One node of the service DAG.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct ServiceNode {
     /// The component running at this node.
     pub component: ComponentSpec,
@@ -80,7 +80,7 @@ impl ServiceNode {
 }
 
 /// A complete LC service specification.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct ServiceSpec {
     /// Service name ("e-commerce", "redis", ...).
     pub name: String,

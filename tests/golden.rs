@@ -144,6 +144,33 @@ fn chaos_campaign() -> Vec<u64> {
         .collect()
 }
 
+/// A small fully instrumented cluster cell with a crash/recover fault
+/// plan, so the JSONL export carries `cluster_event` lines. Pins the
+/// bytes of both telemetry exports: the thread-count and resume tests
+/// only compare exports with each other, which a formatting drift
+/// shared by both sides would pass.
+fn telemetry_exports() -> (u64, u64) {
+    let ctx = ServiceContext::prepare(apps::solr(), &[BeSpec::of(BeKind::Wordcount)], 11);
+    let mut c = ClusterConfig::new(4).with_scaled_jobs(0.02);
+    c.duration_s = 30;
+    c.load = LoadGen::constant(0.7);
+    c.seed = 0x7E1E;
+    c.threads = 2;
+    c.telemetry = TelemetryConfig::full();
+    c.faults = FaultPlan::new().crash(10.0, 1).recover(20.0, 1);
+    let tel = run_cluster(&ctx, &ControllerChoice::Rhythm, &c)
+        .telemetry
+        .expect("telemetry enabled");
+    assert!(
+        !tel.cluster_events.is_empty(),
+        "fault plan left no cluster events"
+    );
+    (
+        rhythm::snapshot::fnv1a(tel.export_jsonl().as_bytes()),
+        rhythm::snapshot::fnv1a(tel.chrome_trace().as_bytes()),
+    )
+}
+
 /// Flattens a cluster outcome the same way: the per-machine FNV
 /// fingerprints already cover every engine stream, so the merged
 /// metrics and job ledger are appended on top.
@@ -203,6 +230,8 @@ fn print_fingerprints() {
         engine_streams_fingerprint(&snap)
     );
     println!("const CHAOS_CAMPAIGN: &[u64] = &{:?};", chaos_campaign());
+    let (jsonl, chrome) = telemetry_exports();
+    println!("const TELEMETRY_EXPORTS: (u64, u64) = ({jsonl:#018x}, {chrome:#018x});");
     println!(
         "const CORE_SCHEMA_HASH: u64 = {:#018x};",
         rhythm::snapshot::schema_hash(rhythm::core::SNAPSHOT_SCHEMA)
@@ -257,6 +286,11 @@ fn snapshot_engine_streams_bit_identical() {
 #[test]
 fn chaos_campaign_bit_identical() {
     assert_eq!(chaos_campaign(), CHAOS_CAMPAIGN);
+}
+
+#[test]
+fn telemetry_exports_bit_identical() {
+    assert_eq!(telemetry_exports(), TELEMETRY_EXPORTS);
 }
 
 /// The SoA node-state rework must not bump the engine wire schema: the

@@ -17,9 +17,17 @@
 //!    active, the cluster event stream carries the machine-lifecycle
 //!    events (fault_injected / machine_down / machine_up) and the
 //!    exports remain byte-identical across worker-thread counts.
+//! 5. **The streaming writer renders what the value tree rendered** —
+//!    on generated telemetry with hostile strings, non-finite and extreme
+//!    floats and extreme integers, both exports are byte-equal to an
+//!    oracle that builds a `serde_json::Value` per record and prints it.
 
+use proptest::prelude::*;
 use rhythm::prelude::*;
-use rhythm::telemetry::EventKind;
+use rhythm::telemetry::{
+    export_jsonl_with_events, ActionCode, AdjustKind, BeSnapshot, Event, EventKind, Trigger,
+};
+use serde_json::{json, Value};
 use std::sync::OnceLock;
 
 /// One shared profiled context (Algorithm 1 dominates test wall-clock).
@@ -150,4 +158,399 @@ fn streams_are_populated_and_self_describing() {
     let chrome = tel.chrome_trace();
     assert!(chrome.starts_with("{\"traceEvents\":["));
     assert!(chrome.contains("\"ph\":"));
+}
+
+/// The value-tree renderers the exports were built on before the
+/// streaming writer: one `Value` per record, printed compact.
+mod oracle {
+    use super::*;
+
+    fn push(v: &mut Value, key: &str, val: Value) {
+        let Value::Object(pairs) = v else {
+            unreachable!()
+        };
+        pairs.push((key.into(), val));
+    }
+
+    fn event(ev: &Event, replica: usize) -> Value {
+        let mut v =
+            json!({"type": "event", "replica": replica, "t_ns": ev.t_ns, "kind": ev.kind.name()});
+        match ev.kind {
+            EventKind::RequestAdmitted => {}
+            EventKind::RequestCompleted { latency_us } => {
+                push(&mut v, "latency_us", json!(latency_us))
+            }
+            EventKind::BeAdmitted { machine, instance } => {
+                push(&mut v, "machine", json!(machine));
+                push(&mut v, "instance", json!(instance));
+            }
+            EventKind::BeKilled {
+                machine,
+                instance,
+                progress_pct,
+            } => {
+                push(&mut v, "machine", json!(machine));
+                push(&mut v, "instance", json!(instance));
+                push(&mut v, "progress_pct", json!(progress_pct));
+            }
+            EventKind::Action {
+                machine,
+                action,
+                load_pm,
+                slack_pm,
+            } => {
+                push(&mut v, "machine", json!(machine));
+                push(&mut v, "action", json!(action.name()));
+                push(&mut v, "load_pm", json!(load_pm));
+                push(&mut v, "slack_pm", json!(slack_pm));
+            }
+            EventKind::Adjust {
+                machine,
+                kind,
+                value,
+            } => {
+                push(&mut v, "machine", json!(machine));
+                push(&mut v, "dimension", json!(kind.name()));
+                push(&mut v, "value", json!(value));
+            }
+            EventKind::Epoch { epoch } => push(&mut v, "epoch", json!(epoch)),
+        }
+        v
+    }
+
+    fn be(s: &BeSnapshot) -> Value {
+        json!({"instances": s.instances, "running": s.running, "cores": s.cores,
+               "llc_ways": s.llc_ways, "freq_mhz": s.freq_mhz, "net_mbps": s.net_mbps})
+    }
+
+    fn audit(r: &AuditRecord, replica: usize) -> Value {
+        let mut v = json!({"type": "audit", "replica": replica, "t_s": r.t_s, "machine": r.machine,
+            "pod": r.pod, "action": r.action.name(), "trigger": r.trigger.name(), "load": r.load,
+            "loadlimit": r.loadlimit, "slack": r.slack, "slacklimit": r.slacklimit,
+            "tail_ms": r.tail_ms, "sla_ms": r.sla_ms});
+        push(&mut v, "hot_pod", json!(r.hot_pod));
+        if r.hot_pod.is_some() {
+            push(&mut v, "hot_pod_name", json!(r.hot_pod_name));
+            push(&mut v, "hot_pod_ms", json!(r.hot_pod_ms));
+        }
+        push(&mut v, "before", be(&r.before));
+        push(&mut v, "after", be(&r.after));
+        v
+    }
+
+    fn tail(p: &TailPoint, scope: &str, replica: Option<usize>) -> Value {
+        let mut v = json!({"type": "tail", "scope": scope});
+        if let Some(r) = replica {
+            push(&mut v, "replica", json!(r));
+        }
+        for (k, x) in [
+            ("t_s", json!(p.t_s)),
+            ("count", json!(p.count)),
+            ("p50_ms", json!(p.p50_ms)),
+            ("p95_ms", json!(p.p95_ms)),
+            ("p99_ms", json!(p.p99_ms)),
+            ("slack", json!(p.slack)),
+        ] {
+            push(&mut v, k, x);
+        }
+        v
+    }
+
+    fn cluster_event(e: &ClusterEvent) -> Value {
+        let mut v =
+            json!({"type": "cluster_event", "kind": e.kind.name(), "t_s": e.t_s, "job": e.job});
+        if let Some(g) = e.gang {
+            push(&mut v, "gang", json!(g));
+        }
+        v
+    }
+
+    pub fn jsonl(reps: &[TelemetryOutput], pts: &[TailPoint], events: &[ClusterEvent]) -> String {
+        let mut lines = vec![json!({"type": "meta", "schema": "rhythm-trace/v1",
+            "replicas": reps.len(), "events_recorded": reps.iter().map(|r| r.recorded).sum::<u64>(),
+            "events_dropped": reps.iter().map(|r| r.dropped).sum::<u64>()})];
+        for (idx, rep) in reps.iter().enumerate() {
+            lines.extend(rep.events.iter().map(|e| event(e, idx)));
+            lines.extend(rep.audit.iter().map(|r| audit(r, idx)));
+            lines.extend(rep.tail.iter().map(|p| tail(p, "replica", Some(idx))));
+        }
+        lines.extend(pts.iter().map(|p| tail(p, "cluster", None)));
+        lines.extend(events.iter().map(cluster_event));
+        lines.iter().map(|v| v.to_json_string() + "\n").collect()
+    }
+
+    fn instant(name: &str, ts: f64, pid: usize, tid: u16, args: Value) -> Value {
+        json!({"name": name, "ph": "i", "s": "t", "ts": ts, "pid": pid, "tid": tid, "args": args})
+    }
+
+    fn chrome_event(ev: &Event, pid: usize) -> Option<Value> {
+        let ts = ev.t_ns as f64 / 1000.0;
+        Some(match ev.kind {
+            EventKind::RequestAdmitted | EventKind::RequestCompleted { .. } => return None,
+            EventKind::BeAdmitted { machine, instance } => instant(
+                "be_admitted",
+                ts,
+                pid,
+                machine,
+                json!({"instance": instance}),
+            ),
+            EventKind::BeKilled {
+                machine,
+                instance,
+                progress_pct,
+            } => instant(
+                "be_killed",
+                ts,
+                pid,
+                machine,
+                json!({"instance": instance, "progress_pct": progress_pct}),
+            ),
+            EventKind::Action {
+                machine,
+                action,
+                load_pm,
+                slack_pm,
+            } => instant(
+                action.name(),
+                ts,
+                pid,
+                machine,
+                json!({"load": load_pm as f64 / 1000.0, "slack": slack_pm as f64 / 1000.0}),
+            ),
+            EventKind::Adjust {
+                machine,
+                kind,
+                value,
+            } => instant(kind.name(), ts, pid, machine, json!({"value": value})),
+            EventKind::Epoch { epoch } => instant("epoch", ts, pid, 0, json!({"epoch": epoch})),
+        })
+    }
+
+    pub fn chrome(reps: &[TelemetryOutput]) -> String {
+        let mut entries = Vec::new();
+        for (idx, rep) in reps.iter().enumerate() {
+            entries.push(json!({"name": "process_name", "ph": "M", "pid": idx,
+                "args": json!({"name": format!("replica {idx}")})}));
+            entries.extend(rep.events.iter().filter_map(|e| chrome_event(e, idx)));
+            for p in &rep.tail {
+                entries.push(
+                    json!({"name": "tail_ms", "ph": "C", "ts": p.t_s * 1e6, "pid": idx,
+                    "args": json!({"p95": p.p95_ms, "p99": p.p99_ms})}),
+                );
+                entries.push(
+                    json!({"name": "slack", "ph": "C", "ts": p.t_s * 1e6, "pid": idx,
+                    "args": json!({"slack": p.slack})}),
+                );
+            }
+        }
+        json!({"traceEvents": Value::Array(entries), "displayTimeUnit": "ms"}).to_json_string()
+    }
+}
+
+/// Pod names built from fragments that exercise every escape arm.
+fn name() -> impl Strategy<Value = String> {
+    const FRAGMENTS: [&str; 10] = [
+        "front",
+        "\"",
+        "\\",
+        "\n",
+        "\u{1}",
+        "\r\t",
+        "\u{1f}\u{7f}",
+        "é→",
+        "search-2",
+        " ",
+    ];
+    prop::collection::vec(0..FRAGMENTS.len(), 0..6)
+        .prop_map(|ix| ix.into_iter().map(|i| FRAGMENTS[i]).collect())
+}
+
+/// Floats, a third of them special: NaN, ±inf, −0.0, subnormal, extremes.
+fn float() -> impl Strategy<Value = f64> {
+    (0usize..15, any::<u64>()).prop_map(|(k, bits)| match k {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => -0.0,
+        4 => f64::from_bits(1 + bits % 0x000F_FFFF_FFFF_FFFF),
+        5 => f64::MAX,
+        6 => f64::MIN,
+        7 => f64::from_bits(bits),
+        _ => (bits % 4_000_001) as f64 / 1000.0 - 2000.0,
+    })
+}
+
+fn big_u64() -> impl Strategy<Value = u64> {
+    (0usize..4, any::<u64>()).prop_map(|(k, x)| [u64::MAX, 0, x, x % 1000][k])
+}
+
+fn event() -> impl Strategy<Value = Event> {
+    (big_u64(), 0usize..7, any::<u64>(), 0usize..4).prop_map(|(t_ns, k, b, extreme)| {
+        let machine = b as u16;
+        let instance = (b >> 16) as u32;
+        let wide = (b >> 8) as i32;
+        let kind = match k {
+            0 => EventKind::RequestAdmitted,
+            1 => EventKind::RequestCompleted {
+                latency_us: instance,
+            },
+            2 => EventKind::BeAdmitted { machine, instance },
+            3 => EventKind::BeKilled {
+                machine,
+                instance,
+                progress_pct: (b >> 48) as u8,
+            },
+            4 => EventKind::Action {
+                machine,
+                action: ActionCode::from_severity((b % 5) as u8),
+                load_pm: (b >> 24) as u16,
+                slack_pm: if extreme == 0 {
+                    i16::MIN
+                } else {
+                    (b >> 40) as i16
+                },
+            },
+            5 => EventKind::Adjust {
+                machine,
+                kind: [
+                    AdjustKind::BeInstances,
+                    AdjustKind::BeCores,
+                    AdjustKind::BeLlcWays,
+                    AdjustKind::BeFreqMhz,
+                    AdjustKind::BeNetMbps,
+                ][(b % 5) as usize],
+                value: if extreme == 0 { i16::MIN as i32 } else { wide },
+            },
+            _ => EventKind::Epoch { epoch: instance },
+        };
+        Event { t_ns, kind }
+    })
+}
+
+fn be_snapshot() -> impl Strategy<Value = BeSnapshot> {
+    (any::<u32>(), any::<u32>(), any::<u64>()).prop_map(|(instances, running, b)| BeSnapshot {
+        instances,
+        running,
+        cores: b as u32,
+        llc_ways: (b >> 8) as u32,
+        freq_mhz: (b >> 32) as u32,
+        net_mbps: (b >> 40) as u32,
+    })
+}
+
+fn audit_record() -> impl Strategy<Value = AuditRecord> {
+    let floats = (
+        float(),
+        float(),
+        float(),
+        float(),
+        (float(), float(), float()),
+        float(),
+    );
+    let rest = (
+        any::<u32>(),
+        name(),
+        any::<u64>(),
+        prop::option::of(any::<u32>()),
+        name(),
+    );
+    (floats, rest, be_snapshot(), be_snapshot()).prop_map(|(floats, rest, before, after)| {
+        let (t_s, load, loadlimit, slack, (slacklimit, tail_ms, sla_ms), hot_pod_ms) = floats;
+        let (machine, pod, b, hot_pod, hot_pod_name) = rest;
+        AuditRecord {
+            t_s,
+            machine,
+            pod,
+            action: ActionCode::from_severity((b % 5) as u8),
+            trigger: [
+                Trigger::SlaViolated,
+                Trigger::LoadAboveLimit,
+                Trigger::SlackBelowHalfLimit,
+                Trigger::SlackBelowLimit,
+                Trigger::ComfortableSlack,
+            ][(b >> 8) as usize % 5],
+            load,
+            loadlimit,
+            slack,
+            slacklimit,
+            tail_ms,
+            sla_ms,
+            hot_pod,
+            hot_pod_name,
+            hot_pod_ms,
+            before,
+            after,
+        }
+    })
+}
+
+fn tail_point() -> impl Strategy<Value = TailPoint> {
+    (float(), big_u64(), float(), float(), float(), float()).prop_map(
+        |(t_s, count, p50_ms, p95_ms, p99_ms, slack)| TailPoint {
+            t_s,
+            count,
+            p50_ms,
+            p95_ms,
+            p99_ms,
+            slack,
+        },
+    )
+}
+
+fn cluster_event() -> impl Strategy<Value = ClusterEvent> {
+    (
+        float(),
+        0usize..6,
+        big_u64(),
+        prop::option::of(any::<u32>()),
+    )
+        .prop_map(|(t_s, k, job, gang)| {
+            let kind = [
+                ClusterEventKind::GangFormed,
+                ClusterEventKind::GangAborted,
+                ClusterEventKind::DeadlineMiss,
+                ClusterEventKind::MachineDown,
+                ClusterEventKind::MachineUp,
+                ClusterEventKind::FaultInjected,
+            ][k];
+            ClusterEvent {
+                t_s,
+                kind,
+                job,
+                gang,
+            }
+        })
+}
+
+fn replica() -> impl Strategy<Value = TelemetryOutput> {
+    (
+        prop::collection::vec(event(), 0..12),
+        prop::collection::vec(audit_record(), 0..4),
+        prop::collection::vec(tail_point(), 0..4),
+        any::<u32>(),
+        any::<u32>(),
+    )
+        .prop_map(|(events, audit, tail, recorded, dropped)| TelemetryOutput {
+            pods: Vec::new(),
+            events,
+            recorded: u64::from(recorded),
+            dropped: u64::from(dropped),
+            audit,
+            tail,
+        })
+}
+
+proptest! {
+    #[test]
+    fn streaming_exports_match_the_value_tree_oracle(
+        reps in prop::collection::vec(replica(), 0..4),
+        cluster_tail in prop::collection::vec(tail_point(), 0..4),
+        events in prop::collection::vec(cluster_event(), 0..6),
+    ) {
+        prop_assert_eq!(
+            export_jsonl_with_events(&reps, &cluster_tail, &events),
+            oracle::jsonl(&reps, &cluster_tail, &events)
+        );
+        prop_assert_eq!(chrome_trace(&reps), oracle::chrome(&reps));
+    }
 }
