@@ -20,7 +20,7 @@ use rhythm_analyzer::profile::{LoadLevel, SojournProfile};
 use rhythm_analyzer::slacklimit::find_slacklimits;
 use rhythm_controller::Thresholds;
 use rhythm_sim::OnlineStats;
-use rhythm_tracer::{CaptureConfig, EventCapture, Pairer};
+use rhythm_tracer::{CaptureConfig, EventCapture, Pairer, VisitNode};
 use rhythm_workloads::{BeSpec, ServiceSpec};
 use serde::Serialize;
 
@@ -91,9 +91,10 @@ pub fn profile_service(service: &ServiceSpec, cfg: &ProfileConfig) -> SojournPro
         let mut ecfg = EngineConfig::solo(load, duration, cfg.seed.wrapping_add(li as u64));
         ecfg.collect_sojourns = !cfg.use_tracer;
         ecfg.capture_visits = cfg.use_tracer;
-        let out = Engine::new(service.clone(), ecfg).run();
+        let mut out = Engine::new(service.clone(), ecfg).run();
         let (means, covs, requests) = if cfg.use_tracer {
-            extract_via_tracer(&out, n, cfg.seed.wrapping_add(li as u64))
+            let trees = std::mem::take(&mut out.visit_trees);
+            extract_via_tracer(trees, n, cfg.seed.wrapping_add(li as u64))
         } else {
             extract_ground_truth(&out, n)
         };
@@ -137,7 +138,11 @@ fn extract_ground_truth(out: &EngineOutput, n: usize) -> (Vec<f64>, Vec<f64>, u6
 /// Runs the §3.3 tracer over the captured visit trees: synthesize the
 /// kernel event stream (with noise), filter, pair, and read per-request
 /// sojourns back out.
-fn extract_via_tracer(out: &EngineOutput, n: usize, seed: u64) -> (Vec<f64>, Vec<f64>, u64) {
+fn extract_via_tracer(
+    visit_trees: Vec<VisitNode>,
+    n: usize,
+    seed: u64,
+) -> (Vec<f64>, Vec<f64>, u64) {
     let mut capture = EventCapture::new(
         CaptureConfig {
             noise_events_per_request: 4,
@@ -145,9 +150,12 @@ fn extract_via_tracer(out: &EngineOutput, n: usize, seed: u64) -> (Vec<f64>, Vec
         },
         seed,
     );
-    for tree in &out.visit_trees {
+    for tree in &visit_trees {
         capture.record_request(tree);
     }
+    // The trees are dead once recorded; free them before the time sort
+    // allocates its scratch, so the two never peak together.
+    drop(visit_trees);
     let requests = capture.request_count();
     let events = capture.finish();
     let paired = Pairer::new(0).pair(&events);

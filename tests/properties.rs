@@ -25,7 +25,7 @@ use rhythm::analyzer::find_loadlimit;
 use rhythm::analyzer::slacklimit::find_slacklimits;
 use rhythm::machine::{Allocation, Machine, MachineSpec};
 use rhythm::sim::{Arena, Calendar, LatencyHistogram, SimTime};
-use rhythm::tracer::capture::{chain_visit, CaptureConfig, EventCapture};
+use rhythm::tracer::capture::{chain_visit, CaptureConfig, EventCapture, VisitNode};
 use rhythm::tracer::Pairer;
 
 proptest! {
@@ -496,6 +496,304 @@ proptest! {
                 prop_assert!(pos(w[0]) < pos(w[1]), "requeued jobs lost their mutual order");
             }
         }
+    }
+}
+
+/// The tracer's pre-optimisation pipeline, kept verbatim as the
+/// differential oracle: the comparison time sort, the `BTreeMap`-keyed
+/// FIFO slot pairer and the `BTreeMap` per-request sojourn sums. The
+/// shipped tracer must reproduce its event order, pairing output and
+/// sojourns bit for bit.
+mod tracer_oracle {
+    use rhythm::sim::SimTime;
+    use rhythm::tracer::capture::is_lc_program;
+    use rhythm::tracer::{ContextId, EventKind, MessageId, SysEvent};
+    use std::collections::btree_map::Entry;
+    use std::collections::{BTreeMap, VecDeque};
+
+    pub fn sort(mut events: Vec<SysEvent>) -> Vec<SysEvent> {
+        events.sort_by_key(|a| a.timestamp);
+        events
+    }
+
+    #[derive(Default)]
+    pub struct Output {
+        pub segments: BTreeMap<u32, Vec<(u64, f64)>>,
+        pub request_count: u64,
+        pub unmatched_sends: u64,
+        pub unmatched_recvs: u64,
+        pub filtered_noise: u64,
+        /// One past the largest label assigned or propagated.
+        pub labels: u64,
+    }
+
+    impl Output {
+        pub fn sojourns(&self, pod: u32) -> Vec<f64> {
+            let Some(segs) = self.segments.get(&pod) else {
+                return Vec::new();
+            };
+            let mut per_request: BTreeMap<u64, f64> = BTreeMap::new();
+            for &(label, ms) in segs {
+                *per_request.entry(label).or_insert(0.0) += ms;
+            }
+            per_request.into_values().collect()
+        }
+    }
+
+    struct SlotQueues<K, V> {
+        slots: BTreeMap<K, u32>,
+        queues: Vec<VecDeque<V>>,
+        free: Vec<u32>,
+    }
+
+    impl<K: Ord, V> SlotQueues<K, V> {
+        fn new() -> Self {
+            SlotQueues {
+                slots: BTreeMap::new(),
+                queues: Vec::new(),
+                free: Vec::new(),
+            }
+        }
+
+        fn push(&mut self, key: K, v: V) {
+            let slot = match self.slots.entry(key) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(e) => {
+                    let slot = self.free.pop().unwrap_or_else(|| {
+                        self.queues.push(VecDeque::new());
+                        u32::try_from(self.queues.len() - 1).unwrap()
+                    });
+                    *e.insert(slot)
+                }
+            };
+            self.queues[slot as usize].push_back(v);
+        }
+
+        fn pop(&mut self, key: K) -> Option<V> {
+            let Entry::Occupied(e) = self.slots.entry(key) else {
+                return None;
+            };
+            let slot = *e.get();
+            let queue = &mut self.queues[slot as usize];
+            let v = queue.pop_front();
+            if queue.is_empty() {
+                e.remove();
+                self.free.push(slot);
+            }
+            v
+        }
+    }
+
+    pub fn pair(client_ip: u32, events: &[SysEvent]) -> Output {
+        let mut out = Output::default();
+        let mut pending: SlotQueues<ContextId, (SimTime, u64)> = SlotQueues::new();
+        let mut in_flight: SlotQueues<MessageId, u64> = SlotQueues::new();
+        let mut next_label = 0u64;
+        let handed_out = |out: &mut Output, l: u64| out.labels = out.labels.max(l + 1);
+        for e in events {
+            if !is_lc_program(e.ctx.program) {
+                out.filtered_noise += 1;
+                continue;
+            }
+            match e.kind {
+                EventKind::Accept | EventKind::Close => {}
+                EventKind::Recv => {
+                    let label = if e.msg.sender_ip == client_ip {
+                        let l = next_label;
+                        next_label += 1;
+                        out.request_count += 1;
+                        l
+                    } else {
+                        match in_flight.pop(e.msg) {
+                            Some(l) => l,
+                            None => {
+                                let l = next_label;
+                                next_label += 1;
+                                l
+                            }
+                        }
+                    };
+                    handed_out(&mut out, label);
+                    pending.push(e.ctx, (e.timestamp, label));
+                    out.unmatched_recvs += 1;
+                }
+                EventKind::Send => match pending.pop(e.ctx) {
+                    Some((at, label)) => {
+                        out.unmatched_recvs -= 1;
+                        let pod = e.ctx.host_ip.saturating_sub(1);
+                        let ms = e.timestamp.saturating_since(at).as_millis_f64();
+                        out.segments.entry(pod).or_default().push((label, ms));
+                        in_flight.push(e.msg, label);
+                    }
+                    None => {
+                        out.unmatched_sends += 1;
+                        let label = next_label.saturating_sub(1);
+                        handed_out(&mut out, label);
+                        in_flight.push(e.msg, label);
+                    }
+                },
+            }
+        }
+        out.labels = out.labels.max(next_label);
+        out
+    }
+}
+
+/// A random visit tree on a coarse 0.1 ms grid starting at tick `t`:
+/// leaves, sequential callers and fan-out callers, with phase lengths of
+/// 0–3 ticks, so equal timestamps are common and a request's segment
+/// durations (0.1, 0.2, 0.3 ms) do not sum exactly in every order.
+/// Returns the tree and its end tick.
+fn random_visit(rng: &mut SimRng, t: u64, depth: u32) -> (VisitNode, u64) {
+    let at = |tick: u64| SimTime::from_nanos(tick * 100_000);
+    let pod = rng.below(6) as u32;
+    let kind = if depth == 0 { 0 } else { rng.below(3) };
+    let pre_end = t + rng.below(4);
+    match kind {
+        0 => (
+            VisitNode {
+                pod,
+                phases: vec![(at(t), at(pre_end))],
+                children: vec![],
+                parallel: false,
+            },
+            pre_end,
+        ),
+        1 => {
+            let mut phases = vec![(at(t), at(pre_end))];
+            let mut children = Vec::new();
+            let mut now = pre_end;
+            for _ in 0..1 + rng.below(3) {
+                let (child, end) = random_visit(rng, now, depth - 1);
+                children.push(child);
+                let resume = end + rng.below(2);
+                now = resume + rng.below(4);
+                phases.push((at(resume), at(now)));
+            }
+            (
+                VisitNode {
+                    pod,
+                    phases,
+                    children,
+                    parallel: false,
+                },
+                now,
+            )
+        }
+        _ => {
+            let mut children = Vec::new();
+            let mut join = pre_end;
+            for _ in 0..2 + rng.below(2) {
+                let (child, end) = random_visit(rng, pre_end, depth - 1);
+                children.push(child);
+                join = join.max(end);
+            }
+            let resume = join + rng.below(2);
+            let end = resume + rng.below(4);
+            let phases = vec![(at(t), at(pre_end)), (at(resume), at(end))];
+            (
+                VisitNode {
+                    pod,
+                    phases,
+                    children,
+                    parallel: true,
+                },
+                end,
+            )
+        }
+    }
+}
+
+proptest! {
+    /// The shipped capture sort, pairer and sojourn sums against the
+    /// oracle above, on overlapping random chain and fan-out requests
+    /// under every thread/connection model and noise level. Start times
+    /// reach 2^46 ticks (over 2^62 ns), so every 16-bit timestamp digit
+    /// is exercised.
+    #[test]
+    fn tracer_matches_reference_pipeline(
+        seed in any::<u64>(),
+        requests in 1usize..40,
+        base_tick in (0usize..3, 0u64..(1u64 << 46)).prop_map(|(k, v)| [0, v % 1_000, v][k]),
+        noise in 0u32..=16,
+    ) {
+        for (non_blocking, persistent_connections) in
+            [(false, false), (false, true), (true, false), (true, true)]
+        {
+            check_tracer_against_oracle(seed, requests, base_tick, non_blocking, persistent_connections, noise);
+        }
+    }
+}
+
+fn check_tracer_against_oracle(
+    seed: u64,
+    requests: usize,
+    base_tick: u64,
+    non_blocking: bool,
+    persistent_connections: bool,
+    noise: u32,
+) {
+    let mut rng = SimRng::from_seed(seed);
+    let mut cap = EventCapture::new(
+        CaptureConfig {
+            non_blocking,
+            persistent_connections,
+            noise_events_per_request: noise,
+            ..CaptureConfig::default()
+        },
+        seed,
+    );
+    let mut t = base_tick;
+    for _ in 0..requests {
+        t += rng.below(5);
+        let (tree, _) = random_visit(&mut rng, t, 3);
+        cap.record_request(&tree);
+    }
+    let expect_events = tracer_oracle::sort(cap.events().to_vec());
+    let events = cap.finish();
+    prop_assert_eq!(
+        &events,
+        &expect_events,
+        "event order differs from the stable sort"
+    );
+
+    let bits = |v: &[(u64, f64)]| {
+        v.iter()
+            .map(|&(l, ms)| (l, ms.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    let got = Pairer::new(0).pair(&events);
+    let expect = tracer_oracle::pair(0, &events);
+    prop_assert_eq!(
+        got.pods(),
+        expect.segments.keys().copied().collect::<Vec<_>>()
+    );
+    for (pod, segs) in &expect.segments {
+        prop_assert_eq!(bits(&got.segments[pod]), bits(segs), "pod {} segments", pod);
+    }
+    prop_assert_eq!(
+        (
+            got.request_count,
+            got.unmatched_sends,
+            got.unmatched_recvs,
+            got.filtered_noise
+        ),
+        (
+            expect.request_count,
+            expect.unmatched_sends,
+            expect.unmatched_recvs,
+            expect.filtered_noise
+        )
+    );
+    prop_assert_eq!(got.labels, expect.labels);
+    for pod in 0..8 {
+        let sojourn_bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        prop_assert_eq!(
+            sojourn_bits(got.sojourns(pod)),
+            sojourn_bits(expect.sojourns(pod)),
+            "pod {} sojourns",
+            pod
+        );
     }
 }
 
