@@ -567,11 +567,11 @@ impl Engine {
             samplers,
             agents,
             be_specs,
-            cal: Calendar::with_capacity(1024),
+            cal: Calendar::new(),
             rng_arrival: root.split("arrivals"),
             rng_service: root.split("service"),
             rng_path: root.split("path"),
-            requests: Arena::with_capacity(1024),
+            requests: Arena::new(),
             visit_pool: Vec::new(),
             plan_stack: Vec::new(),
             plan_sampled: Vec::new(),
@@ -2547,6 +2547,26 @@ mod tests {
             t.events.len(),
             t.audit.len(),
         )
+    }
+
+    /// An idle engine holds only what it used: a managed e-commerce
+    /// engine at load 0.1 stores the occupied histogram bucket range
+    /// (not ~1,000 buckets per tail-window slot), and its request arena
+    /// and far heap grow to the few requests and events in flight
+    /// rather than starting pre-sized to 1,024 entries.
+    #[test]
+    fn idle_engine_footprint_is_bounded() {
+        let mut cfg = managed_cfg(23);
+        cfg.load = LoadGen::constant(0.1);
+        cfg.duration = SimDuration::from_secs(30);
+        let mut e = Engine::new(apps::ecommerce(), cfg);
+        e.run_until(SimTime::ZERO + SimDuration::from_secs(30));
+        let buckets =
+            e.hist.bucket_capacity() + e.window_hist.bucket_capacity() + e.tail.bucket_capacity();
+        assert!(buckets <= 3_000, "{buckets} histogram buckets stored");
+        let (arena, far) = (e.requests.reserved_slots(), e.cal.far_capacity());
+        assert!(arena <= 64, "request arena reserved {arena} slots");
+        assert!(far <= 64, "far heap reserved {far} entries");
     }
 
     #[test]

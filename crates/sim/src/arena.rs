@@ -61,14 +61,6 @@ impl<T> Arena<T> {
         }
     }
 
-    /// An empty arena with room for `cap` values before reallocating.
-    pub fn with_capacity(cap: usize) -> Arena<T> {
-        Arena {
-            slots: Vec::with_capacity(cap),
-            free: Vec::with_capacity(cap),
-        }
-    }
-
     /// Number of live values.
     pub fn len(&self) -> usize {
         self.slots.len() - self.free.len()
@@ -82,6 +74,12 @@ impl<T> Arena<T> {
     /// Total slots ever created (live + recyclable).
     pub fn capacity(&self) -> usize {
         self.slots.len()
+    }
+
+    /// Slots allocated in memory, created or not, for footprint
+    /// accounting. The arena grows on demand.
+    pub fn reserved_slots(&self) -> usize {
+        self.slots.capacity()
     }
 
     /// Stores `value`, reusing a freed slot when one exists.
@@ -254,7 +252,7 @@ mod tests {
 
     #[test]
     fn no_allocation_growth_in_steady_state() {
-        let mut a = Arena::with_capacity(4);
+        let mut a = Arena::new();
         let keys: Vec<Key> = (0..4).map(|i| a.insert(i)).collect();
         for k in keys {
             a.remove(k);

@@ -133,12 +133,10 @@ impl<E> Calendar<E> {
         }
     }
 
-    /// Creates an empty calendar. The ring is fixed-size; `cap` only
-    /// pre-sizes the far heap (kept for API compatibility).
-    pub fn with_capacity(cap: usize) -> Self {
-        let mut c = Self::new();
-        c.far.reserve(cap.min(1024));
-        c
+    /// Events the far heap has room for without reallocating, for
+    /// footprint accounting. It grows on demand.
+    pub fn far_capacity(&self) -> usize {
+        self.far.capacity()
     }
 
     /// The time of the most recently popped event (the "current" virtual

@@ -5,8 +5,11 @@
 //! rather than a sorted vector. This histogram uses geometrically sized
 //! buckets with a configurable relative error (default 1%), the same idea
 //! as HdrHistogram's log-linear layout but simplified to pure log spacing.
-
-use serde::Serialize;
+//!
+//! Only the occupied bucket range is stored: latencies of a service span a
+//! few hundred buckets far above bucket 0, so an idle engine's histograms
+//! stay small. The wire format is still the dense one (see the
+//! [`Snapshot`](rhythm_snapshot::Snapshot) impl).
 
 /// Default relative error of quantile estimates.
 const DEFAULT_GAMMA_ERR: f64 = 0.01;
@@ -28,13 +31,18 @@ const DEFAULT_GAMMA_ERR: f64 = 0.01;
 /// let p99 = h.quantile(0.99);
 /// assert!((p99 - 990.0).abs() / 990.0 < 0.02);
 /// ```
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct LatencyHistogram {
     /// `log(gamma)` where `gamma = (1 + err) / (1 - err)`.
     log_gamma: f64,
     /// Smallest distinguishable value; everything below lands in bucket 0.
     min_value: f64,
-    /// Bucket counts, indexed by `ceil(log(v / min_value) / log_gamma)`.
+    /// Index of the first stored bucket; 0 while nothing is stored.
+    // lint:allow(S02) -- derived: encode writes `lo` leading zero buckets, decode strips them back into `lo`
+    lo: usize,
+    /// Counts of buckets `lo..lo + counts.len()`, where bucket `i` holds
+    /// values up to `min_value · gamma^i`. Every bucket outside that range
+    /// is zero, and the first and last stored buckets are non-zero.
     counts: Vec<u64>,
     total: u64,
     sum: f64,
@@ -67,6 +75,7 @@ impl LatencyHistogram {
         LatencyHistogram {
             log_gamma: gamma.ln(),
             min_value,
+            lo: 0,
             counts: Vec::new(),
             total: 0,
             sum: 0.0,
@@ -89,6 +98,37 @@ impl LatencyHistogram {
         self.min_value * (self.log_gamma * i as f64).exp()
     }
 
+    /// The count of bucket `i` (0 outside the stored range).
+    #[inline]
+    fn bucket(&self, i: usize) -> u64 {
+        self.counts
+            .get(i.wrapping_sub(self.lo))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// One past the highest stored bucket (0 if nothing is stored).
+    fn end(&self) -> usize {
+        self.lo + self.counts.len()
+    }
+
+    /// Widens the stored range to cover buckets `from..to` (`from < to`).
+    fn cover(&mut self, from: usize, to: usize) {
+        if self.counts.is_empty() {
+            self.lo = from;
+            self.counts.resize(to - from, 0);
+            return;
+        }
+        if from < self.lo {
+            self.counts
+                .splice(0..0, std::iter::repeat_n(0, self.lo - from));
+            self.lo = from;
+        }
+        if to > self.end() {
+            self.counts.resize(to - self.lo, 0);
+        }
+    }
+
     /// Records one observation. Non-finite and non-positive values are
     /// clamped into the smallest bucket.
     pub fn record(&mut self, value: f64) {
@@ -98,10 +138,14 @@ impl LatencyHistogram {
             self.min_value
         };
         let idx = self.bucket_index(v);
-        if idx >= self.counts.len() {
-            self.counts.resize(idx + 1, 0);
+        // Below `lo` the offset wraps, so one compare covers both edges.
+        match self.counts.get_mut(idx.wrapping_sub(self.lo)) {
+            Some(c) => *c += 1,
+            None => {
+                self.cover(idx, idx + 1);
+                self.counts[idx - self.lo] += 1;
+            }
         }
-        self.counts[idx] += 1;
         self.total += 1;
         self.sum += v;
         self.max = self.max.max(v);
@@ -136,21 +180,15 @@ impl LatencyHistogram {
         self.max
     }
 
+    /// Bucket counters held in memory (the allocated capacity), for
+    /// footprint accounting.
+    pub fn bucket_capacity(&self) -> usize {
+        self.counts.capacity()
+    }
+
     /// The p-quantile with bounded relative error (0 if empty).
     pub fn quantile(&self, p: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let p = p.clamp(0.0, 1.0);
-        let rank = ((p * self.total as f64).ceil() as u64).clamp(1, self.total);
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return self.bucket_value(i).min(self.max);
-            }
-        }
-        self.max
+        union_quantile(std::iter::once(self), p)
     }
 
     /// The 99th percentile (the paper's default tail).
@@ -168,11 +206,12 @@ impl LatencyHistogram {
             (self.log_gamma - other.log_gamma).abs() < 1e-12 && self.min_value == other.min_value,
             "cannot merge histograms with different layouts"
         );
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (i, &c) in other.counts.iter().enumerate() {
-            self.counts[i] += c;
+        if !other.counts.is_empty() {
+            self.cover(other.lo, other.end());
+            let at = other.lo - self.lo;
+            for (c, &o) in self.counts[at..].iter_mut().zip(&other.counts) {
+                *c += o;
+            }
         }
         self.total += other.total;
         self.sum += other.sum;
@@ -181,6 +220,7 @@ impl LatencyHistogram {
 
     /// Clears all recorded observations, keeping the layout.
     pub fn reset(&mut self) {
+        self.lo = 0;
         self.counts.clear();
         self.total = 0;
         self.sum = 0.0;
@@ -188,11 +228,59 @@ impl LatencyHistogram {
     }
 }
 
+/// The p-quantile of the union of `parts`, which share one layout — what
+/// merging them into one histogram and asking it would return, without
+/// building the merge (0 if all are empty).
+///
+/// The answer is the lowest bucket whose prefix count reaches the rank,
+/// which is also the highest bucket whose suffix count exceeds
+/// `total − rank`. The scan runs top-down on the second form: for a high
+/// quantile it stops within the first few occupied buckets.
+pub(crate) fn union_quantile<'a, I>(parts: I, p: f64) -> f64
+where
+    I: Iterator<Item = &'a LatencyHistogram> + Clone,
+{
+    let Some(layout) = parts.clone().next() else {
+        return 0.0;
+    };
+    let mut total = 0u64;
+    let mut max = 0.0f64;
+    let mut lo = usize::MAX;
+    let mut end = 0;
+    for h in parts.clone() {
+        total += h.total;
+        max = max.max(h.max);
+        if !h.counts.is_empty() {
+            lo = lo.min(h.lo);
+            end = end.max(h.end());
+        }
+    }
+    if total == 0 {
+        return 0.0;
+    }
+    let p = p.clamp(0.0, 1.0);
+    let rank = ((p * total as f64).ceil() as u64).clamp(1, total);
+    let above = total - rank;
+    let mut suffix = 0u64;
+    for i in (lo..end).rev() {
+        suffix += parts.clone().map(|h| h.bucket(i)).sum::<u64>();
+        if suffix > above {
+            return layout.bucket_value(i).min(max);
+        }
+    }
+    max
+}
+
 impl rhythm_snapshot::Snapshot for LatencyHistogram {
+    /// The dense layout: the logical bucket count `lo + counts.len()`,
+    /// then every bucket from 0, with the `lo` leading zeros written out.
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
         w.f64(self.log_gamma);
         w.f64(self.min_value);
-        w.u64(self.counts.len() as u64);
+        w.u64(self.end() as u64);
+        for _ in 0..self.lo {
+            w.u64(0);
+        }
         for &c in &self.counts {
             w.u64(c);
         }
@@ -201,30 +289,64 @@ impl rhythm_snapshot::Snapshot for LatencyHistogram {
         w.f64(self.max);
     }
 
+    /// Accepts only what `encode` writes for a histogram built by
+    /// [`LatencyHistogram::new`]: its exact layout, bucket counts summing
+    /// to the total, no trailing zero bucket, and a maximum that is
+    /// positive and finite (exactly 0 when empty). Anything else is
+    /// `Corrupt`, so a restored histogram never panics later in `record`
+    /// or `merge`.
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
+        let corrupt = |msg: &str| Err(rhythm_snapshot::SnapshotError::Corrupt(msg.into()));
         let log_gamma = r.f64()?;
         let min_value = r.f64()?;
+        let mut h = LatencyHistogram::new();
+        if log_gamma.to_bits() != h.log_gamma.to_bits()
+            || min_value.to_bits() != h.min_value.to_bits()
+        {
+            return corrupt("histogram layout differs from LatencyHistogram::new()");
+        }
         let n = r.len(8)?;
-        let mut counts = Vec::with_capacity(n);
+        let mut lo = 0;
+        let mut counts = Vec::new();
+        let mut bucket_sum = 0u64;
         for _ in 0..n {
-            counts.push(r.u64()?);
+            let c = r.u64()?;
+            if counts.is_empty() && c == 0 {
+                lo += 1;
+            } else {
+                counts.push(c);
+                let Some(s) = bucket_sum.checked_add(c) else {
+                    return corrupt("histogram bucket counts overflow");
+                };
+                bucket_sum = s;
+            }
         }
         let total = r.u64()?;
         let sum = r.f64()?;
         let max = r.f64()?;
-        if counts.iter().sum::<u64>() != total {
-            return Err(rhythm_snapshot::SnapshotError::Corrupt(
-                "histogram bucket counts do not sum to total".into(),
-            ));
+        if bucket_sum != total {
+            return corrupt("histogram bucket counts do not sum to total");
         }
-        Ok(LatencyHistogram {
-            log_gamma,
-            min_value,
-            counts,
-            total,
-            sum,
-            max,
-        })
+        if total == 0 && n > 0 {
+            return corrupt("histogram has buckets but no samples");
+        }
+        if counts.last() == Some(&0) {
+            return corrupt("histogram ends in an empty bucket");
+        }
+        let max_ok = if total == 0 {
+            max.to_bits() == 0
+        } else {
+            max.is_finite() && max > 0.0
+        };
+        if !max_ok {
+            return corrupt("histogram maximum does not match its samples");
+        }
+        h.lo = lo;
+        h.counts = counts;
+        h.total = total;
+        h.sum = sum;
+        h.max = max;
+        Ok(h)
     }
 }
 
@@ -250,6 +372,107 @@ mod tests {
         let mut w2 = Writer::new();
         g.encode(&mut w2);
         assert_eq!(w2.into_bytes(), bytes);
+    }
+
+    /// A histogram snapshot assembled field by field: layout, the dense
+    /// buckets, total, sum and max.
+    fn histogram_bytes(
+        log_gamma: f64,
+        min_value: f64,
+        buckets: &[u64],
+        total: u64,
+        max: f64,
+    ) -> Vec<u8> {
+        let mut w = rhythm_snapshot::Writer::new();
+        w.f64(log_gamma);
+        w.f64(min_value);
+        w.u64(buckets.len() as u64);
+        for &c in buckets {
+            w.u64(c);
+        }
+        w.u64(total);
+        w.f64(max * total as f64);
+        w.f64(max);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn decode_rejects_layouts_and_shapes_encode_never_writes() {
+        use rhythm_snapshot::{Reader, Snapshot, SnapshotError};
+        let new = LatencyHistogram::new();
+        let (lg, mv) = (new.log_gamma, new.min_value);
+        let decode = |bytes: &[u8]| LatencyHistogram::decode(&mut Reader::new(bytes));
+
+        // What `encode` writes decodes, leading zeros stripped into `lo`.
+        let ok = decode(&histogram_bytes(lg, mv, &[0, 0, 0, 2, 0, 1], 3, 5.0)).unwrap();
+        assert_eq!((ok.lo, ok.counts.as_slice()), (3, &[2, 0, 1][..]));
+        assert!(decode(&histogram_bytes(lg, mv, &[], 0, 0.0)).is_ok());
+
+        let rejected = [
+            ("log_gamma 0", histogram_bytes(0.0, mv, &[1], 1, 1.0)),
+            ("log_gamma NaN", histogram_bytes(f64::NAN, mv, &[1], 1, 1.0)),
+            (
+                "another error bound",
+                histogram_bytes(
+                    LatencyHistogram::with_error(0.05, 1e-3).log_gamma,
+                    mv,
+                    &[1],
+                    1,
+                    1.0,
+                ),
+            ),
+            ("min_value 0", histogram_bytes(lg, 0.0, &[1], 1, 1.0)),
+            (
+                "min_value negative",
+                histogram_bytes(lg, -1e-3, &[1], 1, 1.0),
+            ),
+            ("another min_value", histogram_bytes(lg, 1.0, &[1], 1, 1.0)),
+            (
+                "buckets without samples",
+                histogram_bytes(lg, mv, &[0, 0], 0, 0.0),
+            ),
+            (
+                "samples without buckets",
+                histogram_bytes(lg, mv, &[], 2, 1.0),
+            ),
+            (
+                "trailing empty bucket",
+                histogram_bytes(lg, mv, &[0, 1, 0], 1, 1.0),
+            ),
+            (
+                "counts off the total",
+                histogram_bytes(lg, mv, &[1, 1], 3, 1.0),
+            ),
+            (
+                "counts overflow",
+                histogram_bytes(lg, mv, &[u64::MAX, 2], 1, 1.0),
+            ),
+            ("NaN max", histogram_bytes(lg, mv, &[1], 1, f64::NAN)),
+            (
+                "max of an empty histogram",
+                histogram_bytes(lg, mv, &[], 0, 4.0),
+            ),
+        ];
+        for (what, bytes) in rejected {
+            match decode(&bytes) {
+                Err(SnapshotError::Corrupt(_)) => {}
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn stored_range_grows_both_ways() {
+        let mut h = LatencyHistogram::new();
+        h.record(100.0);
+        let top = h.lo;
+        assert_eq!(h.counts, [1]);
+        h.record(1.0);
+        assert!(h.lo < top);
+        assert_eq!(h.lo + h.counts.len(), top + 1);
+        assert_eq!((h.counts[0], h.counts[h.counts.len() - 1]), (1, 1));
+        h.reset();
+        assert_eq!((h.lo, h.counts.len()), (0, 0));
     }
 
     #[test]

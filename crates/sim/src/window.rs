@@ -7,14 +7,14 @@
 //! module provides a ring of per-interval histograms whose union
 //! approximates the tail over the last `window` of virtual time.
 
-use crate::hist::LatencyHistogram;
+use crate::hist::{union_quantile, LatencyHistogram};
 use crate::time::{SimDuration, SimTime};
 
 /// Tail latency over a sliding window of virtual time.
 ///
 /// The window is divided into `slots` sub-intervals; each recorded sample
 /// lands in the slot of its timestamp, and expired slots are dropped as
-/// time advances. Quantile queries merge the live slots.
+/// time advances. Quantile queries read the live slots together.
 ///
 /// # Examples
 ///
@@ -79,29 +79,35 @@ impl TailWindow {
         slot.hist.record(latency_ms);
     }
 
+    /// True if `slot` holds samples inside the window ending at epoch
+    /// `current`.
+    fn is_live(&self, slot: &Slot, current: u64) -> bool {
+        slot.epoch != u64::MAX && current.saturating_sub(slot.epoch) < self.slots.len() as u64
+    }
+
     /// The p-quantile over samples whose slots are still inside the window
-    /// ending at `now`. Returns 0 if the window is empty.
+    /// ending at `now`. Returns 0 if the window is empty. Reads the live
+    /// slots in place; no merged histogram is built.
     pub fn quantile(&self, now: SimTime, p: f64) -> f64 {
-        let mut merged = LatencyHistogram::new();
         let current = self.epoch_of(now);
-        let live = self.slots.len() as u64;
-        for slot in &self.slots {
-            if slot.epoch != u64::MAX && current.saturating_sub(slot.epoch) < live {
-                merged.merge(&slot.hist);
-            }
-        }
-        merged.quantile(p)
+        let live = self.slots.iter().filter(|s| self.is_live(s, current));
+        union_quantile(live.map(|s| &s.hist), p)
     }
 
     /// Number of live samples in the window ending at `now`.
     pub fn count(&self, now: SimTime) -> u64 {
         let current = self.epoch_of(now);
-        let live = self.slots.len() as u64;
         self.slots
             .iter()
-            .filter(|s| s.epoch != u64::MAX && current.saturating_sub(s.epoch) < live)
+            .filter(|s| self.is_live(s, current))
             .map(|s| s.hist.count())
             .sum()
+    }
+
+    /// Bucket counters held in memory across all slots, for footprint
+    /// accounting.
+    pub fn bucket_capacity(&self) -> usize {
+        self.slots.iter().map(|s| s.hist.bucket_capacity()).sum()
     }
 
     /// Drops all samples.

@@ -5,7 +5,9 @@
 //! contribution/threshold monotonicity, machine resource-accounting
 //! safety under arbitrary controller action sequences, and the cluster
 //! queue's EDF-within-priority total order (with aging anti-starvation
-//! and class preservation across StopBE requeues).
+//! and class preservation across StopBE requeues). Differential tests
+//! hold the tracer pipeline, the latency histogram and the tail window
+//! to in-test copies of their earlier implementations, bit for bit.
 //!
 //! The final block runs whole cluster simulations per case (capped via
 //! `proptest_config`) and checks the chaos invariants of DESIGN.md §13:
@@ -109,28 +111,6 @@ proptest! {
             let p = i as f64 / 10.0;
             prop_assert_eq!(left.quantile(p), whole.quantile(p), "p={}", p);
         }
-    }
-
-    /// Pre-allocation is invisible: a calendar built `with_capacity`
-    /// yields the identical (time, event) sequence as a default one for
-    /// any schedule, including ties resolved by FIFO order.
-    #[test]
-    fn calendar_with_capacity_round_trips(times in prop::collection::vec(0u64..1_000, 1..150), cap in 0usize..512) {
-        let mut plain = Calendar::new();
-        let mut sized = Calendar::with_capacity(cap);
-        for (i, &t) in times.iter().enumerate() {
-            plain.schedule(SimTime::from_micros(t), i);
-            sized.schedule(SimTime::from_micros(t), i);
-        }
-        loop {
-            let a = plain.pop();
-            let b = sized.pop();
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        prop_assert_eq!(plain.now(), sized.now());
     }
 
     /// The request arena never hands out a key that aliases a live slot:
@@ -794,6 +774,349 @@ fn check_tracer_against_oracle(
             "pod {} sojourns",
             pod
         );
+    }
+}
+
+/// The dense latency histogram and the merge-all-live-slots tail-window
+/// quantile as they were before the histogram stored only its occupied
+/// bucket range, kept verbatim as the differential oracle. The shipped
+/// `LatencyHistogram` and `TailWindow` must reproduce their counts,
+/// sums, maxima, quantiles and snapshot bytes bit for bit.
+mod hist_oracle {
+    use rhythm::sim::{SimDuration, SimTime};
+    use rhythm::snapshot::Writer;
+
+    #[derive(Clone, Debug)]
+    pub struct Dense {
+        log_gamma: f64,
+        min_value: f64,
+        counts: Vec<u64>,
+        total: u64,
+        sum: f64,
+        max: f64,
+    }
+
+    impl Dense {
+        pub fn new() -> Dense {
+            let err = 0.01;
+            let gamma = (1.0 + err) / (1.0 - err);
+            Dense {
+                log_gamma: f64::ln(gamma),
+                min_value: 1e-3,
+                counts: Vec::new(),
+                total: 0,
+                sum: 0.0,
+                max: 0.0,
+            }
+        }
+
+        fn bucket_index(&self, value: f64) -> usize {
+            if value <= self.min_value {
+                return 0;
+            }
+            ((value / self.min_value).ln() / self.log_gamma).ceil() as usize
+        }
+
+        fn bucket_value(&self, i: usize) -> f64 {
+            if i == 0 {
+                return self.min_value;
+            }
+            self.min_value * (self.log_gamma * i as f64).exp()
+        }
+
+        pub fn record(&mut self, value: f64) {
+            let v = if value.is_finite() && value > 0.0 {
+                value
+            } else {
+                self.min_value
+            };
+            let idx = self.bucket_index(v);
+            if idx >= self.counts.len() {
+                self.counts.resize(idx + 1, 0);
+            }
+            self.counts[idx] += 1;
+            self.total += 1;
+            self.sum += v;
+            self.max = self.max.max(v);
+        }
+
+        pub fn count(&self) -> u64 {
+            self.total
+        }
+
+        pub fn sum(&self) -> f64 {
+            self.sum
+        }
+
+        pub fn max(&self) -> f64 {
+            self.max
+        }
+
+        pub fn quantile(&self, p: f64) -> f64 {
+            if self.total == 0 {
+                return 0.0;
+            }
+            let p = p.clamp(0.0, 1.0);
+            let rank = ((p * self.total as f64).ceil() as u64).clamp(1, self.total);
+            let mut seen = 0u64;
+            for (i, &c) in self.counts.iter().enumerate() {
+                seen += c;
+                if seen >= rank {
+                    return self.bucket_value(i).min(self.max);
+                }
+            }
+            self.max
+        }
+
+        pub fn merge(&mut self, other: &Dense) {
+            if other.counts.len() > self.counts.len() {
+                self.counts.resize(other.counts.len(), 0);
+            }
+            for (i, &c) in other.counts.iter().enumerate() {
+                self.counts[i] += c;
+            }
+            self.total += other.total;
+            self.sum += other.sum;
+            self.max = self.max.max(other.max);
+        }
+
+        pub fn reset(&mut self) {
+            self.counts.clear();
+            self.total = 0;
+            self.sum = 0.0;
+            self.max = 0.0;
+        }
+
+        pub fn encode(&self, w: &mut Writer) {
+            w.f64(self.log_gamma);
+            w.f64(self.min_value);
+            w.u64(self.counts.len() as u64);
+            for &c in &self.counts {
+                w.u64(c);
+            }
+            w.u64(self.total);
+            w.f64(self.sum);
+            w.f64(self.max);
+        }
+    }
+
+    pub struct Window {
+        slot_len: SimDuration,
+        slots: Vec<(u64, Dense)>,
+    }
+
+    impl Window {
+        pub fn new(window: SimDuration, slots: usize) -> Window {
+            let slot_len = SimDuration::from_nanos((window.as_nanos() / slots as u64).max(1));
+            Window {
+                slot_len,
+                slots: (0..slots).map(|_| (u64::MAX, Dense::new())).collect(),
+            }
+        }
+
+        fn epoch_of(&self, at: SimTime) -> u64 {
+            at.as_nanos() / self.slot_len.as_nanos()
+        }
+
+        pub fn record(&mut self, at: SimTime, latency_ms: f64) {
+            let epoch = self.epoch_of(at);
+            let idx = (epoch % self.slots.len() as u64) as usize;
+            let slot = &mut self.slots[idx];
+            if slot.0 != epoch {
+                slot.1.reset();
+                slot.0 = epoch;
+            }
+            slot.1.record(latency_ms);
+        }
+
+        /// Every live slot merged into one histogram; the old
+        /// `quantile(now, p)` was `merged(now).quantile(p)`.
+        pub fn merged(&self, now: SimTime) -> Dense {
+            let mut merged = Dense::new();
+            let current = self.epoch_of(now);
+            let live = self.slots.len() as u64;
+            for (epoch, hist) in &self.slots {
+                if *epoch != u64::MAX && current.saturating_sub(*epoch) < live {
+                    merged.merge(hist);
+                }
+            }
+            merged
+        }
+
+        pub fn count(&self, now: SimTime) -> u64 {
+            let current = self.epoch_of(now);
+            let live = self.slots.len() as u64;
+            self.slots
+                .iter()
+                .filter(|(e, _)| *e != u64::MAX && current.saturating_sub(*e) < live)
+                .map(|(_, h)| h.count())
+                .sum()
+        }
+
+        pub fn encode(&self, w: &mut Writer) {
+            w.u64(self.slot_len.as_nanos());
+            w.u64(self.slots.len() as u64);
+            for (epoch, hist) in &self.slots {
+                w.u64(*epoch);
+                hist.encode(w);
+            }
+        }
+    }
+}
+
+/// A latency draw for the histogram oracle: mostly log-uniform over
+/// 1e-5..1e7 ms (so later values often land below the stored range),
+/// sometimes one of the clamped or extreme inputs.
+fn oracle_latency(rng: &mut SimRng) -> f64 {
+    const SPECIAL: [f64; 10] = [
+        0.0,
+        -0.0,
+        -3.5,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1e9,
+        5e-4,
+        1e-3,
+        f64::MIN_POSITIVE,
+    ];
+    if rng.chance(0.2) {
+        SPECIAL[rng.below(SPECIAL.len() as u64) as usize]
+    } else {
+        10f64.powf(rng.uniform_range(-5.0, 7.0))
+    }
+}
+
+/// The quantiles to compare: p = 0, 0.01, …, 1 plus out-of-range and
+/// NaN probes at checkpoints (`full`), a few spot values in between. The
+/// full grid dominates these tests' cost in debug builds.
+fn oracle_ps(full: bool) -> Vec<f64> {
+    if full {
+        (0..=100)
+            .map(|i| i as f64 / 100.0)
+            .chain([-0.5, 1.5, f64::NAN])
+            .collect()
+    } else {
+        vec![0.0, 0.01, 0.5, 0.99, 1.0]
+    }
+}
+
+/// Compares count, sum and max bits, quantile bits at `oracle_ps(full)`
+/// and, with `full`, the snapshot bytes.
+fn assert_matches_dense(got: &LatencyHistogram, want: &hist_oracle::Dense, full: bool, ctx: &str) {
+    use rhythm::snapshot::Writer;
+    assert_eq!(got.count(), want.count(), "{ctx}: count");
+    assert_eq!(got.sum().to_bits(), want.sum().to_bits(), "{ctx}: sum");
+    assert_eq!(got.max().to_bits(), want.max().to_bits(), "{ctx}: max");
+    for p in oracle_ps(full) {
+        assert_eq!(
+            got.quantile(p).to_bits(),
+            want.quantile(p).to_bits(),
+            "{ctx}: quantile({p})"
+        );
+    }
+    if !full {
+        return;
+    }
+    let mut w = Writer::new();
+    want.encode(&mut w);
+    let (back, bytes) = snapshot_round_trip(got);
+    assert_eq!(bytes, w.into_bytes(), "{ctx}: snapshot bytes");
+    assert_eq!(
+        back.quantile(0.99).to_bits(),
+        want.quantile(0.99).to_bits(),
+        "{ctx}: decoded p99"
+    );
+}
+
+proptest! {
+    /// Random record/merge/reset sequences over three histograms, each
+    /// mirrored by a dense oracle histogram. After every operation the
+    /// touched histogram must match its oracle in count, sum and max
+    /// bits, every quantile's bits and the snapshot bytes.
+    #[test]
+    fn histogram_matches_dense_oracle(seed in any::<u64>(), ops in 1usize..200) {
+        let mut rng = SimRng::from_seed(seed);
+        let mut got: Vec<LatencyHistogram> = (0..3).map(|_| LatencyHistogram::new()).collect();
+        let mut want: Vec<hist_oracle::Dense> = (0..3).map(|_| hist_oracle::Dense::new()).collect();
+        for op in 0..ops {
+            let k = rng.below(3) as usize;
+            match rng.below(20) {
+                0 => {
+                    got[k].reset();
+                    want[k].reset();
+                }
+                1..=3 => {
+                    let from = rng.below(3) as usize;
+                    let (g, w) = (got[from].clone(), want[from].clone());
+                    got[k].merge(&g);
+                    want[k].merge(&w);
+                }
+                _ => {
+                    let v = oracle_latency(&mut rng);
+                    got[k].record(v);
+                    want[k].record(v);
+                }
+            }
+            let full = op % 16 == 0 || op + 1 == ops;
+            assert_matches_dense(&got[k], &want[k], full, &format!("seed {seed:#x} op {op} hist {k}"));
+        }
+    }
+
+    /// The in-place tail-window quantile against merging every live slot
+    /// into one dense histogram. Time advances in steps that sometimes
+    /// exceed the whole window, so slots expire and are reused; queries
+    /// land on slot edges, just before them, and ahead of the last
+    /// sample.
+    #[test]
+    fn tail_window_matches_merge_oracle(
+        seed in any::<u64>(),
+        samples in 1usize..120,
+        slots in 1usize..12,
+        window_s in 1u64..20,
+    ) {
+        use rhythm::sim::{SimDuration, TailWindow};
+        use rhythm::snapshot::Writer;
+        let mut rng = SimRng::from_seed(seed);
+        let window = SimDuration::from_secs(window_s);
+        let mut got = TailWindow::new(window, slots);
+        let mut want = hist_oracle::Window::new(window, slots);
+        let slot_ns = (window.as_nanos() / slots as u64).max(1);
+        let mut t = rng.below(1_000_000_000);
+        let check = |got: &TailWindow, want: &hist_oracle::Window, now: u64, full: bool, ctx: &str| {
+            let now = SimTime::from_nanos(now);
+            let merged = want.merged(now);
+            assert_eq!(got.count(now), merged.count(), "{ctx} now {now:?}: count");
+            assert_eq!(got.count(now), want.count(now), "{ctx} now {now:?}: oracle count");
+            for p in oracle_ps(full) {
+                assert_eq!(
+                    got.quantile(now, p).to_bits(),
+                    merged.quantile(p).to_bits(),
+                    "{ctx} now {now:?}: quantile({p})"
+                );
+            }
+        };
+        for i in 0..samples {
+            t += match rng.below(10) {
+                0 => window.as_nanos() + rng.below(3 * window.as_nanos()),
+                1 => 0,
+                _ => rng.below(slot_ns),
+            };
+            let v = oracle_latency(&mut rng);
+            got.record(SimTime::from_nanos(t), v);
+            want.record(SimTime::from_nanos(t), v);
+            let edge = (t / slot_ns + rng.below(slots as u64 + 2)) * slot_ns;
+            let ahead = t + rng.below(2 * window.as_nanos());
+            let ctx = format!("seed {seed:#x} sample {i}");
+            let full = i % 16 == 0 || i + 1 == samples;
+            for now in [t, edge, edge.saturating_sub(1), ahead] {
+                check(&got, &want, now, full, &ctx);
+            }
+        }
+        let mut w = Writer::new();
+        want.encode(&mut w);
+        let (_, bytes) = snapshot_round_trip(&got);
+        prop_assert_eq!(bytes, w.into_bytes(), "window snapshot bytes");
     }
 }
 
