@@ -295,10 +295,7 @@ impl<'c> Scheduler<'c> {
         if !self.chaos.down.insert(g as u64) {
             return; // already down
         }
-        let r = machine_ref(g, self.pods);
-        if let Some(jid) = self.offered[g].take() {
-            engines[r.replica].set_be_offer(r.pod, None);
-            self.jobs[jid as usize].state = JobState::Queued;
+        if let Some(jid) = self.withdraw_offer(g, engines) {
             // A solitary job goes straight back to the queue; a forming
             // gang keeps waiting on its patience budget and the gang
             // pass aborts (and requeues) it when that runs out.
@@ -306,6 +303,7 @@ impl<'c> Scheduler<'c> {
                 self.queue.requeue_at(jid, now_s);
             }
         }
+        let r = machine_ref(g, self.pods);
         let range = (g, BeInstanceId::MIN)..(g + 1, BeInstanceId::MIN);
         let bound: Vec<(BeInstanceId, JobId)> = self
             .bindings
@@ -319,23 +317,48 @@ impl<'c> Scheduler<'c> {
             let progress = engines[r.replica].be_progress(r.pod, inst).unwrap_or(0.0);
             engines[r.replica].remove_be(r.pod, inst);
             self.bindings.remove(&(g, inst));
-            if self.jobs[jid as usize].total_progress(progress) >= 1.0 {
-                self.complete(jid, now_s);
-            } else {
-                let job = &mut self.jobs[jid as usize];
-                job.on_kill(progress, self.cfg.checkpoint_fraction);
-                match job.gang {
-                    Some(gid) => {
-                        dirty_gangs.insert(gid);
-                    }
-                    None => self.queue.requeue_at(jid, now_s),
-                }
-            }
+            self.settle_kill(jid, progress, now_s, &mut dirty_gangs);
         }
         for gid in dirty_gangs {
             self.abort_gang(gid, engines, now_s);
         }
         self.note(now_s, ClusterEventKind::MachineDown, g as u64, None);
+    }
+
+    /// Withdraws the offer outstanding on machine `g`, if any, and
+    /// returns its job, now `Queued` again. Whether the job re-enters
+    /// the queue is the caller's call.
+    fn withdraw_offer(&mut self, g: usize, engines: &mut [Engine]) -> Option<JobId> {
+        let jid = self.offered[g].take()?;
+        let r = machine_ref(g, self.pods);
+        engines[r.replica].set_be_offer(r.pod, None);
+        self.jobs[jid as usize].state = JobState::Queued;
+        Some(jid)
+    }
+
+    /// Settles a killed instance of job `jid` that had made `progress`:
+    /// completes the job if the instance had in fact finished it by kill
+    /// time; otherwise rolls it back to its checkpoint and requeues it,
+    /// or, for a gang member, marks its gang for the abort pass.
+    fn settle_kill(
+        &mut self,
+        jid: JobId,
+        progress: f64,
+        now_s: f64,
+        dirty_gangs: &mut BTreeSet<u32>,
+    ) {
+        if self.jobs[jid as usize].total_progress(progress) >= 1.0 {
+            self.complete(jid, now_s);
+            return;
+        }
+        let job = &mut self.jobs[jid as usize];
+        job.on_kill(progress, self.cfg.checkpoint_fraction);
+        match job.gang {
+            Some(gid) => {
+                dirty_gangs.insert(gid);
+            }
+            None => self.queue.requeue_at(jid, now_s),
+        }
     }
 
     /// Brings machine `g` back: removes it from the down set and
@@ -360,17 +383,11 @@ impl<'c> Scheduler<'c> {
         // original relative order. Offers of forming gangs stay out —
         // their patience counter bounds the wait instead.
         for g in (0..self.offered.len()).rev() {
-            let Some(jid) = self.offered[g] else {
-                continue;
-            };
-            if self.jobs[jid as usize].gang.is_some() {
-                continue;
+            if self.offered[g].is_some_and(|jid| self.jobs[jid as usize].gang.is_none()) {
+                if let Some(jid) = self.withdraw_offer(g, engines) {
+                    self.queue.requeue_at(jid, now_s);
+                }
             }
-            self.offered[g] = None;
-            let r = machine_ref(g, self.pods);
-            engines[r.replica].set_be_offer(r.pod, None);
-            self.jobs[jid as usize].state = JobState::Queued;
-            self.queue.requeue_at(jid, now_s);
         }
         // Capacity is a pure function of the machine spec: fill the
         // cache once and never touch `Machine` for it again.
@@ -473,7 +490,7 @@ impl<'c> Scheduler<'c> {
             let spec = Arc::clone(&self.jobs[jid as usize].spec);
             let priority = self.jobs[jid as usize].priority;
             let r = machine_ref(g, self.pods);
-            engines[r.replica].set_be_offer_prio(r.pod, Some((spec, priority)));
+            engines[r.replica].set_be_offer(r.pod, Some((spec, priority)));
         }
         self.assignments = assignments;
         self.chosen = chosen;
@@ -581,18 +598,7 @@ impl<'c> Scheduler<'c> {
             for kill in engine.take_be_kills() {
                 let g = global_index(r, kill.machine, self.pods);
                 if let Some(jid) = self.bindings.remove(&(g, kill.instance)) {
-                    if self.jobs[jid as usize].total_progress(kill.progress) >= 1.0 {
-                        self.complete(jid, now_s);
-                    } else {
-                        let job = &mut self.jobs[jid as usize];
-                        job.on_kill(kill.progress, self.cfg.checkpoint_fraction);
-                        match job.gang {
-                            Some(gid) => {
-                                dirty_gangs.insert(gid);
-                            }
-                            None => self.queue.requeue_at(jid, now_s),
-                        }
-                    }
+                    self.settle_kill(jid, kill.progress, now_s, &mut dirty_gangs);
                 }
             }
             // Completions: retire bound instances whose job reached 1.0.
@@ -658,10 +664,8 @@ impl<'c> Scheduler<'c> {
         for &m in &live {
             match self.jobs[m as usize].state {
                 JobState::Offered(g) => {
-                    self.offered[g] = None;
-                    let r = machine_ref(g, self.pods);
-                    engines[r.replica].set_be_offer(r.pod, None);
-                    self.jobs[m as usize].state = JobState::Queued;
+                    let withdrawn = self.withdraw_offer(g, engines);
+                    debug_assert_eq!(withdrawn, Some(m), "offer slot and job state agree");
                 }
                 JobState::Running(g) => {
                     let range = (g, BeInstanceId::MIN)..(g + 1, BeInstanceId::MIN);

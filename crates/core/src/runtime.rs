@@ -704,18 +704,12 @@ impl Engine {
     }
 
     /// Sets (or clears) the BE job the cluster dispatcher offers to
-    /// machine `i`, at priority 0. Only meaningful with
-    /// [`EngineConfig::external_be`].
-    pub fn set_be_offer(&mut self, i: usize, offer: Option<BeSpec>) {
-        self.set_be_offer_prio(i, offer.map(|s| (Arc::new(s), 0)));
-    }
-
-    /// Sets (or clears) the BE job the cluster dispatcher offers to
-    /// machine `i`, tagged with its priority class (0 = lowest). The
-    /// controller admits the instance at that class, so preemption can
-    /// select victims by priority later. The spec is shared, not cloned:
-    /// the cluster ledger and the offer hold the same allocation.
-    pub fn set_be_offer_prio(&mut self, i: usize, offer: Option<(Arc<BeSpec>, u8)>) {
+    /// machine `i`, tagged with its priority class (0 = lowest). Only
+    /// meaningful with [`EngineConfig::external_be`]. The controller
+    /// admits the instance at that class, so preemption can select
+    /// victims by priority later. The spec is shared, not cloned: the
+    /// cluster ledger and the offer hold the same allocation.
+    pub fn set_be_offer(&mut self, i: usize, offer: Option<(Arc<BeSpec>, u8)>) {
         if let Some((spec, _)) = &offer {
             // The pressure model looks workloads up by name; make sure
             // offered specs are resolvable even if absent from `cfg.bes`.
@@ -2552,7 +2546,7 @@ mod tests {
     /// An idle engine holds only what it used: a managed e-commerce
     /// engine at load 0.1 stores the occupied histogram bucket range
     /// (not ~1,000 buckets per tail-window slot), and its request arena
-    /// and far heap grow to the few requests and events in flight
+    /// and event heap grow to the few requests and events in flight
     /// rather than starting pre-sized to 1,024 entries.
     #[test]
     fn idle_engine_footprint_is_bounded() {
@@ -2564,9 +2558,9 @@ mod tests {
         let buckets =
             e.hist.bucket_capacity() + e.window_hist.bucket_capacity() + e.tail.bucket_capacity();
         assert!(buckets <= 3_000, "{buckets} histogram buckets stored");
-        let (arena, far) = (e.requests.reserved_slots(), e.cal.far_capacity());
+        let (arena, cal) = (e.requests.reserved_slots(), e.cal.capacity());
         assert!(arena <= 64, "request arena reserved {arena} slots");
-        assert!(far <= 64, "far heap reserved {far} entries");
+        assert!(cal <= 64, "calendar reserved {cal} entries");
     }
 
     #[test]

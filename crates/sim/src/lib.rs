@@ -6,8 +6,9 @@
 //!
 //! * [`time`] — nanosecond-resolution virtual time ([`SimTime`],
 //!   [`SimDuration`]).
-//! * [`calendar`] — a deterministic event calendar ([`Calendar`]) with
-//!   stable FIFO ordering among simultaneous events.
+//! * [`calendar`] — a deterministic event calendar ([`Calendar`]): a
+//!   binary heap keyed by `(time, seq)`, so simultaneous events pop in
+//!   stable FIFO order.
 //! * [`arena`] — a generation-keyed slab ([`Arena`]) backing the engine's
 //!   in-flight request table without hashing or steady-state allocation.
 //! * [`rng`] — seedable, splittable random-number streams ([`SimRng`]).

@@ -32,19 +32,74 @@ use rhythm::tracer::Pairer;
 
 proptest! {
     #[test]
-    fn calendar_pops_in_nondecreasing_time_order(times in prop::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut cal = Calendar::new();
-        for (i, &t) in times.iter().enumerate() {
-            cal.schedule(SimTime::from_nanos(t), i);
+    fn calendar_pop_order_matches_sorted_oracle(
+        ops in prop::collection::vec((0u8..10, 0usize..4, 0u64..64), 1..400),
+        snap_at in 0usize..400,
+    ) {
+        // Each op is `(kind, scale, x)` with `t = x · SCALE[scale]`: zero
+        // (same-instant ties) or µs, ms or 100 ms steps. Kinds 0–4
+        // schedule at `now + t`; 5 at the absolute time `t`, usually
+        // already past, so it clamps to `now`; 6–7 pop; 8 pops if due by
+        // `now + t`; 9 pops if due by the absolute `t` (or `MAX` at the
+        // largest scale).
+        const SCALE: [u64; 4] = [0, 1_000, 1_000_000, 100_000_000];
+        use rhythm::snapshot::{Reader, Snapshot, Writer};
+        let mut cal: Calendar<u64> = Calendar::new();
+        // The oracle: pending `(max(at, now), seq)` kept sorted, so the
+        // front is always the next event due.
+        let mut pending: Vec<(u64, u64)> = Vec::new();
+        let (mut now, mut next_seq) = (0u64, 0u64);
+        let mut got: Vec<Option<(u64, u64)>> = Vec::new();
+        let mut want: Vec<Option<(u64, u64)>> = Vec::new();
+        for (i, &(kind, scale, x)) in ops.iter().enumerate() {
+            if i == snap_at % ops.len() {
+                let mut w = Writer::new();
+                cal.encode(&mut w);
+                let bytes = w.into_bytes();
+                cal = Calendar::decode(&mut Reader::new(&bytes)).unwrap();
+                let mut again = Writer::new();
+                cal.encode(&mut again);
+                prop_assert_eq!(again.into_bytes(), bytes);
+            }
+            let t = x * SCALE[scale];
+            match kind {
+                0..=5 => {
+                    let at = if kind == 5 { t } else { now + t };
+                    cal.schedule(SimTime::from_nanos(at), next_seq);
+                    let key = (at.max(now), next_seq);
+                    let pos = pending.partition_point(|&p| p < key);
+                    pending.insert(pos, key);
+                    next_seq += 1;
+                }
+                _ => {
+                    let limit = match kind {
+                        6 | 7 => u64::MAX,
+                        8 => now + t,
+                        _ if scale == 3 => u64::MAX,
+                        _ => t,
+                    };
+                    let popped = if kind <= 7 {
+                        cal.pop()
+                    } else {
+                        cal.pop_if_at_or_before(SimTime::from_nanos(limit))
+                    };
+                    got.push(popped.map(|(at, id)| (at.as_nanos(), id)));
+                    let due = pending.first().is_some_and(|&(at, _)| at <= limit);
+                    let expect = due.then(|| pending.remove(0));
+                    if let Some((at, _)) = expect {
+                        now = at;
+                    }
+                    want.push(expect);
+                }
+            }
+            prop_assert_eq!(cal.len(), pending.len());
+            prop_assert_eq!(cal.now(), SimTime::from_nanos(now));
         }
-        let mut last = SimTime::ZERO;
-        let mut popped = 0;
-        while let Some((t, _)) = cal.pop() {
-            prop_assert!(t >= last);
-            last = t;
-            popped += 1;
+        while let Some((at, id)) = cal.pop() {
+            got.push(Some((at.as_nanos(), id)));
         }
-        prop_assert_eq!(popped, times.len());
+        want.extend(pending.drain(..).map(Some));
+        prop_assert_eq!(got, want);
     }
 
     #[test]
