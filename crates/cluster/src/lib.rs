@@ -67,7 +67,7 @@ pub const SNAPSHOT_SCHEMA: &str = "rhythm-cluster/v2: \
 pub use fault::{ChaosState, FaultEvent, FaultKind, FaultPlan};
 pub use job::{ClusterJob, JobId, JobSpec, JobState, JobStats};
 pub use metrics::{machine_fingerprints, ClusterMetrics, ClusterOutcome, ClusterTelemetry};
-pub use placement::{CandidateMachine, PlacementPolicy, Placer};
+pub use placement::{MachineRow, PlacementPolicy, Placer};
 pub use queue::{JobQueue, QueueKey};
 pub use runner::{compare_cluster, run_cluster, ClusterRun, ClusterRunner};
 pub use snapshot::{

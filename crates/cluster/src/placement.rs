@@ -20,12 +20,18 @@
 //!   members toward machines of similar capacity — a gang finishes when
 //!   its *slowest* member does, so co-placing a member on a much weaker
 //!   machine wastes the faster peers.
+//!
+//! Every policy reads one [`MachineRow`] per machine, derived at the
+//! epoch barrier, never the live machine: [`Placer::score`] is the only
+//! scorer, and a dispatch pass ranks each job spec's eligible machines
+//! once (`Ranking`).
 
-use rhythm_interference::{InterferenceModel, Pressure};
+use rhythm_controller::BeAction;
+use rhythm_interference::{InterferenceModel, MachineTerms, Pressure};
 use rhythm_machine::Machine;
 use rhythm_workloads::{BeSpec, ComponentSpec};
 use serde::Serialize;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Which placement policy the dispatcher uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
@@ -64,14 +70,51 @@ impl PlacementPolicy {
     }
 }
 
-/// One eligible machine as the placer sees it.
-pub struct CandidateMachine<'a> {
-    /// Global machine index within the cluster.
-    pub global: usize,
-    /// The machine's current state.
-    pub machine: &'a Machine,
-    /// The LC component hosted on this machine.
-    pub component: &'a ComponentSpec,
+/// Everything placement reads about one machine, derived at the epoch
+/// barrier. Each engine writes its machines' rows in the parallel phase
+/// of the epoch; the barrier re-derives the rows of the replicas it
+/// mutates itself. Eligibility and every ranking builder read only rows,
+/// so a dispatch pass never walks live machine state.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct MachineRow {
+    /// The controller's last action allows BE growth (or it has not
+    /// ticked yet — the run just started).
+    pub grows: bool,
+    /// Pressure of the running BE population, looked up in the
+    /// scheduler's catalog ([`Pressure::from_machine`]).
+    pub pressure: Pressure,
+    /// BE DVFS speed fraction (scales the probe instance's pressure).
+    pub be_speed: f64,
+    /// NIC line rate in Mb/s.
+    pub nic_mbps: f64,
+    /// The hosted LC component's pressure-independent inflation terms.
+    pub terms: MachineTerms,
+    /// Free cores as a fraction of all cores.
+    pub headroom: f64,
+    /// Normalized capacity ([`Placer::capacity`]).
+    pub capacity: f64,
+}
+
+impl MachineRow {
+    /// The row of `machine`, which hosts `component` and whose controller
+    /// last took `last_action`, with BE workloads looked up in `catalog`.
+    pub fn derive(
+        machine: &Machine,
+        component: &ComponentSpec,
+        last_action: Option<BeAction>,
+        catalog: &BTreeMap<String, BeSpec>,
+    ) -> MachineRow {
+        let total = machine.spec().total_cores().max(1) as f64;
+        MachineRow {
+            grows: matches!(last_action, None | Some(BeAction::AllowBeGrowth)),
+            pressure: Pressure::from_machine(machine, catalog),
+            be_speed: machine.be_dvfs.speed_fraction(),
+            nic_mbps: machine.spec().nic_mbps,
+            terms: MachineTerms::of(component, machine),
+            headroom: machine.free_core_count() as f64 / total,
+            capacity: Placer::capacity(machine),
+        }
+    }
 }
 
 /// Stateful placer (the round-robin cursor persists across epochs).
@@ -97,77 +140,6 @@ impl Placer {
         self.policy
     }
 
-    /// Picks the machine (global index) for one instance of `job` among
-    /// `eligible` (must be sorted by global index; deterministic:
-    /// ties break toward the lowest index). Returns `None` when nothing
-    /// is eligible.
-    pub fn choose(
-        &mut self,
-        job: &BeSpec,
-        eligible: &[CandidateMachine<'_>],
-        specs: &BTreeMap<String, BeSpec>,
-    ) -> Option<usize> {
-        self.choose_with_peers(job, eligible, specs, &[])
-    }
-
-    /// [`Placer::choose`] with gang context: `peer_caps` holds the
-    /// normalized capacities of machines already selected for sibling
-    /// instances of the same gang. Only `HeteroAware` uses it (to avoid
-    /// splitting a gang across machines of very different speeds); the
-    /// other policies ignore it entirely, so passing `&[]` makes this
-    /// identical to `choose`.
-    pub fn choose_with_peers(
-        &mut self,
-        job: &BeSpec,
-        eligible: &[CandidateMachine<'_>],
-        specs: &BTreeMap<String, BeSpec>,
-        peer_caps: &[f64],
-    ) -> Option<usize> {
-        if eligible.is_empty() {
-            return None;
-        }
-        match self.policy {
-            PlacementPolicy::RoundRobin => {
-                // First eligible machine at or after the cursor, wrapping.
-                let pick = eligible
-                    .iter()
-                    .find(|c| c.global >= self.cursor)
-                    .unwrap_or(&eligible[0]);
-                self.cursor = pick.global + 1;
-                Some(pick.global)
-            }
-            PlacementPolicy::LeastPressure => {
-                Self::argmin(eligible.iter().map(|c| {
-                    (c.global, Self::pressure_score(c.machine, specs))
-                }))
-            }
-            PlacementPolicy::InterferenceScore => {
-                Self::argmin(eligible.iter().map(|c| {
-                    (c.global, self.score_on(job, c.component, c.machine, specs))
-                }))
-            }
-            PlacementPolicy::HeteroAware => {
-                let peer_mean = if peer_caps.is_empty() {
-                    None
-                } else {
-                    Some(peer_caps.iter().sum::<f64>() / peer_caps.len() as f64)
-                };
-                Self::argmin(eligible.iter().map(|c| {
-                    let cap = Self::capacity(c.machine);
-                    let mut s = self.hetero_base(job, c.component, c.machine, specs);
-                    if let Some(mean) = peer_mean {
-                        // A gang finishes with its slowest member: penalise
-                        // capacity mismatch against already-placed siblings.
-                        // Weighted to rival the inflation term, since a
-                        // straggler wastes every sibling's cycles.
-                        s += Self::STRAGGLER_WEIGHT * (cap - mean).abs();
-                    }
-                    (c.global, s)
-                }))
-            }
-        }
-    }
-
     /// How hard gang co-placement pulls toward capacity-matched peers
     /// (per unit of normalized-capacity mismatch).
     pub(crate) const STRAGGLER_WEIGHT: f64 = 2.0;
@@ -177,34 +149,62 @@ impl Placer {
         self.cursor
     }
 
-    /// Moves the round-robin cursor (the dispatcher keeps its own
-    /// rotation state per pass and mirrors it back here).
+    /// Moves the round-robin cursor (snapshot restore).
     pub(crate) fn set_cursor(&mut self, cursor: usize) {
         self.cursor = cursor;
     }
 
-    /// The LeastPressure score of a machine: aggregate pressure of its
-    /// current BE population. Job-independent, so the dispatcher caches
-    /// one ranking per dispatch pass.
-    pub(crate) fn pressure_score(machine: &Machine, specs: &BTreeMap<String, BeSpec>) -> f64 {
-        let p = Pressure::from_machine(machine, specs);
-        p.cpu + p.llc + p.dram + p.net
+    /// The round-robin pick: the first of `eligible` at or after the
+    /// cursor, wrapping to the lowest; the cursor moves past the pick.
+    /// `None` (cursor unmoved) when nothing is eligible.
+    pub(crate) fn rotate(&mut self, eligible: &BTreeSet<usize>) -> Option<usize> {
+        let pick = eligible
+            .range(self.cursor..)
+            .next()
+            .or_else(|| eligible.iter().next())
+            .copied()?;
+        self.cursor = pick + 1;
+        Some(pick)
     }
 
-    /// The HeteroAware base score (no gang context): predicted inflation
-    /// divided by normalized capacity × core headroom. The straggler
-    /// penalty is added on top by the caller when peers exist.
-    pub(crate) fn hetero_base(
-        &self,
-        job: &BeSpec,
-        component: &ComponentSpec,
-        machine: &Machine,
-        specs: &BTreeMap<String, BeSpec>,
-    ) -> f64 {
-        let cap = Self::capacity(machine);
-        let total = machine.spec().total_cores().max(1) as f64;
-        let headroom = machine.free_core_count() as f64 / total;
-        self.score_on(job, component, machine, specs) / (cap * headroom.max(0.05))
+    /// The placement score of the machine behind `row`, hosting
+    /// `component`, for one instance of `job`; lower is better.
+    /// RoundRobin does not score (`None`).
+    ///
+    /// * LeastPressure — the summed channels of the row's pressure
+    ///   (job-independent).
+    /// * InterferenceScore — the predicted LC inflation with a probe
+    ///   instance of `job` added.
+    /// * HeteroAware — that inflation divided by capacity × core
+    ///   headroom (the gang straggler penalty is added by the ranking).
+    pub fn score(&self, job: &BeSpec, component: &ComponentSpec, row: &MachineRow) -> Option<f64> {
+        match self.policy {
+            PlacementPolicy::RoundRobin => None,
+            PlacementPolicy::LeastPressure => {
+                let p = row.pressure;
+                Some(p.cpu + p.llc + p.dram + p.net)
+            }
+            PlacementPolicy::InterferenceScore => Some(self.probe_inflation(job, component, row)),
+            PlacementPolicy::HeteroAware => Some(
+                self.probe_inflation(job, component, row) / (row.capacity * row.headroom.max(0.05)),
+            ),
+        }
+    }
+
+    /// Predicted LC service-time inflation on the row's machine with one
+    /// probe instance of `job` added to its current BE population.
+    fn probe_inflation(&self, job: &BeSpec, component: &ComponentSpec, row: &MachineRow) -> f64 {
+        let mut p = row.pressure;
+        // Probe with a couple of cores: a fresh instance starts at one
+        // core but the controller grows it, and a 1-core probe barely
+        // separates job characters.
+        let probe_cores = job.solo_cores.clamp(1, 2) as f64 * row.be_speed;
+        p.cpu += job.cpu_pressure_per_core * probe_cores;
+        p.llc += job.llc_pressure_per_core * probe_cores;
+        p.dram += job.dram_pressure_per_core * probe_cores;
+        p.net += (job.net_demand_mbps / row.nic_mbps).max(0.0);
+        let p = p.clamped();
+        self.model.inflation_with(component, &p, &row.terms)
     }
 
     /// A machine's compute capacity normalized to the paper testbed
@@ -213,42 +213,98 @@ impl Placer {
         let spec = machine.spec();
         spec.total_cores() as f64 * spec.max_freq_mhz as f64 / (40.0 * 2_000.0)
     }
+}
 
-    /// Predicted LC service-time inflation on `machine` (hosting
-    /// `component`) with one probe instance of `job` added to its
-    /// current BE population.
-    pub(crate) fn score_on(
-        &self,
-        job: &BeSpec,
-        component: &ComponentSpec,
-        machine: &Machine,
-        specs: &BTreeMap<String, BeSpec>,
-    ) -> f64 {
-        let mut p = Pressure::from_machine(machine, specs);
-        // Probe with a couple of cores: a fresh instance starts at one
-        // core but the controller grows it, and a 1-core probe barely
-        // separates job characters.
-        let probe_cores = job.solo_cores.clamp(1, 2) as f64 * machine.be_dvfs.speed_fraction();
-        p.cpu += job.cpu_pressure_per_core * probe_cores;
-        p.llc += job.llc_pressure_per_core * probe_cores;
-        p.dram += job.dram_pressure_per_core * probe_cores;
-        p.net += (job.net_demand_mbps / machine.spec().nic_mbps).max(0.0);
-        let p = p.clamped();
-        self.model.inflation(component, &p, machine)
+/// One dispatch pass's ranking of the eligible machines for one job
+/// spec: `(score, global)` ascending, ties ascending by global index —
+/// exactly the order an argmin scan would visit minima in. Rows are
+/// constant during a pass (offers apply after the pop loop, a claimed
+/// machine is merely excluded), so scores computed once per pass are
+/// exact. The buffer is reused across passes.
+#[derive(Debug, Default)]
+pub(crate) struct Ranking {
+    order: Vec<(f64, usize)>,
+    /// Entries before this are taken; the head is the current best
+    /// offer for the spec.
+    cursor: usize,
+    /// Whether `order` holds this pass's ranking.
+    built: bool,
+}
+
+impl Ranking {
+    /// Whether this pass's ranking is built.
+    pub(crate) fn is_built(&self) -> bool {
+        self.built
     }
 
-    /// Deterministic argmin: strictly-smaller wins, so ties keep the
-    /// lowest global index (the iterator is index-sorted).
-    fn argmin(scores: impl Iterator<Item = (usize, f64)>) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for (g, s) in scores {
-            match best {
-                None => best = Some((g, s)),
-                Some((_, bs)) if s < bs => best = Some((g, s)),
-                _ => {}
+    /// Marks the ranking stale (a new pass begins).
+    pub(crate) fn clear(&mut self) {
+        self.built = false;
+    }
+
+    /// Scores every machine of `eligible` (ascending globals) for `job`
+    /// with `placer`, reading only `rows` and each machine's hosted
+    /// `component`, and sorts the result.
+    pub(crate) fn build<'a>(
+        &mut self,
+        placer: &Placer,
+        job: &BeSpec,
+        eligible: &[usize],
+        rows: &[MachineRow],
+        component: impl Fn(usize) -> &'a ComponentSpec,
+    ) {
+        self.order.clear();
+        self.cursor = 0;
+        self.built = true;
+        for &g in eligible {
+            if let Some(s) = placer.score(job, component(g), &rows[g]) {
+                self.order.push((s, g));
             }
         }
-        best.map(|(g, _)| g)
+        // Scores are finite and non-negative (pressures, inflations and
+        // capacities all are), so total_cmp is the plain `<` order here;
+        // ties keep ascending global.
+        self.order
+            .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    }
+
+    /// The best machine not yet `taken` this pass. Claims never revert
+    /// mid-pass, so the cursor only moves forward.
+    pub(crate) fn head(&mut self, taken: &[bool]) -> Option<usize> {
+        while self.cursor < self.order.len() && taken[self.order[self.cursor].1] {
+            self.cursor += 1;
+        }
+        self.order.get(self.cursor).map(|&(_, g)| g)
+    }
+
+    /// The best machine not yet `taken` for a gang member whose placed
+    /// siblings have capacities `peer_caps` (non-empty): the ranked
+    /// score plus the straggler penalty against the siblings' mean
+    /// capacity. The penalty reorders arbitrarily, so this scans every
+    /// entry for the strict minimum, ties keeping the lowest global.
+    pub(crate) fn best_with_peers(
+        &self,
+        taken: &[bool],
+        rows: &[MachineRow],
+        peer_caps: &[f64],
+    ) -> Option<usize> {
+        // A gang finishes with its slowest member: penalise capacity
+        // mismatch against already-placed siblings. Weighted to rival
+        // the inflation term, since a straggler wastes every sibling's
+        // cycles.
+        let peer_mean = peer_caps.iter().sum::<f64>() / peer_caps.len() as f64;
+        let mut best: Option<(f64, usize)> = None;
+        for &(base, g) in &self.order {
+            if taken[g] {
+                continue;
+            }
+            let s = base + Placer::STRAGGLER_WEIGHT * (rows[g].capacity - peer_mean).abs();
+            match best {
+                Some((bs, bg)) if !(s < bs || (s == bs && g < bg)) => {}
+                _ => best = Some((s, g)),
+            }
+        }
+        best.map(|(_, g)| g)
     }
 }
 
@@ -290,24 +346,41 @@ mod tests {
         m
     }
 
+    /// The machine `(global index i)` a dispatch pass would pick for
+    /// `job` among `cands`, all eligible and unclaimed: rows, ranking
+    /// and gang scan are the dispatcher's own.
+    fn pick(
+        policy: PlacementPolicy,
+        job: &BeSpec,
+        cands: &[(&Machine, &ComponentSpec)],
+        peer_caps: &[f64],
+    ) -> Option<usize> {
+        let placer = Placer::new(policy, InterferenceModel::calibrated());
+        let catalog = specs();
+        let rows: Vec<MachineRow> = cands
+            .iter()
+            .map(|&(m, c)| MachineRow::derive(m, c, None, &catalog))
+            .collect();
+        let eligible: Vec<usize> = (0..cands.len()).collect();
+        let taken = vec![false; cands.len()];
+        let mut ranking = Ranking::default();
+        ranking.build(&placer, job, &eligible, &rows, |g| cands[g].1);
+        if peer_caps.is_empty() {
+            ranking.head(&taken)
+        } else {
+            ranking.best_with_peers(&taken, &rows, peer_caps)
+        }
+    }
+
     #[test]
     fn round_robin_rotates() {
-        let svc = apps::ecommerce();
-        let ms: Vec<Machine> = (0..3).map(|_| machine()).collect();
-        let cands: Vec<CandidateMachine<'_>> = ms
-            .iter()
-            .enumerate()
-            .map(|(i, m)| CandidateMachine {
-                global: i,
-                machine: m,
-                component: &svc.nodes[0].component,
-            })
-            .collect();
+        let eligible: BTreeSet<usize> = (0..3).collect();
         let mut p = Placer::new(PlacementPolicy::RoundRobin, InterferenceModel::calibrated());
-        let job = BeSpec::of(BeKind::Wordcount);
-        let s = specs();
-        let picks: Vec<usize> = (0..5).map(|_| p.choose(&job, &cands, &s).unwrap()).collect();
+        let picks: Vec<usize> = (0..5).map(|_| p.rotate(&eligible).unwrap()).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1]);
+        let comp = &apps::ecommerce().nodes[0].component;
+        let row = MachineRow::derive(&machine(), comp, None, &specs());
+        assert_eq!(p.score(&BeSpec::of(BeKind::Wordcount), comp, &row), None);
     }
 
     #[test]
@@ -317,20 +390,11 @@ mod tests {
         loaded.admit_be("stream-dram", grant(4)).unwrap();
         let idle = machine();
         let cands = [
-            CandidateMachine {
-                global: 0,
-                machine: &loaded,
-                component: &svc.nodes[0].component,
-            },
-            CandidateMachine {
-                global: 1,
-                machine: &idle,
-                component: &svc.nodes[1].component,
-            },
+            (&loaded, &svc.nodes[0].component),
+            (&idle, &svc.nodes[1].component),
         ];
-        let mut p = Placer::new(PlacementPolicy::LeastPressure, InterferenceModel::calibrated());
         let job = BeSpec::of(BeKind::Wordcount);
-        assert_eq!(p.choose(&job, &cands, &specs()), Some(1));
+        assert_eq!(pick(PlacementPolicy::LeastPressure, &job, &cands, &[]), Some(1));
     }
 
     #[test]
@@ -340,33 +404,21 @@ mod tests {
         let svc = apps::ecommerce();
         let a = machine();
         let b = machine();
-        let mut sens: Vec<(usize, f64)> = Vec::new();
         let job = BeSpec::of(BeKind::StreamDram { big: true });
-        let model = InterferenceModel::calibrated();
-        for (i, m) in [&a, &b].into_iter().enumerate() {
-            let c = CandidateMachine {
-                global: i,
-                machine: m,
-                component: &svc.nodes[i].component,
-            };
-            let placer = Placer::new(PlacementPolicy::InterferenceScore, model);
-            sens.push((i, placer.score_on(&job, c.component, c.machine, &specs())));
-        }
-        let cands = [
-            CandidateMachine {
-                global: 0,
-                machine: &a,
-                component: &svc.nodes[0].component,
-            },
-            CandidateMachine {
-                global: 1,
-                machine: &b,
-                component: &svc.nodes[1].component,
-            },
-        ];
-        let mut p = Placer::new(PlacementPolicy::InterferenceScore, model);
-        let expect = if sens[0].1 <= sens[1].1 { 0 } else { 1 };
-        assert_eq!(p.choose(&job, &cands, &specs()), Some(expect));
+        let cands = [(&a, &svc.nodes[0].component), (&b, &svc.nodes[1].component)];
+        let placer = Placer::new(PlacementPolicy::InterferenceScore, InterferenceModel::calibrated());
+        let sens: Vec<f64> = cands
+            .iter()
+            .map(|&(m, c)| {
+                let row = MachineRow::derive(m, c, None, &specs());
+                placer.score(&job, c, &row).unwrap()
+            })
+            .collect();
+        let expect = if sens[0] <= sens[1] { 0 } else { 1 };
+        assert_eq!(
+            pick(PlacementPolicy::InterferenceScore, &job, &cands, &[]),
+            Some(expect)
+        );
     }
 
     #[test]
@@ -415,21 +467,9 @@ mod tests {
                 freq_mhz: 2_600,
             },
         );
-        let cands = [
-            CandidateMachine {
-                global: 0,
-                machine: &small,
-                component: &svc.nodes[0].component,
-            },
-            CandidateMachine {
-                global: 1,
-                machine: &big,
-                component: &svc.nodes[0].component,
-            },
-        ];
-        let mut p = Placer::new(PlacementPolicy::HeteroAware, InterferenceModel::calibrated());
+        let cands = [(&small, &svc.nodes[0].component), (&big, &svc.nodes[0].component)];
         let job = BeSpec::of(BeKind::Wordcount);
-        assert_eq!(p.choose(&job, &cands, &specs()), Some(1));
+        assert_eq!(pick(PlacementPolicy::HeteroAware, &job, &cands, &[]), Some(1));
     }
 
     #[test]
@@ -455,23 +495,10 @@ mod tests {
                 freq_mhz: 2_600,
             },
         );
-        let cands = [
-            CandidateMachine {
-                global: 0,
-                machine: &mid,
-                component: &svc.nodes[0].component,
-            },
-            CandidateMachine {
-                global: 1,
-                machine: &big,
-                component: &svc.nodes[0].component,
-            },
-        ];
+        let cands = [(&mid, &svc.nodes[0].component), (&big, &svc.nodes[0].component)];
         let job = BeSpec::of(BeKind::Wordcount);
-        let model = InterferenceModel::calibrated();
-        let mut p = Placer::new(PlacementPolicy::HeteroAware, model);
         // Alone, the big machine wins…
-        assert_eq!(p.choose_with_peers(&job, &cands, &specs(), &[]), Some(1));
+        assert_eq!(pick(PlacementPolicy::HeteroAware, &job, &cands, &[]), Some(1));
         // …but with siblings already placed on lean nodes the straggler
         // penalty pulls the next member toward the closer-matched machine.
         let lean = Machine::new(
@@ -485,7 +512,7 @@ mod tests {
             },
         );
         let lean_cap = Placer::capacity(&lean);
-        let with_peers = p.choose_with_peers(&job, &cands, &specs(), &[lean_cap; 4]);
+        let with_peers = pick(PlacementPolicy::HeteroAware, &job, &cands, &[lean_cap; 4]);
         assert_eq!(with_peers, Some(0), "gang members cluster by capacity");
     }
 }

@@ -41,11 +41,10 @@
 use crate::fault::{ChaosState, FaultKind, FaultPlan};
 use crate::job::{ClusterJob, JobId, JobState};
 use crate::metrics::{machine_fingerprints, ClusterMetrics, ClusterOutcome, ClusterTelemetry};
-use crate::placement::{PlacementPolicy, Placer};
+use crate::placement::{MachineRow, PlacementPolicy, Placer, Ranking};
 use crate::queue::JobQueue;
 use crate::snapshot::{ClusterSnapshot, GangState, SchedulerState};
 use crate::state::{global_index, machine_ref, replica_seed, ClusterConfig};
-use rhythm_controller::BeAction;
 use rhythm_core::experiment::{ControllerChoice, ExperimentConfig, ServiceContext};
 use rhythm_core::metrics::RunMetrics;
 use rhythm_core::runtime::Engine;
@@ -53,7 +52,7 @@ use rhythm_machine::machine::BeInstanceId;
 use rhythm_sim::{LatencyHistogram, SimDuration, SimTime};
 use rhythm_snapshot::{Reader, SnapshotError, Writer};
 use rhythm_telemetry::{ClusterEvent, ClusterEventKind, TailPoint};
-use rhythm_workloads::BeSpec;
+use rhythm_workloads::{BeSpec, ServiceSpec};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -69,31 +68,23 @@ struct GangTracker {
     forming: bool,
 }
 
-/// The per-pass placement ranking for one job spec: `(score, global)`
-/// ascending, ties ascending by global index — exactly the order an
-/// argmin scan would visit minima in. Machine state is constant during a
-/// dispatch pass (offers apply after the pop loop, a claimed machine is
-/// merely excluded), so scores computed once per pass are exact,
-/// collapsing O(jobs × machines) rescoring to O(specs × machines log
-/// machines) per epoch.
-struct Ranked {
-    order: Vec<(f64, usize)>,
-    /// Entries before this are taken; the head is the current best offer
-    /// for the spec.
-    cursor: usize,
-}
-
 /// All cluster-level scheduling state: the job ledger, the queue, offers
 /// and bindings, the placer and gang trackers. Mutated only at the epoch
 /// barrier (single-threaded, fixed iteration order), so every decision is
 /// deterministic.
 struct Scheduler<'c> {
     cfg: &'c ClusterConfig,
+    /// The LC service every replica runs (machine `g` hosts the
+    /// component of Servpod `g % pods`).
+    service: &'c ServiceSpec,
     pods: usize,
     /// Whether a controller drives BE work (false for Solo runs, whose
     /// backlog is never queued).
     managed: bool,
     jobs: Vec<ClusterJob>,
+    /// Catalog position of each job's spec (index = job id), the key of
+    /// its per-pass ranking.
+    spec_slot: Vec<usize>,
     /// The backlog awaiting placement.
     queue: JobQueue,
     /// Outstanding offer per machine (index = global machine index).
@@ -112,15 +103,19 @@ struct Scheduler<'c> {
     /// Scheduler events (gang lifecycle, deadline misses, faults),
     /// emission order. Only populated when telemetry is enabled.
     events: Vec<ClusterEvent>,
-    /// Normalized machine capacity per global index (pure function of
-    /// the machine spec; filled on first dispatch).
-    caps: Vec<f64>,
+    /// One placement row per global machine (empty in Solo runs). The
+    /// engines write them in the parallel phase of each epoch; the
+    /// barrier re-derives the rows of `stale` replicas before dispatch.
+    rows: Vec<MachineRow>,
+    /// Replicas whose machines the barrier mutated since their rows were
+    /// written (all of them before the first epoch).
+    stale: Vec<bool>,
     /// Scratch: machines eligible for new work this dispatch pass
     /// (AllowBEGrowth, no outstanding offer, not down), ascending.
     eligible: Vec<usize>,
-    /// Scratch: per-spec rankings this dispatch pass (key `""` holds the
-    /// job-independent LeastPressure ranking).
-    ranked: BTreeMap<String, Ranked>,
+    /// Scratch: per-spec rankings this dispatch pass, indexed by catalog
+    /// position (the job-independent LeastPressure ranking uses slot 0).
+    ranked: Vec<Ranking>,
     /// Scratch, reused across passes: machines claimed this pass…
     taken: Vec<bool>,
     /// …and which entries of `taken` to reset next pass.
@@ -129,6 +124,8 @@ struct Scheduler<'c> {
     rr: BTreeSet<usize>,
     /// Scratch: (machine, member) assignments of the current pass.
     assignments: Vec<(usize, JobId)>,
+    /// Scratch: live members of the job being placed.
+    members: Vec<JobId>,
     /// Scratch: machines chosen for the current gang.
     chosen: Vec<usize>,
     /// Scratch: capacities of already-chosen gang siblings.
@@ -139,7 +136,8 @@ impl<'c> Scheduler<'c> {
     /// Builds the job ledger from the config's effective plan (gang
     /// entries expand to their instance count) and queues the work:
     /// solitary jobs directly, gangs through their first member.
-    fn new(cfg: &'c ClusterConfig, pods: usize, managed: bool) -> Scheduler<'c> {
+    fn new(cfg: &'c ClusterConfig, service: &'c ServiceSpec, managed: bool) -> Scheduler<'c> {
+        let pods = service.len();
         let mut jobs: Vec<ClusterJob> = Vec::new();
         let mut gangs = BTreeMap::new();
         for (entry, spec) in cfg.effective_plan().iter().enumerate() {
@@ -182,20 +180,37 @@ impl<'c> Scheduler<'c> {
                 }
             }
         }
+        let catalog = cfg.catalog();
+        let spec_slot = jobs
+            .iter()
+            .map(|j| {
+                catalog
+                    .keys()
+                    .position(|k| *k == j.spec.name)
+                    // PANIC: the catalog holds every spec of the effective plan.
+                    .expect("spec in catalog")
+            })
+            .collect();
+        let replicas = cfg.machines / pods;
         Scheduler {
             cfg,
+            service,
             pods,
             managed,
             taken: vec![false; cfg.machines],
             offered: vec![None; cfg.machines],
             jobs,
+            spec_slot,
             queue,
             bindings: BTreeMap::new(),
             placer: Placer::new(
                 cfg.policy,
                 rhythm_interference::InterferenceModel::calibrated(),
             ),
-            catalog: cfg.catalog(),
+            ranked: (0..catalog.len().max(1))
+                .map(|_| Ranking::default())
+                .collect(),
+            catalog,
             gangs,
             plan: {
                 let mut plan = cfg.faults.clone();
@@ -204,25 +219,29 @@ impl<'c> Scheduler<'c> {
             },
             chaos: ChaosState::default(),
             events: Vec::new(),
-            caps: Vec::new(),
+            rows: if managed {
+                vec![MachineRow::default(); cfg.machines]
+            } else {
+                Vec::new()
+            },
+            stale: vec![true; replicas],
             eligible: Vec::new(),
-            ranked: BTreeMap::new(),
             touched: Vec::new(),
             rr: BTreeSet::new(),
             assignments: Vec::new(),
+            members: Vec::new(),
             chosen: Vec::new(),
             peer_caps: Vec::new(),
         }
     }
 
     /// Member ids of gang `gid` that have not finished.
-    fn live_members(&self, gid: u32) -> Vec<JobId> {
+    fn live_members(&self, gid: u32) -> impl Iterator<Item = JobId> + '_ {
         self.gangs[&gid]
             .members
             .iter()
             .copied()
             .filter(|&m| self.jobs[m as usize].state != JobState::Done)
-            .collect()
     }
 
     /// Records a cluster event when telemetry is enabled.
@@ -274,6 +293,7 @@ impl<'c> Scheduler<'c> {
                     let r = machine_ref(machine as usize, self.pods);
                     let target = (factor * engines[r.replica].lc_max_mhz(r.pod) as f64) as u32;
                     engines[r.replica].set_lc_frequency(r.pod, target);
+                    self.stale[r.replica] = true;
                 }
                 FaultKind::CorrelatedFailure { group } => {
                     for m in group {
@@ -316,6 +336,7 @@ impl<'c> Scheduler<'c> {
             // so the rollback banks exactly what ran.
             let progress = engines[r.replica].be_progress(r.pod, inst).unwrap_or(0.0);
             engines[r.replica].remove_be(r.pod, inst);
+            self.stale[r.replica] = true;
             self.bindings.remove(&(g, inst));
             self.settle_kill(jid, progress, now_s, &mut dirty_gangs);
         }
@@ -369,6 +390,7 @@ impl<'c> Scheduler<'c> {
         let r = machine_ref(g, self.pods);
         let max = engines[r.replica].lc_max_mhz(r.pod);
         engines[r.replica].set_lc_frequency(r.pod, max);
+        self.stale[r.replica] = true;
         self.note(now_s, ClusterEventKind::MachineUp, g as u64, None);
     }
 
@@ -389,25 +411,21 @@ impl<'c> Scheduler<'c> {
                 }
             }
         }
-        // Capacity is a pure function of the machine spec: fill the
-        // cache once and never touch `Machine` for it again.
-        if self.caps.is_empty() {
-            self.caps = (0..self.cfg.machines)
-                .map(|g| {
-                    let r = machine_ref(g, self.pods);
-                    Placer::capacity(engines[r.replica].machine(r.pod))
-                })
-                .collect();
+        self.refresh_stale_rows(engines);
+        if cfg!(debug_assertions) {
+            self.check_rows(engines);
         }
-        // Eligibility, once per pass. Offers and controller signals do
-        // not change inside a pass, so this — and every score derived
-        // from it — stays valid until the pass ends.
+        // Eligibility, once per pass. Offers and rows do not change
+        // inside a pass, so this — and every score derived from it —
+        // stays valid until the pass ends.
         self.eligible.clear();
-        self.ranked.clear();
+        for ranking in &mut self.ranked {
+            ranking.clear();
+        }
         for g in 0..self.cfg.machines {
             if self.offered[g].is_none()
                 && (self.chaos.down.is_empty() || !self.chaos.down.contains(&(g as u64)))
-                && allows_growth(engines, g, self.pods)
+                && self.rows[g].grows
             {
                 self.eligible.push(g);
             }
@@ -417,47 +435,39 @@ impl<'c> Scheduler<'c> {
         if rr_policy {
             self.rr.extend(self.eligible.iter().copied());
         }
-        let mut rr_cursor = self.placer.cursor();
         for &g in &self.touched {
             self.taken[g] = false;
         }
         self.touched.clear();
         let mut assignments = std::mem::take(&mut self.assignments);
+        let mut members = std::mem::take(&mut self.members);
         let mut chosen = std::mem::take(&mut self.chosen);
         let mut peer_caps = std::mem::take(&mut self.peer_caps);
         assignments.clear();
         // Pop queued work in queue order while eligible machines remain.
         while let Some(jid) = self.queue.pop() {
-            let members: Vec<JobId> = match self.jobs[jid as usize].gang {
-                Some(gid) => self.live_members(gid),
-                None => vec![jid],
-            };
-            let spec = Arc::clone(&self.jobs[jid as usize].spec);
+            members.clear();
+            match self.jobs[jid as usize].gang {
+                Some(gid) => members.extend(self.live_members(gid)),
+                None => members.push(jid),
+            }
             chosen.clear();
             peer_caps.clear();
             for _ in 0..members.len() {
                 let pick = if rr_policy {
-                    // First eligible machine at or after the cursor,
-                    // wrapping.
-                    let p = self
-                        .rr
-                        .range(rr_cursor..)
-                        .next()
-                        .copied()
-                        .or_else(|| self.rr.iter().next().copied());
+                    let p = self.placer.rotate(&self.rr);
                     if let Some(g) = p {
                         self.rr.remove(&g);
-                        rr_cursor = g + 1;
                     }
                     p
                 } else {
-                    self.pick_scored(&spec, &peer_caps, engines)
+                    self.pick_scored(jid, &peer_caps)
                 };
                 match pick {
                     Some(g) => {
                         self.taken[g] = true;
                         self.touched.push(g);
-                        peer_caps.push(self.caps[g]);
+                        peer_caps.push(self.rows[g].capacity);
                         chosen.push(g);
                     }
                     None => break,
@@ -483,7 +493,6 @@ impl<'c> Scheduler<'c> {
                 tracker.patience_left = self.cfg.gang_patience_epochs.max(1);
             }
         }
-        self.placer.set_cursor(rr_cursor);
         for &(g, jid) in &assignments {
             self.offered[g] = Some(jid);
             self.jobs[jid as usize].state = JobState::Offered(g);
@@ -493,84 +502,70 @@ impl<'c> Scheduler<'c> {
             engines[r.replica].set_be_offer(r.pod, Some((spec, priority)));
         }
         self.assignments = assignments;
+        self.members = members;
         self.chosen = chosen;
         self.peer_caps = peer_caps;
     }
 
-    /// The best unclaimed eligible machine for `spec` from the pass's
-    /// cached ranking (built lazily, once per spec per pass). Ties keep
-    /// the lowest global index.
-    fn pick_scored(
-        &mut self,
-        spec: &BeSpec,
-        peer_caps: &[f64],
-        engines: &[Engine],
-    ) -> Option<usize> {
+    /// Re-derives the rows of every replica the barrier mutated since
+    /// the parallel phase wrote them (every replica before the first
+    /// epoch and after a resume).
+    fn refresh_stale_rows(&mut self, engines: &[Engine]) {
+        for (r, stale) in self.stale.iter_mut().enumerate() {
+            if std::mem::take(stale) {
+                let rows = &mut self.rows[r * self.pods..(r + 1) * self.pods];
+                write_rows(&engines[r], rows, &self.catalog);
+            }
+        }
+    }
+
+    /// Debug builds: every row must equal a fresh derivation from its
+    /// engine, so a barrier mutation that forgot to mark its replica
+    /// stale fails at the next dispatch.
+    fn check_rows(&self, engines: &[Engine]) {
+        let mut fresh = vec![MachineRow::default(); self.pods];
+        for (r, engine) in engines.iter().enumerate() {
+            write_rows(engine, &mut fresh, &self.catalog);
+            let rows = &self.rows[r * self.pods..(r + 1) * self.pods];
+            for (pod, (row, want)) in rows.iter().zip(&fresh).enumerate() {
+                assert_eq!(
+                    row,
+                    want,
+                    "stale placement row for machine {}",
+                    global_index(r, pod, self.pods)
+                );
+            }
+        }
+    }
+
+    /// The best unclaimed eligible machine for job `jid` from the pass's
+    /// ranking of its spec (built lazily from the rows, once per spec per
+    /// pass). Ties keep the lowest global index.
+    fn pick_scored(&mut self, jid: JobId, peer_caps: &[f64]) -> Option<usize> {
         let policy = self.placer.policy();
         // LeastPressure ignores the job entirely: one shared ranking.
-        let key: &str = if policy == PlacementPolicy::LeastPressure {
-            ""
+        let slot = if policy == PlacementPolicy::LeastPressure {
+            0
         } else {
-            &spec.name
+            self.spec_slot[jid as usize]
         };
-        if !self.ranked.contains_key(key) {
-            let mut order: Vec<(f64, usize)> = Vec::with_capacity(self.eligible.len());
-            for &g in &self.eligible {
-                let r = machine_ref(g, self.pods);
-                let machine = engines[r.replica].machine(r.pod);
-                let component = &engines[r.replica].service().nodes[r.pod].component;
-                let s = match policy {
-                    PlacementPolicy::LeastPressure => {
-                        Placer::pressure_score(machine, &self.catalog)
-                    }
-                    PlacementPolicy::InterferenceScore => {
-                        self.placer
-                            .score_on(spec, component, machine, &self.catalog)
-                    }
-                    PlacementPolicy::HeteroAware => {
-                        self.placer
-                            .hetero_base(spec, component, machine, &self.catalog)
-                    }
-                    PlacementPolicy::RoundRobin => unreachable!("RR uses the rotation set"),
-                };
-                order.push((s, g));
-            }
-            // Scores are finite and non-negative (pressures, inflations
-            // and capacities all are), so total_cmp is the plain `<`
-            // order here; ties keep ascending global.
-            order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            self.ranked
-                .insert(key.to_string(), Ranked { order, cursor: 0 });
+        let ranking = &mut self.ranked[slot];
+        if !ranking.is_built() {
+            let (service, pods) = (self.service, self.pods);
+            ranking.build(
+                &self.placer,
+                &self.jobs[jid as usize].spec,
+                &self.eligible,
+                &self.rows,
+                |g| &service.nodes[g % pods].component,
+            );
         }
-        // PANIC: the branch above inserted this key when it was absent.
-        let ranked = self.ranked.get_mut(key).expect("ranking just built");
-        let taken = &self.taken;
         if policy == PlacementPolicy::HeteroAware && !peer_caps.is_empty() {
             // Gang context shifts every machine's score by its own
-            // capacity-mismatch penalty, which reorders arbitrarily:
-            // scan the cached bases (skipping claimed machines) for the
-            // strict minimum, ties keeping the lowest global index.
-            let peer_mean = peer_caps.iter().sum::<f64>() / peer_caps.len() as f64;
-            let mut best: Option<(f64, usize)> = None;
-            for &(base, g) in &ranked.order {
-                if taken[g] {
-                    continue;
-                }
-                let s = base + Placer::STRAGGLER_WEIGHT * (self.caps[g] - peer_mean).abs();
-                match best {
-                    Some((bs, bg)) if !(s < bs || (s == bs && g < bg)) => {}
-                    _ => best = Some((s, g)),
-                }
-            }
-            return best.map(|(_, g)| g);
+            // capacity-mismatch penalty.
+            return ranking.best_with_peers(&self.taken, &self.rows, peer_caps);
         }
-        // Head of the ranking, skipping machines claimed earlier in the
-        // pass (claims never revert mid-pass, so the cursor only moves
-        // forward).
-        while ranked.cursor < ranked.order.len() && taken[ranked.order[ranked.cursor].1] {
-            ranked.cursor += 1;
-        }
-        ranked.order.get(ranked.cursor).map(|&(_, g)| g)
+        ranking.head(&self.taken)
     }
 
     /// Epoch step 3: the deterministic merge at the barrier. Every
@@ -614,6 +609,7 @@ impl<'c> Scheduler<'c> {
                 let done = engine.be_progress(pod, inst).unwrap_or(0.0);
                 if self.jobs[jid as usize].total_progress(done) >= 1.0 {
                     engine.remove_be(pod, inst);
+                    self.stale[r] = true;
                     self.complete(jid, now_s);
                     self.bindings.remove(&(g, inst));
                 }
@@ -635,7 +631,7 @@ impl<'c> Scheduler<'c> {
             if !self.gangs[&gid].forming {
                 continue;
             }
-            let live = self.live_members(gid);
+            let live: Vec<JobId> = self.live_members(gid).collect();
             if live
                 .iter()
                 .all(|&m| matches!(self.jobs[m as usize].state, JobState::Running(_)))
@@ -660,7 +656,7 @@ impl<'c> Scheduler<'c> {
     /// last checkpoint; the loss counts as wasted work) and requeues the
     /// gang through its first live member.
     fn abort_gang(&mut self, gid: u32, engines: &mut [Engine], now_s: f64) {
-        let live = self.live_members(gid);
+        let live: Vec<JobId> = self.live_members(gid).collect();
         for &m in &live {
             match self.jobs[m as usize].state {
                 JobState::Offered(g) => {
@@ -680,6 +676,7 @@ impl<'c> Scheduler<'c> {
                         // merge, so the rollback banks exactly what ran.
                         let progress = engines[r.replica].be_progress(r.pod, inst).unwrap_or(0.0);
                         engines[r.replica].remove_be(r.pod, inst);
+                        self.stale[r.replica] = true;
                         self.bindings.remove(&(g, inst));
                         self.jobs[m as usize].on_kill(progress, self.cfg.checkpoint_fraction);
                     }
@@ -1099,7 +1096,7 @@ impl<'a> ClusterRunner<'a> {
         // the barrier invariants by restoring it into a throwaway
         // scheduler now; `run` re-applies it knowing it cannot fail.
         let chaos = snapshot.chaos.as_ref().map(|c| &c.state);
-        Scheduler::new(cfg, pods, managed).restore_state(&snapshot.scheduler, chaos)?;
+        Scheduler::new(cfg, &ctx.service, managed).restore_state(&snapshot.scheduler, chaos)?;
         Ok(ClusterRunner {
             resume: Some(ResumeState {
                 epoch: snapshot.epoch,
@@ -1172,7 +1169,6 @@ impl<'a> ClusterRunner<'a> {
     pub fn run(mut self) -> ClusterRun {
         let ctx = self.ctx;
         let cfg = self.cfg;
-        let pods = ctx.service.len();
         let managed = !matches!(self.choice, ControllerChoice::Solo);
 
         let (mut engines, start_epoch, start_t, tail0, resume_sched, resume_chaos) =
@@ -1198,7 +1194,7 @@ impl<'a> ClusterRunner<'a> {
                 ),
             };
 
-        let mut sched = Scheduler::new(cfg, pods, managed);
+        let mut sched = Scheduler::new(cfg, &ctx.service, managed);
         if let Some(st) = &resume_sched {
             sched
                 // PANIC: resume() already validated this state against
@@ -1225,7 +1221,7 @@ impl<'a> ClusterRunner<'a> {
                 sched.dispatch(&mut engines, t.as_secs_f64());
             }
             let next = (t + epoch).min(end);
-            advance_all(&mut engines, threads, next);
+            advance_all(&mut engines, &mut sched.rows, &sched.catalog, threads, next);
             sched.merge(&mut engines, next);
             if cfg!(debug_assertions) {
                 if let Err(why) = sched.check_invariants() {
@@ -1275,7 +1271,7 @@ impl<'a> ClusterRunner<'a> {
             t = next;
         }
         // Drain in-flight requests past the end of the run.
-        advance_all(&mut engines, threads, SimTime::MAX);
+        advance_all(&mut engines, &mut [], &sched.catalog, threads, SimTime::MAX);
 
         let mut outputs: Vec<_> = engines.into_iter().map(Engine::finish_run).collect();
         let per_replica: Vec<RunMetrics> = outputs.iter().map(RunMetrics::from_output).collect();
@@ -1311,30 +1307,63 @@ impl<'a> ClusterRunner<'a> {
 /// `threads` contiguous chunks, one scoped thread each (the calling
 /// thread takes the first). Engines share no state, so the partition
 /// cannot affect results. At an epoch boundary each engine also syncs its
-/// BE progress and settles its busy integrals to `target` — engine-local
-/// work, so it runs here rather than in the single-threaded merge.
-fn advance_all(engines: &mut [Engine], threads: usize, target: SimTime) {
-    let advance = move |engine: &mut Engine| {
-        engine.run_until(target);
-        if target != SimTime::MAX {
-            // The final drain has no merge after it: nothing reads BE
-            // progress past `end`, so only epoch boundaries sync.
-            engine.sync_be_progress(target);
-            // The barrier is a utilization read point: settle the batched
-            // worker-busy integrals (pure settlement — bit-identical for
-            // any thread count, like the progress sync above).
-            engine.flush_busy_integrals(target);
+/// BE progress, settles its busy integrals to `target` and writes its
+/// machines' placement rows — engine-local work, so it runs here rather
+/// than in the single-threaded merge. `rows` (one per machine, or empty
+/// when nothing places BE work) is split in step with the engines.
+fn advance_all(
+    engines: &mut [Engine],
+    rows: &mut [MachineRow],
+    catalog: &BTreeMap<String, BeSpec>,
+    threads: usize,
+    target: SimTime,
+) {
+    let pods = engines.first().map_or(1, Engine::machine_count);
+    let advance = move |engines: &mut [Engine], rows: &mut [MachineRow]| {
+        for (i, engine) in engines.iter_mut().enumerate() {
+            engine.run_until(target);
+            if target != SimTime::MAX {
+                // The final drain has no merge after it: nothing reads BE
+                // progress past `end`, so only epoch boundaries sync.
+                engine.sync_be_progress(target);
+                // The barrier is a utilization read point: settle the
+                // batched worker-busy integrals (pure settlement —
+                // bit-identical for any thread count, like the progress
+                // sync above).
+                engine.flush_busy_integrals(target);
+                if let Some(rows) = rows.get_mut(i * pods..(i + 1) * pods) {
+                    write_rows(engine, rows, catalog);
+                }
+            }
         }
     };
     let chunk = engines.len().div_ceil(threads.max(1)).max(1);
     std::thread::scope(|s| {
-        let mut chunks = engines.chunks_mut(chunk);
-        let own = chunks.next();
-        for part in chunks {
-            s.spawn(move || part.iter_mut().for_each(advance));
+        let mut row_parts = rows.chunks_mut(chunk * pods);
+        let mut parts = engines
+            .chunks_mut(chunk)
+            .map(|part| (part, row_parts.next().unwrap_or_default()));
+        let own = parts.next();
+        for (part, rows) in parts {
+            s.spawn(move || advance(part, rows));
         }
-        own.into_iter().flatten().for_each(advance);
+        if let Some((part, rows)) = own {
+            advance(part, rows);
+        }
     });
+}
+
+/// Writes the placement rows of `engine`'s machines (`rows[pod]`), with
+/// BE workloads looked up in the scheduler's `catalog`.
+fn write_rows(engine: &Engine, rows: &mut [MachineRow], catalog: &BTreeMap<String, BeSpec>) {
+    for (pod, row) in rows.iter_mut().enumerate() {
+        *row = MachineRow::derive(
+            engine.machine(pod),
+            &engine.service().nodes[pod].component,
+            engine.last_action(pod),
+            catalog,
+        );
+    }
 }
 
 /// Runs one cluster experiment: `cfg.machines` machines under `choice`,
@@ -1361,16 +1390,6 @@ pub fn compare_cluster(ctx: &ServiceContext, cfg: &ClusterConfig) -> (ClusterOut
         run_cluster(ctx, &ControllerChoice::Rhythm, cfg),
         run_cluster(ctx, &ControllerChoice::Heracles, cfg),
     )
-}
-
-/// A machine is eligible for new BE work when its controller currently
-/// allows growth (or has not ticked yet — the run just started).
-fn allows_growth(engines: &[Engine], global: usize, pods: usize) -> bool {
-    let r = machine_ref(global, pods);
-    match engines[r.replica].last_action(r.pod) {
-        None | Some(BeAction::AllowBeGrowth) => true,
-        Some(_) => false,
-    }
 }
 
 #[cfg(test)]

@@ -352,6 +352,112 @@ struct InflationInputs {
     rate_bits: u64,
 }
 
+/// One machine's BE-derived facts, as the metrics integrals and the
+/// progress ledger read them. Recomputed only when its key moves: the
+/// machine's change epoch (BE population, grants, suspensions), the BE
+/// DVFS point and the qdisc BE ceiling — everything the facts read that
+/// the epoch does not cover. Every live instance's workload is in the
+/// engine's spec map from its admission on (offers register their spec
+/// first), so spec insertions cannot move a summary either.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct BeSummary {
+    /// `(change epoch, BE MHz, BE-ceiling bits)` the facts were computed
+    /// at; `None` before the first computation.
+    key: Option<(u64, u32, u64)>,
+    /// Instantaneous BE progress rate, in solo-machine equivalents
+    /// (clamped at 1.0: a machine cannot out-produce a dedicated one).
+    progress_rate: f64,
+    /// Cores granted to running BE instances.
+    running_cores: u32,
+    /// The BE class's DRAM-bandwidth utilization term.
+    dram: f64,
+    /// Per running instance: job fraction accrued per second, already
+    /// scaled by the solo-machine clamp. The buffer is reused.
+    rates: Vec<(BeInstanceId, f64)>,
+}
+
+impl BeSummary {
+    fn key_of(m: &Machine) -> (u64, u32, u64) {
+        (
+            m.change_epoch(),
+            m.be_dvfs.current_mhz(),
+            m.qdisc.be_limit_mbps().to_bits(),
+        )
+    }
+
+    /// Brings the summary up to date with `m`. Debug builds check a hit
+    /// against a fresh computation, so a key that misses an input fails
+    /// the first time that input moves alone.
+    fn refresh(&mut self, m: &Machine, specs: &BTreeMap<String, BeSpec>) {
+        let key = Self::key_of(m);
+        if self.key == Some(key) {
+            debug_assert_eq!(*self, Self::derive(m, specs), "stale BE summary");
+            return;
+        }
+        self.compute(m, specs);
+        self.key = Some(key);
+    }
+
+    /// A fresh summary of `m` (with its key).
+    fn derive(m: &Machine, specs: &BTreeMap<String, BeSpec>) -> BeSummary {
+        let mut s = BeSummary::default();
+        s.compute(m, specs);
+        s.key = Some(Self::key_of(m));
+        s
+    }
+
+    fn compute(&mut self, m: &Machine, specs: &BTreeMap<String, BeSpec>) {
+        let freq = m.be_dvfs.speed_fraction();
+        let running = || m.be_instances().filter(|b| b.state == BeState::Running);
+        let total_demand: f64 = running()
+            .filter_map(|b| specs.get(&b.workload))
+            .map(|s| s.net_demand_mbps)
+            .sum();
+        let net_frac = if total_demand > 0.0 {
+            (m.qdisc.be_limit_mbps() / total_demand).clamp(0.0, 1.0)
+        } else {
+            1.0
+        };
+        let total: f64 = running()
+            .filter_map(|b| {
+                specs
+                    .get(&b.workload)
+                    .map(|s| s.progress_rate(b.alloc.cores, freq, b.alloc.llc_ways, net_frac))
+            })
+            .sum();
+        // A machine cannot out-produce a dedicated solo machine: the solo
+        // run already saturates the job's bottleneck resource (§5.1
+        // normalization).
+        self.progress_rate = total.min(1.0);
+        self.running_cores = running().map(|b| b.alloc.cores).sum();
+        self.dram = running()
+            .filter_map(|b| {
+                specs
+                    .get(&b.workload)
+                    .map(|s| s.dram_pressure_per_core * b.alloc.cores as f64 * freq)
+            })
+            .sum();
+        // Per-instance job rates under the same solo-machine clamp: if
+        // the machine's raw rates sum past 1.0, every instance is scaled
+        // down pro rata.
+        self.rates.clear();
+        let mut total = 0.0;
+        for b in running() {
+            let Some(s) = specs.get(&b.workload) else {
+                continue;
+            };
+            let r =
+                s.progress_rate(b.alloc.cores, freq, b.alloc.llc_ways, net_frac) / s.job_seconds;
+            total += r * s.job_seconds;
+            self.rates.push((b.id, r));
+        }
+        let scale = if total > 1.0 { 1.0 / total } else { 1.0 };
+        for (_, r) in &mut self.rates {
+            *r *= scale;
+        }
+    }
+}
+
 /// Per-node (per-machine) queueing state in struct-of-arrays layout.
 ///
 /// The per-event path (`enqueue_phase` → `start_phase` → `on_phase_end`)
@@ -459,6 +565,9 @@ pub struct Engine {
     plan_sampled: Vec<usize>,
     /// Last inputs each node's inflation was computed from.
     inflation_inputs: Vec<Option<InflationInputs>>,
+    /// Per-machine BE facts, keyed on their inputs (derived; never
+    /// encoded, recomputed on first use after a restore).
+    be_summaries: Vec<BeSummary>,
     maxload: f64,
     /// Expected visits per node (constant for the service; cached).
     visits: Vec<f64>,
@@ -576,6 +685,7 @@ impl Engine {
             plan_stack: Vec::new(),
             plan_sampled: Vec::new(),
             inflation_inputs: vec![None; n],
+            be_summaries: vec![BeSummary::default(); n],
             maxload,
             visits,
             tail: TailWindow::new(SimDuration::from_secs(10), 10),
@@ -713,9 +823,10 @@ impl Engine {
         if let Some((spec, _)) = &offer {
             // The pressure model looks workloads up by name; make sure
             // offered specs are resolvable even if absent from `cfg.bes`.
-            self.be_specs
-                .entry(spec.name.clone())
-                .or_insert_with(|| (**spec).clone());
+            // Offers repeat the same few specs, so look before cloning.
+            if !self.be_specs.contains_key(&spec.name) {
+                self.be_specs.insert(spec.name.clone(), (**spec).clone());
+            }
         }
         self.be_offers[i] = offer;
     }
@@ -1285,71 +1396,33 @@ impl Engine {
         frac * self.maxload * self.visits[i]
     }
 
-    /// Instantaneous BE progress rate on machine `i`.
-    fn be_rate(&self, i: usize) -> f64 {
-        let m = &self.deployment.machines[i];
-        let freq = m.be_dvfs.speed_fraction();
-        let total_demand: f64 = m
-            .be_instances()
-            .filter(|b| b.state == BeState::Running)
-            .filter_map(|b| self.be_specs.get(&b.workload))
-            .map(|s| s.net_demand_mbps)
-            .sum();
-        let net_frac = if total_demand > 0.0 {
-            (m.qdisc.be_limit_mbps() / total_demand).clamp(0.0, 1.0)
-        } else {
-            1.0
-        };
-        let total: f64 = m
-            .be_instances()
-            .filter(|b| b.state == BeState::Running)
-            .filter_map(|b| {
-                self.be_specs
-                    .get(&b.workload)
-                    .map(|s| s.progress_rate(b.alloc.cores, freq, b.alloc.llc_ways, net_frac))
-            })
-            .sum();
-        // A machine cannot out-produce a dedicated solo machine: the solo
-        // run already saturates the job's bottleneck resource (§5.1
-        // normalization).
-        total.min(1.0)
+    /// Brings every machine's BE summary up to date (a key compare per
+    /// machine when nothing moved).
+    fn refresh_be_summaries(&mut self) {
+        let Engine {
+            deployment,
+            be_specs,
+            be_summaries,
+            ..
+        } = self;
+        for (m, summary) in deployment.machines.iter().zip(be_summaries.iter_mut()) {
+            summary.refresh(m, be_specs);
+        }
     }
 
     /// Instantaneous machine CPU utilization split (LC busy fraction,
-    /// BE cores).
+    /// BE cores). Reads the BE summary, which must be fresh.
     fn cpu_utils(&self, i: usize) -> (f64, f64) {
         // Instantaneous busy fraction approximated by current busy count.
         let lc_busy_frac =
             (self.nodes.busy[i] as f64 / self.nodes.workers[i] as f64).clamp(0.0, 1.0);
         let m = &self.deployment.machines[i];
         let lc_cores_busy = lc_busy_frac * m.lc_alloc().cores as f64;
-        let be_cores: u32 = m
-            .be_instances()
-            .filter(|b| b.state == BeState::Running)
-            .map(|b| b.alloc.cores)
-            .sum();
+        let be_cores = self.be_summaries[i].running_cores;
         (
             lc_cores_busy / m.spec().total_cores() as f64,
             be_cores as f64 * m.be_dvfs.speed_fraction() / m.spec().total_cores() as f64,
         )
-    }
-
-    /// Instantaneous memory-bandwidth utilization of machine `i`.
-    fn membw_util(&self, i: usize) -> f64 {
-        let m = &self.deployment.machines[i];
-        let comp = &self.service.nodes[i].component;
-        let lc = comp.membw_mbps_at(self.current_node_rate(i)) / m.spec().total_membw_mbps();
-        let freq = m.be_dvfs.speed_fraction();
-        let be: f64 = m
-            .be_instances()
-            .filter(|b| b.state == BeState::Running)
-            .filter_map(|b| {
-                self.be_specs
-                    .get(&b.workload)
-                    .map(|s| s.dram_pressure_per_core * b.alloc.cores as f64 * freq)
-            })
-            .sum();
-        (lc + be).clamp(0.0, 1.0)
     }
 
     /// Integrates the slow-moving metrics since the last integration
@@ -1366,13 +1439,21 @@ impl Engine {
         }
         self.int_time += dt;
         self.offered_int += self.cfg.load.fraction_at(now).min(1.0) * dt;
+        self.refresh_be_summaries();
         for i in 0..self.nodes.len() {
-            self.be_progress_int[i] += self.be_rate(i) * dt;
-            self.be_instances_int[i] += self.deployment.machines[i].be_count() as f64 * dt;
+            let summary = &self.be_summaries[i];
+            let m = &self.deployment.machines[i];
+            self.be_progress_int[i] += summary.progress_rate * dt;
+            self.be_instances_int[i] += m.be_count() as f64 * dt;
             let (lc, be) = self.cpu_utils(i);
             self.lc_cpu_util_int[i] += lc * dt;
             self.cpu_util_int[i] += (lc + be).min(1.0) * dt;
-            self.membw_int[i] += self.membw_util(i) * dt;
+            // Memory-bandwidth utilization: the LC rate's share plus the
+            // BE class's term.
+            let comp = &self.service.nodes[i].component;
+            let lc_membw =
+                comp.membw_mbps_at(self.current_node_rate(i)) / m.spec().total_membw_mbps();
+            self.membw_int[i] += (lc_membw + summary.dram).clamp(0.0, 1.0) * dt;
         }
     }
 
@@ -1389,49 +1470,26 @@ impl Engine {
         if dt <= 0.0 {
             return;
         }
-        for i in 0..self.deployment.machines.len() {
-            let m = &self.deployment.machines[i];
-            if m.running_be_count() == 0 {
-                continue;
-            }
-            let freq = m.be_dvfs.speed_fraction();
-            let total_demand: f64 = m
-                .be_instances()
-                .filter(|b| b.state == BeState::Running)
-                .filter_map(|b| self.be_specs.get(&b.workload))
-                .map(|s| s.net_demand_mbps)
-                .sum();
-            let net_frac = if total_demand > 0.0 {
-                (m.qdisc.be_limit_mbps() / total_demand).clamp(0.0, 1.0)
-            } else {
-                1.0
-            };
-            // Same solo-machine clamp as `be_rate`: if the machine's raw
-            // rates sum past 1.0, every instance is scaled down pro rata.
-            let mut total = 0.0;
-            let mut rates: Vec<(BeInstanceId, f64)> = Vec::new();
-            for b in m.be_instances().filter(|b| b.state == BeState::Running) {
-                let Some(s) = self.be_specs.get(&b.workload) else {
-                    continue;
-                };
-                let r = s.progress_rate(b.alloc.cores, freq, b.alloc.llc_ways, net_frac)
-                    / s.job_seconds;
-                total += r * s.job_seconds;
-                rates.push((b.id, r));
-            }
-            let scale = if total > 1.0 { 1.0 / total } else { 1.0 };
-            for (id, r) in rates {
-                let entry = self.be_job_progress[i].entry(id).or_insert_with(|| {
+        self.refresh_be_summaries();
+        let Engine {
+            deployment,
+            be_summaries,
+            be_job_progress,
+            ..
+        } = self;
+        for (i, summary) in be_summaries.iter().enumerate() {
+            for &(id, r) in &summary.rates {
+                let entry = be_job_progress[i].entry(id).or_insert_with(|| {
                     // Instance admitted outside the reconcile path (e.g.
                     // Static mode pre-population): start a ledger lazily.
-                    let workload = self.deployment.machines[i]
+                    let workload = deployment.machines[i]
                         .be_instances()
                         .find(|b| b.id == id)
                         .map(|b| b.workload.clone())
                         .unwrap_or_default();
                     BeProgress { workload, done: 0.0 }
                 });
-                entry.done += r * scale * dt;
+                entry.done += r * dt;
             }
         }
     }
@@ -1631,6 +1689,7 @@ impl Engine {
         self.reconcile_be_ledger(now);
         self.refresh_inflations();
         if self.cfg.record_timeline && now >= self.measure_from {
+            self.refresh_be_summaries();
             let point = TimelinePoint {
                 t_s: now.as_secs_f64(),
                 load: load_fraction,
@@ -1650,7 +1709,7 @@ impl Engine {
                 be_instances: (0..n)
                     .map(|i| self.deployment.machines[i].be_count() as u32)
                     .collect(),
-                be_throughput: (0..n).map(|i| self.be_rate(i)).collect(),
+                be_throughput: self.be_summaries.iter().map(|s| s.progress_rate).collect(),
             };
             self.timeline.push(point);
         }
@@ -2517,6 +2576,87 @@ mod tests {
             "resume accrual off: {at_8} vs {}",
             6.5 * rate
         );
+    }
+
+    #[test]
+    fn be_summary_tracks_every_machine_move() {
+        // One managed machine, driven by hand through every
+        // allocation-changing operation and every DVFS and qdisc move;
+        // after each step the keyed summary must equal a fresh
+        // derivation. A key that misses an input keeps a stale summary
+        // at the step that moves only that input.
+        let mut cfg = managed_cfg(3);
+        cfg.bes = vec![
+            BeSpec::of(BeKind::Wordcount),
+            BeSpec::of(BeKind::StreamDram { big: true }),
+            BeSpec::of(BeKind::Iperf),
+        ];
+        let names: Vec<String> = cfg.bes.iter().map(|b| b.name.clone()).collect();
+        let mut engine = Engine::new(apps::ecommerce(), cfg);
+        engine.start();
+        let check = |e: &mut Engine, what: &str| {
+            e.refresh_be_summaries();
+            let fresh = BeSummary::derive(&e.deployment.machines[0], &e.be_specs);
+            assert_eq!(e.be_summaries[0], fresh, "{what}");
+            fresh
+        };
+        let grant = |cores: u32| Allocation {
+            cores,
+            llc_ways: 2,
+            mem_mb: 1024,
+            net_mbps: 0.0,
+            freq_mhz: 2_000,
+        };
+        let empty = check(&mut engine, "empty machine");
+        assert!(empty.rates.is_empty());
+        fn m(e: &mut Engine) -> &mut Machine {
+            &mut e.deployment.machines[0]
+        }
+        let a = m(&mut engine).admit_be(&names[0], grant(2)).expect("admit");
+        check(&mut engine, "admit");
+        let b = m(&mut engine)
+            .admit_be_prio(&names[1], grant(2), 1)
+            .expect("admit at class 1");
+        let c = m(&mut engine).admit_be(&names[2], grant(1)).expect("admit");
+        check(&mut engine, "admit with priority");
+        m(&mut engine)
+            .grow_be(a, Allocation::cores_and_llc(2, 2))
+            .expect("grow");
+        check(&mut engine, "grow");
+        m(&mut engine)
+            .cut_be(a, Allocation::cores_and_llc(1, 2))
+            .expect("cut");
+        check(&mut engine, "cut");
+        m(&mut engine).suspend_be(c).expect("suspend");
+        check(&mut engine, "suspend");
+        m(&mut engine).resume_be(c).expect("resume");
+        let before = check(&mut engine, "resume");
+        m(&mut engine).be_dvfs.set_mhz(1_200);
+        let after = check(&mut engine, "BE DVFS down");
+        assert_ne!(
+            before.dram.to_bits(),
+            after.dram.to_bits(),
+            "a BE DVFS move changes the facts"
+        );
+        m(&mut engine).be_dvfs.step_up();
+        check(&mut engine, "BE DVFS step up");
+        m(&mut engine).lc_dvfs.set_mhz(1_400);
+        check(&mut engine, "LC DVFS move");
+        m(&mut engine).qdisc.reallocate(400.0);
+        check(&mut engine, "qdisc ceiling up");
+        m(&mut engine).qdisc.reallocate(9_000.0);
+        check(&mut engine, "qdisc ceiling down");
+        m(&mut engine).suspend_all_be();
+        check(&mut engine, "suspend all");
+        m(&mut engine).resume_all_be();
+        check(&mut engine, "resume all");
+        m(&mut engine).kill_min_priority_be();
+        check(&mut engine, "kill lowest class");
+        m(&mut engine).kill_be(b).expect("kill");
+        check(&mut engine, "kill");
+        m(&mut engine).kill_all_be();
+        let last = check(&mut engine, "kill all");
+        assert!(last.rates.is_empty() && last.running_cores == 0);
     }
 
     fn managed_cfg(seed: u64) -> EngineConfig {

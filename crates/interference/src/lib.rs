@@ -20,5 +20,5 @@
 pub mod model;
 pub mod pressure;
 
-pub use model::InterferenceModel;
+pub use model::{InterferenceModel, MachineTerms};
 pub use pressure::Pressure;

@@ -89,12 +89,57 @@ impl InterferenceModel {
     }
 
     /// The service-time inflation factor (>= 1) for `comp` given the
-    /// machine's pressure and isolation state.
+    /// machine's pressure and isolation state: the machine terms
+    /// ([`MachineTerms::of`]), then the pressure part
+    /// ([`InterferenceModel::inflation_with`]).
     ///
     /// * `pressure` — aggregated machine pressure (see
     ///   [`Pressure::from_machine`]).
     /// * `machine` — supplies the CAT partition and the LC DVFS point.
     pub fn inflation(&self, comp: &ComponentSpec, pressure: &Pressure, machine: &Machine) -> f64 {
+        self.inflation_with(comp, pressure, &MachineTerms::of(comp, machine))
+    }
+
+    /// The pressure part of [`InterferenceModel::inflation`]: leaks
+    /// `pressure` through the isolation mechanisms and scales the
+    /// component's contention by the precomputed `terms`. Callers that
+    /// score many pressures against one machine state derive `terms`
+    /// once.
+    pub fn inflation_with(
+        &self,
+        comp: &ComponentSpec,
+        pressure: &Pressure,
+        terms: &MachineTerms,
+    ) -> f64 {
+        let eff = Pressure {
+            cpu: (self.cpu_leak * pressure.cpu).clamp(0.0, 1.0),
+            llc: self.effective_llc(comp, pressure.llc, terms.llc_available),
+            dram: (self.dram_leak * pressure.dram).clamp(0.0, 1.0),
+            net: (self.net_leak * pressure.net).clamp(0.0, 1.0),
+        };
+        let contention = comp
+            .sensitivity
+            .inflation(eff.cpu, eff.llc, eff.dram, eff.net);
+        contention * terms.freq_slowdown
+    }
+}
+
+/// The pressure-independent terms of [`InterferenceModel::inflation`] for
+/// one component on one machine: they depend only on the CAT partition,
+/// the LC DVFS point and the machine spec, not on the leak coefficients
+/// or the BE pressure.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct MachineTerms {
+    /// LLC capacity left to the LC class in MB, scaled to the
+    /// component's socket footprint.
+    pub llc_available: f64,
+    /// The component's service-time slowdown at the LC DVFS point.
+    pub freq_slowdown: f64,
+}
+
+impl MachineTerms {
+    /// The terms for `comp` hosted on `machine`.
+    pub fn of(comp: &ComponentSpec, machine: &Machine) -> MachineTerms {
         let spec = machine.spec();
         let lc_llc_mb = machine.cat().lc_ways() as f64 * spec.llc_mb_per_way();
         // The LC Servpod only spans one socket's worth of cache in
@@ -102,20 +147,12 @@ impl InterferenceModel {
         // footprint (cores / cores_per_socket sockets, at least one).
         let sockets_used =
             (comp.cores as f64 / spec.cores_per_socket as f64).clamp(1.0, spec.sockets as f64);
-        let llc_available = lc_llc_mb * sockets_used / spec.sockets as f64;
-        let eff = Pressure {
-            cpu: (self.cpu_leak * pressure.cpu).clamp(0.0, 1.0),
-            llc: self.effective_llc(comp, pressure.llc, llc_available),
-            dram: (self.dram_leak * pressure.dram).clamp(0.0, 1.0),
-            net: (self.net_leak * pressure.net).clamp(0.0, 1.0),
-        };
-        let contention = comp
-            .sensitivity
-            .inflation(eff.cpu, eff.llc, eff.dram, eff.net);
-        let freq = comp
-            .sensitivity
-            .freq_slowdown(machine.lc_dvfs.speed_fraction());
-        contention * freq
+        MachineTerms {
+            llc_available: lc_llc_mb * sockets_used / spec.sockets as f64,
+            freq_slowdown: comp
+                .sensitivity
+                .freq_slowdown(machine.lc_dvfs.speed_fraction()),
+        }
     }
 }
 

@@ -1191,6 +1191,237 @@ fn snapshot_round_trip<T: rhythm::snapshot::Snapshot>(x: &T) -> (T, Vec<u8>) {
     (y, bytes)
 }
 
+/// In-test copies of the machine-walking placement scorer the barrier
+/// rows replaced (`Placer::score_on`, `hetero_base`, `pressure_score`
+/// and the monolithic `InterferenceModel::inflation` they called), kept
+/// here as the oracle for `placement_rows_match_machine_scores`.
+mod score_oracle {
+    use rhythm::interference::{InterferenceModel, Pressure};
+    use rhythm::machine::Machine;
+    use rhythm::workloads::{BeSpec, ComponentSpec};
+    use std::collections::BTreeMap;
+
+    pub fn inflation(
+        model: &InterferenceModel,
+        comp: &ComponentSpec,
+        pressure: &Pressure,
+        machine: &Machine,
+    ) -> f64 {
+        let spec = machine.spec();
+        let lc_llc_mb = machine.cat().lc_ways() as f64 * spec.llc_mb_per_way();
+        let sockets_used =
+            (comp.cores as f64 / spec.cores_per_socket as f64).clamp(1.0, spec.sockets as f64);
+        let llc_available = lc_llc_mb * sockets_used / spec.sockets as f64;
+        let eff = Pressure {
+            cpu: (model.cpu_leak * pressure.cpu).clamp(0.0, 1.0),
+            llc: model.effective_llc(comp, pressure.llc, llc_available),
+            dram: (model.dram_leak * pressure.dram).clamp(0.0, 1.0),
+            net: (model.net_leak * pressure.net).clamp(0.0, 1.0),
+        };
+        let contention = comp
+            .sensitivity
+            .inflation(eff.cpu, eff.llc, eff.dram, eff.net);
+        let freq = comp
+            .sensitivity
+            .freq_slowdown(machine.lc_dvfs.speed_fraction());
+        contention * freq
+    }
+
+    pub fn pressure_score(machine: &Machine, specs: &BTreeMap<String, BeSpec>) -> f64 {
+        let p = Pressure::from_machine(machine, specs);
+        p.cpu + p.llc + p.dram + p.net
+    }
+
+    pub fn capacity(machine: &Machine) -> f64 {
+        let spec = machine.spec();
+        spec.total_cores() as f64 * spec.max_freq_mhz as f64 / (40.0 * 2_000.0)
+    }
+
+    pub fn score_on(
+        model: &InterferenceModel,
+        job: &BeSpec,
+        component: &ComponentSpec,
+        machine: &Machine,
+        specs: &BTreeMap<String, BeSpec>,
+    ) -> f64 {
+        let mut p = Pressure::from_machine(machine, specs);
+        let probe_cores = job.solo_cores.clamp(1, 2) as f64 * machine.be_dvfs.speed_fraction();
+        p.cpu += job.cpu_pressure_per_core * probe_cores;
+        p.llc += job.llc_pressure_per_core * probe_cores;
+        p.dram += job.dram_pressure_per_core * probe_cores;
+        p.net += (job.net_demand_mbps / machine.spec().nic_mbps).max(0.0);
+        let p = p.clamped();
+        inflation(model, component, &p, machine)
+    }
+
+    pub fn hetero_base(
+        model: &InterferenceModel,
+        job: &BeSpec,
+        component: &ComponentSpec,
+        machine: &Machine,
+        specs: &BTreeMap<String, BeSpec>,
+    ) -> f64 {
+        let cap = capacity(machine);
+        let total = machine.spec().total_cores().max(1) as f64;
+        let headroom = machine.free_core_count() as f64 / total;
+        score_on(model, job, component, machine, specs) / (cap * headroom.max(0.05))
+    }
+}
+
+proptest! {
+    /// The barrier rows score exactly like the machine walk they
+    /// replaced: for random machine states (every allocation-changing
+    /// operation, LC and BE DVFS moves, qdisc ceiling moves, three
+    /// hardware classes) and every policy, `Placer::score` over
+    /// `MachineRow::derive` equals the oracle bit for bit, and the row's
+    /// growth signal and capacity match the machine.
+    #[test]
+    fn placement_rows_match_machine_scores(
+        ops in prop::collection::vec((0u8..9, 0u32..1000), 1..60),
+        class in 0u8..3,
+        lc_cores in 1u32..16,
+        comp_idx in 0usize..16,
+        action in 0u8..6,
+    ) {
+        use rhythm::cluster::{MachineRow, PlacementPolicy, Placer};
+        use rhythm::controller::BeAction;
+        use rhythm::interference::InterferenceModel;
+        use std::collections::BTreeMap;
+
+        let spec = match class {
+            0 => MachineSpec::paper_testbed(),
+            1 => MachineSpec::dense_compute(),
+            _ => MachineSpec::lean_node(),
+        };
+        let mut m = Machine::new(
+            spec,
+            Allocation {
+                cores: lc_cores,
+                llc_ways: 0,
+                mem_mb: 8 * 1024,
+                net_mbps: 500.0,
+                freq_mhz: spec.max_freq_mhz,
+            },
+        );
+        let kinds = [
+            BeKind::Wordcount,
+            BeKind::StreamDram { big: true },
+            BeKind::StreamLlc { big: false },
+            BeKind::Iperf,
+            BeKind::CpuStress,
+        ];
+        // The catalog lacks the last kind: instances of it exert no
+        // pressure in either scorer.
+        let catalog: BTreeMap<String, BeSpec> = kinds[..4]
+            .iter()
+            .map(|&k| {
+                let s = BeSpec::of(k);
+                (s.name.clone(), s)
+            })
+            .collect();
+        let names: Vec<String> = kinds.iter().map(|&k| BeSpec::of(k).name).collect();
+        let mut ids: Vec<u64> = Vec::new();
+        for &(op, x) in &ops {
+            let pick = ids.get(x as usize % ids.len().max(1)).copied();
+            match op {
+                0 => {
+                    let grant = Allocation {
+                        cores: 1 + x % 3,
+                        llc_ways: (x % 4) * 2,
+                        mem_mb: 512,
+                        net_mbps: 0.0,
+                        freq_mhz: spec.max_freq_mhz,
+                    };
+                    if let Ok(id) = m.admit_be(&names[x as usize % names.len()], grant) {
+                        ids.push(id);
+                    }
+                }
+                1 => {
+                    if let Some(id) = pick {
+                        let _ = m.grow_be(id, Allocation::cores_and_llc(1 + x % 2, 2));
+                    }
+                }
+                2 => {
+                    if let Some(id) = pick {
+                        let _ = m.cut_be(id, Allocation::cores_and_llc(1, x % 3));
+                    }
+                }
+                3 => {
+                    if let Some(id) = pick {
+                        let _ = m.suspend_be(id);
+                    }
+                }
+                4 => {
+                    if let Some(id) = pick {
+                        let _ = m.resume_be(id);
+                    }
+                }
+                5 => {
+                    if let Some(id) = pick {
+                        let _ = m.kill_be(id);
+                        ids.retain(|&i| i != id);
+                    }
+                }
+                6 => {
+                    let (lo, hi) = (m.lc_dvfs.min_mhz(), m.lc_dvfs.max_mhz());
+                    m.lc_dvfs.set_mhz(lo + x % (hi - lo + 1));
+                }
+                7 => {
+                    let (lo, hi) = (m.be_dvfs.min_mhz(), m.be_dvfs.max_mhz());
+                    m.be_dvfs.set_mhz(lo + x % (hi - lo + 1));
+                }
+                _ => {
+                    m.qdisc.reallocate(f64::from(x) * 12.5);
+                }
+            }
+        }
+        let svc = apps::ecommerce();
+        let comp = &svc.nodes[comp_idx % svc.len()].component;
+        let last_action = match action {
+            0 => None,
+            1 => Some(BeAction::StopBe),
+            2 => Some(BeAction::SuspendBe),
+            3 => Some(BeAction::CutBe),
+            4 => Some(BeAction::DisallowBeGrowth),
+            _ => Some(BeAction::AllowBeGrowth),
+        };
+        let row = MachineRow::derive(&m, comp, last_action, &catalog);
+        prop_assert_eq!(row.grows, matches!(last_action, None | Some(BeAction::AllowBeGrowth)));
+        prop_assert_eq!(row.capacity.to_bits(), score_oracle::capacity(&m).to_bits());
+        let model = InterferenceModel::calibrated();
+        for policy in [
+            PlacementPolicy::RoundRobin,
+            PlacementPolicy::LeastPressure,
+            PlacementPolicy::InterferenceScore,
+            PlacementPolicy::HeteroAware,
+        ] {
+            let placer = Placer::new(policy, model);
+            for kind in kinds {
+                let job = BeSpec::of(kind);
+                let want = match policy {
+                    PlacementPolicy::RoundRobin => None,
+                    PlacementPolicy::LeastPressure => {
+                        Some(score_oracle::pressure_score(&m, &catalog))
+                    }
+                    PlacementPolicy::InterferenceScore => {
+                        Some(score_oracle::score_on(&model, &job, comp, &m, &catalog))
+                    }
+                    PlacementPolicy::HeteroAware => {
+                        Some(score_oracle::hetero_base(&model, &job, comp, &m, &catalog))
+                    }
+                };
+                let got = placer.score(&job, comp, &row);
+                prop_assert_eq!(
+                    got.map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "{:?} scoring {} on {:?}: row {:?} vs machine {:?}",
+                    policy, job.name, row, got, want
+                );
+            }
+        }
+    }
+}
+
 // The case count honours `PROPTEST_CASES` (the vendored runner reads it,
 // as upstream does), so CI smoke jobs can dial the effort down and soak
 // runs can dial it up without editing the tests.
