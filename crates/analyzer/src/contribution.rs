@@ -3,10 +3,9 @@
 use crate::profile::SojournProfile;
 use rhythm_sim::pearson;
 use rhythm_workloads::ServiceSpec;
-use serde::Serialize;
 
 /// The contribution of one Servpod, with the factors it was built from.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Contribution {
     /// Servpod name.
     pub name: String,

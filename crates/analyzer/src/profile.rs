@@ -1,9 +1,7 @@
 //! Solo-run sojourn profile: the analyzer's input.
 
-use serde::Serialize;
-
 /// Measurements at one load level of the solo-run sweep.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct LoadLevel {
     /// Offered load as a fraction of max load.
     pub load: f64,
@@ -19,7 +17,7 @@ pub struct LoadLevel {
 }
 
 /// The complete profile of one LC service from its solo-run sweep.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct SojournProfile {
     /// Servpod (component) names, fixing the per-Servpod vector order.
     pub pod_names: Vec<String>,

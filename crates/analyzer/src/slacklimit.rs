@@ -15,8 +15,6 @@
 //! with the candidate limits for a probation period, and backtracks one
 //! step when the SLA is violated.
 
-use serde::Serialize;
-
 /// Fraction of the full Algorithm 1 step taken per probation run.
 const ETA: f64 = 0.25;
 
@@ -25,7 +23,7 @@ const ETA: f64 = 0.25;
 const FLOOR: f64 = 0.02;
 
 /// Outcome of the slacklimit search.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct SlacklimitSearch {
     /// Final slacklimit per Servpod.
     pub slacklimits: Vec<f64>,

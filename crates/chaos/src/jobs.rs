@@ -15,11 +15,10 @@
 use rhythm_cluster::JobSpec;
 use rhythm_sim::{Dist, SimRng};
 use rhythm_workloads::BeSpec;
-use serde::Serialize;
 
 /// A job-size distribution for [`heavy_tailed_plan`], in solo-runtime
 /// virtual seconds.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub enum JobSizeDist {
     /// Lognormal: `exp(ln(median) + sigma · z)` with `z` standard
     /// normal. `sigma` ≈ 1.5–2 matches the published Alibaba batch

@@ -30,11 +30,10 @@ use rhythm_controller::BeAction;
 use rhythm_interference::{InterferenceModel, MachineTerms, Pressure};
 use rhythm_machine::Machine;
 use rhythm_workloads::{BeSpec, ComponentSpec};
-use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Which placement policy the dispatcher uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlacementPolicy {
     /// Rotate over eligible machines.
     RoundRobin,

@@ -1326,11 +1326,6 @@ fn advance_all(
                 // The final drain has no merge after it: nothing reads BE
                 // progress past `end`, so only epoch boundaries sync.
                 engine.sync_be_progress(target);
-                // The barrier is a utilization read point: settle the
-                // batched worker-busy integrals (pure settlement —
-                // bit-identical for any thread count, like the progress
-                // sync above).
-                engine.flush_busy_integrals(target);
                 if let Some(rows) = rows.get_mut(i * pods..(i + 1) * pods) {
                     write_rows(engine, rows, catalog);
                 }

@@ -1,10 +1,9 @@
 //! The five BE control actions (paper §3.5.2).
 
-use serde::Serialize;
 use std::fmt;
 
 /// Decision of the top-level controller for one period.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BeAction {
     /// Kill all running BE jobs and release all their resources
     /// (the SLA is already violated).

@@ -16,7 +16,6 @@ use rhythm_telemetry::{
     per_mille_i16, per_mille_u16, ActionCode, AdjustKind, BeSnapshot, EventKind, FlightRecorder,
 };
 use rhythm_workloads::BeSpec;
-use serde::Serialize;
 
 /// Captures a machine's BE population and resource envelope for the
 /// telemetry audit trail.
@@ -55,7 +54,7 @@ pub struct AgentInputs {
 }
 
 /// Cumulative agent statistics (reported in Table 2 / Figure 17).
-#[derive(Clone, Copy, Debug, Default, Serialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct AgentStats {
     /// Control periods executed.
     pub ticks: u64,

@@ -1,10 +1,9 @@
 //! The decision policy: Algorithm 2 and the Heracles baseline.
 
 use crate::action::BeAction;
-use serde::Serialize;
 
 /// The two per-Servpod control thresholds (§3.5.1).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Thresholds {
     /// Request-load ceiling (fraction of max load) above which BE jobs
     /// are suspended.
@@ -38,7 +37,7 @@ impl Thresholds {
 /// Rhythm instantiates one per Servpod with contribution-derived
 /// thresholds; the Heracles baseline uses [`Thresholds::heracles`] on
 /// every machine.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ThresholdPolicy {
     thresholds: Thresholds,
 }

@@ -12,11 +12,10 @@
 
 use rhythm_machine::{Allocation, Machine};
 use rhythm_workloads::BeSpec;
-use serde::Serialize;
 
 /// Growth/admission configuration for the CPU/LLC and memory
 /// subcontrollers.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct GrowthConfig {
     /// Maximum BE instances per machine.
     pub max_instances: u32,

@@ -14,10 +14,9 @@
 
 use crate::runtime::{ControlMode, Engine, EngineConfig};
 use rhythm_workloads::{BeKind, BeSpec, ServiceSpec};
-use serde::Serialize;
 
 /// Which one-dimensional bubble to press with.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Bubble {
     /// CPU-core pressure (CPU-stress).
     Cpu,
@@ -39,7 +38,7 @@ impl Bubble {
 }
 
 /// Result of pressing one Servpod with one bubble.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct BubbleScore {
     /// Servpod name.
     pub pod: String,

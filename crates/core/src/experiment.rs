@@ -12,7 +12,6 @@ use crate::runtime::{ControlMode, Engine, EngineConfig, EngineOutput};
 use rhythm_controller::Thresholds;
 use rhythm_sim::SimDuration;
 use rhythm_workloads::{BeSpec, LoadGen, ServiceSpec};
-use serde::Serialize;
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -49,7 +48,7 @@ pub struct ExperimentConfig {
 }
 
 /// Rhythm vs Heracles outcome for one cell.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ColocationOutcome {
     /// Metrics under Rhythm.
     pub rhythm: RunMetrics,

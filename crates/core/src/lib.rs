@@ -54,7 +54,6 @@ pub use experiment::{ColocationOutcome, ExperimentConfig};
 pub use metrics::{PodMetrics, RunMetrics};
 pub use profiling::{profile_service, derive_thresholds, ProfileConfig, ServiceThresholds};
 pub use runtime::{
-    BusyTransition, ControlMode, Engine, EngineConfig, EngineMachineSummary, EngineOutput,
-    EngineSummary,
+    ControlMode, Engine, EngineConfig, EngineMachineSummary, EngineOutput, EngineSummary,
 };
 pub use servpod::{Deployment, Servpod};

@@ -22,7 +22,6 @@ use rhythm_controller::Thresholds;
 use rhythm_sim::OnlineStats;
 use rhythm_tracer::{CaptureConfig, EventCapture, Pairer, VisitNode};
 use rhythm_workloads::{BeSpec, ServiceSpec};
-use serde::Serialize;
 
 /// Profiling configuration.
 #[derive(Clone, Debug)]
@@ -56,7 +55,7 @@ impl Default for ProfileConfig {
 }
 
 /// The thresholds Rhythm derives for one service.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ServiceThresholds {
     /// Per-Servpod contributions (Equations 1-5).
     pub contributions: Vec<Contribution>,

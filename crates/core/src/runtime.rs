@@ -98,11 +98,6 @@ pub struct EngineConfig {
     pub capture_visits: bool,
     /// Record the Figure 17 timeline.
     pub record_timeline: bool,
-    /// BE jobs waiting in the cluster scheduler's queue per machine
-    /// (paper §4, "interact with scheduler"): `None` models an unbounded
-    /// backlog (the datacenter always has batch work); `Some(n)` lets at
-    /// most `n` admissions happen per machine.
-    pub be_queue_per_machine: Option<u32>,
     /// Cluster mode: BE admission is driven by per-machine offers set
     /// through [`Engine::set_be_offer`] instead of the internal
     /// round-robin over `bes` — a machine only admits a new instance
@@ -113,12 +108,6 @@ pub struct EngineConfig {
     /// Disabled by default; the hot path then pays one branch per
     /// instrumentation point.
     pub telemetry: TelemetryConfig,
-    /// Record every busy transition into a shadow log readable via
-    /// [`Engine::take_busy_log`]. A differential-testing facility
-    /// (`tests/engine_equivalence.rs` recomputes the busy integrals from
-    /// it the straightforward way and demands exact equality); never
-    /// enabled by production configurations and excluded from snapshots.
-    pub shadow_busy_log: bool,
 }
 
 impl EngineConfig {
@@ -142,10 +131,8 @@ impl EngineConfig {
             collect_sojourns: false,
             capture_visits: false,
             record_timeline: false,
-            be_queue_per_machine: None,
             external_be: false,
             telemetry: TelemetryConfig::disabled(),
-            shadow_busy_log: false,
         }
     }
 }
@@ -174,20 +161,6 @@ pub struct BeKill {
     pub workload: String,
     /// Fraction of one job this instance had completed when killed.
     pub progress: f64,
-}
-
-/// One busy transition recorded by the differential-testing shadow log
-/// ([`EngineConfig::shadow_busy_log`]): the raw inputs a reference
-/// O(transitions) recompute needs to rebuild every node's worker-busy
-/// integral and check it exactly against the batched accounting.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BusyTransition {
-    /// Node (Servpod) index.
-    pub node: u32,
-    /// Virtual time of the transition.
-    pub at: SimTime,
-    /// Busy-count delta actually applied (after saturation).
-    pub delta: i32,
 }
 
 /// Per-instance progress ledger entry.
@@ -220,7 +193,7 @@ pub struct TimelinePoint {
 }
 
 /// Per-pod aggregates over the measured (post-warmup) window.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct PodRuntime {
     /// Servpod name.
     pub name: String,
@@ -465,38 +438,17 @@ impl BeSummary {
 /// one cache line per field for a whole service — while the cold,
 /// pointer-heavy waiting queues live in a side table it never walks
 /// unless a node is saturated.
-///
-/// The worker-busy integral is **batched**: the event path no longer
-/// settles `busy_area += dt × busy` at every transition. Instead it
-/// maintains the transition-moment sum `busy_tweight = Σ Δⱼ·tⱼ` (one
-/// signed add per transition) and the integral is recovered exactly at
-/// flush points from the identity
-///
-/// ```text
-/// ∫₀ᵗ busy(s) ds  =  busy(t)·t − Σ_{tⱼ ≤ t} Δⱼ·tⱼ
-/// ```
-///
-/// over the integer nanosecond grid — bit-for-bit equal to the old
-/// per-transition settlement (both are exact integer sums), proven by
-/// `tests/engine_equivalence.rs` against a shadow transition log.
 struct NodeTables {
     workers: Vec<u32>,
     busy: Vec<u32>,
     /// Current service-time inflation factor per node.
     inflation: Vec<f64>,
-    /// Transition-moment sum `Σ Δⱼ·tⱼ` in ns·workers (signed: a node
-    /// that went idle after accruing area holds a negative sum).
-    // lint:allow(S02) -- derived: encode writes settled_area(i); decode re-derives the moment sum
-    busy_tweight: Vec<i128>,
     /// Time of each node's last busy transition.
     last_busy_change: Vec<SimTime>,
     /// Completed visit counter (for per-node rate estimates).
     visits_done_window: Vec<u64>,
-    /// Settled worker-busy integrals as of the last flush point (ns ×
-    /// workers). Derived from the hot fields — never read between
-    /// flushes; kept so each flush can assert monotonicity against the
-    /// previous one in debug builds.
-    // lint:allow(S02) -- derived: encode writes settled_area(i), which folds this with the moment sum
+    /// Worker-busy integral (ns × workers), settled at each busy
+    /// transition up to `last_busy_change`.
     busy_area: Vec<u128>,
     /// Cold side table: per-node FIFO of waiting `(request, visit)`
     /// phases, only touched when a node has no free worker.
@@ -510,7 +462,6 @@ impl NodeTables {
             workers,
             busy: vec![0; n],
             inflation: vec![1.0; n],
-            busy_tweight: vec![0; n],
             last_busy_change: vec![SimTime::ZERO; n],
             visits_done_window: vec![0; n],
             busy_area: vec![0; n],
@@ -520,22 +471,6 @@ impl NodeTables {
 
     fn len(&self) -> usize {
         self.workers.len()
-    }
-
-    /// Exact worker-busy integral of node `i` settled to its last busy
-    /// transition — bit-identical to the `busy_area` field the old
-    /// per-transition settlement maintained (and what snapshots encode).
-    fn settled_area(&self, i: usize) -> u128 {
-        self.area_at(i, self.last_busy_change[i])
-    }
-
-    /// Exact worker-busy integral of node `i` over `[0, t]` for any `t`
-    /// at or after the node's last transition. Pure: evaluating it at
-    /// arbitrary extra instants can never change later values
-    /// (flush-placement invariance, property-tested).
-    fn area_at(&self, i: usize, t: SimTime) -> u128 {
-        debug_assert!(t >= self.last_busy_change[i]);
-        (self.busy[i] as i128 * t.as_nanos() as i128 - self.busy_tweight[i]) as u128
     }
 }
 
@@ -610,10 +545,6 @@ pub struct Engine {
     last_progress_at: SimTime,
     admitted_log: Vec<BeAdmission>,
     killed_log: Vec<BeKill>,
-    /// Shadow log of busy transitions `(node, t, Δ)` for differential
-    /// testing ([`EngineConfig::shadow_busy_log`]); `None` in every
-    /// production configuration, so the hot path pays one branch.
-    busy_log: Option<Vec<BusyTransition>>,
     /// Telemetry bundle (recorder + audit trail + tail series).
     telemetry: Telemetry,
     /// Per-node `(count, sum)` snapshots of `sojourn_stats` at the last
@@ -716,7 +647,6 @@ impl Engine {
             last_progress_at: SimTime::ZERO,
             admitted_log: Vec::new(),
             killed_log: Vec::new(),
-            busy_log: cfg.shadow_busy_log.then(Vec::new),
             telemetry: Telemetry::new(cfg.telemetry),
             audit_prev: vec![(0, 0.0); n],
             deployment,
@@ -860,56 +790,16 @@ impl Engine {
         self.accrue_be_progress(t);
     }
 
-    /// Batched settlement of the per-node worker-busy integrals: folds
-    /// every node's transition-moment sum into its settled `busy_area`.
-    /// Called at the points that read utilization — controller ticks,
-    /// 10-second window rollovers, cluster epoch barriers, snapshot
-    /// capture and [`Engine::finish_run`] — instead of at every busy
-    /// transition. Settlement is a pure function of the hot fields, so
-    /// flushing at arbitrary extra instants never changes any later
-    /// integral (property-tested in `tests/engine_equivalence.rs`);
-    /// debug builds additionally assert the integral never decreases
-    /// across flush points.
-    pub fn flush_busy_integrals(&mut self, now: SimTime) {
-        for i in 0..self.nodes.len() {
-            debug_assert!(
-                self.nodes.last_busy_change[i] <= now,
-                "flush at {} ns predates node {i}'s last transition",
-                now.as_nanos()
-            );
-            let settled = self.nodes.settled_area(i);
-            debug_assert!(
-                settled >= self.nodes.busy_area[i],
-                "node {i} busy integral decreased across flush points"
-            );
-            self.nodes.busy_area[i] = settled;
-        }
-    }
-
     /// The exact worker-busy integral of node `i` (ns × workers),
-    /// settled to the node's last busy transition. Equals the value a
-    /// per-transition `busy_area += dt × busy` settlement would hold.
+    /// settled to the node's last busy transition.
     pub fn busy_area_ns(&self, i: usize) -> u128 {
-        self.nodes.settled_area(i)
-    }
-
-    /// The exact worker-busy integral of node `i` over `[0, t]` (ns ×
-    /// workers). `t` must be at or after the node's last busy
-    /// transition (e.g. the engine's current time or the run end).
-    pub fn busy_integral_at(&self, i: usize, t: SimTime) -> u128 {
-        self.nodes.area_at(i, t)
+        self.nodes.busy_area[i]
     }
 
     /// Worker count of node `i` (bounds the busy integral:
     /// `busy_area ≤ workers × elapsed`).
     pub fn node_workers(&self, i: usize) -> u32 {
         self.nodes.workers[i]
-    }
-
-    /// Drains the shadow busy-transition log
-    /// ([`EngineConfig::shadow_busy_log`]).
-    pub fn take_busy_log(&mut self) -> Vec<BusyTransition> {
-        self.busy_log.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// The telemetry collected so far (recorder, audit trail, tail
@@ -1115,10 +1005,8 @@ impl Engine {
         total as f64 / window
     }
 
-    /// Applies a busy-count transition on `node` at `now`. No integral
-    /// settlement happens here: the transition moment is folded into the
-    /// node's `busy_tweight` sum (one signed add), and the exact integral
-    /// is recovered at flush points — see [`NodeTables`].
+    /// Applies a busy-count transition on `node` at `now`, first
+    /// settling the node's busy integral up to `now`.
     ///
     /// Every `-1` must match an earlier `+1`; a mismatched delta is a
     /// phase-accounting bug and trips the `debug_assert` below. Release
@@ -1132,23 +1020,14 @@ impl Engine {
             "node {node} busy underflow at {} ns: busy={busy} delta={delta}",
             now.as_nanos()
         );
-        debug_assert!(now >= self.nodes.last_busy_change[node]);
-        let eff = if delta < 0 {
-            -(busy.min(delta.unsigned_abs()) as i64)
+        let dt = now - self.nodes.last_busy_change[node];
+        self.nodes.busy_area[node] += busy as u128 * dt.as_nanos() as u128;
+        self.nodes.busy[node] = if delta < 0 {
+            busy.saturating_sub(delta.unsigned_abs())
         } else {
-            delta as i64
+            busy + delta.unsigned_abs()
         };
-        self.nodes.busy_tweight[node] += eff as i128 * now.as_nanos() as i128;
-        self.nodes.busy[node] = (busy as i64 + eff) as u32;
         self.nodes.last_busy_change[node] = now;
-        if let Some(log) = self.busy_log.as_mut() {
-            log.push(BusyTransition {
-                // lint:allow(D05) -- node indexes the per-machine node tables, far below u32::MAX
-                node: node as u32,
-                at: now,
-                delta: eff as i32,
-            });
-        }
     }
 
     fn enqueue_phase(&mut self, now: SimTime, req: ReqKey, visit: usize) {
@@ -1323,9 +1202,6 @@ impl Engine {
             }
             self.window_hist.reset();
             self.window_epoch = epoch;
-            // Window rollover is a utilization read point: settle the
-            // batched busy integrals (rare — once per 10 sim-seconds).
-            self.flush_busy_integrals(now);
         }
         self.window_hist.record(latency_ms);
         for v in &r.visits[..r.used] {
@@ -1558,7 +1434,6 @@ impl Engine {
     }
 
     fn on_metrics(&mut self, now: SimTime) {
-        self.flush_busy_integrals(now);
         self.integrate(now);
         self.accrue_be_progress(now);
         let next = now + SimDuration::from_secs(1);
@@ -1568,7 +1443,6 @@ impl Engine {
     }
 
     fn on_control(&mut self, now: SimTime) {
-        self.flush_busy_integrals(now);
         self.integrate(now);
         self.accrue_be_progress(now);
         let load_fraction = self.measured_rate(now) / self.maxload;
@@ -1639,15 +1513,10 @@ impl Engine {
                     }
                 } else {
                     // Round-robin the BE workload offered to the
-                    // admission step. Scheduler interaction (§4): the
-                    // machine only receives new BE jobs while the
-                    // scheduler's queue for it is non-empty.
+                    // admission step. Without a cluster dispatcher the
+                    // BE backlog is unbounded: a job is always pending.
                     let be = &bes[(machine.be_started as usize) % bes.len()];
-                    let pending = match cfg.be_queue_per_machine {
-                        None => true,
-                        Some(limit) => machine.be_started < limit as u64,
-                    };
-                    (pending, be, 0)
+                    (true, be, 0)
                 };
                 let inputs = AgentInputs {
                     load_fraction,
@@ -1727,9 +1596,6 @@ impl Engine {
     /// calendar (or at whatever point the cluster ends the run).
     pub fn finish_run(mut self) -> EngineOutput {
         let end = self.end_at;
-        // Final flush point. Phase-end events drain past `end_at`, so
-        // settle at whichever is later.
-        self.flush_busy_integrals(end.max(self.cal.now()));
         self.integrate(end);
         self.accrue_be_progress(end);
         if !self.window_hist.is_empty() {
@@ -1915,9 +1781,7 @@ impl NodeTables {
     /// Encodes node `i` in the original array-of-structs field order —
     /// the wire layout predates the SoA refactor and is pinned by the
     /// `rhythm-core` schema hash and the container byte golden, so the
-    /// SoA tables serialise through the same per-node record. The
-    /// `busy_area` written is the flush-point evaluation of the batched
-    /// integral, bit-identical to the old per-transition field.
+    /// SoA tables serialise through the same per-node record.
     fn encode_node(&self, i: usize, w: &mut Writer) {
         w.u32(self.workers[i]);
         w.u32(self.busy[i]);
@@ -1925,14 +1789,12 @@ impl NodeTables {
             self.queue[i].iter().map(|&(k, v)| (k, v as u64)).collect();
         queue.encode(w);
         w.f64(self.inflation[i]);
-        w.u128(self.settled_area(i));
+        w.u128(self.busy_area[i]);
         self.last_busy_change[i].encode(w);
         w.u64(self.visits_done_window[i]);
     }
 
-    /// Decodes one node record into slot `i`, converting the settled
-    /// `busy_area` back into the transition-moment sum the hot path
-    /// maintains (`tweight = busy·t_last − area`). Rejects records whose
+    /// Decodes one node record into slot `i`. Rejects records whose
     /// busy count exceeds the worker pool or whose integral exceeds the
     /// `workers × elapsed` bound — both impossible for any real run.
     fn decode_node(&mut self, i: usize, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
@@ -1962,8 +1824,6 @@ impl NodeTables {
         self.busy[i] = busy;
         self.queue[i] = queue.into_iter().map(|(k, v)| (k, v as usize)).collect();
         self.inflation[i] = inflation;
-        self.busy_tweight[i] =
-            busy as i128 * last_busy_change.as_nanos() as i128 - busy_area as i128;
         self.busy_area[i] = busy_area;
         self.last_busy_change[i] = last_busy_change;
         self.visits_done_window[i] = visits_done_window;
@@ -2239,6 +2099,11 @@ impl Engine {
         }
         e.be_specs = Snapshot::decode(r)?;
         e.cal = Snapshot::decode(r)?;
+        if e.nodes.last_busy_change.iter().any(|&t| t > e.cal.now()) {
+            return Err(SnapshotError::Corrupt(
+                "node busy transition after the calendar's clock".into(),
+            ));
+        }
         e.rng_arrival = Snapshot::decode(r)?;
         e.rng_service = Snapshot::decode(r)?;
         e.rng_path = Snapshot::decode(r)?;
@@ -2501,26 +2366,6 @@ mod tests {
     }
 
     #[test]
-    fn finite_be_queue_limits_admissions() {
-        let mut cfg = EngineConfig::solo(0.4, 60, 11);
-        cfg.bes = vec![BeSpec::of(BeKind::Wordcount)];
-        cfg.sla_ms = 10_000.0;
-        cfg.be_queue_per_machine = Some(2);
-        cfg.mode = ControlMode::Managed {
-            thresholds: vec![Thresholds::new(0.9, 0.05); 4],
-        };
-        let out = Engine::new(apps::ecommerce(), cfg).run();
-        for p in &out.pods {
-            assert!(
-                p.be_instances_avg <= 2.0 + 1e-9,
-                "{}: {} instances with a 2-job queue",
-                p.name,
-                p.be_instances_avg
-            );
-        }
-    }
-
-    #[test]
     fn suspended_instance_accrues_no_progress() {
         // Hand-computed timeline for the progress ledger: one wordcount
         // instance with a fixed 2-core / 2-way grant on machine 0 of an
@@ -2756,6 +2601,24 @@ mod tests {
         assert!(r.is_err());
     }
 
+    /// A node whose last busy transition lies after the restored clock
+    /// would settle its busy integral backwards in time.
+    #[test]
+    fn snapshot_restore_rejects_busy_transition_after_clock() {
+        let mut e = Engine::new(apps::ecommerce(), managed_cfg(22));
+        e.run_until(SimTime::ZERO + SimDuration::from_secs(10));
+        e.nodes.last_busy_change[0] = e.now() + SimDuration::from_secs(1);
+        let mut w = Writer::new();
+        e.snapshot_encode(&mut w);
+        let bytes = w.into_bytes();
+        let r = Engine::snapshot_restore(
+            apps::ecommerce(),
+            managed_cfg(22),
+            &mut Reader::new(&bytes),
+        );
+        assert!(matches!(r.err(), Some(SnapshotError::Corrupt(_))));
+    }
+
     /// A `-1` busy delta with no matching `+1` is a phase-accounting
     /// bug; debug builds must refuse it loudly instead of letting it
     /// corrupt utilization accounting.
@@ -2768,9 +2631,8 @@ mod tests {
     }
 
     /// Release builds saturate a mismatched delta at zero busy workers,
-    /// and the effective (clamped) delta keeps the busy count and the
-    /// batched integral mutually consistent: later transitions still
-    /// produce the exact integral.
+    /// and the clamp keeps the busy count and the integral mutually
+    /// consistent: later transitions still produce the exact integral.
     #[cfg(not(debug_assertions))]
     #[test]
     fn busy_underflow_saturates_in_release() {
@@ -2782,29 +2644,6 @@ mod tests {
         e.update_busy(0, SimTime::from_nanos(5_000), -1);
         assert_eq!(e.nodes.busy[0], 0);
         assert_eq!(e.busy_area_ns(0), 3_000, "integral of the real +1/-1 pair");
-    }
-
-    /// Flushing is pure settlement: calling it at arbitrary instants
-    /// between transitions changes neither the busy count nor any later
-    /// integral value.
-    #[test]
-    fn flush_is_idempotent_and_placement_invariant() {
-        let mut a = Engine::new(apps::ecommerce(), EngineConfig::solo(0.6, 20, 3));
-        let mut b = Engine::new(apps::ecommerce(), EngineConfig::solo(0.6, 20, 3));
-        for step in 1..=40u64 {
-            let t = SimTime::ZERO + SimDuration::from_millis(step * 250);
-            a.run_until(t);
-            b.run_until(t);
-            // `a` flushes at every step (and twice); `b` never does.
-            a.flush_busy_integrals(t);
-            a.flush_busy_integrals(t);
-        }
-        for i in 0..a.machine_count() {
-            assert_eq!(a.busy_area_ns(i), b.busy_area_ns(i));
-        }
-        let (fa, fb) = (a.run(), b.run());
-        assert_eq!(fa.completed, fb.completed);
-        assert_eq!(fa.p99_ms().to_bits(), fb.p99_ms().to_bits());
     }
 
     mod node_table_roundtrip {
@@ -2823,8 +2662,7 @@ mod tests {
 
         proptest! {
             /// Encode → decode → re-encode over arbitrary SoA node-state
-            /// tables is byte-identical, and the decoded tweight
-            /// reproduces the settled integral exactly.
+            /// tables is byte-identical and restores every busy integral.
             #[test]
             fn soa_node_tables_round_trip(records in prop::collection::vec(record(), 1..12)) {
                 let workers: Vec<u32> = records.iter().map(|r| r.0).collect();
@@ -2835,9 +2673,8 @@ mod tests {
                     src.busy[i] = busy;
                     src.inflation[i] = inflation;
                     src.last_busy_change[i] = SimTime::from_nanos(last);
-                    src.busy_tweight[i] = busy as i128 * last as i128 - area as i128;
+                    src.busy_area[i] = area;
                     src.visits_done_window[i] = visits;
-                    prop_assert_eq!(src.settled_area(i), area);
                 }
                 let mut w = Writer::new();
                 for i in 0..src.len() {
@@ -2855,14 +2692,13 @@ mod tests {
                 }
                 prop_assert_eq!(w2.into_bytes(), bytes);
                 for i in 0..dst.len() {
-                    prop_assert_eq!(dst.settled_area(i), src.settled_area(i));
-                    prop_assert_eq!(dst.busy_tweight[i], src.busy_tweight[i]);
+                    prop_assert_eq!(dst.busy_area[i], src.busy_area[i]);
                 }
             }
 
             /// Organic round trip: a mid-run engine (queues, in-flight
-            /// requests, settled and unsettled busy areas) snapshots,
-            /// restores and re-encodes bit-identically.
+            /// requests, busy integrals) snapshots, restores and
+            /// re-encodes bit-identically.
             #[test]
             fn mid_run_engine_snapshot_round_trips(secs in 3u64..25, seed in 0u64..200) {
                 let mut e = Engine::new(apps::ecommerce(), managed_cfg(seed));

@@ -7,11 +7,10 @@
 
 use rhythm_machine::{Allocation, Machine, MachineSpec};
 use rhythm_workloads::ServiceSpec;
-use serde::Serialize;
 use std::sync::Arc;
 
 /// One Servpod: the mapping of a service component onto a machine.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Servpod {
     /// Index of the Servpod (== machine index == DAG node index).
     pub index: usize,

@@ -9,7 +9,6 @@
 use crate::pressure::Pressure;
 use rhythm_machine::Machine;
 use rhythm_workloads::ComponentSpec;
-use serde::Serialize;
 
 /// Isolation-effectiveness coefficients.
 ///
@@ -18,7 +17,7 @@ use serde::Serialize;
 /// queueing jitter; cpuset pins cores but the socket's power and L1/L2
 /// bandwidth budgets remain shared. Each coefficient is the fraction of
 /// raw pressure that leaks through the corresponding mechanism.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct InterferenceModel {
     /// LLC pressure fraction that bypasses the CAT partition.
     pub llc_leak: f64,

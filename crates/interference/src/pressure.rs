@@ -3,14 +3,13 @@
 use rhythm_machine::machine::BeState;
 use rhythm_machine::{Machine, MachineSpec};
 use rhythm_workloads::BeSpec;
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Pressure on each shared resource of one machine, each in `[0, 1]`.
 ///
 /// 1.0 means the resource is fully contended (e.g. stream-dram(big) with
 /// enough cores saturates the DRAM channel).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Pressure {
     /// Core / scheduler / socket-level contention.
     pub cpu: f64,

@@ -1,6 +1,5 @@
 //! A resource grant for one job on one machine.
 
-use serde::Serialize;
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
@@ -11,7 +10,7 @@ use std::ops::{Add, AddAssign};
 /// whole LLC ways (10% of a 20-way socket LLC = 2 ways), memory in MB
 /// (BE jobs start at 2 GB and step by 100 MB), network in Mbit/s, and a
 /// DVFS frequency in MHz.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Allocation {
     /// Number of physical cores.
     pub cores: u32,

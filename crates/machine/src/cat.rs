@@ -6,14 +6,12 @@
 //! CPU/LLC subcontroller steps BE cache in units of "10% LLC", i.e. 2 of
 //! the 20 ways of one socket.
 
-use serde::Serialize;
-
 /// A two-class (LC / BE) LLC way partition for one machine.
 ///
 /// Invariant: `lc_ways + be_ways <= total_ways`, and the LC class always
 /// keeps at least one way (a CLOS with an empty mask is invalid on real
 /// hardware).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CatPartition {
     total_ways: u32,
     lc_ways: u32,

@@ -4,11 +4,10 @@
 //! isolation mechanism 1). A [`CpuSet`] is a bitmask over the machine's
 //! cores; the machine hands out disjoint sets and checks for overlap.
 
-use serde::Serialize;
 use std::fmt;
 
 /// A set of physical core ids on one machine (up to 128 cores).
-#[derive(Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
 pub struct CpuSet {
     bits: u128,
 }

@@ -6,10 +6,9 @@
 //! still meets the SLA.
 
 use crate::spec::MachineSpec;
-use serde::Serialize;
 
 /// A frequency domain (one group of cores sharing a DVFS operating point).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DvfsDomain {
     min_mhz: u32,
     max_mhz: u32,

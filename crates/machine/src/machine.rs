@@ -15,7 +15,6 @@ use crate::dvfs::DvfsDomain;
 use crate::power::PowerModel;
 use crate::qdisc::Qdisc;
 use crate::spec::MachineSpec;
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -23,7 +22,7 @@ use std::fmt;
 pub type BeInstanceId = u64;
 
 /// Run state of a BE instance.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BeState {
     /// Scheduled on cores and making progress.
     Running,
@@ -32,7 +31,7 @@ pub enum BeState {
 }
 
 /// One BE job instance and its current grant.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct BeInstance {
     /// Stable id on this machine.
     pub id: BeInstanceId,

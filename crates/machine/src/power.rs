@@ -7,10 +7,9 @@
 //! with voltage roughly proportional to frequency).
 
 use crate::spec::MachineSpec;
-use serde::Serialize;
 
 /// Power model for one machine.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PowerModel {
     /// Idle power of the whole machine in watts.
     pub idle_watts: f64,

@@ -4,10 +4,8 @@
 //! service's bandwidth `B_LC` and allocates `B_link − 1.2 · B_LC` to BE
 //! jobs, keeping a 20% headroom above the LC's observed usage.
 
-use serde::Serialize;
-
 /// A two-class bandwidth shaper for one NIC.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Qdisc {
     link_mbps: f64,
     be_limit_mbps: f64,

@@ -1,7 +1,5 @@
 //! Machine capacity specification.
 
-use serde::Serialize;
-
 /// Static capacities of one physical machine.
 ///
 /// The default matches the paper's testbed (§5.1): a quad-socket Intel
@@ -20,7 +18,7 @@ use serde::Serialize;
 /// assert_eq!(spec.total_llc_ways(), 80);
 /// assert_eq!(spec.total_mem_mb(), 4 * 64 * 1024);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MachineSpec {
     /// Number of CPU sockets.
     pub sockets: u32,

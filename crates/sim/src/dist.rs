@@ -7,7 +7,6 @@
 //! from a [`SimRng`] stream.
 
 use crate::rng::SimRng;
-use serde::Serialize;
 
 /// A parametric sampling distribution over non-negative reals.
 ///
@@ -25,7 +24,7 @@ use serde::Serialize;
 /// assert!(x > 0.0);
 /// assert!((d.mean() - 2.0 * (0.5f64 * 0.5 / 2.0).exp()).abs() < 1e-9);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Dist {
     /// Always returns `value`.
     Deterministic { value: f64 },

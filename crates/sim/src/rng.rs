@@ -7,18 +7,14 @@
 //! from changes elsewhere in the simulation: adding a draw to one component
 //! does not perturb any other component's sequence.
 
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
-
 /// A deterministic random stream.
 ///
-/// Internally a [`StdRng`] seeded via SplitMix64 expansion of a
-/// `(seed, label)` pair.
+/// The generator is xoshiro256++, its state seeded by SplitMix64
+/// expansion of a `(seed, label)` pair.
 ///
 /// # Examples
 ///
 /// ```
-/// use rand::RngCore;
 /// use rhythm_sim::SimRng;
 ///
 /// let mut a = SimRng::from_seed(42);
@@ -31,7 +27,7 @@ use rand::{Rng, RngCore, SeedableRng};
 /// ```
 pub struct SimRng {
     seed: u64,
-    inner: StdRng,
+    s: [u64; 4],
 }
 
 /// SplitMix64 step: a high-quality 64-bit mixer used to derive stream seeds.
@@ -41,6 +37,16 @@ fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// xoshiro256++ must not start from the all-zero state; remap it to a
+/// fixed SplitMix64 expansion.
+fn nonzero_state(s: [u64; 4]) -> [u64; 4] {
+    if s != [0; 4] {
+        return s;
+    }
+    let mut state = 0x9E37_79B9_7F4A_7C15;
+    [(); 4].map(|_| splitmix64(&mut state))
 }
 
 /// FNV-1a hash of a label string, used to key split streams.
@@ -57,13 +63,10 @@ impl SimRng {
     /// Creates a stream from a bare 64-bit seed.
     pub fn from_seed(seed: u64) -> Self {
         let mut state = seed;
-        let mut key = [0u8; 32];
-        for chunk in key.chunks_mut(8) {
-            chunk.copy_from_slice(&splitmix64(&mut state).to_le_bytes());
-        }
+        let s = [(); 4].map(|_| splitmix64(&mut state));
         SimRng {
             seed,
-            inner: StdRng::from_seed(key),
+            s: nonzero_state(s),
         }
     }
 
@@ -86,9 +89,23 @@ impl SimRng {
         self.seed
     }
 
-    /// A uniform sample in `[0, 1)`.
+    /// The next raw 64-bit output (one xoshiro256++ step).
+    pub fn next_u64(&mut self) -> u64 {
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
+    }
+
+    /// A uniform sample in `[0, 1)`: 53 uniform mantissa bits.
     pub fn uniform(&mut self) -> f64 {
-        self.inner.gen::<f64>()
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// A uniform sample in `[lo, hi)`.
@@ -103,7 +120,15 @@ impl SimRng {
     /// Panics if `n == 0`.
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "SimRng::below(0)");
-        self.inner.gen_range(0..n)
+        // Lemire's unbiased multiply-and-reject.
+        let mut m = self.next_u64() as u128 * n as u128;
+        if (m as u64) < n {
+            let threshold = n.wrapping_neg() % n;
+            while (m as u64) < threshold {
+                m = self.next_u64() as u128 * n as u128;
+            }
+        }
+        (m >> 64) as u64
     }
 
     /// A Bernoulli trial with success probability `p` (clamped to `[0, 1]`).
@@ -127,7 +152,7 @@ impl SimRng {
 impl rhythm_snapshot::Snapshot for SimRng {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
         w.u64(self.seed);
-        for word in self.inner.state() {
+        for word in self.s {
             w.u64(word);
         }
     }
@@ -140,26 +165,8 @@ impl rhythm_snapshot::Snapshot for SimRng {
         }
         Ok(SimRng {
             seed,
-            inner: StdRng::from_state(s),
+            s: nonzero_state(s),
         })
-    }
-}
-
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        self.inner.next_u32()
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.inner.fill_bytes(dest)
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.inner.try_fill_bytes(dest)
     }
 }
 
@@ -259,6 +266,91 @@ mod tests {
         let mut sa = rng.split("tail");
         let mut sb = restored.split("tail");
         assert_eq!(sa.next_u64(), sb.next_u64());
+    }
+
+    /// Known-answer values recorded from the generator before it was
+    /// inlined; every golden fixture depends on these streams.
+    #[test]
+    fn streams_match_known_answers() {
+        fn first4(rng: &mut SimRng) -> [u64; 4] {
+            [
+                rng.next_u64(),
+                rng.next_u64(),
+                rng.next_u64(),
+                rng.next_u64(),
+            ]
+        }
+        let root = SimRng::from_seed(42);
+        assert_eq!(
+            first4(&mut SimRng::from_seed(42)),
+            [
+                0xD0764D4F4476689F,
+                0x519E4174576F3791,
+                0xFBE07CFB0C24ED8C,
+                0xB37D9F600CD835B8
+            ]
+        );
+        assert_eq!(
+            first4(&mut root.split("arrivals")),
+            [
+                0x92D363F0EFFEE889,
+                0x2588172215C4C7EE,
+                0x6EC1BDC94D13E7F4,
+                0x3D326CD1F500FC2A
+            ]
+        );
+        assert_eq!(
+            first4(&mut root.split_idx("machine", 3)),
+            [
+                0xA188001C45A7815D,
+                0xC44D4780F3308E86,
+                0xE91E82CB0DE85737,
+                0xCD1DCED7BA883B23
+            ]
+        );
+        let mut u = SimRng::from_seed(42);
+        let bits: Vec<u64> = (0..4).map(|_| u.uniform().to_bits()).collect();
+        assert_eq!(
+            bits,
+            [
+                0x3FEA0EC9A9E88ECD,
+                0x3FD467905D15DBCC,
+                0x3FEF7C0F9F61849D,
+                0x3FE66FB3EC019B06
+            ]
+        );
+        let mut b = SimRng::from_seed(42);
+        let small: Vec<u64> = (0..4).map(|_| b.below(7)).collect();
+        assert_eq!(small, [5, 2, 6, 4]);
+        // A span just above 2^63 rejects about half the draws (the first
+        // one here), so this pins the rejection loop too.
+        let mut b = SimRng::from_seed(42);
+        let big: Vec<u64> = (0..4).map(|_| b.below((1 << 63) + 1)).collect();
+        assert_eq!(
+            big,
+            [
+                0x28CF20BA2BB79BC8,
+                0x7DF03E7D861276C6,
+                0x59BECFB0066C1ADC,
+                0x4D74A703876C65A3
+            ]
+        );
+    }
+
+    #[test]
+    fn all_zero_snapshot_state_is_remapped() {
+        use rhythm_snapshot::{Reader, Snapshot};
+        let mut rng = SimRng::decode(&mut Reader::new(&[0u8; 40])).unwrap();
+        let first: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
+        assert_eq!(
+            first,
+            [
+                0x58F24F57E97E3F07,
+                0x5F9A9D6F9A653406,
+                0x6534EE33D1FD29D7,
+                0x2E89656C364E9184
+            ]
+        );
     }
 
     #[test]

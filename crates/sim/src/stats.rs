@@ -5,8 +5,6 @@
 //! coefficient of variation, Equation 3) and the Pearson correlation
 //! between per-load mean sojourn times and the tail latency (Equation 2).
 
-use serde::Serialize;
-
 /// Numerically stable online mean/variance accumulator (Welford).
 ///
 /// # Examples
@@ -21,7 +19,7 @@ use serde::Serialize;
 /// assert_eq!(s.mean(), 5.0);
 /// assert!((s.population_variance() - 4.0).abs() < 1e-12);
 /// ```
-#[derive(Clone, Copy, Debug, Default, Serialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,

@@ -1,11 +1,10 @@
 //! System-event records and identifiers.
 
 use rhythm_sim::SimTime;
-use serde::Serialize;
 use std::fmt;
 
 /// The four event types the tracer records in each Servpod (§3.3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// `syscall_accept`: acceptance of a request.
     Accept,
@@ -22,7 +21,7 @@ pub enum EventKind {
 /// Used to filter noise from unrelated processes and to establish
 /// intra-Servpod causality (a RECV happens-before a SEND sharing the same
 /// context).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ContextId {
     /// Host (machine) address; one Servpod per host in this deployment.
     pub host_ip: u32,
@@ -39,7 +38,7 @@ pub struct ContextId {
 ///
 /// Used to establish inter-Servpod causality (a SEND happens-before the
 /// RECV with the same identifier on the neighbour Servpod).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MessageId {
     /// Sender host address.
     pub sender_ip: u32,
@@ -55,7 +54,7 @@ pub struct MessageId {
 }
 
 /// One captured system event.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SysEvent {
     /// Event type.
     pub kind: EventKind,

@@ -12,11 +12,9 @@
 //!    yields the paper's normalized *BE throughput* metric (§5.1: jobs
 //!    finished per hour normalized to a solo run).
 
-use serde::Serialize;
-
 /// The BE workload kinds of Table 1 (plus the big/small stream variants
 /// used in the §2 characterization).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BeKind {
     /// CPU stress-testing tool; pure core pressure.
     CpuStress,
@@ -35,7 +33,7 @@ pub enum BeKind {
 }
 
 /// Full model of one BE workload.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct BeSpec {
     /// Workload kind.
     pub kind: BeKind,

@@ -10,10 +10,9 @@
 
 use crate::sensitivity::Sensitivity;
 use rhythm_sim::Dist;
-use serde::Serialize;
 
 /// Specification of one LC component.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ComponentSpec {
     /// Component name (unique within its service).
     pub name: String,

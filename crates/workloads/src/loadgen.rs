@@ -8,11 +8,10 @@
 //! variation, short bursts, and multiplicative noise.
 
 use rhythm_sim::{SimDuration, SimRng, SimTime};
-use serde::Serialize;
 
 /// A time-varying offered load, expressed as a fraction of the service's
 /// maximum load.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub enum LoadGen {
     /// A fixed fraction of max load.
     Constant {

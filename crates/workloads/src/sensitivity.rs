@@ -7,8 +7,6 @@
 //! pressure on each resource. The interference model multiplies these by
 //! the actual (partial) pressure present on the machine.
 
-use serde::Serialize;
-
 /// Interference sensitivity of one component.
 ///
 /// Each field is the fractional service-time inflation at full pressure on
@@ -16,7 +14,7 @@ use serde::Serialize;
 /// is fully contended. Queueing then amplifies service-time inflation into
 /// much larger tail-latency inflation, matching the paper's log-scale
 /// Figure 2.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Sensitivity {
     /// Core/scheduler contention (CPU-stress on sibling cores).
     pub cpu: f64,

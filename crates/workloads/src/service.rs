@@ -8,10 +8,9 @@
 //! Equation 5).
 
 use crate::component::ComponentSpec;
-use serde::Serialize;
 
 /// A downstream call edge.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Call {
     /// Index of the callee node in [`ServiceSpec::nodes`].
     pub target: usize,
@@ -39,7 +38,7 @@ impl Call {
 }
 
 /// One node of the service DAG.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ServiceNode {
     /// The component running at this node.
     pub component: ComponentSpec,
@@ -80,7 +79,7 @@ impl ServiceNode {
 }
 
 /// A complete LC service specification.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ServiceSpec {
     /// Service name ("e-commerce", "redis", ...).
     pub name: String,

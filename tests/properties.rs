@@ -5,7 +5,8 @@
 //! contribution/threshold monotonicity, machine resource-accounting
 //! safety under arbitrary controller action sequences, and the cluster
 //! queue's EDF-within-priority total order (with aging anti-starvation
-//! and class preservation across StopBE requeues). Differential tests
+//! and class preservation across StopBE requeues), and the engine's
+//! worker-busy integrals stay bounded and monotone. Differential tests
 //! hold the tracer pipeline, the latency histogram and the tail window
 //! to in-test copies of their earlier implementations, bit for bit.
 //!
@@ -20,13 +21,15 @@ use rhythm::cluster::{
     run_cluster, ClusterConfig, ClusterJob, FaultPlan, JobQueue, JobState, SchedulerState,
 };
 use rhythm::core::experiment::{ControllerChoice, ServiceContext};
+use rhythm::core::{ControlMode, Engine, EngineConfig};
+use rhythm::controller::Thresholds;
 use rhythm::sim::SimRng;
 use rhythm::workloads::{apps, BeKind, BeSpec, LoadGen};
 use std::sync::OnceLock;
 use rhythm::analyzer::find_loadlimit;
 use rhythm::analyzer::slacklimit::find_slacklimits;
 use rhythm::machine::{Allocation, Machine, MachineSpec};
-use rhythm::sim::{Arena, Calendar, LatencyHistogram, SimTime};
+use rhythm::sim::{Arena, Calendar, LatencyHistogram, SimDuration, SimTime};
 use rhythm::tracer::capture::{chain_visit, CaptureConfig, EventCapture, VisitNode};
 use rhythm::tracer::Pairer;
 
@@ -529,6 +532,55 @@ proptest! {
         for w in killed.windows(2) {
             if rank(w[0]) == rank(w[1]) {
                 prop_assert!(pos(w[0]) < pos(w[1]), "requeued jobs lost their mutual order");
+            }
+        }
+    }
+}
+
+/// One of four engine cell shapes: three services in solo mode plus the
+/// managed, co-located e-commerce cell, whose controller path exercises
+/// BE worker transitions on top of the LC phase traffic.
+fn engine_cell(kind: u8, load: f64, secs: u64, seed: u64) -> Engine {
+    let service = match kind % 4 {
+        1 => apps::solr(),
+        2 => apps::snms(),
+        _ => apps::ecommerce(),
+    };
+    let mut cfg = EngineConfig::solo(load, secs, seed);
+    if kind % 4 == 3 {
+        cfg.bes = vec![BeSpec::of(BeKind::Wordcount)];
+        cfg.sla_ms = 400.0;
+        cfg.mode = ControlMode::Managed {
+            thresholds: vec![Thresholds::new(0.9, 0.05); service.len()],
+        };
+    }
+    Engine::new(service, cfg)
+}
+
+proptest! {
+    /// Utilization invariants of the worker-busy integrals: a node never
+    /// accumulates more busy time than `workers × elapsed`, and its
+    /// integral never decreases as the run advances.
+    #[test]
+    fn busy_integrals_bounded_and_monotone(
+        (kind, load, secs, seed) in (any::<u8>(), 0.2f64..0.95, 6u64..16, any::<u64>()),
+        steps in 3usize..9,
+    ) {
+        let mut e = engine_cell(kind, load, secs, seed);
+        let mut prev = vec![0u128; e.machine_count()];
+        for s in 1..=steps {
+            let t = SimTime::ZERO
+                + SimDuration::from_secs_f64(secs as f64 * s as f64 / steps as f64);
+            e.run_until(t);
+            for (i, p) in prev.iter_mut().enumerate() {
+                let a = e.busy_area_ns(i);
+                prop_assert!(a >= *p, "node {} integral decreased", i);
+                prop_assert!(
+                    a <= u128::from(e.node_workers(i)) * u128::from(t.as_nanos()),
+                    "node {} busier than workers × elapsed",
+                    i
+                );
+                *p = a;
             }
         }
     }
