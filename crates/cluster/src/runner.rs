@@ -47,7 +47,7 @@ use crate::snapshot::{ClusterSnapshot, GangState, SchedulerState};
 use crate::state::{global_index, machine_ref, replica_seed, ClusterConfig};
 use rhythm_core::experiment::{ControllerChoice, ExperimentConfig, ServiceContext};
 use rhythm_core::metrics::RunMetrics;
-use rhythm_core::runtime::Engine;
+use rhythm_core::runtime::{BeAdmission, BeKill, Engine};
 use rhythm_machine::machine::BeInstanceId;
 use rhythm_sim::{LatencyHistogram, SimDuration, SimTime};
 use rhythm_snapshot::{Reader, SnapshotError, Writer};
@@ -130,6 +130,14 @@ struct Scheduler<'c> {
     chosen: Vec<usize>,
     /// Scratch: capacities of already-chosen gang siblings.
     peer_caps: Vec<f64>,
+    /// Scratch, reused across merges: one replica's admissions…
+    admitted: Vec<BeAdmission>,
+    /// …its kills…
+    killed: Vec<BeKill>,
+    /// …and its bindings, as `(machine, instance, job)`.
+    bound: Vec<(usize, BeInstanceId, JobId)>,
+    /// Scratch: gang ids for the gang pass.
+    gids: Vec<u32>,
 }
 
 impl<'c> Scheduler<'c> {
@@ -232,6 +240,10 @@ impl<'c> Scheduler<'c> {
             members: Vec::new(),
             chosen: Vec::new(),
             peer_caps: Vec::new(),
+            admitted: Vec::new(),
+            killed: Vec::new(),
+            bound: Vec::new(),
+            gids: Vec::new(),
         }
     }
 
@@ -576,10 +588,25 @@ impl<'c> Scheduler<'c> {
     fn merge(&mut self, engines: &mut [Engine], now: SimTime) {
         let now_s = now.as_secs_f64();
         let mut dirty_gangs: BTreeSet<u32> = BTreeSet::new();
+        let mut admitted = std::mem::take(&mut self.admitted);
+        let mut killed = std::mem::take(&mut self.killed);
+        let mut bound = std::mem::take(&mut self.bound);
         for (r, engine) in engines.iter_mut().enumerate() {
+            engine.drain_be_admissions(&mut admitted);
+            engine.drain_be_kills(&mut killed);
+            let lo = (global_index(r, 0, self.pods), BeInstanceId::MIN);
+            let hi = (global_index(r + 1, 0, self.pods), BeInstanceId::MIN);
+            // A replica with nothing logged and nothing bound has nothing
+            // to merge.
+            if admitted.is_empty()
+                && killed.is_empty()
+                && self.bindings.range(lo..hi).next().is_none()
+            {
+                continue;
+            }
             // Admissions: bind each new instance to the job offered to
             // its machine.
-            for adm in engine.take_be_admissions() {
+            for adm in admitted.drain(..) {
                 let g = global_index(r, adm.machine, self.pods);
                 if let Some(jid) = self.offered[g].take() {
                     self.bindings.insert((g, adm.instance), jid);
@@ -590,21 +617,20 @@ impl<'c> Scheduler<'c> {
             // Kills: roll back to the checkpoint and requeue — unless the
             // instance had in fact already finished the job by kill time.
             // A killed gang member marks its gang for the abort pass.
-            for kill in engine.take_be_kills() {
+            for kill in killed.drain(..) {
                 let g = global_index(r, kill.machine, self.pods);
                 if let Some(jid) = self.bindings.remove(&(g, kill.instance)) {
                     self.settle_kill(jid, kill.progress, now_s, &mut dirty_gangs);
                 }
             }
             // Completions: retire bound instances whose job reached 1.0.
-            let lo = (global_index(r, 0, self.pods), BeInstanceId::MIN);
-            let hi = (global_index(r + 1, 0, self.pods), BeInstanceId::MIN);
-            let bound: Vec<(usize, BeInstanceId, JobId)> = self
-                .bindings
-                .range(lo..hi)
-                .map(|(&(g, inst), &jid)| (g, inst, jid))
-                .collect();
-            for (g, inst, jid) in bound {
+            bound.clear();
+            bound.extend(
+                self.bindings
+                    .range(lo..hi)
+                    .map(|(&(g, inst), &jid)| (g, inst, jid)),
+            );
+            for &(g, inst, jid) in &bound {
                 let pod = machine_ref(g, self.pods).pod;
                 let done = engine.be_progress(pod, inst).unwrap_or(0.0);
                 if self.jobs[jid as usize].total_progress(done) >= 1.0 {
@@ -615,6 +641,9 @@ impl<'c> Scheduler<'c> {
                 }
             }
         }
+        self.admitted = admitted;
+        self.killed = killed;
+        self.bound = bound;
         self.gang_pass(engines, &dirty_gangs, now_s);
     }
 
@@ -622,8 +651,10 @@ impl<'c> Scheduler<'c> {
     /// killed member, marks gangs whose live members all run as formed,
     /// and counts down (then aborts) the patience of still-forming ones.
     fn gang_pass(&mut self, engines: &mut [Engine], dirty: &BTreeSet<u32>, now_s: f64) {
-        let gids: Vec<u32> = self.gangs.keys().copied().collect();
-        for gid in gids {
+        let mut gids = std::mem::take(&mut self.gids);
+        gids.clear();
+        gids.extend(self.gangs.keys().copied());
+        for &gid in &gids {
             if dirty.contains(&gid) {
                 self.abort_gang(gid, engines, now_s);
                 continue;
@@ -649,6 +680,7 @@ impl<'c> Scheduler<'c> {
                 }
             }
         }
+        self.gids = gids;
     }
 
     /// Atomically rolls gang `gid` back: withdraws its outstanding

@@ -8,6 +8,8 @@
 //!   arrivals flow through the service DAG's queueing network while BE
 //!   jobs run under per-machine controller agents, with interference
 //!   coupling the two.
+//! * [`plan`] — one in-flight request: its visits to the service's
+//!   components, flat and in preorder, and their snapshot codec.
 //! * [`metrics`] — EMU (effective machine utilization), CPU and memory
 //!   bandwidth utilization, tail latencies (§5.1 metrics).
 //! * [`profiling`] — the offline pipeline (§3.2): solo-run sweep →
@@ -26,6 +28,7 @@
 pub mod bubble;
 pub mod experiment;
 pub mod metrics;
+pub mod plan;
 pub mod profiling;
 pub mod runtime;
 pub mod servpod;

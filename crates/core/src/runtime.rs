@@ -10,6 +10,7 @@
 //! machine pressure → LC service-time inflation → queueing → tail latency
 //! → slack → controller actions → BE grants.
 
+use crate::plan::{read_index, Planner, Request, Step, ROOT};
 use crate::servpod::Deployment;
 use rhythm_controller::{
     AgentInputs, AgentStats, BeAction, ControllerAgent, GrowthConfig, ThresholdPolicy, Thresholds,
@@ -138,7 +139,7 @@ impl EngineConfig {
 }
 
 /// One BE instance admitted on a machine during an epoch (reported to the
-/// cluster dispatcher through [`Engine::take_be_admissions`]).
+/// cluster dispatcher through [`Engine::drain_be_admissions`]).
 #[derive(Clone, Debug)]
 pub struct BeAdmission {
     /// Machine (Servpod) index within this engine.
@@ -150,7 +151,7 @@ pub struct BeAdmission {
 }
 
 /// One BE instance killed by StopBE (reported to the cluster dispatcher
-/// through [`Engine::take_be_kills`] so the job can be requeued).
+/// through [`Engine::drain_be_kills`] so the job can be requeued).
 #[derive(Clone, Debug)]
 pub struct BeKill {
     /// Machine (Servpod) index within this engine.
@@ -259,38 +260,13 @@ impl EngineOutput {
     }
 }
 
-/// Simulation events.
+/// Simulation events. 16 bytes, so a calendar entry is 32.
+#[derive(Clone, Copy)]
 enum Ev {
     Arrive,
-    PhaseEnd { req: ReqKey, visit: usize },
+    PhaseEnd { req: ReqKey, visit: u32 },
     Control,
     Metrics,
-}
-
-/// Per-visit interpreter state.
-#[derive(Clone)]
-struct Visit {
-    node: usize,
-    parent: Option<(usize, usize)>,
-    /// Child visit indices (within the request).
-    children: Vec<usize>,
-    parallel: bool,
-    phase: usize,
-    n_phases: usize,
-    pending_children: usize,
-    phase_start: SimTime,
-    sojourn_ns: u64,
-    /// Recorded phases (only when capturing visit trees).
-    phase_rec: Vec<(SimTime, SimTime)>,
-}
-
-struct Request {
-    arrival: SimTime,
-    /// Visit slots; recycled between requests, so only the first `used`
-    /// entries belong to this request (stale slots past that keep their
-    /// buffers for the next occupant).
-    visits: Vec<Visit>,
-    used: usize,
 }
 
 /// Precomputed per-component sampling state: resolved distributions and
@@ -452,7 +428,7 @@ struct NodeTables {
     busy_area: Vec<u128>,
     /// Cold side table: per-node FIFO of waiting `(request, visit)`
     /// phases, only touched when a node has no free worker.
-    queue: Vec<VecDeque<(ReqKey, usize)>>,
+    queue: Vec<VecDeque<(ReqKey, u32)>>,
 }
 
 impl NodeTables {
@@ -491,13 +467,10 @@ pub struct Engine {
     /// In-flight requests. Generational keys keep `PhaseEnd` events
     /// honest across slot reuse; lookups are an index, not a hash.
     requests: Arena<Request>,
-    /// Recycled visit buffers from completed requests (steady state
-    /// plans a request without allocating).
-    visit_pool: Vec<Vec<Visit>>,
-    /// Scratch for `plan_visits`: DFS stack of (node, parent slot).
-    plan_stack: Vec<(usize, Option<(usize, usize)>)>,
-    /// Scratch for `plan_visits`: call targets sampled for one node.
-    plan_sampled: Vec<usize>,
+    /// Recycled buffers of completed requests (steady state plans a
+    /// request without allocating).
+    request_pool: Vec<Request>,
+    planner: Planner,
     /// Last inputs each node's inflation was computed from.
     inflation_inputs: Vec<Option<InflationInputs>>,
     /// Per-machine BE facts, keyed on their inputs (derived; never
@@ -612,9 +585,8 @@ impl Engine {
             rng_service: root.split("service"),
             rng_path: root.split("path"),
             requests: Arena::new(),
-            visit_pool: Vec::new(),
-            plan_stack: Vec::new(),
-            plan_sampled: Vec::new(),
+            request_pool: Vec::new(),
+            planner: Planner::default(),
             inflation_inputs: vec![None; n],
             be_summaries: vec![BeSummary::default(); n],
             maxload,
@@ -772,14 +744,16 @@ impl Engine {
         self.be_job_progress[i].get(&instance).map(|p| p.done)
     }
 
-    /// Drains the log of BE admissions since the last call.
-    pub fn take_be_admissions(&mut self) -> Vec<BeAdmission> {
-        std::mem::take(&mut self.admitted_log)
+    /// Moves the BE admissions logged since the last call onto the end
+    /// of `out`.
+    pub fn drain_be_admissions(&mut self, out: &mut Vec<BeAdmission>) {
+        out.append(&mut self.admitted_log);
     }
 
-    /// Drains the log of StopBE kills since the last call.
-    pub fn take_be_kills(&mut self) -> Vec<BeKill> {
-        std::mem::take(&mut self.killed_log)
+    /// Moves the StopBE kills logged since the last call onto the end of
+    /// `out`.
+    pub fn drain_be_kills(&mut self, out: &mut Vec<BeKill>) {
+        out.append(&mut self.killed_log);
     }
 
     /// Accrues per-instance BE progress up to time `t` using the current
@@ -890,85 +864,20 @@ impl Engine {
         }
     }
 
-    /// Samples the visit plan for a new request (which calls fire) into
-    /// `buf`, reusing its `Visit` slots and their child/phase buffers.
-    /// Returns the number of visits planned; entries past that count are
-    /// stale leftovers kept for their heap buffers.
-    fn plan_visits(&mut self, arrival: SimTime, buf: &mut Vec<Visit>) -> usize {
-        let mut used = 0usize;
-        // Stack of (node, parent visit, child slot).
-        self.plan_stack.clear();
-        self.plan_stack.push((ServiceSpec::ENTRY, None));
-        while let Some((node, parent)) = self.plan_stack.pop() {
-            let spec = &self.service.nodes[node];
-            let parallel = spec.parallel;
-            self.plan_sampled.clear();
-            for call in &spec.calls {
-                if call.probability >= 1.0 || self.rng_path.chance(call.probability) {
-                    self.plan_sampled.push(call.target);
-                }
-            }
-            let idx = used;
-            let n_phases = if self.plan_sampled.is_empty() {
-                1
-            } else if parallel {
-                2
-            } else {
-                self.plan_sampled.len() + 1
-            };
-            if let Some(v) = buf.get_mut(idx) {
-                v.node = node;
-                v.parent = parent;
-                v.children.clear();
-                v.parallel = parallel;
-                v.phase = 0;
-                v.n_phases = n_phases;
-                v.pending_children = 0;
-                v.phase_start = arrival;
-                v.sojourn_ns = 0;
-                v.phase_rec.clear();
-            } else {
-                buf.push(Visit {
-                    node,
-                    parent,
-                    children: Vec::with_capacity(self.plan_sampled.len()),
-                    parallel,
-                    phase: 0,
-                    n_phases,
-                    pending_children: 0,
-                    phase_start: arrival,
-                    sojourn_ns: 0,
-                    phase_rec: Vec::new(),
-                });
-            }
-            used += 1;
-            // Push in reverse so the LIFO stack creates sibling visits in
-            // call order (sequential nodes dispatch children by order).
-            for (slot, child_node) in self.plan_sampled.iter().enumerate().rev() {
-                self.plan_stack.push((*child_node, Some((idx, slot))));
-            }
-        }
-        // Wire children arrays (the stack pushed children after parents,
-        // so parent indices are valid).
-        for i in 0..used {
-            if let Some((p, _slot)) = buf[i].parent {
-                buf[p].children.push(i);
-            }
-        }
-        used
-    }
-
     fn on_arrive(&mut self, now: SimTime) {
-        let mut visits = self.visit_pool.pop().unwrap_or_default();
-        let used = self.plan_visits(now, &mut visits);
-        let req = self.requests.insert(Request {
-            arrival: now,
-            visits,
-            used,
-        });
+        let mut r = self.request_pool.pop().unwrap_or_default();
+        self.planner.plan(
+            &self.service,
+            &mut self.rng_path,
+            now,
+            self.cfg.capture_visits,
+            &mut r,
+        );
+        let entry = r.visits[0].node();
+        let req = self.requests.insert(r);
         self.count_arrival(now);
         self.telemetry.recorder.record(now, EventKind::RequestAdmitted);
-        self.enqueue_phase(now, req, 0);
+        self.enqueue_phase(now, req, 0, entry);
         self.schedule_next_arrival(now);
     }
 
@@ -1030,25 +939,22 @@ impl Engine {
         self.nodes.last_busy_change[node] = now;
     }
 
-    fn enqueue_phase(&mut self, now: SimTime, req: ReqKey, visit: usize) {
-        // PANIC: req keys flow from calendar events scheduled while the
-        // request was live; the arena removes a key exactly once.
-        let node = self.requests.get(req).expect("request exists").visits[visit].node;
+    /// Starts the next phase of visit `visit` of `req`, which runs on
+    /// `node`, now, or queues it if every worker is busy.
+    fn enqueue_phase(&mut self, now: SimTime, req: ReqKey, visit: u32, node: usize) {
         if self.nodes.busy[node] < self.nodes.workers[node] {
-            self.start_phase(now, req, visit);
+            self.start_phase(now, req, visit, node);
         } else {
             self.nodes.queue[node].push_back((req, visit));
         }
     }
 
-    fn start_phase(&mut self, now: SimTime, req: ReqKey, visit: usize) {
-        let node;
+    fn start_phase(&mut self, now: SimTime, req: ReqKey, visit: u32, node: usize) {
         let dur_ms;
         {
             // PANIC: req keys flow from live-request calendar events.
             let r = self.requests.get_mut(req).expect("request exists");
-            let v = &mut r.visits[visit];
-            node = v.node;
+            let v = &mut r.visits[visit as usize];
             v.phase_start = now;
             let s = &self.samplers[node];
             let rng = &mut self.rng_service;
@@ -1087,88 +993,51 @@ impl Engine {
         self.cal.schedule(at, Ev::PhaseEnd { req, visit });
     }
 
-    fn on_phase_end(&mut self, now: SimTime, req: ReqKey, visit: usize) {
-        // PANIC: req keys flow from calendar events scheduled while the
-        // request was live; the arena removes a key exactly once.
-        let node = self.requests.get(req).expect("request exists").visits[visit].node;
+    fn on_phase_end(&mut self, now: SimTime, req: ReqKey, visit: u32) {
+        // Advancing the visit first is safe: it touches only this
+        // visit, which no queued phase can be, and draws no randomness.
+        let (node, step) = self
+            .requests
+            .get_mut(req)
+            // PANIC: req keys flow from calendar events scheduled while the
+            // request was live; the arena removes a key exactly once.
+            .expect("request exists")
+            .end_phase(visit as usize, now, self.cfg.capture_visits);
         self.update_busy(node, now, -1);
         // Start the next queued phase on this node.
         if let Some((q_req, q_visit)) = self.nodes.queue[node].pop_front() {
-            self.start_phase(now, q_req, q_visit);
+            self.start_phase(now, q_req, q_visit, node);
         }
-        // Advance the visit. Children to dispatch are re-read from the
-        // visit per iteration instead of cloned out.
-        enum Advance {
-            /// Dispatch `count` children starting at child slot `first`.
-            Dispatch { first: usize, count: usize },
-            Complete,
-            Wait,
-        }
-        let adv = {
-            // PANIC: req keys flow from live-request calendar events.
-            let r = self.requests.get_mut(req).expect("request exists");
-            let v = &mut r.visits[visit];
-            let started = v.phase_start;
-            v.sojourn_ns += now.saturating_since(started).as_nanos();
-            if self.cfg.capture_visits {
-                v.phase_rec.push((started, now));
-            }
-            v.phase += 1;
-            if v.parallel && v.phase == 1 && !v.children.is_empty() {
-                v.pending_children = v.children.len();
-                Advance::Dispatch {
-                    first: 0,
-                    count: v.children.len(),
-                }
-            } else if !v.parallel && v.phase <= v.children.len() {
-                Advance::Dispatch {
-                    first: v.phase - 1,
-                    count: 1,
-                }
-            } else if v.phase >= v.n_phases {
-                Advance::Complete
-            } else {
-                Advance::Wait
-            }
-        };
-        match adv {
-            Advance::Dispatch { first, count } => {
-                for slot in first..first + count {
-                    let child =
-                        // PANIC: req keys flow from live-request calendar events.
-                        self.requests.get(req).expect("request exists").visits[visit].children[slot];
-                    self.enqueue_phase(now, req, child);
+        match step {
+            Step::Dispatch { first, stop } => {
+                let mut child = first;
+                while child < stop {
+                    // PANIC: req keys flow from live-request calendar events.
+                    let r = self.requests.get(req).expect("request exists");
+                    let (node, next) = r.child_and_next(child);
+                    self.enqueue_phase(now, req, child, node);
+                    child = next;
                 }
             }
-            Advance::Complete => {
+            Step::Complete { parent } => {
                 self.nodes.visits_done_window[node] += 1;
-                self.on_visit_complete(now, req, visit);
+                self.on_visit_complete(now, req, parent);
             }
-            Advance::Wait => {}
+            Step::Wait => {}
         }
     }
 
-    fn on_visit_complete(&mut self, now: SimTime, req: ReqKey, visit: usize) {
+    /// A visit of `req` finished; `parent` is its parent visit, or
+    /// [`ROOT`] when the whole request is done.
+    fn on_visit_complete(&mut self, now: SimTime, req: ReqKey, parent: u32) {
+        if parent == ROOT {
+            self.on_request_complete(now, req);
+            return;
+        }
         // PANIC: req keys flow from live-request calendar events.
-        let parent = self.requests.get(req).expect("request exists").visits[visit].parent;
-        match parent {
-            Some((p, _slot)) => {
-                let resume = {
-                    // PANIC: req keys flow from live-request calendar events.
-                    let r = self.requests.get_mut(req).expect("request exists");
-                    let pv = &mut r.visits[p];
-                    if pv.parallel {
-                        pv.pending_children -= 1;
-                        pv.pending_children == 0
-                    } else {
-                        true
-                    }
-                };
-                if resume {
-                    self.enqueue_phase(now, req, p);
-                }
-            }
-            None => self.on_request_complete(now, req),
+        let r = self.requests.get_mut(req).expect("request exists");
+        if let Some(node) = r.child_done(parent as usize) {
+            self.enqueue_phase(now, req, parent, node);
         }
     }
 
@@ -1176,7 +1045,10 @@ impl Engine {
         // PANIC: completion fires once per request — the key is still live.
         let r = self.requests.remove(req).expect("request exists");
         let latency_ms = now.saturating_since(r.arrival).as_millis_f64();
-        self.tail.record(now, latency_ms);
+        // Every latency sketch shares `LatencyHistogram::new()`'s layout,
+        // so the bucket is found once and reused by all of them.
+        let (bucket, clamped) = self.hist.locate(latency_ms);
+        self.tail.record_located(now, bucket, clamped);
         if self.telemetry.enabled() {
             self.telemetry.recorder.record(
                 now,
@@ -1184,15 +1056,15 @@ impl Engine {
                     latency_us: (latency_ms * 1000.0) as u32,
                 },
             );
-            self.telemetry.record_latency(latency_ms);
+            self.telemetry.record_latency_located(bucket, clamped);
         }
         self.completed_total += 1;
         if now < self.measure_from {
-            self.visit_pool.push(r.visits);
+            self.request_pool.push(r);
             return;
         }
         self.completed += 1;
-        self.hist.record(latency_ms);
+        self.hist.record_located(bucket, clamped);
         // Track the worst 10-second-window tail (the paper's SLA
         // statistic).
         let epoch = now.as_nanos() / 10_000_000_000;
@@ -1203,36 +1075,18 @@ impl Engine {
             self.window_hist.reset();
             self.window_epoch = epoch;
         }
-        self.window_hist.record(latency_ms);
-        for v in &r.visits[..r.used] {
+        self.window_hist.record_located(bucket, clamped);
+        for v in &r.visits {
             let ms = v.sojourn_ns as f64 / 1e6;
-            self.sojourn_stats[v.node].push(ms);
+            self.sojourn_stats[v.node()].push(ms);
             if let Some(s) = &mut self.sojourns {
-                s[v.node].push(ms);
+                s[v.node()].push(ms);
             }
         }
-
         if self.cfg.capture_visits {
-            if let Some(tree) = Self::build_visit_tree(&r, 0) {
-                self.visit_trees.push(tree);
-            }
+            self.visit_trees.push(r.visit_tree(0, &mut 0));
         }
-        self.visit_pool.push(r.visits);
-    }
-
-    fn build_visit_tree(r: &Request, idx: usize) -> Option<VisitNode> {
-        let v = r.visits.get(idx)?;
-        let children = v
-            .children
-            .iter()
-            .filter_map(|&c| Self::build_visit_tree(r, c))
-            .collect();
-        Some(VisitNode {
-            pod: v.node as u32,
-            phases: v.phase_rec.clone(),
-            children,
-            parallel: v.parallel,
-        })
+        self.request_pool.push(r);
     }
 
     /// Recomputes the interference inflation of every node from the
@@ -1646,8 +1500,8 @@ impl Engine {
 // on restore and never written, so the codec stays small and a schema
 // mismatch is caught by the crate hash, not a garbage decode.
 //
-// Excluded by design: `visit_pool` / `plan_stack` / `plan_sampled`
-// (recycled scratch; capacity only, never behaviour) and `visit_trees`
+// Excluded by design: `request_pool` / `planner` (recycled scratch;
+// capacity only, never behaviour) and `visit_trees`
 // (profiling captures; cluster runs never enable `capture_visits`).
 // ---------------------------------------------------------------------------
 
@@ -1658,7 +1512,7 @@ impl Snapshot for Ev {
             Ev::PhaseEnd { req, visit } => {
                 w.u8(1);
                 req.encode(w);
-                w.u64(visit as u64);
+                w.u64(u64::from(visit));
             }
             Ev::Control => w.u8(2),
             Ev::Metrics => w.u8(3),
@@ -1670,89 +1524,11 @@ impl Snapshot for Ev {
             0 => Ev::Arrive,
             1 => Ev::PhaseEnd {
                 req: Snapshot::decode(r)?,
-                visit: r.u64()? as usize,
+                visit: read_index(r, "event visit index")?,
             },
             2 => Ev::Control,
             3 => Ev::Metrics,
             t => return Err(SnapshotError::Corrupt(format!("unknown event tag {t}"))),
-        })
-    }
-}
-
-impl Snapshot for Visit {
-    fn encode(&self, w: &mut Writer) {
-        w.u64(self.node as u64);
-        self.parent
-            .map(|(p, s)| (p as u64, s as u64))
-            .encode(w);
-        let children: Vec<u64> = self.children.iter().map(|&c| c as u64).collect();
-        children.encode(w);
-        w.bool(self.parallel);
-        w.u64(self.phase as u64);
-        w.u64(self.n_phases as u64);
-        w.u64(self.pending_children as u64);
-        self.phase_start.encode(w);
-        w.u64(self.sojourn_ns);
-        self.phase_rec.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        let node = r.u64()? as usize;
-        let parent: Option<(u64, u64)> = Snapshot::decode(r)?;
-        let children: Vec<u64> = Snapshot::decode(r)?;
-        let parallel = r.bool()?;
-        let phase = r.u64()? as usize;
-        let n_phases = r.u64()? as usize;
-        let pending_children = r.u64()? as usize;
-        if pending_children > children.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "visit waits on {pending_children} children but has {}",
-                children.len()
-            )));
-        }
-        Ok(Visit {
-            node,
-            parent: parent.map(|(p, s)| (p as usize, s as usize)),
-            children: children.into_iter().map(|c| c as usize).collect(),
-            parallel,
-            phase,
-            n_phases,
-            pending_children,
-            phase_start: Snapshot::decode(r)?,
-            sojourn_ns: r.u64()?,
-            phase_rec: Snapshot::decode(r)?,
-        })
-    }
-}
-
-impl Snapshot for Request {
-    fn encode(&self, w: &mut Writer) {
-        self.arrival.encode(w);
-        // Only the live plan travels; stale slots past `used` are
-        // recycled buffers whose contents never influence behaviour.
-        self.visits[..self.used].to_vec().encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        let arrival: SimTime = Snapshot::decode(r)?;
-        let visits: Vec<Visit> = Snapshot::decode(r)?;
-        let used = visits.len();
-        for v in &visits {
-            if let Some((p, _)) = v.parent {
-                if p >= used {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "visit parent {p} out of range ({used} visits)"
-                    )));
-                }
-            }
-            if v.children.iter().any(|&c| c >= used) {
-                return Err(SnapshotError::Corrupt("visit child out of range".into()));
-            }
-        }
-        Ok(Request {
-            arrival,
-            visits,
-            used,
         })
     }
 }
@@ -1785,9 +1561,11 @@ impl NodeTables {
     fn encode_node(&self, i: usize, w: &mut Writer) {
         w.u32(self.workers[i]);
         w.u32(self.busy[i]);
-        let queue: Vec<(ReqKey, u64)> =
-            self.queue[i].iter().map(|&(k, v)| (k, v as u64)).collect();
-        queue.encode(w);
+        w.u64(self.queue[i].len() as u64);
+        for &(k, v) in &self.queue[i] {
+            k.encode(w);
+            w.u64(u64::from(v));
+        }
         w.f64(self.inflation[i]);
         w.u128(self.busy_area[i]);
         self.last_busy_change[i].encode(w);
@@ -1805,7 +1583,12 @@ impl NodeTables {
                 "node claims {busy} busy workers of {workers}"
             )));
         }
-        let queue: Vec<(ReqKey, u64)> = Snapshot::decode(r)?;
+        let n_queued = r.len(16)?;
+        let mut queue = VecDeque::with_capacity(n_queued);
+        for _ in 0..n_queued {
+            let key = ReqKey::decode(r)?;
+            queue.push_back((key, read_index(r, "queued visit index")?));
+        }
         let inflation = r.f64()?;
         let busy_area = r.u128()?;
         let last_busy_change: SimTime = Snapshot::decode(r)?;
@@ -1822,7 +1605,7 @@ impl NodeTables {
             )));
         }
         self.busy[i] = busy;
-        self.queue[i] = queue.into_iter().map(|(k, v)| (k, v as usize)).collect();
+        self.queue[i] = queue;
         self.inflation[i] = inflation;
         self.busy_area[i] = busy_area;
         self.last_busy_change[i] = last_busy_change;
@@ -2109,23 +1892,31 @@ impl Engine {
         e.rng_path = Snapshot::decode(r)?;
         e.requests = Snapshot::decode(r)?;
         for (_k, req) in e.requests.iter() {
-            if req.visits[..req.used].iter().any(|v| v.node >= n) {
+            if req.visits().iter().any(|v| v.node() >= n) {
                 return Err(SnapshotError::Corrupt("visit node out of range".into()));
             }
         }
-        for queue in &e.nodes.queue {
-            for &(key, visit) in queue {
-                let ok = e
-                    .requests
-                    .get(key)
-                    .map(|req| visit < req.used)
-                    .unwrap_or(false);
-                if !ok {
-                    return Err(SnapshotError::Corrupt(
-                        "node queue references a request that is not in flight".into(),
-                    ));
-                }
-            }
+        for req in e.requests.values_mut() {
+            req.fit_phase_records(e.cfg.capture_visits)?;
+        }
+        let in_flight = |key: ReqKey, visit: u32| {
+            e.requests
+                .get(key)
+                .is_some_and(|req| (visit as usize) < req.visits().len())
+        };
+        if !e.nodes.queue.iter().flatten().all(|&(key, visit)| in_flight(key, visit)) {
+            return Err(SnapshotError::Corrupt(
+                "node queue references a request that is not in flight".into(),
+            ));
+        }
+        let dangling = e.cal.pending().any(|ev| match *ev {
+            Ev::PhaseEnd { req, visit } => !in_flight(req, visit),
+            _ => false,
+        });
+        if dangling {
+            return Err(SnapshotError::Corrupt(
+                "phase-end event references a visit that is not in flight".into(),
+            ));
         }
         e.inflation_inputs = Snapshot::decode(r)?;
         if e.inflation_inputs.len() != n {
@@ -2548,6 +2339,17 @@ mod tests {
         assert!(cal <= 64, "calendar reserved {cal} entries");
     }
 
+    /// The request path's records stay small: an event fits in 16 bytes,
+    /// so a calendar entry `(time, seq, event)` takes 32, and a visit is
+    /// a 56-byte `Copy` record that owns no heap buffer.
+    #[test]
+    fn request_path_records_are_compact() {
+        use std::mem::size_of;
+        assert!(size_of::<Ev>() <= 16, "Ev is {} bytes", size_of::<Ev>());
+        assert_eq!(size_of::<(SimTime, u64, Ev)>(), 32);
+        assert_eq!(size_of::<crate::plan::Visit>(), 56);
+    }
+
     #[test]
     fn snapshot_resume_is_bit_identical() {
         // Straight-through run.
@@ -2599,6 +2401,33 @@ mod tests {
             &mut Reader::new(&bytes[..bytes.len() / 2]),
         );
         assert!(r.is_err());
+    }
+
+    /// A phase end of a request that is not in flight, or of a visit
+    /// past the request's plan, would panic at its arena lookup or
+    /// index once the restored engine reached it.
+    #[test]
+    fn snapshot_restore_rejects_dangling_phase_end() {
+        let mut e = Engine::new(apps::ecommerce(), managed_cfg(22));
+        e.run_until(SimTime::ZERO + SimDuration::from_secs(10));
+        let (live, _) = e.requests.iter().next().expect("a request is in flight");
+        let visits = e.requests.get(live).map(|r| r.visits().len()).unwrap_or(0);
+        let gone = e.requests.insert(Request::default());
+        e.requests.remove(gone);
+        let at = e.now() + SimDuration::from_millis(1);
+        for (req, visit) in [(gone, 0), (live, u32::try_from(visits).unwrap())] {
+            let mut bad = Engine::new(apps::ecommerce(), managed_cfg(22));
+            bad.run_until(SimTime::ZERO + SimDuration::from_secs(10));
+            bad.cal.schedule(at, Ev::PhaseEnd { req, visit });
+            let mut w = Writer::new();
+            bad.snapshot_encode(&mut w);
+            let r = Engine::snapshot_restore(
+                apps::ecommerce(),
+                managed_cfg(22),
+                &mut Reader::new(&w.into_bytes()),
+            );
+            assert!(matches!(r.err(), Some(SnapshotError::Corrupt(_))), "({req:?}, {visit})");
+        }
     }
 
     /// A node whose last busy transition lies after the restored clock

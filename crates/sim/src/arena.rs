@@ -141,6 +141,11 @@ impl<T> Arena<T> {
         })
     }
 
+    /// Iterates the live values mutably, in slot order.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.slots.iter_mut().filter_map(|s| s.value.as_mut())
+    }
+
     /// Removes and returns the value under `key`, bumping the slot's
     /// generation so the key (and any copy of it) goes stale.
     pub fn remove(&mut self, key: Key) -> Option<T> {

@@ -7,9 +7,12 @@
 //!
 //! The engine's event stream is sparse: the calendar rarely holds more
 //! than a few dozen pending entries, so the heap's O(log n) sifts are a
-//! handful of compares. A 64-slot bucket wheel measured no end-to-end
-//! gain over this heap on any benchmark workload and pre-allocated
-//! 11.8 KB per engine (DESIGN.md §7 has the A/B).
+//! handful of compares. Most handlers schedule a follow-up event, so
+//! `pop` leaves the popped entry at the top and the next `schedule`
+//! overwrites it: one sift per handled event instead of two. A 64-slot
+//! bucket wheel measured no end-to-end gain over this heap on any
+//! benchmark workload and pre-allocated 11.8 KB per engine (DESIGN.md
+//! §7 has the A/B).
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -67,6 +70,11 @@ pub struct Calendar<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
     now: SimTime,
+    /// The heap's top is the event `pop` last returned, left in place:
+    /// the next `schedule` overwrites it and sifts once, where a removal
+    /// and an insertion would sift twice. It is the earliest entry, since
+    /// nothing scheduled after it can sort before it.
+    spent_top: bool,
 }
 
 impl<E> Default for Calendar<E> {
@@ -82,6 +90,7 @@ impl<E> Calendar<E> {
             heap: BinaryHeap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
+            spent_top: false,
         }
     }
 
@@ -105,34 +114,67 @@ impl<E> Calendar<E> {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { at, seq, event });
+        let entry = Entry { at, seq, event };
+        if std::mem::take(&mut self.spent_top) {
+            if let Some(mut top) = self.heap.peek_mut() {
+                *top = entry;
+                return;
+            }
+        }
+        self.heap.push(entry);
     }
 
+    /// Drops the spent top, if `pop` left one.
+    fn discard_spent(&mut self) {
+        if self.spent_top {
+            self.heap.pop();
+            self.spent_top = false;
+        }
+    }
+
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
+        self.heap.len() - usize::from(self.spent_top)
+    }
+
+    /// True if no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The pending events, in no particular order.
+    pub fn pending(&self) -> impl Iterator<Item = &E> {
+        let spent = self
+            .heap
+            .peek()
+            .filter(|_| self.spent_top)
+            .map(|top| top.seq);
+        self.heap
+            .iter()
+            .filter(move |e| Some(e.seq) != spent)
+            .map(|e| &e.event)
+    }
+}
+
+impl<E: Copy> Calendar<E> {
     /// Removes and returns the earliest event, advancing `now` to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        debug_assert!(entry.at >= self.now, "calendar time moved backwards");
-        self.now = entry.at;
-        Some((entry.at, entry.event))
+        self.pop_if_at_or_before(SimTime::MAX)
     }
 
     /// Removes and returns the earliest event only if it is due at or
     /// before `limit` (the epoch-stepped engine's hot path).
     pub fn pop_if_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        if self.heap.peek()?.at > limit {
+        self.discard_spent();
+        let top = self.heap.peek()?;
+        if top.at > limit {
             return None;
         }
-        self.pop()
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        debug_assert!(top.at >= self.now, "calendar time moved backwards");
+        let (at, event) = (top.at, top.event);
+        self.now = at;
+        self.spent_top = true;
+        Some((at, event))
     }
 }
 
@@ -146,8 +188,9 @@ impl<E: rhythm_snapshot::Snapshot> rhythm_snapshot::Snapshot for Calendar<E> {
         w.u64(self.next_seq);
         let mut entries: Vec<&Entry<E>> = self.heap.iter().collect();
         entries.sort_by_key(|e| (e.at, e.seq));
-        w.u64(entries.len() as u64);
-        for e in entries {
+        let pending = &entries[usize::from(self.spent_top)..];
+        w.u64(pending.len() as u64);
+        for e in pending {
             w.u64(e.at.as_nanos());
             w.u64(e.seq);
             e.event.encode(w);
@@ -177,6 +220,7 @@ impl<E: rhythm_snapshot::Snapshot> rhythm_snapshot::Snapshot for Calendar<E> {
             heap: BinaryHeap::from(entries),
             next_seq,
             now,
+            spent_top: false,
         })
     }
 }
@@ -279,6 +323,21 @@ mod tests {
         cal.schedule(SimTime::from_micros(700), 3);
         let order: Vec<i32> = std::iter::from_fn(|| cal.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec![3, 1, 2]);
+    }
+
+    #[test]
+    fn pending_leaves_out_the_popped_event() {
+        let mut cal = Calendar::new();
+        for (ms, e) in [(3, 'a'), (1, 'b'), (2, 'c')] {
+            cal.schedule(SimTime::from_millis(ms), e);
+        }
+        assert_eq!(cal.pop().unwrap().1, 'b');
+        let mut left: Vec<char> = cal.pending().copied().collect();
+        left.sort_unstable();
+        assert_eq!(left, vec!['a', 'c']);
+        assert_eq!(cal.len(), 2);
+        cal.schedule(SimTime::from_millis(4), 'd');
+        assert_eq!(cal.pending().count(), 3);
     }
 
     #[test]

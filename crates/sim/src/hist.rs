@@ -87,7 +87,17 @@ impl LatencyHistogram {
         if value <= self.min_value {
             return 0;
         }
-        ((value / self.min_value).ln() / self.log_gamma).ceil() as usize
+        let ratio = value / self.min_value;
+        // Past `f64::MAX · min_value` the ratio overflows to ∞, whose
+        // bucket would be `usize::MAX`; the difference of logarithms
+        // stays finite there. No latency comes near, so every bucket a
+        // run can reach is computed exactly as before.
+        let log_ratio = if ratio.is_finite() {
+            ratio.ln()
+        } else {
+            value.ln() - self.min_value.ln()
+        };
+        (log_ratio / self.log_gamma).ceil() as usize
     }
 
     /// The representative (upper-bound) value of bucket `i`.
@@ -132,12 +142,36 @@ impl LatencyHistogram {
     /// Records one observation. Non-finite and non-positive values are
     /// clamped into the smallest bucket.
     pub fn record(&mut self, value: f64) {
+        let (idx, v) = self.locate(value);
+        self.record_located(idx, v);
+    }
+
+    /// Where `value` lands: its bucket index, and the value as recorded
+    /// (non-finite and non-positive values become `min_value`). One
+    /// `locate` serves every histogram of the same layout, so a value
+    /// fed to several sketches pays for one logarithm.
+    #[inline]
+    pub fn locate(&self, value: f64) -> (usize, f64) {
         let v = if value.is_finite() && value > 0.0 {
             value
         } else {
             self.min_value
         };
-        let idx = self.bucket_index(v);
+        (self.bucket_index(v), v)
+    }
+
+    /// Records a value `locate` placed in bucket `idx`, on a histogram of
+    /// this layout (debug builds check the bucket against this layout).
+    #[inline]
+    pub fn record_located(&mut self, idx: usize, v: f64) {
+        debug_assert_eq!(
+            (idx, v.to_bits()),
+            {
+                let (i, c) = self.locate(v);
+                (i, c.to_bits())
+            },
+            "value located under a different histogram layout"
+        );
         // Below `lo` the offset wraps, so one compare covers both edges.
         match self.counts.get_mut(idx.wrapping_sub(self.lo)) {
             Some(c) => *c += 1,

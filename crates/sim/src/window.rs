@@ -69,6 +69,13 @@ impl TailWindow {
 
     /// Records a latency sample observed at time `at`.
     pub fn record(&mut self, at: SimTime, latency_ms: f64) {
+        let (bucket, v) = self.slots[0].hist.locate(latency_ms);
+        self.record_located(at, bucket, v);
+    }
+
+    /// Records a sample already placed by [`LatencyHistogram::locate`]
+    /// on a histogram of the default layout.
+    pub fn record_located(&mut self, at: SimTime, bucket: usize, v: f64) {
         let epoch = self.epoch_of(at);
         let idx = (epoch % self.slots.len() as u64) as usize;
         let slot = &mut self.slots[idx];
@@ -76,7 +83,7 @@ impl TailWindow {
             slot.hist.reset();
             slot.epoch = epoch;
         }
-        slot.hist.record(latency_ms);
+        slot.hist.record_located(bucket, v);
     }
 
     /// True if `slot` holds samples inside the window ending at epoch

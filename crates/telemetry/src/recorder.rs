@@ -80,6 +80,10 @@ pub struct FlightRecorder {
     cap: usize,
     /// Total events ever recorded (slot of record `k` is `k % cap`).
     seq: u64,
+    /// The slot the next record goes to: `seq % cap`, kept as a cursor
+    /// so recording divides by nothing.
+    // lint:allow(S02) -- derived: decode recomputes it as seq % cap
+    head: usize,
 }
 
 impl FlightRecorder {
@@ -91,6 +95,7 @@ impl FlightRecorder {
             buf: Vec::with_capacity(cap),
             cap,
             seq: 0,
+            head: 0,
         }
     }
 
@@ -101,6 +106,7 @@ impl FlightRecorder {
             buf: Vec::new(),
             cap: 1,
             seq: 0,
+            head: 0,
         }
     }
 
@@ -131,10 +137,13 @@ impl FlightRecorder {
         if self.buf.len() < self.cap {
             self.buf.push(ev);
         } else {
-            let slot = (self.seq % self.cap as u64) as usize;
-            self.buf[slot] = ev;
+            self.buf[self.head] = ev;
         }
         self.seq += 1;
+        self.head += 1;
+        if self.head == self.cap {
+            self.head = 0;
+        }
     }
 
     /// Events currently held, oldest first.
@@ -142,10 +151,9 @@ impl FlightRecorder {
         if self.buf.len() < self.cap {
             return self.buf.clone();
         }
-        let split = (self.seq % self.cap as u64) as usize;
         let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[split..]);
-        out.extend_from_slice(&self.buf[..split]);
+        out.extend_from_slice(&self.buf[self.head..]);
+        out.extend_from_slice(&self.buf[..self.head]);
         out
     }
 
@@ -229,6 +237,7 @@ impl rhythm_snapshot::Snapshot for FlightRecorder {
             buf,
             cap,
             seq,
+            head: (seq % cap as u64) as usize,
         })
     }
 }
@@ -294,11 +303,13 @@ impl Telemetry {
         self.cfg.enabled && self.cfg.tail
     }
 
-    /// Feeds one end-to-end latency into the current tail window.
+    /// Feeds one end-to-end latency, already placed in `bucket` by
+    /// `LatencyHistogram::locate` on a histogram of the default layout,
+    /// into the current tail window.
     #[inline]
-    pub fn record_latency(&mut self, ms: f64) {
+    pub fn record_latency_located(&mut self, bucket: usize, ms: f64) {
         if self.tail_enabled() {
-            self.tail.record(ms);
+            self.tail.record_located(bucket, ms);
         }
     }
 
@@ -396,6 +407,23 @@ mod tests {
         assert_eq!(wa.into_bytes(), wb.into_bytes());
     }
 
+    /// The write cursor is `seq % cap` while the ring fills, across
+    /// every wrap, and in a recorder decoded at any point.
+    #[test]
+    fn head_is_seq_mod_cap_across_wrap_and_decode() {
+        use rhythm_snapshot::{Reader, Snapshot, Writer};
+        let mut r = FlightRecorder::new(5);
+        for i in 0..13u64 {
+            assert_eq!(r.head as u64, r.seq % r.cap as u64);
+            let mut w = Writer::new();
+            r.encode(&mut w);
+            let back = FlightRecorder::decode(&mut Reader::new(&w.into_bytes())).unwrap();
+            assert_eq!(back.head, r.head, "after {i} records");
+            r.record(at(i), EventKind::Epoch { epoch: i as u32 });
+        }
+        assert_eq!(r.head, 3);
+    }
+
     #[test]
     fn snapshot_rejects_inconsistent_ring() {
         use rhythm_snapshot::{Reader, Snapshot, SnapshotError, Writer};
@@ -416,7 +444,8 @@ mod tests {
         use rhythm_snapshot::{Reader, Snapshot, Writer};
         let mut t = Telemetry::new(TelemetryConfig::full());
         t.recorder.record(at(5), EventKind::RequestAdmitted);
-        t.record_latency(12.0);
+        let (bucket, ms) = rhythm_sim::LatencyHistogram::new().locate(12.0);
+        t.record_latency_located(bucket, ms);
         t.tail.tick(2.0, 100.0);
         let mut w = Writer::new();
         t.encode(&mut w);
@@ -439,7 +468,8 @@ mod tests {
     fn full_config_round_trips_into_output() {
         let mut t = Telemetry::new(TelemetryConfig::full());
         t.recorder.record(at(5), EventKind::RequestAdmitted);
-        t.record_latency(12.0);
+        let (bucket, ms) = rhythm_sim::LatencyHistogram::new().locate(12.0);
+        t.record_latency_located(bucket, ms);
         t.tail.tick(2.0, 100.0);
         let out = t.into_output(vec!["front".into()]).unwrap();
         assert_eq!(out.events.len(), 1);

@@ -80,9 +80,16 @@ impl TailSeries {
     }
 
     /// Streams one end-to-end latency (ms) into the current window.
-    #[inline]
     pub fn record(&mut self, ms: f64) {
         self.window.record(ms);
+    }
+
+    /// [`TailSeries::record`] for a latency already placed in `bucket`
+    /// by [`LatencyHistogram::locate`] on a histogram of the default
+    /// layout.
+    #[inline]
+    pub fn record_located(&mut self, bucket: usize, ms: f64) {
+        self.window.record_located(bucket, ms);
     }
 
     /// Closes the current window at virtual time `t_s`, appends its

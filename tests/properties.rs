@@ -7,8 +7,9 @@
 //! queue's EDF-within-priority total order (with aging anti-starvation
 //! and class preservation across StopBE requeues), and the engine's
 //! worker-busy integrals stay bounded and monotone. Differential tests
-//! hold the tracer pipeline, the latency histogram and the tail window
-//! to in-test copies of their earlier implementations, bit for bit.
+//! hold the tracer pipeline, the latency histogram, the tail window and
+//! the request planner to in-test copies of their earlier
+//! implementations, bit for bit.
 //!
 //! The final block runs whole cluster simulations per case (capped via
 //! `proptest_config`) and checks the chaos invariants of DESIGN.md §13:
@@ -583,6 +584,214 @@ proptest! {
                 *p = a;
             }
         }
+    }
+}
+
+/// The engine's visit planner before visits went flat, kept as the
+/// differential oracle for `Planner::plan`: a DFS that creates each
+/// visit when it pops it, with explicit child lists wired afterwards,
+/// plus the per-visit snapshot encoding of that layout.
+mod plan_oracle {
+    use rhythm::sim::{SimRng, SimTime};
+    use rhythm::snapshot::{Snapshot, Writer};
+    use rhythm::workloads::ServiceSpec;
+
+    pub struct Visit {
+        pub node: usize,
+        pub parent: Option<(usize, usize)>,
+        pub children: Vec<usize>,
+        pub parallel: bool,
+        pub n_phases: usize,
+    }
+
+    pub fn plan_visits(service: &ServiceSpec, rng: &mut SimRng) -> Vec<Visit> {
+        let mut visits: Vec<Visit> = Vec::new();
+        // Stack of (node, parent visit, child slot).
+        let mut stack: Vec<(usize, Option<(usize, usize)>)> = vec![(ServiceSpec::ENTRY, None)];
+        let mut sampled = Vec::new();
+        while let Some((node, parent)) = stack.pop() {
+            let spec = &service.nodes[node];
+            sampled.clear();
+            for call in &spec.calls {
+                if call.probability >= 1.0 || rng.chance(call.probability) {
+                    sampled.push(call.target);
+                }
+            }
+            let idx = visits.len();
+            let n_phases = if sampled.is_empty() {
+                1
+            } else if spec.parallel {
+                2
+            } else {
+                sampled.len() + 1
+            };
+            visits.push(Visit {
+                node,
+                parent,
+                children: Vec::new(),
+                parallel: spec.parallel,
+                n_phases,
+            });
+            // Push in reverse so the LIFO stack creates sibling visits in
+            // call order.
+            for (slot, &child) in sampled.iter().enumerate().rev() {
+                stack.push((child, Some((idx, slot))));
+            }
+        }
+        // Wire children arrays (the stack pushed children after parents,
+        // so parent indices are valid).
+        for i in 0..visits.len() {
+            if let Some((p, _)) = visits[i].parent {
+                visits[p].children.push(i);
+            }
+        }
+        visits
+    }
+
+    /// The snapshot bytes of a request planned at `arrival` and not yet
+    /// started: every visit at phase 0, nothing pending, no time spent,
+    /// no phase records.
+    pub fn encode(arrival: SimTime, visits: &[Visit], w: &mut Writer) {
+        arrival.encode(w);
+        w.u64(visits.len() as u64);
+        for v in visits {
+            w.u64(v.node as u64);
+            v.parent.map(|(p, s)| (p as u64, s as u64)).encode(w);
+            let children: Vec<u64> = v.children.iter().map(|&c| c as u64).collect();
+            children.encode(w);
+            w.bool(v.parallel);
+            w.u64(0); // phase
+            w.u64(v.n_phases as u64);
+            w.u64(0); // pending children
+            arrival.encode(w); // phase start
+            w.u64(0); // sojourn
+            Vec::<(SimTime, SimTime)>::new().encode(w); // phase records
+        }
+    }
+}
+
+/// One random DAG node: whether it calls in parallel, and per call a
+/// target pick, a probability kind (0: never, 1: always, else `p`) and
+/// `p`.
+type NodeShape = (bool, Vec<(u8, u8, f64)>);
+
+/// A random service DAG: node `i` calls later nodes only, each call
+/// with probability 0, 1 or in between, sequentially or in parallel.
+fn random_service(shape: &[NodeShape]) -> rhythm::workloads::ServiceSpec {
+    use rhythm::workloads::{Call, ServiceNode, ServiceSpec};
+    let component = apps::ecommerce().nodes[0].component.clone();
+    let n = shape.len();
+    let nodes = shape
+        .iter()
+        .enumerate()
+        .map(|(i, (parallel, calls))| ServiceNode {
+            component: component.clone(),
+            calls: match n - i - 1 {
+                0 => Vec::new(),
+                later => calls
+                    .iter()
+                    .map(|&(t, kind, p)| Call {
+                        target: i + 1 + t as usize % later,
+                        probability: match kind {
+                            0 => 0.0,
+                            1 => 1.0,
+                            _ => p,
+                        },
+                    })
+                    .collect(),
+            },
+            parallel: *parallel,
+        })
+        .collect();
+    ServiceSpec {
+        name: "random-dag".into(),
+        nodes,
+        sla_ms: 100.0,
+        nominal_maxload_qps: 100.0,
+        containers: 1,
+    }
+}
+
+proptest! {
+    /// The flat preorder planner takes the same random draws as the DFS
+    /// oracle and lays out the same tree: per visit the same node,
+    /// parent, slot, children and phase count, and the same snapshot
+    /// bytes as the old per-visit encoding. Successive requests reuse
+    /// one buffer, as the engine's pool does.
+    #[test]
+    fn planner_matches_dfs_oracle(
+        shape in prop::collection::vec(
+            (any::<bool>(), prop::collection::vec((any::<u8>(), 0u8..4, 0.0f64..1.0), 0..4)),
+            1..7,
+        ),
+        seed in any::<u64>(),
+        requests in 1usize..6,
+    ) {
+        use rhythm::core::plan::{Planner, Request};
+        use rhythm::snapshot::{Snapshot, Writer};
+        let service = random_service(&shape);
+        let mut rng_old = SimRng::from_seed(seed);
+        let mut rng_new = SimRng::from_seed(seed);
+        let mut planner = Planner::default();
+        let mut req = Request::default();
+        for k in 0..requests {
+            let arrival = SimTime::from_millis(k as u64);
+            let want = plan_oracle::plan_visits(&service, &mut rng_old);
+            planner.plan(&service, &mut rng_new, arrival, k % 2 == 1, &mut req);
+            prop_assert_eq!(req.visits().len(), want.len());
+            for (i, (got, want)) in req.visits().iter().zip(&want).enumerate() {
+                prop_assert_eq!(got.node(), want.node, "visit {} node", i);
+                prop_assert_eq!(got.parent(), want.parent, "visit {} parent and slot", i);
+                prop_assert_eq!(req.children(i).collect::<Vec<_>>(), want.children.clone());
+                prop_assert_eq!(got.n_phases(), want.n_phases, "visit {} phases", i);
+                prop_assert_eq!(got.parallel(), want.parallel);
+            }
+            prop_assert_eq!(rng_new.next_u64(), rng_old.next_u64(), "draws diverged");
+            let mut got = Writer::new();
+            req.encode(&mut got);
+            let mut old = Writer::new();
+            plan_oracle::encode(arrival, &want, &mut old);
+            prop_assert_eq!(got.into_bytes(), old.into_bytes());
+        }
+    }
+}
+
+/// Locating a value once and recording it by bucket is exactly
+/// `record`, including at the clamps: NaN, ±0, negatives, ±∞, values
+/// at or below `min_value` and values far above any latency.
+#[test]
+fn histogram_locate_then_record_equals_record() {
+    use rhythm::snapshot::{Snapshot, Writer};
+    let values = [
+        f64::NAN,
+        0.0,
+        -0.0,
+        -1.0,
+        -1e300,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        5e-324,
+        f64::MIN_POSITIVE,
+        5e-4,
+        1e-3,
+        1.000_000_000_1e-3,
+        0.75,
+        123.456,
+        1e12,
+        1e300,
+        f64::MAX,
+    ];
+    let mut recorded = LatencyHistogram::new();
+    let mut located = LatencyHistogram::new();
+    for &v in &values {
+        recorded.record(v);
+        let (bucket, clamped) = located.locate(v);
+        assert!(clamped.is_finite() && clamped > 0.0, "{v} clamps to {clamped}");
+        located.record_located(bucket, clamped);
+        let (mut a, mut b) = (Writer::new(), Writer::new());
+        recorded.encode(&mut a);
+        located.encode(&mut b);
+        assert_eq!(a.into_bytes(), b.into_bytes(), "after {v}");
     }
 }
 

@@ -9,6 +9,8 @@
 
 use rhythm::prelude::*;
 use rhythm::cluster::JobState;
+use rhythm::core::plan::Request;
+use rhythm::snapshot::{Reader, Writer};
 use rhythm::workloads::apps;
 
 const CAPTURE_EPOCH: u32 = 7;
@@ -108,6 +110,138 @@ fn resume_rejects_inconsistent_scheduler_state() {
         );
     }
     assert!(ClusterRunner::resume(snap, &ctx, &ControllerChoice::Rhythm, &c).is_ok());
+}
+
+/// One sequential visit in the request wire format, not yet started:
+/// node, parent `(visit, slot)`, children, then phase 0 of
+/// `children + 1`, nothing pending, no time spent, no phase records.
+fn wire_visit(w: &mut Writer, node: u64, parent: Option<(u64, u64)>, children: &[u64]) {
+    w.u64(node);
+    parent.encode(w);
+    children.to_vec().encode(w);
+    w.bool(false);
+    w.u64(0);
+    w.u64(children.len() as u64 + 1);
+    w.u64(0);
+    SimTime::ZERO.encode(w);
+    w.u64(0);
+    Vec::<(SimTime, SimTime)>::new().encode(w);
+}
+
+type WireVisit = (u64, Option<(u64, u64)>, Vec<u64>);
+
+/// Decodes a request whose visits are given as `(node, parent, children)`.
+fn decode_request(visits: &[WireVisit]) -> Result<Request, SnapshotError> {
+    let mut w = Writer::new();
+    SimTime::ZERO.encode(&mut w);
+    w.u64(visits.len() as u64);
+    for (node, parent, children) in visits {
+        wire_visit(&mut w, *node, *parent, children);
+    }
+    Request::decode(&mut Reader::new(&w.into_bytes()))
+}
+
+fn assert_corrupt(visits: &[WireVisit], what: &str) {
+    assert!(
+        matches!(decode_request(visits), Err(SnapshotError::Corrupt(_))),
+        "{what} must be refused as corrupt"
+    );
+}
+
+/// A root calling visits 1 and 2 in order: the valid baseline every
+/// hostile case below edits.
+fn two_child_plan() -> Vec<WireVisit> {
+    vec![
+        (0, None, vec![1, 2]),
+        (1, Some((0, 0)), vec![]),
+        (2, Some((0, 1)), vec![]),
+    ]
+}
+
+#[test]
+fn request_decode_rejects_children_off_the_preorder_layout() {
+    assert!(decode_request(&two_child_plan()).is_ok());
+    let mut swapped = two_child_plan();
+    swapped[0].2 = vec![2, 1];
+    assert_corrupt(&swapped, "a child list out of call order");
+    let mut short = two_child_plan();
+    short[0].2 = vec![1];
+    assert_corrupt(&short, "a child list missing a visit that names its parent");
+    let mut slot = two_child_plan();
+    slot[2].1 = Some((0, 0));
+    assert_corrupt(&slot, "two children in one slot");
+    // Parent links that all point backwards but split visit 1's
+    // subtree {1, 3} around its sibling 2.
+    let split = vec![
+        (0, None, vec![1, 2]),
+        (1, Some((0, 0)), vec![3]),
+        (2, Some((0, 1)), vec![]),
+        (3, Some((1, 0)), vec![]),
+    ];
+    assert_corrupt(&split, "a subtree that is not contiguous");
+    assert_corrupt(&[], "a request with no visits");
+}
+
+#[test]
+fn request_decode_rejects_parent_at_or_after_child() {
+    let mut own = two_child_plan();
+    own[1].1 = Some((1, 0));
+    assert_corrupt(&own, "a visit that is its own parent");
+    let mut later = two_child_plan();
+    later[1].1 = Some((2, 0));
+    assert_corrupt(&later, "a parent after its child");
+    let mut rooted = two_child_plan();
+    rooted[0].1 = Some((0, 0));
+    assert_corrupt(&rooted, "a parent on the entry visit");
+    let mut second_root = two_child_plan();
+    second_root[2].1 = None;
+    assert_corrupt(&second_root, "a second root");
+}
+
+#[test]
+fn request_and_queue_decode_reject_indices_beyond_u32() {
+    let big = u64::from(u32::MAX) + 1;
+    let mut node = two_child_plan();
+    node[1].0 = big;
+    assert_corrupt(&node, "a node index beyond u32");
+    let mut slot = two_child_plan();
+    slot[2].1 = Some((0, big + 1));
+    assert_corrupt(&slot, "a slot index beyond u32");
+    let mut child = two_child_plan();
+    child[0].2 = vec![1, big + 2];
+    assert_corrupt(&child, "a child index beyond u32");
+
+    // A node queue entry naming visit 2^32 of a live request. An
+    // overloaded engine has queued phases; its stream holds the machines,
+    // the node count, then per node `workers: u32, busy: u32, queue: u64
+    // length + (key: u64, visit: u64) entries, inflation: f64, busy area:
+    // u128, last busy change: u64, visits done: u64`.
+    let cfg = || EngineConfig::solo(1.3, 20, 5);
+    let mut e = Engine::new(apps::ecommerce(), cfg());
+    e.run_until(SimTime::from_secs(10));
+    let mut w = Writer::new();
+    e.snapshot_encode(&mut w);
+    let mut bytes = w.into_bytes();
+    assert!(Engine::snapshot_restore(apps::ecommerce(), cfg(), &mut Reader::new(&bytes)).is_ok());
+    let mut m = Writer::new();
+    let machines: Vec<Machine> = (0..e.machine_count()).map(|i| e.machine(i).clone()).collect();
+    machines.encode(&mut m);
+    let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    let mut at = m.len() + 8;
+    let visit_at = loop {
+        assert!(at < bytes.len(), "some node has a queued phase");
+        let queued = word(&bytes, at + 8) as usize;
+        if queued > 0 {
+            break at + 16 + 8;
+        }
+        at += 16 + queued * 16 + 8 + 16 + 8 + 8;
+    };
+    assert!(word(&bytes, visit_at) < 64, "the patched word is a visit index");
+    bytes[visit_at..visit_at + 8].copy_from_slice(&big.to_le_bytes());
+    assert!(matches!(
+        Engine::snapshot_restore(apps::ecommerce(), cfg(), &mut Reader::new(&bytes)).err(),
+        Some(SnapshotError::Corrupt(_))
+    ));
 }
 
 #[test]
