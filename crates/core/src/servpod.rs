@@ -30,16 +30,16 @@ pub struct Deployment {
 }
 
 impl Deployment {
-    /// Deploys `service` with one component per machine of the given
-    /// spec, reserving each component's cores/memory for the LC side.
+    /// Deploys `service` with one component per paper-testbed machine,
+    /// reserving each component's cores/memory for the LC side.
     ///
     /// # Panics
     ///
     /// Panics if the service fails validation or a component exceeds the
     /// machine capacity.
-    pub fn new(service: impl Into<Arc<ServiceSpec>>, machine_spec: MachineSpec) -> Deployment {
+    pub fn new(service: impl Into<Arc<ServiceSpec>>) -> Deployment {
         let service = service.into();
-        let specs = vec![machine_spec; service.len()];
+        let specs = vec![MachineSpec::paper_testbed(); service.len()];
         Deployment::with_machine_specs(service, &specs)
     }
 
@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn one_machine_per_component() {
-        let d = Deployment::new(apps::ecommerce(), MachineSpec::paper_testbed());
+        let d = Deployment::new(apps::ecommerce());
         assert_eq!(d.len(), 4);
         assert_eq!(d.machines.len(), 4);
         assert_eq!(d.servpods[3].name, "mysql");
@@ -130,7 +130,7 @@ mod tests {
 
     #[test]
     fn lc_reservations_match_components() {
-        let d = Deployment::new(apps::ecommerce(), MachineSpec::paper_testbed());
+        let d = Deployment::new(apps::ecommerce());
         for (m, node) in d.machines.iter().zip(&d.service.nodes) {
             assert_eq!(m.lc_alloc().cores, node.component.cores);
             assert_eq!(m.lc_alloc().mem_mb, node.component.mem_mb);
@@ -163,7 +163,7 @@ mod tests {
     #[test]
     fn all_apps_deploy() {
         for app in apps::all_apps() {
-            let d = Deployment::new(app, MachineSpec::paper_testbed());
+            let d = Deployment::new(app);
             assert!(!d.is_empty());
         }
     }

@@ -134,11 +134,6 @@ impl SimDuration {
         self.0 as f64 / 1e6
     }
 
-    /// Duration as fractional microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Multiplies the duration by a non-negative factor, rounding to the
     /// nearest nanosecond.
     pub fn mul_f64(self, factor: f64) -> Self {

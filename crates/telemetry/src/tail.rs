@@ -112,6 +112,12 @@ impl TailSeries {
         &self.points
     }
 
+    /// True if nothing was recorded or closed: no points and both
+    /// window sketches empty.
+    pub fn is_empty(&self) -> bool {
+        self.points.is_empty() && self.window.is_empty() && self.last_window.is_empty()
+    }
+
     /// Consumes the series into its points.
     pub fn into_points(self) -> Vec<TailPoint> {
         self.points
