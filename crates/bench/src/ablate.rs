@@ -13,9 +13,9 @@
 use crate::{parallel_map, Report};
 use rhythm_analyzer::contributions;
 use rhythm_analyzer::loadlimit::loadlimits;
-use rhythm_core::bubble::{bubble_contributions, ranking_agreement, Bubble};
 use rhythm_analyzer::slacklimit::find_slacklimits;
 use rhythm_controller::Thresholds;
+use rhythm_core::bubble::{bubble_contributions, ranking_agreement, Bubble};
 use rhythm_core::experiment::{ControllerChoice, ExperimentConfig, ServiceContext};
 use rhythm_core::profiling::{calibrate_sla, profile_service, ProfileConfig};
 use rhythm_core::runtime::{ControlMode, Engine, EngineConfig};
@@ -141,13 +141,8 @@ pub fn period_ablation(seed: u64) -> Vec<Variant> {
             let ctx = ctx.clone();
             Box::new(move || {
                 let mut cfg = EngineConfig::solo(0.75, DURATION_S, seed);
-                cfg.load = LoadGen::clarknet_like(
-                    2,
-                    SimDuration::from_secs(DURATION_S),
-                    60,
-                    0.95,
-                    seed,
-                );
+                cfg.load =
+                    LoadGen::clarknet_like(2, SimDuration::from_secs(DURATION_S), 60, 0.95, seed);
                 cfg.bes = BeSpec::colocation_set();
                 cfg.sla_ms = ctx.sla_ms;
                 cfg.controller_period = SimDuration::from_millis(period_ms);
@@ -272,7 +267,9 @@ pub fn run() -> std::io::Result<()> {
     report.line("critical-path scaling α (SNMS, mixed BEs):");
     report.line(render(&f));
     let b = bubble_comparison(0xAB4);
-    report.line("directed vs bubble-pressure profiling (§3.2): ranking agreement with Eq.4 contributions");
+    report.line(
+        "directed vs bubble-pressure profiling (§3.2): ranking agreement with Eq.4 contributions",
+    );
     for (label, agreement) in &b {
         report.line(format!("  {label:<14} pairwise agreement {:.2}", agreement));
     }

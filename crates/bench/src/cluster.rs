@@ -82,7 +82,10 @@ pub fn run() -> std::io::Result<()> {
     for &n in &SIZES {
         let cfg = cell_config(n, 0xC1);
         let (rhythm, heracles) = compare_cluster(&ctx, &cfg);
-        report.line(format!("-- N = {n} machines ({} replicas) --", rhythm.metrics.replicas));
+        report.line(format!(
+            "-- N = {n} machines ({} replicas) --",
+            rhythm.metrics.replicas
+        ));
         report.line(fmt_row("rhythm", &rhythm.metrics));
         report.line(fmt_row("heracles", &heracles.metrics));
         let gain = if heracles.metrics.emu > 0.0 {
@@ -134,9 +137,15 @@ pub fn hetero_config(seed: u64) -> ClusterConfig {
     let lstm = cfg.be_mix[2].clone();
     cfg.job_plan = vec![
         // An urgent class-2 job and a batch of dated class-1 jobs.
-        JobSpec::solitary(lstm.clone()).with_priority(2).with_deadline(90.0),
-        JobSpec::solitary(ic.clone()).with_priority(1).with_deadline(120.0),
-        JobSpec::solitary(ic.clone()).with_priority(1).with_deadline(180.0),
+        JobSpec::solitary(lstm.clone())
+            .with_priority(2)
+            .with_deadline(90.0),
+        JobSpec::solitary(ic.clone())
+            .with_priority(1)
+            .with_deadline(120.0),
+        JobSpec::solitary(ic.clone())
+            .with_priority(1)
+            .with_deadline(180.0),
         JobSpec::solitary(ic).with_priority(1).with_deadline(240.0),
         // A gang of three co-scheduled instances.
         JobSpec::solitary(wc.clone()).with_priority(1).with_gang(3),
@@ -161,12 +170,21 @@ pub fn run_hetero() -> std::io::Result<()> {
          one 3-instance gang (hetero-aware placement, priority preemption, queue aging)",
     );
     let (rhythm, heracles) = compare_cluster(&ctx, &cfg);
-    let classes: Vec<&str> = vec!["dense-compute", "paper-testbed", "lean-node", "paper-testbed"];
+    let classes: Vec<&str> = vec![
+        "dense-compute",
+        "paper-testbed",
+        "lean-node",
+        "paper-testbed",
+    ];
     report.line(format!(
         "-- 4 machines [{}], {} jobs ({} gang instances) --",
         classes.join(", "),
         cfg.total_jobs(),
-        cfg.job_plan.iter().filter(|e| e.gang > 1).map(|e| e.gang).sum::<u32>(),
+        cfg.job_plan
+            .iter()
+            .filter(|e| e.gang > 1)
+            .map(|e| e.gang)
+            .sum::<u32>(),
     ));
     report.line(fmt_row("rhythm", &rhythm.metrics));
     report.line(fmt_row("heracles", &heracles.metrics));

@@ -70,7 +70,8 @@ where
                     loop {
                         // PANIC: the lock is only poisoned if another
                         // worker panicked, which the join below re-raises.
-                        let Some((i, job)) = queue.lock().expect("job queue poisoned").next() else {
+                        let Some((i, job)) = queue.lock().expect("job queue poisoned").next()
+                        else {
                             break done;
                         };
                         done.push((i, job()));

@@ -103,10 +103,7 @@ pub fn run(github: bool) -> std::io::Result<()> {
     let doc = Value::Object(vec![
         ("tool".into(), Value::String("rhythm-lint".into())),
         ("schema".into(), Value::String("rhythm-lint/v1".into())),
-        (
-            "files_scanned".into(),
-            Value::UInt(ws.files_scanned as u64),
-        ),
+        ("files_scanned".into(), Value::UInt(ws.files_scanned as u64)),
         ("unsuppressed".into(), Value::UInt(ws.findings.len() as u64)),
         ("suppressed".into(), Value::UInt(ws.suppressed.len() as u64)),
         ("findings".into(), Value::Array(findings)),

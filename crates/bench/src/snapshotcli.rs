@@ -50,11 +50,7 @@ fn parse(args: &[String], flags: &[&str]) -> io::Result<(Vec<String>, FlagPairs)
     Ok((positional, pairs))
 }
 
-fn flag<T: std::str::FromStr>(
-    pairs: &[(String, String)],
-    name: &str,
-    default: T,
-) -> io::Result<T> {
+fn flag<T: std::str::FromStr>(pairs: &[(String, String)], name: &str, default: T) -> io::Result<T> {
     match pairs.iter().rev().find(|(n, _)| n == name) {
         None => Ok(default),
         Some((_, v)) => v
@@ -131,11 +127,11 @@ pub fn snapshot(args: &[String]) -> io::Result<()> {
     let run = ClusterRunner::new(&ctx, &ControllerChoice::Rhythm, &cfg)
         .snapshot_at(epoch)
         .run();
-    let snap = run
-        .snapshots
-        .first()
-        .map(|(_, s)| s)
-        .ok_or_else(|| invalid(format!("epoch {epoch} is past the end of the {duration}s run")))?;
+    let snap = run.snapshots.first().map(|(_, s)| s).ok_or_else(|| {
+        invalid(format!(
+            "epoch {epoch} is past the end of the {duration}s run"
+        ))
+    })?;
     let bytes = snap.to_bytes();
     if let Some(parent) = PathBuf::from(&out).parent() {
         if !parent.as_os_str().is_empty() {

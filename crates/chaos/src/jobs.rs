@@ -139,9 +139,18 @@ mod tests {
             assert_eq!(x.spec.job_seconds, y.spec.job_seconds);
             assert!((2.0..=600.0).contains(&x.spec.job_seconds));
         }
-        let c = heavy_tailed_plan(64, &mix(), &JobSizeDist::alibaba_lognormal(), 2.0, 600.0, 10);
+        let c = heavy_tailed_plan(
+            64,
+            &mix(),
+            &JobSizeDist::alibaba_lognormal(),
+            2.0,
+            600.0,
+            10,
+        );
         assert!(
-            a.iter().zip(&c).any(|(x, y)| x.spec.job_seconds != y.spec.job_seconds),
+            a.iter()
+                .zip(&c)
+                .any(|(x, y)| x.spec.job_seconds != y.spec.job_seconds),
             "different seeds draw different sizes"
         );
     }
@@ -150,14 +159,7 @@ mod tests {
     fn lognormal_is_heavy_tailed() {
         // Median near the nominal value, mean well above it (skew), and
         // a spread of at least an order of magnitude.
-        let plan = heavy_tailed_plan(
-            2048,
-            &mix(),
-            &JobSizeDist::alibaba_lognormal(),
-            0.1,
-            1e9,
-            3,
-        );
+        let plan = heavy_tailed_plan(2048, &mix(), &JobSizeDist::alibaba_lognormal(), 0.1, 1e9, 3);
         let mut sizes: Vec<f64> = plan.iter().map(|j| j.spec.job_seconds).collect();
         sizes.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = sizes[sizes.len() / 2];

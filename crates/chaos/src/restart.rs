@@ -75,8 +75,13 @@ pub fn crash_restart(
 
     // The drill: run to the barrier, keep only the encoded bytes.
     let bytes = {
-        let mut run = ClusterRunner::new(ctx, choice, cfg).snapshot_at(epoch).run();
-        let (got, snap) = run.snapshots.pop().expect("snapshot captured at the barrier");
+        let mut run = ClusterRunner::new(ctx, choice, cfg)
+            .snapshot_at(epoch)
+            .run();
+        let (got, snap) = run
+            .snapshots
+            .pop()
+            .expect("snapshot captured at the barrier");
         assert_eq!(got, epoch, "captured the requested barrier");
         snap.to_bytes()
         // `run` (outcome, engines, telemetry) dropped here — the crash.
@@ -92,7 +97,9 @@ pub fn crash_restart(
 
     let reference_fingerprint = outcome_fingerprint(&reference);
     let resumed_fingerprint = outcome_fingerprint(&resumed);
-    let exports = |a: &ClusterOutcome, b: &ClusterOutcome, f: &dyn Fn(&rhythm_cluster::ClusterTelemetry) -> String| match (
+    let exports = |a: &ClusterOutcome,
+                   b: &ClusterOutcome,
+                   f: &dyn Fn(&rhythm_cluster::ClusterTelemetry) -> String| match (
         a.telemetry.as_ref(),
         b.telemetry.as_ref(),
     ) {

@@ -185,11 +185,16 @@ impl FaultPlan {
     pub fn validate(&self, machines: usize) -> Result<(), String> {
         for (i, ev) in self.events.iter().enumerate() {
             if !ev.at_s.is_finite() || ev.at_s < 0.0 {
-                return Err(format!("fault event {i}: at_s {} is not a valid time", ev.at_s));
+                return Err(format!(
+                    "fault event {i}: at_s {} is not a valid time",
+                    ev.at_s
+                ));
             }
             if let FaultKind::SlowNode { factor, .. } = ev.kind {
                 if !(factor > 0.0 && factor <= 1.0) {
-                    return Err(format!("fault event {i}: slow-node factor {factor} outside (0, 1]"));
+                    return Err(format!(
+                        "fault event {i}: slow-node factor {factor} outside (0, 1]"
+                    ));
                 }
             }
             if let FaultKind::CorrelatedFailure { group } = &ev.kind {
@@ -333,8 +338,14 @@ mod tests {
         // Same-time events keep insertion order.
         let mut tie = FaultPlan::new().crash(10.0, 0).recover(10.0, 1);
         tie.normalize();
-        assert!(matches!(tie.events[0].kind, FaultKind::MachineCrash { machine: 0 }));
-        assert!(matches!(tie.events[1].kind, FaultKind::MachineRecover { machine: 1 }));
+        assert!(matches!(
+            tie.events[0].kind,
+            FaultKind::MachineCrash { machine: 0 }
+        ));
+        assert!(matches!(
+            tie.events[1].kind,
+            FaultKind::MachineRecover { machine: 1 }
+        ));
     }
 
     #[test]
@@ -343,7 +354,10 @@ mod tests {
         assert!(sample_plan().validate(5).is_err(), "machine 6 out of range");
         assert!(FaultPlan::new().slow_node(1.0, 0, 0.0).validate(4).is_err());
         assert!(FaultPlan::new().slow_node(1.0, 0, 1.5).validate(4).is_err());
-        assert!(FaultPlan::new().correlated(1.0, vec![]).validate(4).is_err());
+        assert!(FaultPlan::new()
+            .correlated(1.0, vec![])
+            .validate(4)
+            .is_err());
         assert!(FaultPlan::new().crash(f64::NAN, 0).validate(4).is_err());
     }
 
@@ -353,7 +367,11 @@ mod tests {
         let mut b = sample_plan();
         assert_eq!(a.fingerprint(), b.fingerprint());
         b.normalize();
-        assert_ne!(a.fingerprint(), b.fingerprint(), "order is part of the identity");
+        assert_ne!(
+            a.fingerprint(),
+            b.fingerprint(),
+            "order is part of the identity"
+        );
         assert_ne!(FaultPlan::new().fingerprint(), a.fingerprint());
     }
 

@@ -412,7 +412,12 @@ mod tests {
         assert_eq!(js.priority, 2);
         assert_eq!(js.deadline_s, Some(120.0));
         assert_eq!(js.gang, 3);
-        assert_eq!(JobSpec::solitary(BeSpec::of(BeKind::Wordcount)).with_gang(0).gang, 1);
+        assert_eq!(
+            JobSpec::solitary(BeSpec::of(BeKind::Wordcount))
+                .with_gang(0)
+                .gang,
+            1
+        );
     }
 
     #[test]

@@ -195,7 +195,11 @@ mod tests {
 
     #[test]
     fn merge_of_nothing_is_benign() {
-        let jobs: Vec<ClusterJob> = vec![ClusterJob::new(0, Arc::new(BeSpec::of(BeKind::Wordcount)), 0.0)];
+        let jobs: Vec<ClusterJob> = vec![ClusterJob::new(
+            0,
+            Arc::new(BeSpec::of(BeKind::Wordcount)),
+            0.0,
+        )];
         let m = ClusterMetrics::merge(4, &[], &[], &jobs, 0, 600.0);
         assert_eq!(m.machines, 4);
         assert_eq!(m.jobs.submitted, 1);

@@ -36,10 +36,22 @@ use std::fmt::Write as _;
 pub fn expected_schemas() -> [(&'static str, u64); 7] {
     [
         ("rhythm-sim", schema_hash(rhythm_sim::SNAPSHOT_SCHEMA)),
-        ("rhythm-machine", schema_hash(rhythm_machine::SNAPSHOT_SCHEMA)),
-        ("rhythm-workloads", schema_hash(rhythm_workloads::SNAPSHOT_SCHEMA)),
-        ("rhythm-controller", schema_hash(rhythm_controller::SNAPSHOT_SCHEMA)),
-        ("rhythm-telemetry", schema_hash(rhythm_telemetry::SNAPSHOT_SCHEMA)),
+        (
+            "rhythm-machine",
+            schema_hash(rhythm_machine::SNAPSHOT_SCHEMA),
+        ),
+        (
+            "rhythm-workloads",
+            schema_hash(rhythm_workloads::SNAPSHOT_SCHEMA),
+        ),
+        (
+            "rhythm-controller",
+            schema_hash(rhythm_controller::SNAPSHOT_SCHEMA),
+        ),
+        (
+            "rhythm-telemetry",
+            schema_hash(rhythm_telemetry::SNAPSHOT_SCHEMA),
+        ),
         ("rhythm-core", schema_hash(rhythm_core::SNAPSHOT_SCHEMA)),
         ("rhythm-cluster", schema_hash(crate::SNAPSHOT_SCHEMA)),
     ]
@@ -127,13 +139,19 @@ impl Snapshot for SchedulerState {
         }
         let in_range = |jid: JobId| jid < n;
         if let Some(bad) = state.queue.queued_ids().into_iter().find(|&j| !in_range(j)) {
-            return Err(SnapshotError::Corrupt(format!("queue holds unknown job {bad}")));
+            return Err(SnapshotError::Corrupt(format!(
+                "queue holds unknown job {bad}"
+            )));
         }
         if let Some(bad) = state.offered.iter().flatten().find(|&&j| !in_range(j)) {
-            return Err(SnapshotError::Corrupt(format!("offer names unknown job {bad}")));
+            return Err(SnapshotError::Corrupt(format!(
+                "offer names unknown job {bad}"
+            )));
         }
         if let Some(bad) = state.bindings.values().find(|&&j| !in_range(j)) {
-            return Err(SnapshotError::Corrupt(format!("binding names unknown job {bad}")));
+            return Err(SnapshotError::Corrupt(format!(
+                "binding names unknown job {bad}"
+            )));
         }
         for (gid, g) in &state.gangs {
             if let Some(bad) = g.members.iter().find(|&&m| !in_range(m)) {
@@ -250,7 +268,8 @@ impl ClusterSnapshot {
     pub fn from_bytes(bytes: &[u8]) -> Result<ClusterSnapshot, SnapshotError> {
         let file = SnapshotFile::parse(bytes)?;
         file.verify_schemas(&expected_schemas())?;
-        let read = |name: &str, f: &mut dyn FnMut(&mut Reader<'_>) -> Result<(), SnapshotError>|
+        let read = |name: &str,
+                    f: &mut dyn FnMut(&mut Reader<'_>) -> Result<(), SnapshotError>|
          -> Result<(), SnapshotError> {
             let mut r = file.section(name)?;
             f(&mut r)?;
@@ -273,7 +292,9 @@ impl ClusterSnapshot {
         let controller_period_ms = r.u64()?;
         let managed = r.bool()?;
         if !r.is_empty() {
-            return Err(SnapshotError::Corrupt("section `meta` has trailing bytes".into()));
+            return Err(SnapshotError::Corrupt(
+                "section `meta` has trailing bytes".into(),
+            ));
         }
         let mut scheduler: Option<SchedulerState> = None;
         read("scheduler", &mut |r| {
@@ -374,17 +395,33 @@ impl ClusterSnapshot {
         };
         meta("epoch", self.epoch.to_string(), other.epoch.to_string());
         meta("t_ns", self.t_ns.to_string(), other.t_ns.to_string());
-        meta("machines", self.machines.to_string(), other.machines.to_string());
+        meta(
+            "machines",
+            self.machines.to_string(),
+            other.machines.to_string(),
+        );
         meta("pods", self.pods.to_string(), other.pods.to_string());
-        meta("replicas", self.replicas.to_string(), other.replicas.to_string());
+        meta(
+            "replicas",
+            self.replicas.to_string(),
+            other.replicas.to_string(),
+        );
         meta("seed", self.seed.to_string(), other.seed.to_string());
-        meta("duration_s", self.duration_s.to_string(), other.duration_s.to_string());
+        meta(
+            "duration_s",
+            self.duration_s.to_string(),
+            other.duration_s.to_string(),
+        );
         meta(
             "controller_period_ms",
             self.controller_period_ms.to_string(),
             other.controller_period_ms.to_string(),
         );
-        meta("managed", self.managed.to_string(), other.managed.to_string());
+        meta(
+            "managed",
+            self.managed.to_string(),
+            other.managed.to_string(),
+        );
         match (&self.chaos, &other.chaos) {
             (Some(a), Some(b)) => {
                 if a.plan_fp != b.plan_fp {
@@ -436,7 +473,11 @@ impl ClusterSnapshot {
     fn diff_scheduler(&self, other: &ClusterSnapshot, d: &mut SnapshotDiff) {
         let (a, b) = (&self.scheduler, &other.scheduler);
         if a.jobs.len() != b.jobs.len() {
-            d.push(format!("jobs: ledger sizes {} vs {}", a.jobs.len(), b.jobs.len()));
+            d.push(format!(
+                "jobs: ledger sizes {} vs {}",
+                a.jobs.len(),
+                b.jobs.len()
+            ));
         }
         let state_word = |s: &JobState| match s {
             JobState::Queued => "queued".to_string(),
@@ -448,26 +489,44 @@ impl ClusterSnapshot {
         for (ja, jb) in a.jobs.iter().zip(&b.jobs) {
             let mut changes: Vec<String> = Vec::new();
             if ja.state != jb.state {
-                changes.push(format!("{} vs {}", state_word(&ja.state), state_word(&jb.state)));
+                changes.push(format!(
+                    "{} vs {}",
+                    state_word(&ja.state),
+                    state_word(&jb.state)
+                ));
             }
             if ja.checkpoint.to_bits() != jb.checkpoint.to_bits() {
-                changes.push(format!("checkpoint {:.3} vs {:.3}", ja.checkpoint, jb.checkpoint));
+                changes.push(format!(
+                    "checkpoint {:.3} vs {:.3}",
+                    ja.checkpoint, jb.checkpoint
+                ));
             }
             if ja.kills != jb.kills {
                 changes.push(format!("kills {} vs {}", ja.kills, jb.kills));
             }
             if ja.completed_s.map(f64::to_bits) != jb.completed_s.map(f64::to_bits) {
-                changes.push(format!("completed {:?} vs {:?}", ja.completed_s, jb.completed_s));
+                changes.push(format!(
+                    "completed {:?} vs {:?}",
+                    ja.completed_s, jb.completed_s
+                ));
             }
             if !changes.is_empty() {
                 job_diffs += 1;
                 if job_diffs <= MAX_LISTED {
-                    d.push(format!("job {} ({}): {}", ja.id, ja.spec.name, changes.join(", ")));
+                    d.push(format!(
+                        "job {} ({}): {}",
+                        ja.id,
+                        ja.spec.name,
+                        changes.join(", ")
+                    ));
                 }
             }
         }
         if job_diffs > MAX_LISTED {
-            d.push(format!("jobs: … and {} more differing jobs", job_diffs - MAX_LISTED));
+            d.push(format!(
+                "jobs: … and {} more differing jobs",
+                job_diffs - MAX_LISTED
+            ));
         }
         let (qa, qb) = (a.queue.queued_ids(), b.queue.queued_ids());
         if qa != qb {
@@ -481,16 +540,29 @@ impl ClusterSnapshot {
             ));
         }
         if a.offered != b.offered {
-            d.push(format!("scheduler: offers {:?} vs {:?}", a.offered, b.offered));
+            d.push(format!(
+                "scheduler: offers {:?} vs {:?}",
+                a.offered, b.offered
+            ));
         }
         if a.bindings != b.bindings {
-            d.push(format!("scheduler: bindings {:?} vs {:?}", a.bindings, b.bindings));
+            d.push(format!(
+                "scheduler: bindings {:?} vs {:?}",
+                a.bindings, b.bindings
+            ));
         }
         if a.events.len() != b.events.len() {
-            d.push(format!("scheduler: {} vs {} events", a.events.len(), b.events.len()));
+            d.push(format!(
+                "scheduler: {} vs {} events",
+                a.events.len(),
+                b.events.len()
+            ));
         }
         if a.rr_cursor != b.rr_cursor {
-            d.push(format!("scheduler: rr cursor {} vs {}", a.rr_cursor, b.rr_cursor));
+            d.push(format!(
+                "scheduler: rr cursor {} vs {}",
+                a.rr_cursor, b.rr_cursor
+            ));
         }
     }
 
@@ -513,7 +585,10 @@ impl ClusterSnapshot {
                 ));
             }
             if sa.inflight != sb.inflight {
-                d.push(format!("replica {r}: in-flight {} vs {}", sa.inflight, sb.inflight));
+                d.push(format!(
+                    "replica {r}: in-flight {} vs {}",
+                    sa.inflight, sb.inflight
+                ));
             }
             if sa.pending_events != sb.pending_events {
                 d.push(format!(
@@ -558,7 +633,12 @@ impl ClusterSnapshot {
             // Summaries equal but raw streams differ: surface it rather
             // than report a false "identical".
             if let (Some(ea), Some(eb)) = (self.engines.get(r), other.engines.get(r)) {
-                if ea != eb && !d.differences.iter().any(|l| l.starts_with(&format!("replica {r}"))) {
+                if ea != eb
+                    && !d
+                        .differences
+                        .iter()
+                        .any(|l| l.starts_with(&format!("replica {r}")))
+                {
                     d.push(format!(
                         "replica {r}: engine streams differ ({} vs {} bytes, fp {:#018x} vs {:#018x})",
                         ea.len(),

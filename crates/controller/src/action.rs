@@ -25,7 +25,10 @@ pub enum BeAction {
 impl BeAction {
     /// True for the two actions that take resources away from BE jobs.
     pub fn is_restrictive(&self) -> bool {
-        matches!(self, BeAction::StopBe | BeAction::SuspendBe | BeAction::CutBe)
+        matches!(
+            self,
+            BeAction::StopBe | BeAction::SuspendBe | BeAction::CutBe
+        )
     }
 
     /// Severity order: higher means more restrictive (useful for

@@ -143,7 +143,8 @@ impl ControllerAgent {
     /// Returns the action taken.
     pub fn tick(&mut self, machine: &mut Machine, be: &BeSpec, inputs: &AgentInputs) -> BeAction {
         let mut rec = FlightRecorder::disabled();
-        self.tick_traced(machine, be, inputs, &mut rec, SimTime::ZERO, 0).0
+        self.tick_traced(machine, be, inputs, &mut rec, SimTime::ZERO, 0)
+            .0
     }
 
     /// [`ControllerAgent::tick`] with flight-recorder instrumentation:
@@ -374,7 +375,11 @@ mod tests {
         let act = a.tick(&mut m, &wc, &inputs(0.3, 245.0));
         assert_eq!(act, BeAction::CutBe);
         assert!(m.be_total_alloc().cores < before);
-        assert_eq!(m.be_count() as u64, a.stats().be_kills + m.be_count() as u64, "no kills");
+        assert_eq!(
+            m.be_count() as u64,
+            a.stats().be_kills + m.be_count() as u64,
+            "no kills"
+        );
     }
 
     #[test]
@@ -441,7 +446,10 @@ mod tests {
             7,
         );
         assert_eq!(act, BeAction::AllowBeGrowth);
-        assert!(after.running > before.running, "growth admitted an instance");
+        assert!(
+            after.running > before.running,
+            "growth admitted an instance"
+        );
         let evs = rec.events();
         assert!(
             matches!(
@@ -494,7 +502,10 @@ mod tests {
         a.tick(&mut m, &wc, &inputs(0.95, 100.0)); // Suspend.
         a.tick(&mut m, &wc, &inputs(0.3, 300.0)); // Stop.
         let s = a.stats();
-        assert_eq!(s.action_counts[BeAction::AllowBeGrowth.severity() as usize], 1);
+        assert_eq!(
+            s.action_counts[BeAction::AllowBeGrowth.severity() as usize],
+            1
+        );
         assert_eq!(s.action_counts[BeAction::SuspendBe.severity() as usize], 1);
         assert_eq!(s.action_counts[BeAction::StopBe.severity() as usize], 1);
         assert_eq!(a.last_action(), Some(BeAction::StopBe));

@@ -102,7 +102,11 @@ mod tests {
     #[test]
     fn overload_suspends_be() {
         assert_eq!(policy().decide(0.80, 0.5), BeAction::SuspendBe);
-        assert_eq!(policy().decide(0.76, 0.5), BeAction::AllowBeGrowth, "at the limit is allowed");
+        assert_eq!(
+            policy().decide(0.76, 0.5),
+            BeAction::AllowBeGrowth,
+            "at the limit is allowed"
+        );
     }
 
     #[test]

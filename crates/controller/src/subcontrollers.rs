@@ -101,8 +101,8 @@ pub fn grow_step_prio(
         })
         .min_by_key(|b| (b.alloc.cores, b.id))
         .map(|b| b.id);
-    let be_llc_capped = machine.cat().be_fraction() + 1e-9
-        >= cfg.max_be_llc_fraction.clamp(0.0, 1.0);
+    let be_llc_capped =
+        machine.cat().be_fraction() + 1e-9 >= cfg.max_be_llc_fraction.clamp(0.0, 1.0);
     if let Some(id) = grow_target {
         let delta = Allocation {
             cores: 1,
@@ -144,11 +144,9 @@ pub fn grow_step_prio(
 /// step (1 core, one LLC step, one memory step). Returns the number of
 /// instances touched.
 pub fn cut_step(machine: &mut Machine, cfg: &GrowthConfig) -> usize {
-    cut_ids(
-        machine,
-        cfg,
-        |b| b.state == rhythm_machine::machine::BeState::Running && !b.alloc.is_empty(),
-    )
+    cut_ids(machine, cfg, |b| {
+        b.state == rhythm_machine::machine::BeState::Running && !b.alloc.is_empty()
+    })
 }
 
 /// Priority-aware CutBE: shrinks only the lowest-priority class with a
@@ -176,7 +174,11 @@ fn cut_ids(
     victim: impl Fn(&&rhythm_machine::machine::BeInstance) -> bool,
 ) -> usize {
     let step_ways = llc_step_ways(machine);
-    let ids: Vec<u64> = machine.be_instances().filter(victim).map(|b| b.id).collect();
+    let ids: Vec<u64> = machine
+        .be_instances()
+        .filter(victim)
+        .map(|b| b.id)
+        .collect();
     let mut touched = 0;
     for id in &ids {
         let delta = Allocation {
@@ -366,7 +368,13 @@ mod tests {
     #[test]
     fn priority_grow_admits_at_class() {
         let mut m = machine();
-        assert!(grow_step_prio(&mut m, &wc(), &GrowthConfig::default(), true, 3));
+        assert!(grow_step_prio(
+            &mut m,
+            &wc(),
+            &GrowthConfig::default(),
+            true,
+            3
+        ));
         assert_eq!(m.be_instances().next().unwrap().priority, 3);
     }
 

@@ -162,7 +162,10 @@ mod tests {
 
     #[test]
     fn ranking_agreement_bounds() {
-        assert_eq!(ranking_agreement(&[1.0, 2.0, 3.0], &[10.0, 20.0, 30.0]), 1.0);
+        assert_eq!(
+            ranking_agreement(&[1.0, 2.0, 3.0], &[10.0, 20.0, 30.0]),
+            1.0
+        );
         assert_eq!(ranking_agreement(&[1.0, 2.0, 3.0], &[3.0, 2.0, 1.0]), 0.0);
         let half = ranking_agreement(&[1.0, 2.0, 3.0], &[2.0, 1.0, 3.0]);
         assert!(half > 0.0 && half < 1.0);

@@ -55,7 +55,7 @@ pub const SNAPSHOT_SCHEMA: &str = "rhythm-core/v1: \
 
 pub use experiment::{ColocationOutcome, ExperimentConfig};
 pub use metrics::{PodMetrics, RunMetrics};
-pub use profiling::{profile_service, derive_thresholds, ProfileConfig, ServiceThresholds};
+pub use profiling::{derive_thresholds, profile_service, ProfileConfig, ServiceThresholds};
 pub use runtime::{
     ControlMode, Engine, EngineConfig, EngineMachineSummary, EngineOutput, EngineSummary,
 };

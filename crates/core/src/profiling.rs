@@ -295,13 +295,7 @@ mod tests {
         let service = apps::ecommerce();
         let p = profile_service(&service, &quick_cfg());
         let sla = calibrate_sla(&service, 7);
-        let t = derive_thresholds(
-            &service,
-            &p,
-            sla,
-            &[BeSpec::of(BeKind::Wordcount)],
-            7,
-        );
+        let t = derive_thresholds(&service, &p, sla, &[BeSpec::of(BeKind::Wordcount)], 7);
         assert_eq!(t.thresholds.len(), 4);
         let idx = |name: &str| service.index_of(name).unwrap();
         // MySQL (largest contribution) gets the largest slacklimit —

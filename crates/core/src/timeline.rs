@@ -27,7 +27,10 @@ pub fn render(points: &[TimelinePoint], pod_names: &[&str], pods: &[usize]) -> S
     }
     out.push('\n');
     for pt in points {
-        out.push_str(&format!("{:>8.1} {:>6.2} {:>7.3}", pt.t_s, pt.load, pt.slack));
+        out.push_str(&format!(
+            "{:>8.1} {:>6.2} {:>7.3}",
+            pt.t_s, pt.load, pt.slack
+        ));
         for &p in pods {
             out.push_str(&format!(
                 " | {:>12} {:>6.1} {:>5} {:>5} {:>5} {:>6.3}",

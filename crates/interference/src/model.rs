@@ -267,7 +267,7 @@ mod tests {
     fn effective_llc_deficit() {
         let model = InterferenceModel::calibrated();
         let comp = mysql(); // 16 MB working set.
-        // Plenty of cache, no raw pressure: zero.
+                            // Plenty of cache, no raw pressure: zero.
         assert_eq!(model.effective_llc(&comp, 0.0, 20.0), 0.0);
         // Half the working set gone.
         let half = model.effective_llc(&comp, 0.0, 8.0);

@@ -76,7 +76,12 @@ impl Pressure {
     /// Adds the LC service's own DRAM/NIC usage as baseline utilization
     /// pressure (self-load contributes to channel contention at high
     /// request rates).
-    pub fn with_lc_usage(mut self, spec: &MachineSpec, lc_membw_mbps: f64, lc_net_mbps: f64) -> Pressure {
+    pub fn with_lc_usage(
+        mut self,
+        spec: &MachineSpec,
+        lc_membw_mbps: f64,
+        lc_net_mbps: f64,
+    ) -> Pressure {
         self.dram += (lc_membw_mbps / spec.total_membw_mbps()).max(0.0) * 0.5;
         self.net += (lc_net_mbps / spec.nic_mbps).max(0.0) * 0.25;
         self.clamped()

@@ -150,7 +150,10 @@ pub fn parse(code: &[&Token]) -> ItemTree {
 /// Convenience for tests: lex `src`, drop comments, parse.
 pub fn parse_source(src: &str) -> ItemTree {
     let toks = crate::lexer::lex(src);
-    let code: Vec<&Token> = toks.iter().filter(|t| t.kind != TokenKind::Comment).collect();
+    let code: Vec<&Token> = toks
+        .iter()
+        .filter(|t| t.kind != TokenKind::Comment)
+        .collect();
     parse(&code)
 }
 
@@ -202,7 +205,12 @@ impl<'a> Parser<'a> {
         } else {
             lo
         };
-        Span { lo, hi, tok_lo, tok_hi }
+        Span {
+            lo,
+            hi,
+            tok_lo,
+            tok_hi,
+        }
     }
 
     /// Skips a balanced `<...>` group starting at `i` (which must point
@@ -325,7 +333,12 @@ impl<'a> Parser<'a> {
         tok_hi: usize,
     ) -> usize {
         let span = self.span(tok_lo, tok_hi);
-        self.tree.structs.push(StructDef { name, line, fields, span });
+        self.tree.structs.push(StructDef {
+            name,
+            line,
+            fields,
+            span,
+        });
         tok_hi
     }
 
@@ -418,7 +431,10 @@ impl<'a> Parser<'a> {
                 &self.toks[for_at + 1..body_open],
             )
         } else {
-            (&self.toks[head_start..head_start], &self.toks[head_start..body_open])
+            (
+                &self.toks[head_start..head_start],
+                &self.toks[head_start..body_open],
+            )
         };
         let trait_name = trait_part
             .iter()
@@ -486,12 +502,24 @@ impl<'a> Parser<'a> {
         let opener = self.scan_to(params_close, |t| is_punct(t, '{') || is_punct(t, ';'));
         if opener >= self.toks.len() {
             let span = self.span(i, opener);
-            self.tree.fns.push(FnDef { name, line, params, body: None, span });
+            self.tree.fns.push(FnDef {
+                name,
+                line,
+                params,
+                body: None,
+                span,
+            });
             return (Some(self.tree.fns.len() - 1), opener);
         }
         if is_punct(self.toks[opener], ';') {
             let span = self.span(i, opener + 1);
-            self.tree.fns.push(FnDef { name, line, params, body: None, span });
+            self.tree.fns.push(FnDef {
+                name,
+                line,
+                params,
+                body: None,
+                span,
+            });
             return (Some(self.tree.fns.len() - 1), opener + 1);
         }
         let close = self.skip_group(opener, '{', '}');
@@ -530,7 +558,10 @@ impl<'a> Parser<'a> {
                 && self.toks[p].text != "self"
                 && is_punct(self.toks[p + 1], ':')
             {
-                let ty = self.toks[p + 2..end].iter().map(|t| t.text.clone()).collect();
+                let ty = self.toks[p + 2..end]
+                    .iter()
+                    .map(|t| t.text.clone())
+                    .collect();
                 out.push((self.toks[p].text.clone(), ty));
             }
             k = end + 1;
@@ -595,9 +626,8 @@ mod tests {
 
     #[test]
     fn qualified_trait_path_keeps_terminal_name() {
-        let t = parse_source(
-            "impl rhythm_snapshot::Snapshot for TailPoint { fn encode(&self) {} }",
-        );
+        let t =
+            parse_source("impl rhythm_snapshot::Snapshot for TailPoint { fn encode(&self) {} }");
         assert_eq!(t.impls[0].trait_name.as_deref(), Some("Snapshot"));
         assert_eq!(t.impls[0].type_name, "TailPoint");
     }
@@ -607,7 +637,10 @@ mod tests {
         let t = parse_source("impl NodeTables { fn encode_node(&self, i: usize) {} }");
         assert_eq!(t.impls[0].trait_name, None);
         assert_eq!(t.impls[0].type_name, "NodeTables");
-        assert_eq!(t.fns[0].params, vec![("i".to_string(), vec!["usize".to_string()])]);
+        assert_eq!(
+            t.fns[0].params,
+            vec![("i".to_string(), vec!["usize".to_string()])]
+        );
     }
 
     #[test]
@@ -621,9 +654,14 @@ mod tests {
              \x20   c: u32,\n\
              }\n",
         );
-        let f = t.struct_named("S").and_then(|s| s.fields.clone()).expect("fields");
+        let f = t
+            .struct_named("S")
+            .and_then(|s| s.fields.clone())
+            .expect("fields");
         assert_eq!(
-            f.iter().map(|x| (x.name.as_str(), x.cfg_gated)).collect::<Vec<_>>(),
+            f.iter()
+                .map(|x| (x.name.as_str(), x.cfg_gated))
+                .collect::<Vec<_>>(),
             vec![("a", false), ("b", true), ("c", false)]
         );
     }
@@ -638,9 +676,7 @@ mod tests {
 
     #[test]
     fn fn_arrow_return_does_not_break_generics() {
-        let t = parse_source(
-            "fn apply<F: Fn(u32) -> u64>(f: F, seed: u32) -> u64 { f(seed) }",
-        );
+        let t = parse_source("fn apply<F: Fn(u32) -> u64>(f: F, seed: u32) -> u64 { f(seed) }");
         assert_eq!(t.fns.len(), 1);
         assert_eq!(t.fns[0].name, "apply");
         // `seed: u32` survives; `f: F` too.
@@ -650,7 +686,10 @@ mod tests {
     #[test]
     fn where_clause_and_unit_struct_body() {
         let t = parse_source("struct W<T> where T: Clone { v: T }\nenum E { A, B(u8) }");
-        let f = t.struct_named("W").and_then(|s| s.fields.clone()).expect("fields");
+        let f = t
+            .struct_named("W")
+            .and_then(|s| s.fields.clone())
+            .expect("fields");
         assert_eq!(f[0].name, "v");
         assert!(t.is_enum("E"));
     }

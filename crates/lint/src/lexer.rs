@@ -141,9 +141,7 @@ impl Lexer {
                     self.bump();
                     self.raw_string(line, String::from("r"));
                 }
-                'r' if self.peek(1) == Some('#')
-                    && self.peek(2).is_some_and(is_ident_start) =>
-                {
+                'r' if self.peek(1) == Some('#') && self.peek(2).is_some_and(is_ident_start) => {
                     // Raw identifier `r#type`: token text is the bare name.
                     let line = self.line;
                     self.bump();
@@ -406,10 +404,7 @@ mod tests {
     fn unsafe_inside_string_literal_is_not_a_token() {
         let toks = lex(r#"let s = "unsafe { *p }"; call(s);"#);
         assert!(!idents(r#"let s = "unsafe { *p }"; call(s);"#).contains(&"unsafe".to_string()));
-        assert_eq!(
-            toks.iter().filter(|t| t.kind == TokenKind::Str).count(),
-            1
-        );
+        assert_eq!(toks.iter().filter(|t| t.kind == TokenKind::Str).count(), 1);
     }
 
     #[test]
@@ -535,7 +530,10 @@ mod tests {
         let raw = toks.iter().find(|t| t.text == "type").expect("raw ident");
         assert_eq!(&src[raw.offset..raw.end], "r#type");
         // Lifetime: the span includes the quote the text drops.
-        let lt = toks.iter().find(|t| t.kind == TokenKind::Lifetime).expect("lifetime");
+        let lt = toks
+            .iter()
+            .find(|t| t.kind == TokenKind::Lifetime)
+            .expect("lifetime");
         assert_eq!(&src[lt.offset..lt.end], "'a");
     }
 
@@ -543,9 +541,6 @@ mod tests {
     fn escaped_quote_in_char_literal() {
         let toks = lex(r"let q = '\''; let b = '\\'; after");
         assert_eq!(toks.last().expect("tokens").text, "after");
-        assert_eq!(
-            toks.iter().filter(|t| t.kind == TokenKind::Str).count(),
-            2
-        );
+        assert_eq!(toks.iter().filter(|t| t.kind == TokenKind::Str).count(), 2);
     }
 }

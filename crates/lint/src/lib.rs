@@ -31,7 +31,7 @@ pub mod lexer;
 pub mod rules;
 pub mod scope;
 
-pub use rules::{Finding, FileLint, RuleInfo, Suppressed, RULES};
+pub use rules::{FileLint, Finding, RuleInfo, Suppressed, RULES};
 pub use scope::{FileKind, FileScope};
 
 use std::io;
@@ -145,7 +145,9 @@ pub fn render_text(report: &WorkspaceReport) -> String {
 /// Escapes a value for a GitHub Actions workflow-command *message*
 /// (the part after `::`): `%`, `\r`, `\n` become `%25`, `%0D`, `%0A`.
 fn gh_escape_data(s: &str) -> String {
-    s.replace('%', "%25").replace('\r', "%0D").replace('\n', "%0A")
+    s.replace('%', "%25")
+        .replace('\r', "%0D")
+        .replace('\n', "%0A")
 }
 
 /// Escapes a value for a workflow-command *property* (`file=`,

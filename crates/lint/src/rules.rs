@@ -106,11 +106,13 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "D05",
-        summary: "no lossy numeric `as` casts (truncation or signedness change) in deterministic crates",
+        summary:
+            "no lossy numeric `as` casts (truncation or signedness change) in deterministic crates",
     },
     RuleInfo {
         id: "P01",
-        summary: "unwrap/expect/panic! in core/cluster/snapshot lib code requires a // PANIC: comment",
+        summary:
+            "unwrap/expect/panic! in core/cluster/snapshot lib code requires a // PANIC: comment",
     },
 ];
 
@@ -134,7 +136,10 @@ pub struct Finding {
 impl Finding {
     /// The canonical `file:line: rule message` form.
     pub fn render(&self) -> String {
-        format!("{}:{}: {} {}", self.file, self.line, self.rule, self.message)
+        format!(
+            "{}:{}: {} {}",
+            self.file, self.line, self.rule, self.message
+        )
     }
 }
 
@@ -227,9 +232,8 @@ pub fn lint_tokens(rel_path: &str, tokens: &[Token]) -> FileLint {
     }
     out.findings
         .sort_by(|a, b| (a.line, a.rule, &a.message).cmp(&(b.line, b.rule, &b.message)));
-    out.suppressed.sort_by(|a, b| {
-        (a.finding.line, a.finding.rule).cmp(&(b.finding.line, b.finding.rule))
-    });
+    out.suppressed
+        .sort_by(|a, b| (a.finding.line, a.finding.rule).cmp(&(b.finding.line, b.finding.rule)));
     out
 }
 
@@ -398,8 +402,11 @@ fn s02_field_coverage(
     out: &mut Vec<Finding>,
 ) {
     // (struct, encode fn, decode fn) pairs discovered in this file.
-    let mut pairs: Vec<(&crate::itemtree::StructDef, &crate::itemtree::FnDef, &crate::itemtree::FnDef)> =
-        Vec::new();
+    let mut pairs: Vec<(
+        &crate::itemtree::StructDef,
+        &crate::itemtree::FnDef,
+        &crate::itemtree::FnDef,
+    )> = Vec::new();
     for imp in &tree.impls {
         if in_test(imp.line) {
             continue;
@@ -491,7 +498,12 @@ fn check_snapshot_pair(
     // appearance as a bare identifier (`let jobs = ...; Self { jobs }`).
     let mut dec_first: Vec<Option<usize>> = vec![None; names.len()];
     let dec_range = dec_body.0..dec_body.1.min(code.len());
-    for (k, tok) in code.iter().enumerate().take(dec_range.end).skip(dec_range.start) {
+    for (k, tok) in code
+        .iter()
+        .enumerate()
+        .take(dec_range.end)
+        .skip(dec_range.start)
+    {
         if tok.kind != TokenKind::Ident {
             continue;
         }
@@ -625,7 +637,11 @@ fn cast_loss(src: &str, dst: &str) -> Option<&'static str> {
 /// The primitive named by a type annotation like `u64` (a single
 /// token, ignoring a leading `&`).
 fn prim_head(ty: &[String]) -> Option<&str> {
-    let ty = if ty.first().is_some_and(|t| t == "&") { &ty[1..] } else { ty };
+    let ty = if ty.first().is_some_and(|t| t == "&") {
+        &ty[1..]
+    } else {
+        ty
+    };
     match ty {
         [p] if int_prim(p).is_some() || float_prim(p).is_some() => Some(p),
         _ => None,
@@ -693,7 +709,11 @@ fn d05_lossy_casts(
         let mut env: Vec<LocalBinding> = f
             .params
             .iter()
-            .map(|(name, ty)| LocalBinding { at: lo, name: name.clone(), ty: ty.clone() })
+            .map(|(name, ty)| LocalBinding {
+                at: lo,
+                name: name.clone(),
+                ty: ty.clone(),
+            })
             .collect();
         let mut k = lo;
         while k < hi {
@@ -818,7 +838,8 @@ fn resolve_cast_source(
     }
     if t.kind == TokenKind::Ident {
         // `x as u128 as u64` — the chained source is the previous target.
-        if b > lo && is_ident(code[b - 1], "as")
+        if b > lo
+            && is_ident(code[b - 1], "as")
             && (int_prim(&t.text).is_some() || float_prim(&t.text).is_some())
         {
             return Some(t.text.clone());
@@ -1005,9 +1026,7 @@ fn parse_pragmas(rel_path: &str, comments: &[&Token]) -> (Vec<Pragma>, Vec<Findi
     let mut pragmas = Vec::new();
     let mut findings = Vec::new();
     for c in comments {
-        let stripped = c
-            .text
-            .trim_start_matches(['/', '!', '*', ' ', '\t']);
+        let stripped = c.text.trim_start_matches(['/', '!', '*', ' ', '\t']);
         if !stripped.starts_with("lint:allow") {
             continue;
         }
@@ -1059,9 +1078,8 @@ fn parse_pragmas(rel_path: &str, comments: &[&Token]) -> (Vec<Pragma>, Vec<Findi
                 file: rel_path.to_string(),
                 line: c.line,
                 rule: "A01",
-                message:
-                    "lint:allow pragma requires a reason: `// lint:allow(<rule>) -- <reason>`"
-                        .to_string(),
+                message: "lint:allow pragma requires a reason: `// lint:allow(<rule>) -- <reason>`"
+                    .to_string(),
             });
         }
         if ok {
@@ -1165,7 +1183,8 @@ fn d01_hash_containers(
                 rule: "D01",
                 message: format!(
                     "iteration `.{}()` over hash container `{}` — order is nondeterministic",
-                    code[i + 2].text, t.text
+                    code[i + 2].text,
+                    t.text
                 ),
             });
         }
@@ -1174,10 +1193,7 @@ fn d01_hash_containers(
         while j > 0 && (is_punct(code[j - 1], '&') || is_ident(code[j - 1], "mut")) {
             j -= 1;
         }
-        if j > 0
-            && is_ident(code[j - 1], "in")
-            && i + 1 < code.len()
-            && is_punct(code[i + 1], '{')
+        if j > 0 && is_ident(code[j - 1], "in") && i + 1 < code.len() && is_punct(code[i + 1], '{')
         {
             out.push(Finding {
                 file: rel_path.to_string(),
@@ -1243,10 +1259,7 @@ fn d03_entropy(
                 file: rel_path.to_string(),
                 line: t.line,
                 rule: "D03",
-                message: format!(
-                    "entropy randomness `{}` — seed a `SimRng` instead",
-                    t.text
-                ),
+                message: format!("entropy randomness `{}` — seed a `SimRng` instead", t.text),
             });
         }
         if t.text == "rand"
@@ -1293,12 +1306,7 @@ fn d04_f32(
     }
 }
 
-fn u01_unsafe_safety(
-    rel_path: &str,
-    code: &[&Token],
-    comments: &[&Token],
-    out: &mut Vec<Finding>,
-) {
+fn u01_unsafe_safety(rel_path: &str, code: &[&Token], comments: &[&Token], out: &mut Vec<Finding>) {
     for t in code {
         if !is_ident(t, "unsafe") {
             continue;
@@ -1547,7 +1555,9 @@ mod tests {
         // Without the marker (and not named snapshot.rs) the same source
         // is out of S01's scope.
         let untagged = "pub enum Slot { Empty, Full(HashSet<u8>) }\n";
-        assert!(run("crates/snapshot/src/queue.rs", untagged).findings.is_empty());
+        assert!(run("crates/snapshot/src/queue.rs", untagged)
+            .findings
+            .is_empty());
     }
 
     #[test]
@@ -1557,7 +1567,9 @@ mod tests {
                    mod tests {\n\
                    struct Probe { m: HashMap<u8, u8> }\n\
                    }\n";
-        assert!(run("crates/snapshot/src/snapshot.rs", src).findings.is_empty());
+        assert!(run("crates/snapshot/src/snapshot.rs", src)
+            .findings
+            .is_empty());
     }
 
     #[test]
@@ -1585,7 +1597,9 @@ impl Snapshot for P {\n\
 
     #[test]
     fn s02_clean_pair_passes() {
-        assert!(run("crates/cluster/src/snapshot.rs", S02_OK).findings.is_empty());
+        assert!(run("crates/cluster/src/snapshot.rs", S02_OK)
+            .findings
+            .is_empty());
     }
 
     #[test]
@@ -1609,22 +1623,28 @@ impl Snapshot for P {\n\
             .replace("let b = r.u32()?;\n", "")
             .replace("Ok(Self { a, b })", "Ok(Self { a, b: 0 })");
         // `b: 0` still mentions `b`, so drop it entirely:
-        let src = src.replace("Ok(Self { a, b: 0 })", "Ok(Self { a, ..Default::default() })");
+        let src = src.replace(
+            "Ok(Self { a, b: 0 })",
+            "Ok(Self { a, ..Default::default() })",
+        );
         let l = run("crates/cluster/src/snapshot.rs", &src);
         assert_eq!(rules_of(&l), vec!["S02"]);
-        assert!(l.findings[0].message.contains("`b` of `P` is never read in `decode`"));
+        assert!(l.findings[0]
+            .message
+            .contains("`b` of `P` is never read in `decode`"));
     }
 
     #[test]
     fn s02_reordered_decode_is_found() {
-        let src = S02_OK
-            .replace(
-                "let a = r.u64()?;\nlet b = r.u32()?;",
-                "let b = r.u32()?;\nlet a = r.u64()?;",
-            );
+        let src = S02_OK.replace(
+            "let a = r.u64()?;\nlet b = r.u32()?;",
+            "let b = r.u32()?;\nlet a = r.u64()?;",
+        );
         let l = run("crates/cluster/src/snapshot.rs", &src);
         assert_eq!(rules_of(&l), vec!["S02"]);
-        assert!(l.findings[0].message.contains("decoded out of encode order"));
+        assert!(l.findings[0]
+            .message
+            .contains("decoded out of encode order"));
         assert_eq!(l.findings[0].line, 1); // anchored at the field declaration
     }
 
@@ -1648,7 +1668,9 @@ impl T {\n\
         let l = run("crates/core/src/runtime.rs", src);
         // `y` missing from encode; mentioned in decode (`y: 0`).
         assert_eq!(rules_of(&l), vec!["S02"]);
-        assert!(l.findings[0].message.contains("`y` of `T` is never written in `encode_node`"));
+        assert!(l.findings[0]
+            .message
+            .contains("`y` of `T` is never written in `encode_node`"));
     }
 
     #[test]
@@ -1687,8 +1709,12 @@ impl Snapshot for T {\n\
     #[test]
     fn s02_only_lib_files_are_checked() {
         let bad = S02_OK.replace("w.u32(self.b); ", "");
-        assert!(run("crates/cluster/tests/snap.rs", &bad).findings.is_empty());
-        assert!(run("crates/cluster/examples/snap.rs", &bad).findings.is_empty());
+        assert!(run("crates/cluster/tests/snap.rs", &bad)
+            .findings
+            .is_empty());
+        assert!(run("crates/cluster/examples/snap.rs", &bad)
+            .findings
+            .is_empty());
     }
 
     // ---- D05: lossy casts -------------------------------------------
@@ -1744,7 +1770,10 @@ impl S {\n\
     #[test]
     fn d05_scope_is_deterministic_crates_plus_snapshot() {
         let src = "fn f(x: u128) -> u64 { x as u64 }";
-        assert_eq!(rules_of(&run("crates/snapshot/src/lib.rs", src)), vec!["D05"]);
+        assert_eq!(
+            rules_of(&run("crates/snapshot/src/lib.rs", src)),
+            vec!["D05"]
+        );
         assert!(run("crates/bench/src/x.rs", src).findings.is_empty());
         assert!(run("crates/core/tests/x.rs", src).findings.is_empty());
     }

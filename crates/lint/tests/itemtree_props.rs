@@ -14,10 +14,49 @@ use rhythm_lint::lexer::{self, Token, TokenKind};
 /// plain identifiers. Random concatenations of these reach far more
 /// parser states than uniformly random characters would.
 const FRAGMENTS: &[&str] = &[
-    "struct", "enum", "impl", "fn", "for", "where", "pub", "<", ">", ">>", "->", "=>", "{", "}",
-    "(", ")", "[", "]", ",", ";", ":", "::", "&", "'a", "#", "#[cfg(test)]",
-    "#[cfg(feature = \"x\")]", "self", ".", "=", "-", "Vec", "u64", "T", "ident", "x1",
-    "Snapshot", "\"str{lit\"", "0u128", "as", "let", "//c\n", "\n",
+    "struct",
+    "enum",
+    "impl",
+    "fn",
+    "for",
+    "where",
+    "pub",
+    "<",
+    ">",
+    ">>",
+    "->",
+    "=>",
+    "{",
+    "}",
+    "(",
+    ")",
+    "[",
+    "]",
+    ",",
+    ";",
+    ":",
+    "::",
+    "&",
+    "'a",
+    "#",
+    "#[cfg(test)]",
+    "#[cfg(feature = \"x\")]",
+    "self",
+    ".",
+    "=",
+    "-",
+    "Vec",
+    "u64",
+    "T",
+    "ident",
+    "x1",
+    "Snapshot",
+    "\"str{lit\"",
+    "0u128",
+    "as",
+    "let",
+    "//c\n",
+    "\n",
 ];
 
 /// Lexes `src`, parses the comment-free token slice, and asserts every
@@ -26,7 +65,10 @@ const FRAGMENTS: &[&str] = &[
 /// source text.
 fn parse_and_check(src: &str) {
     let toks = lexer::lex(src);
-    let code: Vec<&Token> = toks.iter().filter(|t| t.kind != TokenKind::Comment).collect();
+    let code: Vec<&Token> = toks
+        .iter()
+        .filter(|t| t.kind != TokenKind::Comment)
+        .collect();
     let tree: ItemTree = itemtree::parse(&code);
     let spans = tree
         .structs
@@ -44,7 +86,10 @@ fn parse_and_check(src: &str) {
             // The byte span is exactly the bytes of the tokens it claims.
             assert_eq!(span.lo, code[span.tok_lo].offset, "{span:?}");
             assert_eq!(span.hi, code[span.tok_hi - 1].end, "{span:?}");
-            assert!(src.get(span.lo..span.hi).is_some(), "span splits UTF-8: {span:?}");
+            assert!(
+                src.get(span.lo..span.hi).is_some(),
+                "span splits UTF-8: {span:?}"
+            );
         }
     }
     for imp in &tree.impls {
@@ -61,7 +106,11 @@ fn parse_and_check(src: &str) {
     for s in &tree.structs {
         assert!(s.line >= 1 && s.line <= lines);
         for fld in s.fields.iter().flatten() {
-            assert!(fld.line >= 1 && fld.line <= lines, "field line: {}", fld.line);
+            assert!(
+                fld.line >= 1 && fld.line <= lines,
+                "field line: {}",
+                fld.line
+            );
         }
     }
 }
@@ -111,7 +160,16 @@ proptest! {
 /// indexing off the end.
 #[test]
 fn degenerate_inputs_parse_well_formed_trees() {
-    for src in ["", "struct", "impl", "fn", "#[", "{ } } {", "impl for {", "struct X<"] {
+    for src in [
+        "",
+        "struct",
+        "impl",
+        "fn",
+        "#[",
+        "{ } } {",
+        "impl for {",
+        "struct X<",
+    ] {
         parse_and_check(src);
     }
 }

@@ -26,8 +26,8 @@ fn determinism_fixture_pins_exact_findings() {
         .map(|f| format!("{}:{}:{}", f.file, f.line, f.rule))
         .collect();
     let want = [
-        "crates/sim/src/bad_determinism.rs:9:D01",  // HashMap type annotation
-        "crates/sim/src/bad_determinism.rs:9:D01",  // HashMap::new()
+        "crates/sim/src/bad_determinism.rs:9:D01", // HashMap type annotation
+        "crates/sim/src/bad_determinism.rs:9:D01", // HashMap::new()
         "crates/sim/src/bad_determinism.rs:11:D01", // for ... in &m
         "crates/sim/src/bad_determinism.rs:14:D01", // m.keys()
         "crates/sim/src/bad_determinism.rs:18:D02", // Instant::now
@@ -90,10 +90,7 @@ fn same_source_under_exempt_scope_is_clean() {
     let src = fixture("bad_determinism.rs");
     let as_bench = lint_source("crates/bench/src/bad.rs", &src);
     assert!(
-        as_bench
-            .findings
-            .iter()
-            .all(|f| f.rule == "D03"),
+        as_bench.findings.iter().all(|f| f.rule == "D03"),
         "bench scope should only keep D03: {:#?}",
         as_bench.findings
     );
@@ -111,11 +108,13 @@ fn snapshot_missing_field_fixture_pins_exact_findings() {
         .map(|f| format!("{}:{}:{}", f.file, f.line, f.rule))
         .collect();
     let want = [
-        "crates/cluster/src/bad_snapshot_missing.rs:9:S02",  // `slots` never encoded
+        "crates/cluster/src/bad_snapshot_missing.rs:9:S02", // `slots` never encoded
         "crates/cluster/src/bad_snapshot_missing.rs:18:S02", // `self.ghost` is not a field
     ];
     assert_eq!(got, want, "full findings: {:#?}", l.findings);
-    assert!(l.findings[0].message.contains("`slots` of `ShardLedger` is never written"));
+    assert!(l.findings[0]
+        .message
+        .contains("`slots` of `ShardLedger` is never written"));
     assert!(l.findings[1].message.contains("`self.ghost`"));
     assert!(l.suppressed.is_empty());
 }
@@ -135,7 +134,9 @@ fn snapshot_reorder_fixture_pins_exact_finding() {
         "full findings: {:#?}",
         l.findings
     );
-    assert!(l.findings[0].message.contains("decoded out of encode order"));
+    assert!(l.findings[0]
+        .message
+        .contains("decoded out of encode order"));
 }
 
 #[test]
@@ -147,11 +148,18 @@ fn panic_fixture_pins_exact_findings() {
         .iter()
         .map(|f| format!("{}:{}", f.line, f.rule))
         .collect();
-    assert_eq!(got, vec!["5:P01", "9:P01", "14:P01"], "full: {:#?}", l.findings);
+    assert_eq!(
+        got,
+        vec!["5:P01", "9:P01", "14:P01"],
+        "full: {:#?}",
+        l.findings
+    );
     // The justified unwrap at the bottom stays silent.
     assert!(l.findings.iter().all(|f| f.line < 20));
     // Outside the audited crates the fixture is clean.
-    assert!(lint_source("crates/sim/src/bad_panics.rs", &src).findings.is_empty());
+    assert!(lint_source("crates/sim/src/bad_panics.rs", &src)
+        .findings
+        .is_empty());
 }
 
 #[test]
@@ -179,8 +187,7 @@ fn cast_fixture_pins_exact_findings() {
 /// before any runtime test would.
 #[test]
 fn deleting_a_real_encode_line_trips_s02() {
-    let real = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../cluster/src/snapshot.rs");
+    let real = Path::new(env!("CARGO_MANIFEST_DIR")).join("../cluster/src/snapshot.rs");
     let src = std::fs::read_to_string(real).expect("real snapshot source");
     let label = "crates/cluster/src/snapshot.rs";
     // Pristine source: no unsuppressed findings of any rule.
@@ -238,7 +245,10 @@ fn summary_line_format_is_pinned() {
     assert!(parts[0].ends_with(" file(s) scanned"), "summary: {summary}");
     assert!(parts[1].ends_with(" finding(s)"), "summary: {summary}");
     assert!(parts[2].ends_with(" suppressed"), "summary: {summary}");
-    for (part, suffix) in parts.iter().zip([" file(s) scanned", " finding(s)", " suppressed"]) {
+    for (part, suffix) in parts
+        .iter()
+        .zip([" file(s) scanned", " finding(s)", " suppressed"])
+    {
         let n = part.strip_suffix(suffix).expect("numeric prefix");
         assert!(n.chars().all(|c| c.is_ascii_digit()), "summary: {summary}");
     }

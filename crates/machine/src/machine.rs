@@ -183,7 +183,8 @@ impl Machine {
 
     /// Free memory in MB.
     pub fn free_mem_mb(&self) -> u64 {
-        let used: u64 = self.lc_alloc.mem_mb + self.bes.values().map(|b| b.alloc.mem_mb).sum::<u64>();
+        let used: u64 =
+            self.lc_alloc.mem_mb + self.bes.values().map(|b| b.alloc.mem_mb).sum::<u64>();
         self.spec.total_mem_mb().saturating_sub(used)
     }
 
@@ -215,7 +216,11 @@ impl Machine {
     /// Admits a new BE instance with the requested grant at priority 0.
     ///
     /// Fails without side effects if any dimension is unavailable.
-    pub fn admit_be(&mut self, workload: &str, req: Allocation) -> Result<BeInstanceId, MachineError> {
+    pub fn admit_be(
+        &mut self,
+        workload: &str,
+        req: Allocation,
+    ) -> Result<BeInstanceId, MachineError> {
         self.admit_be_prio(workload, req, 0)
     }
 
@@ -281,10 +286,7 @@ impl Machine {
     pub fn grow_be(&mut self, id: BeInstanceId, delta: Allocation) -> Result<(), MachineError> {
         let free_mem = self.free_mem_mb();
         let free_core_count = self.free_cores.count();
-        let inst = self
-            .bes
-            .get(&id)
-            .ok_or(MachineError::NoSuchInstance(id))?;
+        let inst = self.bes.get(&id).ok_or(MachineError::NoSuchInstance(id))?;
         if inst.state != BeState::Running {
             return Err(MachineError::BadState(id, inst.state));
         }
@@ -313,7 +315,11 @@ impl Machine {
 
     /// Cuts `delta` from a running BE instance (saturating per dimension).
     /// Returns what was actually reclaimed.
-    pub fn cut_be(&mut self, id: BeInstanceId, delta: Allocation) -> Result<Allocation, MachineError> {
+    pub fn cut_be(
+        &mut self,
+        id: BeInstanceId,
+        delta: Allocation,
+    ) -> Result<Allocation, MachineError> {
         let inst = self
             .bes
             .get_mut(&id)
@@ -393,10 +399,7 @@ impl Machine {
     /// Returns the grant it came back with.
     pub fn resume_be(&mut self, id: BeInstanceId) -> Result<Allocation, MachineError> {
         let free_core_count = self.free_cores.count();
-        let inst = self
-            .bes
-            .get(&id)
-            .ok_or(MachineError::NoSuchInstance(id))?;
+        let inst = self.bes.get(&id).ok_or(MachineError::NoSuchInstance(id))?;
         if inst.state != BeState::Suspended {
             return Err(MachineError::BadState(id, inst.state));
         }
@@ -510,7 +513,8 @@ impl Machine {
                 self.cat.be_ways()
             ));
         }
-        let mem: u64 = self.lc_alloc.mem_mb + self.bes.values().map(|b| b.alloc.mem_mb).sum::<u64>();
+        let mem: u64 =
+            self.lc_alloc.mem_mb + self.bes.values().map(|b| b.alloc.mem_mb).sum::<u64>();
         if mem > self.spec.total_mem_mb() {
             return Err(format!(
                 "memory over-commit: {} > {}",
@@ -852,7 +856,10 @@ mod tests {
     #[test]
     fn unknown_instance_errors() {
         let mut m = machine();
-        assert!(matches!(m.kill_be(42), Err(MachineError::NoSuchInstance(42))));
+        assert!(matches!(
+            m.kill_be(42),
+            Err(MachineError::NoSuchInstance(42))
+        ));
         assert!(matches!(
             m.cut_be(42, Allocation::none()),
             Err(MachineError::NoSuchInstance(42))

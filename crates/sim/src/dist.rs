@@ -183,7 +183,11 @@ pub enum ResolvedDist {
         scale: f64,
     },
     /// Bounded Pareto with `inv_alpha = 1/alpha`.
-    Pareto { scale: f64, inv_alpha: f64, cap: f64 },
+    Pareto {
+        scale: f64,
+        inv_alpha: f64,
+        cap: f64,
+    },
 }
 
 impl ResolvedDist {
@@ -407,11 +411,7 @@ mod tests {
             for draw in 0..5_000 {
                 let a = d.sample(&mut rng_a);
                 let b = r.sample(&mut rng_b);
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{d:?} draw {draw}: {a} vs {b}"
-                );
+                assert_eq!(a.to_bits(), b.to_bits(), "{d:?} draw {draw}: {a} vs {b}");
             }
         }
     }

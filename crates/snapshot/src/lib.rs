@@ -74,7 +74,10 @@ impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SnapshotError::Incompatible { expected, found } => {
-                write!(f, "incompatible snapshot: expected {expected}, found {found}")
+                write!(
+                    f,
+                    "incompatible snapshot: expected {expected}, found {found}"
+                )
             }
             SnapshotError::Truncated => write!(f, "truncated snapshot"),
             SnapshotError::Corrupt(what) => write!(f, "corrupt snapshot: {what}"),
@@ -237,37 +240,51 @@ impl<'a> Reader<'a> {
 
     pub fn u16(&mut self) -> Result<u16, SnapshotError> {
         // PANIC: take(n) returned exactly n bytes.
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len checked")))
+        Ok(u16::from_le_bytes(
+            self.take(2)?.try_into().expect("len checked"),
+        ))
     }
 
     pub fn u32(&mut self) -> Result<u32, SnapshotError> {
         // PANIC: take(n) returned exactly n bytes.
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len checked")))
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("len checked"),
+        ))
     }
 
     pub fn u64(&mut self) -> Result<u64, SnapshotError> {
         // PANIC: take(n) returned exactly n bytes.
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len checked")))
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("len checked"),
+        ))
     }
 
     pub fn u128(&mut self) -> Result<u128, SnapshotError> {
         // PANIC: take(n) returned exactly n bytes.
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().expect("len checked")))
+        Ok(u128::from_le_bytes(
+            self.take(16)?.try_into().expect("len checked"),
+        ))
     }
 
     pub fn i16(&mut self) -> Result<i16, SnapshotError> {
         // PANIC: take(n) returned exactly n bytes.
-        Ok(i16::from_le_bytes(self.take(2)?.try_into().expect("len checked")))
+        Ok(i16::from_le_bytes(
+            self.take(2)?.try_into().expect("len checked"),
+        ))
     }
 
     pub fn i32(&mut self) -> Result<i32, SnapshotError> {
         // PANIC: take(n) returned exactly n bytes.
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().expect("len checked")))
+        Ok(i32::from_le_bytes(
+            self.take(4)?.try_into().expect("len checked"),
+        ))
     }
 
     pub fn i64(&mut self) -> Result<i64, SnapshotError> {
         // PANIC: take(n) returned exactly n bytes.
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("len checked")))
+        Ok(i64::from_le_bytes(
+            self.take(8)?.try_into().expect("len checked"),
+        ))
     }
 
     pub fn f64(&mut self) -> Result<f64, SnapshotError> {
@@ -650,7 +667,14 @@ mod tests {
 
     #[test]
     fn f64_round_trips_bit_exact() {
-        for v in [0.0, -0.0, 1.5, f64::INFINITY, f64::NEG_INFINITY, f64::MIN_POSITIVE] {
+        for v in [
+            0.0,
+            -0.0,
+            1.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+        ] {
             let mut w = Writer::new();
             v.encode(&mut w);
             let bytes = w.into_bytes();
@@ -675,7 +699,10 @@ mod tests {
         round_trip(Some(7u32));
         round_trip(Option::<u32>::None);
         round_trip(VecDeque::from([(1u64, 2u32), (3, 4)]));
-        round_trip(BTreeMap::from([(String::from("a"), 1u64), (String::from("b"), 2)]));
+        round_trip(BTreeMap::from([
+            (String::from("a"), 1u64),
+            (String::from("b"), 2),
+        ]));
         round_trip(BTreeSet::from([(3u8, 9u64, -2i64, 4u64), (1, 2, 3, 4)]));
         round_trip((1u8, 2u64, -3i64));
     }
@@ -745,7 +772,10 @@ mod tests {
         let f = SnapshotFile::parse(&bytes).unwrap();
         assert_eq!(f.version, FORMAT_VERSION);
         assert_eq!(f.schemas().len(), 2);
-        assert_eq!(f.section_names().collect::<Vec<_>>(), vec!["meta", "scheduler"]);
+        assert_eq!(
+            f.section_names().collect::<Vec<_>>(),
+            vec!["meta", "scheduler"]
+        );
         assert_eq!(f.section("meta").unwrap().u64().unwrap(), 42);
         assert_eq!(f.section("scheduler").unwrap().str().unwrap(), "payload");
         f.verify_schemas(&[("rhythm-sim", schema_hash("rng:seed,state"))])
@@ -774,7 +804,10 @@ mod tests {
         let err = SnapshotFile::parse(&bytes).unwrap_err();
         match err {
             SnapshotError::Incompatible { expected, found } => {
-                assert!(expected.contains(&format!("v{FORMAT_VERSION}")), "{expected}");
+                assert!(
+                    expected.contains(&format!("v{FORMAT_VERSION}")),
+                    "{expected}"
+                );
                 assert!(found.contains("v255"), "{found}");
             }
             other => panic!("expected Incompatible, got {other:?}"),

@@ -76,10 +76,7 @@ impl Trigger {
                 format!("load {load:.3} > loadlimit {loadlimit:.3}")
             }
             Trigger::SlackBelowHalfLimit => {
-                format!(
-                    "slack {slack:.3} < slacklimit/2 {:.3}",
-                    slacklimit / 2.0
-                )
+                format!("slack {slack:.3} < slacklimit/2 {:.3}", slacklimit / 2.0)
             }
             Trigger::SlackBelowLimit => {
                 format!("slack {slack:.3} < slacklimit {slacklimit:.3}")

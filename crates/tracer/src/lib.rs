@@ -47,4 +47,4 @@ pub mod pairing;
 pub use capture::{CaptureConfig, EventCapture, VisitNode};
 pub use cpg::Cpg;
 pub use event::{ContextId, EventKind, MessageId, SysEvent};
-pub use pairing::{PairingOutput, Pairer};
+pub use pairing::{Pairer, PairingOutput};

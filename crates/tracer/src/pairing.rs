@@ -245,10 +245,7 @@ impl Pairer {
                             out.unmatched_recvs -= 1;
                             let pod = e.ctx.host_ip.saturating_sub(1);
                             let ms = e.timestamp.saturating_since(recv.at).as_millis_f64();
-                            out.segments
-                                .entry(pod)
-                                .or_default()
-                                .push((recv.label, ms));
+                            out.segments.entry(pod).or_default().push((recv.label, ms));
                             // Propagate the label to the receiving side.
                             in_flight.push(e.msg, recv.label);
                         }
@@ -345,10 +342,7 @@ mod tests {
         );
         let req_b = chain_visit(
             &[0, 1],
-            &[
-                vec![(ms(2), ms(3)), (ms(7), ms(8))],
-                vec![(ms(3), ms(7))],
-            ],
+            &[vec![(ms(2), ms(3)), (ms(7), ms(8))], vec![(ms(3), ms(7))]],
         );
         let cfg = CaptureConfig {
             non_blocking: true,

@@ -334,7 +334,8 @@ mod tests {
     #[test]
     fn all_apps_validate() {
         for app in all_apps() {
-            app.validate().unwrap_or_else(|e| panic!("{}: {e}", app.name));
+            app.validate()
+                .unwrap_or_else(|e| panic!("{}: {e}", app.name));
         }
     }
 

@@ -48,7 +48,13 @@ impl LoadGen {
     /// The curve is `base + amplitude * diurnal(t)` with per-day amplitude
     /// jitter, occasional 2-interval bursts, and 5% multiplicative noise,
     /// clamped to `[0.05, 1.0]`.
-    pub fn clarknet_like(days: u32, total: SimDuration, intervals: usize, peak: f64, seed: u64) -> Self {
+    pub fn clarknet_like(
+        days: u32,
+        total: SimDuration,
+        intervals: usize,
+        peak: f64,
+        seed: u64,
+    ) -> Self {
         assert!(days > 0 && intervals > 0, "need at least one day/interval");
         let mut rng = SimRng::from_seed(seed).split("clarknet");
         let peak = peak.clamp(0.1, 1.0);
@@ -349,7 +355,8 @@ mod tests {
         assert!((samples[60] - before[60]).abs() < 1e-12);
         assert_eq!(&samples[61..], &before[61..]);
         // Determinism composes: same base + same overlay = same trace.
-        let again = LoadGen::diurnal(1, total, 100, 0.3, 0.5, 0.0, 1).with_flash_crowd(0.5, 1.8, 10);
+        let again =
+            LoadGen::diurnal(1, total, 100, 0.3, 0.5, 0.0, 1).with_flash_crowd(0.5, 1.8, 10);
         let LoadGen::Trace { samples: s2, .. } = again else {
             panic!("expected trace");
         };

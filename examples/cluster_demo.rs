@@ -19,11 +19,7 @@ use rhythm::prelude::*;
 fn main() {
     // One-time preparation: calibrate the SLA, profile the service,
     // derive the per-Servpod thresholds (Algorithm 1).
-    let ctx = ServiceContext::prepare(
-        apps::ecommerce(),
-        &[BeSpec::of(BeKind::Wordcount)],
-        7,
-    );
+    let ctx = ServiceContext::prepare(apps::ecommerce(), &[BeSpec::of(BeKind::Wordcount)], 7);
 
     // 16 machines = 4 replicas; jobs scaled to ~15-60 solo-seconds so
     // the 3-minute demo window sees completions.
@@ -33,17 +29,32 @@ fn main() {
     cfg.policy = PlacementPolicy::InterferenceScore;
     cfg.threads = 8;
 
-    println!("running Rhythm and Heracles on {} machines ...", cfg.machines);
+    println!(
+        "running Rhythm and Heracles on {} machines ...",
+        cfg.machines
+    );
     let (rhythm, heracles) = compare_cluster(&ctx, &cfg);
 
     for (name, out) in [("Rhythm", &rhythm), ("Heracles", &heracles)] {
         let m = &out.metrics;
         println!("\n== {name} ==");
-        println!("EMU {:.3} (LC {:.3} + BE {:.3})", m.emu, m.lc_throughput, m.be_throughput);
-        println!("CPU {:.1}%  MemBW {:.1}%  p99/SLA {:.2}", m.cpu_util * 100.0, m.membw_util * 100.0, m.tail_ratio);
+        println!(
+            "EMU {:.3} (LC {:.3} + BE {:.3})",
+            m.emu, m.lc_throughput, m.be_throughput
+        );
+        println!(
+            "CPU {:.1}%  MemBW {:.1}%  p99/SLA {:.2}",
+            m.cpu_util * 100.0,
+            m.membw_util * 100.0,
+            m.tail_ratio
+        );
         println!(
             "jobs: {}/{} completed, mean completion {:.1}s, {:.2} jobs of work wasted, {} kills",
-            m.jobs.completed, m.jobs.submitted, m.jobs.completion_mean_s, m.jobs.wasted_jobs, m.jobs.kills
+            m.jobs.completed,
+            m.jobs.submitted,
+            m.jobs.completion_mean_s,
+            m.jobs.wasted_jobs,
+            m.jobs.kills
         );
     }
     let gain = (rhythm.metrics.emu / heracles.metrics.emu - 1.0) * 100.0;

@@ -51,10 +51,7 @@ fn main() {
     let (_, heracles) = ctx.run(ControllerChoice::Heracles, &cell);
 
     println!("\nover the day (Rhythm vs Heracles):");
-    println!(
-        "  EMU            {:.2} vs {:.2}",
-        rhythm.emu, heracles.emu
-    );
+    println!("  EMU            {:.2} vs {:.2}", rhythm.emu, heracles.emu);
     println!(
         "  BE throughput  {:.2} vs {:.2}",
         rhythm.be_throughput, heracles.be_throughput

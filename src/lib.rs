@@ -57,6 +57,7 @@ pub mod prelude {
         compare_cluster, run_cluster, ClusterConfig, ClusterMetrics, ClusterOutcome,
         ClusterTelemetry, FaultKind, FaultPlan, JobSpec, PlacementPolicy,
     };
+    pub use rhythm_cluster::{ClusterRun, ClusterRunner, ClusterSnapshot};
     pub use rhythm_controller::{BeAction, ThresholdPolicy, Thresholds};
     pub use rhythm_core::experiment::{ControllerChoice, ExperimentConfig, ServiceContext};
     pub use rhythm_core::{
@@ -64,7 +65,6 @@ pub mod prelude {
     };
     pub use rhythm_interference::{InterferenceModel, Pressure};
     pub use rhythm_machine::{Allocation, Machine, MachineSpec};
-    pub use rhythm_cluster::{ClusterRun, ClusterRunner, ClusterSnapshot};
     pub use rhythm_sim::{LatencyHistogram, SimDuration, SimRng, SimTime};
     pub use rhythm_snapshot::{Snapshot, SnapshotError, SnapshotFile};
     pub use rhythm_telemetry::{

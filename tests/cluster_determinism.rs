@@ -35,7 +35,13 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn cell(seed: u64, machines: usize, policy: PlacementPolicy, load: f64, threads: usize) -> ClusterConfig {
+fn cell(
+    seed: u64,
+    machines: usize,
+    policy: PlacementPolicy,
+    load: f64,
+    threads: usize,
+) -> ClusterConfig {
     let mut c = ClusterConfig::new(machines).with_scaled_jobs(0.02);
     c.duration_s = 60;
     c.jobs_per_machine = 3;
@@ -80,7 +86,10 @@ fn cluster_runs_are_thread_count_invariant() {
             "case {case}: merged metrics diverged (seed={seed}, {policy:?}, {choice:?})"
         );
         // The parallel run must actually have done the work.
-        assert!(serial.metrics.completed_requests > 0, "case {case}: empty run");
+        assert!(
+            serial.metrics.completed_requests > 0,
+            "case {case}: empty run"
+        );
     }
 }
 
@@ -88,7 +97,13 @@ fn cluster_runs_are_thread_count_invariant() {
 fn warehouse_cluster_runs_are_thread_count_invariant() {
     // solr has 2 Servpods: 256 machines = 128 replicas.
     let run = |threads: usize| {
-        let mut c = cell(0x5AAD, 256, PlacementPolicy::InterferenceScore, 0.5, threads);
+        let mut c = cell(
+            0x5AAD,
+            256,
+            PlacementPolicy::InterferenceScore,
+            0.5,
+            threads,
+        );
         c.duration_s = 20;
         c.jobs_per_machine = 2;
         run_cluster(ctx(), &ControllerChoice::Rhythm, &c)
@@ -103,7 +118,10 @@ fn warehouse_cluster_runs_are_thread_count_invariant() {
             "fingerprints diverged at {threads} threads"
         );
         let metrics = serde_json::to_string(&other.metrics).unwrap();
-        assert_eq!(base_metrics, metrics, "metrics diverged at {threads} threads");
+        assert_eq!(
+            base_metrics, metrics,
+            "metrics diverged at {threads} threads"
+        );
     }
 }
 
@@ -132,9 +150,13 @@ fn hetero_cell(threads: usize) -> ClusterConfig {
     c.telemetry = TelemetryConfig::full();
     let wc = c.be_mix[0].clone();
     c.job_plan = vec![
-        JobSpec::solitary(wc.clone()).with_priority(2).with_deadline(30.0),
+        JobSpec::solitary(wc.clone())
+            .with_priority(2)
+            .with_deadline(30.0),
         JobSpec::solitary(wc.clone()).with_priority(1).with_gang(3),
-        JobSpec::solitary(wc.clone()).with_priority(1).with_deadline(45.0),
+        JobSpec::solitary(wc.clone())
+            .with_priority(1)
+            .with_deadline(45.0),
         JobSpec::solitary(wc.clone()),
         JobSpec::solitary(wc),
     ];
@@ -157,7 +179,11 @@ fn hetero_gang_cluster_is_thread_count_invariant() {
             baseline.fingerprints, run.fingerprints,
             "fingerprints diverged at {threads} threads"
         );
-        let jsonl = run.telemetry.as_ref().expect("telemetry enabled").export_jsonl();
+        let jsonl = run
+            .telemetry
+            .as_ref()
+            .expect("telemetry enabled")
+            .export_jsonl();
         assert_eq!(
             base_jsonl, jsonl,
             "telemetry JSONL diverged at {threads} threads"

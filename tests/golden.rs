@@ -100,9 +100,13 @@ fn hetero_cluster_run() -> ClusterOutcome {
     c.gang_patience_epochs = 3;
     let wc = c.be_mix[0].clone();
     c.job_plan = vec![
-        JobSpec::solitary(wc.clone()).with_priority(2).with_deadline(30.0),
+        JobSpec::solitary(wc.clone())
+            .with_priority(2)
+            .with_deadline(30.0),
         JobSpec::solitary(wc.clone()).with_priority(1).with_gang(3),
-        JobSpec::solitary(wc.clone()).with_priority(1).with_deadline(45.0),
+        JobSpec::solitary(wc.clone())
+            .with_priority(1)
+            .with_deadline(45.0),
         JobSpec::solitary(wc.clone()),
         JobSpec::solitary(wc),
     ];
@@ -311,7 +315,10 @@ fn engine_streams_fingerprint(snap: &ClusterSnapshot) -> u64 {
 /// change may alter what the engines did.
 #[test]
 fn snapshot_engine_streams_bit_identical() {
-    assert_eq!(engine_streams_fingerprint(&snapshot_run()), SNAPSHOT_N64_E5_ENGINES);
+    assert_eq!(
+        engine_streams_fingerprint(&snapshot_run()),
+        SNAPSHOT_N64_E5_ENGINES
+    );
 }
 
 #[test]

@@ -5,8 +5,8 @@
 //! → engine), asserting the paper's qualitative claims hold in the
 //! assembled system.
 
-use rhythm::analyzer::loadlimit::loadlimits;
 use rhythm::analyzer::contributions;
+use rhythm::analyzer::loadlimit::loadlimits;
 use rhythm::controller::BeAction;
 use rhythm::core::experiment::{ControllerChoice, ExperimentConfig, ServiceContext};
 use rhythm::core::{profile_service, ControlMode, Engine, EngineConfig, ProfileConfig};
@@ -14,7 +14,9 @@ use rhythm::prelude::*;
 
 fn quick_profile_cfg(levels: usize) -> ProfileConfig {
     ProfileConfig {
-        load_levels: (1..=levels).map(|i| i as f64 / (levels as f64 + 1.0)).collect(),
+        load_levels: (1..=levels)
+            .map(|i| i as f64 / (levels as f64 + 1.0))
+            .collect(),
         duration_s: 20,
         seed: 99,
         min_requests: 1_500,
@@ -32,10 +34,7 @@ fn profiling_pipeline_end_to_end() {
     assert_eq!(contribs.len(), 4);
     // The bottleneck (MySQL) dominates the contributions.
     let mysql = service.index_of("mysql").unwrap();
-    let max = contribs
-        .iter()
-        .map(|c| c.value)
-        .fold(f64::MIN, f64::max);
+    let max = contribs.iter().map(|c| c.value).fold(f64::MIN, f64::max);
     assert!((contribs[mysql].value - max).abs() < 1e-12, "{contribs:?}");
     let lls = loadlimits(&profile);
     for &ll in &lls {

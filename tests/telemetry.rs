@@ -49,19 +49,43 @@ fn cell(threads: usize, telemetry: TelemetryConfig) -> ClusterConfig {
 
 #[test]
 fn exports_are_thread_count_invariant() {
-    let serial = run_cluster(ctx(), &ControllerChoice::Rhythm, &cell(1, TelemetryConfig::full()));
-    let parallel = run_cluster(ctx(), &ControllerChoice::Rhythm, &cell(8, TelemetryConfig::full()));
+    let serial = run_cluster(
+        ctx(),
+        &ControllerChoice::Rhythm,
+        &cell(1, TelemetryConfig::full()),
+    );
+    let parallel = run_cluster(
+        ctx(),
+        &ControllerChoice::Rhythm,
+        &cell(8, TelemetryConfig::full()),
+    );
     let (ts, tp) = (serial.telemetry.unwrap(), parallel.telemetry.unwrap());
     assert!(ts.decisions() > 0, "no decisions audited");
-    assert_eq!(ts.export_jsonl(), tp.export_jsonl(), "JSONL export diverged across thread counts");
-    assert_eq!(ts.chrome_trace(), tp.chrome_trace(), "Chrome trace diverged across thread counts");
+    assert_eq!(
+        ts.export_jsonl(),
+        tp.export_jsonl(),
+        "JSONL export diverged across thread counts"
+    );
+    assert_eq!(
+        ts.chrome_trace(),
+        tp.chrome_trace(),
+        "Chrome trace diverged across thread counts"
+    );
     assert_eq!(ts.why_report(), tp.why_report());
 }
 
 #[test]
 fn telemetry_does_not_perturb_the_simulation() {
-    let off = run_cluster(ctx(), &ControllerChoice::Rhythm, &cell(4, TelemetryConfig::disabled()));
-    let on = run_cluster(ctx(), &ControllerChoice::Rhythm, &cell(4, TelemetryConfig::full()));
+    let off = run_cluster(
+        ctx(),
+        &ControllerChoice::Rhythm,
+        &cell(4, TelemetryConfig::disabled()),
+    );
+    let on = run_cluster(
+        ctx(),
+        &ControllerChoice::Rhythm,
+        &cell(4, TelemetryConfig::full()),
+    );
     assert!(off.telemetry.is_none());
     assert!(on.telemetry.is_some());
     assert_eq!(
@@ -92,7 +116,11 @@ fn fault_exports_are_thread_count_invariant() {
     let count = |want: ClusterEventKind| kinds.iter().filter(|k| ***k == want).count();
     assert_eq!(count(ClusterEventKind::FaultInjected), 4, "{kinds:?}");
     assert_eq!(count(ClusterEventKind::MachineDown), 1);
-    assert_eq!(count(ClusterEventKind::MachineUp), 2, "crash + straggler recoveries");
+    assert_eq!(
+        count(ClusterEventKind::MachineUp),
+        2,
+        "crash + straggler recoveries"
+    );
     let down = ts
         .cluster_events
         .iter()
@@ -120,10 +148,17 @@ fn fault_exports_are_thread_count_invariant() {
 
 #[test]
 fn streams_are_populated_and_self_describing() {
-    let outcome = run_cluster(ctx(), &ControllerChoice::Rhythm, &cell(4, TelemetryConfig::full()));
+    let outcome = run_cluster(
+        ctx(),
+        &ControllerChoice::Rhythm,
+        &cell(4, TelemetryConfig::full()),
+    );
     let tel = outcome.telemetry.unwrap();
     assert!(!tel.replicas.is_empty());
-    assert!(!tel.cluster_tail.is_empty(), "no cluster tail points merged");
+    assert!(
+        !tel.cluster_tail.is_empty(),
+        "no cluster tail points merged"
+    );
     for (r, rep) in tel.replicas.iter().enumerate() {
         assert!(rep.recorded > 0, "replica {r}: flight recorder empty");
         assert!(!rep.audit.is_empty(), "replica {r}: audit trail empty");
@@ -145,7 +180,11 @@ fn streams_are_populated_and_self_describing() {
     // The JSONL export has the meta line plus one line per record.
     let jsonl = tel.export_jsonl();
     let lines: Vec<&str> = jsonl.lines().collect();
-    assert!(lines[0].contains("\"rhythm-trace/v1\""), "bad meta line: {}", lines[0]);
+    assert!(
+        lines[0].contains("\"rhythm-trace/v1\""),
+        "bad meta line: {}",
+        lines[0]
+    );
     assert!(lines.iter().all(|l| l.starts_with('{') && l.ends_with('}')));
     let records: usize = tel
         .replicas
