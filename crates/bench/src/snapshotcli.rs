@@ -17,7 +17,8 @@
 //! worker-thread count — the continuation is bit-identical regardless.
 
 use crate::report::results_dir;
-use rhythm_cluster::{ClusterRunner, ClusterSnapshot};
+use rhythm_chaos::outcome_fingerprint;
+use rhythm_cluster::{ClusterOutcome, ClusterRunner, ClusterSnapshot};
 use rhythm_core::experiment::ControllerChoice;
 use std::io;
 use std::path::PathBuf;
@@ -77,9 +78,12 @@ fn read_snapshot(path: &str) -> io::Result<ClusterSnapshot> {
     ClusterSnapshot::from_bytes(&bytes).map_err(|e| invalid(format!("{path}: {e}")))
 }
 
-fn outcome_line(m: &rhythm_cluster::ClusterMetrics) -> String {
+/// The headline metrics plus the full outcome fingerprint, so two runs
+/// print the same line only when their outcomes agree bit for bit.
+fn outcome_line(out: &ClusterOutcome) -> String {
+    let m = &out.metrics;
     format!(
-        "EMU {:.3}  LC {:.3}  BE {:.3}  jobs {}/{}  requeues {}  kills {}",
+        "EMU {:.3}  LC {:.3}  BE {:.3}  jobs {}/{}  requeues {}  kills {}  outcome {:#018x}",
         m.emu,
         m.lc_throughput,
         m.be_throughput,
@@ -87,6 +91,7 @@ fn outcome_line(m: &rhythm_cluster::ClusterMetrics) -> String {
         m.jobs.submitted,
         m.requeues,
         m.jobs.kills,
+        outcome_fingerprint(out),
     )
 }
 
@@ -145,7 +150,7 @@ pub fn snapshot(args: &[String]) -> io::Result<()> {
         bytes.len(),
         snap.fingerprint(),
     );
-    println!("run:      {}", outcome_line(&run.outcome.metrics));
+    println!("run:      {}", outcome_line(&run.outcome));
     Ok(())
 }
 
@@ -169,7 +174,7 @@ pub fn resume(args: &[String]) -> io::Result<()> {
     let run = ClusterRunner::resume(&snap, &ctx, &ControllerChoice::Rhythm, &cfg)
         .map_err(|e| invalid(e.to_string()))?
         .run();
-    println!("resumed:  {}", outcome_line(&run.outcome.metrics));
+    println!("resumed:  {}", outcome_line(&run.outcome));
     Ok(())
 }
 

@@ -55,8 +55,9 @@ impl RestartCheck {
 ///
 /// # Panics
 ///
-/// Panics if `epoch` is 0 or past the horizon (the drill would have
-/// nothing to compare), or if the snapshot fails to decode or resume —
+/// Panics if `epoch` is 0 or not before the run's last barrier
+/// ([`ClusterConfig::barriers`]; the drill would have nothing to
+/// compare), or if the snapshot fails to decode or resume —
 /// in this crate's usage those are test failures, not recoverable
 /// conditions.
 pub fn crash_restart(
@@ -66,10 +67,10 @@ pub fn crash_restart(
     epoch: u32,
     resume_threads: usize,
 ) -> (ClusterOutcome, RestartCheck) {
-    let total_epochs = cfg.duration_s * 1_000 / cfg.controller_period_ms.max(1);
+    let barriers = cfg.barriers();
     assert!(
-        epoch > 0 && u64::from(epoch) < total_epochs,
-        "epoch {epoch} is not a mid-run barrier of {total_epochs} epochs"
+        epoch > 0 && u64::from(epoch) < barriers,
+        "epoch {epoch} is not a mid-run barrier of {barriers} epochs"
     );
     let reference = ClusterRunner::new(ctx, choice, cfg).run().outcome;
 

@@ -116,12 +116,13 @@ impl MachineRow {
     }
 }
 
-/// Stateful placer (the round-robin cursor persists across epochs).
+/// A placement policy with the interference model it scores by. The
+/// round-robin cursor is scheduler state (`SchedulerState::rr_cursor`),
+/// so the placer itself never changes.
 #[derive(Clone, Debug)]
 pub struct Placer {
     policy: PlacementPolicy,
     model: InterferenceModel,
-    cursor: usize,
 }
 
 impl Placer {
@@ -131,7 +132,6 @@ impl Placer {
         Placer {
             policy,
             model: InterferenceModel::calibrated(),
-            cursor: 0,
         }
     }
 
@@ -144,26 +144,17 @@ impl Placer {
     /// (per unit of normalized-capacity mismatch).
     pub(crate) const STRAGGLER_WEIGHT: f64 = 2.0;
 
-    /// The round-robin cursor (next global index the rotation tries).
-    pub(crate) fn cursor(&self) -> usize {
-        self.cursor
-    }
-
-    /// Moves the round-robin cursor (snapshot restore).
-    pub(crate) fn set_cursor(&mut self, cursor: usize) {
-        self.cursor = cursor;
-    }
-
-    /// The round-robin pick: the first of `eligible` at or after the
-    /// cursor, wrapping to the lowest; the cursor moves past the pick.
-    /// `None` (cursor unmoved) when nothing is eligible.
-    pub(crate) fn rotate(&mut self, eligible: &BTreeSet<usize>) -> Option<usize> {
+    /// The round-robin pick: the first of `eligible` at or after
+    /// `cursor` (the next global index the rotation tries), wrapping to
+    /// the lowest; the cursor moves past the pick. `None` (cursor
+    /// unmoved) when nothing is eligible.
+    pub(crate) fn rotate(eligible: &BTreeSet<usize>, cursor: &mut u64) -> Option<usize> {
         let pick = eligible
-            .range(self.cursor..)
+            .range(*cursor as usize..)
             .next()
             .or_else(|| eligible.iter().next())
             .copied()?;
-        self.cursor = pick + 1;
+        *cursor = pick as u64 + 1;
         Some(pick)
     }
 
@@ -375,9 +366,12 @@ mod tests {
     #[test]
     fn round_robin_rotates() {
         let eligible: BTreeSet<usize> = (0..3).collect();
-        let mut p = Placer::new(PlacementPolicy::RoundRobin);
-        let picks: Vec<usize> = (0..5).map(|_| p.rotate(&eligible).unwrap()).collect();
+        let mut cursor = 0;
+        let picks: Vec<usize> = (0..5)
+            .map(|_| Placer::rotate(&eligible, &mut cursor).unwrap())
+            .collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1]);
+        let p = Placer::new(PlacementPolicy::RoundRobin);
         let comp = &apps::ecommerce().nodes[0].component;
         let row = MachineRow::derive(&machine(), comp, None, &specs());
         assert_eq!(p.score(&BeSpec::of(BeKind::Wordcount), comp, &row), None);

@@ -12,7 +12,13 @@
 //! result is bit-identical for any worker-thread count — determinism is
 //! a property of the protocol, not of luck.
 //!
-//! One scheduler holds the whole cluster's queue, offers and bindings.
+//! One scheduler holds the whole cluster's queue, offers and bindings,
+//! and its durable state is one [`SchedulerState`]: the job ledger,
+//! queue, offers, bindings, round-robin cursor, gangs and events the
+//! barrier mutates in place are exactly what a snapshot stores. A capture
+//! clones it. [`ClusterRunner::resume`] checks a captured one against the
+//! config, assigns it to the scheduler that [`ClusterRunner::run`] then
+//! continues with the restored engines, and so restores it exactly once.
 //! Dispatch caches placement rankings per pass: machine state is constant
 //! during a pass, so each job spec's ranking over the eligible machines
 //! is scored and sorted once, and later pops of the same spec resume at a
@@ -47,31 +53,20 @@ use crate::snapshot::{ClusterSnapshot, GangState, SchedulerState};
 use crate::state::{global_index, machine_ref, replica_seed, ClusterConfig};
 use rhythm_core::experiment::{ControllerChoice, ExperimentConfig, ServiceContext};
 use rhythm_core::metrics::RunMetrics;
-use rhythm_core::runtime::{BeAdmission, BeKill, Engine};
+use rhythm_core::runtime::{BeAdmission, BeKill, Engine, EngineConfig};
 use rhythm_machine::machine::BeInstanceId;
 use rhythm_sim::{LatencyHistogram, SimDuration, SimTime};
 use rhythm_snapshot::{Reader, SnapshotError, Writer};
 use rhythm_telemetry::{ClusterEvent, ClusterEventKind, TailPoint};
 use rhythm_workloads::{BeSpec, ServiceSpec};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::sync::Arc;
 
-/// Lifecycle bookkeeping for one gang-scheduled job.
-#[derive(Clone, Debug)]
-struct GangTracker {
-    /// Member job ids, in submission order (the first live member acts
-    /// as the gang's representative in the queue).
-    members: Vec<JobId>,
-    /// Epochs left before a forming gang gives up and requeues.
-    patience_left: u32,
-    /// Offers are out but not every live member runs yet.
-    forming: bool,
-}
-
-/// All cluster-level scheduling state: the job ledger, the queue, offers
-/// and bindings, the placer and gang trackers. Mutated only at the epoch
-/// barrier (single-threaded, fixed iteration order), so every decision is
-/// deterministic.
+/// The cluster scheduler: its durable [`SchedulerState`] (what a
+/// snapshot stores) plus the config, fault plan, barrier rows and
+/// per-pass scratch. Mutated only at the epoch barrier (single-threaded,
+/// fixed iteration order), so every decision is deterministic.
 struct Scheduler<'c> {
     cfg: &'c ClusterConfig,
     /// The LC service every replica runs (machine `g` hosts the
@@ -81,28 +76,20 @@ struct Scheduler<'c> {
     /// Whether a controller drives BE work (false for Solo runs, whose
     /// backlog is never queued).
     managed: bool,
-    jobs: Vec<ClusterJob>,
+    /// Job ledger, queue, offers, bindings, round-robin cursor, gangs
+    /// and events: mutated in place at every barrier, cloned by a
+    /// capture, replaced whole by a resume.
+    state: SchedulerState,
     /// Catalog position of each job's spec (index = job id), the key of
     /// its per-pass ranking.
     spec_slot: Vec<usize>,
-    /// The backlog awaiting placement.
-    queue: JobQueue,
-    /// Outstanding offer per machine (index = global machine index).
-    offered: Vec<Option<JobId>>,
-    /// (global machine, instance) → job currently running there.
-    bindings: BTreeMap<(usize, BeInstanceId), JobId>,
     placer: Placer,
     catalog: BTreeMap<String, BeSpec>,
-    /// Gang id → tracker, for every gang entry of the plan.
-    gangs: BTreeMap<u32, GangTracker>,
     /// The normalized fault schedule (empty when no chaos is
     /// configured; never mutated after construction).
     plan: FaultPlan,
     /// Dynamic fault state: plan cursor + the set of down machines.
     chaos: ChaosState,
-    /// Scheduler events (gang lifecycle, deadline misses, faults),
-    /// emission order. Only populated when telemetry is enabled.
-    events: Vec<ClusterEvent>,
     /// One placement row per global machine (empty in Solo runs). The
     /// engines write them in the parallel phase of each epoch; the
     /// barrier re-derives the rows of `stale` replicas before dispatch.
@@ -148,7 +135,7 @@ impl<'c> Scheduler<'c> {
             if let Some(gid) = gang_id {
                 gangs.insert(
                     gid,
-                    GangTracker {
+                    GangState {
                         members,
                         patience_left: cfg.gang_patience_epochs.max(1),
                         forming: false,
@@ -190,24 +177,27 @@ impl<'c> Scheduler<'c> {
             pods,
             managed,
             taken: vec![false; cfg.machines],
-            offered: vec![None; cfg.machines],
-            jobs,
+            state: SchedulerState {
+                jobs,
+                queue,
+                offered: vec![None; cfg.machines],
+                bindings: BTreeMap::new(),
+                rr_cursor: 0,
+                gangs,
+                events: Vec::new(),
+            },
             spec_slot,
-            queue,
-            bindings: BTreeMap::new(),
             placer: Placer::new(cfg.policy),
             ranked: (0..catalog.len().max(1))
                 .map(|_| Ranking::default())
                 .collect(),
             catalog,
-            gangs,
             plan: {
                 let mut plan = cfg.faults.clone();
                 plan.normalize();
                 plan
             },
             chaos: ChaosState::default(),
-            events: Vec::new(),
             rows: if managed {
                 vec![MachineRow::default(); cfg.machines]
             } else {
@@ -222,17 +212,17 @@ impl<'c> Scheduler<'c> {
 
     /// Member ids of gang `gid` that have not finished.
     fn live_members(&self, gid: u32) -> impl Iterator<Item = JobId> + '_ {
-        self.gangs[&gid]
+        self.state.gangs[&gid]
             .members
             .iter()
             .copied()
-            .filter(|&m| self.jobs[m as usize].state != JobState::Done)
+            .filter(|&m| self.state.jobs[m as usize].state != JobState::Done)
     }
 
     /// Records a cluster event when telemetry is enabled.
     fn note(&mut self, t_s: f64, kind: ClusterEventKind, job: u64, gang: Option<u32>) {
         if self.cfg.telemetry.enabled {
-            self.events.push(ClusterEvent {
+            self.state.events.push(ClusterEvent {
                 t_s,
                 kind,
                 job,
@@ -244,8 +234,8 @@ impl<'c> Scheduler<'c> {
     /// Marks `jid` finished, recording a deadline-miss event if it
     /// completed past its deadline.
     fn complete(&mut self, jid: JobId, now_s: f64) {
-        self.jobs[jid as usize].on_complete(now_s);
-        let job = &self.jobs[jid as usize];
+        self.state.jobs[jid as usize].on_complete(now_s);
+        let job = &self.state.jobs[jid as usize];
         if job.deadline_missed_at(now_s) {
             let gang = job.gang;
             self.note(now_s, ClusterEventKind::DeadlineMiss, jid, gang);
@@ -304,15 +294,15 @@ impl<'c> Scheduler<'c> {
             // A solitary job goes straight back to the queue; a forming
             // gang keeps waiting on its patience budget and the gang
             // pass aborts (and requeues) it when that runs out.
-            if self.jobs[jid as usize].gang.is_none() {
-                self.queue.requeue_at(jid, now_s);
+            if self.state.jobs[jid as usize].gang.is_none() {
+                self.state.queue.requeue_at(jid, now_s);
             }
         }
         let r = machine_ref(g, self.pods);
-        let range = (g, BeInstanceId::MIN)..(g + 1, BeInstanceId::MIN);
         let bound: Vec<(BeInstanceId, JobId)> = self
+            .state
             .bindings
-            .range(range)
+            .range(binding_keys(g..g + 1))
             .map(|(&(_, inst), &jid)| (inst, jid))
             .collect();
         let mut dirty_gangs: BTreeSet<u32> = BTreeSet::new();
@@ -322,7 +312,7 @@ impl<'c> Scheduler<'c> {
             let progress = engines[r.replica].be_progress(r.pod, inst).unwrap_or(0.0);
             engines[r.replica].remove_be(r.pod, inst);
             self.stale[r.replica] = true;
-            self.bindings.remove(&(g, inst));
+            self.state.bindings.remove(&(g as u64, inst));
             self.settle_kill(jid, progress, now_s, &mut dirty_gangs);
         }
         for gid in dirty_gangs {
@@ -335,10 +325,10 @@ impl<'c> Scheduler<'c> {
     /// returns its job, now `Queued` again. Whether the job re-enters
     /// the queue is the caller's call.
     fn withdraw_offer(&mut self, g: usize, engines: &mut [Engine]) -> Option<JobId> {
-        let jid = self.offered[g].take()?;
+        let jid = self.state.offered[g].take()?;
         let r = machine_ref(g, self.pods);
         engines[r.replica].set_be_offer(r.pod, None);
-        self.jobs[jid as usize].state = JobState::Queued;
+        self.state.jobs[jid as usize].state = JobState::Queued;
         Some(jid)
     }
 
@@ -353,17 +343,17 @@ impl<'c> Scheduler<'c> {
         now_s: f64,
         dirty_gangs: &mut BTreeSet<u32>,
     ) {
-        if self.jobs[jid as usize].total_progress(progress) >= 1.0 {
+        if self.state.jobs[jid as usize].total_progress(progress) >= 1.0 {
             self.complete(jid, now_s);
             return;
         }
-        let job = &mut self.jobs[jid as usize];
+        let job = &mut self.state.jobs[jid as usize];
         job.on_kill(progress, self.cfg.checkpoint_fraction);
         match job.gang {
             Some(gid) => {
                 dirty_gangs.insert(gid);
             }
-            None => self.queue.requeue_at(jid, now_s),
+            None => self.state.queue.requeue_at(jid, now_s),
         }
     }
 
@@ -384,15 +374,16 @@ impl<'c> Scheduler<'c> {
     /// machine per epoch; a gang claims one machine per live member,
     /// all-or-nothing).
     fn dispatch(&mut self, engines: &mut [Engine], now_s: f64) {
-        self.queue.age(now_s);
+        self.state.queue.age(now_s);
         // Withdraw offers the controllers did not consume last epoch, in
         // reverse global order so the requeue-to-front restores the
         // original relative order. Offers of forming gangs stay out —
         // their patience counter bounds the wait instead.
-        for g in (0..self.offered.len()).rev() {
-            if self.offered[g].is_some_and(|jid| self.jobs[jid as usize].gang.is_none()) {
+        for g in (0..self.state.offered.len()).rev() {
+            if self.state.offered[g].is_some_and(|jid| self.state.jobs[jid as usize].gang.is_none())
+            {
                 if let Some(jid) = self.withdraw_offer(g, engines) {
-                    self.queue.requeue_at(jid, now_s);
+                    self.state.queue.requeue_at(jid, now_s);
                 }
             }
         }
@@ -408,7 +399,7 @@ impl<'c> Scheduler<'c> {
             ranking.clear();
         }
         for g in 0..self.cfg.machines {
-            if self.offered[g].is_none()
+            if self.state.offered[g].is_none()
                 && (self.chaos.down.is_empty() || !self.chaos.down.contains(&(g as u64)))
                 && self.rows[g].grows
             {
@@ -432,9 +423,9 @@ impl<'c> Scheduler<'c> {
         let mut chosen: Vec<usize> = Vec::new();
         let mut peer_caps: Vec<f64> = Vec::new();
         // Pop queued work in queue order while eligible machines remain.
-        while let Some(jid) = self.queue.pop() {
+        while let Some(jid) = self.state.queue.pop() {
             members.clear();
-            match self.jobs[jid as usize].gang {
+            match self.state.jobs[jid as usize].gang {
                 Some(gid) => members.extend(self.live_members(gid)),
                 None => members.push(jid),
             }
@@ -442,7 +433,7 @@ impl<'c> Scheduler<'c> {
             peer_caps.clear();
             for _ in 0..members.len() {
                 let pick = if rr_policy {
-                    let p = self.placer.rotate(&self.rr);
+                    let p = Placer::rotate(&self.rr, &mut self.state.rr_cursor);
                     if let Some(g) = p {
                         self.rr.remove(&g);
                     }
@@ -467,24 +458,24 @@ impl<'c> Scheduler<'c> {
                 for &g in &chosen {
                     self.taken[g] = false;
                 }
-                self.queue.requeue_at(jid, now_s);
+                self.state.queue.requeue_at(jid, now_s);
                 break;
             }
             for (&g, &m) in chosen.iter().zip(&members) {
                 assignments.push((g, m));
             }
-            if let Some(gid) = self.jobs[jid as usize].gang {
+            if let Some(gid) = self.state.jobs[jid as usize].gang {
                 // PANIC: every gang id is registered in `gangs` at submission.
-                let tracker = self.gangs.get_mut(&gid).expect("gang tracked");
+                let tracker = self.state.gangs.get_mut(&gid).expect("gang tracked");
                 tracker.forming = true;
                 tracker.patience_left = self.cfg.gang_patience_epochs.max(1);
             }
         }
         for &(g, jid) in &assignments {
-            self.offered[g] = Some(jid);
-            self.jobs[jid as usize].state = JobState::Offered(g);
-            let spec = Arc::clone(&self.jobs[jid as usize].spec);
-            let priority = self.jobs[jid as usize].priority;
+            self.state.offered[g] = Some(jid);
+            self.state.jobs[jid as usize].state = JobState::Offered(g);
+            let spec = Arc::clone(&self.state.jobs[jid as usize].spec);
+            let priority = self.state.jobs[jid as usize].priority;
             let r = machine_ref(g, self.pods);
             engines[r.replica].set_be_offer(r.pod, Some((spec, priority)));
         }
@@ -537,7 +528,7 @@ impl<'c> Scheduler<'c> {
             let (service, pods) = (self.service, self.pods);
             ranking.build(
                 &self.placer,
-                &self.jobs[jid as usize].spec,
+                &self.state.jobs[jid as usize].spec,
                 &self.eligible,
                 &self.rows,
                 |g| &service.nodes[g % pods].component,
@@ -559,21 +550,21 @@ impl<'c> Scheduler<'c> {
     fn merge(&mut self, engines: &mut [Engine], now: SimTime) {
         let now_s = now.as_secs_f64();
         let mut dirty_gangs: BTreeSet<u32> = BTreeSet::new();
-        // One replica's admissions, kills and bindings (as `(machine,
-        // instance, job)`), reused across replicas.
+        // One replica's admissions, kills and bindings, reused across
+        // replicas.
         let mut admitted: Vec<BeAdmission> = Vec::new();
         let mut killed: Vec<BeKill> = Vec::new();
-        let mut bound: Vec<(usize, BeInstanceId, JobId)> = Vec::new();
+        let mut bound: Vec<((u64, BeInstanceId), JobId)> = Vec::new();
         for (r, engine) in engines.iter_mut().enumerate() {
             engine.drain_be_admissions(&mut admitted);
             engine.drain_be_kills(&mut killed);
-            let lo = (global_index(r, 0, self.pods), BeInstanceId::MIN);
-            let hi = (global_index(r + 1, 0, self.pods), BeInstanceId::MIN);
+            let keys =
+                binding_keys(global_index(r, 0, self.pods)..global_index(r + 1, 0, self.pods));
             // A replica with nothing logged and nothing bound has nothing
             // to merge.
             if admitted.is_empty()
                 && killed.is_empty()
-                && self.bindings.range(lo..hi).next().is_none()
+                && self.state.bindings.range(keys.clone()).next().is_none()
             {
                 continue;
             }
@@ -581,9 +572,9 @@ impl<'c> Scheduler<'c> {
             // its machine.
             for adm in admitted.drain(..) {
                 let g = global_index(r, adm.machine, self.pods);
-                if let Some(jid) = self.offered[g].take() {
-                    self.bindings.insert((g, adm.instance), jid);
-                    self.jobs[jid as usize].state = JobState::Running(g);
+                if let Some(jid) = self.state.offered[g].take() {
+                    self.state.bindings.insert((g as u64, adm.instance), jid);
+                    self.state.jobs[jid as usize].state = JobState::Running(g);
                     engine.set_be_offer(adm.machine, None);
                 }
             }
@@ -592,25 +583,21 @@ impl<'c> Scheduler<'c> {
             // A killed gang member marks its gang for the abort pass.
             for kill in killed.drain(..) {
                 let g = global_index(r, kill.machine, self.pods);
-                if let Some(jid) = self.bindings.remove(&(g, kill.instance)) {
+                if let Some(jid) = self.state.bindings.remove(&(g as u64, kill.instance)) {
                     self.settle_kill(jid, kill.progress, now_s, &mut dirty_gangs);
                 }
             }
             // Completions: retire bound instances whose job reached 1.0.
             bound.clear();
-            bound.extend(
-                self.bindings
-                    .range(lo..hi)
-                    .map(|(&(g, inst), &jid)| (g, inst, jid)),
-            );
-            for &(g, inst, jid) in &bound {
-                let pod = machine_ref(g, self.pods).pod;
+            bound.extend(self.state.bindings.range(keys).map(|(&k, &j)| (k, j)));
+            for &((g, inst), jid) in &bound {
+                let pod = machine_ref(g as usize, self.pods).pod;
                 let done = engine.be_progress(pod, inst).unwrap_or(0.0);
-                if self.jobs[jid as usize].total_progress(done) >= 1.0 {
+                if self.state.jobs[jid as usize].total_progress(done) >= 1.0 {
                     engine.remove_be(pod, inst);
                     self.stale[r] = true;
                     self.complete(jid, now_s);
-                    self.bindings.remove(&(g, inst));
+                    self.state.bindings.remove(&(g, inst));
                 }
             }
         }
@@ -621,27 +608,28 @@ impl<'c> Scheduler<'c> {
     /// killed member, marks gangs whose live members all run as formed,
     /// and counts down (then aborts) the patience of still-forming ones.
     fn gang_pass(&mut self, engines: &mut [Engine], dirty: &BTreeSet<u32>, now_s: f64) {
-        let gids: Vec<u32> = self.gangs.keys().copied().collect();
+        let gids: Vec<u32> = self.state.gangs.keys().copied().collect();
         for &gid in &gids {
             if dirty.contains(&gid) {
                 self.abort_gang(gid, engines, now_s);
                 continue;
             }
-            if !self.gangs[&gid].forming {
+            if !self.state.gangs[&gid].forming {
                 continue;
             }
             let live: Vec<JobId> = self.live_members(gid).collect();
             if live
                 .iter()
-                .all(|&m| matches!(self.jobs[m as usize].state, JobState::Running(_)))
+                .all(|&m| matches!(self.state.jobs[m as usize].state, JobState::Running(_)))
             {
                 // PANIC: every gang id is registered in `gangs` at submission.
-                self.gangs.get_mut(&gid).expect("gang tracked").forming = false;
+                let gang = self.state.gangs.get_mut(&gid).expect("gang tracked");
+                gang.forming = false;
                 let leader = live.first().copied().unwrap_or_default();
                 self.note(now_s, ClusterEventKind::GangFormed, leader, Some(gid));
             } else {
                 // PANIC: every gang id is registered in `gangs` at submission.
-                let tracker = self.gangs.get_mut(&gid).expect("gang tracked");
+                let tracker = self.state.gangs.get_mut(&gid).expect("gang tracked");
                 tracker.patience_left = tracker.patience_left.saturating_sub(1);
                 if tracker.patience_left == 0 {
                     self.abort_gang(gid, engines, now_s);
@@ -657,16 +645,16 @@ impl<'c> Scheduler<'c> {
     fn abort_gang(&mut self, gid: u32, engines: &mut [Engine], now_s: f64) {
         let live: Vec<JobId> = self.live_members(gid).collect();
         for &m in &live {
-            match self.jobs[m as usize].state {
+            match self.state.jobs[m as usize].state {
                 JobState::Offered(g) => {
                     let withdrawn = self.withdraw_offer(g, engines);
                     debug_assert_eq!(withdrawn, Some(m), "offer slot and job state agree");
                 }
                 JobState::Running(g) => {
-                    let range = (g, BeInstanceId::MIN)..(g + 1, BeInstanceId::MIN);
                     let inst = self
+                        .state
                         .bindings
-                        .range(range)
+                        .range(binding_keys(g..g + 1))
                         .find(|&(_, &jid)| jid == m)
                         .map(|(&(_, inst), _)| inst);
                     if let Some(inst) = inst {
@@ -676,26 +664,27 @@ impl<'c> Scheduler<'c> {
                         let progress = engines[r.replica].be_progress(r.pod, inst).unwrap_or(0.0);
                         engines[r.replica].remove_be(r.pod, inst);
                         self.stale[r.replica] = true;
-                        self.bindings.remove(&(g, inst));
-                        self.jobs[m as usize].on_kill(progress, self.cfg.checkpoint_fraction);
+                        self.state.bindings.remove(&(g as u64, inst));
+                        self.state.jobs[m as usize].on_kill(progress, self.cfg.checkpoint_fraction);
                     }
                 }
                 JobState::Queued | JobState::Done => {}
             }
         }
         // PANIC: every gang id is registered in `gangs` at submission.
-        let tracker = self.gangs.get_mut(&gid).expect("gang tracked");
+        let tracker = self.state.gangs.get_mut(&gid).expect("gang tracked");
         tracker.forming = false;
         tracker.patience_left = self.cfg.gang_patience_epochs.max(1);
         if let Some(&leader) = live.first() {
             // The original leader may have finished; make sure the new
             // representative carries the gang's class and deadline into
             // the queue.
-            let job = &self.jobs[leader as usize];
+            let job = &self.state.jobs[leader as usize];
             let (priority, deadline_s, submitted_s) =
                 (job.priority, job.deadline_s, job.submitted_s);
-            self.queue.adopt(leader, priority, deadline_s, submitted_s);
-            self.queue.requeue_at(leader, now_s);
+            let queue = &mut self.state.queue;
+            queue.adopt(leader, priority, deadline_s, submitted_s);
+            queue.requeue_at(leader, now_s);
             self.note(now_s, ClusterEventKind::GangAborted, leader, Some(gid));
         }
     }
@@ -711,8 +700,8 @@ impl<'c> Scheduler<'c> {
     ///   (gang members wait through their representative);
     /// * no down machine holds an offer or a binding.
     fn check_invariants(&self) -> Result<(), String> {
-        let state = |j: JobId| self.jobs.get(j as usize).map(|job| job.state);
-        for (g, slot) in self.offered.iter().enumerate() {
+        let state = |j: JobId| self.state.jobs.get(j as usize).map(|job| job.state);
+        for (g, slot) in self.state.offered.iter().enumerate() {
             if let Some(j) = *slot {
                 if state(j) != Some(JobState::Offered(g)) {
                     return Err(format!(
@@ -723,7 +712,8 @@ impl<'c> Scheduler<'c> {
             }
         }
         let mut bound: BTreeMap<JobId, usize> = BTreeMap::new();
-        for (&(g, inst), &j) in &self.bindings {
+        for (&(g, inst), &j) in &self.state.bindings {
+            let g = g as usize;
             if state(j) != Some(JobState::Running(g)) {
                 return Err(format!(
                     "instance {inst} on machine {g} is bound to job {j}, whose state is {:?}",
@@ -734,7 +724,7 @@ impl<'c> Scheduler<'c> {
                 return Err(format!("job {j} holds more than one binding"));
             }
         }
-        let queued = self.queue.queued_ids();
+        let queued = self.state.queue.queued_ids();
         let in_queue: BTreeSet<JobId> = queued.iter().copied().collect();
         if in_queue.len() != queued.len() {
             return Err("the queue holds a job twice".into());
@@ -742,9 +732,9 @@ impl<'c> Scheduler<'c> {
         if let Some(&j) = queued.iter().find(|&&j| state(j) != Some(JobState::Queued)) {
             return Err(format!("queued job {j} is in state {:?}", state(j)));
         }
-        for job in &self.jobs {
+        for job in &self.state.jobs {
             match job.state {
-                JobState::Offered(g) if self.offered.get(g) != Some(&Some(job.id)) => {
+                JobState::Offered(g) if self.state.offered.get(g) != Some(&Some(job.id)) => {
                     return Err(format!(
                         "job {} is offered to machine {g}, which offers something else",
                         job.id
@@ -769,12 +759,13 @@ impl<'c> Scheduler<'c> {
         }
         for &down in &self.chaos.down {
             let g = down as usize;
-            if self.offered.get(g).is_some_and(Option::is_some) {
+            if self.state.offered.get(g).is_some_and(Option::is_some) {
                 return Err(format!("down machine {g} holds an offer"));
             }
             if self
+                .state
                 .bindings
-                .range((g, BeInstanceId::MIN)..(g + 1, BeInstanceId::MIN))
+                .range(binding_keys(g..g + 1))
                 .next()
                 .is_some()
             {
@@ -784,55 +775,26 @@ impl<'c> Scheduler<'c> {
         Ok(())
     }
 
-    /// Exports the scheduler's dynamic state. Caches (`caps`, rankings,
-    /// pass scratch) are excluded: they are pure functions of machine
-    /// state and are rebuilt at the start of the next dispatch pass.
-    fn export_state(&self) -> SchedulerState {
-        SchedulerState {
-            jobs: self.jobs.clone(),
-            queue: self.queue.clone(),
-            offered: self.offered.clone(),
-            bindings: self
-                .bindings
-                .iter()
-                .map(|(&(g, inst), &jid)| ((g as u64, inst), jid))
-                .collect(),
-            rr_cursor: self.placer.cursor() as u64,
-            gangs: self
-                .gangs
-                .iter()
-                .map(|(&gid, t)| {
-                    let gs = GangState {
-                        members: t.members.clone(),
-                        patience_left: t.patience_left,
-                        forming: t.forming,
-                    };
-                    (gid, gs)
-                })
-                .collect(),
-            events: self.events.clone(),
-        }
-    }
-
-    /// Replays captured dynamic state (and the fault state captured with
-    /// it) into a freshly built scheduler. The plan-derived structure
-    /// (job ledger shape, machine count, gang roster) must match what
-    /// `Scheduler::new` built from the config, and the restored state
+    /// Replaces the fresh state with a captured one, and the fault state
+    /// with the one captured next to it. The plan-derived structure (job
+    /// ledger shape, gang roster, machine count) must match what
+    /// `Scheduler::new` built from the config, and the captured state
     /// must satisfy [`Scheduler::check_invariants`]; anything else is
-    /// refused rather than applied.
+    /// refused.
     fn restore_state(
         &mut self,
-        st: &SchedulerState,
-        chaos: Option<&ChaosState>,
+        st: SchedulerState,
+        chaos: Option<ChaosState>,
     ) -> Result<(), SnapshotError> {
-        if st.jobs.len() != self.jobs.len() {
+        let fresh = &self.state;
+        if st.jobs.len() != fresh.jobs.len() {
             return Err(SnapshotError::Corrupt(format!(
                 "snapshot ledgers {} jobs, the config's plan produces {}",
                 st.jobs.len(),
-                self.jobs.len()
+                fresh.jobs.len()
             )));
         }
-        for (snap, plan) in st.jobs.iter().zip(&self.jobs) {
+        for (snap, plan) in st.jobs.iter().zip(&fresh.jobs) {
             if snap.spec.name != plan.spec.name || snap.gang != plan.gang {
                 return Err(SnapshotError::Corrupt(format!(
                     "job {} is {:?} (gang {:?}) in the snapshot but {:?} (gang {:?}) in the plan",
@@ -840,22 +802,22 @@ impl<'c> Scheduler<'c> {
                 )));
             }
         }
-        let gangs_match = st.gangs.len() == self.gangs.len()
+        let gangs_match = st.gangs.len() == fresh.gangs.len()
             && st
                 .gangs
                 .iter()
-                .zip(&self.gangs)
+                .zip(&fresh.gangs)
                 .all(|((ga, a), (gb, b))| ga == gb && a.members == b.members);
         if !gangs_match {
             return Err(SnapshotError::Corrupt(
                 "snapshot gang roster differs from the config's job plan".into(),
             ));
         }
-        if st.offered.len() != self.offered.len() {
+        if st.offered.len() != fresh.offered.len() {
             return Err(SnapshotError::Corrupt(format!(
                 "snapshot offers cover {} machines, the cluster has {}",
                 st.offered.len(),
-                self.offered.len()
+                fresh.offered.len()
             )));
         }
         if let Some(&(g, _)) = st
@@ -868,24 +830,9 @@ impl<'c> Scheduler<'c> {
                 self.cfg.machines
             )));
         }
-        self.queue = st.queue.clone();
-        self.offered = st.offered.clone();
-        self.bindings = st
-            .bindings
-            .iter()
-            .map(|(&(g, inst), &jid)| ((g as usize, inst), jid))
-            .collect();
-        self.jobs = st.jobs.clone();
-        self.placer.set_cursor(st.rr_cursor as usize);
-        for (gid, gs) in &st.gangs {
-            // PANIC: the roster was validated against `self.gangs` above.
-            let t = self.gangs.get_mut(gid).expect("gang roster verified above");
-            t.patience_left = gs.patience_left;
-            t.forming = gs.forming;
-        }
-        self.events = st.events.clone();
+        self.state = st;
         if let Some(chaos) = chaos {
-            self.chaos = chaos.clone();
+            self.chaos = chaos;
         }
         self.check_invariants().map_err(|why| {
             SnapshotError::Corrupt(format!("scheduler state is inconsistent: {why}"))
@@ -913,7 +860,7 @@ impl<'c> Scheduler<'c> {
             duration_s: self.cfg.duration_s,
             controller_period_ms: self.cfg.controller_period_ms,
             managed: self.managed,
-            scheduler: self.export_state(),
+            scheduler: self.state.clone(),
             engines: engines
                 .iter()
                 .map(|e| {
@@ -942,15 +889,15 @@ pub struct ClusterRun {
     pub snapshots: Vec<(u32, ClusterSnapshot)>,
 }
 
-/// State rebuilt from a [`ClusterSnapshot`] by [`ClusterRunner::resume`],
-/// validated eagerly so [`ClusterRunner::run`] stays infallible.
-struct ResumeState {
-    epoch: u32,
-    t_ns: u64,
+/// Where the epoch loop starts: the scheduler and the engines at the
+/// barrier where `epoch` epochs are complete (virtual time `t`), and
+/// the cluster tail series collected up to it.
+struct Start<'a> {
+    sched: Scheduler<'a>,
     engines: Vec<Engine>,
-    scheduler: SchedulerState,
+    epoch: u32,
+    t: SimTime,
     cluster_tail: Vec<TailPoint>,
-    chaos: Option<ChaosState>,
 }
 
 /// A configurable cluster run: [`run_cluster`] plus snapshot capture at
@@ -966,7 +913,8 @@ pub struct ClusterRunner<'a> {
     choice: &'a ControllerChoice,
     cfg: &'a ClusterConfig,
     capture_at: BTreeSet<u32>,
-    resume: Option<ResumeState>,
+    /// The restored start point; `None` starts fresh at t = 0.
+    resumed: Option<Start<'a>>,
 }
 
 impl<'a> ClusterRunner<'a> {
@@ -1004,7 +952,7 @@ impl<'a> ClusterRunner<'a> {
             choice,
             cfg,
             capture_at: BTreeSet::new(),
-            resume: None,
+            resumed: None,
         }
     }
 
@@ -1023,23 +971,24 @@ impl<'a> ClusterRunner<'a> {
     /// Prepares a run that continues `snapshot` to the end of the
     /// horizon. `ctx`, `choice` and `cfg` must describe the same
     /// experiment that produced the snapshot — everything that shapes
-    /// state (machines, seed, horizon, epoch length, job plan) is
-    /// checked, and a mismatch is refused with
+    /// state (machines, seed, horizon, epoch length, job plan, fault
+    /// plan, telemetry) is checked, and a mismatch is refused with
     /// [`SnapshotError::Incompatible`]. `cfg.threads` is free to differ:
     /// determinism does not depend on the worker count.
     ///
-    /// All decoding and validation happens here, so the returned
-    /// runner's [`run`](ClusterRunner::run) cannot fail.
+    /// All decoding and validation happens here: the engines and the
+    /// scheduler restored here are the ones [`run`](ClusterRunner::run)
+    /// continues, so it cannot fail.
     pub fn resume(
         snapshot: &ClusterSnapshot,
         ctx: &'a ServiceContext,
         choice: &'a ControllerChoice,
         cfg: &'a ClusterConfig,
     ) -> Result<ClusterRunner<'a>, SnapshotError> {
-        let runner = ClusterRunner::new(ctx, choice, cfg);
+        let mut runner = ClusterRunner::new(ctx, choice, cfg);
+        let mut sched = Scheduler::new(cfg, &ctx.service, runner.managed());
         let pods = ctx.service.len();
         let replicas = cfg.machines / pods;
-        let managed = !matches!(choice, ControllerChoice::Solo);
         let expect = [
             ("machines", cfg.machines as u64, snapshot.machines),
             ("pods", pods as u64, snapshot.pods),
@@ -1051,7 +1000,11 @@ impl<'a> ClusterRunner<'a> {
                 cfg.controller_period_ms,
                 snapshot.controller_period_ms,
             ),
-            ("managed", u64::from(managed), u64::from(snapshot.managed)),
+            (
+                "managed",
+                u64::from(sched.managed),
+                u64::from(snapshot.managed),
+            ),
         ];
         for (name, want, got) in expect {
             if want != got {
@@ -1064,11 +1017,7 @@ impl<'a> ClusterRunner<'a> {
         // The fault plan shapes every decision after its first event, so
         // a resumed run must carry exactly the plan the snapshot ran
         // under — present/absent and fingerprint both checked.
-        let plan_fp = {
-            let mut plan = cfg.faults.clone();
-            plan.normalize();
-            (!plan.is_empty()).then(|| plan.fingerprint())
-        };
+        let plan_fp = (!sched.plan.is_empty()).then(|| sched.plan.fingerprint());
         let snap_fp = snapshot.chaos.as_ref().map(|c| c.plan_fp);
         if plan_fp != snap_fp {
             let word = |fp: Option<u64>| match fp {
@@ -1080,53 +1029,58 @@ impl<'a> ClusterRunner<'a> {
                 found: word(snap_fp),
             });
         }
-        let horizon_epochs = {
-            let epoch_ms = cfg.controller_period_ms.max(100);
-            cfg.duration_s * 1000 / epoch_ms
-        };
-        if u64::from(snapshot.epoch) > horizon_epochs {
+        if u64::from(snapshot.epoch) > cfg.barriers() {
             return Err(SnapshotError::Corrupt(format!(
-                "snapshot taken at epoch {} but the horizon only holds {horizon_epochs}",
-                snapshot.epoch
+                "snapshot taken at epoch {} but the run has {} barriers",
+                snapshot.epoch,
+                cfg.barriers()
             )));
         }
-        let engines = runner.build_engines(Some(snapshot))?;
-        // Validate the scheduler state against the plan-derived shape and
-        // the barrier invariants by restoring it into a throwaway
-        // scheduler now; `run` re-applies it knowing it cannot fail.
-        let chaos = snapshot.chaos.as_ref().map(|c| &c.state);
-        Scheduler::new(cfg, &ctx.service, managed).restore_state(&snapshot.scheduler, chaos)?;
-        Ok(ClusterRunner {
-            resume: Some(ResumeState {
-                epoch: snapshot.epoch,
-                t_ns: snapshot.t_ns,
-                engines,
-                scheduler: snapshot.scheduler.clone(),
-                cluster_tail: snapshot.cluster_tail.clone(),
-                chaos: snapshot.chaos.as_ref().map(|c| c.state.clone()),
-            }),
-            ..runner
-        })
+        if snapshot.engines.len() != replicas {
+            return Err(SnapshotError::Corrupt(format!(
+                "snapshot holds {} engine streams for {replicas} replicas",
+                snapshot.engines.len()
+            )));
+        }
+        let engines = runner
+            .engine_configs()
+            .zip(&snapshot.engines)
+            .enumerate()
+            .map(|(r, (ec, bytes))| {
+                let mut rd = Reader::new(bytes);
+                let e = Engine::snapshot_restore(Arc::clone(&ctx.service), ec, &mut rd)?;
+                if !rd.is_empty() {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "replica {r} engine stream has {} trailing bytes",
+                        rd.remaining()
+                    )));
+                }
+                Ok(e)
+            })
+            .collect::<Result<_, _>>()?;
+        let chaos = snapshot.chaos.as_ref().map(|c| c.state.clone());
+        sched.restore_state(snapshot.scheduler.clone(), chaos)?;
+        runner.resumed = Some(Start {
+            sched,
+            engines,
+            epoch: snapshot.epoch,
+            t: SimTime::from_nanos(snapshot.t_ns),
+            cluster_tail: snapshot.cluster_tail.clone(),
+        });
+        Ok(runner)
     }
 
-    /// Builds one engine per replica — fresh when `from` is `None`,
-    /// restored from the snapshot's byte streams otherwise. The engine
-    /// config is derived from `cfg` exactly as a fresh run derives it,
-    /// so a restored engine validates against the same deployment.
-    fn build_engines(&self, from: Option<&ClusterSnapshot>) -> Result<Vec<Engine>, SnapshotError> {
-        let ctx = self.ctx;
+    /// Whether a controller drives BE work (false for Solo runs).
+    fn managed(&self) -> bool {
+        !matches!(self.choice, ControllerChoice::Solo)
+    }
+
+    /// One engine config per replica, derived from `cfg` the same way
+    /// for a fresh engine and a restored one, so a restored engine
+    /// validates against the same deployment.
+    fn engine_configs(&self) -> impl Iterator<Item = EngineConfig> + '_ {
         let cfg = self.cfg;
-        let pods = ctx.service.len();
-        let replicas = cfg.machines / pods;
-        let managed = !matches!(self.choice, ControllerChoice::Solo);
-        if let Some(s) = from {
-            if s.engines.len() != replicas {
-                return Err(SnapshotError::Corrupt(format!(
-                    "snapshot holds {} engine streams for {replicas} replicas",
-                    s.engines.len()
-                )));
-            }
-        }
+        let pods = self.ctx.service.len();
         let expt = ExperimentConfig {
             bes: cfg.be_mix.clone(),
             load: cfg.load.clone(),
@@ -1135,80 +1089,52 @@ impl<'a> ClusterRunner<'a> {
             record_timeline: false,
             controller_period_ms: cfg.controller_period_ms,
         };
-        (0..replicas)
-            .map(|r| {
-                let mut ec = ctx.engine_config(self.choice, &expt);
-                ec.seed = replica_seed(cfg.seed, r);
-                ec.external_be = managed;
-                ec.telemetry = cfg.telemetry;
-                ec.priority_preemption = cfg.priority_preemption;
-                if !cfg.machine_specs.is_empty() {
-                    // This replica's slice of the per-machine hardware.
-                    ec.machine_specs = cfg.machine_specs[r * pods..(r + 1) * pods].to_vec();
-                }
-                match from {
-                    None => Ok(Engine::new(Arc::clone(&ctx.service), ec)),
-                    Some(s) => {
-                        let mut rd = Reader::new(&s.engines[r]);
-                        let e = Engine::snapshot_restore(Arc::clone(&ctx.service), ec, &mut rd)?;
-                        if !rd.is_empty() {
-                            return Err(SnapshotError::Corrupt(format!(
-                                "replica {r} engine stream has {} trailing bytes",
-                                rd.remaining()
-                            )));
-                        }
-                        Ok(e)
-                    }
-                }
-            })
-            .collect()
+        (0..cfg.machines / pods).map(move |r| {
+            let mut ec = self.ctx.engine_config(self.choice, &expt);
+            ec.seed = replica_seed(cfg.seed, r);
+            ec.external_be = self.managed();
+            ec.telemetry = cfg.telemetry;
+            ec.priority_preemption = cfg.priority_preemption;
+            if !cfg.machine_specs.is_empty() {
+                // This replica's slice of the per-machine hardware.
+                ec.machine_specs = cfg.machine_specs[r * pods..(r + 1) * pods].to_vec();
+            }
+            ec
+        })
+    }
+
+    /// The start point of a fresh run: a new scheduler and new engines
+    /// at t = 0.
+    fn fresh(&self) -> Start<'a> {
+        let (ctx, cfg) = (self.ctx, self.cfg);
+        Start {
+            sched: Scheduler::new(cfg, &ctx.service, self.managed()),
+            engines: self
+                .engine_configs()
+                .map(|ec| Engine::new(Arc::clone(&ctx.service), ec))
+                .collect(),
+            epoch: 0,
+            t: SimTime::ZERO,
+            cluster_tail: Vec::new(),
+        }
     }
 
     /// Runs the experiment (fresh or resumed) to the end of the horizon.
     pub fn run(mut self) -> ClusterRun {
         let ctx = self.ctx;
         let cfg = self.cfg;
-        let managed = !matches!(self.choice, ControllerChoice::Solo);
+        let Start {
+            mut sched,
+            mut engines,
+            epoch: mut epoch_idx,
+            mut t,
+            mut cluster_tail,
+        } = self.resumed.take().unwrap_or_else(|| self.fresh());
 
-        let (mut engines, start_epoch, start_t, tail0, resume_sched, resume_chaos) =
-            match self.resume.take() {
-                Some(rs) => (
-                    rs.engines,
-                    rs.epoch,
-                    SimTime::from_nanos(rs.t_ns),
-                    rs.cluster_tail,
-                    Some(rs.scheduler),
-                    rs.chaos,
-                ),
-                None => (
-                    self.build_engines(None)
-                        // PANIC: with no resume sections there is nothing
-                        // to validate, so construction cannot fail.
-                        .expect("fresh engine construction is infallible"),
-                    0,
-                    SimTime::ZERO,
-                    Vec::new(),
-                    None,
-                    None,
-                ),
-            };
-
-        let mut sched = Scheduler::new(cfg, &ctx.service, managed);
-        if let Some(st) = &resume_sched {
-            sched
-                // PANIC: resume() already validated this state against
-                // the same config before handing it over.
-                .restore_state(st, resume_chaos.as_ref())
-                .expect("scheduler state validated by resume()");
-        }
-
-        let epoch = SimDuration::from_millis(cfg.controller_period_ms.max(100));
+        let epoch = SimDuration::from_millis(cfg.epoch_ms());
         let end = SimTime::ZERO + SimDuration::from_secs(cfg.duration_s);
         let threads = cfg.threads.max(1);
-        let mut cluster_tail: Vec<TailPoint> = tail0;
         let mut snapshots: Vec<(u32, ClusterSnapshot)> = Vec::new();
-        let mut t = start_t;
-        let mut epoch_idx: u32 = start_epoch;
         let have_faults = !sched.plan.is_empty();
         while t < end {
             // Faults first: a machine crashing at this barrier must not
@@ -1216,7 +1142,7 @@ impl<'a> ClusterRunner<'a> {
             if have_faults {
                 sched.apply_faults(&mut engines, t.as_secs_f64());
             }
-            if managed {
+            if sched.managed {
                 sched.dispatch(&mut engines, t.as_secs_f64());
             }
             let next = (t + epoch).min(end);
@@ -1279,8 +1205,8 @@ impl<'a> ClusterRunner<'a> {
             cfg.machines,
             &outputs,
             &per_replica,
-            &sched.jobs,
-            sched.queue.requeue_count(),
+            &sched.state.jobs,
+            sched.state.queue.requeue_count(),
             cfg.duration_s as f64,
         );
         let telemetry = cfg.telemetry.enabled.then(|| ClusterTelemetry {
@@ -1289,12 +1215,12 @@ impl<'a> ClusterRunner<'a> {
                 .map(|o| o.telemetry.take().unwrap_or_default())
                 .collect(),
             cluster_tail,
-            cluster_events: std::mem::take(&mut sched.events),
+            cluster_events: std::mem::take(&mut sched.state.events),
         });
         let outcome = ClusterOutcome {
             metrics,
             per_replica,
-            jobs: sched.jobs,
+            jobs: sched.state.jobs,
             fingerprints,
             telemetry,
         };
@@ -1345,6 +1271,11 @@ fn advance_all(
             advance(part, rows);
         }
     });
+}
+
+/// The binding keys of the global machines in `machines`.
+fn binding_keys(machines: Range<usize>) -> Range<(u64, BeInstanceId)> {
+    (machines.start as u64, BeInstanceId::MIN)..(machines.end as u64, BeInstanceId::MIN)
 }
 
 /// Writes the placement rows of `engine`'s machines (`rows[pod]`), with

@@ -1,10 +1,11 @@
 //! Durable cluster state: the epoch-barrier snapshot container.
 //!
 //! A [`ClusterSnapshot`] is everything the runner needs to continue a run
-//! **bit-identically** from an epoch barrier: the scheduler's dynamic
+//! **bit-identically** from an epoch barrier: the scheduler's durable
 //! state ([`SchedulerState`] — job ledger, queue, offers, bindings,
-//! gang trackers, event stream), one
-//! opaque byte stream per replica engine (captured by
+//! round-robin cursor, gangs, event stream — the very value the
+//! scheduler runs on, cloned at capture and assigned whole on resume),
+//! one opaque byte stream per replica engine (captured by
 //! [`Engine::snapshot_encode`]), a structural [`EngineSummary`] digest
 //! per replica (so [`ClusterSnapshot::diff`] can render a post-mortem
 //! without the service spec), and the cluster tail series collected so
@@ -24,6 +25,7 @@ use crate::fault::{ChaosState, CHAOS_SECTION_VERSION};
 use crate::job::{ClusterJob, JobId, JobState};
 use crate::queue::JobQueue;
 use rhythm_core::runtime::EngineSummary;
+use rhythm_machine::machine::BeInstanceId;
 use rhythm_snapshot::{
     fnv1a, schema_hash, Reader, Snapshot, SnapshotBuilder, SnapshotError, SnapshotFile, Writer,
 };
@@ -57,10 +59,11 @@ pub fn expected_schemas() -> [(&'static str, u64); 7] {
     ]
 }
 
-/// Lifecycle bookkeeping of one gang, as captured at the barrier.
+/// Lifecycle bookkeeping of one gang-scheduled job.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GangState {
-    /// Member job ids in submission order.
+    /// Member job ids in submission order (the first live member acts
+    /// as the gang's representative in the queue).
     pub members: Vec<JobId>,
     /// Epochs left before a forming gang aborts.
     pub patience_left: u32,
@@ -84,10 +87,11 @@ impl Snapshot for GangState {
     }
 }
 
-/// The cluster scheduler's full dynamic state at an epoch barrier. The
-/// runner exports this at capture and replays it on resume; everything
-/// else in the scheduler (placement caches, per-pass scratch, machine
-/// capacities) is derived state rebuilt on the next dispatch pass.
+/// The cluster scheduler's durable state. The scheduler holds one and
+/// mutates it in place at every epoch barrier; a capture clones it and
+/// resume, once the state checks out against the config, assigns it
+/// whole. Everything else in the scheduler (placement rows and caches,
+/// per-pass scratch) is derived state rebuilt on the next dispatch pass.
 #[derive(Clone, Debug)]
 pub struct SchedulerState {
     /// The job ledger, indexed by job id.
@@ -97,13 +101,15 @@ pub struct SchedulerState {
     /// Outstanding offer per machine (index = global machine index).
     pub offered: Vec<Option<JobId>>,
     /// `(global machine, BE instance) → job` for running work.
-    pub bindings: BTreeMap<(u64, u64), JobId>,
-    /// The round-robin placement cursor.
+    pub bindings: BTreeMap<(u64, BeInstanceId), JobId>,
+    /// The round-robin placement cursor: the next global index the
+    /// rotation tries.
     pub rr_cursor: u64,
-    /// Gang id → tracker.
+    /// Gang id → lifecycle, for every gang entry of the plan.
     pub gangs: BTreeMap<u32, GangState>,
-    /// Cluster-scheduler events emitted so far (resume continues the
-    /// stream without duplication).
+    /// Scheduler events (gang lifecycle, deadline misses, faults) in
+    /// emission order, populated only when telemetry is enabled (resume
+    /// continues the stream without duplication).
     pub events: Vec<ClusterEvent>,
 }
 

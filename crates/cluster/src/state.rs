@@ -166,6 +166,18 @@ impl ClusterConfig {
             .collect()
     }
 
+    /// The epoch length in milliseconds: the controller period, at
+    /// least 100 ms.
+    pub fn epoch_ms(&self) -> u64 {
+        self.controller_period_ms.max(100)
+    }
+
+    /// Epoch barriers in a run, ⌈duration ÷ epoch⌉: the last epoch is
+    /// cut short at the horizon but still ends in a barrier.
+    pub fn barriers(&self) -> u64 {
+        (self.duration_s * 1000).div_ceil(self.epoch_ms())
+    }
+
     /// Total jobs in the backlog (gang entries count every instance).
     pub fn total_jobs(&self) -> usize {
         if self.job_plan.is_empty() {

@@ -1838,7 +1838,9 @@ impl Engine {
     /// capturing run — and the dynamic state in `r`. The restored engine
     /// continues bit-identically to the one that was captured; state that
     /// contradicts the deployment (wrong machine count or spec, dangling
-    /// request keys) is refused as [`SnapshotError::Corrupt`].
+    /// request keys) is refused as [`SnapshotError::Corrupt`], and
+    /// telemetry switched on or off unlike the capture as
+    /// [`SnapshotError::Incompatible`].
     pub fn snapshot_restore(
         service: impl Into<Arc<ServiceSpec>>,
         cfg: EngineConfig,
@@ -1987,6 +1989,13 @@ impl Engine {
         e.admitted_log = Snapshot::decode(r)?;
         e.killed_log = Snapshot::decode(r)?;
         e.telemetry = Snapshot::decode(r)?;
+        if e.telemetry.enabled() != e.cfg.telemetry.enabled {
+            let word = |on: bool| format!("telemetry {}", if on { "on" } else { "off" });
+            return Err(SnapshotError::Incompatible {
+                expected: word(e.cfg.telemetry.enabled),
+                found: word(e.telemetry.enabled()),
+            });
+        }
         e.audit_prev = Snapshot::decode(r)?;
         if e.audit_prev.len() != n {
             return Err(SnapshotError::Corrupt("audit cache length mismatch".into()));

@@ -115,6 +115,132 @@ fn resume_rejects_inconsistent_scheduler_state() {
     assert!(ClusterRunner::resume(snap, &ctx, &ControllerChoice::Rhythm, &c).is_ok());
 }
 
+#[test]
+fn resume_refuses_a_different_telemetry_setting() {
+    // Captured with full telemetry: every engine stream carries a live
+    // recorder, which a telemetry-off run would keep feeding unseen.
+    let ctx = ctx();
+    let run = ClusterRunner::new(&ctx, &ControllerChoice::Rhythm, &cfg(1))
+        .snapshot_at(CAPTURE_EPOCH)
+        .run();
+    let snap = &run.snapshots[0].1;
+    let mut off = cfg(1);
+    off.telemetry = TelemetryConfig::disabled();
+    assert!(matches!(
+        ClusterRunner::resume(snap, &ctx, &ControllerChoice::Rhythm, &off).err(),
+        Some(SnapshotError::Incompatible { .. })
+    ));
+}
+
+#[test]
+fn resume_accepts_a_capture_at_the_last_barrier() {
+    // 41 s at 2 s epochs: 20 full epochs and a 1 s one, so the last
+    // barrier is epoch 21, at the horizon.
+    let ctx = ctx();
+    let mut c = cfg(1);
+    c.machines = 8;
+    c.duration_s = 41;
+    assert_eq!(c.barriers(), 21);
+    let straight = run_cluster(&ctx, &ControllerChoice::Rhythm, &c);
+    let run = ClusterRunner::new(&ctx, &ControllerChoice::Rhythm, &c)
+        .snapshot_at(21)
+        .snapshot_at(22)
+        .run();
+    assert_eq!(run.snapshots.len(), 1, "epoch 22 is past the horizon");
+    let snap = ClusterSnapshot::from_bytes(&run.snapshots[0].1.to_bytes()).expect("bytes parse");
+    assert_eq!(snap.t_ns, 41_000_000_000);
+    let resumed = ClusterRunner::resume(&snap, &ctx, &ControllerChoice::Rhythm, &c)
+        .expect("the last barrier resumes")
+        .run();
+    assert_identical(&straight, &resumed.outcome, "resumed at the last barrier");
+}
+
+/// The heterogeneous gang cell of `tests/cluster_determinism.rs` (every
+/// machine its own spec, priorities, deadlines, a 3-instance gang,
+/// preemption, aging, full telemetry) with machine 1 crashing at 12 s
+/// and recovering at 30 s.
+fn hetero_chaos_cell() -> ClusterConfig {
+    let mut c = ClusterConfig::new(4).with_scaled_jobs(0.02);
+    c.duration_s = 60;
+    c.load = LoadGen::constant(0.6);
+    c.policy = PlacementPolicy::HeteroAware;
+    c.seed = 0x4E7E;
+    c.threads = 1;
+    c.machine_specs = vec![
+        MachineSpec::dense_compute(),
+        MachineSpec::paper_testbed(),
+        MachineSpec::lean_node(),
+        MachineSpec::paper_testbed(),
+    ];
+    c.priority_preemption = true;
+    c.queue_aging_s = Some(20.0);
+    c.gang_patience_epochs = 3;
+    c.telemetry = TelemetryConfig::full();
+    let wc = c.be_mix[0].clone();
+    c.job_plan = vec![
+        JobSpec::solitary(wc.clone())
+            .with_priority(2)
+            .with_deadline(30.0),
+        JobSpec::solitary(wc.clone()).with_priority(1).with_gang(3),
+        JobSpec::solitary(wc.clone())
+            .with_priority(1)
+            .with_deadline(45.0),
+        JobSpec::solitary(wc.clone()),
+        JobSpec::solitary(wc),
+    ];
+    c.faults = FaultPlan::new().crash(12.0, 1).recover(30.0, 1);
+    c
+}
+
+/// Captures `c` at epochs `k < m` in one straight run, resumes the
+/// epoch-`k` bytes and captures the resumed run at `m`: both epoch-`m`
+/// containers must be byte-identical. Returns the straight run's two
+/// captures for the caller's checks that the state under test moved.
+fn resumed_capture_matches(c: &ClusterConfig, k: u32, m: u32) -> [ClusterSnapshot; 2] {
+    let ctx = ctx();
+    let straight = ClusterRunner::new(&ctx, &ControllerChoice::Rhythm, c)
+        .snapshot_at(k)
+        .snapshot_at(m)
+        .run();
+    let [(ek, at_k), (em, at_m)] = <[_; 2]>::try_from(straight.snapshots).expect("two captures");
+    assert_eq!((ek, em), (k, m));
+    let snap = ClusterSnapshot::from_bytes(&at_k.to_bytes()).expect("snapshot bytes parse");
+    let resumed = ClusterRunner::resume(&snap, &ctx, &ControllerChoice::Rhythm, c)
+        .expect("snapshot matches its config")
+        .snapshot_at(m)
+        .run();
+    assert_eq!(resumed.snapshots.len(), 1, "one capture after the resume");
+    assert_eq!(resumed.snapshots[0].0, m);
+    assert!(
+        resumed.snapshots[0].1.to_bytes() == at_m.to_bytes(),
+        "epoch-{m} capture of the run resumed at epoch {k} differs: {}",
+        at_m.diff(&resumed.snapshots[0].1).render()
+    );
+    [at_k, at_m]
+}
+
+#[test]
+fn resumed_run_captures_the_same_bytes() {
+    // Round-robin over 20 jobs at 0.7 load: unconsumed offers are
+    // withdrawn and re-offered every epoch, so the rotation cursor sits
+    // mid-range at the resume point and keeps moving after it.
+    let mut rr = cfg(1);
+    rr.policy = PlacementPolicy::RoundRobin;
+    rr.load = LoadGen::constant(0.7);
+    rr.job_plan = (0..20)
+        .map(|i| JobSpec::solitary(rr.be_mix[i % rr.be_mix.len()].clone()))
+        .collect();
+    let [a, b] = resumed_capture_matches(&rr, 3, 8);
+    assert_ne!(a.scheduler.rr_cursor, b.scheduler.rr_cursor, "cursor moved");
+
+    // Gangs and chaos: patience, forming state and the fault cursor all
+    // move between the two captures.
+    let [a, b] = resumed_capture_matches(&hetero_chaos_cell(), 10, 21);
+    assert_ne!(a.scheduler.gangs, b.scheduler.gangs, "gang state moved");
+    let (ca, cb) = (a.chaos.expect("chaos"), b.chaos.expect("chaos"));
+    assert_ne!(ca.state, cb.state, "fault state moved");
+}
+
 /// One sequential visit in the request wire format, not yet started:
 /// node, parent `(visit, slot)`, children, then phase 0 of
 /// `children + 1`, nothing pending, no time spent, no phase records.
