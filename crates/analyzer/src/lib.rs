@@ -30,4 +30,4 @@ pub mod slacklimit;
 pub use contribution::{contributions, critical_path_alphas, Contribution};
 pub use loadlimit::find_loadlimit;
 pub use profile::{LoadLevel, SojournProfile};
-pub use slacklimit::{find_slacklimits, SlacklimitSearch};
+pub use slacklimit::{find_slacklimits, Descent, SlacklimitSearch};

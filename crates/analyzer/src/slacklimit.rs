@@ -36,6 +36,96 @@ pub struct SlacklimitSearch {
     pub hit_violation: bool,
 }
 
+/// Algorithm 1's candidate descent, split from its probation runs.
+///
+/// The candidates do not depend on the probation outcomes until the
+/// first violation ends the search: the k-th candidate is the (k+1)-th
+/// step down from all-1.0, each Servpod clamped at the floor, and the
+/// descent ends at the fixed point where every step is clamped. So a
+/// caller may evaluate candidates in any order or several at once, then
+/// [`settle`](Descent::settle) on the index of the first violation.
+/// Candidates are generated lazily, once each, and kept for `settle`.
+#[derive(Clone, Debug)]
+pub struct Descent {
+    step_sizes: Vec<f64>,
+    /// Every candidate generated so far, in descent order.
+    candidates: Vec<Vec<f64>>,
+    /// True once the fixed point was reached: `candidates` is complete.
+    exhausted: bool,
+}
+
+impl Descent {
+    /// The descent for raw contribution values `C_i` (not necessarily
+    /// normalized).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `contributions` is empty.
+    pub fn new(contributions: &[f64]) -> Descent {
+        assert!(!contributions.is_empty(), "no contributions");
+        let total: f64 = contributions.iter().sum();
+        let norm: Vec<f64> = if total <= 0.0 {
+            vec![1.0 / contributions.len() as f64; contributions.len()]
+        } else {
+            contributions.iter().map(|c| (c / total).max(0.0)).collect()
+        };
+        Descent {
+            step_sizes: norm.iter().map(|n| ETA * (1.0 - n)).collect(),
+            candidates: Vec::new(),
+            exhausted: false,
+        }
+    }
+
+    /// The `k`-th candidate (0-based), or `None` if the descent reaches
+    /// its fixed point before it.
+    pub fn candidate(&mut self, k: usize) -> Option<&[f64]> {
+        while self.candidates.len() <= k && !self.exhausted {
+            let cur = (self.candidates.last().cloned())
+                .unwrap_or_else(|| vec![1.0; self.step_sizes.len()]);
+            let next: Vec<f64> = cur
+                .iter()
+                .zip(&self.step_sizes)
+                .map(|(c, s)| (c - s).max(FLOOR))
+                .collect();
+            if next == cur {
+                self.exhausted = true; // Every Servpod is at the floor.
+            } else {
+                self.candidates.push(next);
+            }
+        }
+        self.candidates.get(k).map(Vec::as_slice)
+    }
+
+    /// Ends the search. `first_violation` is the index of the first
+    /// candidate whose probation run violated the SLA, or `None` if
+    /// every candidate of the descent passed. The result is the one
+    /// sequential Algorithm 1 gives: the last passing candidate before
+    /// the violation (all-1.0 if there is none), and `trials` counts the
+    /// runs the sequential search makes, not any run made past the
+    /// first violation.
+    pub fn settle(mut self, first_violation: Option<usize>) -> SlacklimitSearch {
+        let (trials, accepted) = match first_violation {
+            Some(k) => {
+                assert!(self.candidate(k).is_some(), "no candidate {k} to violate");
+                (k + 1, k)
+            }
+            None => {
+                // Run the descent out to its fixed point.
+                while self.candidate(self.candidates.len()).is_some() {}
+                (self.candidates.len(), self.candidates.len())
+            }
+        };
+        let n = self.step_sizes.len();
+        self.candidates.truncate(accepted);
+        SlacklimitSearch {
+            slacklimits: self.candidates.pop().unwrap_or_else(|| vec![1.0; n]),
+            step_sizes: self.step_sizes,
+            trials: u32::try_from(trials).expect("fewer than 2^32 probation runs"),
+            hit_violation: first_violation.is_some(),
+        }
+    }
+}
+
 /// Runs Algorithm 1.
 ///
 /// * `contributions` — raw contribution values `C_i` (not necessarily
@@ -50,6 +140,9 @@ pub struct SlacklimitSearch {
 /// at lower limits when the violation stops everyone — the
 /// component-distinguishable outcome the controller relies on.
 ///
+/// This is the [`Descent`] scanned one candidate at a time, stopping at
+/// the first violation.
+///
 /// # Panics
 ///
 /// Panics if `contributions` is empty.
@@ -57,44 +150,16 @@ pub fn find_slacklimits(
     contributions: &[f64],
     mut run_system: impl FnMut(&[f64]) -> bool,
 ) -> SlacklimitSearch {
-    assert!(!contributions.is_empty(), "no contributions");
-    let total: f64 = contributions.iter().sum();
-    let norm: Vec<f64> = if total <= 0.0 {
-        vec![1.0 / contributions.len() as f64; contributions.len()]
-    } else {
-        contributions.iter().map(|c| (c / total).max(0.0)).collect()
+    let mut descent = Descent::new(contributions);
+    let mut k = 0;
+    let first_violation = loop {
+        match descent.candidate(k) {
+            None => break None,
+            Some(candidate) if run_system(candidate) => break Some(k),
+            Some(_) => k += 1,
+        }
     };
-    let step_sizes: Vec<f64> = norm.iter().map(|n| ETA * (1.0 - n)).collect();
-    let mut cur: Vec<f64> = vec![1.0; contributions.len()];
-    // `Record` of Algorithm 1: the stack of accepted candidates.
-    let mut record: Vec<Vec<f64>> = Vec::new();
-    let mut trials = 0;
-    let mut hit_violation = false;
-    loop {
-        let candidate: Vec<f64> = cur
-            .iter()
-            .zip(&step_sizes)
-            .map(|(c, s)| (c - s).max(FLOOR))
-            .collect();
-        if candidate == cur {
-            break; // Fixed point: every Servpod is at the floor.
-        }
-        trials += 1;
-        let violated = run_system(&candidate);
-        if violated {
-            hit_violation = true;
-            break;
-        }
-        record.push(candidate.clone());
-        cur = candidate;
-    }
-    let slacklimits = record.pop().unwrap_or_else(|| vec![1.0; norm.len()]);
-    SlacklimitSearch {
-        slacklimits,
-        step_sizes,
-        trials,
-        hit_violation,
-    }
+    descent.settle(first_violation)
 }
 
 #[cfg(test)]
@@ -180,6 +245,27 @@ mod tests {
         assert!(r.trials < 500, "trials={}", r.trials);
         for &x in &r.slacklimits {
             assert!(x >= FLOOR - 1e-12);
+        }
+    }
+
+    #[test]
+    fn settle_on_any_index_matches_the_sequential_search() {
+        let c = [0.2, 0.8];
+        let total = Descent::new(&c).settle(None).trials as usize;
+        for k in 0..total {
+            let mut calls = 0;
+            let seq = find_slacklimits(&c, |_| {
+                calls += 1;
+                calls > k
+            });
+            let mut d = Descent::new(&c);
+            // Candidates may be generated past the violation first.
+            assert!(d.candidate(total - 1).is_some());
+            assert!(d.candidate(total).is_none());
+            let settled = d.settle(Some(k));
+            assert_eq!(settled.slacklimits, seq.slacklimits, "violation at {k}");
+            assert_eq!(settled.trials, seq.trials);
+            assert!(settled.hit_violation);
         }
     }
 

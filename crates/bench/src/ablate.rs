@@ -10,13 +10,14 @@
 //!   own thresholds averaged uniformly across pods, isolating where the
 //!   gain comes from.
 
-use crate::{parallel_map, Report};
+use crate::Report;
 use rhythm_analyzer::contributions;
 use rhythm_analyzer::loadlimit::loadlimits;
 use rhythm_analyzer::slacklimit::find_slacklimits;
 use rhythm_controller::Thresholds;
 use rhythm_core::bubble::{bubble_contributions, ranking_agreement, Bubble};
 use rhythm_core::experiment::{ControllerChoice, ExperimentConfig, ServiceContext};
+use rhythm_core::par;
 use rhythm_core::profiling::{calibrate_sla, profile_service, ProfileConfig};
 use rhythm_core::runtime::{ControlMode, Engine, EngineConfig};
 use rhythm_sim::SimDuration;
@@ -129,7 +130,7 @@ pub fn contribution_ablation(seed: u64) -> Vec<Variant> {
         })
         .collect();
     let _ = sla;
-    parallel_map(jobs)
+    par::map(par::width(), jobs)
 }
 
 /// Ablates the controller period on solr with wordcount at high load.
@@ -161,7 +162,7 @@ pub fn period_ablation(seed: u64) -> Vec<Variant> {
             }) as _
         })
         .collect();
-    parallel_map(jobs)
+    par::map(par::width(), jobs)
 }
 
 /// Ablates Equation 5's critical-path scaling on SNMS: α as derived vs

@@ -7,9 +7,10 @@
 //! Kibana); Figures 12-14 read service-level EMU / CPU / MemBW
 //! improvements of Rhythm over Heracles.
 
-use crate::{parallel_map, Report};
+use crate::Report;
 use rhythm_core::experiment::{ExperimentConfig, ServiceContext};
 use rhythm_core::metrics::{improvement, RunMetrics};
+use rhythm_core::par;
 use rhythm_workloads::{apps, BeSpec, LoadGen};
 use serde::Serialize;
 
@@ -91,7 +92,7 @@ pub fn prepare_contexts(seed: u64) -> Vec<ServiceContext> {
             Box::new(move || ServiceContext::prepare(service, &probe, seed)) as _
         })
         .collect();
-    parallel_map(jobs)
+    par::map(par::width(), jobs)
 }
 
 /// Builds the full grid (expensive; parallelized across cells).
@@ -127,7 +128,7 @@ pub fn build(seed: u64) -> Grid {
     }
     Grid {
         contexts: contexts.iter().map(summarize).collect(),
-        cells: parallel_map(jobs),
+        cells: par::map(par::width(), jobs),
     }
 }
 

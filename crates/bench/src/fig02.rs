@@ -6,7 +6,7 @@
 //! max load; the reported number is the 99th-percentile latency increase
 //! relative to the solo run at the same load.
 
-use crate::parallel_map;
+use rhythm_core::par;
 use rhythm_core::{ControlMode, Engine, EngineConfig};
 use rhythm_machine::MachineSpec;
 use rhythm_workloads::{BeKind, BeSpec, ServiceSpec};
@@ -152,7 +152,7 @@ pub fn characterize(service: &ServiceSpec, seed: u64) -> Characterization {
     }
     Characterization {
         service: service.name.clone(),
-        cells: parallel_map(jobs),
+        cells: par::map(par::width(), jobs),
     }
 }
 

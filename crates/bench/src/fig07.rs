@@ -5,8 +5,8 @@
 //! *only that Servpod* is co-located with a BE group. The paper's
 //! validation claim is a positive correlation regardless of BE.
 
-use crate::parallel_map;
 use rhythm_analyzer::contributions;
+use rhythm_core::par;
 use rhythm_core::{profile_service, ControlMode, Engine, EngineConfig, ProfileConfig};
 use rhythm_sim::pearson;
 use rhythm_workloads::{apps, BeKind, BeSpec};
@@ -101,7 +101,7 @@ pub fn collect(seed: u64) -> Fig07 {
             }));
         }
     }
-    let points = parallel_map(jobs);
+    let points = par::map(par::width(), jobs);
     let correlation = groups()
         .iter()
         .map(|(label, _)| {

@@ -6,9 +6,10 @@
 //! latency normalized to the SLA under Rhythm (the paper's headline: the
 //! SLA always holds, worst case 0.99×).
 
-use crate::{colocation::prepare_contexts, parallel_map, Report};
+use crate::{colocation::prepare_contexts, Report};
 use rhythm_core::experiment::ExperimentConfig;
 use rhythm_core::metrics::improvement;
+use rhythm_core::par;
 use rhythm_sim::SimDuration;
 use rhythm_workloads::{BeSpec, LoadGen};
 use serde::Serialize;
@@ -79,7 +80,7 @@ pub fn collect(seed: u64) -> Fig15 {
         }
     }
     Fig15 {
-        cells: parallel_map(jobs),
+        cells: par::map(par::width(), jobs),
     }
 }
 

@@ -7,8 +7,9 @@
 //! 0.295/0.14/0.565 (media/frontend/user) and slacklimits
 //! 0.189/0.054/0.381.
 
-use crate::{parallel_map, Report};
+use crate::Report;
 use rhythm_core::experiment::{ControllerChoice, ExperimentConfig, ServiceContext};
+use rhythm_core::par;
 use rhythm_workloads::{apps, BeSpec, LoadGen};
 use serde::Serialize;
 
@@ -79,7 +80,7 @@ pub fn collect(seed: u64) -> Fig16 {
             }));
         }
     }
-    let cells = parallel_map(jobs);
+    let cells = par::map(par::width(), jobs);
     // Ratio of means rather than mean of ratios: cells where Heracles
     // collapses to ~0 would otherwise dominate the average.
     let gain = |pick: &dyn Fn(&Cell) -> (f64, f64, f64)| {

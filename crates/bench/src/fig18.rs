@@ -7,9 +7,10 @@
 //! level, but below 100% the SLA starts being violated — i.e. the
 //! derived thresholds are close to optimal on the safe side.
 
-use crate::{parallel_map, Report};
+use crate::Report;
 use rhythm_controller::Thresholds;
 use rhythm_core::experiment::{ControllerChoice, ExperimentConfig, ServiceContext};
+use rhythm_core::par;
 use rhythm_sim::SimDuration;
 use rhythm_workloads::{apps, BeKind, BeSpec, LoadGen};
 use serde::Serialize;
@@ -94,7 +95,7 @@ pub fn collect(seed: u64) -> Fig18 {
             }));
         }
     }
-    let mut rows = parallel_map(jobs);
+    let mut rows = par::map(par::width(), jobs);
     for varied in ["slacklimit", "loadlimit"] {
         let base_tp = rows
             .iter()

@@ -46,65 +46,3 @@ pub mod tab1;
 pub mod trace;
 
 pub use report::Report;
-
-/// Runs `jobs` closures in parallel across available cores and returns
-/// their results in input order. Workers pull the next job from a shared
-/// iterator, so long and short jobs balance across threads.
-pub fn parallel_map<T, F>(jobs: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    let n = jobs.len();
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(n.max(1));
-    let queue = std::sync::Mutex::new(jobs.into_iter().enumerate());
-    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut done = Vec::new();
-                    loop {
-                        // PANIC: the lock is only poisoned if another
-                        // worker panicked, which the join below re-raises.
-                        let Some((i, job)) = queue.lock().expect("job queue poisoned").next()
-                        else {
-                            break done;
-                        };
-                        done.push((i, job()));
-                    }
-                })
-            })
-            .collect();
-        for worker in workers {
-            // PANIC: re-raise a job's panic on the caller.
-            for (i, v) in worker.join().expect("worker thread panicked") {
-                results[i] = Some(v);
-            }
-        }
-    });
-    // PANIC: every index was enumerated once and every worker joined.
-    results.into_iter().map(|r| r.expect("job ran")).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> =
-            (0..32usize).map(|i| Box::new(move || i * i) as _).collect();
-        let out = parallel_map(jobs);
-        assert_eq!(out, (0..32).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_empty() {
-        let jobs: Vec<Box<dyn FnOnce() -> u8 + Send>> = Vec::new();
-        assert!(parallel_map(jobs).is_empty());
-    }
-}

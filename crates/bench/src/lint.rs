@@ -45,7 +45,9 @@ pub fn run(github: bool) -> std::io::Result<()> {
     }
 
     let mut r = Report::new("lint", "rhythm-lint determinism & invariant pass");
-    r.line(format!("workspace: {}", root.display()));
+    // Every path below is relative to the workspace root, and so is the
+    // root itself: the report reads the same in any checkout.
+    r.line("workspace: .");
     r.line(format!(
         "{} file(s) scanned, {} finding(s), {} suppressed",
         ws.files_scanned,

@@ -1036,6 +1036,18 @@ impl<'a> ClusterRunner<'a> {
                 cfg.barriers()
             )));
         }
+        // A capture is taken at a barrier, and barrier k sits at
+        // min(k × epoch, duration): any other time is not one the run
+        // could have stopped at.
+        let barrier_ms = (u64::from(snapshot.epoch) * cfg.epoch_ms()).min(cfg.duration_s * 1000);
+        if snapshot.t_ns != barrier_ms * 1_000_000 {
+            return Err(SnapshotError::Corrupt(format!(
+                "snapshot taken at epoch {} holds time {} ns, not its barrier's {} ns",
+                snapshot.epoch,
+                snapshot.t_ns,
+                barrier_ms * 1_000_000
+            )));
+        }
         if snapshot.engines.len() != replicas {
             return Err(SnapshotError::Corrupt(format!(
                 "snapshot holds {} engine streams for {replicas} replicas",

@@ -7,9 +7,8 @@
 //! calibration and the profiling pipeline — and then stamps out runs.
 
 use crate::metrics::RunMetrics;
-use crate::profiling::{
-    calibrate_sla, derive_thresholds, profile_service, ProfileConfig, ServiceThresholds,
-};
+use crate::par;
+use crate::profiling::{offline_stage, ServiceThresholds};
 use crate::runtime::{ControlMode, Engine, EngineConfig, EngineOutput};
 use rhythm_controller::Thresholds;
 use rhythm_sim::SimDuration;
@@ -80,15 +79,8 @@ impl ServiceContext {
     /// Algorithm 1 probation runs (the paper recommends mixed-intensity
     /// BEs).
     pub fn prepare(service: ServiceSpec, probe_bes: &[BeSpec], seed: u64) -> ServiceContext {
-        let sla_ms = calibrate_sla(&service, seed);
-        let profile = profile_service(
-            &service,
-            &ProfileConfig {
-                seed,
-                ..ProfileConfig::default()
-            },
-        );
-        let thresholds = derive_thresholds(&service, &profile, sla_ms, probe_bes, seed);
+        let (_, thresholds) = offline_stage(&service, probe_bes, seed, par::width());
+        let sla_ms = thresholds.sla_ms;
         ServiceContext {
             service: Arc::new(service),
             sla_ms,

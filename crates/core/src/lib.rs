@@ -19,6 +19,8 @@
 //! * [`bubble`] — the indirect ("bubble pressure") profiling alternative
 //!   the paper rejects in §3.2, implemented for comparison.
 //! * [`timeline`] — the Figure 17 running-process recorder.
+//! * [`par`] — independent jobs side by side, results in input order
+//!   (the offline stage's engine runs, the evaluation's cells).
 // The workspace is unsafe-free; lock that in at the crate root. If a
 // crate ever genuinely needs `unsafe`, downgrade its forbid to
 // `#![deny(unsafe_op_in_unsafe_fn)]` and justify every block with a
@@ -28,6 +30,7 @@
 pub mod bubble;
 pub mod experiment;
 pub mod metrics;
+pub mod par;
 pub mod plan;
 pub mod profiling;
 pub mod runtime;

@@ -13,11 +13,12 @@
 //!    `slacklimit` from Algorithm 1 probation runs with representative
 //!    mixed BEs.
 
+use crate::par;
 use crate::runtime::{ControlMode, Engine, EngineConfig, EngineOutput};
 use rhythm_analyzer::contribution::{contributions, Contribution};
 use rhythm_analyzer::loadlimit::loadlimits;
 use rhythm_analyzer::profile::{LoadLevel, SojournProfile};
-use rhythm_analyzer::slacklimit::find_slacklimits;
+use rhythm_analyzer::slacklimit::{Descent, SlacklimitSearch};
 use rhythm_controller::Thresholds;
 use rhythm_sim::OnlineStats;
 use rhythm_tracer::{CaptureConfig, EventCapture, Pairer, VisitNode};
@@ -78,33 +79,60 @@ pub fn calibrate_sla(service: &ServiceSpec, seed: u64) -> f64 {
 }
 
 /// Runs the solo-run sweep and builds the sojourn profile.
+///
+/// The levels are independent seeded runs, so they run side by side
+/// ([`par::map`]); the profile is the same at any width. A traced sweep
+/// runs them one at a time: each traced level holds its whole visit-tree
+/// and kernel-event stream until it is paired, and two in flight raised
+/// the `profile-tracer` benchmark's peak RSS from 17.5 to 31–32 MB.
 pub fn profile_service(service: &ServiceSpec, cfg: &ProfileConfig) -> SojournProfile {
-    assert!(!cfg.load_levels.is_empty(), "no load levels");
-    let n = service.len();
-    let mut levels = Vec::with_capacity(cfg.load_levels.len());
+    let width = if cfg.use_tracer { 1 } else { par::width() };
+    let levels = par::map(width, sweep_jobs(service, cfg).collect());
+    sojourn_profile(service, levels)
+}
+
+/// The sweep's levels as jobs, last level first. A level's run time
+/// grows with its request count, and the default sweep ascends in load,
+/// so this hands out the longest runs first and the workers finish
+/// together instead of waiting on one late long level.
+fn sweep_jobs<'a>(
+    service: &'a ServiceSpec,
+    cfg: &'a ProfileConfig,
+) -> impl Iterator<Item = impl FnOnce() -> LoadLevel + Send + 'a> + 'a {
+    (cfg.load_levels.iter().enumerate().rev())
+        .map(move |(li, &load)| move || profile_level(service, cfg, li, load))
+}
+
+/// Profiles level `li` of the sweep, at `load`: one solo run, stretched
+/// at low load so it sees at least `cfg.min_requests` requests.
+fn profile_level(service: &ServiceSpec, cfg: &ProfileConfig, li: usize, load: f64) -> LoadLevel {
+    let seed = cfg.seed.wrapping_add(li as u64);
     let maxload = service.sim_maxload_rps();
-    for (li, &load) in cfg.load_levels.iter().enumerate() {
-        // Stretch low-load levels so every level sees enough requests.
-        let needed_s = (cfg.min_requests as f64 / (load.max(0.01) * maxload)).ceil() as u64;
-        let duration = cfg.duration_s.max(needed_s);
-        let mut ecfg = EngineConfig::solo(load, duration, cfg.seed.wrapping_add(li as u64));
-        ecfg.collect_sojourns = !cfg.use_tracer;
-        ecfg.capture_visits = cfg.use_tracer;
-        let mut out = Engine::new(service.clone(), ecfg).run();
-        let (means, covs, requests) = if cfg.use_tracer {
-            let trees = std::mem::take(&mut out.visit_trees);
-            extract_via_tracer(trees, n, cfg.seed.wrapping_add(li as u64))
-        } else {
-            extract_ground_truth(&out, n)
-        };
-        levels.push(LoadLevel {
-            load,
-            mean_sojourn_ms: means,
-            sojourn_cov: covs,
-            tail_ms: out.p99_ms(),
-            requests,
-        });
+    let needed_s = (cfg.min_requests as f64 / (load.max(0.01) * maxload)).ceil() as u64;
+    let mut ecfg = EngineConfig::solo(load, cfg.duration_s.max(needed_s), seed);
+    ecfg.collect_sojourns = !cfg.use_tracer;
+    ecfg.capture_visits = cfg.use_tracer;
+    let mut out = Engine::new(service.clone(), ecfg).run();
+    let (means, covs, requests) = if cfg.use_tracer {
+        let trees = std::mem::take(&mut out.visit_trees);
+        extract_via_tracer(trees, service.len(), seed)
+    } else {
+        extract_ground_truth(&out, service.len())
+    };
+    LoadLevel {
+        load,
+        mean_sojourn_ms: means,
+        sojourn_cov: covs,
+        tail_ms: out.p99_ms(),
+        requests,
     }
+}
+
+/// The sojourn profile of a sweep's levels, given in [`sweep_jobs`]'s
+/// order.
+fn sojourn_profile(service: &ServiceSpec, mut levels: Vec<LoadLevel>) -> SojournProfile {
+    assert!(!levels.is_empty(), "no load levels");
+    levels.reverse();
     SojournProfile {
         pod_names: service
             .component_names()
@@ -149,12 +177,11 @@ fn extract_via_tracer(
         },
         seed,
     );
-    for tree in &visit_trees {
-        capture.record_request(tree);
+    // Each tree is dead once recorded: drop it there, so the trees shrink
+    // as the event stream grows instead of peaking together with it.
+    for tree in visit_trees {
+        capture.record_request(&tree);
     }
-    // The trees are dead once recorded; free them before the time sort
-    // allocates its scratch, so the two never peak together.
-    drop(visit_trees);
     let requests = capture.request_count();
     let events = capture.finish();
     let paired = Pairer::new(0).pair(&events);
@@ -172,6 +199,42 @@ fn extract_via_tracer(
     (means, covs, requests)
 }
 
+/// Algorithm 1 with the probation runs of `width` consecutive candidates
+/// in flight at once ([`par::map`]). The candidates do not depend on the
+/// outcomes before the first violation ([`Descent`]), so the result,
+/// `trials` included, is the one
+/// [`find_slacklimits`](rhythm_analyzer::slacklimit::find_slacklimits)
+/// returns; at most `width − 1` runs past the first violation are
+/// wasted.
+pub fn windowed_slacklimits(
+    contributions: &[f64],
+    width: usize,
+    run_system: impl Fn(&[f64]) -> bool + Sync,
+) -> SlacklimitSearch {
+    let width = width.max(1);
+    let mut descent = Descent::new(contributions);
+    let mut start = 0;
+    let first_violation = loop {
+        let window: Vec<Vec<f64>> = (start..start + width)
+            .map_while(|k| descent.candidate(k).map(<[f64]>::to_vec))
+            .collect();
+        if window.is_empty() {
+            break None;
+        }
+        let run_system = &run_system;
+        let jobs = window
+            .iter()
+            .map(|candidate| move || run_system(candidate))
+            .collect();
+        let violated = par::map(width, jobs);
+        if let Some(i) = violated.iter().position(|&v| v) {
+            break Some(start + i);
+        }
+        start += window.len();
+    };
+    descent.settle(first_violation)
+}
+
 /// Derives the per-Servpod thresholds from a profile (§3.5.1).
 ///
 /// `loadlimit` comes from the CoV curves; `slacklimit` from Algorithm 1,
@@ -184,11 +247,23 @@ pub fn derive_thresholds(
     probe_bes: &[BeSpec],
     seed: u64,
 ) -> ServiceThresholds {
+    thresholds_at(par::width(), service, profile, sla_ms, probe_bes, seed)
+}
+
+/// [`derive_thresholds`] with `width` probation runs in flight.
+fn thresholds_at(
+    width: usize,
+    service: &ServiceSpec,
+    profile: &SojournProfile,
+    sla_ms: f64,
+    probe_bes: &[BeSpec],
+    seed: u64,
+) -> ServiceThresholds {
     let contribs = contributions(profile, service);
     let lls = loadlimits(profile);
     let raw: Vec<f64> = contribs.iter().map(|c| c.value).collect();
     let probe_duration = 300;
-    let search = find_slacklimits(&raw, |candidate| {
+    let search = windowed_slacklimits(&raw, width, |candidate| {
         let thresholds: Vec<Thresholds> = lls
             .iter()
             .zip(candidate)
@@ -214,6 +289,36 @@ pub fn derive_thresholds(
         thresholds,
         sla_ms,
     }
+}
+
+/// The whole offline stage of `ServiceContext::prepare` at `width`: the
+/// SLA calibration, the solo sweep (ground-truth sojourns, default
+/// levels) and Algorithm 1. The calibration and the sweep's levels are
+/// independent runs, so they go side by side, the calibration first
+/// because it is the longest single run. Any width gives the same bytes.
+pub(crate) fn offline_stage(
+    service: &ServiceSpec,
+    probe_bes: &[BeSpec],
+    seed: u64,
+    width: usize,
+) -> (SojournProfile, ServiceThresholds) {
+    let cfg = ProfileConfig {
+        seed,
+        ..ProfileConfig::default()
+    };
+    let mut sla_ms = 0.0;
+    let sla = &mut sla_ms;
+    let cfg = &cfg;
+    let mut jobs: Vec<Box<dyn FnOnce() -> Option<LoadLevel> + Send + '_>> =
+        vec![Box::new(move || {
+            *sla = calibrate_sla(service, seed);
+            None
+        })];
+    jobs.extend(sweep_jobs(service, cfg).map(|job| Box::new(move || Some(job())) as _));
+    let levels = par::map(width, jobs).into_iter().flatten().collect();
+    let profile = sojourn_profile(service, levels);
+    let thresholds = thresholds_at(width, service, &profile, sla_ms, probe_bes, seed);
+    (profile, thresholds)
 }
 
 #[cfg(test)]
@@ -279,6 +384,17 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn offline_stage_is_the_same_at_every_width() {
+        // Debug prints every f64 in its shortest round-trip form, so equal
+        // text is equal bits.
+        let service = apps::solr();
+        let bes = [BeSpec::of(BeKind::Wordcount)];
+        let at = |width| format!("{:?}", offline_stage(&service, &bes, 11, width));
+        let sequential = at(1);
+        assert_eq!(at(3), sequential);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! DESIGN.md §6 lists the invariants: event-calendar ordering, histogram
 //! quantile bounds, tracer mean-sojourn invariance (the §3.3 identity),
-//! contribution/threshold monotonicity, machine resource-accounting
+//! contribution/threshold monotonicity, Algorithm 1's windowed
+//! parallel scan against its sequential search, machine resource-accounting
 //! safety under arbitrary controller action sequences, and the cluster
 //! queue's EDF-within-priority total order (with aging anti-starvation
 //! and class preservation across StopBE requeues), and the engine's
@@ -25,6 +26,7 @@ use rhythm::cluster::{
 };
 use rhythm::controller::Thresholds;
 use rhythm::core::experiment::{ControllerChoice, ServiceContext};
+use rhythm::core::profiling::windowed_slacklimits;
 use rhythm::core::{ControlMode, Engine, EngineConfig};
 use rhythm::machine::{Allocation, Machine, MachineSpec};
 use rhythm::sim::SimRng;
@@ -323,6 +325,35 @@ proptest! {
         for &s in &r.slacklimits {
             prop_assert!((0.0..=1.0).contains(&s), "{s}");
         }
+    }
+
+    /// Algorithm 1 scanned in windows of 1-4 parallel probation runs
+    /// settles exactly where the sequential search does, for any
+    /// violation predicate, monotone in the descent or not: the same
+    /// slacklimits and step sizes bit for bit, the same `trials` and the
+    /// same `hit_violation`.
+    #[test]
+    fn windowed_slacklimits_match_sequential_search(
+        contribs in prop::collection::vec(0.0f64..10.0, 1..8),
+        salt in any::<u64>(),
+        rate in 0u64..=8,
+        width in 1usize..=4,
+    ) {
+        // Violates on a pseudo-random eighth-fraction `rate` of the
+        // candidates, keyed on their bits: never (0) to always (8).
+        let violated = |cand: &[f64]| {
+            let h = cand.iter().fold(salt, |h, x| {
+                (h ^ x.to_bits()).wrapping_mul(0x0100_0000_01b3).rotate_left(29)
+            });
+            h % 8 < rate
+        };
+        let seq = find_slacklimits(&contribs, violated);
+        let win = windowed_slacklimits(&contribs, width, violated);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&win.slacklimits), bits(&seq.slacklimits));
+        prop_assert_eq!(bits(&win.step_sizes), bits(&seq.step_sizes));
+        prop_assert_eq!(win.trials, seq.trials);
+        prop_assert_eq!(win.hit_violation, seq.hit_violation);
     }
 
     /// Machine resource accounting stays consistent under arbitrary

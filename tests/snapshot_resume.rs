@@ -133,6 +133,27 @@ fn resume_refuses_a_different_telemetry_setting() {
 }
 
 #[test]
+fn resume_refuses_a_capture_time_off_its_barrier() {
+    // Epoch 7 at 2 s epochs is barrier time 14 s; the same capture moved
+    // 5 s later names a time the run never stopped at.
+    let ctx = ctx();
+    let c = cfg(1);
+    let run = ClusterRunner::new(&ctx, &ControllerChoice::Rhythm, &c)
+        .snapshot_at(CAPTURE_EPOCH)
+        .run();
+    let snap = &run.snapshots[0].1;
+    assert_eq!(snap.t_ns, 14_000_000_000);
+    let mut moved = snap.clone();
+    moved.t_ns += 5_000_000_000;
+    let moved = ClusterSnapshot::from_bytes(&moved.to_bytes()).expect("bytes still parse");
+    assert!(matches!(
+        ClusterRunner::resume(&moved, &ctx, &ControllerChoice::Rhythm, &c).err(),
+        Some(SnapshotError::Corrupt(_))
+    ));
+    assert!(ClusterRunner::resume(snap, &ctx, &ControllerChoice::Rhythm, &c).is_ok());
+}
+
+#[test]
 fn resume_accepts_a_capture_at_the_last_barrier() {
     // 41 s at 2 s epochs: 20 full epochs and a 1 s one, so the last
     // barrier is epoch 21, at the horizon.
