@@ -341,7 +341,7 @@ impl ClusterSnapshot {
         }
         // PANIC: read("scheduler") either filled it or returned Missing.
         let scheduler = scheduler.expect("scheduler section read");
-        if pods == 0 || replicas == 0 || machines != replicas * pods {
+        if pods == 0 || replicas == 0 || replicas.checked_mul(pods) != Some(machines) {
             return Err(SnapshotError::Corrupt(format!(
                 "cluster shape is inconsistent: {machines} machines, {replicas} replicas × {pods} pods"
             )));

@@ -20,8 +20,8 @@ use rhythm_analyzer::loadlimit::loadlimits;
 use rhythm_analyzer::profile::{LoadLevel, SojournProfile};
 use rhythm_analyzer::slacklimit::{Descent, SlacklimitSearch};
 use rhythm_controller::Thresholds;
-use rhythm_sim::OnlineStats;
-use rhythm_tracer::{CaptureConfig, EventCapture, Pairer, VisitNode};
+use rhythm_sim::{OnlineStats, SimDuration, SimTime};
+use rhythm_tracer::{CaptureConfig, EventCapture, Pairer};
 use rhythm_workloads::{BeSpec, ServiceSpec};
 
 /// Profiling configuration.
@@ -81,12 +81,16 @@ pub fn calibrate_sla(service: &ServiceSpec, seed: u64) -> f64 {
 /// Runs the solo-run sweep and builds the sojourn profile.
 ///
 /// The levels are independent seeded runs, so they run side by side
-/// ([`par::map`]); the profile is the same at any width. A traced sweep
-/// runs them one at a time: each traced level holds its whole visit-tree
-/// and kernel-event stream until it is paired, and two in flight raised
-/// the `profile-tracer` benchmark's peak RSS from 17.5 to 31–32 MB.
+/// ([`par::map`] at [`par::width`]); the profile is the same at any
+/// width. A traced level streams its run through the tracer a second of
+/// virtual time at a time, so it holds about a second's visit trees and
+/// kernel events rather than the whole run's, whatever the width.
 pub fn profile_service(service: &ServiceSpec, cfg: &ProfileConfig) -> SojournProfile {
-    let width = if cfg.use_tracer { 1 } else { par::width() };
+    profile_at(par::width(), service, cfg)
+}
+
+/// [`profile_service`] with `width` levels in flight.
+fn profile_at(width: usize, service: &ServiceSpec, cfg: &ProfileConfig) -> SojournProfile {
     let levels = par::map(width, sweep_jobs(service, cfg).collect());
     sojourn_profile(service, levels)
 }
@@ -109,15 +113,17 @@ fn profile_level(service: &ServiceSpec, cfg: &ProfileConfig, li: usize, load: f6
     let seed = cfg.seed.wrapping_add(li as u64);
     let maxload = service.sim_maxload_rps();
     let needed_s = (cfg.min_requests as f64 / (load.max(0.01) * maxload)).ceil() as u64;
-    let mut ecfg = EngineConfig::solo(load, cfg.duration_s.max(needed_s), seed);
+    let duration_s = cfg.duration_s.max(needed_s);
+    let mut ecfg = EngineConfig::solo(load, duration_s, seed);
     ecfg.collect_sojourns = !cfg.use_tracer;
     ecfg.capture_visits = cfg.use_tracer;
-    let mut out = Engine::new(service.clone(), ecfg).run();
-    let (means, covs, requests) = if cfg.use_tracer {
-        let trees = std::mem::take(&mut out.visit_trees);
-        extract_via_tracer(trees, service.len(), seed)
+    let engine = Engine::new(service.clone(), ecfg);
+    let (out, (means, covs, requests)) = if cfg.use_tracer {
+        trace_run(engine, duration_s, service.len(), seed)
     } else {
-        extract_ground_truth(&out, service.len())
+        let out = engine.run();
+        let stats = extract_ground_truth(&out, service.len());
+        (out, stats)
     };
     LoadLevel {
         load,
@@ -162,14 +168,23 @@ fn extract_ground_truth(out: &EngineOutput, n: usize) -> (Vec<f64>, Vec<f64>, u6
     (means, covs, out.completed)
 }
 
-/// Runs the §3.3 tracer over the captured visit trees: synthesize the
-/// kernel event stream (with noise), filter, pair, and read per-request
-/// sojourns back out.
-fn extract_via_tracer(
-    visit_trees: Vec<VisitNode>,
+/// Runs a `duration_s`-second engine through the §3.3 tracer as a
+/// pipeline: the engine steps 1 s of virtual time at a time
+/// ([`Engine::run_until`]); after each step the trees of the requests it
+/// completed are recorded (synthesizing the kernel event stream, noise
+/// included), the capture releases every event up to the watermark
+/// `min(earliest in-flight arrival, step end)`, and the pairing takes
+/// them. Every event of a request is stamped at or after its arrival,
+/// so no request recorded later has an event before the watermark: the
+/// released pieces concatenate to the whole run's time-sorted stream and
+/// the pairing is the batch one, bit for bit. Per-request sojourns are
+/// read out at the end.
+fn trace_run(
+    mut engine: Engine,
+    duration_s: u64,
     n: usize,
     seed: u64,
-) -> (Vec<f64>, Vec<f64>, u64) {
+) -> (EngineOutput, (Vec<f64>, Vec<f64>, u64)) {
     let mut capture = EventCapture::new(
         CaptureConfig {
             noise_events_per_request: 4,
@@ -177,14 +192,26 @@ fn extract_via_tracer(
         },
         seed,
     );
-    // Each tree is dead once recorded: drop it there, so the trees shrink
-    // as the event stream grows instead of peaking together with it.
-    for tree in visit_trees {
-        capture.record_request(&tree);
+    let mut pairing = Pairer::new(0).stream();
+    let mut trees = Vec::new();
+    let steps = (1..=duration_s).map(|s| SimTime::ZERO + SimDuration::from_secs(s));
+    for until in steps.chain([SimTime::MAX]) {
+        engine.run_until(until);
+        engine.drain_visit_trees(&mut trees);
+        // Each tree is dead once recorded: drop it there.
+        for tree in trees.drain(..) {
+            capture.record_request(&tree);
+        }
+        let watermark = engine
+            .earliest_in_flight_arrival()
+            .map_or(until, |arrival| arrival.min(until));
+        for e in capture.release(watermark) {
+            pairing.feed(e);
+        }
     }
     let requests = capture.request_count();
-    let events = capture.finish();
-    let paired = Pairer::new(0).pair(&events);
+    debug_assert!(capture.events().is_empty(), "a drained run leaves no event");
+    let paired = pairing.finish();
     let mut means = Vec::with_capacity(n);
     let mut covs = Vec::with_capacity(n);
     for pod in 0..n {
@@ -196,7 +223,7 @@ fn extract_via_tracer(
         means.push(stats.mean());
         covs.push(stats.cov());
     }
-    (means, covs, requests)
+    (engine.finish_run(), (means, covs, requests))
 }
 
 /// Algorithm 1 with the probation runs of `width` consecutive candidates
@@ -395,6 +422,20 @@ mod tests {
         let at = |width| format!("{:?}", offline_stage(&service, &bes, 11, width));
         let sequential = at(1);
         assert_eq!(at(3), sequential);
+    }
+
+    #[test]
+    fn traced_profile_is_the_same_at_every_width() {
+        // A chain and a fan-out service; levels short enough that some
+        // are stretched to `min_requests`.
+        let mut cfg = quick_cfg();
+        cfg.use_tracer = true;
+        cfg.duration_s = 8;
+        for service in [apps::ecommerce(), apps::snms()] {
+            let at = |width| format!("{:?}", profile_at(width, &service, &cfg));
+            let sequential = at(1);
+            assert_eq!(at(3), sequential, "{}", service.name);
+        }
     }
 
     #[test]

@@ -234,7 +234,8 @@ pub struct EngineOutput {
     /// Per-request per-pod sojourns (if `collect_sojourns`): outer index
     /// = pod, inner = request.
     pub sojourns: Option<Vec<Vec<f64>>>,
-    /// Tracer visit trees (if `capture_visits`).
+    /// Tracer visit trees (if `capture_visits`), in completion order,
+    /// less those [`Engine::drain_visit_trees`] took during the run.
     pub visit_trees: Vec<VisitNode>,
     /// Figure 17 timeline (if `record_timeline`).
     pub timeline: Vec<TimelinePoint>,
@@ -742,6 +743,19 @@ impl Engine {
     /// `out`.
     pub fn drain_be_kills(&mut self, out: &mut Vec<BeKill>) {
         out.append(&mut self.killed_log);
+    }
+
+    /// Moves the visit trees of the requests completed since the last
+    /// call (with `capture_visits`) onto the end of `out`, in completion
+    /// order; they no longer reach [`EngineOutput::visit_trees`].
+    pub fn drain_visit_trees(&mut self, out: &mut Vec<VisitNode>) {
+        out.append(&mut self.visit_trees);
+    }
+
+    /// The earliest arrival among the requests still in flight, `None`
+    /// when there are none. A scan of the request arena.
+    pub fn earliest_in_flight_arrival(&self) -> Option<SimTime> {
+        self.requests.iter().map(|(_, r)| r.arrival).min()
     }
 
     /// Accrues per-instance BE progress up to time `t` using the current
@@ -2173,6 +2187,47 @@ mod tests {
             / out.visit_trees.len() as f64;
         let collected_mean = s[0].iter().sum::<f64>() / s[0].len() as f64;
         assert!((tree_mean - collected_mean).abs() < 1e-6);
+    }
+
+    #[test]
+    fn stepped_run_with_drained_trees_matches_a_straight_run() {
+        // Debug prints every f64 in its shortest round-trip form, so equal
+        // text is equal bits.
+        let cfg = || {
+            let mut cfg = EngineConfig::solo(0.7, 12, 9);
+            cfg.capture_visits = true;
+            cfg
+        };
+        let straight = Engine::new(apps::snms(), cfg()).run();
+        let mut engine = Engine::new(apps::snms(), cfg());
+        let mut trees: Vec<VisitNode> = Vec::new();
+        let mut watermark = SimTime::ZERO;
+        let steps = (1..=12).map(|s| SimTime::ZERO + SimDuration::from_secs(s));
+        for until in steps.chain([SimTime::MAX]) {
+            engine.run_until(until);
+            let drained = trees.len();
+            engine.drain_visit_trees(&mut trees);
+            // A tree drained now starts no earlier than the watermark
+            // taken after the previous step.
+            for tree in &trees[drained..] {
+                assert!(
+                    tree.phases[0].0 >= watermark,
+                    "tree starts before the watermark"
+                );
+            }
+            watermark = engine
+                .earliest_in_flight_arrival()
+                .map_or(until, |arrival| arrival.min(until));
+        }
+        assert_eq!(engine.earliest_in_flight_arrival(), None);
+        let mut stepped = engine.finish_run();
+        assert!(stepped.visit_trees.is_empty(), "drained trees stay out");
+        let bits = |trees: &[VisitNode]| -> Vec<u64> {
+            trees.iter().map(|t| t.sojourn_ms().to_bits()).collect()
+        };
+        assert_eq!(bits(&trees), bits(&straight.visit_trees));
+        stepped.visit_trees = trees;
+        assert_eq!(format!("{stepped:?}"), format!("{straight:?}"));
     }
 
     #[test]

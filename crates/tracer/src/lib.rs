@@ -21,10 +21,12 @@
 //! * [`capture`] — event-stream synthesis from ground-truth request
 //!   timelines (what the kernel probe would have produced), including
 //!   unrelated-process noise, non-blocking thread interleaving and
-//!   persistent-TCP port reuse.
+//!   persistent-TCP port reuse; the stream leaves in time order, whole
+//!   or in pieces released under a watermark while requests are still
+//!   being recorded.
 //! * [`pairing`] — intra-Servpod causality: FIFO RECV→SEND matching per
 //!   context, yielding per-Servpod residence segments and per-request
-//!   sojourn times.
+//!   sojourn times, over a whole trace or fed one event at a time.
 //! * [`cpg`] — the causal path graph (Figure 4) from inter-Servpod
 //!   message matching.
 //!
@@ -47,4 +49,4 @@ pub mod pairing;
 pub use capture::{CaptureConfig, EventCapture, VisitNode};
 pub use cpg::Cpg;
 pub use event::{ContextId, EventKind, MessageId, SysEvent};
-pub use pairing::{Pairer, PairingOutput};
+pub use pairing::{Pairer, PairingOutput, PairingStream};

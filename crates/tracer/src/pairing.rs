@@ -187,84 +187,120 @@ impl Pairer {
         Pairer { client_ip }
     }
 
+    /// Starts pairing a trace that arrives in pieces: feed its events in
+    /// timestamp order ([`PairingStream::feed`]), then
+    /// [`finish`](PairingStream::finish). The pieces
+    /// [`EventCapture::release`](crate::EventCapture::release) hands out
+    /// under its watermark rule are in that order.
+    pub fn stream(&self) -> PairingStream {
+        PairingStream {
+            client_ip: self.client_ip,
+            out: PairingOutput::default(),
+            pending: SlotQueues::new(),
+            in_flight: SlotQueues::new(),
+            next_label: 0,
+        }
+    }
+
     /// Pairs a timestamp-sorted event trace into per-Servpod, per-request
     /// residence segments.
     pub fn pair(&self, events: &[SysEvent]) -> PairingOutput {
-        let mut out = PairingOutput::default();
-        // FIFO of pending RECVs per context (intra-Servpod causality).
-        let mut pending: SlotQueues<ContextId, PendingRecv> = SlotQueues::new();
-        // FIFO of request labels per in-flight message identifier
-        // (inter-Servpod causality).
-        let mut in_flight: SlotQueues<MessageId, u64> = SlotQueues::new();
-        let mut next_label = 0u64;
-
+        let mut stream = self.stream();
         for e in events {
-            if !is_lc_program(e.ctx.program) {
-                out.filtered_noise += 1;
-                continue;
+            stream.feed(e);
+        }
+        stream.finish()
+    }
+}
+
+/// The pairing state of a trace fed one event at a time
+/// ([`Pairer::stream`]). Feeding a timestamp-sorted trace, in any split
+/// into pieces, and finishing gives exactly what [`Pairer::pair`] gives
+/// for the whole trace.
+pub struct PairingStream {
+    client_ip: u32,
+    out: PairingOutput,
+    /// FIFO of pending RECVs per context (intra-Servpod causality).
+    pending: SlotQueues<ContextId, PendingRecv>,
+    /// FIFO of request labels per in-flight message identifier
+    /// (inter-Servpod causality).
+    in_flight: SlotQueues<MessageId, u64>,
+    next_label: u64,
+}
+
+impl PairingStream {
+    /// Pairs the trace's next event. Events must come in timestamp
+    /// order, ties in capture order.
+    pub fn feed(&mut self, e: &SysEvent) {
+        let out = &mut self.out;
+        if !is_lc_program(e.ctx.program) {
+            out.filtered_noise += 1;
+            return;
+        }
+        match e.kind {
+            EventKind::Accept | EventKind::Close => {
+                // Request boundaries; labels are assigned at the entry
+                // RECV which carries the client message identifier.
             }
-            match e.kind {
-                EventKind::Accept | EventKind::Close => {
-                    // Request boundaries; labels are assigned at the entry
-                    // RECV which carries the client message identifier.
-                }
-                EventKind::Recv => {
-                    let label = if e.msg.sender_ip == self.client_ip {
-                        let l = next_label;
-                        next_label += 1;
-                        out.request_count += 1;
-                        l
-                    } else {
-                        // Inherit from the matching SEND (FIFO per
-                        // identifier: persistent connections share
-                        // identifiers, so this can mis-attribute).
-                        match in_flight.pop(e.msg) {
-                            Some(l) => l,
-                            None => {
-                                // A reply/message we never saw sent
-                                // (should not happen in a complete trace);
-                                // treat as a fresh anonymous label.
-                                let l = next_label;
-                                next_label += 1;
-                                l
-                            }
-                        }
-                    };
-                    pending.push(
-                        e.ctx,
-                        PendingRecv {
-                            at: e.timestamp,
-                            label,
-                        },
-                    );
-                    out.unmatched_recvs += 1;
-                }
-                EventKind::Send => {
-                    match pending.pop(e.ctx) {
-                        Some(recv) => {
-                            out.unmatched_recvs -= 1;
-                            let pod = e.ctx.host_ip.saturating_sub(1);
-                            let ms = e.timestamp.saturating_since(recv.at).as_millis_f64();
-                            out.segments.entry(pod).or_default().push((recv.label, ms));
-                            // Propagate the label to the receiving side.
-                            in_flight.push(e.msg, recv.label);
-                        }
+            EventKind::Recv => {
+                let label = if e.msg.sender_ip == self.client_ip {
+                    let l = self.next_label;
+                    self.next_label += 1;
+                    out.request_count += 1;
+                    l
+                } else {
+                    // Inherit from the matching SEND (FIFO per
+                    // identifier: persistent connections share
+                    // identifiers, so this can mis-attribute).
+                    match self.in_flight.pop(e.msg) {
+                        Some(l) => l,
                         None => {
-                            out.unmatched_sends += 1;
-                            // Still propagate *a* label so the downstream
-                            // RECV is not orphaned: use the most recent
-                            // label (fan-out siblings share the parent's
-                            // request).
-                            let label = next_label.saturating_sub(1);
-                            out.labels = out.labels.max(label + 1);
-                            in_flight.push(e.msg, label);
+                            // A reply/message we never saw sent (should
+                            // not happen in a complete trace); treat as a
+                            // fresh anonymous label.
+                            let l = self.next_label;
+                            self.next_label += 1;
+                            l
                         }
+                    }
+                };
+                self.pending.push(
+                    e.ctx,
+                    PendingRecv {
+                        at: e.timestamp,
+                        label,
+                    },
+                );
+                out.unmatched_recvs += 1;
+            }
+            EventKind::Send => {
+                match self.pending.pop(e.ctx) {
+                    Some(recv) => {
+                        out.unmatched_recvs -= 1;
+                        let pod = e.ctx.host_ip.saturating_sub(1);
+                        let ms = e.timestamp.saturating_since(recv.at).as_millis_f64();
+                        out.segments.entry(pod).or_default().push((recv.label, ms));
+                        // Propagate the label to the receiving side.
+                        self.in_flight.push(e.msg, recv.label);
+                    }
+                    None => {
+                        out.unmatched_sends += 1;
+                        // Still propagate *a* label so the downstream RECV
+                        // is not orphaned: use the most recent label
+                        // (fan-out siblings share the parent's request).
+                        let label = self.next_label.saturating_sub(1);
+                        out.labels = out.labels.max(label + 1);
+                        self.in_flight.push(e.msg, label);
                     }
                 }
             }
         }
-        out.labels = out.labels.max(next_label);
-        out
+    }
+
+    /// Ends the trace: the segments and counts of every event fed.
+    pub fn finish(mut self) -> PairingOutput {
+        self.out.labels = self.out.labels.max(self.next_label);
+        self.out
     }
 }
 
@@ -472,6 +508,33 @@ mod tests {
         assert_eq!(out.sojourns(1), vec![9.0, 9.0, 9.0]);
         assert_eq!(out.unmatched_sends, 0);
         assert_eq!(out.unmatched_recvs, 0);
+    }
+
+    #[test]
+    fn released_pieces_pair_like_the_whole_trace() {
+        // Requests start at 0, 4 and 9 ms and overlap: before recording
+        // each one, release up to its start (the watermark rule) and
+        // stream what comes out.
+        let cfg = CaptureConfig {
+            persistent_connections: true,
+            non_blocking: true,
+            noise_events_per_request: 3,
+            ..CaptureConfig::default()
+        };
+        let requests = [chain3(0), chain3(4), chain3(9)];
+        let whole = Pairer::new(0).pair(&capture(cfg.clone(), &requests, 0xD02));
+        let mut cap = EventCapture::new(cfg, 0xD02);
+        let mut stream = Pairer::new(0).stream();
+        for r in &requests {
+            for e in cap.release(r.phases[0].0) {
+                stream.feed(e);
+            }
+            cap.record_request(r);
+        }
+        for e in &cap.finish() {
+            stream.feed(e);
+        }
+        assert_eq!(format!("{:?}", stream.finish()), format!("{whole:?}"));
     }
 
     #[test]

@@ -1038,8 +1038,8 @@ proptest! {
     /// The shipped capture sort, pairer and sojourn sums against the
     /// oracle above, on overlapping random chain and fan-out requests
     /// under every thread/connection model and noise level. Start times
-    /// reach 2^46 ticks (over 2^62 ns), so every 16-bit timestamp digit
-    /// is exercised.
+    /// reach 2^46 ticks (over 2^62 ns), far from the earliest-event
+    /// origin the sort's keys are offsets from.
     #[test]
     fn tracer_matches_reference_pipeline(
         seed in any::<u64>(),
@@ -1125,6 +1125,86 @@ fn check_tracer_against_oracle(
             pod
         );
     }
+}
+
+proptest! {
+    /// The streamed tracer against the batch one: random visit trees,
+    /// recorded in a random order and in random batches, released after
+    /// each batch at a random watermark that never passes the earliest
+    /// event of a request not yet recorded, and fed to `Pairer::stream`.
+    /// The releases concatenate to the oracle's stable sort of the whole
+    /// capture, and the streamed pairing equals `pair(&finish())`.
+    #[test]
+    fn streamed_tracer_matches_batch_pipeline(
+        seed in any::<u64>(),
+        requests in 1usize..40,
+        noise in 0u32..=8,
+        non_blocking in any::<bool>(),
+        persistent_connections in any::<bool>(),
+    ) {
+        let cfg = CaptureConfig {
+            non_blocking,
+            persistent_connections,
+            noise_events_per_request: noise,
+            ..CaptureConfig::default()
+        };
+        check_streamed_capture(seed, requests, cfg);
+    }
+}
+
+fn check_streamed_capture(seed: u64, requests: usize, cfg: CaptureConfig) {
+    let tick = |t: u64| SimTime::from_nanos(t * 100_000);
+    let mut rng = SimRng::from_seed(seed);
+    let mut t = 0;
+    let mut trees: Vec<(u64, VisitNode)> = (0..requests)
+        .map(|_| {
+            t += rng.below(5);
+            (t, random_visit(&mut rng, t, 3).0)
+        })
+        .collect();
+    // Record in a random order (the engine records in completion order).
+    for i in (1..trees.len()).rev() {
+        trees.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    let mut batch = EventCapture::new(cfg.clone(), seed);
+    for (_, tree) in &trees {
+        batch.record_request(tree);
+    }
+    let expect_events = tracer_oracle::sort(batch.events().to_vec());
+    let expect = Pairer::new(0).pair(&batch.finish());
+
+    let mut capture = EventCapture::new(cfg, seed);
+    let mut stream = Pairer::new(0).stream();
+    let mut released = Vec::new();
+    let mut watermark = 0;
+    let mut next = 0;
+    while next < trees.len() {
+        let end = next + 1 + rng.below((trees.len() - next) as u64) as usize;
+        for (_, tree) in &trees[next..end] {
+            capture.record_request(tree);
+        }
+        next = end;
+        // Every event of a tree is stamped at or after its start tick.
+        let bound = trees[next..].iter().map(|&(start, _)| start).min();
+        let bound = bound.unwrap_or(t + 20);
+        watermark += rng.below(bound.saturating_sub(watermark) + 1);
+        for e in capture.release(tick(watermark)) {
+            released.push(*e);
+            stream.feed(e);
+        }
+    }
+    for e in &capture.finish() {
+        released.push(*e);
+        stream.feed(e);
+    }
+    prop_assert_eq!(
+        &released,
+        &expect_events,
+        "released events differ from the stable sort"
+    );
+    // Debug prints every f64 in its shortest round-trip form, so equal
+    // text is equal bits.
+    prop_assert_eq!(format!("{:?}", stream.finish()), format!("{expect:?}"));
 }
 
 /// The dense latency histogram and the merge-all-live-slots tail-window

@@ -442,6 +442,29 @@ fn snapshot_files_reject_corruption_and_truncation() {
     assert!(ClusterSnapshot::from_bytes(&padded).is_err());
 }
 
+#[test]
+fn snapshot_files_reject_a_shape_whose_product_overflows() {
+    // 2 replicas × 2^63 pods wraps to 0 machines in u64 arithmetic. With
+    // the engine streams, summaries and offers cut to match, every other
+    // check passes, and a config built from this meta (as `repro resume`
+    // builds one) would panic in `ClusterRunner::new`.
+    let ctx = ctx();
+    let run = ClusterRunner::new(&ctx, &ControllerChoice::Rhythm, &cfg(1))
+        .snapshot_at(CAPTURE_EPOCH)
+        .run();
+    let mut forged = run.snapshots[0].1.clone();
+    forged.machines = 0;
+    forged.replicas = 2;
+    forged.pods = 1 << 63;
+    forged.engines.truncate(2);
+    forged.summaries.truncate(2);
+    forged.scheduler.offered.clear();
+    assert!(matches!(
+        ClusterSnapshot::from_bytes(&forged.to_bytes()),
+        Err(SnapshotError::Corrupt(_))
+    ));
+}
+
 /// Telemetry decode refuses a config, flight recorder, audit trail and
 /// tail series that contradict each other, and a config no preset
 /// encodes. Each case splices a telemetry section, rebuilt from the
