@@ -4,6 +4,7 @@
 //! ```text
 //! repro snapshot [--machines N] [--epoch E] [--seed S] [--duration S]
 //!                [--out FILE]       # capture the standard cluster cell
+//!                                   # (N ≤ MAX_MACHINES)
 //! repro resume FILE [--threads T]   # continue a capture to the horizon
 //! repro snapshot-diff A B           # structural post-mortem diff
 //! ```
@@ -22,6 +23,12 @@ use rhythm_cluster::{ClusterOutcome, ClusterRunner, ClusterSnapshot};
 use rhythm_core::experiment::ControllerChoice;
 use std::io;
 use std::path::PathBuf;
+
+/// The most machines `repro snapshot --machines` accepts: 16 times the
+/// largest cell any experiment or benchmark runs (4096 machines), and
+/// small enough that the cell's job ledger and per-machine state are
+/// bounded before anything is built.
+pub const MAX_MACHINES: usize = 1 << 16;
 
 fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
@@ -115,6 +122,11 @@ pub fn snapshot(args: &[String]) -> io::Result<()> {
     )?;
     if epoch == 0 {
         return Err(invalid("--epoch must be at least 1".into()));
+    }
+    if machines > MAX_MACHINES {
+        return Err(invalid(format!(
+            "--machines {machines}: above the ceiling of {MAX_MACHINES}"
+        )));
     }
 
     let ctx = crate::cluster::context(seed);

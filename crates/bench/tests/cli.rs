@@ -22,6 +22,12 @@ fn bad_input_exits_2_with_a_message() {
         (vec!["snapshot", "--machines", "four"], "cannot parse"),
         (vec!["snapshot", "--machines", "0"], "positive multiple"),
         (vec!["snapshot", "--machines", "7"], "positive multiple"),
+        // Refused before the cell is built: 10^8 machines would mean
+        // about 4×10^8 jobs.
+        (
+            vec!["snapshot", "--machines", "100000000"],
+            "above the ceiling",
+        ),
         (
             vec!["snapshot", "--epoch", "0"],
             "--epoch must be at least 1",

@@ -696,6 +696,7 @@ impl<'c> Scheduler<'c> {
     /// * a binding `(g, _) → j` exists exactly when job `j` is
     ///   `Running(g)`, and no job holds two bindings;
     /// * queued ids are unique and every one of them is `Queued`;
+    /// * the queue holds at most one member of each gang;
     /// * in managed runs, every `Queued` solitary job is in the queue
     ///   (gang members wait through their representative);
     /// * no down machine holds an offer or a binding.
@@ -731,6 +732,15 @@ impl<'c> Scheduler<'c> {
         }
         if let Some(&j) = queued.iter().find(|&&j| state(j) != Some(JobState::Queued)) {
             return Err(format!("queued job {j} is in state {:?}", state(j)));
+        }
+        // One queue entry per gang: dispatch expands the entry into every
+        // live member, so a second entry would place the gang twice.
+        let mut queued_gangs = BTreeSet::new();
+        for &j in &queued {
+            let gang = self.state.jobs.get(j as usize).and_then(|job| job.gang);
+            if let Some(g) = gang.filter(|&g| !queued_gangs.insert(g)) {
+                return Err(format!("the queue holds two members of gang {g}"));
+            }
         }
         for job in &self.state.jobs {
             match job.state {

@@ -18,7 +18,7 @@
 
 use rhythm_sim::{SimRng, SimTime};
 use rhythm_snapshot::{Reader, Snapshot, SnapshotError, Writer};
-use rhythm_tracer::capture::VisitNode;
+use rhythm_tracer::capture::FlatVisit;
 use rhythm_workloads::ServiceSpec;
 
 /// The `parent` of the entry visit.
@@ -67,6 +67,16 @@ impl Visit {
     pub fn parallel(&self) -> bool {
         self.parallel
     }
+
+    /// The tracer's view of the visit.
+    pub(crate) fn flat(&self) -> FlatVisit {
+        FlatVisit {
+            pod: self.node,
+            parallel: self.parallel,
+            end: self.end,
+            n_phases: self.n_phases,
+        }
+    }
 }
 
 /// The phase count of a visit with `n_children` calls.
@@ -109,8 +119,7 @@ pub struct Request {
     pub(crate) arrival: SimTime,
     pub(crate) visits: Vec<Visit>,
     /// Recorded `(start, end)` of every phase, `n_phases` slots per
-    /// visit in visit order; empty unless the engine captures visit
-    /// trees.
+    /// visit in visit order; empty unless the engine captures visits.
     pub(crate) phases: Vec<(SimTime, SimTime)>,
 }
 
@@ -197,29 +206,6 @@ impl Request {
             }
         }
         Some(pv.node as usize)
-    }
-
-    /// The tracer's view of the finished request: visit `i`'s tree, its
-    /// phases read from `phases` at `cursor` (preorder is index order,
-    /// so the cursor walks the buffer front to back).
-    pub(crate) fn visit_tree(&self, i: usize, cursor: &mut usize) -> VisitNode {
-        let v = self.visits[i];
-        let n = v.n_phases as usize;
-        let phases = self
-            .phases
-            .get(*cursor..*cursor + n)
-            .map(<[_]>::to_vec)
-            .unwrap_or_default();
-        *cursor += n;
-        VisitNode {
-            pod: v.node,
-            phases,
-            children: self
-                .children(i)
-                .map(|c| self.visit_tree(c, cursor))
-                .collect(),
-            parallel: v.parallel,
-        }
     }
 
     /// Matches the phase records to the run: a capturing run needs a

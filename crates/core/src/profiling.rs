@@ -21,7 +21,7 @@ use rhythm_analyzer::profile::{LoadLevel, SojournProfile};
 use rhythm_analyzer::slacklimit::{Descent, SlacklimitSearch};
 use rhythm_controller::Thresholds;
 use rhythm_sim::{OnlineStats, SimDuration, SimTime};
-use rhythm_tracer::{CaptureConfig, EventCapture, Pairer};
+use rhythm_tracer::{CaptureConfig, EventCapture, Pairer, VisitLog};
 use rhythm_workloads::{BeSpec, ServiceSpec};
 
 /// Profiling configuration.
@@ -83,8 +83,8 @@ pub fn calibrate_sla(service: &ServiceSpec, seed: u64) -> f64 {
 /// The levels are independent seeded runs, so they run side by side
 /// ([`par::map`] at [`par::width`]); the profile is the same at any
 /// width. A traced level streams its run through the tracer a second of
-/// virtual time at a time, so it holds about a second's visit trees and
-/// kernel events rather than the whole run's, whatever the width.
+/// virtual time at a time, so it holds about a second's visit records
+/// and kernel events rather than the whole run's, whatever the width.
 pub fn profile_service(service: &ServiceSpec, cfg: &ProfileConfig) -> SojournProfile {
     profile_at(par::width(), service, cfg)
 }
@@ -170,15 +170,17 @@ fn extract_ground_truth(out: &EngineOutput, n: usize) -> (Vec<f64>, Vec<f64>, u6
 
 /// Runs a `duration_s`-second engine through the §3.3 tracer as a
 /// pipeline: the engine steps 1 s of virtual time at a time
-/// ([`Engine::run_until`]); after each step the trees of the requests it
-/// completed are recorded (synthesizing the kernel event stream, noise
-/// included), the capture releases every event up to the watermark
-/// `min(earliest in-flight arrival, step end)`, and the pairing takes
-/// them. Every event of a request is stamped at or after its arrival,
-/// so no request recorded later has an event before the watermark: the
-/// released pieces concatenate to the whole run's time-sorted stream and
-/// the pairing is the batch one, bit for bit. Per-request sojourns are
-/// read out at the end.
+/// ([`Engine::run_until`]); after each step the flat visit records of
+/// the requests it completed ([`Engine::drain_visit_log`], one buffer
+/// reused all run, no visit tree per request) are recorded
+/// (synthesizing the kernel event stream, noise included), the capture
+/// releases every event up to the watermark `min(earliest in-flight
+/// arrival, step end)`, and the pairing takes them. Every event of a
+/// request is stamped at or after its arrival, so no request recorded
+/// later has an event before the watermark: the released pieces
+/// concatenate to the whole run's time-sorted stream and the pairing is
+/// the batch one, bit for bit. Per-request sojourns are read out at the
+/// end.
 fn trace_run(
     mut engine: Engine,
     duration_s: u64,
@@ -193,15 +195,15 @@ fn trace_run(
         seed,
     );
     let mut pairing = Pairer::new(0).stream();
-    let mut trees = Vec::new();
+    let mut log = VisitLog::default();
     let steps = (1..=duration_s).map(|s| SimTime::ZERO + SimDuration::from_secs(s));
     for until in steps.chain([SimTime::MAX]) {
         engine.run_until(until);
-        engine.drain_visit_trees(&mut trees);
-        // Each tree is dead once recorded: drop it there.
-        for tree in trees.drain(..) {
-            capture.record_request(&tree);
+        engine.drain_visit_log(&mut log);
+        for req in log.requests() {
+            capture.record(req);
         }
+        log.clear();
         let watermark = engine
             .earliest_in_flight_arrival()
             .map_or(until, |arrival| arrival.min(until));

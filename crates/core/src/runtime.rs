@@ -10,7 +10,7 @@
 //! machine pressure → LC service-time inflation → queueing → tail latency
 //! → slack → controller actions → BE grants.
 
-use crate::plan::{read_index, Planner, Request, Step, ROOT};
+use crate::plan::{read_index, Planner, Request, Step, Visit, ROOT};
 use crate::servpod::Deployment;
 use rhythm_controller::{
     AgentInputs, AgentStats, BeAction, ControllerAgent, GrowthConfig, ThresholdPolicy, Thresholds,
@@ -27,7 +27,7 @@ use rhythm_snapshot::{Reader, Snapshot, SnapshotError, Writer};
 use rhythm_telemetry::{
     ActionCode, AuditRecord, EventKind, Telemetry, TelemetryConfig, TelemetryOutput, Trigger,
 };
-use rhythm_tracer::capture::VisitNode;
+use rhythm_tracer::capture::{VisitLog, VisitNode};
 use rhythm_workloads::{BeSpec, LoadGen, ServiceSpec};
 use serde::Serialize;
 use std::collections::{BTreeMap, VecDeque};
@@ -92,7 +92,10 @@ pub struct EngineConfig {
     pub controller_period: SimDuration,
     /// Collect per-request, per-pod sojourn times (profiling).
     pub collect_sojourns: bool,
-    /// Build tracer visit trees for every completed request (profiling).
+    /// Record every completed request's visits and phases for the
+    /// tracer (profiling) in the engine's [`VisitLog`].
+    /// [`Engine::drain_visit_log`] empties it; what is left at the end
+    /// becomes [`EngineOutput::visit_trees`].
     pub capture_visits: bool,
     /// Record the Figure 17 timeline.
     pub record_timeline: bool,
@@ -235,7 +238,8 @@ pub struct EngineOutput {
     /// = pod, inner = request.
     pub sojourns: Option<Vec<Vec<f64>>>,
     /// Tracer visit trees (if `capture_visits`), in completion order,
-    /// less those [`Engine::drain_visit_trees`] took during the run.
+    /// of the requests [`Engine::drain_visit_log`] did not take during
+    /// the run; built by [`Engine::finish_run`].
     pub visit_trees: Vec<VisitNode>,
     /// Figure 17 timeline (if `record_timeline`).
     pub timeline: Vec<TimelinePoint>,
@@ -486,7 +490,8 @@ pub struct Engine {
     worst_window_p99: f64,
     sojourn_stats: Vec<OnlineStats>,
     sojourns: Option<Vec<Vec<f64>>>,
-    visit_trees: Vec<VisitNode>,
+    /// Completed requests' visits (if `capture_visits`), not yet drained.
+    visit_log: VisitLog,
     timeline: Vec<TimelinePoint>,
     // Integrals.
     be_progress_int: Vec<f64>,
@@ -605,7 +610,7 @@ impl Engine {
             worst_window_p99: 0.0,
             sojourn_stats: vec![OnlineStats::new(); n],
             sojourns,
-            visit_trees: Vec::new(),
+            visit_log: VisitLog::default(),
             timeline: Vec::new(),
             be_progress_int: vec![0.0; n],
             be_instances_int: vec![0.0; n],
@@ -745,11 +750,13 @@ impl Engine {
         out.append(&mut self.killed_log);
     }
 
-    /// Moves the visit trees of the requests completed since the last
-    /// call (with `capture_visits`) onto the end of `out`, in completion
-    /// order; they no longer reach [`EngineOutput::visit_trees`].
-    pub fn drain_visit_trees(&mut self, out: &mut Vec<VisitNode>) {
-        out.append(&mut self.visit_trees);
+    /// Moves the visits of the requests completed since the last call
+    /// (with `capture_visits`) onto the end of `out`, in completion
+    /// order; they no longer reach [`EngineOutput::visit_trees`]. Into an
+    /// empty `out` the two logs swap buffers, so a caller that clears
+    /// `out` after each drain keeps both allocations.
+    pub fn drain_visit_log(&mut self, out: &mut VisitLog) {
+        out.append(&mut self.visit_log);
     }
 
     /// The earliest arrival among the requests still in flight, `None`
@@ -1090,7 +1097,8 @@ impl Engine {
             }
         }
         if self.cfg.capture_visits {
-            self.visit_trees.push(r.visit_tree(0, &mut 0));
+            self.visit_log
+                .push(r.visits.iter().map(Visit::flat), &r.phases);
         }
         self.request_pool.push(r);
     }
@@ -1505,7 +1513,7 @@ impl Engine {
             worst_window_p99_ms: self.worst_window_p99,
             pods,
             sojourns: self.sojourns,
-            visit_trees: self.visit_trees,
+            visit_trees: self.visit_log.requests().map(|r| r.to_tree()).collect(),
             timeline: self.timeline,
             telemetry,
         }
@@ -1520,8 +1528,9 @@ impl Engine {
 // mismatch is caught by the crate hash, not a garbage decode.
 //
 // Excluded by design: `request_pool` / `planner` (recycled scratch;
-// capacity only, never behaviour) and `visit_trees`
-// (profiling captures; cluster runs never enable `capture_visits`).
+// capacity only, never behaviour) and `visit_log` (the flat visit
+// buffer of profiling captures; cluster runs never enable
+// `capture_visits`).
 // ---------------------------------------------------------------------------
 
 impl Snapshot for Ev {
@@ -2190,7 +2199,7 @@ mod tests {
     }
 
     #[test]
-    fn stepped_run_with_drained_trees_matches_a_straight_run() {
+    fn stepped_run_with_drained_visit_log_matches_a_straight_run() {
         // Debug prints every f64 in its shortest round-trip form, so equal
         // text is equal bits.
         let cfg = || {
@@ -2200,28 +2209,31 @@ mod tests {
         };
         let straight = Engine::new(apps::snms(), cfg()).run();
         let mut engine = Engine::new(apps::snms(), cfg());
-        let mut trees: Vec<VisitNode> = Vec::new();
+        let mut log = VisitLog::default();
+        let mut drained = VisitLog::default();
         let mut watermark = SimTime::ZERO;
         let steps = (1..=12).map(|s| SimTime::ZERO + SimDuration::from_secs(s));
         for until in steps.chain([SimTime::MAX]) {
             engine.run_until(until);
-            let drained = trees.len();
-            engine.drain_visit_trees(&mut trees);
-            // A tree drained now starts no earlier than the watermark
+            engine.drain_visit_log(&mut log);
+            // A request drained now starts no earlier than the watermark
             // taken after the previous step.
-            for tree in &trees[drained..] {
+            for req in log.requests() {
                 assert!(
-                    tree.phases[0].0 >= watermark,
-                    "tree starts before the watermark"
+                    req.phases[0].0 >= watermark,
+                    "request starts before the watermark"
                 );
             }
+            // Empties `log`, so the next drain swaps buffers again.
+            drained.append(&mut log);
             watermark = engine
                 .earliest_in_flight_arrival()
                 .map_or(until, |arrival| arrival.min(until));
         }
         assert_eq!(engine.earliest_in_flight_arrival(), None);
         let mut stepped = engine.finish_run();
-        assert!(stepped.visit_trees.is_empty(), "drained trees stay out");
+        assert!(stepped.visit_trees.is_empty(), "drained visits stay out");
+        let trees: Vec<VisitNode> = drained.requests().map(|r| r.to_tree()).collect();
         let bits = |trees: &[VisitNode]| -> Vec<u64> {
             trees.iter().map(|t| t.sojourn_ms().to_bits()).collect()
         };

@@ -7,6 +7,12 @@
 //! interleaved requests on non-blocking threads, shared message
 //! identifiers on persistent TCP connections, and unrelated-process noise
 //! events.
+//!
+//! A request's ground truth comes either as a [`VisitNode`] tree or flat
+//! ([`FlatRequest`]: visits in preorder plus their phase records), the
+//! form a traced engine run appends to a [`VisitLog`] as requests
+//! complete. Both go through one walk: a tree is flattened into reused
+//! scratch first.
 
 use crate::event::{ContextId, EventKind, MessageId, SysEvent};
 use rhythm_sim::{SimRng, SimTime};
@@ -46,6 +52,171 @@ impl VisitNode {
         for c in &self.children {
             c.accumulate_sojourns(into);
         }
+    }
+}
+
+/// One visit of a [`FlatRequest`]: a visit tree's node without its
+/// child list. A request's visits are laid out in preorder: visit 0 is
+/// the entry visit, visit `i`'s subtree is the range `i..end`, its first
+/// child is `i + 1` and each later child starts at its previous
+/// sibling's `end`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct FlatVisit {
+    /// Servpod index (0-based; host address is `pod + 1`).
+    pub pod: u32,
+    /// True if the children were called in parallel (fan-out).
+    pub parallel: bool,
+    /// One past the last visit of this visit's subtree, counted from the
+    /// request's entry visit.
+    pub end: u32,
+    /// Number of local processing intervals (see [`VisitNode::phases`]).
+    pub n_phases: u32,
+}
+
+/// One request's ground truth, flat: its visits in preorder and their
+/// phase records, `n_phases` per visit, in visit order.
+#[derive(Clone, Copy, Debug)]
+pub struct FlatRequest<'a> {
+    /// The visits, in preorder.
+    pub visits: &'a [FlatVisit],
+    /// Every visit's phases, in visit order.
+    pub phases: &'a [(SimTime, SimTime)],
+}
+
+impl FlatRequest<'_> {
+    /// The request as a visit tree.
+    pub fn to_tree(&self) -> VisitNode {
+        self.subtree(0, &mut 0)
+    }
+
+    /// Visit `i`'s tree, its phases read from `phases` at `cursor`
+    /// (preorder is index order, so the cursor walks them front to back).
+    fn subtree(&self, i: usize, cursor: &mut usize) -> VisitNode {
+        let v = self.visits[i];
+        let n = v.n_phases as usize;
+        let phases = self.phases[*cursor..*cursor + n].to_vec();
+        *cursor += n;
+        let mut children = Vec::new();
+        let mut c = i + 1;
+        while c < v.end as usize {
+            children.push(self.subtree(c, cursor));
+            c = self.visits[c].end as usize;
+        }
+        VisitNode {
+            pod: v.pod,
+            phases,
+            children,
+            parallel: v.parallel,
+        }
+    }
+}
+
+/// Completed requests' [`FlatRequest`]s, one after another in buffers
+/// that clearing keeps: a traced run appends each request as it
+/// completes and the tracer reads them back without a tree per request.
+#[derive(Clone, Debug, Default)]
+pub struct VisitLog {
+    visits: Vec<FlatVisit>,
+    phases: Vec<(SimTime, SimTime)>,
+    /// Per request: one past its last visit and one past its last phase
+    /// record.
+    ends: Vec<(usize, usize)>,
+}
+
+impl VisitLog {
+    /// Appends one request. Its visits must be a non-empty preorder
+    /// layout (each visit's `end` past its own index and within the
+    /// request) and its phases exactly `n_phases` per visit.
+    pub fn push(
+        &mut self,
+        visits: impl IntoIterator<Item = FlatVisit>,
+        phases: &[(SimTime, SimTime)],
+    ) {
+        let start = self.visits.len();
+        self.visits.extend(visits);
+        let request = &self.visits[start..];
+        let n = request.len();
+        assert!(
+            n > 0
+                && (request.iter().enumerate())
+                    .all(|(i, v)| i < v.end as usize && v.end as usize <= n),
+            "a request needs an entry visit, and visit ends past each visit and within the request"
+        );
+        assert_eq!(
+            request.iter().map(|v| v.n_phases as usize).sum::<usize>(),
+            phases.len(),
+            "one phase record per phase"
+        );
+        self.phases.extend_from_slice(phases);
+        self.ends.push((self.visits.len(), self.phases.len()));
+    }
+
+    /// Appends the request whose visit tree is `root`.
+    pub fn push_tree(&mut self, root: &VisitNode) {
+        fn flatten(node: &VisitNode, log: &mut VisitLog, base: usize) {
+            let i = log.visits.len();
+            log.visits.push(FlatVisit {
+                pod: node.pod,
+                parallel: node.parallel,
+                end: 0,
+                n_phases: u32::try_from(node.phases.len()).expect("fewer than 2^32 phases"),
+            });
+            log.phases.extend_from_slice(&node.phases);
+            for child in &node.children {
+                flatten(child, log, base);
+            }
+            log.visits[i].end =
+                u32::try_from(log.visits.len() - base).expect("fewer than 2^32 visits");
+        }
+        let base = self.visits.len();
+        flatten(root, self, base);
+        self.ends.push((self.visits.len(), self.phases.len()));
+    }
+
+    /// Number of requests held.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when no request is held.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The requests, in the order they were appended.
+    pub fn requests(&self) -> impl Iterator<Item = FlatRequest<'_>> + '_ {
+        let mut from = (0, 0);
+        self.ends.iter().map(move |&(visits, phases)| {
+            let req = FlatRequest {
+                visits: &self.visits[from.0..visits],
+                phases: &self.phases[from.1..phases],
+            };
+            from = (visits, phases);
+            req
+        })
+    }
+
+    /// Moves every request of `other` onto the end of this log, leaving
+    /// `other` empty. When this log is empty the two swap buffers, so
+    /// neither allocates.
+    pub fn append(&mut self, other: &mut VisitLog) {
+        if self.is_empty() {
+            std::mem::swap(self, other);
+            other.clear();
+            return;
+        }
+        let (v0, p0) = (self.visits.len(), self.phases.len());
+        self.visits.append(&mut other.visits);
+        self.phases.append(&mut other.phases);
+        self.ends
+            .extend(other.ends.drain(..).map(|(v, p)| (v0 + v, p0 + p)));
+    }
+
+    /// Drops every request, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.visits.clear();
+        self.phases.clear();
+        self.ends.clear();
     }
 }
 
@@ -99,29 +270,158 @@ pub fn is_lc_program(program: u32) -> bool {
 /// [`finish`]: EventCapture::finish
 /// [`release`]: EventCapture::release
 pub struct EventCapture {
+    synth: Synth,
+    /// The walk's stack of open visits (reused across requests).
+    frames: Vec<Frame>,
+    /// Downstream messages of the open fan-out visits (reused).
+    downs: Vec<MessageId>,
+    /// [`EventCapture::record_request`]'s flattened tree (reused).
+    flat: VisitLog,
+    /// The last release, in time order (reused across releases).
+    released: Vec<SysEvent>,
+    sort: SortScratch,
+    next_request: u64,
+}
+
+/// What synthesizes events: the knobs, the draws and the event buffer.
+struct Synth {
     config: CaptureConfig,
     /// Recorded events not yet released, in record order.
     events: Vec<SysEvent>,
-    /// The last release, in time order (reused across releases).
-    released: Vec<SysEvent>,
     rng: SimRng,
     next_ephemeral_port: u16,
-    next_request: u64,
+}
+
+/// One open visit of the walk.
+struct Frame {
+    /// The visit's index in its request.
+    visit: usize,
+    /// Its first phase record.
+    base: usize,
+    /// The message that delivered the request to it.
+    msg_in: MessageId,
+    ctx: ContextId,
+    /// The next child to walk (the visit's `end` once all are walked).
+    next: usize,
+    /// Children walked so far.
+    done: usize,
+    /// Where its fan-out messages start in the walk's `downs`.
+    downs: usize,
 }
 
 impl EventCapture {
     /// Creates an empty capture.
     pub fn new(config: CaptureConfig, seed: u64) -> Self {
         EventCapture {
-            config,
-            events: Vec::new(),
+            synth: Synth {
+                config,
+                events: Vec::new(),
+                rng: SimRng::from_seed(seed).split("capture"),
+                next_ephemeral_port: 10_000,
+            },
+            frames: Vec::new(),
+            downs: Vec::new(),
+            flat: VisitLog::default(),
             released: Vec::new(),
-            rng: SimRng::from_seed(seed).split("capture"),
-            next_ephemeral_port: 10_000,
+            sort: SortScratch::default(),
             next_request: 0,
         }
     }
 
+    /// Records one request's event trace from its ground-truth visit
+    /// tree. Returns the request id assigned.
+    pub fn record_request(&mut self, root: &VisitNode) -> u64 {
+        let mut flat = std::mem::take(&mut self.flat);
+        flat.clear();
+        flat.push_tree(root);
+        let req = flat.requests().next().expect("the tree just pushed");
+        let request = self.record(req);
+        self.flat = flat;
+        request
+    }
+
+    /// Records one request's event trace from its flat ground truth.
+    /// Returns the request id assigned.
+    pub fn record(&mut self, req: FlatRequest<'_>) -> u64 {
+        let request = self.next_request;
+        self.next_request += 1;
+        let s = &mut self.synth;
+        let root = req.visits[0];
+        let client_port = s.port_for(s.config.client_ip, root.pod);
+        let entry_msg = MessageId {
+            sender_ip: s.config.client_ip,
+            sender_port: client_port,
+            receiver_ip: Synth::host_of(root.pod),
+            receiver_port: 80,
+            message_size: 200 + (s.rng.below(800)) as u32,
+        };
+        let entry_ctx = s.context(root.pod, request);
+        let start = req.phases.first().map_or(SimTime::ZERO, |p| p.0);
+        let end = (root.n_phases as usize)
+            .checked_sub(1)
+            .and_then(|last| req.phases.get(last))
+            .map_or(start, |p| p.1);
+        s.push(EventKind::Accept, start, entry_ctx, MessageId::NONE);
+        s.walk(req, entry_msg, request, &mut self.frames, &mut self.downs);
+        s.push(EventKind::Close, end, entry_ctx, MessageId::NONE);
+        s.inject_noise(start, end);
+        request
+    }
+
+    /// Number of requests recorded so far.
+    pub fn request_count(&self) -> u64 {
+        self.next_request
+    }
+
+    /// The events recorded and not yet released, in record order (not
+    /// yet time-sorted).
+    pub fn events(&self) -> &[SysEvent] {
+        &self.synth.events
+    }
+
+    /// Releases every unreleased event stamped at or before `watermark`,
+    /// sorted by timestamp and, for equal times, by record order (as a
+    /// kernel trace would be). Later events stay buffered.
+    ///
+    /// The watermark rule: `watermark` must not pass the earliest event
+    /// of any request recorded after this call. Then every event still
+    /// to come either is stamped later than all released ones or ties
+    /// with them and was recorded after them, so the releases, in call
+    /// order, concatenate to exactly the stream [`finish`] would return
+    /// for the whole capture. Every event of a request is stamped at or
+    /// after its arrival, so the earliest arrival among the requests not
+    /// yet recorded is a valid watermark.
+    ///
+    /// [`finish`]: EventCapture::finish
+    pub fn release(&mut self, watermark: SimTime) -> &[SysEvent] {
+        self.released.clear();
+        let events = &mut self.synth.events;
+        if events.iter().all(|e| e.timestamp <= watermark) {
+            // Everything goes: hand the buffer over instead of copying.
+            std::mem::swap(events, &mut self.released);
+        } else {
+            let released = &mut self.released;
+            events.retain(|e| {
+                let due = e.timestamp <= watermark;
+                if due {
+                    released.push(*e);
+                }
+                !due
+            });
+        }
+        sort_by_timestamp(&mut self.released, &mut self.sort);
+        &self.released
+    }
+
+    /// Finishes the capture, returning every unreleased event in
+    /// [`release`](EventCapture::release)'s order.
+    pub fn finish(mut self) -> Vec<SysEvent> {
+        self.release(SimTime::MAX);
+        self.released
+    }
+}
+
+impl Synth {
     fn host_of(pod: u32) -> u32 {
         pod + 1
     }
@@ -166,80 +466,119 @@ impl EventCapture {
         });
     }
 
-    /// Records one request's event trace from its ground-truth visit
-    /// tree. Returns the request id assigned.
-    pub fn record_request(&mut self, root: &VisitNode) -> u64 {
-        let request = self.next_request;
-        self.next_request += 1;
-        let client_port = self.port_for(self.config.client_ip, root.pod);
-        let entry_msg = MessageId {
-            sender_ip: self.config.client_ip,
-            sender_port: client_port,
-            receiver_ip: Self::host_of(root.pod),
-            receiver_port: 80,
-            message_size: 200 + (self.rng.below(800)) as u32,
-        };
-        let entry_ctx = self.context(root.pod, request);
-        let start = root.phases.first().map(|p| p.0).unwrap_or(SimTime::ZERO);
-        let end = root.phases.last().map(|p| p.1).unwrap_or(start);
-        self.push(EventKind::Accept, start, entry_ctx, MessageId::NONE);
-        self.walk(root, entry_msg, request);
-        self.push(EventKind::Close, end, entry_ctx, MessageId::NONE);
-        self.inject_noise(start, end);
-        request
-    }
-
-    /// Emits RECV/SEND events for a visit and its subtree. `msg_in` is
-    /// the message that delivered the request to this pod.
-    fn walk(&mut self, node: &VisitNode, msg_in: MessageId, request: u64) {
-        let ctx = self.context(node.pod, request);
-        assert!(
-            !node.phases.is_empty(),
-            "visit node must have at least one phase"
-        );
-        if node.parallel {
+    /// Emits the RECV/SEND events of a request's visits, entry visit
+    /// first: the order of a depth-first walk of its tree. `msg_in` is
+    /// the message that delivered the request to the entry visit.
+    ///
+    /// Per visit: its RECV at the start of its first phase; for a
+    /// fan-out, every downstream SEND at the end of that phase, then per
+    /// child the child's events and the reply's RECV at the child's end;
+    /// for sequential calls, per child the SEND at the end of phase `k`,
+    /// the child's events and the reply's RECV at the start of phase
+    /// `k + 1`; last, the reply upstream at the end of its last phase.
+    fn walk(
+        &mut self,
+        req: FlatRequest<'_>,
+        msg_in: MessageId,
+        request: u64,
+        frames: &mut Vec<Frame>,
+        downs: &mut Vec<MessageId>,
+    ) {
+        let FlatRequest { visits, phases } = req;
+        let persistent = self.config.persistent_connections;
+        // Visits are entered in preorder, which is index order, so the
+        // phase records are taken front to back.
+        let mut next_base = 0;
+        frames.clear();
+        downs.clear();
+        let root = self.enter(req, 0, &mut next_base, msg_in, request, downs);
+        frames.push(root);
+        while let Some(top) = frames.last_mut() {
+            let v = visits[top.visit];
+            // A sequential visit resumes in its next phase after each
+            // call, so it needs exactly one phase more than it has calls.
+            let calls_left = top.next < v.end as usize;
             assert!(
-                node.phases.len() == 2 || node.children.is_empty(),
-                "fan-out node needs exactly pre+post phases"
-            );
-        } else {
-            assert_eq!(
-                node.phases.len(),
-                node.children.len() + 1,
+                v.parallel || (top.done + 1 < v.n_phases as usize) == calls_left,
                 "sequential node needs children+1 phases"
             );
+            if calls_left {
+                let child = top.next;
+                top.next = visits[child].end as usize;
+                let m = if v.parallel {
+                    downs[top.downs + top.done]
+                } else {
+                    let m = self.downstream_msg(v.pod, visits[child].pod);
+                    self.push(EventKind::Send, phases[top.base + top.done].1, top.ctx, m);
+                    m
+                };
+                let frame = self.enter(req, child, &mut next_base, m, request, downs);
+                frames.push(frame);
+                continue;
+            }
+            // Every child is done: reply upstream at the end of the last
+            // local phase.
+            let last = phases[top.base + v.n_phases as usize - 1].1;
+            let reply = Self::reply_of(&top.msg_in, persistent);
+            self.push(EventKind::Send, last, top.ctx, reply);
+            downs.truncate(top.downs);
+            frames.pop();
+            if let Some(parent) = frames.last_mut() {
+                let at = match visits[parent.visit].parallel {
+                    true => last,
+                    false => phases[parent.base + parent.done + 1].0,
+                };
+                self.push(EventKind::Recv, at, parent.ctx, reply);
+                parent.done += 1;
+            }
         }
+    }
+
+    /// Opens visit `i`, delivered by `msg_in`: checks a fan-out's phase
+    /// count, emits its RECV and, for a fan-out, all its downstream
+    /// SENDs (their messages go onto `downs`).
+    fn enter(
+        &mut self,
+        req: FlatRequest<'_>,
+        i: usize,
+        next_base: &mut usize,
+        msg_in: MessageId,
+        request: u64,
+        downs: &mut Vec<MessageId>,
+    ) -> Frame {
+        let v = req.visits[i];
+        let base = *next_base;
+        *next_base += v.n_phases as usize;
+        assert!(v.n_phases > 0, "visit node must have at least one phase");
+        let leaf = v.end as usize == i + 1;
+        assert!(
+            !v.parallel || leaf || v.n_phases == 2,
+            "fan-out node needs exactly pre+post phases"
+        );
+        let ctx = self.context(v.pod, request);
         // Request arrives.
-        self.push(EventKind::Recv, node.phases[0].0, ctx, msg_in);
-        if node.parallel && !node.children.is_empty() {
+        self.push(EventKind::Recv, req.phases[base].0, ctx, msg_in);
+        let fan_out = downs.len();
+        if v.parallel {
             // Fan-out: all downstream SENDs at the end of the pre phase.
-            let send_at = node.phases[0].1;
-            let mut down_msgs = Vec::with_capacity(node.children.len());
-            for child in &node.children {
-                let m = self.downstream_msg(node.pod, child.pod);
+            let send_at = req.phases[base].1;
+            let mut child = i + 1;
+            while child < v.end as usize {
+                let m = self.downstream_msg(v.pod, req.visits[child].pod);
                 self.push(EventKind::Send, send_at, ctx, m);
-                down_msgs.push(m);
-            }
-            for (child, m) in node.children.iter().zip(&down_msgs) {
-                self.walk(child, *m, request);
-                let child_end = child.phases.last().map(|p| p.1).unwrap_or(send_at);
-                let reply = Self::reply_of(m, self.config.persistent_connections);
-                self.push(EventKind::Recv, child_end, ctx, reply);
-            }
-        } else {
-            for (i, child) in node.children.iter().enumerate() {
-                let send_at = node.phases[i].1;
-                let m = self.downstream_msg(node.pod, child.pod);
-                self.push(EventKind::Send, send_at, ctx, m);
-                self.walk(child, m, request);
-                let reply = Self::reply_of(&m, self.config.persistent_connections);
-                self.push(EventKind::Recv, node.phases[i + 1].0, ctx, reply);
+                downs.push(m);
+                child = req.visits[child].end as usize;
             }
         }
-        // Reply upstream at the end of the last local phase.
-        let reply_at = node.phases.last().expect("non-empty").1;
-        let reply_msg = Self::reply_of(&msg_in, self.config.persistent_connections);
-        self.push(EventKind::Send, reply_at, ctx, reply_msg);
+        Frame {
+            visit: i,
+            base,
+            msg_in,
+            ctx,
+            next: i + 1,
+            done: 0,
+            downs: fan_out,
+        }
     }
 
     /// The reply message identifier for a request message: the reversed
@@ -302,123 +641,116 @@ impl EventCapture {
             self.push(kind, t, ctx, msg);
         }
     }
+}
 
-    /// Number of requests recorded so far.
-    pub fn request_count(&self) -> u64 {
-        self.next_request
-    }
-
-    /// The events recorded and not yet released, in record order (not
-    /// yet time-sorted).
-    pub fn events(&self) -> &[SysEvent] {
-        &self.events
-    }
-
-    /// Releases every unreleased event stamped at or before `watermark`,
-    /// sorted by timestamp and, for equal times, by record order (as a
-    /// kernel trace would be). Later events stay buffered.
-    ///
-    /// The watermark rule: `watermark` must not pass the earliest event
-    /// of any request recorded after this call. Then every event still
-    /// to come either is stamped later than all released ones or ties
-    /// with them and was recorded after them, so the releases, in call
-    /// order, concatenate to exactly the stream [`finish`] would return
-    /// for the whole capture. Every event of a request is stamped at or
-    /// after its arrival, so the earliest arrival among the requests not
-    /// yet recorded is a valid watermark.
-    ///
-    /// [`finish`]: EventCapture::finish
-    pub fn release(&mut self, watermark: SimTime) -> &[SysEvent] {
-        self.released.clear();
-        if self.events.iter().all(|e| e.timestamp <= watermark) {
-            // Everything goes: hand the buffer over instead of copying.
-            std::mem::swap(&mut self.events, &mut self.released);
-        } else {
-            let released = &mut self.released;
-            self.events.retain(|e| {
-                let due = e.timestamp <= watermark;
-                if due {
-                    released.push(*e);
-                }
-                !due
-            });
-        }
-        sort_by_timestamp(&mut self.released);
-        &self.released
-    }
-
-    /// Finishes the capture, returning every unreleased event in
-    /// [`release`](EventCapture::release)'s order.
-    pub fn finish(mut self) -> Vec<SysEvent> {
-        self.release(SimTime::MAX);
-        self.released
-    }
+/// The radix sort's working arrays, kept by the capture so each release
+/// reuses the last one's allocations.
+#[derive(Debug, Default)]
+struct SortScratch {
+    /// Each event's offset from the earliest timestamp, shifted up past
+    /// its index, in the order sorted so far.
+    keys: Vec<u64>,
+    /// The next pass's order.
+    spare: Vec<u64>,
+    /// One digit table per pass, side by side.
+    offsets: Vec<u32>,
 }
 
 /// Stable LSD radix sort by timestamp, in place: the order
-/// `sort_by_key(|e| e.timestamp)` gives, ties included. It sorts a `u32`
-/// index array by each timestamp's offset from the earliest one, in
-/// digits of about `log2(len)` bits (8 to 16), skipping digits above the
-/// largest offset, so a short slice spanning a second of virtual time
-/// needs neither a 64 K-entry digit table nor the digits its absolute
-/// time would. It then frees the keys and scratch and moves each 48-byte
+/// `sort_by_key(|e| e.timestamp)` gives, ties included. Each event's key
+/// is its timestamp's offset from the earliest one with its index packed
+/// below it, so keys are distinct, equal timestamps sort by record
+/// order, and a pass reads its keys front to back. The passes cover
+/// only the offset's bits, in as many digits (of at most 16 bits) as
+/// keep `passes × (4 × len + table size)` least, so a short slice
+/// spanning a second of virtual time needs neither a 64 K-entry digit
+/// table nor the digits its absolute time would; one read of the keys
+/// fills every pass's table. The sorted keys then move each 48-byte
 /// event once, in place, along the permutation's cycles, so no second
-/// copy of the events is ever live.
-fn sort_by_timestamp(events: &mut [SysEvent]) {
-    let n = u32::try_from(events.len()).expect("fewer than 2^32 captured events");
-    let Some(min) = events.iter().map(|e| e.timestamp.as_nanos()).min() else {
+/// copy of the events is ever live. The keys and tables live in `s` and
+/// keep their allocations for the next call. Offsets too wide to pack
+/// beside an index (a span of hours of virtual time) fall back to the
+/// standard stable sort.
+fn sort_by_timestamp(events: &mut [SysEvent], s: &mut SortScratch) {
+    let Some((min, max)) = events
+        .iter()
+        .map(|e| e.timestamp.as_nanos())
+        .fold(None, |mm, t| {
+            let (lo, hi) = mm.unwrap_or((t, t));
+            Some((lo.min(t), hi.max(t)))
+        })
+    else {
         return;
     };
-    let keys: Vec<u64> = events
-        .iter()
-        .map(|e| e.timestamp.as_nanos() - min)
-        .collect();
-    let span_bits = u64::BITS - keys.iter().copied().max().unwrap_or(0).leading_zeros();
-    let digit_bits = (u32::BITS - n.leading_zeros()).clamp(8, 16);
-    let digits = span_bits.div_ceil(digit_bits);
+    let index_bits = usize::BITS - events.len().leading_zeros();
+    let span_bits = u64::BITS - (max - min).leading_zeros();
+    if index_bits + span_bits > u64::BITS {
+        events.sort_by_key(|e| e.timestamp);
+        return;
+    }
+    let SortScratch {
+        keys,
+        spare,
+        offsets,
+    } = s;
+    keys.clear();
+    keys.extend(
+        (events.iter().enumerate())
+            .map(|(i, e)| ((e.timestamp.as_nanos() - min) << index_bits) | i as u64),
+    );
+    let len = keys.len() as u64;
+    let (digits, digit_bits) = (1..=span_bits.div_ceil(8))
+        .map(|d| (d, span_bits.div_ceil(d)))
+        .filter(|&(_, bits)| bits <= 16)
+        .min_by_key(|&(d, bits)| u64::from(d) * (4 * len + (1 << bits)))
+        .unwrap_or((0, 0));
     let mask = (1u64 << digit_bits) - 1;
-    let mut order: Vec<u32> = (0..n).collect();
-    let mut scratch = vec![0u32; keys.len()];
-    let mut offsets = vec![0u32; 1 << digit_bits];
-    for d in 0..digits {
-        let shift = d * digit_bits;
-        let digit = |key: u64| ((key >> shift) & mask) as usize;
-        offsets.fill(0);
-        for &key in &keys {
-            offsets[digit(key)] += 1;
+    let size = 1usize << digit_bits;
+    let digit = |key: u64, d: u32| ((key >> (index_bits + d * digit_bits)) & mask) as usize;
+    offsets.clear();
+    offsets.resize(size * digits as usize, 0);
+    for &key in keys.iter() {
+        for d in 0..digits {
+            offsets[d as usize * size + digit(key, d)] += 1;
         }
+    }
+    for table in offsets.chunks_mut(size) {
         let mut start = 0;
-        for slot in offsets.iter_mut() {
+        for slot in table.iter_mut() {
             let count = *slot;
             *slot = start;
             start += count;
         }
-        for &i in &order {
-            let slot = &mut offsets[digit(keys[i as usize])];
-            scratch[*slot as usize] = i;
+    }
+    spare.clear();
+    spare.resize(keys.len(), 0);
+    for (d, table) in (0..digits).zip(offsets.chunks_mut(size)) {
+        for &key in keys.iter() {
+            let slot = &mut table[digit(key, d)];
+            spare[*slot as usize] = key;
             *slot += 1;
         }
-        std::mem::swap(&mut order, &mut scratch);
+        std::mem::swap(keys, spare);
     }
-    drop(keys);
-    drop(scratch);
-    // `order[j]` is the index of the event that belongs at `j`. Walk each
-    // cycle once, marking a settled slot as `order[j] == j`.
-    for start in 0..order.len() {
-        if order[start] as usize == start {
+    // The index in `keys[j]` is the event that belongs at `j`. Walk each
+    // cycle once, marking a settled slot by storing `j` itself.
+    let index_mask = (1u64 << index_bits) - 1;
+    let from = |key: u64| (key & index_mask) as usize;
+    for start in 0..keys.len() {
+        if from(keys[start]) == start {
             continue;
         }
         let held = events[start];
         let mut j = start;
         loop {
-            let from = order[j] as usize;
-            order[j] = j as u32;
-            if from == start {
+            let next = from(keys[j]);
+            keys[j] = j as u64;
+            if next == start {
                 events[j] = held;
                 break;
             }
-            events[j] = events[from];
-            j = from;
+            events[j] = events[next];
+            j = next;
         }
     }
 }
@@ -464,6 +796,19 @@ mod tests {
                 vec![(ms(offset + 2), ms(offset + 10))],
             ],
         )
+    }
+
+    #[test]
+    #[should_panic(expected = "visit ends past each visit")]
+    fn visit_log_refuses_an_end_off_the_layout() {
+        // An `end` at the visit's own index would make the walk spin.
+        let v = FlatVisit {
+            pod: 0,
+            parallel: false,
+            end: 0,
+            n_phases: 1,
+        };
+        VisitLog::default().push([v], &[(ms(0), ms(1))]);
     }
 
     #[test]
@@ -525,31 +870,35 @@ mod tests {
             .collect()
     }
 
-    fn assert_sorts_stably(mut events: Vec<SysEvent>) {
+    fn assert_sorts_stably(mut events: Vec<SysEvent>, scratch: &mut SortScratch) {
         let mut expect = events.clone();
         expect.sort_by_key(|e| e.timestamp);
-        sort_by_timestamp(&mut events);
+        sort_by_timestamp(&mut events, scratch);
         assert_eq!(events, expect, "{} events", expect.len());
     }
 
     #[test]
     fn radix_sort_equals_stable_sort_over_the_full_range() {
-        // Few distinct timestamps, spread over all 64 bits.
+        // Few distinct timestamps, spread over all 64 bits: too wide to
+        // pack beside an index, so the standard sort takes them.
+        // One scratch throughout: each sort starts from the last one's
+        // arrays and digit table, longer or shorter.
+        let s = &mut SortScratch::default();
         let mut rng = SimRng::from_seed(9);
         let pool: Vec<u64> = (0..12)
             .map(|_| rng.below(u64::MAX) >> rng.below(64))
             .chain([0, u64::MAX])
             .collect();
-        assert_sorts_stably(events_from(&mut rng, &pool, 2_000));
+        assert_sorts_stably(events_from(&mut rng, &pool, 2_000), s);
         // Short slices (8- to 10-bit digits) within a few microseconds,
         // far from zero: the offsets from the earliest event need one or
         // two digits.
         let near: Vec<u64> = (0..40).map(|_| (1 << 40) + rng.below(5_000)).collect();
         for len in [1, 3, 255, 256, 700] {
-            assert_sorts_stably(events_from(&mut rng, &near, len));
-            assert_sorts_stably(events_from(&mut rng, &pool, len));
+            assert_sorts_stably(events_from(&mut rng, &near, len), s);
+            assert_sorts_stably(events_from(&mut rng, &pool, len), s);
         }
-        assert_sorts_stably(Vec::new());
+        assert_sorts_stably(Vec::new(), s);
     }
 
     #[test]

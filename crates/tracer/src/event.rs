@@ -2,6 +2,7 @@
 
 use rhythm_sim::SimTime;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// The four event types the tracer records in each Servpod (§3.3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -20,8 +21,8 @@ pub enum EventKind {
 ///
 /// Used to filter noise from unrelated processes and to establish
 /// intra-Servpod causality (a RECV happens-before a SEND sharing the same
-/// context).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// context). Hashes as two packed `u64` words.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ContextId {
     /// Host (machine) address; one Servpod per host in this deployment.
     pub host_ip: u32,
@@ -37,8 +38,9 @@ pub struct ContextId {
 /// `<senderIP, senderPort, receiverIP, receiverPort, messageSize>`.
 ///
 /// Used to establish inter-Servpod causality (a SEND happens-before the
-/// RECV with the same identifier on the neighbour Servpod).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// RECV with the same identifier on the neighbour Servpod). Hashes as
+/// two packed `u64` words.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MessageId {
     /// Sender host address.
     pub sender_ip: u32,
@@ -64,6 +66,24 @@ pub struct SysEvent {
     pub ctx: ContextId,
     /// Message identifier of the packet (zeroed for ACCEPT/CLOSE).
     pub msg: MessageId,
+}
+
+impl Hash for ContextId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64((u64::from(self.host_ip) << 32) | u64::from(self.program));
+        state.write_u64((u64::from(self.process_id) << 32) | u64::from(self.thread_id));
+    }
+}
+
+impl Hash for MessageId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64((u64::from(self.sender_ip) << 32) | u64::from(self.receiver_ip));
+        state.write_u64(
+            (u64::from(self.sender_port) << 48)
+                | (u64::from(self.receiver_port) << 32)
+                | u64::from(self.message_size),
+        );
+    }
 }
 
 impl MessageId {

@@ -46,7 +46,7 @@ pub mod cpg;
 pub mod event;
 pub mod pairing;
 
-pub use capture::{CaptureConfig, EventCapture, VisitNode};
+pub use capture::{CaptureConfig, EventCapture, FlatRequest, FlatVisit, VisitLog, VisitNode};
 pub use cpg::Cpg;
 pub use event::{ContextId, EventKind, MessageId, SysEvent};
 pub use pairing::{Pairer, PairingOutput, PairingStream};

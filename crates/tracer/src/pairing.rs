@@ -85,16 +85,18 @@ impl PairingOutput {
 }
 
 /// A pending (unmatched) RECV on some context.
+#[derive(Clone, Copy)]
 struct PendingRecv {
     at: SimTime,
     label: u64,
 }
 
 /// A fixed multiplicative hasher (the FxHash step: rotate, xor, multiply
-/// per field) for the pairing tables. Their keys are small structs of
-/// integers from a synthesized trace, so SipHash's flood resistance buys
-/// nothing; on `profile-tracer` std's SipHash made pairing about 1.8×
-/// slower than this hasher.
+/// per word) for the pairing tables. Their keys are [`ContextId`] and
+/// [`MessageId`], which hash as two packed `u64` words, and SipHash's
+/// flood resistance buys nothing on a synthesized trace; on
+/// `profile-tracer` std's SipHash made pairing about 1.8× slower than
+/// this hasher.
 #[derive(Default)]
 struct MulHasher(u64);
 
@@ -113,12 +115,8 @@ impl Hasher for MulHasher {
         }
     }
 
-    fn write_u16(&mut self, v: u16) {
-        self.add(u64::from(v));
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.add(u64::from(v));
+    fn write_u64(&mut self, v: u64) {
+        self.add(v);
     }
 
     fn finish(&self) -> u64 {
@@ -126,56 +124,88 @@ impl Hasher for MulHasher {
     }
 }
 
-/// FIFO queues keyed by id. Live ids map to dense slot indices, handed
-/// out in first-seen order; a queue that empties gives its slot (and its
-/// allocation) back to a free list, so the map only ever holds ids with
-/// something pending and long traces reuse a small set of queues.
-struct SlotQueues<K, V> {
-    // lint:allow(D01) -- lookup-only: reached only through entry(), never iterated, so hash order cannot reach the output
-    slots: HashMap<K, u32, BuildHasherDefault<MulHasher>>,
-    queues: Vec<VecDeque<V>>,
-    free: Vec<u32>,
+/// One live id's queue: its oldest entry inline and, once a second
+/// entry arrives, the index of the spill queue holding the rest.
+struct Slot<V> {
+    head: V,
+    spill: Option<u32>,
 }
 
-impl<K: Eq + std::hash::Hash, V> SlotQueues<K, V> {
+/// FIFO queues keyed by id. The map holds only ids with something
+/// queued, and a queue's head lives in the map value, so an id that
+/// never holds two entries at once (the common case) never touches a
+/// queue. Spill queues that empty go back to a free list, so long traces
+/// reuse a small set of them.
+struct SlotQueues<K, V> {
+    // lint:allow(D01) -- lookup-only: reached only through entry(), never iterated, so hash order cannot reach the output
+    slots: HashMap<K, Slot<V>, BuildHasherDefault<MulHasher>>,
+    spills: Vec<VecDeque<V>>,
+    free: Vec<u32>,
+    /// Entries queued over all ids.
+    len: usize,
+}
+
+impl<K: Eq + std::hash::Hash, V: Copy> SlotQueues<K, V> {
     fn new() -> Self {
         SlotQueues {
             slots: Default::default(),
-            queues: Vec::new(),
+            spills: Vec::new(),
             free: Vec::new(),
+            len: 0,
         }
     }
 
     fn push(&mut self, key: K, v: V) {
+        self.len += 1;
         let slot = match self.slots.entry(key) {
-            Entry::Occupied(e) => *e.get(),
             Entry::Vacant(e) => {
-                let slot = self.free.pop().unwrap_or_else(|| {
-                    self.queues.push(VecDeque::new());
-                    u32::try_from(self.queues.len() - 1).expect("fewer than 2^32 live ids")
+                e.insert(Slot {
+                    head: v,
+                    spill: None,
                 });
-                *e.insert(slot)
+                return;
             }
+            Entry::Occupied(e) => e.into_mut(),
         };
-        self.queues[slot as usize].push_back(v);
+        let spill = *slot.spill.get_or_insert_with(|| {
+            self.free.pop().unwrap_or_else(|| {
+                self.spills.push(VecDeque::new());
+                u32::try_from(self.spills.len() - 1).expect("fewer than 2^32 live ids")
+            })
+        });
+        self.spills[spill as usize].push_back(v);
     }
 
     fn pop(&mut self, key: K) -> Option<V> {
-        let Entry::Occupied(e) = self.slots.entry(key) else {
+        let Entry::Occupied(mut e) = self.slots.entry(key) else {
             return None;
         };
-        let slot = *e.get();
-        let queue = &mut self.queues[slot as usize];
-        let v = queue.pop_front();
+        self.len -= 1;
+        let slot = e.get_mut();
+        let Some(spill) = slot.spill else {
+            return Some(e.remove().head);
+        };
+        let queue = &mut self.spills[spill as usize];
+        // PANIC: a spill queue goes back to the free list as it empties.
+        let next = queue.pop_front().expect("a spill queue holds an entry");
         if queue.is_empty() {
-            e.remove();
-            self.free.push(slot);
+            slot.spill = None;
+            self.free.push(spill);
         }
-        v
+        Some(std::mem::replace(&mut slot.head, next))
     }
 }
 
 /// The §3.3 pairing engine.
+///
+/// A SEND addressed to the client hands its label to no one: no traced
+/// host ever RECVs a message addressed to `client_ip`, and
+/// [`EventCapture`](crate::EventCapture) never produces one. So the
+/// pairer queues no in-flight label for it, and the pairing state stays
+/// bounded by the requests in flight, not the length of the trace
+/// ([`PairingStream::live_high_water`]). A trace that does RECV such a
+/// message at a traced host finds no label for it and gives it a fresh
+/// one.
 pub struct Pairer {
     client_ip: u32,
 }
@@ -196,9 +226,11 @@ impl Pairer {
         PairingStream {
             client_ip: self.client_ip,
             out: PairingOutput::default(),
+            segments: Vec::new(),
             pending: SlotQueues::new(),
             in_flight: SlotQueues::new(),
             next_label: 0,
+            live_high_water: 0,
         }
     }
 
@@ -219,13 +251,19 @@ impl Pairer {
 /// for the whole trace.
 pub struct PairingStream {
     client_ip: u32,
+    /// Counts; the segments are in `segments` until [`finish`].
+    ///
+    /// [`finish`]: PairingStream::finish
     out: PairingOutput,
+    /// Residence segments per Servpod, Servpods in first-seen order.
+    segments: Vec<(u32, Vec<(u64, f64)>)>,
     /// FIFO of pending RECVs per context (intra-Servpod causality).
     pending: SlotQueues<ContextId, PendingRecv>,
     /// FIFO of request labels per in-flight message identifier
     /// (inter-Servpod causality).
     in_flight: SlotQueues<MessageId, u64>,
     next_label: u64,
+    live_high_water: usize,
 }
 
 impl PairingStream {
@@ -241,6 +279,7 @@ impl PairingStream {
             EventKind::Accept | EventKind::Close => {
                 // Request boundaries; labels are assigned at the entry
                 // RECV which carries the client message identifier.
+                return;
             }
             EventKind::Recv => {
                 let label = if e.msg.sender_ip == self.client_ip {
@@ -274,14 +313,20 @@ impl PairingStream {
                 out.unmatched_recvs += 1;
             }
             EventKind::Send => {
-                match self.pending.pop(e.ctx) {
+                let label = match self.pending.pop(e.ctx) {
                     Some(recv) => {
                         out.unmatched_recvs -= 1;
                         let pod = e.ctx.host_ip.saturating_sub(1);
                         let ms = e.timestamp.saturating_since(recv.at).as_millis_f64();
-                        out.segments.entry(pod).or_default().push((recv.label, ms));
-                        // Propagate the label to the receiving side.
-                        self.in_flight.push(e.msg, recv.label);
+                        let at = match self.segments.iter().position(|s| s.0 == pod) {
+                            Some(at) => at,
+                            None => {
+                                self.segments.push((pod, Vec::new()));
+                                self.segments.len() - 1
+                            }
+                        };
+                        self.segments[at].1.push((recv.label, ms));
+                        recv.label
                     }
                     None => {
                         out.unmatched_sends += 1;
@@ -290,16 +335,32 @@ impl PairingStream {
                         // (fan-out siblings share the parent's request).
                         let label = self.next_label.saturating_sub(1);
                         out.labels = out.labels.max(label + 1);
-                        self.in_flight.push(e.msg, label);
+                        label
                     }
+                };
+                // Propagate the label to the receiving side, unless that
+                // is the client, which is never traced (see [`Pairer`]).
+                if e.msg.receiver_ip != self.client_ip {
+                    self.in_flight.push(e.msg, label);
                 }
             }
         }
+        let live = self.pending.len + self.in_flight.len;
+        self.live_high_water = self.live_high_water.max(live);
+    }
+
+    /// The most entries the pairing held at once: pending RECVs plus
+    /// in-flight labels. A deterministic work counter of the trace fed so
+    /// far; it grows with the requests in flight, not with the length of
+    /// the trace.
+    pub fn live_high_water(&self) -> usize {
+        self.live_high_water
     }
 
     /// Ends the trace: the segments and counts of every event fed.
     pub fn finish(mut self) -> PairingOutput {
         self.out.labels = self.out.labels.max(self.next_label);
+        self.out.segments = self.segments.into_iter().collect();
         self.out
     }
 }
@@ -535,6 +596,51 @@ mod tests {
             stream.feed(e);
         }
         assert_eq!(format!("{:?}", stream.finish()), format!("{whole:?}"));
+    }
+
+    #[test]
+    fn live_state_is_bounded_by_the_requests_in_flight() {
+        // 5,000 chain requests, one every 2 ms, each 22 ms long: at most
+        // 12 overlap. A chain works on one pod at a time, so a request
+        // holds one pending RECV, plus a label between a SEND and the
+        // RECV stamped at the same instant. The live entries stay within
+        // a few per request in flight however long the trace runs; a
+        // label queued for every reply to the client would add one per
+        // request recorded.
+        let requests: Vec<VisitNode> = (0..5_000).map(|k| chain3(2 * k)).collect();
+        let overlap = 12;
+        let mut high_water = Vec::new();
+        for persistent_connections in [false, true] {
+            for non_blocking in [false, true] {
+                let cfg = CaptureConfig {
+                    persistent_connections,
+                    non_blocking,
+                    noise_events_per_request: 2,
+                    ..CaptureConfig::default()
+                };
+                let mut cap = EventCapture::new(cfg, 0xB0D);
+                let mut stream = Pairer::new(0).stream();
+                for r in &requests {
+                    for e in cap.release(r.phases[0].0) {
+                        stream.feed(e);
+                    }
+                    cap.record_request(r);
+                }
+                for e in &cap.finish() {
+                    stream.feed(e);
+                }
+                let live = stream.live_high_water();
+                assert!(
+                    live <= 4 * overlap,
+                    "{live} live entries for {overlap} requests in flight"
+                );
+                high_water.push(live);
+                let out = stream.finish();
+                assert_eq!(out.request_count, 5_000);
+                assert_eq!(out.unmatched_recvs, 0);
+            }
+        }
+        assert_eq!(high_water, vec![11, 11, 11, 11], "high-water marks moved");
     }
 
     #[test]

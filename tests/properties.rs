@@ -31,7 +31,7 @@ use rhythm::core::{ControlMode, Engine, EngineConfig};
 use rhythm::machine::{Allocation, Machine, MachineSpec};
 use rhythm::sim::SimRng;
 use rhythm::sim::{Arena, Calendar, LatencyHistogram, SimDuration, SimTime};
-use rhythm::tracer::capture::{chain_visit, CaptureConfig, EventCapture, VisitNode};
+use rhythm::tracer::capture::{chain_visit, CaptureConfig, EventCapture, VisitLog, VisitNode};
 use rhythm::tracer::Pairer;
 use rhythm::workloads::{apps, BeKind, BeSpec, LoadGen};
 use std::sync::OnceLock;
@@ -969,6 +969,197 @@ mod tracer_oracle {
     }
 }
 
+/// The capture's event synthesis as it was before requests reached it
+/// flat: the recursive walk over a `VisitNode` tree, with its ports,
+/// message sizes, contexts and noise, kept verbatim as the differential
+/// oracle. The shipped capture, which walks a flat preorder record with
+/// an explicit stack, must emit the same events in the same record
+/// order.
+mod capture_oracle {
+    use rhythm::sim::{SimRng, SimTime};
+    use rhythm::tracer::capture::{lc_program_id, CaptureConfig, VisitNode};
+    use rhythm::tracer::{ContextId, EventKind, MessageId, SysEvent};
+
+    pub struct Capture {
+        config: CaptureConfig,
+        pub events: Vec<SysEvent>,
+        rng: SimRng,
+        next_ephemeral_port: u16,
+        next_request: u64,
+    }
+
+    impl Capture {
+        pub fn new(config: CaptureConfig, seed: u64) -> Self {
+            Capture {
+                config,
+                events: Vec::new(),
+                rng: SimRng::from_seed(seed).split("capture"),
+                next_ephemeral_port: 10_000,
+                next_request: 0,
+            }
+        }
+
+        fn host_of(pod: u32) -> u32 {
+            pod + 1
+        }
+
+        fn context(&self, pod: u32, request: u64) -> ContextId {
+            ContextId {
+                host_ip: Self::host_of(pod),
+                program: lc_program_id(pod),
+                process_id: 100 + pod,
+                thread_id: if self.config.non_blocking {
+                    1
+                } else {
+                    (request % 1_000_000) as u32 + 1
+                },
+            }
+        }
+
+        fn port_for(&mut self, src: u32, dst: u32) -> u16 {
+            if self.config.persistent_connections {
+                50_000u16
+                    .wrapping_add((src as u16).wrapping_mul(97))
+                    .wrapping_add((dst as u16).wrapping_mul(13))
+            } else {
+                let p = self.next_ephemeral_port;
+                self.next_ephemeral_port = self.next_ephemeral_port.wrapping_add(1).max(10_000);
+                p
+            }
+        }
+
+        fn push(&mut self, kind: EventKind, timestamp: SimTime, ctx: ContextId, msg: MessageId) {
+            self.events.push(SysEvent {
+                kind,
+                timestamp,
+                ctx,
+                msg,
+            });
+        }
+
+        pub fn record_request(&mut self, root: &VisitNode) -> u64 {
+            let request = self.next_request;
+            self.next_request += 1;
+            let client_port = self.port_for(self.config.client_ip, root.pod);
+            let entry_msg = MessageId {
+                sender_ip: self.config.client_ip,
+                sender_port: client_port,
+                receiver_ip: Self::host_of(root.pod),
+                receiver_port: 80,
+                message_size: 200 + (self.rng.below(800)) as u32,
+            };
+            let entry_ctx = self.context(root.pod, request);
+            let start = root.phases.first().map(|p| p.0).unwrap_or(SimTime::ZERO);
+            let end = root.phases.last().map(|p| p.1).unwrap_or(start);
+            self.push(EventKind::Accept, start, entry_ctx, MessageId::NONE);
+            self.walk(root, entry_msg, request);
+            self.push(EventKind::Close, end, entry_ctx, MessageId::NONE);
+            self.inject_noise(start, end);
+            request
+        }
+
+        fn walk(&mut self, node: &VisitNode, msg_in: MessageId, request: u64) {
+            let ctx = self.context(node.pod, request);
+            assert!(
+                !node.phases.is_empty(),
+                "visit node must have at least one phase"
+            );
+            if node.parallel {
+                assert!(
+                    node.phases.len() == 2 || node.children.is_empty(),
+                    "fan-out node needs exactly pre+post phases"
+                );
+            } else {
+                assert_eq!(
+                    node.phases.len(),
+                    node.children.len() + 1,
+                    "sequential node needs children+1 phases"
+                );
+            }
+            self.push(EventKind::Recv, node.phases[0].0, ctx, msg_in);
+            if node.parallel && !node.children.is_empty() {
+                let send_at = node.phases[0].1;
+                let mut down_msgs = Vec::with_capacity(node.children.len());
+                for child in &node.children {
+                    let m = self.downstream_msg(node.pod, child.pod);
+                    self.push(EventKind::Send, send_at, ctx, m);
+                    down_msgs.push(m);
+                }
+                for (child, m) in node.children.iter().zip(&down_msgs) {
+                    self.walk(child, *m, request);
+                    let child_end = child.phases.last().map(|p| p.1).unwrap_or(send_at);
+                    let reply = Self::reply_of(m, self.config.persistent_connections);
+                    self.push(EventKind::Recv, child_end, ctx, reply);
+                }
+            } else {
+                for (i, child) in node.children.iter().enumerate() {
+                    let send_at = node.phases[i].1;
+                    let m = self.downstream_msg(node.pod, child.pod);
+                    self.push(EventKind::Send, send_at, ctx, m);
+                    self.walk(child, m, request);
+                    let reply = Self::reply_of(&m, self.config.persistent_connections);
+                    self.push(EventKind::Recv, node.phases[i + 1].0, ctx, reply);
+                }
+            }
+            let reply_at = node.phases.last().expect("non-empty").1;
+            let reply_msg = Self::reply_of(&msg_in, self.config.persistent_connections);
+            self.push(EventKind::Send, reply_at, ctx, reply_msg);
+        }
+
+        fn reply_of(m: &MessageId, persistent: bool) -> MessageId {
+            let size = if persistent {
+                1024
+            } else {
+                64 + m.message_size.wrapping_mul(2_654_435_761) % 3_900
+            };
+            m.reversed(size)
+        }
+
+        fn downstream_msg(&mut self, src_pod: u32, dst_pod: u32) -> MessageId {
+            let port = self.port_for(src_pod, dst_pod);
+            let size = if self.config.persistent_connections {
+                512
+            } else {
+                100 + self.rng.below(1_900) as u32
+            };
+            MessageId {
+                sender_ip: Self::host_of(src_pod),
+                sender_port: port,
+                receiver_ip: Self::host_of(dst_pod),
+                receiver_port: 3306,
+                message_size: size,
+            }
+        }
+
+        fn inject_noise(&mut self, start: SimTime, end: SimTime) {
+            let span = end.saturating_since(start).as_nanos().max(1);
+            for _ in 0..self.config.noise_events_per_request {
+                let t = SimTime::from_nanos(start.as_nanos() + self.rng.below(span));
+                let host = 1 + self.rng.below(8) as u32;
+                let ctx = ContextId {
+                    host_ip: host,
+                    program: 1 + self.rng.below(900) as u32,
+                    process_id: 5_000 + self.rng.below(100) as u32,
+                    thread_id: 1 + self.rng.below(16) as u32,
+                };
+                let kind = if self.rng.chance(0.5) {
+                    EventKind::Recv
+                } else {
+                    EventKind::Send
+                };
+                let msg = MessageId {
+                    sender_ip: host,
+                    sender_port: 20_000 + self.rng.below(1_000) as u16,
+                    receiver_ip: 1 + self.rng.below(8) as u32,
+                    receiver_port: 9_999,
+                    message_size: self.rng.below(4_000) as u32,
+                };
+                self.push(kind, t, ctx, msg);
+            }
+        }
+    }
+}
+
 /// A random visit tree on a coarse 0.1 ms grid starting at tick `t`:
 /// leaves, sequential callers and fan-out callers, with phase lengths of
 /// 0–3 ticks, so equal timestamps are common and a request's segment
@@ -1124,6 +1315,57 @@ fn check_tracer_against_oracle(
             "pod {} sojourns",
             pod
         );
+    }
+}
+
+proptest! {
+    /// The flat event synthesis against the recursive oracle above: the
+    /// same random chain and fan-out trees, recorded both as trees
+    /// (flattened into the capture's scratch) and from a `VisitLog`
+    /// holding all of them, under every thread/connection model and
+    /// noise level. Both must emit the oracle's events field for field,
+    /// in record order (the order that breaks timestamp ties).
+    #[test]
+    fn flat_capture_matches_recursive_oracle(
+        seed in any::<u64>(),
+        requests in 1usize..40,
+        noise in 0u32..=16,
+    ) {
+        for (non_blocking, persistent_connections) in
+            [(false, false), (false, true), (true, false), (true, true)]
+        {
+            let cfg = CaptureConfig {
+                non_blocking,
+                persistent_connections,
+                noise_events_per_request: noise,
+                ..CaptureConfig::default()
+            };
+            let mut rng = SimRng::from_seed(seed);
+            let mut t = 0;
+            let trees: Vec<VisitNode> = (0..requests)
+                .map(|_| {
+                    t += rng.below(5);
+                    random_visit(&mut rng, t, 3).0
+                })
+                .collect();
+            let mut oracle = capture_oracle::Capture::new(cfg.clone(), seed);
+            let mut from_trees = EventCapture::new(cfg.clone(), seed);
+            let mut log = VisitLog::default();
+            for (k, tree) in trees.iter().enumerate() {
+                prop_assert_eq!(oracle.record_request(tree), k as u64);
+                prop_assert_eq!(from_trees.record_request(tree), k as u64);
+                log.push_tree(tree);
+            }
+            let mut from_log = EventCapture::new(cfg, seed);
+            for (req, tree) in log.requests().zip(&trees) {
+                prop_assert_eq!(format!("{:?}", req.to_tree()), format!("{tree:?}"));
+                from_log.record(req);
+            }
+            prop_assert_eq!(log.len(), requests);
+            let modes = (non_blocking, persistent_connections);
+            prop_assert_eq!(from_trees.events(), &oracle.events[..], "trees, {:?}", modes);
+            prop_assert_eq!(from_log.events(), &oracle.events[..], "log, {:?}", modes);
+        }
     }
 }
 

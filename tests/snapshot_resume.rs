@@ -213,6 +213,44 @@ fn hetero_chaos_cell() -> ClusterConfig {
     c
 }
 
+#[test]
+fn resume_refuses_a_gang_queued_twice() {
+    // The cell's 3-member gang waits in the queue through one member;
+    // dispatch would expand a second entry into the whole gang again.
+    let ctx = ctx();
+    let c = hetero_chaos_cell();
+    let run = (1..=30)
+        .fold(
+            ClusterRunner::new(&ctx, &ControllerChoice::Rhythm, &c),
+            |r, k| r.snapshot_at(k),
+        )
+        .run();
+    let (snap, second) = run
+        .snapshots
+        .iter()
+        .find_map(|(_, snap)| {
+            let s = &snap.scheduler;
+            let queued = s.queue.queued_ids();
+            s.gangs.values().find_map(|gang| {
+                let entry = gang.members.iter().find(|m| queued.contains(m))?;
+                let second = gang
+                    .members
+                    .iter()
+                    .find(|&&m| m != *entry && s.jobs[m as usize].state == JobState::Queued)?;
+                Some((snap, *second))
+            })
+        })
+        .expect("some capture holds a queued gang");
+    let mut bad = snap.clone();
+    bad.scheduler.queue.requeue(second);
+    let bad = ClusterSnapshot::from_bytes(&bad.to_bytes()).expect("bytes still parse");
+    match ClusterRunner::resume(&bad, &ctx, &ControllerChoice::Rhythm, &c).err() {
+        Some(SnapshotError::Corrupt(why)) => assert!(why.contains("two members of gang"), "{why}"),
+        other => panic!("a gang queued twice must be refused as corrupt, got {other:?}"),
+    }
+    assert!(ClusterRunner::resume(snap, &ctx, &ControllerChoice::Rhythm, &c).is_ok());
+}
+
 /// Captures `c` at epochs `k < m` in one straight run, resumes the
 /// epoch-`k` bytes and captures the resumed run at `m`: both epoch-`m`
 /// containers must be byte-identical. Returns the straight run's two
