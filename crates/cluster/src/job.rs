@@ -40,9 +40,11 @@ pub struct ClusterJob {
     /// Job id.
     pub id: JobId,
     /// The workload this job runs (one instance of `spec` = one job).
-    /// Shared: gang members and every offer the dispatcher posts hold
-    /// the same allocation, so the per-placement hot path never deep-
-    /// clones a spec.
+    /// Shared: the scheduler interns one allocation per distinct spec
+    /// when it builds its ledger (and reuses it on resume), so jobs with
+    /// equal specs, gang members among them, and every offer posted for
+    /// them hold the same allocation, and the per-placement hot path
+    /// never deep-clones a spec.
     pub spec: Arc<BeSpec>,
     /// Durable progress in `[0, 1]`: the last checkpoint that survives a
     /// kill.

@@ -114,18 +114,28 @@ struct Scheduler<'c> {
 impl<'c> Scheduler<'c> {
     /// Builds the job ledger from the config's effective plan (gang
     /// entries expand to their instance count) and queues the work:
-    /// solitary jobs directly, gangs through their first member.
+    /// solitary jobs directly, gangs through their first member. Jobs
+    /// with equal specs share one allocation.
     fn new(cfg: &'c ClusterConfig, service: &'c ServiceSpec, managed: bool) -> Scheduler<'c> {
         let pods = service.len();
         let mut jobs: Vec<ClusterJob> = Vec::new();
         let mut gangs = BTreeMap::new();
-        for (entry, spec) in cfg.effective_plan().iter().enumerate() {
+        let mut interned: Vec<Arc<BeSpec>> = Vec::new();
+        for (entry, spec) in cfg.effective_plan().into_iter().enumerate() {
+            let shared = match interned.iter().find(|s| ***s == spec.spec) {
+                Some(s) => Arc::clone(s),
+                None => {
+                    let s = Arc::new(spec.spec);
+                    interned.push(Arc::clone(&s));
+                    s
+                }
+            };
             let k = spec.gang.max(1);
             let gang_id = (k > 1).then_some(entry as u32);
             let mut members = Vec::with_capacity(k as usize);
             for _ in 0..k {
                 let id = jobs.len() as JobId;
-                let mut j = ClusterJob::new(id, Arc::new(spec.spec.clone()), 0.0);
+                let mut j = ClusterJob::new(id, Arc::clone(&shared), 0.0);
                 j.priority = spec.priority;
                 j.deadline_s = spec.deadline_s;
                 j.gang = gang_id;
@@ -465,7 +475,9 @@ impl<'c> Scheduler<'c> {
                 assignments.push((g, m));
             }
             if let Some(gid) = self.state.jobs[jid as usize].gang {
-                // PANIC: every gang id is registered in `gangs` at submission.
+                // PANIC: a job's gang id has a roster: `check_invariants`
+                // requires it, rosters never change after `new`, and
+                // resume refuses a state that breaks it.
                 let tracker = self.state.gangs.get_mut(&gid).expect("gang tracked");
                 tracker.forming = true;
                 tracker.patience_left = self.cfg.gang_patience_epochs.max(1);
@@ -622,13 +634,15 @@ impl<'c> Scheduler<'c> {
                 .iter()
                 .all(|&m| matches!(self.state.jobs[m as usize].state, JobState::Running(_)))
             {
-                // PANIC: every gang id is registered in `gangs` at submission.
+                // PANIC: `gid` is one of `gangs`' keys, which never change
+                // after `new`.
                 let gang = self.state.gangs.get_mut(&gid).expect("gang tracked");
                 gang.forming = false;
                 let leader = live.first().copied().unwrap_or_default();
                 self.note(now_s, ClusterEventKind::GangFormed, leader, Some(gid));
             } else {
-                // PANIC: every gang id is registered in `gangs` at submission.
+                // PANIC: `gid` is one of `gangs`' keys, which never change
+                // after `new`.
                 let tracker = self.state.gangs.get_mut(&gid).expect("gang tracked");
                 tracker.patience_left = tracker.patience_left.saturating_sub(1);
                 if tracker.patience_left == 0 {
@@ -671,7 +685,9 @@ impl<'c> Scheduler<'c> {
                 JobState::Queued | JobState::Done => {}
             }
         }
-        // PANIC: every gang id is registered in `gangs` at submission.
+        // PANIC: `gid` is a key of `gangs` or a job's gang id, which
+        // has a roster: `check_invariants` requires it, rosters never
+        // change after `new`, and resume refuses a state that breaks it.
         let tracker = self.state.gangs.get_mut(&gid).expect("gang tracked");
         tracker.forming = false;
         tracker.patience_left = self.cfg.gang_patience_epochs.max(1);
@@ -689,6 +705,40 @@ impl<'c> Scheduler<'c> {
         }
     }
 
+    /// Runs epoch `epoch_idx` (0-based) from the barrier at `t` to the
+    /// one at `next`: the faults due, dispatch, every engine advanced
+    /// on up to `threads` threads, and the merge. Debug builds then
+    /// check the scheduler's invariants.
+    fn run_epoch(
+        &mut self,
+        engines: &mut [Engine],
+        t: SimTime,
+        next: SimTime,
+        threads: usize,
+        epoch_idx: u32,
+    ) {
+        // Faults first: a machine crashing at this barrier must not
+        // receive an offer in the same pass.
+        if !self.plan.is_empty() {
+            self.apply_faults(engines, t.as_secs_f64());
+        }
+        if self.managed {
+            self.dispatch(engines, t.as_secs_f64());
+        }
+        advance_all(engines, &mut self.rows, &self.catalog, threads, next);
+        self.merge(engines, next);
+        if cfg!(debug_assertions) {
+            if let Err(why) = self.check_invariants() {
+                // PANIC: a broken barrier invariant is a scheduler bug;
+                // debug builds stop at the first barrier that shows it.
+                panic!(
+                    "scheduler invariant broken after epoch {}: {why}",
+                    epoch_idx + 1
+                );
+            }
+        }
+    }
+
     /// Checks the cross-layer invariants that must hold at every epoch
     /// barrier, naming the first violation:
     ///
@@ -697,6 +747,9 @@ impl<'c> Scheduler<'c> {
     ///   `Running(g)`, and no job holds two bindings;
     /// * queued ids are unique and every one of them is `Queued`;
     /// * the queue holds at most one member of each gang;
+    /// * every gang roster lists its members ascending, each carrying
+    ///   that gang id, and every job with a gang id is listed in that
+    ///   gang's roster;
     /// * in managed runs, every `Queued` solitary job is in the queue
     ///   (gang members wait through their representative);
     /// * no down machine holds an offer or a binding.
@@ -742,7 +795,28 @@ impl<'c> Scheduler<'c> {
                 return Err(format!("the queue holds two members of gang {g}"));
             }
         }
+        for (&gid, gang) in &self.state.gangs {
+            if gang.members.windows(2).any(|p| p[0] >= p[1]) {
+                return Err(format!("gang {gid} lists its members out of order"));
+            }
+            let gang_of = |m: JobId| self.state.jobs.get(m as usize).and_then(|job| job.gang);
+            if let Some(&m) = gang.members.iter().find(|&&m| gang_of(m) != Some(gid)) {
+                return Err(format!(
+                    "gang {gid} lists job {m}, whose gang is {:?}",
+                    gang_of(m)
+                ));
+            }
+        }
         for job in &self.state.jobs {
+            if let Some(gid) = job.gang {
+                let listed = self.state.gangs.get(&gid);
+                if listed.is_none_or(|g| g.members.binary_search(&job.id).is_err()) {
+                    return Err(format!(
+                        "job {} is in gang {gid}, whose roster does not list it",
+                        job.id
+                    ));
+                }
+            }
             match job.state {
                 JobState::Offered(g) if self.state.offered.get(g) != Some(&Some(job.id)) => {
                     return Err(format!(
@@ -787,13 +861,15 @@ impl<'c> Scheduler<'c> {
 
     /// Replaces the fresh state with a captured one, and the fault state
     /// with the one captured next to it. The plan-derived structure (job
-    /// ledger shape, gang roster, machine count) must match what
+    /// ledger shape, gang ids, machine count) must match what
     /// `Scheduler::new` built from the config, and the captured state
-    /// must satisfy [`Scheduler::check_invariants`]; anything else is
-    /// refused.
+    /// must satisfy [`Scheduler::check_invariants`], whose roster rule
+    /// then pins each gang's members to the plan's; anything else is
+    /// refused. A captured spec equal to the plan's shares its
+    /// allocation.
     fn restore_state(
         &mut self,
-        st: SchedulerState,
+        mut st: SchedulerState,
         chaos: Option<ChaosState>,
     ) -> Result<(), SnapshotError> {
         let fresh = &self.state;
@@ -804,23 +880,20 @@ impl<'c> Scheduler<'c> {
                 fresh.jobs.len()
             )));
         }
-        for (snap, plan) in st.jobs.iter().zip(&fresh.jobs) {
+        for (snap, plan) in st.jobs.iter_mut().zip(&fresh.jobs) {
             if snap.spec.name != plan.spec.name || snap.gang != plan.gang {
                 return Err(SnapshotError::Corrupt(format!(
                     "job {} is {:?} (gang {:?}) in the snapshot but {:?} (gang {:?}) in the plan",
                     plan.id, snap.spec.name, snap.gang, plan.spec.name, plan.gang
                 )));
             }
+            if snap.spec == plan.spec {
+                snap.spec = Arc::clone(&plan.spec);
+            }
         }
-        let gangs_match = st.gangs.len() == fresh.gangs.len()
-            && st
-                .gangs
-                .iter()
-                .zip(&fresh.gangs)
-                .all(|((ga, a), (gb, b))| ga == gb && a.members == b.members);
-        if !gangs_match {
+        if !st.gangs.keys().eq(fresh.gangs.keys()) {
             return Err(SnapshotError::Corrupt(
-                "snapshot gang roster differs from the config's job plan".into(),
+                "snapshot gang ids differ from the config's job plan".into(),
             ));
         }
         if st.offered.len() != fresh.offered.len() {
@@ -1157,30 +1230,9 @@ impl<'a> ClusterRunner<'a> {
         let end = SimTime::ZERO + SimDuration::from_secs(cfg.duration_s);
         let threads = cfg.threads.max(1);
         let mut snapshots: Vec<(u32, ClusterSnapshot)> = Vec::new();
-        let have_faults = !sched.plan.is_empty();
         while t < end {
-            // Faults first: a machine crashing at this barrier must not
-            // receive an offer in the same pass.
-            if have_faults {
-                sched.apply_faults(&mut engines, t.as_secs_f64());
-            }
-            if sched.managed {
-                sched.dispatch(&mut engines, t.as_secs_f64());
-            }
             let next = (t + epoch).min(end);
-            advance_all(&mut engines, &mut sched.rows, &sched.catalog, threads, next);
-            sched.merge(&mut engines, next);
-            if cfg!(debug_assertions) {
-                if let Err(why) = sched.check_invariants() {
-                    // PANIC: a broken barrier invariant is a scheduler
-                    // bug; debug builds stop at the first barrier that
-                    // shows it.
-                    panic!(
-                        "scheduler invariant broken after epoch {}: {why}",
-                        epoch_idx + 1
-                    );
-                }
-            }
+            sched.run_epoch(&mut engines, t, next, threads, epoch_idx);
             // Telemetry at the barrier, always single-threaded and in
             // fixed replica order: mark the epoch in every recorder,
             // then merge the per-engine tail windows the controller tick
@@ -1380,6 +1432,41 @@ mod tests {
             out.metrics.jobs
         );
         assert_eq!(out.fingerprints.len(), 2);
+    }
+
+    /// An N=64 cell's tail windows hold only their non-zero buckets and
+    /// give back room when a busier second leaves the window. The 32
+    /// engines' 320 slots end holding 1,894 non-zero buckets in 3,116
+    /// entries; slots that kept their widest second's room would hold
+    /// 3,960, and slots of dense bucket ranges far more.
+    #[test]
+    fn tail_windows_store_what_they_hold() {
+        let ctx = ctx();
+        let mut c = ClusterConfig::new(64).with_scaled_jobs(0.05);
+        c.jobs_per_machine = 4;
+        c.policy = PlacementPolicy::InterferenceScore;
+        c.load = rhythm_workloads::LoadGen::constant(0.1);
+        c.duration_s = 60;
+        c.threads = 1;
+        let runner = ClusterRunner::new(&ctx, &ControllerChoice::Rhythm, &c);
+        let Start {
+            mut sched,
+            mut engines,
+            ..
+        } = runner.fresh();
+        let epoch = SimDuration::from_millis(c.epoch_ms());
+        let end = SimTime::ZERO + SimDuration::from_secs(c.duration_s);
+        let (mut t, mut k) = (SimTime::ZERO, 0);
+        while t < end {
+            let next = (t + epoch).min(end);
+            sched.run_epoch(&mut engines, t, next, 1, k);
+            (t, k) = (next, k + 1);
+        }
+        let stored: usize = engines
+            .iter()
+            .map(|e| e.tail_window().bucket_capacity())
+            .sum();
+        assert!(stored <= 3_300, "{stored} tail-window entries stored");
     }
 
     #[test]

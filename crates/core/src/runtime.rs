@@ -169,6 +169,57 @@ struct BeProgress {
     done: f64,
 }
 
+/// One machine's BE progress ledger, ascending by instance id. Ids are
+/// handed out in increasing order, so a new entry almost always
+/// appends.
+#[derive(Clone, Debug, Default)]
+struct Ledger(Vec<(BeInstanceId, BeProgress)>);
+
+impl Ledger {
+    fn find(&self, id: BeInstanceId) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&id, |e| e.0)
+    }
+
+    fn get(&self, id: BeInstanceId) -> Option<&BeProgress> {
+        self.find(id).ok().map(|k| &self.0[k].1)
+    }
+
+    /// The entry of `id`, made by `new` if absent.
+    fn get_or_insert_with(
+        &mut self,
+        id: BeInstanceId,
+        new: impl FnOnce() -> BeProgress,
+    ) -> &mut BeProgress {
+        let k = self.find(id).unwrap_or_else(|k| {
+            self.0.insert(k, (id, new()));
+            k
+        });
+        &mut self.0[k].1
+    }
+
+    fn remove(&mut self, id: BeInstanceId) -> Option<BeProgress> {
+        self.find(id).ok().map(|k| self.0.remove(k).1)
+    }
+}
+
+impl Snapshot for Ledger {
+    /// The bytes of the `BTreeMap<BeInstanceId, BeProgress>` this ledger
+    /// replaced: a length, then `(id, progress)` pairs ascending by id.
+    fn encode(&self, w: &mut Writer) {
+        self.0.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        let entries: Vec<(BeInstanceId, BeProgress)> = Snapshot::decode(r)?;
+        if entries.windows(2).any(|p| p[0].0 >= p[1].0) {
+            return Err(SnapshotError::Corrupt(
+                "progress ledger ids duplicated or out of order".into(),
+            ));
+        }
+        Ok(Ledger(entries))
+    }
+}
+
 /// One point of the Figure 17 timeline (sampled every controller period).
 #[derive(Clone, Debug, Serialize)]
 pub struct TimelinePoint {
@@ -514,7 +565,7 @@ pub struct Engine {
     /// Per-machine, per-instance progress, accrued over the *whole* run
     /// (cluster job completion times include warm-up, unlike the
     /// measured-window integrals above).
-    be_job_progress: Vec<BTreeMap<BeInstanceId, BeProgress>>,
+    be_job_progress: Vec<Ledger>,
     last_progress_at: SimTime,
     admitted_log: Vec<BeAdmission>,
     killed_log: Vec<BeKill>,
@@ -624,7 +675,7 @@ impl Engine {
             end_at,
             started: false,
             be_offers: vec![None; n],
-            be_job_progress: (0..n).map(|_| BTreeMap::new()).collect(),
+            be_job_progress: vec![Ledger::default(); n],
             last_progress_at: SimTime::ZERO,
             admitted_log: Vec::new(),
             killed_log: Vec::new(),
@@ -708,6 +759,12 @@ impl Engine {
         self.deployment.machines[i].lc_dvfs.max_mhz()
     }
 
+    /// The sliding tail window the controllers read (for footprint
+    /// accounting).
+    pub fn tail_window(&self) -> &TailWindow {
+        &self.tail
+    }
+
     /// The controller's most recent action on machine `i` (None in
     /// Solo/Static modes or before the first control period).
     pub fn last_action(&self, i: usize) -> Option<BeAction> {
@@ -735,7 +792,7 @@ impl Engine {
     /// Cumulative progress (fraction of one job) of BE instance
     /// `instance` on machine `i`, accrued since its admission.
     pub fn be_progress(&self, i: usize, instance: BeInstanceId) -> Option<f64> {
-        self.be_job_progress[i].get(&instance).map(|p| p.done)
+        self.be_job_progress[i].get(instance).map(|p| p.done)
     }
 
     /// Moves the BE admissions logged since the last call onto the end
@@ -804,7 +861,7 @@ impl Engine {
     /// it as a kill (the cluster calls this when a job *completes*).
     /// Returns the instance's final progress fraction.
     pub fn remove_be(&mut self, i: usize, instance: BeInstanceId) -> Option<f64> {
-        let p = self.be_job_progress[i].remove(&instance)?;
+        let p = self.be_job_progress[i].remove(instance)?;
         let _ = self.deployment.machines[i].kill_be(instance);
         Some(p.done)
     }
@@ -1224,7 +1281,7 @@ impl Engine {
         } = self;
         for (i, summary) in be_summaries.iter().enumerate() {
             for &(id, r) in &summary.rates {
-                let entry = be_job_progress[i].entry(id).or_insert_with(|| {
+                let entry = be_job_progress[i].get_or_insert_with(id, || {
                     // Instance admitted outside the reconcile path (e.g.
                     // Static mode pre-population): start a ledger lazily.
                     let workload = deployment.machines[i]
@@ -1258,11 +1315,12 @@ impl Engine {
         for (i, m) in deployment.machines.iter().enumerate() {
             let ledger = &mut be_job_progress[i];
             for b in m.be_instances() {
-                if let std::collections::btree_map::Entry::Vacant(slot) = ledger.entry(b.id) {
-                    slot.insert(BeProgress {
+                if let Err(k) = ledger.find(b.id) {
+                    let progress = BeProgress {
                         workload: b.workload.clone(),
                         done: 0.0,
-                    });
+                    };
+                    ledger.0.insert(k, (b.id, progress));
                     telemetry.recorder.record(
                         now,
                         EventKind::BeAdmitted {
@@ -1277,15 +1335,16 @@ impl Engine {
                     });
                 }
             }
-            if ledger.len() != m.be_count() {
+            if ledger.0.len() != m.be_count() {
                 let dead: Vec<BeInstanceId> = ledger
-                    .keys()
-                    .filter(|id| !m.be_instances().any(|b| b.id == **id))
-                    .copied()
+                    .0
+                    .iter()
+                    .map(|e| e.0)
+                    .filter(|&id| !m.be_instances().any(|b| b.id == id))
                     .collect();
                 for id in dead {
                     // PANIC: `dead` was collected from this ledger just above.
-                    let p = ledger.remove(&id).expect("dead id came from ledger");
+                    let p = ledger.remove(id).expect("dead id came from ledger");
                     telemetry.recorder.record(
                         now,
                         EventKind::BeKilled {
@@ -2431,9 +2490,11 @@ mod tests {
 
     /// An idle engine holds only what it used: a managed e-commerce
     /// engine at load 0.1 stores the occupied histogram bucket range
-    /// (not ~1,000 buckets per tail-window slot), and its request arena
-    /// and event heap grow to the few requests and events in flight
-    /// rather than starting pre-sized to 1,024 entries.
+    /// (not ~1,000 buckets per histogram), only the non-zero buckets of
+    /// each tail-window slot (not the widest second's range), BE tables
+    /// of the few instances it ran, and a request arena and event heap
+    /// grown to the few requests and events in flight rather than
+    /// pre-sized to 1,024 entries.
     #[test]
     fn idle_engine_footprint_is_bounded() {
         let mut cfg = managed_cfg(23);
@@ -2441,9 +2502,14 @@ mod tests {
         cfg.duration = SimDuration::from_secs(30);
         let mut e = Engine::new(apps::ecommerce(), cfg);
         e.run_until(SimTime::ZERO + SimDuration::from_secs(30));
-        let buckets =
-            e.hist.bucket_capacity() + e.window_hist.bucket_capacity() + e.tail.bucket_capacity();
-        assert!(buckets <= 3_000, "{buckets} histogram buckets stored");
+        let buckets = e.hist.bucket_capacity() + e.window_hist.bucket_capacity();
+        assert!(buckets <= 1_000, "{buckets} histogram buckets stored");
+        let tail = e.tail.bucket_capacity();
+        assert!(tail <= 160, "{tail} tail-window entries stored");
+        let machines: usize = e.deployment.machines.iter().map(|m| m.be_capacity()).sum();
+        assert!(machines <= 16, "{machines} BE instance records stored");
+        let ledgers: usize = e.be_job_progress.iter().map(|l| l.0.capacity()).sum();
+        assert!(ledgers <= 16, "{ledgers} progress ledger entries stored");
         let (arena, cal) = (e.requests.reserved_slots(), e.cal.capacity());
         assert!(arena <= 64, "request arena reserved {arena} slots");
         assert!(cal <= 64, "calendar reserved {cal} entries");
@@ -2538,6 +2604,38 @@ mod tests {
                 "({req:?}, {visit})"
             );
         }
+    }
+
+    /// A ledger `encode` never writes — a duplicated id, which a map
+    /// decode would collapse into one entry, or ids out of order — is
+    /// refused, not restored with fewer entries than it declares.
+    #[test]
+    fn snapshot_restore_rejects_unsorted_progress_ledger() {
+        let mut e = Engine::new(apps::ecommerce(), managed_cfg(22));
+        e.run_until(SimTime::ZERO + SimDuration::from_secs(20));
+        let i = e
+            .be_job_progress
+            .iter()
+            .position(|l| !l.0.is_empty())
+            .expect("some machine runs BE work");
+        let entry = e.be_job_progress[i].0[0].clone();
+        let forge = |edit: &dyn Fn(&mut Ledger)| {
+            let mut bad = Engine::new(apps::ecommerce(), managed_cfg(22));
+            bad.run_until(SimTime::ZERO + SimDuration::from_secs(20));
+            edit(&mut bad.be_job_progress[i]);
+            let mut w = Writer::new();
+            bad.snapshot_encode(&mut w);
+            Engine::snapshot_restore(
+                apps::ecommerce(),
+                managed_cfg(22),
+                &mut Reader::new(&w.into_bytes()),
+            )
+        };
+        let duplicated = forge(&|l| l.0.push(entry.clone()));
+        assert!(matches!(duplicated.err(), Some(SnapshotError::Corrupt(_))));
+        let reversed = forge(&|l| l.0.insert(0, (entry.0 + 1, entry.1.clone())));
+        assert!(matches!(reversed.err(), Some(SnapshotError::Corrupt(_))));
+        assert!(forge(&|_| {}).is_ok());
     }
 
     /// A node whose last busy transition lies after the restored clock

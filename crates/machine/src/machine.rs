@@ -15,7 +15,6 @@ use crate::dvfs::DvfsDomain;
 use crate::power::PowerModel;
 use crate::qdisc::Qdisc;
 use crate::spec::MachineSpec;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of one BE instance on one machine.
@@ -93,8 +92,9 @@ pub struct Machine {
     pub qdisc: Qdisc,
     /// Power model.
     pub power: PowerModel,
-    /// Live BE instances by id.
-    bes: BTreeMap<BeInstanceId, BeInstance>,
+    /// Live BE instances, ascending by id. Ids come from `next_be_id`,
+    /// so an admission appends and a kill removes in place.
+    bes: Vec<BeInstance>,
     next_be_id: BeInstanceId,
     /// Bumped by every allocation-changing operation (admit / grow / cut
     /// / suspend / resume / kill); lets observers cache derived state
@@ -138,7 +138,7 @@ impl Machine {
             be_dvfs: DvfsDomain::from_spec(&spec),
             qdisc: Qdisc::new(spec.nic_mbps),
             power: PowerModel::from_spec(&spec),
-            bes: BTreeMap::new(),
+            bes: Vec::new(),
             next_be_id: 0,
             change_epoch: 0,
             be_started: 0,
@@ -183,21 +183,20 @@ impl Machine {
 
     /// Free memory in MB.
     pub fn free_mem_mb(&self) -> u64 {
-        let used: u64 =
-            self.lc_alloc.mem_mb + self.bes.values().map(|b| b.alloc.mem_mb).sum::<u64>();
+        let used: u64 = self.lc_alloc.mem_mb + self.bes.iter().map(|b| b.alloc.mem_mb).sum::<u64>();
         self.spec.total_mem_mb().saturating_sub(used)
     }
 
     /// Sum of BE grants (suspended instances contribute only memory).
     pub fn be_total_alloc(&self) -> Allocation {
         self.bes
-            .values()
+            .iter()
             .fold(Allocation::none(), |acc, b| acc + b.alloc)
     }
 
     /// Live BE instances.
     pub fn be_instances(&self) -> impl Iterator<Item = &BeInstance> {
-        self.bes.values()
+        self.bes.iter()
     }
 
     /// Number of live (running or suspended) BE instances.
@@ -205,10 +204,16 @@ impl Machine {
         self.bes.len()
     }
 
+    /// BE instance records held in memory (the allocated capacity), for
+    /// footprint accounting.
+    pub fn be_capacity(&self) -> usize {
+        self.bes.capacity()
+    }
+
     /// Number of running BE instances.
     pub fn running_be_count(&self) -> usize {
         self.bes
-            .values()
+            .iter()
             .filter(|b| b.state == BeState::Running)
             .count()
     }
@@ -264,29 +269,34 @@ impl Machine {
         self.cat = cat;
         let id = self.next_be_id;
         self.next_be_id += 1;
-        self.bes.insert(
+        self.bes.push(BeInstance {
             id,
-            BeInstance {
-                id,
-                workload: workload.to_string(),
-                alloc: req,
-                cpuset,
-                state: BeState::Running,
-                priority,
-                saved: None,
-            },
-        );
+            workload: workload.to_string(),
+            alloc: req,
+            cpuset,
+            state: BeState::Running,
+            priority,
+            saved: None,
+        });
         self.be_started += 1;
         self.change_epoch += 1;
         debug_assert!(self.check_invariants().is_ok());
         Ok(id)
     }
 
+    /// The position of instance `id` in `bes`.
+    fn index_of(&self, id: BeInstanceId) -> Result<usize, MachineError> {
+        self.bes
+            .binary_search_by_key(&id, |b| b.id)
+            .map_err(|_| MachineError::NoSuchInstance(id))
+    }
+
     /// Grows a running BE instance by `delta` cores/ways/memory.
     pub fn grow_be(&mut self, id: BeInstanceId, delta: Allocation) -> Result<(), MachineError> {
         let free_mem = self.free_mem_mb();
         let free_core_count = self.free_cores.count();
-        let inst = self.bes.get(&id).ok_or(MachineError::NoSuchInstance(id))?;
+        let k = self.index_of(id)?;
+        let inst = &self.bes[k];
         if inst.state != BeState::Running {
             return Err(MachineError::BadState(id, inst.state));
         }
@@ -305,7 +315,7 @@ impl Machine {
             .take_lowest(delta.cores)
             .expect("checked above");
         self.cat = cat;
-        let inst = self.bes.get_mut(&id).expect("looked up above");
+        let inst = &mut self.bes[k];
         inst.cpuset = inst.cpuset.union(&extra);
         inst.alloc += delta;
         self.change_epoch += 1;
@@ -320,10 +330,8 @@ impl Machine {
         id: BeInstanceId,
         delta: Allocation,
     ) -> Result<Allocation, MachineError> {
-        let inst = self
-            .bes
-            .get_mut(&id)
-            .ok_or(MachineError::NoSuchInstance(id))?;
+        let k = self.index_of(id)?;
+        let inst = &mut self.bes[k];
         if inst.state != BeState::Running {
             return Err(MachineError::BadState(id, inst.state));
         }
@@ -362,10 +370,8 @@ impl Machine {
     /// Suspends a running BE instance: cores, LLC and network are released;
     /// memory is kept.
     pub fn suspend_be(&mut self, id: BeInstanceId) -> Result<(), MachineError> {
-        let inst = self
-            .bes
-            .get_mut(&id)
-            .ok_or(MachineError::NoSuchInstance(id))?;
+        let k = self.index_of(id)?;
+        let inst = &mut self.bes[k];
         if inst.state != BeState::Running {
             return Ok(()); // Already suspended: idempotent.
         }
@@ -388,9 +394,8 @@ impl Machine {
 
     /// Suspends every running BE instance.
     pub fn suspend_all_be(&mut self) {
-        let ids: Vec<BeInstanceId> = self.bes.keys().copied().collect();
-        for id in ids {
-            let _ = self.suspend_be(id);
+        for k in 0..self.bes.len() {
+            let _ = self.suspend_be(self.bes[k].id);
         }
     }
 
@@ -399,7 +404,8 @@ impl Machine {
     /// Returns the grant it came back with.
     pub fn resume_be(&mut self, id: BeInstanceId) -> Result<Allocation, MachineError> {
         let free_core_count = self.free_cores.count();
-        let inst = self.bes.get(&id).ok_or(MachineError::NoSuchInstance(id))?;
+        let k = self.index_of(id)?;
+        let inst = &self.bes[k];
         if inst.state != BeState::Suspended {
             return Err(MachineError::BadState(id, inst.state));
         }
@@ -419,7 +425,7 @@ impl Machine {
             .take_lowest(cores)
             .expect("bounded by free count");
         self.cat = cat;
-        let inst = self.bes.get_mut(&id).expect("looked up above");
+        let inst = &mut self.bes[k];
         inst.cpuset = cpuset;
         inst.alloc = Allocation {
             cores,
@@ -438,18 +444,14 @@ impl Machine {
 
     /// Resumes every suspended BE instance (best effort).
     pub fn resume_all_be(&mut self) {
-        let ids: Vec<BeInstanceId> = self.bes.keys().copied().collect();
-        for id in ids {
-            let _ = self.resume_be(id);
+        for k in 0..self.bes.len() {
+            let _ = self.resume_be(self.bes[k].id);
         }
     }
 
     /// Kills one BE instance, releasing all of its resources.
     pub fn kill_be(&mut self, id: BeInstanceId) -> Result<(), MachineError> {
-        let inst = self
-            .bes
-            .remove(&id)
-            .ok_or(MachineError::NoSuchInstance(id))?;
+        let inst = self.bes.remove(self.index_of(id)?);
         self.free_cores = self.free_cores.union(&inst.cpuset);
         self.cat.shrink_be(inst.alloc.llc_ways);
         self.be_killed += 1;
@@ -460,15 +462,14 @@ impl Machine {
 
     /// Kills every BE instance (StopBE).
     pub fn kill_all_be(&mut self) {
-        let ids: Vec<BeInstanceId> = self.bes.keys().copied().collect();
-        for id in ids {
-            let _ = self.kill_be(id);
+        while let Some(first) = self.bes.first() {
+            let _ = self.kill_be(first.id);
         }
     }
 
     /// The lowest priority class among live BE instances, if any.
     pub fn min_be_priority(&self) -> Option<u8> {
-        self.bes.values().map(|b| b.priority).min()
+        self.bes.iter().map(|b| b.priority).min()
     }
 
     /// Kills only the lowest-priority class of BE instances (priority
@@ -479,7 +480,7 @@ impl Machine {
         };
         let ids: Vec<BeInstanceId> = self
             .bes
-            .values()
+            .iter()
             .filter(|b| b.priority == min)
             .map(|b| b.id)
             .collect();
@@ -492,7 +493,7 @@ impl Machine {
     /// Checks all resource-accounting invariants; returns a description of
     /// the first violation.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let be_cores: u32 = self.bes.values().map(|b| b.alloc.cores).sum();
+        let be_cores: u32 = self.bes.iter().map(|b| b.alloc.cores).sum();
         if self.lc_alloc.cores + be_cores + self.free_cores.count() != self.spec.total_cores() {
             return Err(format!(
                 "core accounting: lc={} be={} free={} total={}",
@@ -505,7 +506,7 @@ impl Machine {
         if !self.cat.is_consistent() {
             return Err("CAT partition inconsistent".into());
         }
-        let be_ways: u32 = self.bes.values().map(|b| b.alloc.llc_ways).sum();
+        let be_ways: u32 = self.bes.iter().map(|b| b.alloc.llc_ways).sum();
         if be_ways != self.cat.be_ways() {
             return Err(format!(
                 "LLC accounting: instances hold {} ways, CAT says {}",
@@ -513,8 +514,7 @@ impl Machine {
                 self.cat.be_ways()
             ));
         }
-        let mem: u64 =
-            self.lc_alloc.mem_mb + self.bes.values().map(|b| b.alloc.mem_mb).sum::<u64>();
+        let mem: u64 = self.lc_alloc.mem_mb + self.bes.iter().map(|b| b.alloc.mem_mb).sum::<u64>();
         if mem > self.spec.total_mem_mb() {
             return Err(format!(
                 "memory over-commit: {} > {}",
@@ -522,7 +522,7 @@ impl Machine {
                 self.spec.total_mem_mb()
             ));
         }
-        for inst in self.bes.values() {
+        for inst in &self.bes {
             if inst.cpuset.count() != inst.alloc.cores {
                 return Err(format!(
                     "instance {} cpuset/grant mismatch: {} vs {}",
@@ -605,7 +605,7 @@ impl rhythm_snapshot::Snapshot for Machine {
         self.qdisc.encode(w);
         self.power.encode(w);
         w.u64(self.bes.len() as u64);
-        for inst in self.bes.values() {
+        for inst in &self.bes {
             inst.encode(w);
         }
         w.u64(self.next_be_id);
@@ -625,19 +625,19 @@ impl rhythm_snapshot::Snapshot for Machine {
         let qdisc = Qdisc::decode(r)?;
         let power = PowerModel::decode(r)?;
         let n = r.len(1)?;
-        let mut bes = BTreeMap::new();
-        let mut max_id = None;
+        let mut bes: Vec<BeInstance> = Vec::new();
         for _ in 0..n {
             let inst = BeInstance::decode(r)?;
-            max_id = max_id.max(Some(inst.id));
-            if bes.insert(inst.id, inst).is_some() {
+            // `encode` writes instances ascending by id.
+            if bes.last().is_some_and(|prev| prev.id >= inst.id) {
                 return Err(rhythm_snapshot::SnapshotError::Corrupt(
-                    "duplicate BE instance id".into(),
+                    "BE instance ids duplicated or out of order".into(),
                 ));
             }
+            bes.push(inst);
         }
         let next_be_id = r.u64()?;
-        if max_id.is_some_and(|id| id >= next_be_id) {
+        if bes.last().is_some_and(|b| b.id >= next_be_id) {
             return Err(rhythm_snapshot::SnapshotError::Corrupt(
                 "BE id counter behind a live instance id".into(),
             ));
@@ -895,9 +895,9 @@ mod tests {
         assert_eq!(m.min_be_priority(), Some(0));
         let killed = m.kill_min_priority_be();
         assert_eq!(killed, 2);
-        assert!(!m.bes.contains_key(&a));
-        assert!(!m.bes.contains_key(&c));
-        assert_eq!(m.bes.get(&b).unwrap().priority, 2);
+        assert!(m.index_of(a).is_err());
+        assert!(m.index_of(c).is_err());
+        assert_eq!(m.bes[m.index_of(b).unwrap()].priority, 2);
         assert_eq!(m.min_be_priority(), Some(2));
         assert!(m.check_invariants().is_ok());
         // Second call takes the surviving class.
@@ -909,7 +909,7 @@ mod tests {
     fn admit_be_defaults_to_priority_zero() {
         let mut m = machine();
         let id = m.admit_be("x", be_req()).unwrap();
-        assert_eq!(m.bes.get(&id).unwrap().priority, 0);
+        assert_eq!(m.bes[m.index_of(id).unwrap()].priority, 0);
     }
 
     #[test]
@@ -957,6 +957,22 @@ mod tests {
         let off = 4 * 3 + 8 * 5 + 4 * 3 + (4 + 4 + 8 + 8 + 4) + 16;
         bytes[off] ^= 0x02;
         let decoded = Machine::decode(&mut Reader::new(&bytes));
+        assert!(matches!(decoded.err(), Some(SnapshotError::Corrupt(_))));
+    }
+
+    #[test]
+    fn snapshot_rejects_instances_out_of_id_order() {
+        use rhythm_snapshot::{Reader, Snapshot, SnapshotError, Writer};
+        let mut m = machine();
+        m.admit_be("wc", be_req()).unwrap();
+        m.admit_be("stream", be_req()).unwrap();
+        // A capture `encode` never writes: the same two instances, the
+        // higher id first. Every accounting invariant still holds.
+        m.bes.swap(0, 1);
+        assert!(m.check_invariants().is_ok());
+        let mut w = Writer::new();
+        m.encode(&mut w);
+        let decoded = Machine::decode(&mut Reader::new(&w.into_bytes()));
         assert!(matches!(decoded.err(), Some(SnapshotError::Corrupt(_))));
     }
 

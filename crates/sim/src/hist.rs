@@ -108,15 +108,6 @@ impl LatencyHistogram {
         self.min_value * (self.log_gamma * i as f64).exp()
     }
 
-    /// The count of bucket `i` (0 outside the stored range).
-    #[inline]
-    fn bucket(&self, i: usize) -> u64 {
-        self.counts
-            .get(i.wrapping_sub(self.lo))
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// One past the highest stored bucket (0 if nothing is stored).
     fn end(&self) -> usize {
         self.lo + self.counts.len()
@@ -220,9 +211,69 @@ impl LatencyHistogram {
         self.counts.capacity()
     }
 
+    /// The non-zero buckets as `(bucket, count)`, ascending.
+    pub(crate) fn nonzero_buckets(&self) -> impl DoubleEndedIterator<Item = (usize, u64)> + '_ {
+        (self.lo..self.end())
+            .zip(self.counts.iter().copied())
+            .filter(|&(_, c)| c != 0)
+    }
+
+    /// A histogram of the default layout holding the non-zero `buckets`
+    /// (ascending `(bucket, count)`) and the given total, sum and
+    /// maximum.
+    pub(crate) fn from_parts(
+        buckets: impl Iterator<Item = (usize, u64)>,
+        total: u64,
+        sum: f64,
+        max: f64,
+    ) -> Self {
+        let mut h = LatencyHistogram::new();
+        for (i, c) in buckets {
+            h.cover(i, i + 1);
+            h.counts[i - h.lo] = c;
+        }
+        h.total = total;
+        h.sum = sum;
+        h.max = max;
+        h
+    }
+
     /// The p-quantile with bounded relative error (0 if empty).
     pub fn quantile(&self, p: f64) -> f64 {
-        union_quantile(std::iter::once(self), p)
+        self.quantile_desc(self.total, self.max, p, self.nonzero_buckets().rev())
+    }
+
+    /// The p-quantile of `total` samples of this layout with maximum
+    /// `max`, whose bucket counts `desc` yields as `(bucket, count)` in
+    /// descending bucket order; a bucket may repeat, so several
+    /// histograms can be read as their union without merging them (0 if
+    /// `total` is 0).
+    ///
+    /// The answer is the lowest bucket whose prefix count reaches the
+    /// rank, which is also the highest bucket whose suffix count exceeds
+    /// `total − rank`. The scan runs top-down on the second form: for a
+    /// high quantile it stops within the first few occupied buckets.
+    pub(crate) fn quantile_desc(
+        &self,
+        total: u64,
+        max: f64,
+        p: f64,
+        desc: impl Iterator<Item = (usize, u64)>,
+    ) -> f64 {
+        if total == 0 {
+            return 0.0;
+        }
+        let p = p.clamp(0.0, 1.0);
+        let rank = ((p * total as f64).ceil() as u64).clamp(1, total);
+        let above = total - rank;
+        let mut suffix = 0u64;
+        for (i, c) in desc {
+            suffix += c;
+            if suffix > above {
+                return self.bucket_value(i).min(max);
+            }
+        }
+        max
     }
 
     /// The 99th percentile (the paper's default tail).
@@ -260,49 +311,6 @@ impl LatencyHistogram {
         self.sum = 0.0;
         self.max = 0.0;
     }
-}
-
-/// The p-quantile of the union of `parts`, which share one layout — what
-/// merging them into one histogram and asking it would return, without
-/// building the merge (0 if all are empty).
-///
-/// The answer is the lowest bucket whose prefix count reaches the rank,
-/// which is also the highest bucket whose suffix count exceeds
-/// `total − rank`. The scan runs top-down on the second form: for a high
-/// quantile it stops within the first few occupied buckets.
-pub(crate) fn union_quantile<'a, I>(parts: I, p: f64) -> f64
-where
-    I: Iterator<Item = &'a LatencyHistogram> + Clone,
-{
-    let Some(layout) = parts.clone().next() else {
-        return 0.0;
-    };
-    let mut total = 0u64;
-    let mut max = 0.0f64;
-    let mut lo = usize::MAX;
-    let mut end = 0;
-    for h in parts.clone() {
-        total += h.total;
-        max = max.max(h.max);
-        if !h.counts.is_empty() {
-            lo = lo.min(h.lo);
-            end = end.max(h.end());
-        }
-    }
-    if total == 0 {
-        return 0.0;
-    }
-    let p = p.clamp(0.0, 1.0);
-    let rank = ((p * total as f64).ceil() as u64).clamp(1, total);
-    let above = total - rank;
-    let mut suffix = 0u64;
-    for i in (lo..end).rev() {
-        suffix += parts.clone().map(|h| h.bucket(i)).sum::<u64>();
-        if suffix > above {
-            return layout.bucket_value(i).min(max);
-        }
-    }
-    max
 }
 
 impl rhythm_snapshot::Snapshot for LatencyHistogram {

@@ -7,7 +7,7 @@
 //! module provides a ring of per-interval histograms whose union
 //! approximates the tail over the last `window` of virtual time.
 
-use crate::hist::{union_quantile, LatencyHistogram};
+use crate::hist::LatencyHistogram;
 use crate::time::{SimDuration, SimTime};
 
 /// Tail latency over a sliding window of virtual time.
@@ -15,6 +15,12 @@ use crate::time::{SimDuration, SimTime};
 /// The window is divided into `slots` sub-intervals; each recorded sample
 /// lands in the slot of its timestamp, and expired slots are dropped as
 /// time advances. Quantile queries read the live slots together.
+///
+/// A slot stores only its non-zero buckets of the default
+/// [`LatencyHistogram`] layout, so its memory follows the few distinct
+/// latencies one interval of a lightly loaded machine sees, not the
+/// widest interval it ever saw. Quantiles, counts and snapshot bytes
+/// are those of a ring of `LatencyHistogram`s.
 ///
 /// # Examples
 ///
@@ -34,12 +40,50 @@ pub struct TailWindow {
     slots: Vec<Slot>,
 }
 
+/// One sub-interval's samples: a sparse [`LatencyHistogram`].
 #[derive(Clone, Debug)]
 struct Slot {
-    /// Index of the window slot this histogram currently holds
+    /// Index of the window slot this slot currently holds
     /// (`timestamp / slot_len`); `u64::MAX` marks an empty slot.
     epoch: u64,
-    hist: LatencyHistogram,
+    /// The non-zero buckets as `(bucket, count)`, ascending by bucket.
+    buckets: Vec<(usize, u64)>,
+    total: u64,
+    /// Sum of the recorded values, added in record order.
+    sum: f64,
+    max: f64,
+}
+
+impl Slot {
+    const EMPTY: Slot = Slot {
+        epoch: u64::MAX,
+        buckets: Vec::new(),
+        total: 0,
+        sum: 0.0,
+        max: 0.0,
+    };
+
+    /// Empties the slot for interval `epoch`. It keeps its room unless
+    /// that is more than twice what the previous interval used, so a
+    /// slot never holds on to the widest interval's room, and a steady
+    /// load reallocates nothing.
+    fn restart(&mut self, epoch: u64) {
+        let used = self.buckets.len();
+        self.buckets.clear();
+        if self.buckets.capacity() > 2 * used {
+            self.buckets.shrink_to(used);
+        }
+        self.epoch = epoch;
+        self.total = 0;
+        self.sum = 0.0;
+        self.max = 0.0;
+    }
+
+    /// The highest stored entry whose bucket lies below `bound`.
+    fn below(&self, bound: usize) -> Option<(usize, u64)> {
+        let k = self.buckets.partition_point(|&(b, _)| b < bound);
+        k.checked_sub(1).map(|k| self.buckets[k])
+    }
 }
 
 impl TailWindow {
@@ -54,12 +98,7 @@ impl TailWindow {
         let slot_len = SimDuration::from_nanos((window.as_nanos() / slots as u64).max(1));
         TailWindow {
             slot_len,
-            slots: (0..slots)
-                .map(|_| Slot {
-                    epoch: u64::MAX,
-                    hist: LatencyHistogram::new(),
-                })
-                .collect(),
+            slots: vec![Slot::EMPTY; slots],
         }
     }
 
@@ -69,73 +108,107 @@ impl TailWindow {
 
     /// Records a latency sample observed at time `at`.
     pub fn record(&mut self, at: SimTime, latency_ms: f64) {
-        let (bucket, v) = self.slots[0].hist.locate(latency_ms);
+        let (bucket, v) = LatencyHistogram::new().locate(latency_ms);
         self.record_located(at, bucket, v);
     }
 
     /// Records a sample already placed by [`LatencyHistogram::locate`]
     /// on a histogram of the default layout.
     pub fn record_located(&mut self, at: SimTime, bucket: usize, v: f64) {
+        debug_assert_eq!(
+            (bucket, v.to_bits()),
+            {
+                let (i, c) = LatencyHistogram::new().locate(v);
+                (i, c.to_bits())
+            },
+            "value located under a different histogram layout"
+        );
         let epoch = self.epoch_of(at);
         let idx = (epoch % self.slots.len() as u64) as usize;
         let slot = &mut self.slots[idx];
         if slot.epoch != epoch {
-            slot.hist.reset();
-            slot.epoch = epoch;
+            slot.restart(epoch);
         }
-        slot.hist.record_located(bucket, v);
+        match slot.buckets.binary_search_by_key(&bucket, |&(b, _)| b) {
+            Ok(k) => slot.buckets[k].1 += 1,
+            Err(k) => slot.buckets.insert(k, (bucket, 1)),
+        }
+        slot.total += 1;
+        slot.sum += v;
+        slot.max = slot.max.max(v);
     }
 
-    /// True if `slot` holds samples inside the window ending at epoch
-    /// `current`.
-    fn is_live(&self, slot: &Slot, current: u64) -> bool {
-        slot.epoch != u64::MAX && current.saturating_sub(slot.epoch) < self.slots.len() as u64
+    /// The slots holding samples inside the window ending at `now`.
+    fn live(&self, now: SimTime) -> impl Iterator<Item = &Slot> + Clone {
+        let current = self.epoch_of(now);
+        let n = self.slots.len() as u64;
+        self.slots
+            .iter()
+            .filter(move |s| s.epoch != u64::MAX && current.saturating_sub(s.epoch) < n)
     }
 
     /// The p-quantile over samples whose slots are still inside the window
     /// ending at `now`. Returns 0 if the window is empty. Reads the live
-    /// slots in place; no merged histogram is built.
+    /// slots in place, top-down over the union of their buckets; no
+    /// merged histogram is built.
     pub fn quantile(&self, now: SimTime, p: f64) -> f64 {
-        let current = self.epoch_of(now);
-        let live = self.slots.iter().filter(|s| self.is_live(s, current));
-        union_quantile(live.map(|s| &s.hist), p)
+        let live = self.live(now);
+        let total = live.clone().map(|s| s.total).sum();
+        if total == 0 {
+            return 0.0;
+        }
+        let max = live.clone().fold(0.0f64, |m, s| m.max(s.max));
+        let mut bound = usize::MAX;
+        let desc = std::iter::from_fn(|| {
+            let top = live
+                .clone()
+                .filter_map(|s| s.below(bound))
+                .map(|e| e.0)
+                .max()?;
+            let count = live
+                .clone()
+                .filter_map(|s| s.below(bound))
+                .filter(|e| e.0 == top)
+                .map(|e| e.1)
+                .sum();
+            bound = top;
+            Some((top, count))
+        });
+        LatencyHistogram::new().quantile_desc(total, max, p, desc)
     }
 
     /// Number of live samples in the window ending at `now`.
     pub fn count(&self, now: SimTime) -> u64 {
-        let current = self.epoch_of(now);
-        self.slots
-            .iter()
-            .filter(|s| self.is_live(s, current))
-            .map(|s| s.hist.count())
-            .sum()
+        self.live(now).map(|s| s.total).sum()
     }
 
-    /// Bucket counters held in memory across all slots, for footprint
-    /// accounting.
+    /// `(bucket, count)` entries held in memory across all slots (the
+    /// allocated capacity), for footprint accounting.
     pub fn bucket_capacity(&self) -> usize {
-        self.slots.iter().map(|s| s.hist.bucket_capacity()).sum()
+        self.slots.iter().map(|s| s.buckets.capacity()).sum()
     }
 
-    /// Drops all samples.
+    /// Drops all samples and their storage.
     pub fn reset(&mut self) {
-        for slot in &mut self.slots {
-            slot.epoch = u64::MAX;
-            slot.hist.reset();
-        }
+        self.slots.fill(Slot::EMPTY);
     }
 }
 
 impl rhythm_snapshot::Snapshot for TailWindow {
+    /// Each slot as its epoch and the bytes of the [`LatencyHistogram`]
+    /// holding its samples.
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
         self.slot_len.encode(w);
         w.u64(self.slots.len() as u64);
         for slot in &self.slots {
             w.u64(slot.epoch);
-            slot.hist.encode(w);
+            let buckets = slot.buckets.iter().copied();
+            LatencyHistogram::from_parts(buckets, slot.total, slot.sum, slot.max).encode(w);
         }
     }
 
+    /// Each slot's histogram passes every check of
+    /// [`LatencyHistogram`]'s decode.
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
         let slot_len = SimDuration::decode(r)?;
         if slot_len.is_zero() {
@@ -153,7 +226,13 @@ impl rhythm_snapshot::Snapshot for TailWindow {
         for _ in 0..n {
             let epoch = r.u64()?;
             let hist = LatencyHistogram::decode(r)?;
-            slots.push(Slot { epoch, hist });
+            slots.push(Slot {
+                epoch,
+                buckets: hist.nonzero_buckets().collect(),
+                total: hist.count(),
+                sum: hist.sum(),
+                max: hist.max(),
+            });
         }
         Ok(TailWindow { slot_len, slots })
     }

@@ -434,6 +434,13 @@ impl<K: Snapshot + Ord, V: Snapshot> Snapshot for BTreeMap<K, V> {
         for _ in 0..n {
             let k = K::decode(r)?;
             let v = V::decode(r)?;
+            // `encode` writes keys strictly ascending; anything else
+            // would decode to fewer entries than the stream declares.
+            if out.last_key_value().is_some_and(|(last, _)| *last >= k) {
+                return Err(SnapshotError::Corrupt(
+                    "map keys duplicated or out of order".into(),
+                ));
+            }
             out.insert(k, v);
         }
         Ok(out)
@@ -451,7 +458,13 @@ impl<T: Snapshot + Ord> Snapshot for BTreeSet<T> {
         let n = r.len(1)?;
         let mut out = BTreeSet::new();
         for _ in 0..n {
-            out.insert(T::decode(r)?);
+            let v = T::decode(r)?;
+            if out.last().is_some_and(|last| *last >= v) {
+                return Err(SnapshotError::Corrupt(
+                    "set elements duplicated or out of order".into(),
+                ));
+            }
+            out.insert(v);
         }
         Ok(out)
     }
@@ -705,6 +718,31 @@ mod tests {
         ]));
         round_trip(BTreeSet::from([(3u8, 9u64, -2i64, 4u64), (1, 2, 3, 4)]));
         round_trip((1u8, 2u64, -3i64));
+    }
+
+    #[test]
+    fn sorted_containers_refuse_keys_encode_never_writes() {
+        for keys in [[2u64, 2], [3, 1]] {
+            let mut w = Writer::new();
+            w.u64(2);
+            for k in keys {
+                w.u64(k);
+                w.u8(0);
+            }
+            let bytes = w.into_bytes();
+            assert!(matches!(
+                BTreeMap::<u64, u8>::decode(&mut Reader::new(&bytes)),
+                Err(SnapshotError::Corrupt(_))
+            ));
+            let mut w = Writer::new();
+            w.u64(2);
+            w.u64(keys[0]);
+            w.u64(keys[1]);
+            assert!(matches!(
+                BTreeSet::<u64>::decode(&mut Reader::new(&w.into_bytes())),
+                Err(SnapshotError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

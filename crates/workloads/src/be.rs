@@ -33,7 +33,7 @@ pub enum BeKind {
 }
 
 /// Full model of one BE workload.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BeSpec {
     /// Workload kind.
     pub kind: BeKind,

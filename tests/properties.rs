@@ -1792,6 +1792,139 @@ proptest! {
     }
 }
 
+/// The tail window as it was before its slots stored only their
+/// non-zero buckets: a ring of full `LatencyHistogram`s, kept as the
+/// differential oracle of the sparse `TailWindow`. Its in-place union
+/// quantile is written here as the merge it equals.
+mod ring_oracle {
+    use rhythm::sim::{LatencyHistogram, SimDuration, SimTime};
+    use rhythm::snapshot::{Snapshot, Writer};
+
+    pub struct Ring {
+        slot_len: SimDuration,
+        slots: Vec<(u64, LatencyHistogram)>,
+    }
+
+    impl Ring {
+        pub fn new(window: SimDuration, slots: usize) -> Ring {
+            let slot_len = SimDuration::from_nanos((window.as_nanos() / slots as u64).max(1));
+            Ring {
+                slot_len,
+                slots: (0..slots)
+                    .map(|_| (u64::MAX, LatencyHistogram::new()))
+                    .collect(),
+            }
+        }
+
+        fn epoch_of(&self, at: SimTime) -> u64 {
+            at.as_nanos() / self.slot_len.as_nanos()
+        }
+
+        pub fn record(&mut self, at: SimTime, latency_ms: f64) {
+            let epoch = self.epoch_of(at);
+            let idx = (epoch % self.slots.len() as u64) as usize;
+            let slot = &mut self.slots[idx];
+            if slot.0 != epoch {
+                slot.1.reset();
+                slot.0 = epoch;
+            }
+            slot.1.record(latency_ms);
+        }
+
+        fn live(&self, now: SimTime) -> impl Iterator<Item = &LatencyHistogram> {
+            let current = self.epoch_of(now);
+            let n = self.slots.len() as u64;
+            self.slots
+                .iter()
+                .filter(move |(e, _)| *e != u64::MAX && current.saturating_sub(*e) < n)
+                .map(|(_, h)| h)
+        }
+
+        pub fn quantile(&self, now: SimTime, p: f64) -> f64 {
+            let mut merged = LatencyHistogram::new();
+            for h in self.live(now) {
+                merged.merge(h);
+            }
+            merged.quantile(p)
+        }
+
+        pub fn count(&self, now: SimTime) -> u64 {
+            self.live(now).map(|h| h.count()).sum()
+        }
+
+        pub fn encode(&self, w: &mut Writer) {
+            self.slot_len.encode(w);
+            w.u64(self.slots.len() as u64);
+            for (epoch, hist) in &self.slots {
+                w.u64(*epoch);
+                hist.encode(w);
+            }
+        }
+    }
+}
+
+proptest! {
+    /// The sparse tail window against the ring of full histograms it
+    /// replaced: random records (clamped, huge and non-finite latencies,
+    /// gaps longer than the window, slot reuse) interleaved with
+    /// quantiles at random `p`, counts and snapshot round trips. Quantile
+    /// bits, counts and snapshot bytes must match, and decoding then
+    /// re-encoding must give the same bytes.
+    #[test]
+    fn sparse_tail_window_matches_ring_oracle(
+        seed in any::<u64>(),
+        ops in 1usize..300,
+        slots in 1usize..12,
+        window_s in 1u64..20,
+    ) {
+        use rhythm::sim::TailWindow;
+        use rhythm::snapshot::Writer;
+        let mut rng = SimRng::from_seed(seed);
+        let window = SimDuration::from_secs(window_s);
+        let mut got = TailWindow::new(window, slots);
+        let mut want = ring_oracle::Ring::new(window, slots);
+        let slot_ns = (window.as_nanos() / slots as u64).max(1);
+        let mut t = rng.below(1_000_000_000);
+        for op in 0..ops {
+            let ctx = format!("seed {seed:#x} op {op}");
+            match rng.below(10) {
+                0..=5 => {
+                    t += match rng.below(12) {
+                        0 => window.as_nanos() + rng.below(3 * window.as_nanos()),
+                        1 | 2 => 0,
+                        _ => rng.below(2 * slot_ns),
+                    };
+                    let v = oracle_latency(&mut rng);
+                    got.record(SimTime::from_nanos(t), v);
+                    want.record(SimTime::from_nanos(t), v);
+                }
+                6..=8 => {
+                    let now = SimTime::from_nanos(t + rng.below(2 * window.as_nanos()));
+                    let p = match rng.below(8) {
+                        0 => f64::NAN,
+                        1 => 1.0,
+                        2 => 0.0,
+                        _ => rng.uniform_range(-0.1, 1.1),
+                    };
+                    prop_assert_eq!(
+                        got.quantile(now, p).to_bits(),
+                        want.quantile(now, p).to_bits(),
+                        "{}: quantile({}) at {:?}", ctx, p, now
+                    );
+                    prop_assert_eq!(got.count(now), want.count(now), "{}: count", ctx);
+                }
+                _ => {
+                    let mut w = Writer::new();
+                    want.encode(&mut w);
+                    let (back, bytes) = snapshot_round_trip(&got);
+                    prop_assert_eq!(&bytes, &w.into_bytes(), "{}: snapshot bytes", ctx);
+                    got = back;
+                }
+            }
+        }
+    }
+}
+
 /// Encode → decode → re-encode; the re-encoding must be byte-identical
 /// (snapshot encodings are canonical) and the reader fully consumed.
 fn snapshot_round_trip<T: rhythm::snapshot::Snapshot>(x: &T) -> (T, Vec<u8>) {

@@ -251,6 +251,50 @@ fn resume_refuses_a_gang_queued_twice() {
     assert!(ClusterRunner::resume(snap, &ctx, &ControllerChoice::Rhythm, &c).is_ok());
 }
 
+#[test]
+fn resume_refuses_a_forged_gang_roster() {
+    // A roster must list, ascending, exactly the jobs carrying its gang
+    // id: the gang pass starts, forms and aborts whatever it lists.
+    let ctx = ctx();
+    let c = hetero_chaos_cell();
+    let run = ClusterRunner::new(&ctx, &ControllerChoice::Rhythm, &c)
+        .snapshot_at(5)
+        .run();
+    let snap = &run.snapshots[0].1;
+    let (&gid, gang) = snap
+        .scheduler
+        .gangs
+        .iter()
+        .next()
+        .expect("the cell plans a gang");
+    let last = *gang.members.last().expect("a gang has members");
+    let outsider = snap
+        .scheduler
+        .jobs
+        .iter()
+        .find(|j| j.gang.is_none() && j.id > last)
+        .expect("a solitary job follows the gang")
+        .id;
+    let mut swapped = gang.members.clone();
+    *swapped.last_mut().expect("non-empty") = outsider;
+    let mut reordered = gang.members.clone();
+    reordered.reverse();
+    for members in [swapped, reordered] {
+        let mut bad = snap.clone();
+        bad.scheduler
+            .gangs
+            .get_mut(&gid)
+            .expect("gang present")
+            .members = members.clone();
+        let bad = ClusterSnapshot::from_bytes(&bad.to_bytes()).expect("bytes still parse");
+        match ClusterRunner::resume(&bad, &ctx, &ControllerChoice::Rhythm, &c).err() {
+            Some(SnapshotError::Corrupt(why)) => assert!(why.contains("gang"), "{why}"),
+            other => panic!("roster {members:?} must be refused as corrupt, got {other:?}"),
+        }
+    }
+    assert!(ClusterRunner::resume(snap, &ctx, &ControllerChoice::Rhythm, &c).is_ok());
+}
+
 /// Captures `c` at epochs `k < m` in one straight run, resumes the
 /// epoch-`k` bytes and captures the resumed run at `m`: both epoch-`m`
 /// containers must be byte-identical. Returns the straight run's two
