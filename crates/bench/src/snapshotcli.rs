@@ -69,13 +69,24 @@ fn flag<T: std::str::FromStr>(pairs: &[(String, String)], name: &str, default: T
 
 /// The standard cell for `snap`'s metadata: config fields that shape
 /// state (machines, seed, horizon, epoch length) come from the snapshot
-/// itself; everything else is [`crate::cluster::cell_config`].
-fn cell_for(snap: &ClusterSnapshot, threads: usize) -> rhythm_cluster::ClusterConfig {
-    let mut cfg = crate::cluster::cell_config(snap.machines as usize, snap.seed);
+/// itself; everything else is [`crate::cluster::cell_config`]. A
+/// machine count above [`MAX_MACHINES`] is refused before anything is
+/// built.
+fn cell_for(snap: &ClusterSnapshot, threads: usize) -> io::Result<rhythm_cluster::ClusterConfig> {
+    let machines = usize::try_from(snap.machines)
+        .ok()
+        .filter(|&m| m <= MAX_MACHINES)
+        .ok_or_else(|| {
+            invalid(format!(
+                "snapshot cell of {} machines: above the ceiling of {MAX_MACHINES}",
+                snap.machines
+            ))
+        })?;
+    let mut cfg = crate::cluster::cell_config(machines, snap.seed);
     cfg.duration_s = snap.duration_s;
     cfg.controller_period_ms = snap.controller_period_ms;
     cfg.threads = threads;
-    cfg
+    Ok(cfg)
 }
 
 /// Reads and decodes a snapshot file; errors name the file.
@@ -175,7 +186,7 @@ pub fn resume(args: &[String]) -> io::Result<()> {
     let threads: usize = flag(&pairs, "threads", 8)?;
     let snap = read_snapshot(path)?;
     let ctx = crate::cluster::context(snap.seed);
-    let cfg = cell_for(&snap, threads);
+    let cfg = cell_for(&snap, threads)?;
     eprintln!(
         "[resume] {path}: N={} epoch {} (t={}s), continuing to {}s on {threads} threads",
         snap.machines,

@@ -75,3 +75,50 @@ fn bad_input_exits_2_with_a_message() {
     let _ = std::fs::remove_dir_all(&dir);
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
+
+#[test]
+fn resume_refuses_a_cell_above_the_ceiling() {
+    // A real one-replica capture rewritten to one replica of more pods
+    // than the ceiling allows, with an offer slot per machine so the
+    // file still decodes: `resume` must refuse the cell before building
+    // it.
+    let dir = std::env::temp_dir().join(format!("rhythm-cli-ceiling-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let repro = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .env("RHYTHM_RESULTS_DIR", &dir)
+            .output()
+            .expect("run repro")
+    };
+    let captured = dir.join("snapshot_n4.bin");
+    let out = repro(&[
+        "snapshot",
+        "--machines",
+        "4",
+        "--duration",
+        "2",
+        "--epoch",
+        "1",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let bytes = std::fs::read(&captured).expect("capture written");
+    let mut snap = rhythm_cluster::ClusterSnapshot::from_bytes(&bytes).expect("capture decodes");
+    assert_eq!(snap.replicas, 1);
+    let n = rhythm_bench::snapshotcli::MAX_MACHINES + 1;
+    (snap.machines, snap.pods) = (n as u64, n as u64);
+    snap.scheduler.offered = vec![None; n];
+    let forged = dir.join("forged.bin");
+    std::fs::write(&forged, snap.to_bytes()).expect("write forged capture");
+    let out = repro(&["resume", &forged.to_string_lossy()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
+    assert!(
+        stderr
+            .lines()
+            .last()
+            .is_some_and(|l| l.contains("above the ceiling")),
+        "stderr:\n{stderr}"
+    );
+}

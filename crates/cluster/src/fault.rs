@@ -203,7 +203,7 @@ impl FaultPlan {
                 }
             }
             for m in ev.kind.machines() {
-                if m as usize >= machines {
+                if m >= machines as u64 {
                     return Err(format!(
                         "fault event {i}: machine {m} outside cluster of {machines}"
                     ));

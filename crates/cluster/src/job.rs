@@ -157,8 +157,8 @@ impl rhythm_snapshot::Snapshot for JobState {
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
         Ok(match r.u8()? {
             0 => JobState::Queued,
-            1 => JobState::Offered(r.u64()? as usize),
-            2 => JobState::Running(r.u64()? as usize),
+            1 => JobState::Offered(r.usize()?),
+            2 => JobState::Running(r.usize()?),
             3 => JobState::Done,
             t => {
                 return Err(rhythm_snapshot::SnapshotError::Corrupt(format!(
@@ -302,6 +302,11 @@ impl JobStats {
         } else {
             times.iter().sum::<f64>() / times.len() as f64
         };
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "the nearest rank is in [1, len]: a non-negative whole number, then clamped"
+        )]
         let p99 = if times.is_empty() {
             0.0
         } else {

@@ -150,7 +150,7 @@ impl Placer {
     /// unmoved) when nothing is eligible.
     pub(crate) fn rotate(eligible: &BTreeSet<usize>, cursor: &mut u64) -> Option<usize> {
         let pick = eligible
-            .range(*cursor as usize..)
+            .range(usize::try_from(*cursor).unwrap_or(usize::MAX)..)
             .next()
             .or_else(|| eligible.iter().next())
             .copied()?;

@@ -78,11 +78,16 @@ impl JobQueue {
     /// `aging_s` seconds waited. The key stores `u8::MAX - class` so the
     /// highest class sorts first.
     fn class_key(&self, m: &JobMeta, now_s: f64) -> u8 {
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "a positive wait over a positive period: the cast saturates at u8::MAX, as intended"
+        )]
         let boost = match self.aging_s {
-            Some(aging) if now_s > m.enqueued_s => ((now_s - m.enqueued_s) / aging) as u64,
+            Some(aging) if now_s > m.enqueued_s => ((now_s - m.enqueued_s) / aging) as u8,
             _ => 0,
         };
-        u8::MAX - m.priority.saturating_add(boost.min(u8::MAX as u64) as u8)
+        u8::MAX - m.priority.saturating_add(boost)
     }
 
     fn insert(&mut self, id: JobId, mut m: JobMeta, seq: i64, now_s: f64) {

@@ -49,7 +49,7 @@ use crate::job::{ClusterJob, JobId, JobState};
 use crate::metrics::{machine_fingerprints, ClusterMetrics, ClusterOutcome, ClusterTelemetry};
 use crate::placement::{MachineRow, PlacementPolicy, Placer, Ranking};
 use crate::queue::JobQueue;
-use crate::snapshot::{ClusterSnapshot, GangState, SchedulerState};
+use crate::snapshot::{ledger_slot, ClusterSnapshot, GangState, SchedulerState};
 use crate::state::{global_index, machine_ref, replica_seed, ClusterConfig};
 use rhythm_core::experiment::{ControllerChoice, ExperimentConfig, ServiceContext};
 use rhythm_core::metrics::RunMetrics;
@@ -121,7 +121,7 @@ impl<'c> Scheduler<'c> {
         let mut jobs: Vec<ClusterJob> = Vec::new();
         let mut gangs = BTreeMap::new();
         let mut interned: Vec<Arc<BeSpec>> = Vec::new();
-        for (entry, spec) in cfg.effective_plan().into_iter().enumerate() {
+        for (entry, spec) in (0u32..).zip(cfg.effective_plan()) {
             let shared = match interned.iter().find(|s| ***s == spec.spec) {
                 Some(s) => Arc::clone(s),
                 None => {
@@ -131,7 +131,7 @@ impl<'c> Scheduler<'c> {
                 }
             };
             let k = spec.gang.max(1);
-            let gang_id = (k > 1).then_some(entry as u32);
+            let gang_id = (k > 1).then_some(entry);
             let mut members = Vec::with_capacity(k as usize);
             for _ in 0..k {
                 let id = jobs.len() as JobId;
@@ -226,7 +226,7 @@ impl<'c> Scheduler<'c> {
             .members
             .iter()
             .copied()
-            .filter(|&m| self.state.jobs[m as usize].state != JobState::Done)
+            .filter(|&m| self.state.job(m).state != JobState::Done)
     }
 
     /// Records a cluster event when telemetry is enabled.
@@ -244,8 +244,8 @@ impl<'c> Scheduler<'c> {
     /// Marks `jid` finished, recording a deadline-miss event if it
     /// completed past its deadline.
     fn complete(&mut self, jid: JobId, now_s: f64) {
-        self.state.jobs[jid as usize].on_complete(now_s);
-        let job = &self.state.jobs[jid as usize];
+        self.state.job_mut(jid).on_complete(now_s);
+        let job = self.state.job(jid);
         if job.deadline_missed_at(now_s) {
             let gang = job.gang;
             self.note(now_s, ClusterEventKind::DeadlineMiss, jid, gang);
@@ -258,8 +258,10 @@ impl<'c> Scheduler<'c> {
     /// other barrier mutation: same plan + same seed → same outcome for
     /// any worker-thread count.
     fn apply_faults(&mut self, engines: &mut [Engine], now_s: f64) {
-        while (self.chaos.applied as usize) < self.plan.events.len() {
-            let ev = &self.plan.events[self.chaos.applied as usize];
+        while let Some(ev) = usize::try_from(self.chaos.applied)
+            .ok()
+            .and_then(|i| self.plan.events.get(i))
+        {
             if ev.at_s > now_s {
                 break;
             }
@@ -269,20 +271,25 @@ impl<'c> Scheduler<'c> {
             self.note(now_s, ClusterEventKind::FaultInjected, idx, None);
             match kind {
                 FaultKind::MachineCrash { machine } => {
-                    self.crash_machine(machine as usize, engines, now_s);
+                    self.crash_machine(machine_index(machine), engines, now_s);
                 }
                 FaultKind::MachineRecover { machine } => {
-                    self.recover_machine(machine as usize, engines, now_s);
+                    self.recover_machine(machine_index(machine), engines, now_s);
                 }
                 FaultKind::SlowNode { machine, factor } => {
-                    let r = machine_ref(machine as usize, self.pods);
+                    let r = machine_ref(machine_index(machine), self.pods);
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        clippy::cast_sign_loss,
+                        reason = "validate() keeps factor in (0, 1]: the target is within [0, max MHz]"
+                    )]
                     let target = (factor * engines[r.replica].lc_max_mhz(r.pod) as f64) as u32;
                     engines[r.replica].set_lc_frequency(r.pod, target);
                     self.stale[r.replica] = true;
                 }
                 FaultKind::CorrelatedFailure { group } => {
                     for m in group {
-                        self.crash_machine(m as usize, engines, now_s);
+                        self.crash_machine(machine_index(m), engines, now_s);
                     }
                 }
             }
@@ -304,7 +311,7 @@ impl<'c> Scheduler<'c> {
             // A solitary job goes straight back to the queue; a forming
             // gang keeps waiting on its patience budget and the gang
             // pass aborts (and requeues) it when that runs out.
-            if self.state.jobs[jid as usize].gang.is_none() {
+            if self.state.job(jid).gang.is_none() {
                 self.state.queue.requeue_at(jid, now_s);
             }
         }
@@ -338,7 +345,7 @@ impl<'c> Scheduler<'c> {
         let jid = self.state.offered[g].take()?;
         let r = machine_ref(g, self.pods);
         engines[r.replica].set_be_offer(r.pod, None);
-        self.state.jobs[jid as usize].state = JobState::Queued;
+        self.state.job_mut(jid).state = JobState::Queued;
         Some(jid)
     }
 
@@ -353,11 +360,11 @@ impl<'c> Scheduler<'c> {
         now_s: f64,
         dirty_gangs: &mut BTreeSet<u32>,
     ) {
-        if self.state.jobs[jid as usize].total_progress(progress) >= 1.0 {
+        if self.state.job(jid).total_progress(progress) >= 1.0 {
             self.complete(jid, now_s);
             return;
         }
-        let job = &mut self.state.jobs[jid as usize];
+        let job = self.state.job_mut(jid);
         job.on_kill(progress, self.cfg.checkpoint_fraction);
         match job.gang {
             Some(gid) => {
@@ -390,8 +397,7 @@ impl<'c> Scheduler<'c> {
         // original relative order. Offers of forming gangs stay out —
         // their patience counter bounds the wait instead.
         for g in (0..self.state.offered.len()).rev() {
-            if self.state.offered[g].is_some_and(|jid| self.state.jobs[jid as usize].gang.is_none())
-            {
+            if self.state.offered[g].is_some_and(|jid| self.state.job(jid).gang.is_none()) {
                 if let Some(jid) = self.withdraw_offer(g, engines) {
                     self.state.queue.requeue_at(jid, now_s);
                 }
@@ -435,7 +441,7 @@ impl<'c> Scheduler<'c> {
         // Pop queued work in queue order while eligible machines remain.
         while let Some(jid) = self.state.queue.pop() {
             members.clear();
-            match self.state.jobs[jid as usize].gang {
+            match self.state.job(jid).gang {
                 Some(gid) => members.extend(self.live_members(gid)),
                 None => members.push(jid),
             }
@@ -474,7 +480,7 @@ impl<'c> Scheduler<'c> {
             for (&g, &m) in chosen.iter().zip(&members) {
                 assignments.push((g, m));
             }
-            if let Some(gid) = self.state.jobs[jid as usize].gang {
+            if let Some(gid) = self.state.job(jid).gang {
                 // PANIC: a job's gang id has a roster: `check_invariants`
                 // requires it, rosters never change after `new`, and
                 // resume refuses a state that breaks it.
@@ -485,9 +491,9 @@ impl<'c> Scheduler<'c> {
         }
         for &(g, jid) in &assignments {
             self.state.offered[g] = Some(jid);
-            self.state.jobs[jid as usize].state = JobState::Offered(g);
-            let spec = Arc::clone(&self.state.jobs[jid as usize].spec);
-            let priority = self.state.jobs[jid as usize].priority;
+            self.state.job_mut(jid).state = JobState::Offered(g);
+            let spec = Arc::clone(&self.state.job(jid).spec);
+            let priority = self.state.job(jid).priority;
             let r = machine_ref(g, self.pods);
             engines[r.replica].set_be_offer(r.pod, Some((spec, priority)));
         }
@@ -533,14 +539,14 @@ impl<'c> Scheduler<'c> {
         let slot = if policy == PlacementPolicy::LeastPressure {
             0
         } else {
-            self.spec_slot[jid as usize]
+            self.spec_slot[ledger_slot(jid)]
         };
         let ranking = &mut self.ranked[slot];
         if !ranking.is_built() {
             let (service, pods) = (self.service, self.pods);
             ranking.build(
                 &self.placer,
-                &self.state.jobs[jid as usize].spec,
+                &self.state.job(jid).spec,
                 &self.eligible,
                 &self.rows,
                 |g| &service.nodes[g % pods].component,
@@ -586,7 +592,7 @@ impl<'c> Scheduler<'c> {
                 let g = global_index(r, adm.machine, self.pods);
                 if let Some(jid) = self.state.offered[g].take() {
                     self.state.bindings.insert((g as u64, adm.instance), jid);
-                    self.state.jobs[jid as usize].state = JobState::Running(g);
+                    self.state.job_mut(jid).state = JobState::Running(g);
                     engine.set_be_offer(adm.machine, None);
                 }
             }
@@ -603,9 +609,9 @@ impl<'c> Scheduler<'c> {
             bound.clear();
             bound.extend(self.state.bindings.range(keys).map(|(&k, &j)| (k, j)));
             for &((g, inst), jid) in &bound {
-                let pod = machine_ref(g as usize, self.pods).pod;
+                let pod = machine_ref(machine_index(g), self.pods).pod;
                 let done = engine.be_progress(pod, inst).unwrap_or(0.0);
-                if self.state.jobs[jid as usize].total_progress(done) >= 1.0 {
+                if self.state.job(jid).total_progress(done) >= 1.0 {
                     engine.remove_be(pod, inst);
                     self.stale[r] = true;
                     self.complete(jid, now_s);
@@ -632,7 +638,7 @@ impl<'c> Scheduler<'c> {
             let live: Vec<JobId> = self.live_members(gid).collect();
             if live
                 .iter()
-                .all(|&m| matches!(self.state.jobs[m as usize].state, JobState::Running(_)))
+                .all(|&m| matches!(self.state.job(m).state, JobState::Running(_)))
             {
                 // PANIC: `gid` is one of `gangs`' keys, which never change
                 // after `new`.
@@ -659,7 +665,7 @@ impl<'c> Scheduler<'c> {
     fn abort_gang(&mut self, gid: u32, engines: &mut [Engine], now_s: f64) {
         let live: Vec<JobId> = self.live_members(gid).collect();
         for &m in &live {
-            match self.state.jobs[m as usize].state {
+            match self.state.job(m).state {
                 JobState::Offered(g) => {
                     let withdrawn = self.withdraw_offer(g, engines);
                     debug_assert_eq!(withdrawn, Some(m), "offer slot and job state agree");
@@ -679,7 +685,9 @@ impl<'c> Scheduler<'c> {
                         engines[r.replica].remove_be(r.pod, inst);
                         self.stale[r.replica] = true;
                         self.state.bindings.remove(&(g as u64, inst));
-                        self.state.jobs[m as usize].on_kill(progress, self.cfg.checkpoint_fraction);
+                        self.state
+                            .job_mut(m)
+                            .on_kill(progress, self.cfg.checkpoint_fraction);
                     }
                 }
                 JobState::Queued | JobState::Done => {}
@@ -695,7 +703,7 @@ impl<'c> Scheduler<'c> {
             // The original leader may have finished; make sure the new
             // representative carries the gang's class and deadline into
             // the queue.
-            let job = &self.state.jobs[leader as usize];
+            let job = self.state.job(leader);
             let (priority, deadline_s, submitted_s) =
                 (job.priority, job.deadline_s, job.submitted_s);
             let queue = &mut self.state.queue;
@@ -754,7 +762,7 @@ impl<'c> Scheduler<'c> {
     ///   (gang members wait through their representative);
     /// * no down machine holds an offer or a binding.
     fn check_invariants(&self) -> Result<(), String> {
-        let state = |j: JobId| self.state.jobs.get(j as usize).map(|job| job.state);
+        let state = |j: JobId| self.state.jobs.get(ledger_slot(j)).map(|job| job.state);
         for (g, slot) in self.state.offered.iter().enumerate() {
             if let Some(j) = *slot {
                 if state(j) != Some(JobState::Offered(g)) {
@@ -767,7 +775,7 @@ impl<'c> Scheduler<'c> {
         }
         let mut bound: BTreeMap<JobId, usize> = BTreeMap::new();
         for (&(g, inst), &j) in &self.state.bindings {
-            let g = g as usize;
+            let g = machine_index(g);
             if state(j) != Some(JobState::Running(g)) {
                 return Err(format!(
                     "instance {inst} on machine {g} is bound to job {j}, whose state is {:?}",
@@ -790,7 +798,7 @@ impl<'c> Scheduler<'c> {
         // live member, so a second entry would place the gang twice.
         let mut queued_gangs = BTreeSet::new();
         for &j in &queued {
-            let gang = self.state.jobs.get(j as usize).and_then(|job| job.gang);
+            let gang = self.state.jobs.get(ledger_slot(j)).and_then(|job| job.gang);
             if let Some(g) = gang.filter(|&g| !queued_gangs.insert(g)) {
                 return Err(format!("the queue holds two members of gang {g}"));
             }
@@ -799,7 +807,7 @@ impl<'c> Scheduler<'c> {
             if gang.members.windows(2).any(|p| p[0] >= p[1]) {
                 return Err(format!("gang {gid} lists its members out of order"));
             }
-            let gang_of = |m: JobId| self.state.jobs.get(m as usize).and_then(|job| job.gang);
+            let gang_of = |m: JobId| self.state.jobs.get(ledger_slot(m)).and_then(|job| job.gang);
             if let Some(&m) = gang.members.iter().find(|&&m| gang_of(m) != Some(gid)) {
                 return Err(format!(
                     "gang {gid} lists job {m}, whose gang is {:?}",
@@ -842,7 +850,7 @@ impl<'c> Scheduler<'c> {
             }
         }
         for &down in &self.chaos.down {
-            let g = down as usize;
+            let g = machine_index(down);
             if self.state.offered.get(g).is_some_and(Option::is_some) {
                 return Err(format!("down machine {g} holds an offer"));
             }
@@ -1345,6 +1353,18 @@ fn advance_all(
             advance(part, rows);
         }
     });
+}
+
+/// A global machine index the scheduler holds as a `u64`: a fault
+/// target (`FaultPlan::validate` checks it below `cfg.machines`), a
+/// down-set entry or a binding key (made from `usize` indices; snapshot
+/// decode and resume check them below the machine count).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "every such id is below the machine count, a `usize`"
+)]
+fn machine_index(g: u64) -> usize {
+    g as usize
 }
 
 /// The binding keys of the global machines in `machines`.

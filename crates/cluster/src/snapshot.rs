@@ -113,6 +113,29 @@ pub struct SchedulerState {
     pub events: Vec<ClusterEvent>,
 }
 
+impl SchedulerState {
+    /// Job `jid`'s ledger entry.
+    pub(crate) fn job(&self, jid: JobId) -> &ClusterJob {
+        &self.jobs[ledger_slot(jid)]
+    }
+
+    /// Job `jid`'s ledger entry, mutably.
+    pub(crate) fn job_mut(&mut self, jid: JobId) -> &mut ClusterJob {
+        &mut self.jobs[ledger_slot(jid)]
+    }
+}
+
+/// The ledger position of job `jid`. Ids are positions in
+/// [`SchedulerState::jobs`]: the scheduler hands them out in ledger
+/// order, and decode refuses any id at or past the ledger's length.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "job ids are ledger positions, below a `usize` length"
+)]
+pub(crate) fn ledger_slot(jid: JobId) -> usize {
+    jid as usize
+}
+
 impl Snapshot for SchedulerState {
     fn encode(&self, w: &mut Writer) {
         self.jobs.encode(w);
@@ -587,7 +610,7 @@ impl ClusterSnapshot {
                     "replica {r}: completed {} vs {} (Δ {})",
                     sa.completed_total,
                     sb.completed_total,
-                    sb.completed_total as i64 - sa.completed_total as i64
+                    sb.completed_total.cast_signed() - sa.completed_total.cast_signed()
                 ));
             }
             if sa.inflight != sb.inflight {

@@ -21,13 +21,20 @@ use rhythm_workloads::BeSpec;
 /// telemetry audit trail.
 pub fn be_snapshot(machine: &Machine) -> BeSnapshot {
     let alloc = machine.be_total_alloc();
+    let count = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the qdisc ceiling is floored at zero; whole Mbps, saturating, is the audit's unit"
+    )]
+    let net_mbps = machine.qdisc.be_limit_mbps() as u32;
     BeSnapshot {
-        instances: machine.be_count() as u32,
-        running: machine.running_be_count() as u32,
+        instances: count(machine.be_count()),
+        running: count(machine.running_be_count()),
         cores: alloc.cores,
         llc_ways: alloc.llc_ways,
         freq_mhz: machine.be_dvfs.current_mhz(),
-        net_mbps: machine.qdisc.be_limit_mbps() as u32,
+        net_mbps,
     }
 }
 
@@ -251,7 +258,7 @@ impl ControllerAgent {
                     EventKind::Adjust {
                         machine: machine_idx,
                         kind,
-                        value: now_v as i32,
+                        value: now_v.cast_signed(),
                     },
                 );
             }

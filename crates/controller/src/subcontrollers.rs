@@ -127,7 +127,7 @@ pub fn grow_step_prio(
         }
     }
     // Admit a new instance.
-    if more_jobs_available && (machine.be_count() as u32) < cfg.max_instances {
+    if more_jobs_available && machine.be_count() < cfg.max_instances as usize {
         let req = Allocation {
             cores: cfg.initial_cores,
             llc_ways: if be_llc_capped { 0 } else { step_ways },

@@ -112,6 +112,11 @@ fn sweep_jobs<'a>(
 fn profile_level(service: &ServiceSpec, cfg: &ProfileConfig, li: usize, load: f64) -> LoadLevel {
     let seed = cfg.seed.wrapping_add(li as u64);
     let maxload = service.sim_maxload_rps();
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "a positive whole number of seconds; the cast saturates"
+    )]
     let needed_s = (cfg.min_requests as f64 / (load.max(0.01) * maxload)).ceil() as u64;
     let duration_s = cfg.duration_s.max(needed_s);
     let mut ecfg = EngineConfig::solo(load, duration_s, seed);
@@ -216,8 +221,8 @@ fn trace_run(
     let paired = pairing.finish();
     let mut means = Vec::with_capacity(n);
     let mut covs = Vec::with_capacity(n);
-    for pod in 0..n {
-        let sojourns = paired.sojourns(pod as u32);
+    for pod in (0u32..).take(n) {
+        let sojourns = paired.sojourns(pod);
         let mut stats = OnlineStats::new();
         for s in sojourns {
             stats.push(s);

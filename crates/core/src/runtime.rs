@@ -1120,12 +1120,15 @@ impl Engine {
         let (bucket, clamped) = self.hist.locate(latency_ms);
         self.tail.record_located(now, bucket, clamped);
         if self.telemetry.enabled() {
-            self.telemetry.recorder.record(
-                now,
-                EventKind::RequestCompleted {
-                    latency_us: (latency_ms * 1000.0) as u32,
-                },
-            );
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "the event keeps whole microseconds, saturating"
+            )]
+            let latency_us = (latency_ms * 1000.0) as u32;
+            self.telemetry
+                .recorder
+                .record(now, EventKind::RequestCompleted { latency_us });
             self.telemetry.record_latency_located(bucket, clamped);
         }
         self.completed_total += 1;
@@ -1321,6 +1324,10 @@ impl Engine {
                         done: 0.0,
                     };
                     ledger.0.insert(k, (b.id, progress));
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "compact event: pod indices fit u16, machine-local instance ids u32"
+                    )]
                     telemetry.recorder.record(
                         now,
                         EventKind::BeAdmitted {
@@ -1345,6 +1352,12 @@ impl Engine {
                 for id in dead {
                     // PANIC: `dead` was collected from this ledger just above.
                     let p = ledger.remove(id).expect("dead id came from ledger");
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        clippy::cast_sign_loss,
+                        reason = "compact event: pod indices fit u16, machine-local instance ids \
+                                  u32, and the progress percent saturates"
+                    )]
                     telemetry.recorder.record(
                         now,
                         EventKind::BeKilled {
@@ -1395,7 +1408,12 @@ impl Engine {
                 if dc > 0 {
                     let mean = (sum - prev_sum) / dc as f64;
                     if hot.is_none_or(|(_, m)| mean > m) {
-                        hot = Some((i as u32, mean));
+                        #[expect(
+                            clippy::cast_possible_truncation,
+                            reason = "a pod index, below the service's node count"
+                        )]
+                        let pod = i as u32;
+                        hot = Some((pod, mean));
                     }
                 }
             }
@@ -1450,7 +1468,11 @@ impl Engine {
                     // Round-robin the BE workload offered to the
                     // admission step. Without a cluster dispatcher the
                     // BE backlog is unbounded: a job is always pending.
-                    let be = &bes[(machine.be_started as usize) % bes.len()];
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "the remainder is below `bes.len()`, a `usize`"
+                    )]
+                    let be = &bes[(machine.be_started % bes.len() as u64) as usize];
                     (true, be, 0)
                 };
                 let inputs = AgentInputs {
@@ -1463,10 +1485,18 @@ impl Engine {
                     be_jobs_pending: pending,
                     be_priority,
                 };
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "a pod index, below the service's node count (< 2^16)"
+                )]
                 let (action, before, after) =
                     agent.tick_traced(machine, be, &inputs, &mut telemetry.recorder, now, i as u16);
                 if audit_on {
                     let th = agent.policy().thresholds();
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "a pod index, below the service's node count"
+                    )]
                     telemetry.audit.push(AuditRecord {
                         t_s: now.as_secs_f64(),
                         machine: i as u32,
@@ -1516,7 +1546,9 @@ impl Engine {
                     .map(|i| self.deployment.machines[i].be_total_alloc().cores)
                     .collect(),
                 be_instances: (0..n)
-                    .map(|i| self.deployment.machines[i].be_count() as u32)
+                    .map(|i| {
+                        u32::try_from(self.deployment.machines[i].be_count()).unwrap_or(u32::MAX)
+                    })
                     .collect(),
                 be_throughput: self.be_summaries.iter().map(|s| s.progress_rate).collect(),
             };
@@ -1724,7 +1756,7 @@ impl Snapshot for BeAdmission {
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         Ok(BeAdmission {
-            machine: r.u64()? as usize,
+            machine: r.usize()?,
             instance: r.u64()?,
             workload: r.str()?,
         })
@@ -1741,7 +1773,7 @@ impl Snapshot for BeKill {
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         Ok(BeKill {
-            machine: r.u64()? as usize,
+            machine: r.usize()?,
             instance: r.u64()?,
             workload: r.str()?,
             progress: r.f64()?,
@@ -2101,8 +2133,8 @@ impl Engine {
                     let m = &self.deployment.machines[i];
                     EngineMachineSummary {
                         pod: self.service.nodes[i].component.name.clone(),
-                        be_instances: m.be_count() as u32,
-                        be_running: m.running_be_count() as u32,
+                        be_instances: u32::try_from(m.be_count()).unwrap_or(u32::MAX),
+                        be_running: u32::try_from(m.running_be_count()).unwrap_or(u32::MAX),
                         be_cores: m.be_total_alloc().cores,
                         be_llc_ways: m.cat().be_ways(),
                         lc_freq_mhz: m.lc_dvfs.current_mhz(),

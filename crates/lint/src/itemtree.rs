@@ -1,26 +1,25 @@
 //! A brace-tree / item-level parser on top of the lexer — the layer
-//! between "token stream" and "syntax tree" that the semantic rules
-//! (S02 field coverage, D05 lossy casts) need and a lexical scanner
-//! cannot provide.
+//! between "token stream" and "syntax tree" that S02's field-coverage
+//! check needs and a lexical scanner cannot provide.
 //!
 //! It extracts, from one file's code tokens (comments excluded):
 //!
-//! * `struct` definitions with their **named field lists** (name, type
-//!   tokens, line, whether the field sits under a `#[cfg(...)]` gate);
-//!   tuple and unit structs are recorded without fields,
+//! * `struct` definitions with their **named field lists** (name, line,
+//!   whether the field sits under a `#[cfg(...)]` gate); tuple and unit
+//!   structs are recorded without fields,
 //! * `enum` definitions (name only — variant payloads are opaque),
 //! * `impl` blocks — inherent and `impl <Trait> for <Type>` — with the
 //!   trait's terminal name, the self type's head identifier, and the
 //!   functions defined inside,
-//! * every `fn` with its parameter list and body token range.
+//! * every `fn` with its body token range.
 //!
 //! Like the lexer it never fails: malformed source degrades into
 //! skipped tokens, all loops are bounded by the token count, and every
 //! recorded span stays inside the input (property-tested on arbitrary
 //! token soup in `tests/itemtree_props.rs`). What it deliberately does
-//! **not** do: name resolution across files, type inference beyond
-//! locally visible annotations, macro expansion, or `cfg` evaluation —
-//! see DESIGN.md §10 "what the parser can and cannot see".
+//! **not** do: name resolution across files, type inference, macro
+//! expansion, or `cfg` evaluation — see DESIGN.md §10 "what the parser
+//! can and cannot see".
 
 use crate::lexer::{Token, TokenKind};
 
@@ -43,8 +42,6 @@ pub struct Span {
 pub struct Field {
     /// Field name.
     pub name: String,
-    /// The field type's token texts, in order (`["Vec", "<", "i128", ">"]`).
-    pub ty: Vec<String>,
     /// 1-based line of the field name.
     pub line: u32,
     /// True when a `#[cfg(...)]` attribute gates the field — coverage
@@ -83,9 +80,6 @@ pub struct FnDef {
     pub name: String,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
-    /// `(name, type tokens)` for every simple `name: ty` parameter;
-    /// `self` receivers and pattern parameters are skipped.
-    pub params: Vec<(String, Vec<String>)>,
     /// Token-index range of the body contents (braces excluded);
     /// `None` for body-less signatures (trait methods, extern fns).
     pub body: Option<(usize, usize)>,
@@ -372,13 +366,8 @@ impl<'a> Parser<'a> {
             };
             if name_tok.kind == TokenKind::Ident && is_punct(colon, ':') {
                 let ty_end = self.scan_to(k + 2, |t| is_punct(t, ',')).min(hi);
-                let ty = self.toks[(k + 2).min(ty_end)..ty_end]
-                    .iter()
-                    .map(|t| t.text.clone())
-                    .collect();
                 out.push(Field {
                     name: name_tok.text.clone(),
-                    ty,
                     line: name_tok.line,
                     cfg_gated,
                 });
@@ -497,7 +486,6 @@ impl<'a> Parser<'a> {
             return (None, j.min(self.toks.len()));
         }
         let params_close = self.skip_group(j, '(', ')');
-        let params = self.parse_params(j + 1, params_close.saturating_sub(1));
         // Return type / where clause, then body `{` or signature-only `;`.
         let opener = self.scan_to(params_close, |t| is_punct(t, '{') || is_punct(t, ';'));
         if opener >= self.toks.len() {
@@ -505,7 +493,6 @@ impl<'a> Parser<'a> {
             self.tree.fns.push(FnDef {
                 name,
                 line,
-                params,
                 body: None,
                 span,
             });
@@ -516,7 +503,6 @@ impl<'a> Parser<'a> {
             self.tree.fns.push(FnDef {
                 name,
                 line,
-                params,
                 body: None,
                 span,
             });
@@ -528,45 +514,10 @@ impl<'a> Parser<'a> {
         self.tree.fns.push(FnDef {
             name,
             line,
-            params,
             body: Some(body),
             span,
         });
         (Some(self.tree.fns.len() - 1), close)
-    }
-
-    /// Parses `name: Type` parameters between `lo` and `hi` (exclusive).
-    /// `self` receivers and destructuring patterns are skipped — only
-    /// bindings a later type-inference pass can use are kept.
-    fn parse_params(&self, lo: usize, hi: usize) -> Vec<(String, Vec<String>)> {
-        let mut out = Vec::new();
-        let mut k = lo;
-        let hi = hi.min(self.toks.len());
-        while k < hi {
-            // One parameter: tokens to the next depth-0 comma.
-            let end = self.scan_to(k, |t| is_punct(t, ',')).min(hi);
-            let mut p = k;
-            // Attributes and `mut` prefixes.
-            while p + 1 < end && is_punct(self.toks[p], '#') && is_punct(self.toks[p + 1], '[') {
-                p = self.skip_group(p + 1, '[', ']').min(end);
-            }
-            if p < end && is_kw(self.toks[p], "mut") {
-                p += 1;
-            }
-            if p + 1 < end
-                && self.toks[p].kind == TokenKind::Ident
-                && self.toks[p].text != "self"
-                && is_punct(self.toks[p + 1], ':')
-            {
-                let ty = self.toks[p + 2..end]
-                    .iter()
-                    .map(|t| t.text.clone())
-                    .collect();
-                out.push((self.toks[p].text.clone(), ty));
-            }
-            k = end + 1;
-        }
-        out
     }
 }
 
@@ -575,7 +526,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn struct_fields_with_types_and_lines() {
+    fn struct_fields_with_lines() {
         let t = parse_source(
             "pub struct State {\n\
              \x20   pub jobs: Vec<u64>,\n\
@@ -587,7 +538,6 @@ mod tests {
         let f = s.fields.as_ref().expect("named fields");
         let names: Vec<&str> = f.iter().map(|x| x.name.as_str()).collect();
         assert_eq!(names, vec!["jobs", "seq", "map"]);
-        assert_eq!(f[0].ty, vec!["Vec", "<", "u64", ">"]);
         assert_eq!(f[1].line, 3);
         assert!(!f[2].cfg_gated);
     }
@@ -637,10 +587,6 @@ mod tests {
         let t = parse_source("impl NodeTables { fn encode_node(&self, i: usize) {} }");
         assert_eq!(t.impls[0].trait_name, None);
         assert_eq!(t.impls[0].type_name, "NodeTables");
-        assert_eq!(
-            t.fns[0].params,
-            vec![("i".to_string(), vec!["usize".to_string()])]
-        );
     }
 
     #[test]
@@ -679,8 +625,7 @@ mod tests {
         let t = parse_source("fn apply<F: Fn(u32) -> u64>(f: F, seed: u32) -> u64 { f(seed) }");
         assert_eq!(t.fns.len(), 1);
         assert_eq!(t.fns[0].name, "apply");
-        // `seed: u32` survives; `f: F` too.
-        assert_eq!(t.fns[0].params.len(), 2);
+        assert!(t.fns[0].body.is_some());
     }
 
     #[test]

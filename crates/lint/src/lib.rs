@@ -1,28 +1,32 @@
-//! `rhythm-lint` — determinism & invariant static analysis for the
-//! Rhythm workspace.
+//! `rhythm-lint` — the repository's own invariants, checked at the
+//! source level.
 //!
 //! Every guarantee this repository sells — bit-identical golden
 //! fixtures, byte-identical telemetry for any worker-thread count,
-//! reproducible Rhythm-vs-Heracles numbers — rests on determinism
-//! invariants that ordinary tests only catch *after* a fingerprint
-//! scrambles. This crate enforces them at the source level: a
-//! dependency-free lexer (the registry is offline, so no `syn`) feeds a
-//! rule engine that walks every workspace `.rs` file and reports
-//! findings as `file:line: rule-id message`.
+//! reproducible Rhythm-vs-Heracles numbers — rests on invariants that
+//! ordinary tests only catch *after* a fingerprint scrambles. The
+//! type-level ones (no hash containers, no entropy-seeded hashing, no
+//! `f32`, no lossy casts, justified `allow`s and `unsafe`) are clippy's:
+//! see the workspace `clippy.toml` and `[workspace.lints.clippy]`. This
+//! crate keeps the ones that rest on the repository's own conventions —
+//! wall clocks outside the benchmark harness, snapshot field coverage,
+//! `// PANIC:` justifications. A dependency-free lexer (the registry is
+//! offline, so no `syn`) feeds a rule engine that walks every workspace
+//! `.rs` file and reports findings as `file:line: rule-id message`.
 //!
 //! Rules and their crate-scope policy live in [`rules`]; the escape
 //! hatch is an inline pragma that *requires* a reason:
 //!
 //! ```text
-//! // lint:allow(D01) -- lookup-only, never iterated
-//! let mut idx: HashMap<Key, Row> = HashMap::new();
+//! // lint:allow(D02) -- operator-facing stopwatch, not sim time
+//! let t = Instant::now();
 //! ```
 //!
 //! Three integrations keep the pass from rotting: the `repro lint`
 //! subcommand (writes `results/lint.{txt,json}`), the tier-1 test
 //! `tests/lint.rs` (fails the build on any unsuppressed finding), and a
-//! dedicated CI job. See `DESIGN.md` §10 for the rule table and how to
-//! add a rule.
+//! dedicated CI job. See `DESIGN.md` §10 for the rule table, the split
+//! with clippy, and how to add a rule.
 
 #![forbid(unsafe_code)]
 
@@ -247,12 +251,12 @@ mod tests {
     fn lint_source_reports_canonical_form() {
         let l = lint_source(
             "crates/sim/src/bad.rs",
-            "fn f() { let m: HashSet<u8> = HashSet::new(); }",
+            "fn f() { let t = Instant::now(); let s = SystemTime::now(); }",
         );
         assert_eq!(l.findings.len(), 2);
         let line = l.findings[0].render();
         assert!(
-            line.starts_with("crates/sim/src/bad.rs:1: D01 "),
+            line.starts_with("crates/sim/src/bad.rs:1: D02 "),
             "unexpected render: {line}"
         );
     }
@@ -264,7 +268,7 @@ mod tests {
             findings: vec![Finding {
                 file: "a\"b.rs".to_string(),
                 line: 3,
-                rule: "D01",
+                rule: "D02",
                 message: "quote \" and backslash \\".to_string(),
             }],
             suppressed: vec![],
@@ -304,10 +308,14 @@ mod tests {
         std::fs::create_dir_all(tmp.join("vendor/x")).unwrap();
         std::fs::create_dir_all(tmp.join("tests/fixtures")).unwrap();
         std::fs::write(tmp.join("src/a.rs"), "fn a() {}").unwrap();
-        std::fs::write(tmp.join("vendor/x/b.rs"), "fn b() { thread_rng(); }").unwrap();
+        std::fs::write(
+            tmp.join("vendor/x/b.rs"),
+            "fn b() { let t = Instant::now(); }",
+        )
+        .unwrap();
         std::fs::write(
             tmp.join("tests/fixtures/bad.rs"),
-            "fn c() { thread_rng(); }",
+            "fn c() { let t = Instant::now(); }",
         )
         .unwrap();
         let report = lint_workspace(&tmp).unwrap();

@@ -1,29 +1,9 @@
-//! Known-bad fixture: determinism-rule violations with pinned line
-//! numbers. Linted by `tests/rules.rs` under the label
+//! Known-bad fixture: wall-clock reads (D02) with pinned line numbers.
+//! Linted by `tests/rules.rs` under the label
 //! `crates/sim/src/bad_determinism.rs`; never compiled, and the
 //! workspace walk skips `fixtures` directories.
-
-use std::collections::HashMap;
-
-fn hash_iteration() {
-    let mut m: HashMap<u32, u32> = HashMap::new();
-    m.insert(1, 2);
-    for (k, v) in &m {
-        let _ = (k, v);
-    }
-    let _keys = m.keys();
-}
 
 fn wall_clock() {
     let _t = Instant::now();
     let _s = SystemTime::now();
-}
-
-fn entropy() {
-    let _r = thread_rng();
-    let _x: u64 = rand::random();
-}
-
-fn narrow(x: f32) -> f64 {
-    x as f64 + 1.5f32 as f64
 }

@@ -1,15 +1,11 @@
-//! Known-bad fixture: hygiene-rule violations (U01 / H01 / A01) with
-//! pinned line numbers. Never compiled; see `tests/rules.rs`.
+//! Known-bad fixture: malformed pragmas (A01) with pinned line numbers.
+//! Never compiled; see `tests/rules.rs`.
 
-fn no_safety_comment(p: *const u32) -> u32 {
-    unsafe { *p }
-}
-
-#[allow(dead_code)]
-fn unjustified_allow() {}
-
-// lint:allow(D01)
+// lint:allow(D02)
 fn pragma_without_reason() {}
 
 // lint:allow(Z99) -- suppressing a rule that does not exist
 fn pragma_unknown_rule() {}
+
+// lint:allow(D01) -- a retired rule, now clippy's disallowed-types
+fn pragma_retired_rule() {}

@@ -1,11 +1,12 @@
 //! Fixture: every violation carries a well-formed pragma, so the file
 //! is clean (zero unsuppressed findings) but the suppressions are
 //! visible in the report. See `tests/rules.rs`.
+// lint:snapshot-state
 
 use std::collections::HashMap;
 
 struct Index {
-    // lint:allow(D01) -- lookup-only, never iterated
+    // lint:allow(S01) -- lookup-only, never iterated
     by_id: HashMap<u64, usize>,
 }
 

@@ -27,10 +27,13 @@ impl Key {
     }
 
     /// Inverse of [`Key::pack`].
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "intentional: the key's generation is the low 32 bits"
+    )]
     pub fn unpack(raw: u64) -> Key {
         Key {
             slot: (raw >> 32) as u32,
-            // lint:allow(D05) -- intentional: the key's generation is the low 32 bits
             gen: raw as u32,
         }
     }
@@ -128,11 +131,11 @@ impl<T> Arena<T> {
 
     /// Iterates the live values in slot order with their keys.
     pub fn iter(&self) -> impl Iterator<Item = (Key, &T)> {
-        self.slots.iter().enumerate().filter_map(|(i, s)| {
+        (0u32..).zip(&self.slots).filter_map(|(i, s)| {
             s.value.as_ref().map(|v| {
                 (
                     Key {
-                        slot: i as u32,
+                        slot: i,
                         gen: s.gen,
                     },
                     v,

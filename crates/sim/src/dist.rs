@@ -425,7 +425,7 @@ mod tests {
             let mut rng = SimRng::from_seed(9);
             let mut xs: Vec<f64> = (0..20_000).map(|_| d.sample(&mut rng)).collect();
             xs.sort_by(f64::total_cmp);
-            xs[(xs.len() as f64 * 0.99) as usize]
+            xs[xs.len() * 99 / 100]
         };
         assert!(sample_p99(1.0) > sample_p99(0.3));
     }

@@ -83,6 +83,11 @@ impl LatencyHistogram {
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "past the early return the log ratio is positive and finite; the cast saturates"
+    )]
     fn bucket_index(&self, value: f64) -> usize {
         if value <= self.min_value {
             return 0;
@@ -264,6 +269,11 @@ impl LatencyHistogram {
             return 0.0;
         }
         let p = p.clamp(0.0, 1.0);
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "the nearest rank is a whole number in [0, total], then clamped"
+        )]
         let rank = ((p * total as f64).ceil() as u64).clamp(1, total);
         let above = total - rank;
         let mut suffix = 0u64;

@@ -118,6 +118,10 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `n == 0`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "intentional: Lemire's method compares the low 64 bits of the product"
+    )]
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "SimRng::below(0)");
         // Lemire's unbiased multiply-and-reject.

@@ -208,6 +208,11 @@ pub fn quantile(samples: &[f64], p: f64) -> f64 {
     let mut xs = samples.to_vec();
     xs.sort_by(f64::total_cmp);
     let p = p.clamp(0.0, 1.0);
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the nearest rank is a whole number in [0, len], then clamped"
+    )]
     let rank = ((p * xs.len() as f64).ceil() as usize).clamp(1, xs.len());
     xs[rank - 1]
 }

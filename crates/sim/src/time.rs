@@ -106,6 +106,11 @@ impl SimDuration {
 
     /// Creates a duration from fractional seconds, rounding to the nearest
     /// nanosecond and clamping negatives to zero.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "past the guard `s` is positive and finite; the cast saturates"
+    )]
     pub fn from_secs_f64(s: f64) -> Self {
         if s <= 0.0 || !s.is_finite() {
             return SimDuration(0);

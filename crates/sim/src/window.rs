@@ -124,6 +124,10 @@ impl TailWindow {
             "value located under a different histogram layout"
         );
         let epoch = self.epoch_of(at);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the remainder is below `slots.len()`, a `usize`"
+        )]
         let idx = (epoch % self.slots.len() as u64) as usize;
         let slot = &mut self.slots[idx];
         if slot.epoch != epoch {

@@ -38,7 +38,7 @@
 // The workspace is unsafe-free; lock that in at the crate root. If a
 // crate ever genuinely needs `unsafe`, downgrade its forbid to
 // `#![deny(unsafe_op_in_unsafe_fn)]` and justify every block with a
-// `// SAFETY:` comment (rhythm-lint rule U01 enforces the comment).
+// `// SAFETY:` comment (clippy's `undocumented_unsafe_blocks` enforces it).
 #![forbid(unsafe_code)]
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -300,7 +300,14 @@ impl<'a> Reader<'a> {
         if floor > self.remaining() as u64 {
             return Err(SnapshotError::Truncated);
         }
-        Ok(n as usize)
+        usize::try_from(n).map_err(|_| SnapshotError::Truncated)
+    }
+
+    /// A `usize` (an index) the stream stores as a `u64`; one this host's
+    /// `usize` cannot hold is [`SnapshotError::Corrupt`].
+    pub fn usize(&mut self) -> Result<usize, SnapshotError> {
+        let v = self.u64()?;
+        usize::try_from(v).map_err(|_| SnapshotError::Corrupt(format!("index {v} exceeds usize")))
     }
 
     /// Length-prefixed UTF-8.

@@ -325,11 +325,20 @@ impl rhythm_snapshot::Snapshot for Event {
 
 /// Saturating per-mille encoding of a fraction (used by the Action
 /// event).
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "clamped into u16's range first; NaN saturates to 0"
+)]
 pub fn per_mille_u16(x: f64) -> u16 {
     (x * 1000.0).clamp(0.0, u16::MAX as f64) as u16
 }
 
 /// Saturating signed per-mille encoding (slack can be negative).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "clamped into i16's range first; NaN saturates to 0"
+)]
 pub fn per_mille_i16(x: f64) -> i16 {
     (x * 1000.0).clamp(i16::MIN as f64, i16::MAX as f64) as i16
 }

@@ -179,19 +179,18 @@ impl rhythm_snapshot::Snapshot for FlightRecorder {
 
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
         let enabled = r.bool()?;
-        let cap = r.u64()?;
+        let cap = r.usize()?;
         let seq = r.u64()?;
         let buf: Vec<Event> = rhythm_snapshot::Snapshot::decode(r)?;
         // No config builds a larger ring; refusing one here also keeps
         // the reservation below bounded.
-        if cap == 0 || cap > DEFAULT_RING_CAPACITY as u64 {
+        if cap == 0 || cap > DEFAULT_RING_CAPACITY {
             return Err(rhythm_snapshot::SnapshotError::Corrupt(format!(
                 "flight recorder capacity {cap} is outside 1..={DEFAULT_RING_CAPACITY}"
             )));
         }
-        let cap = cap as usize;
         let expected = if enabled {
-            seq.min(cap as u64) as usize
+            usize::try_from(seq).map_or(cap, |seq| seq.min(cap))
         } else {
             0
         };
@@ -203,6 +202,10 @@ impl rhythm_snapshot::Snapshot for FlightRecorder {
         }
         let mut buf = buf;
         buf.reserve_exact(cap - buf.len());
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the remainder is below `cap`, a `usize`"
+        )]
         Ok(FlightRecorder {
             enabled,
             buf,
@@ -329,8 +332,8 @@ mod tests {
     #[test]
     fn ring_keeps_most_recent_in_order() {
         let mut r = FlightRecorder::new(4);
-        for i in 0..10u64 {
-            r.record(at(i), EventKind::Epoch { epoch: i as u32 });
+        for i in 0..10u32 {
+            r.record(at(u64::from(i)), EventKind::Epoch { epoch: i });
         }
         assert_eq!(r.recorded(), 10);
         assert_eq!(r.dropped(), 6);
@@ -364,8 +367,8 @@ mod tests {
     fn snapshot_round_trip_preserves_wrapped_ring() {
         use rhythm_snapshot::{Reader, Snapshot, Writer};
         let mut r = FlightRecorder::new(4);
-        for i in 0..10u64 {
-            r.record(at(i), EventKind::Epoch { epoch: i as u32 });
+        for i in 0..10u32 {
+            r.record(at(u64::from(i)), EventKind::Epoch { epoch: i });
         }
         let mut w = Writer::new();
         r.encode(&mut w);
@@ -390,13 +393,13 @@ mod tests {
     fn head_is_seq_mod_cap_across_wrap_and_decode() {
         use rhythm_snapshot::{Reader, Snapshot, Writer};
         let mut r = FlightRecorder::new(5);
-        for i in 0..13u64 {
+        for i in 0..13u32 {
             assert_eq!(r.head as u64, r.seq % r.cap as u64);
             let mut w = Writer::new();
             r.encode(&mut w);
             let back = FlightRecorder::decode(&mut Reader::new(&w.into_bytes())).unwrap();
             assert_eq!(back.head, r.head, "after {i} records");
-            r.record(at(i), EventKind::Epoch { epoch: i as u32 });
+            r.record(at(u64::from(i)), EventKind::Epoch { epoch: i });
         }
         assert_eq!(r.head, 3);
     }

@@ -348,6 +348,10 @@ impl EventCapture {
         let s = &mut self.synth;
         let root = req.visits[0];
         let client_port = s.port_for(s.config.client_ip, root.pod);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "below(n) < n, which fits the field"
+        )]
         let entry_msg = MessageId {
             sender_ip: s.config.client_ip,
             sender_port: client_port,
@@ -442,13 +446,15 @@ impl Synth {
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "intentional: the port hash mixes low bits, wrapping is the point"
+    )]
     fn port_for(&mut self, src: u32, dst: u32) -> u16 {
         if self.config.persistent_connections {
             // One long-lived connection per pod pair: fixed 4-tuple.
             50_000u16
-                // lint:allow(D05) -- intentional: the port hash mixes low bits, wrapping is the point
                 .wrapping_add((src as u16).wrapping_mul(97))
-                // lint:allow(D05) -- intentional: the port hash mixes low bits, wrapping is the point
                 .wrapping_add((dst as u16).wrapping_mul(13))
         } else {
             let p = self.next_ephemeral_port;
@@ -599,6 +605,10 @@ impl Synth {
         // Persistent RPC connections exchange fixed-size protocol frames,
         // which is exactly why "multiple requests may share the same
         // message identifier" (§3.3) — the five-tuple stops being unique.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "below(n) < n, which fits the field"
+        )]
         let size = if self.config.persistent_connections {
             512
         } else {
@@ -615,6 +625,10 @@ impl Synth {
 
     /// Injects unrelated-process events (different program names) spread
     /// over the request's time span.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "every draw is below(n) with n < 2^16, which fits its field"
+    )]
     fn inject_noise(&mut self, start: SimTime, end: SimTime) {
         let span = end.saturating_since(start).as_nanos().max(1);
         for _ in 0..self.config.noise_events_per_request {
@@ -706,6 +720,10 @@ fn sort_by_timestamp(events: &mut [SysEvent], s: &mut SortScratch) {
         .unwrap_or((0, 0));
     let mask = (1u64 << digit_bits) - 1;
     let size = 1usize << digit_bits;
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a digit is masked to at most 16 bits"
+    )]
     let digit = |key: u64, d: u32| ((key >> (index_bits + d * digit_bits)) & mask) as usize;
     offsets.clear();
     offsets.resize(size * digits as usize, 0);
@@ -735,6 +753,10 @@ fn sort_by_timestamp(events: &mut [SysEvent], s: &mut SortScratch) {
     // The index in `keys[j]` is the event that belongs at `j`. Walk each
     // cycle once, marking a settled slot by storing `j` itself.
     let index_mask = (1u64 << index_bits) - 1;
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the index field holds an event position, below `events.len()`"
+    )]
     let from = |key: u64| (key & index_mask) as usize;
     for start in 0..keys.len() {
         if from(keys[start]) == start {
@@ -855,7 +877,9 @@ mod tests {
         (0..len)
             .map(|i| SysEvent {
                 kind: EventKind::Recv,
-                timestamp: SimTime::from_nanos(pool[rng.below(pool.len() as u64) as usize]),
+                timestamp: SimTime::from_nanos(
+                    pool[usize::try_from(rng.below(pool.len() as u64)).unwrap()],
+                ),
                 ctx: ContextId {
                     host_ip: 1,
                     program: 1000,

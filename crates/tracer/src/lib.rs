@@ -38,7 +38,7 @@
 // The workspace is unsafe-free; lock that in at the crate root. If a
 // crate ever genuinely needs `unsafe`, downgrade its forbid to
 // `#![deny(unsafe_op_in_unsafe_fn)]` and justify every block with a
-// `// SAFETY:` comment (rhythm-lint rule U01 enforces the comment).
+// `// SAFETY:` comment (clippy's `undocumented_unsafe_blocks` enforces it).
 #![forbid(unsafe_code)]
 
 pub mod capture;

@@ -22,7 +22,7 @@ use crate::capture::is_lc_program;
 use crate::event::{ContextId, EventKind, MessageId, SysEvent};
 use rhythm_sim::SimTime;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Result of pairing one event trace.
@@ -59,6 +59,10 @@ impl PairingOutput {
         };
         let labels = usize::try_from(self.labels).expect("label count fits in memory");
         let mut per_request: Vec<Option<f64>> = vec![None; labels];
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "every label is below `self.labels`, which fits a `usize`"
+        )]
         for &(label, ms) in segs {
             *per_request[label as usize].get_or_insert(0.0) += ms;
         }
@@ -137,8 +141,12 @@ struct Slot<V> {
 /// queue. Spill queues that empty go back to a free list, so long traces
 /// reuse a small set of them.
 struct SlotQueues<K, V> {
-    // lint:allow(D01) -- lookup-only: reached only through entry(), never iterated, so hash order cannot reach the output
-    slots: HashMap<K, Slot<V>, BuildHasherDefault<MulHasher>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "lookup-only: reached only through entry(), never iterated, so hash order \
+                  cannot reach the output"
+    )]
+    slots: std::collections::HashMap<K, Slot<V>, BuildHasherDefault<MulHasher>>,
     spills: Vec<VecDeque<V>>,
     free: Vec<u32>,
     /// Entries queued over all ids.

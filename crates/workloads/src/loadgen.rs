@@ -64,6 +64,11 @@ impl LoadGen {
         let day_jitter: Vec<f64> = (0..days).map(|_| rng.uniform_range(0.85, 1.15)).collect();
         for i in 0..intervals {
             let frac = i as f64 / intervals as f64;
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "frac is in [0, 1): the day is a whole number below `days`"
+            )]
             let day = ((frac * days as f64) as usize).min(days as usize - 1);
             let phase = frac * days as f64 * std::f64::consts::TAU;
             // Diurnal shape: deep trough at "night", broad daytime peak.
@@ -135,6 +140,11 @@ impl LoadGen {
         if let LoadGen::Trace { samples, .. } = &mut self {
             let n = samples.len();
             if n > 0 && magnitude > 1.0 {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    clippy::cast_sign_loss,
+                    reason = "a clamped fraction of `n`: a whole number in [0, n], then clamped"
+                )]
                 let start = ((start_frac.clamp(0.0, 1.0) * n as f64) as usize).min(n - 1);
                 let ramp = ramp_intervals.max(1);
                 for k in 0..=ramp {
@@ -164,7 +174,11 @@ impl LoadGen {
                 if samples.is_empty() {
                     return 0.0;
                 }
-                let idx = (t.as_nanos() / interval.as_nanos()) as usize % samples.len();
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "the remainder is below `samples.len()`, a `usize`"
+                )]
+                let idx = ((t.as_nanos() / interval.as_nanos()) % samples.len() as u64) as usize;
                 samples[idx]
             }
         }
