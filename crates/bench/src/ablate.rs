@@ -21,13 +21,13 @@ use rhythm_core::par;
 use rhythm_core::profiling::{calibrate_sla, profile_service, ProfileConfig};
 use rhythm_core::runtime::{ControlMode, Engine, EngineConfig};
 use rhythm_sim::SimDuration;
+use rhythm_telemetry::json::{self, Obj, ToJson};
 use rhythm_workloads::{apps, BeSpec, LoadGen};
-use serde::Serialize;
 
 const DURATION_S: u64 = 300;
 
 /// Outcome of one ablation variant.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Variant {
     /// Variant name.
     pub name: String,
@@ -39,6 +39,18 @@ pub struct Variant {
     pub sla_violations: u64,
     /// Worst tail/SLA.
     pub tail_ratio: f64,
+}
+
+impl ToJson for Variant {
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out)
+            .field("name", &self.name)
+            .field("emu", self.emu)
+            .field("be_throughput", self.be_throughput)
+            .field("sla_violations", self.sla_violations)
+            .field("tail_ratio", self.tail_ratio)
+            .close();
+    }
 }
 
 fn run_with_thresholds(
@@ -275,5 +287,5 @@ pub fn run() -> std::io::Result<()> {
         report.line(format!("  {label:<14} pairwise agreement {:.2}", agreement));
     }
     report.line("  (the paper's argument: no single one-dimensional bubble reproduces the directed ranking)");
-    report.finish(&(&c, &p, &f, &b))
+    report.finish(json::to_string(&(&c, &p, &f, &b)))
 }

@@ -13,7 +13,7 @@
 use crate::Report;
 use rhythm_chaos::{Scenario, ScenarioOutcome};
 use rhythm_core::experiment::ControllerChoice;
-use serde_json::json;
+use rhythm_telemetry::json;
 
 /// Machines in the chaos cell (two e-commerce replicas).
 pub const MACHINES: usize = 8;
@@ -93,12 +93,12 @@ pub fn run() -> std::io::Result<()> {
             "MISMATCH — resumed run diverged"
         }
     ));
-    report.finish(&json!({
-        "machines": MACHINES,
-        "seed": SEED,
-        "controller": "rhythm",
-        "restart_bit_identical": drill_ok,
-        "scenarios": outcomes,
+    report.finish(json::object(|o| {
+        o.field("machines", MACHINES)
+            .field("seed", SEED)
+            .field("controller", "rhythm")
+            .field("restart_bit_identical", drill_ok)
+            .field("scenarios", &outcomes);
     }))
 }
 

@@ -12,8 +12,8 @@ use crate::Report;
 use rhythm_cluster::{compare_cluster, ClusterConfig, ClusterMetrics, JobSpec, PlacementPolicy};
 use rhythm_core::experiment::ServiceContext;
 use rhythm_machine::MachineSpec;
+use rhythm_telemetry::json::{self, Obj};
 use rhythm_workloads::{apps, BeKind, BeSpec};
-use serde_json::json;
 
 /// Cluster sizes evaluated (the paper's testbed is N=4).
 pub const SIZES: [usize; 3] = [4, 16, 64];
@@ -95,18 +95,20 @@ pub fn run() -> std::io::Result<()> {
         };
         report.line(format!("EMU improvement: {gain:+.1}%"));
         report.blank();
-        cells.push(json!({
-            "machines": n,
-            "rhythm": rhythm.metrics,
-            "heracles": heracles.metrics,
-            "emu_gain_pct": gain,
-        }));
+        cells.push((n, rhythm.metrics, heracles.metrics, gain));
     }
-    report.finish(&json!({
-        "policy": "interference-score",
-        "load": 0.85,
-        "duration_s": 300,
-        "cells": cells,
+    report.finish(json::object(|o| {
+        o.field("policy", "interference-score")
+            .field("load", 0.85)
+            .field("duration_s", 300)
+            .arr("cells", &cells, |out, (n, rhythm, heracles, gain)| {
+                Obj::open(out)
+                    .field("machines", n)
+                    .field("rhythm", rhythm)
+                    .field("heracles", heracles)
+                    .field("emu_gain_pct", gain)
+                    .close();
+            });
     }))
 }
 
@@ -195,18 +197,18 @@ pub fn run_hetero() -> std::io::Result<()> {
     };
     report.line(format!("EMU improvement: {gain:+.1}%"));
     report.blank();
-    report.finish(&json!({
-        "policy": "hetero-aware",
-        "load": 0.85,
-        "duration_s": cfg.duration_s,
-        "machine_classes": classes,
-        "priority_preemption": true,
-        "queue_aging_s": 60.0,
-        "gang_patience_epochs": cfg.gang_patience_epochs,
-        "jobs": cfg.total_jobs(),
-        "rhythm": rhythm.metrics,
-        "heracles": heracles.metrics,
-        "emu_gain_pct": gain,
+    report.finish(json::object(|o| {
+        o.field("policy", "hetero-aware")
+            .field("load", 0.85)
+            .field("duration_s", cfg.duration_s)
+            .field("machine_classes", &classes)
+            .field("priority_preemption", true)
+            .field("queue_aging_s", 60.0)
+            .field("gang_patience_epochs", cfg.gang_patience_epochs)
+            .field("jobs", cfg.total_jobs())
+            .field("rhythm", &rhythm.metrics)
+            .field("heracles", &heracles.metrics)
+            .field("emu_gain_pct", gain);
     }))
 }
 

@@ -11,8 +11,8 @@ use crate::Report;
 use rhythm_core::experiment::{ExperimentConfig, ServiceContext};
 use rhythm_core::metrics::{improvement, RunMetrics};
 use rhythm_core::par;
+use rhythm_telemetry::json::{self, Obj, ToJson};
 use rhythm_workloads::{apps, BeSpec, LoadGen};
-use serde::Serialize;
 
 /// Loads of the constant-load experiments, in percent of max load.
 pub const LOADS_PCT: [u32; 5] = [5, 25, 45, 65, 85];
@@ -34,7 +34,7 @@ pub fn focus_pod(service: &str) -> &'static str {
 }
 
 /// One grid cell: both controllers on the same (service, BE, load).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct GridCell {
     /// Service name.
     pub service: String,
@@ -48,8 +48,20 @@ pub struct GridCell {
     pub heracles: RunMetrics,
 }
 
+impl ToJson for GridCell {
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out)
+            .field("service", &self.service)
+            .field("be", &self.be)
+            .field("load_pct", self.load_pct)
+            .field("rhythm", &self.rhythm)
+            .field("heracles", &self.heracles)
+            .close();
+    }
+}
+
 /// Summary of one prepared service context (thresholds etc.).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct CtxSummary {
     /// Service name.
     pub service: String,
@@ -59,13 +71,32 @@ pub struct CtxSummary {
     pub pods: Vec<(String, f64, f64, f64)>,
 }
 
+impl ToJson for CtxSummary {
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out)
+            .field("service", &self.service)
+            .field("sla_ms", self.sla_ms)
+            .field("pods", &self.pods)
+            .close();
+    }
+}
+
 /// The full grid.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Grid {
     /// Prepared-context summaries.
     pub contexts: Vec<CtxSummary>,
     /// All cells.
     pub cells: Vec<GridCell>,
+}
+
+impl ToJson for Grid {
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out)
+            .field("contexts", &self.contexts)
+            .field("cells", &self.cells)
+            .close();
+    }
 }
 
 fn summarize(ctx: &ServiceContext) -> CtxSummary {
@@ -276,7 +307,7 @@ pub fn fig09(grid: &Grid) -> std::io::Result<()> {
         PodMetric::BeThroughput,
         "normalized BE throughput",
     ));
-    r.finish(grid)
+    r.finish(json::to_string(grid))
 }
 
 /// Writes the Figure 10 report.
@@ -286,7 +317,7 @@ pub fn fig10(grid: &Grid) -> std::io::Result<()> {
         "CPU utilization at Servpods under different loads (Figure 10)",
     );
     r.line(render_pod_figure(grid, PodMetric::CpuUtil, "machine CPU %"));
-    r.finish(grid)
+    r.finish(json::to_string(grid))
 }
 
 /// Writes the Figure 11 report.
@@ -300,7 +331,7 @@ pub fn fig11(grid: &Grid) -> std::io::Result<()> {
         PodMetric::MembwUtil,
         "machine MemBW %",
     ));
-    r.finish(grid)
+    r.finish(json::to_string(grid))
 }
 
 /// Writes the Figure 12 report.
@@ -310,7 +341,7 @@ pub fn fig12(grid: &Grid) -> std::io::Result<()> {
         "EMU improvements under different loads (Figure 12)",
     );
     r.line(render_improvement_figure(grid, SvcMetric::Emu, "EMU"));
-    r.finish(grid)
+    r.finish(json::to_string(grid))
 }
 
 /// Writes the Figure 13 report.
@@ -321,7 +352,7 @@ pub fn fig13(grid: &Grid) -> std::io::Result<()> {
         SvcMetric::Cpu,
         "CPU utilization",
     ));
-    r.finish(grid)
+    r.finish(json::to_string(grid))
 }
 
 /// Writes the Figure 14 report.
@@ -335,7 +366,7 @@ pub fn fig14(grid: &Grid) -> std::io::Result<()> {
         SvcMetric::Membw,
         "MemBW utilization",
     ));
-    r.finish(grid)
+    r.finish(json::to_string(grid))
 }
 
 #[cfg(test)]

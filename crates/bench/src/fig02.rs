@@ -9,11 +9,11 @@
 use rhythm_core::par;
 use rhythm_core::{ControlMode, Engine, EngineConfig};
 use rhythm_machine::MachineSpec;
+use rhythm_telemetry::json::{self, Obj, ToJson};
 use rhythm_workloads::{BeKind, BeSpec, ServiceSpec};
-use serde::Serialize;
 
 /// The seven interference groups of Figure 2.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Group {
     /// stream-dram saturating the DRAM channel.
     StreamDramBig,
@@ -76,7 +76,7 @@ impl Group {
 }
 
 /// One measured cell.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Cell {
     /// Component (Servpod) name.
     pub pod: String,
@@ -88,13 +88,33 @@ pub struct Cell {
     pub increase_pct: f64,
 }
 
+impl ToJson for Cell {
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out)
+            .field("pod", &self.pod)
+            .field("group", self.group)
+            .field("load_pct", self.load_pct)
+            .field("increase_pct", self.increase_pct)
+            .close();
+    }
+}
+
 /// The full characterization of one service.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Characterization {
     /// Service name.
     pub service: String,
     /// All cells.
     pub cells: Vec<Cell>,
+}
+
+impl ToJson for Characterization {
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out)
+            .field("service", &self.service)
+            .field("cells", &self.cells)
+            .close();
+    }
 }
 
 const LOADS: [u32; 4] = [20, 40, 60, 80];
@@ -233,7 +253,7 @@ pub fn run() -> std::io::Result<()> {
     report.line(render(&ecom));
     report.line(summary(&redis, "master", "slave"));
     report.line(summary(&ecom, "mysql", "tomcat"));
-    report.finish(&(&redis, &ecom))
+    report.finish(json::to_string(&(&redis, &ecom)))
 }
 
 #[cfg(test)]

@@ -2,11 +2,11 @@
 //! their normalized coefficients of variation, collected in solo-run.
 
 use rhythm_core::{profile_service, ProfileConfig};
+use rhythm_telemetry::json::{self, Obj, ToJson};
 use rhythm_workloads::apps;
-use serde::Serialize;
 
 /// The Figure 6 dataset.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig06 {
     /// Servpod names.
     pub pods: Vec<String>,
@@ -19,6 +19,18 @@ pub struct Fig06 {
     /// Normalized CoV share per pod per load (each load column sums to
     /// 1), `[pod][load]`.
     pub cov_share: Vec<Vec<f64>>,
+}
+
+impl ToJson for Fig06 {
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out)
+            .field("pods", &self.pods)
+            .field("loads", &self.loads)
+            .field("mean_sojourn_ms", &self.mean_sojourn_ms)
+            .field("p99_ms", &self.p99_ms)
+            .field("cov_share", &self.cov_share)
+            .close();
+    }
 }
 
 /// Collects the Figure 6 dataset via the profiling pipeline (the full
@@ -119,5 +131,5 @@ pub fn run() -> std::io::Result<()> {
         "mysql sojourn at max load {:.1} ms vs tomcat {:.1} ms (paper: mysql grows fastest beyond 50%)",
         d.mean_sojourn_ms[myq][last], d.mean_sojourn_ms[tom][last]
     ));
-    report.finish(&d)
+    report.finish(json::to_string(&d))
 }

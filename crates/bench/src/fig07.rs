@@ -9,8 +9,8 @@ use rhythm_analyzer::contributions;
 use rhythm_core::par;
 use rhythm_core::{profile_service, ControlMode, Engine, EngineConfig, ProfileConfig};
 use rhythm_sim::pearson;
+use rhythm_telemetry::json::{self, Obj, ToJson};
 use rhythm_workloads::{apps, BeKind, BeSpec};
-use serde::Serialize;
 
 /// The BE groups of Figure 7.
 fn groups() -> Vec<(&'static str, Vec<BeSpec>)> {
@@ -39,7 +39,7 @@ fn groups() -> Vec<(&'static str, Vec<BeSpec>)> {
 }
 
 /// One scatter point.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Point {
     /// BE group label.
     pub group: &'static str,
@@ -51,13 +51,33 @@ pub struct Point {
     pub sensitivity: f64,
 }
 
+impl ToJson for Point {
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out)
+            .field("group", self.group)
+            .field("pod", &self.pod)
+            .field("contribution", self.contribution)
+            .field("sensitivity", self.sensitivity)
+            .close();
+    }
+}
+
 /// The Figure 7 dataset.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig07 {
     /// All scatter points.
     pub points: Vec<Point>,
     /// Pearson correlation per group.
     pub correlation: Vec<(&'static str, f64)>,
+}
+
+impl ToJson for Fig07 {
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out)
+            .field("points", &self.points)
+            .field("correlation", &self.correlation)
+            .close();
+    }
 }
 
 const LOAD: f64 = 0.65;
@@ -152,5 +172,5 @@ pub fn run() -> std::io::Result<()> {
     let d = collect(0xF07);
     report.line(render(&d));
     report.line("paper: sensitivity is positively correlated with contribution for every BE group");
-    report.finish(&d)
+    report.finish(json::to_string(&d))
 }

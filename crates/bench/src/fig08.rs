@@ -7,11 +7,11 @@
 
 use rhythm_analyzer::loadlimit::{find_loadlimit, smooth3};
 use rhythm_core::{profile_service, ProfileConfig};
+use rhythm_telemetry::json::{self, Obj, ToJson};
 use rhythm_workloads::apps;
-use serde::Serialize;
 
 /// The Figure 8 dataset for one service.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig08 {
     /// Servpod names.
     pub pods: Vec<String>,
@@ -23,6 +23,18 @@ pub struct Fig08 {
     pub avg_cov: Vec<f64>,
     /// Detected loadlimit per pod.
     pub loadlimit: Vec<f64>,
+}
+
+impl ToJson for Fig08 {
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out)
+            .field("pods", &self.pods)
+            .field("loads", &self.loads)
+            .field("cov", &self.cov)
+            .field("avg_cov", &self.avg_cov)
+            .field("loadlimit", &self.loadlimit)
+            .close();
+    }
 }
 
 /// Collects CoV curves for the E-commerce Servpods over a dense sweep.
@@ -95,5 +107,5 @@ pub fn run() -> std::io::Result<()> {
         d.loadlimit[idx("mysql")] * 100.0,
         d.loadlimit[idx("tomcat")] * 100.0
     ));
-    report.finish(&d)
+    report.finish(json::to_string(&d))
 }

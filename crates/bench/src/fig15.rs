@@ -11,8 +11,8 @@ use rhythm_core::experiment::ExperimentConfig;
 use rhythm_core::metrics::improvement;
 use rhythm_core::par;
 use rhythm_sim::SimDuration;
+use rhythm_telemetry::json::{self, Obj, ToJson};
 use rhythm_workloads::{BeSpec, LoadGen};
-use serde::Serialize;
 
 /// Trace length in virtual seconds (five diurnal cycles, the paper's
 /// five ClarkNet days compressed ~20x as in §5.3 — compressing harder
@@ -21,7 +21,7 @@ use serde::Serialize;
 const TRACE_S: u64 = 3_600;
 
 /// One production-load cell.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Cell {
     /// Service name.
     pub service: String,
@@ -39,11 +39,31 @@ pub struct Cell {
     pub sla_violations: u64,
 }
 
+impl ToJson for Cell {
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out)
+            .field("service", &self.service)
+            .field("be", &self.be)
+            .field("emu_gain", self.emu_gain)
+            .field("cpu_gain", self.cpu_gain)
+            .field("membw_gain", self.membw_gain)
+            .field("tail_ratio", self.tail_ratio)
+            .field("sla_violations", self.sla_violations)
+            .close();
+    }
+}
+
 /// The Figure 15 dataset.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig15 {
     /// All cells.
     pub cells: Vec<Cell>,
+}
+
+impl ToJson for Fig15 {
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out).field("cells", &self.cells).close();
+    }
 }
 
 /// Collects the dataset.
@@ -165,5 +185,5 @@ pub fn run() -> std::io::Result<()> {
         min_emu * 100.0,
         max_emu * 100.0
     ));
-    report.finish(&d)
+    report.finish(json::to_string(&d))
 }

@@ -10,14 +10,14 @@
 use crate::Report;
 use rhythm_core::experiment::{ControllerChoice, ExperimentConfig, ServiceContext};
 use rhythm_core::par;
+use rhythm_telemetry::json::{self, Obj, ToJson};
 use rhythm_workloads::{apps, BeSpec, LoadGen};
-use serde::Serialize;
 
 const LOADS_PCT: [u32; 5] = [20, 40, 60, 80, 100];
 const DURATION_S: u64 = 180;
 
 /// One stacked cell.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Cell {
     /// BE name.
     pub be: String,
@@ -31,8 +31,20 @@ pub struct Cell {
     pub membw: (f64, f64, f64),
 }
 
+impl ToJson for Cell {
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out)
+            .field("be", &self.be)
+            .field("load_pct", self.load_pct)
+            .field("emu", self.emu)
+            .field("cpu", self.cpu)
+            .field("membw", self.membw)
+            .close();
+    }
+}
+
 /// The Figure 16 dataset.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig16 {
     /// Per-Servpod (name, contribution, slacklimit).
     pub pods: Vec<(String, f64, f64)>,
@@ -40,6 +52,16 @@ pub struct Fig16 {
     pub cells: Vec<Cell>,
     /// Average (EMU, CPU, MemBW) improvement of Rhythm over Heracles.
     pub avg_gain: (f64, f64, f64),
+}
+
+impl ToJson for Fig16 {
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out)
+            .field("pods", &self.pods)
+            .field("cells", &self.cells)
+            .field("avg_gain", self.avg_gain)
+            .close();
+    }
 }
 
 /// Collects the dataset.
@@ -155,5 +177,5 @@ pub fn run() -> std::io::Result<()> {
         d.avg_gain.1 * 100.0,
         d.avg_gain.2 * 100.0
     ));
-    report.finish(&d)
+    report.finish(json::to_string(&d))
 }

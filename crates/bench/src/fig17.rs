@@ -10,13 +10,13 @@ use crate::Report;
 use rhythm_core::experiment::{ControllerChoice, ExperimentConfig, ServiceContext};
 use rhythm_core::timeline::{phase_summary, render};
 use rhythm_sim::SimDuration;
+use rhythm_telemetry::json::{self, Obj, ToJson};
 use rhythm_workloads::{apps, BeKind, BeSpec, LoadGen};
-use serde::Serialize;
 
 const DURATION_S: u64 = 20 * 60;
 
 /// The Figure 17 dataset.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig17 {
     /// Thresholds of the observed pods (name, loadlimit, slacklimit).
     pub thresholds: Vec<(String, f64, f64)>,
@@ -24,6 +24,16 @@ pub struct Fig17 {
     pub timeline: Vec<rhythm_core::runtime::TimelinePoint>,
     /// Phase labels over time for MySQL.
     pub mysql_phases: Vec<(f64, &'static str)>,
+}
+
+impl ToJson for Fig17 {
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out)
+            .field("thresholds", &self.thresholds)
+            .field("timeline", &self.timeline)
+            .field("mysql_phases", &self.mysql_phases)
+            .close();
+    }
 }
 
 /// Collects the dataset.
@@ -89,5 +99,5 @@ pub fn run() -> std::io::Result<()> {
     report.line(format!(
         "observed growth={grew} restriction={suspended} (paper: both occur over the window)"
     ));
-    report.finish(&d)
+    report.finish(json::to_string(&d))
 }

@@ -12,14 +12,14 @@ use rhythm_controller::Thresholds;
 use rhythm_core::experiment::{ControllerChoice, ExperimentConfig, ServiceContext};
 use rhythm_core::par;
 use rhythm_sim::SimDuration;
+use rhythm_telemetry::json::{self, Obj, ToJson};
 use rhythm_workloads::{apps, BeKind, BeSpec, LoadGen};
-use serde::Serialize;
 
 const DURATION_S: u64 = 600;
 const LEVELS: [u32; 7] = [70, 80, 90, 100, 110, 120, 130];
 
 /// One sweep row.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Row {
     /// Which threshold is varied ("slacklimit" or "loadlimit").
     pub varied: &'static str,
@@ -37,13 +37,36 @@ pub struct Row {
     pub be_kills: u64,
 }
 
+impl ToJson for Row {
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out)
+            .field("varied", self.varied)
+            .field("level_pct", self.level_pct)
+            .field("value", self.value)
+            .field("be_throughput_norm", self.be_throughput_norm)
+            .field("be_throughput", self.be_throughput)
+            .field("sla_violations", self.sla_violations)
+            .field("be_kills", self.be_kills)
+            .close();
+    }
+}
+
 /// The dataset behind Figure 18 and Table 2.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig18 {
     /// Derived MySQL thresholds (loadlimit, slacklimit).
     pub derived: (f64, f64),
     /// All sweep rows.
     pub rows: Vec<Row>,
+}
+
+impl ToJson for Fig18 {
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out)
+            .field("derived", self.derived)
+            .field("rows", &self.rows)
+            .close();
+    }
 }
 
 /// Collects the sweep.
@@ -131,7 +154,7 @@ pub fn render_fig18(d: &Fig18) -> std::io::Result<()> {
             r.varied, r.level_pct, r.value, r.be_throughput, r.be_throughput_norm
         ));
     }
-    report.finish(d)
+    report.finish(json::to_string(d))
 }
 
 /// Runs the experiment and writes the Figure 18 report.
@@ -174,5 +197,5 @@ pub fn render_tab2(d: &Fig18) -> std::io::Result<()> {
         report.line(format!("{:<6}% | {} | {}", level, fmt(s), fmt(l)));
     }
     report.line("paper: shrinking slacklimit below 100% causes violations/kills; loadlimit is safe up to 100% and violates above it");
-    report.finish(d)
+    report.finish(json::to_string(d))
 }

@@ -16,7 +16,7 @@
 
 use crate::report::Report;
 use rhythm_lint::{lint_workspace, render_github, RULES};
-use serde_json::Value;
+use rhythm_telemetry::json::{self, Obj};
 use std::path::{Path, PathBuf};
 
 /// The workspace root: fixed at compile time relative to this crate, so
@@ -78,41 +78,31 @@ pub fn run(github: bool) -> std::io::Result<()> {
             ));
         }
     }
-    let findings: Vec<Value> = ws
-        .findings
-        .iter()
-        .map(|f| {
-            Value::Object(vec![
-                ("file".into(), Value::String(f.file.clone())),
-                ("line".into(), Value::UInt(f.line as u64)),
-                ("rule".into(), Value::String(f.rule.to_string())),
-                ("message".into(), Value::String(f.message.clone())),
-            ])
-        })
-        .collect();
-    let suppressed: Vec<Value> = ws
-        .suppressed
-        .iter()
-        .map(|s| {
-            Value::Object(vec![
-                ("file".into(), Value::String(s.finding.file.clone())),
-                ("line".into(), Value::UInt(s.finding.line as u64)),
-                ("rule".into(), Value::String(s.finding.rule.to_string())),
-                ("reason".into(), Value::String(s.reason.clone())),
-            ])
-        })
-        .collect();
-    let doc = Value::Object(vec![
-        ("tool".into(), Value::String("rhythm-lint".into())),
-        ("schema".into(), Value::String("rhythm-lint/v1".into())),
-        ("files_scanned".into(), Value::UInt(ws.files_scanned as u64)),
-        ("unsuppressed".into(), Value::UInt(ws.findings.len() as u64)),
-        ("suppressed".into(), Value::UInt(ws.suppressed.len() as u64)),
-        ("findings".into(), Value::Array(findings)),
-        ("suppressed_findings".into(), Value::Array(suppressed)),
-    ]);
+    let doc = json::object(|o| {
+        o.field("tool", "rhythm-lint")
+            .field("schema", "rhythm-lint/v1")
+            .field("files_scanned", ws.files_scanned)
+            .field("unsuppressed", ws.findings.len())
+            .field("suppressed", ws.suppressed.len())
+            .arr("findings", &ws.findings, |out, f| {
+                Obj::open(out)
+                    .field("file", &f.file)
+                    .field("line", f.line)
+                    .field("rule", f.rule)
+                    .field("message", &f.message)
+                    .close();
+            })
+            .arr("suppressed_findings", &ws.suppressed, |out, s| {
+                Obj::open(out)
+                    .field("file", &s.finding.file)
+                    .field("line", s.finding.line)
+                    .field("rule", s.finding.rule)
+                    .field("reason", &s.reason)
+                    .close();
+            });
+    });
     let clean = ws.is_clean();
-    r.finish(&doc)?;
+    r.finish(doc)?;
     if !clean {
         eprintln!("[repro] lint: unsuppressed findings — failing");
         std::process::exit(2);

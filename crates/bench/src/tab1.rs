@@ -1,5 +1,6 @@
 //! Table 1 — the workload inventory, rendered from the live specs.
 
+use rhythm_telemetry::json::{self, Obj};
 use rhythm_workloads::catalog;
 
 /// Runs the experiment and writes the report.
@@ -9,19 +10,23 @@ pub fn run() -> std::io::Result<()> {
     let lc = catalog::lc_rows();
     let be = catalog::be_rows();
     report.line(format!("{} LC services, {} BE jobs", lc.len(), be.len()));
-    report.finish(&serde_json::json!({
-        "lc": lc.iter().map(|r| serde_json::json!({
-            "workload": r.workload,
-            "domain": r.domain,
-            "servpods": r.servpods,
-            "maxload_qps": r.maxload_qps,
-            "sla_ms": r.sla_ms,
-            "containers": r.containers,
-        })).collect::<Vec<_>>(),
-        "be": be.iter().map(|r| serde_json::json!({
-            "workload": r.workload,
-            "domain": r.domain,
-            "intensive": r.intensive,
-        })).collect::<Vec<_>>(),
+    report.finish(json::object(|o| {
+        o.arr("lc", &lc, |out, r| {
+            Obj::open(out)
+                .field("workload", &r.workload)
+                .field("domain", r.domain)
+                .field("servpods", &r.servpods)
+                .field("maxload_qps", r.maxload_qps)
+                .field("sla_ms", r.sla_ms)
+                .field("containers", r.containers)
+                .close();
+        })
+        .arr("be", &be, |out, r| {
+            Obj::open(out)
+                .field("workload", &r.workload)
+                .field("domain", r.domain)
+                .field("intensive", r.intensive)
+                .close();
+        });
     }))
 }

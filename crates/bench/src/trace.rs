@@ -20,10 +20,10 @@
 use crate::report::{results_dir, Report};
 use rhythm_cluster::{run_cluster, ClusterConfig, PlacementPolicy};
 use rhythm_core::experiment::{ControllerChoice, ServiceContext};
+use rhythm_telemetry::json::{self, Obj};
 use rhythm_telemetry::recorder::DEFAULT_RING_CAPACITY;
 use rhythm_telemetry::TelemetryConfig;
 use rhythm_workloads::{apps, BeKind, BeSpec};
-use serde_json::json;
 use std::collections::BTreeMap;
 
 /// The traced cell: the paper's 4-machine testbed at 85% load, short
@@ -127,36 +127,32 @@ pub fn run() -> std::io::Result<()> {
         chrome_path.display()
     ));
 
-    let actions_json: Vec<serde_json::Value> = by_action
-        .iter()
-        .map(|(name, count)| json!({ "action": *name, "count": *count }))
-        .collect();
-    let tail_json: Vec<serde_json::Value> = tel
-        .cluster_tail
-        .iter()
-        .map(|p| {
-            json!({
-                "t_s": p.t_s,
-                "count": p.count,
-                "p95_ms": p.p95_ms,
-                "p99_ms": p.p99_ms,
-                "slack": p.slack,
+    report.finish(json::object(|o| {
+        o.field("machines", cfg.machines)
+            .field("duration_s", cfg.duration_s)
+            .field("seed", cfg.seed)
+            .field("events_recorded", recorded)
+            .field("events_dropped", dropped)
+            .field("decisions", tel.decisions())
+            .arr("decisions_by_action", &by_action, |out, (name, count)| {
+                Obj::open(out)
+                    .field("action", name)
+                    .field("count", count)
+                    .close();
             })
-        })
-        .collect();
-    report.finish(&json!({
-        "machines": cfg.machines,
-        "duration_s": cfg.duration_s,
-        "seed": cfg.seed,
-        "events_recorded": recorded,
-        "events_dropped": dropped,
-        "decisions": tel.decisions(),
-        "decisions_by_action": actions_json,
-        "cluster_tail": tail_json,
-        "exports": json!({
-            "jsonl": jsonl_path.display().to_string(),
-            "chrome_trace": chrome_path.display().to_string(),
-        }),
+            .arr("cluster_tail", &tel.cluster_tail, |out, p| {
+                Obj::open(out)
+                    .field("t_s", p.t_s)
+                    .field("count", p.count)
+                    .field("p95_ms", p.p95_ms)
+                    .field("p99_ms", p.p99_ms)
+                    .field("slack", p.slack)
+                    .close();
+            })
+            .obj("exports", |e| {
+                e.field("jsonl", jsonl_path.display().to_string())
+                    .field("chrome_trace", chrome_path.display().to_string());
+            });
     }))
 }
 

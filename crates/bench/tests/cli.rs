@@ -1,5 +1,6 @@
 //! `repro` rejects bad arguments and bad files with exit code 2 and a
-//! one-line message on stderr, never a panic or a Debug dump.
+//! one-line message on stderr, never a panic or a Debug dump; with
+//! `--json` it prints exactly the document it writes.
 
 use std::process::Command;
 
@@ -120,5 +121,24 @@ fn resume_refuses_a_cell_above_the_ceiling() {
             .last()
             .is_some_and(|l| l.contains("above the ceiling")),
         "stderr:\n{stderr}"
+    );
+}
+
+#[test]
+fn json_mode_prints_the_written_document() {
+    let dir = std::env::temp_dir().join(format!("rhythm-cli-json-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--json", "tab1"])
+        .env("RHYTHM_RESULTS_DIR", &dir)
+        .output()
+        .expect("run repro");
+    let written = std::fs::read(dir.join("tab1.json")).expect("tab1.json written");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(written.starts_with(b"{\n  \"lc\": ["), "{written:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&written)
     );
 }

@@ -26,8 +26,8 @@
 //! metric inherits the runner's determinism: same seed, same recovery
 //! time, for any worker-thread count.
 
+use rhythm_telemetry::json::{Obj, ToJson};
 use rhythm_telemetry::TailPoint;
-use serde::Serialize;
 
 /// A window's p99 counts as recovered when it is at or below this
 /// multiple of the pre-fault baseline (15% headroom for sampling
@@ -39,7 +39,7 @@ pub const RECOVERY_THRESHOLD: f64 = 1.15;
 pub const RECOVERY_SUSTAIN_POINTS: usize = 3;
 
 /// A recovery-time estimate for one disruption.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Recovery {
     /// Median p99 (ms) of the non-empty pre-fault windows.
     pub baseline_p99_ms: f64,
@@ -50,6 +50,16 @@ pub struct Recovery {
     pub recovered_s: Option<f64>,
     /// Worst post-disruption p99 (ms), the depth of the excursion.
     pub peak_p99_ms: f64,
+}
+
+impl ToJson for Recovery {
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out)
+            .field("baseline_p99_ms", self.baseline_p99_ms)
+            .field("recovered_s", self.recovered_s)
+            .field("peak_p99_ms", self.peak_p99_ms)
+            .close();
+    }
 }
 
 /// Estimates recovery from `tail` for a disruption at `fault_at_s`.

@@ -14,10 +14,10 @@
 use crate::scenario::outcome_fingerprint;
 use rhythm_cluster::{ClusterConfig, ClusterOutcome, ClusterRunner, ClusterSnapshot};
 use rhythm_core::experiment::{ControllerChoice, ServiceContext};
-use serde::Serialize;
+use rhythm_telemetry::json::{Obj, ToJson};
 
 /// What the crash-restart drill observed.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct RestartCheck {
     /// Epoch barrier the snapshot was captured at.
     pub epoch: u32,
@@ -37,6 +37,21 @@ pub struct RestartCheck {
     /// Chrome-trace exports are byte-identical (`None` without
     /// telemetry).
     pub chrome_match: Option<bool>,
+}
+
+impl ToJson for RestartCheck {
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out)
+            .field("epoch", self.epoch)
+            .field("t_s", self.t_s)
+            .field("snapshot_bytes", self.snapshot_bytes)
+            .field("reference_fingerprint", self.reference_fingerprint)
+            .field("resumed_fingerprint", self.resumed_fingerprint)
+            .field("fingerprints_match", self.fingerprints_match)
+            .field("jsonl_match", self.jsonl_match)
+            .field("chrome_match", self.chrome_match)
+            .close();
+    }
 }
 
 impl RestartCheck {

@@ -28,9 +28,9 @@ use crate::restart::{crash_restart, RestartCheck};
 use rhythm_cluster::{run_cluster, ClusterConfig, ClusterMetrics, ClusterOutcome, FaultPlan};
 use rhythm_core::experiment::{ControllerChoice, ServiceContext};
 use rhythm_sim::SimDuration;
+use rhythm_telemetry::json::{Obj, ToJson};
 use rhythm_telemetry::TelemetryConfig;
 use rhythm_workloads::LoadGen;
-use serde::Serialize;
 
 /// One named chaos experiment.
 #[derive(Clone, Debug)]
@@ -50,7 +50,7 @@ pub struct Scenario {
 }
 
 /// What one scenario run produced.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ScenarioOutcome {
     /// The scenario id.
     pub name: String,
@@ -65,6 +65,18 @@ pub struct ScenarioOutcome {
     /// plus the merged metrics. Bit-identical across thread counts; any
     /// scheduling drift changes it.
     pub fingerprint: u64,
+}
+
+impl ToJson for ScenarioOutcome {
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out)
+            .field("name", &self.name)
+            .field("metrics", &self.metrics)
+            .field("recovery", &self.recovery)
+            .field("restart", &self.restart)
+            .field("fingerprint", self.fingerprint)
+            .close();
+    }
 }
 
 /// FNV-1a over everything a run measured: the per-machine engine

@@ -13,8 +13,8 @@
 // lint:snapshot-state — ClusterJob / JobState are durable snapshot
 // state (rule S01: no hash containers or raw-pointer fields).
 
+use rhythm_telemetry::json::{Obj, ToJson};
 use rhythm_workloads::BeSpec;
-use serde::Serialize;
 use std::sync::Arc;
 
 /// Cluster-wide job identifier (dense, assigned at submission).
@@ -129,6 +129,52 @@ impl ClusterJob {
         self.completed_s = Some(t_s);
         self.checkpoint = 1.0;
         self.state = JobState::Done;
+    }
+
+    /// Checks the job's ledger against `ckpt_fraction`, naming the first
+    /// violation:
+    ///
+    /// * a job never killed wasted nothing, exactly;
+    /// * `wasted ≤ kills × ckpt_fraction` (each kill throws away at most
+    ///   one open checkpoint interval, a whole job when
+    ///   `ckpt_fraction ≤ 0` since [`ClusterJob::on_kill`] then banks
+    ///   nothing new);
+    /// * the job is `Done` exactly when it has a `completed_s`, and a
+    ///   `Done` job is fully checkpointed.
+    ///
+    /// A checkpoint outside `[0, 1]` or a NaN or negative waste is
+    /// refused earlier, by the snapshot decoder, before any state is
+    /// assembled from it.
+    pub fn check_ledger(&self, ckpt_fraction: f64) -> Result<(), String> {
+        let id = self.id;
+        if self.kills == 0 && self.wasted != 0.0 {
+            return Err(format!("job {id} wasted {} without a kill", self.wasted));
+        }
+        let per_kill = if ckpt_fraction > 0.0 {
+            ckpt_fraction
+        } else {
+            1.0
+        };
+        if self.wasted > f64::from(self.kills) * per_kill + 1e-9 {
+            return Err(format!(
+                "job {id} wasted {} over {} kill(s) at checkpoint fraction {ckpt_fraction}",
+                self.wasted, self.kills
+            ));
+        }
+        let done = self.state == JobState::Done;
+        if done != self.completed_s.is_some() {
+            return Err(format!(
+                "job {id} is {:?} with completion time {:?}",
+                self.state, self.completed_s
+            ));
+        }
+        if done && self.checkpoint != 1.0 {
+            return Err(format!(
+                "job {id} is done at checkpoint {}",
+                self.checkpoint
+            ));
+        }
+        Ok(())
     }
 
     /// Queue-to-completion time in virtual seconds (None while
@@ -256,7 +302,7 @@ impl JobSpec {
 }
 
 /// Aggregate job outcomes of one cluster run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct JobStats {
     /// Jobs submitted.
     pub submitted: u64,
@@ -280,6 +326,23 @@ pub struct JobStats {
     /// `deadline_missed / deadline_total` (0 when no job had a
     /// deadline).
     pub deadline_miss_rate: f64,
+}
+
+impl ToJson for JobStats {
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out)
+            .field("submitted", self.submitted)
+            .field("completed", self.completed)
+            .field("kills", self.kills)
+            .field("completion_mean_s", self.completion_mean_s)
+            .field("completion_p99_s", self.completion_p99_s)
+            .field("wasted_jobs", self.wasted_jobs)
+            .field("wasted_machine_s", self.wasted_machine_s)
+            .field("deadline_total", self.deadline_total)
+            .field("deadline_missed", self.deadline_missed)
+            .field("deadline_miss_rate", self.deadline_miss_rate)
+            .close();
+    }
 }
 
 impl JobStats {

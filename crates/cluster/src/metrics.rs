@@ -6,11 +6,11 @@ use crate::job::{ClusterJob, JobStats};
 use rhythm_core::metrics::RunMetrics;
 use rhythm_core::runtime::EngineOutput;
 use rhythm_sim::LatencyHistogram;
+use rhythm_telemetry::json::{Obj, ToJson};
 use rhythm_telemetry::{ClusterEvent, TailPoint, TelemetryOutput};
-use serde::Serialize;
 
 /// Merged metrics of one cluster run.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ClusterMetrics {
     /// Machines in the cluster.
     pub machines: usize,
@@ -42,6 +42,28 @@ pub struct ClusterMetrics {
     pub jobs: JobStats,
     /// Queue requeues (kills + withdrawn offers re-entering the queue).
     pub requeues: u64,
+}
+
+impl ToJson for ClusterMetrics {
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out)
+            .field("machines", self.machines)
+            .field("replicas", self.replicas)
+            .field("lc_throughput", self.lc_throughput)
+            .field("be_throughput", self.be_throughput)
+            .field("emu", self.emu)
+            .field("cpu_util", self.cpu_util)
+            .field("membw_util", self.membw_util)
+            .field("p99_ms", self.p99_ms)
+            .field("sla_ms", self.sla_ms)
+            .field("tail_ratio", self.tail_ratio)
+            .field("sla_violations", self.sla_violations)
+            .field("be_kills", self.be_kills)
+            .field("completed_requests", self.completed_requests)
+            .field("jobs", &self.jobs)
+            .field("requeues", self.requeues)
+            .close();
+    }
 }
 
 impl ClusterMetrics {
@@ -205,5 +227,40 @@ mod tests {
         assert_eq!(m.jobs.submitted, 1);
         assert_eq!(m.jobs.completed, 0);
         assert_eq!(m.completed_requests, 0);
+    }
+
+    /// Tests compare merged metrics through their compact JSON, so the
+    /// text must tell apart every pair of distinct `f64` field values:
+    /// one ulp up, and `0.0` against `-0.0`.
+    #[test]
+    fn compact_json_tells_apart_one_ulp_and_the_sign_of_zero() {
+        use rhythm_telemetry::json::to_string;
+        let fields: [fn(&mut ClusterMetrics) -> &mut f64; 13] = [
+            |m| &mut m.lc_throughput,
+            |m| &mut m.be_throughput,
+            |m| &mut m.emu,
+            |m| &mut m.cpu_util,
+            |m| &mut m.membw_util,
+            |m| &mut m.p99_ms,
+            |m| &mut m.sla_ms,
+            |m| &mut m.tail_ratio,
+            |m| &mut m.jobs.completion_mean_s,
+            |m| &mut m.jobs.completion_p99_s,
+            |m| &mut m.jobs.wasted_jobs,
+            |m| &mut m.jobs.wasted_machine_s,
+            |m| &mut m.jobs.deadline_miss_rate,
+        ];
+        let base = ClusterMetrics::merge(4, &[], &[], &[], 0, 600.0);
+        for (i, field) in fields.into_iter().enumerate() {
+            let mut m = base.clone();
+            *field(&mut m) = 0.1 + 0.2;
+            let before = to_string(&m);
+            *field(&mut m) = f64::from_bits((0.1f64 + 0.2).to_bits() + 1);
+            assert_ne!(to_string(&m), before, "field {i}: one ulp");
+            *field(&mut m) = 0.0;
+            let zero = to_string(&m);
+            *field(&mut m) = -0.0;
+            assert_ne!(to_string(&m), zero, "field {i}: sign of zero");
+        }
     }
 }

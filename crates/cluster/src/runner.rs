@@ -760,6 +760,8 @@ impl<'c> Scheduler<'c> {
     ///   gang's roster;
     /// * in managed runs, every `Queued` solitary job is in the queue
     ///   (gang members wait through their representative);
+    /// * every job's ledger passes [`ClusterJob::check_ledger`] at the
+    ///   configured checkpoint fraction;
     /// * no down machine holds an offer or a binding.
     fn check_invariants(&self) -> Result<(), String> {
         let state = |j: JobId| self.state.jobs.get(ledger_slot(j)).map(|job| job.state);
@@ -816,6 +818,7 @@ impl<'c> Scheduler<'c> {
             }
         }
         for job in &self.state.jobs {
+            job.check_ledger(self.cfg.checkpoint_fraction)?;
             if let Some(gid) = job.gang {
                 let listed = self.state.gangs.get(&gid);
                 if listed.is_none_or(|g| g.members.binary_search(&job.id).is_err()) {

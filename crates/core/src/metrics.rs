@@ -10,10 +10,10 @@
 //!   BE kills.
 
 use crate::runtime::EngineOutput;
-use serde::Serialize;
+use rhythm_telemetry::json::{Obj, ToJson};
 
 /// Per-Servpod metrics of one run.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct PodMetrics {
     /// Servpod name.
     pub name: String,
@@ -31,8 +31,22 @@ pub struct PodMetrics {
     pub be_kills: u64,
 }
 
+impl ToJson for PodMetrics {
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out)
+            .field("name", &self.name)
+            .field("be_throughput", self.be_throughput)
+            .field("cpu_util", self.cpu_util)
+            .field("membw_util", self.membw_util)
+            .field("be_instances", self.be_instances)
+            .field("sla_violations", self.sla_violations)
+            .field("be_kills", self.be_kills)
+            .close();
+    }
+}
+
 /// Service-level metrics of one run.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct RunMetrics {
     /// Average LC load (requests served / max load).
     pub lc_throughput: f64,
@@ -56,6 +70,24 @@ pub struct RunMetrics {
     pub be_kills: u64,
     /// Per-Servpod breakdown.
     pub pods: Vec<PodMetrics>,
+}
+
+impl ToJson for RunMetrics {
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out)
+            .field("lc_throughput", self.lc_throughput)
+            .field("be_throughput", self.be_throughput)
+            .field("emu", self.emu)
+            .field("cpu_util", self.cpu_util)
+            .field("membw_util", self.membw_util)
+            .field("p99_ms", self.p99_ms)
+            .field("sla_ms", self.sla_ms)
+            .field("tail_ratio", self.tail_ratio)
+            .field("sla_violations", self.sla_violations)
+            .field("be_kills", self.be_kills)
+            .field("pods", &self.pods)
+            .close();
+    }
 }
 
 impl RunMetrics {

@@ -24,12 +24,12 @@ use rhythm_sim::{
     TailWindow,
 };
 use rhythm_snapshot::{Reader, Snapshot, SnapshotError, Writer};
+use rhythm_telemetry::json::{Obj, ToJson};
 use rhythm_telemetry::{
     ActionCode, AuditRecord, EventKind, Telemetry, TelemetryConfig, TelemetryOutput, Trigger,
 };
 use rhythm_tracer::capture::{VisitLog, VisitNode};
 use rhythm_workloads::{BeSpec, LoadGen, ServiceSpec};
-use serde::Serialize;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -221,7 +221,7 @@ impl Snapshot for Ledger {
 }
 
 /// One point of the Figure 17 timeline (sampled every controller period).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct TimelinePoint {
     /// Sample time in seconds.
     pub t_s: f64,
@@ -239,6 +239,21 @@ pub struct TimelinePoint {
     pub be_instances: Vec<u32>,
     /// Per-pod BE throughput rate (solo-machine equivalents).
     pub be_throughput: Vec<f64>,
+}
+
+impl ToJson for TimelinePoint {
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out)
+            .field("t_s", self.t_s)
+            .field("load", self.load)
+            .field("slack", self.slack)
+            .field("cpu_util_pct", &self.cpu_util_pct)
+            .field("be_llc_ways", &self.be_llc_ways)
+            .field("be_cores", &self.be_cores)
+            .field("be_instances", &self.be_instances)
+            .field("be_throughput", &self.be_throughput)
+            .close();
+    }
 }
 
 /// Per-pod aggregates over the measured (post-warmup) window.

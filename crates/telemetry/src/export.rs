@@ -5,7 +5,7 @@
 //! Determinism contract: exports are plain functions of the collected
 //! data; replicas are always iterated in index order and each record is
 //! streamed into the one output `String` with its keys in a fixed order
-//! (see `json.rs` for the number and escape rules), so two runs that
+//! (see [`crate::json`] for the number and escape rules), so two runs that
 //! collected identical telemetry (e.g. the same cluster run at different
 //! worker-thread counts) render byte-identical text.
 
@@ -68,11 +68,11 @@ pub fn export_jsonl_with_events(
     let dropped: u64 = replicas.iter().map(|r| r.dropped).sum();
     let mut out = String::new();
     Obj::open(&mut out)
-        .str("type", "meta")
-        .str("schema", "rhythm-trace/v1")
-        .uint("replicas", replicas.len() as u64)
-        .uint("events_recorded", recorded)
-        .uint("events_dropped", dropped)
+        .field("type", "meta")
+        .field("schema", "rhythm-trace/v1")
+        .field("replicas", replicas.len())
+        .field("events_recorded", recorded)
+        .field("events_dropped", dropped)
         .close();
     out.push('\n');
     for (idx, rep) in replicas.iter().enumerate() {
@@ -91,12 +91,12 @@ pub fn export_jsonl_with_events(
     }
     for ev in cluster_events {
         let mut o = Obj::open(&mut out);
-        o.str("type", "cluster_event")
-            .str("kind", ev.kind.name())
-            .float("t_s", ev.t_s)
-            .uint("job", ev.job);
+        o.field("type", "cluster_event")
+            .field("kind", ev.kind.name())
+            .field("t_s", ev.t_s)
+            .field("job", ev.job);
         if let Some(gid) = ev.gang {
-            o.uint("gang", gid);
+            o.field("gang", gid);
         }
         o.close();
         out.push('\n');
@@ -107,26 +107,26 @@ pub fn export_jsonl_with_events(
 /// One `event` line; `replica` tags which engine the event came from.
 fn event_line(out: &mut String, ev: &Event, replica: usize) {
     let mut o = Obj::open(out);
-    o.str("type", "event")
-        .uint("replica", replica as u64)
-        .uint("t_ns", ev.t_ns)
-        .str("kind", ev.kind.name());
+    o.field("type", "event")
+        .field("replica", replica)
+        .field("t_ns", ev.t_ns)
+        .field("kind", ev.kind.name());
     match ev.kind {
         EventKind::RequestAdmitted => {}
         EventKind::RequestCompleted { latency_us } => {
-            o.uint("latency_us", latency_us);
+            o.field("latency_us", latency_us);
         }
         EventKind::BeAdmitted { machine, instance } => {
-            o.uint("machine", machine).uint("instance", instance);
+            o.field("machine", machine).field("instance", instance);
         }
         EventKind::BeKilled {
             machine,
             instance,
             progress_pct,
         } => {
-            o.uint("machine", machine)
-                .uint("instance", instance)
-                .uint("progress_pct", progress_pct);
+            o.field("machine", machine)
+                .field("instance", instance)
+                .field("progress_pct", progress_pct);
         }
         EventKind::Action {
             machine,
@@ -134,22 +134,22 @@ fn event_line(out: &mut String, ev: &Event, replica: usize) {
             load_pm,
             slack_pm,
         } => {
-            o.uint("machine", machine)
-                .str("action", action.name())
-                .uint("load_pm", load_pm)
-                .int("slack_pm", slack_pm);
+            o.field("machine", machine)
+                .field("action", action.name())
+                .field("load_pm", load_pm)
+                .field("slack_pm", slack_pm);
         }
         EventKind::Adjust {
             machine,
             kind,
             value,
         } => {
-            o.uint("machine", machine)
-                .str("dimension", kind.name())
-                .int("value", value);
+            o.field("machine", machine)
+                .field("dimension", kind.name())
+                .field("value", value);
         }
         EventKind::Epoch { epoch } => {
-            o.uint("epoch", epoch);
+            o.field("epoch", epoch);
         }
     }
     o.close();
@@ -160,28 +160,23 @@ fn event_line(out: &mut String, ev: &Event, replica: usize) {
 /// hottest Servpod was attributed.
 fn audit_line(out: &mut String, rec: &AuditRecord, replica: usize) {
     let mut o = Obj::open(out);
-    o.str("type", "audit")
-        .uint("replica", replica as u64)
-        .float("t_s", rec.t_s)
-        .uint("machine", rec.machine)
-        .str("pod", &rec.pod)
-        .str("action", rec.action.name())
-        .str("trigger", rec.trigger.name())
-        .float("load", rec.load)
-        .float("loadlimit", rec.loadlimit)
-        .float("slack", rec.slack)
-        .float("slacklimit", rec.slacklimit)
-        .float("tail_ms", rec.tail_ms)
-        .float("sla_ms", rec.sla_ms);
-    match rec.hot_pod {
-        Some(idx) => {
-            o.uint("hot_pod", idx)
-                .str("hot_pod_name", &rec.hot_pod_name)
-                .float("hot_pod_ms", rec.hot_pod_ms);
-        }
-        None => {
-            o.null("hot_pod");
-        }
+    o.field("type", "audit")
+        .field("replica", replica)
+        .field("t_s", rec.t_s)
+        .field("machine", rec.machine)
+        .field("pod", &rec.pod)
+        .field("action", rec.action.name())
+        .field("trigger", rec.trigger.name())
+        .field("load", rec.load)
+        .field("loadlimit", rec.loadlimit)
+        .field("slack", rec.slack)
+        .field("slacklimit", rec.slacklimit)
+        .field("tail_ms", rec.tail_ms)
+        .field("sla_ms", rec.sla_ms)
+        .field("hot_pod", rec.hot_pod);
+    if rec.hot_pod.is_some() {
+        o.field("hot_pod_name", &rec.hot_pod_name)
+            .field("hot_pod_ms", rec.hot_pod_ms);
     }
     o.obj("before", |b| be_snapshot(b, &rec.before))
         .obj("after", |a| be_snapshot(a, &rec.after))
@@ -190,29 +185,29 @@ fn audit_line(out: &mut String, rec: &AuditRecord, replica: usize) {
 }
 
 fn be_snapshot(o: &mut Obj<'_>, s: &BeSnapshot) {
-    o.uint("instances", s.instances)
-        .uint("running", s.running)
-        .uint("cores", s.cores)
-        .uint("llc_ways", s.llc_ways)
-        .uint("freq_mhz", s.freq_mhz)
-        .uint("net_mbps", s.net_mbps);
+    o.field("instances", s.instances)
+        .field("running", s.running)
+        .field("cores", s.cores)
+        .field("llc_ways", s.llc_ways)
+        .field("freq_mhz", s.freq_mhz)
+        .field("net_mbps", s.net_mbps);
 }
 
 /// One `tail` line: scope `replica` with its index for per-engine
 /// series, scope `cluster` for the merged one.
 fn tail_line(out: &mut String, pt: &TailPoint, replica: Option<usize>) {
     let mut o = Obj::open(out);
-    o.str("type", "tail");
+    o.field("type", "tail");
     match replica {
-        Some(r) => o.str("scope", "replica").uint("replica", r as u64),
-        None => o.str("scope", "cluster"),
+        Some(r) => o.field("scope", "replica").field("replica", r),
+        None => o.field("scope", "cluster"),
     };
-    o.float("t_s", pt.t_s)
-        .uint("count", pt.count)
-        .float("p50_ms", pt.p50_ms)
-        .float("p95_ms", pt.p95_ms)
-        .float("p99_ms", pt.p99_ms)
-        .float("slack", pt.slack)
+    o.field("t_s", pt.t_s)
+        .field("count", pt.count)
+        .field("p50_ms", pt.p50_ms)
+        .field("p95_ms", pt.p95_ms)
+        .field("p99_ms", pt.p99_ms)
+        .field("slack", pt.slack)
         .close();
     out.push('\n');
 }
@@ -234,35 +229,35 @@ fn chrome_event(out: &mut String, ev: &Event, replica: usize) {
     };
     out.push(',');
     Obj::open(out)
-        .str("name", name)
-        .str("ph", "i")
-        .str("s", "t")
-        .float("ts", ev.t_ns as f64 / 1000.0)
-        .uint("pid", replica as u64)
-        .uint("tid", machine)
+        .field("name", name)
+        .field("ph", "i")
+        .field("s", "t")
+        .field("ts", ev.t_ns as f64 / 1000.0)
+        .field("pid", replica)
+        .field("tid", machine)
         .obj("args", |a| match ev.kind {
             EventKind::BeAdmitted { instance, .. } => {
-                a.uint("instance", instance);
+                a.field("instance", instance);
             }
             EventKind::BeKilled {
                 instance,
                 progress_pct,
                 ..
             } => {
-                a.uint("instance", instance)
-                    .uint("progress_pct", progress_pct);
+                a.field("instance", instance)
+                    .field("progress_pct", progress_pct);
             }
             EventKind::Action {
                 load_pm, slack_pm, ..
             } => {
-                a.float("load", f64::from(load_pm) / 1000.0)
-                    .float("slack", f64::from(slack_pm) / 1000.0);
+                a.field("load", f64::from(load_pm) / 1000.0)
+                    .field("slack", f64::from(slack_pm) / 1000.0);
             }
             EventKind::Adjust { value, .. } => {
-                a.int("value", value);
+                a.field("value", value);
             }
             EventKind::Epoch { epoch } => {
-                a.uint("epoch", epoch);
+                a.field("epoch", epoch);
             }
             EventKind::RequestAdmitted | EventKind::RequestCompleted { .. } => {}
         })
@@ -282,11 +277,11 @@ pub fn chrome_trace(replicas: &[TelemetryOutput]) -> String {
             out.push(',');
         }
         Obj::open(&mut out)
-            .str("name", "process_name")
-            .str("ph", "M")
-            .uint("pid", idx as u64)
+            .field("name", "process_name")
+            .field("ph", "M")
+            .field("pid", idx)
             .obj("args", |a| {
-                a.str("name", &format!("replica {idx}"));
+                a.field("name", format!("replica {idx}"));
             })
             .close();
         for ev in &rep.events {
@@ -296,22 +291,22 @@ pub fn chrome_trace(replicas: &[TelemetryOutput]) -> String {
             let ts = pt.t_s * 1e6;
             out.push(',');
             Obj::open(&mut out)
-                .str("name", "tail_ms")
-                .str("ph", "C")
-                .float("ts", ts)
-                .uint("pid", idx as u64)
+                .field("name", "tail_ms")
+                .field("ph", "C")
+                .field("ts", ts)
+                .field("pid", idx)
                 .obj("args", |a| {
-                    a.float("p95", pt.p95_ms).float("p99", pt.p99_ms);
+                    a.field("p95", pt.p95_ms).field("p99", pt.p99_ms);
                 })
                 .close();
             out.push(',');
             Obj::open(&mut out)
-                .str("name", "slack")
-                .str("ph", "C")
-                .float("ts", ts)
-                .uint("pid", idx as u64)
+                .field("name", "slack")
+                .field("ph", "C")
+                .field("ts", ts)
+                .field("pid", idx)
                 .obj("args", |a| {
-                    a.float("slack", pt.slack);
+                    a.field("slack", pt.slack);
                 })
                 .close();
         }

@@ -1,28 +1,54 @@
-//! A minimal streaming JSON writer: objects are appended straight into
-//! one output `String`, with no intermediate value tree.
+//! The workspace's one JSON writer: values are appended straight into
+//! one output `String`, compact, with no intermediate value tree. The
+//! telemetry exports stream through it, and every `results/` document
+//! is written with it (the bench harness re-indents the compact text).
 //!
 //! Output contract (pinned against a value-tree oracle in
 //! `tests/telemetry.rs`):
-//! * keys are `&'static str` written raw — callers pass plain ASCII
-//!   identifiers only;
+//! * object keys are `&'static str` written raw — callers pass plain
+//!   ASCII identifiers only;
 //! * integers are formatted in decimal without allocating;
 //! * floats use Rust's shortest round-trip `{}` `Display`; NaN and ±inf
 //!   have no JSON form and become `null`;
+//! * `None` is `null`; slices, `Vec`s and tuples are arrays;
 //! * strings escape `"`, `\`, `\n`, `\r`, `\t` as two-character escapes
 //!   and every other control character below U+0020 as `\u00xx`
 //!   (lowercase hex); everything else, non-ASCII included, is copied.
 
 use std::fmt::Write;
 
+/// A value with a JSON form. Output types implement it by hand in the
+/// crate that owns them, writing their fields in declaration order.
+pub trait ToJson {
+    /// Appends `self` as compact JSON to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
+/// `v` as compact JSON text.
+pub fn to_string<T: ToJson + ?Sized>(v: &T) -> String {
+    let mut out = String::new();
+    v.write_json(&mut out);
+    out
+}
+
+/// One object filled by `fill`, as compact JSON text.
+pub fn object(fill: impl FnOnce(&mut Obj<'_>)) -> String {
+    let mut out = String::new();
+    let mut o = Obj::open(&mut out);
+    fill(&mut o);
+    o.close();
+    out
+}
+
 /// One JSON object being written into `out`; [`Obj::close`] ends it.
-pub(crate) struct Obj<'a> {
+pub struct Obj<'a> {
     out: &'a mut String,
     empty: bool,
 }
 
 impl<'a> Obj<'a> {
     /// Opens an object at the end of `out`.
-    pub(crate) fn open(out: &'a mut String) -> Obj<'a> {
+    pub fn open(out: &'a mut String) -> Obj<'a> {
         out.push('{');
         Obj { out, empty: true }
     }
@@ -38,53 +64,151 @@ impl<'a> Obj<'a> {
         self.out
     }
 
-    pub(crate) fn uint(&mut self, key: &'static str, v: impl Into<u64>) -> &mut Self {
-        push_u64(self.key(key), v.into());
-        self
-    }
-
-    pub(crate) fn int(&mut self, key: &'static str, v: impl Into<i64>) -> &mut Self {
-        let v = v.into();
-        let out = self.key(key);
-        if v < 0 {
-            out.push('-');
-        }
-        push_u64(out, v.unsigned_abs());
-        self
-    }
-
-    pub(crate) fn float(&mut self, key: &'static str, v: f64) -> &mut Self {
-        let out = self.key(key);
-        if v.is_finite() {
-            write!(out, "{v}").expect("writing to a String cannot fail");
-        } else {
-            out.push_str("null");
-        }
-        self
-    }
-
-    pub(crate) fn str(&mut self, key: &'static str, v: &str) -> &mut Self {
-        push_escaped(self.key(key), v);
-        self
-    }
-
-    pub(crate) fn null(&mut self, key: &'static str) -> &mut Self {
-        self.key(key).push_str("null");
+    /// Writes `key` with the value `v`.
+    pub fn field(&mut self, key: &'static str, v: impl ToJson) -> &mut Self {
+        v.write_json(self.key(key));
         self
     }
 
     /// Writes `key` with a nested object filled by `fill`.
-    pub(crate) fn obj(&mut self, key: &'static str, fill: impl FnOnce(&mut Obj<'_>)) -> &mut Self {
+    pub fn obj(&mut self, key: &'static str, fill: impl FnOnce(&mut Obj<'_>)) -> &mut Self {
         let mut inner = Obj::open(self.key(key));
         fill(&mut inner);
         inner.close();
         self
     }
 
+    /// Writes `key` with an array of `items`, each written by `write`.
+    pub fn arr<I: IntoIterator>(
+        &mut self,
+        key: &'static str,
+        items: I,
+        write: impl FnMut(&mut String, I::Item),
+    ) -> &mut Self {
+        array(self.key(key), items, write);
+        self
+    }
+
     /// Ends the object.
-    pub(crate) fn close(&mut self) {
+    pub fn close(&mut self) {
         self.out.push('}');
     }
+}
+
+macro_rules! unsigned {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn write_json(&self, out: &mut String) {
+                push_u64(out, *self as u64);
+            }
+        }
+    )*};
+}
+
+unsigned!(u8, u16, u32, u64, usize);
+
+macro_rules! signed {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn write_json(&self, out: &mut String) {
+                if *self < 0 {
+                    out.push('-');
+                }
+                push_u64(out, self.unsigned_abs() as u64);
+            }
+        }
+    )*};
+}
+
+signed!(i16, i32, i64);
+
+impl ToJson for f64 {
+    fn write_json(&self, out: &mut String) {
+        if self.is_finite() {
+            write!(out, "{self}").expect("writing to a String cannot fail");
+        } else {
+            out.push_str("null");
+        }
+    }
+}
+
+impl ToJson for bool {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+}
+
+impl ToJson for str {
+    fn write_json(&self, out: &mut String) {
+        push_escaped(out, self);
+    }
+}
+
+impl ToJson for String {
+    fn write_json(&self, out: &mut String) {
+        push_escaped(out, self);
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+impl<T: ToJson> ToJson for [T] {
+    fn write_json(&self, out: &mut String) {
+        array(out, self, |out, v| v.write_json(out));
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn write_json(&self, out: &mut String) {
+        self[..].write_json(out);
+    }
+}
+
+macro_rules! tuple {
+    ($(($($n:tt $t:ident),+))+) => {$(
+        impl<A: ToJson, $($t: ToJson),+> ToJson for (A, $($t,)+) {
+            fn write_json(&self, out: &mut String) {
+                out.push('[');
+                self.0.write_json(out);
+                $(
+                    out.push(',');
+                    self.$n.write_json(out);
+                )+
+                out.push(']');
+            }
+        }
+    )+};
+}
+
+tuple! {
+    (1 B)
+    (1 B, 2 C)
+    (1 B, 2 C, 3 D)
+}
+
+/// Appends `items` as a JSON array, each element written by `write`.
+fn array<I: IntoIterator>(out: &mut String, items: I, mut write: impl FnMut(&mut String, I::Item)) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write(out, item);
+    }
+    out.push(']');
 }
 
 /// Appends `v` in decimal.
@@ -137,37 +261,30 @@ fn push_escaped(out: &mut String, s: &str) {
 mod tests {
     use super::*;
 
-    fn render(fill: impl FnOnce(&mut Obj<'_>)) -> String {
-        let mut s = String::new();
-        let mut o = Obj::open(&mut s);
-        fill(&mut o);
-        o.close();
-        s
-    }
-
     #[test]
     fn numbers_and_null() {
-        let s = render(|o| {
-            o.uint("a", u64::MAX)
-                .int("b", i64::MIN)
-                .int("c", 7)
-                .uint("z", 0u64);
-            o.float("d", -0.0)
-                .float("e", f64::NAN)
-                .float("f", 0.1)
-                .null("g");
+        let s = object(|o| {
+            o.field("a", u64::MAX)
+                .field("b", i64::MIN)
+                .field("c", 7i32)
+                .field("z", 0u64);
+            o.field("d", -0.0)
+                .field("e", f64::NAN)
+                .field("f", 0.1)
+                .field("g", None::<u32>)
+                .field("t", true);
         });
         let want = concat!(
             r#"{"a":18446744073709551615,"b":-9223372036854775808,"c":7,"z":0,"#,
-            r#""d":-0,"e":null,"f":0.1,"g":null}"#
+            r#""d":-0,"e":null,"f":0.1,"g":null,"t":true}"#
         );
         assert_eq!(s, want);
     }
 
     #[test]
     fn strings_escape_like_the_value_tree() {
-        let s = render(|o| {
-            o.str("s", "a\"b\\c\nd\re\tf\u{1}g\u{1f}\u{7f}é");
+        let s = object(|o| {
+            o.field("s", "a\"b\\c\nd\re\tf\u{1}g\u{1f}\u{7f}é");
         });
         assert_eq!(
             s,
@@ -176,14 +293,29 @@ mod tests {
     }
 
     #[test]
-    fn nested_objects_and_empty() {
-        assert_eq!(render(|_| {}), "{}");
-        let s = render(|o| {
+    fn nested_objects_arrays_and_empty() {
+        assert_eq!(object(|_| {}), "{}");
+        let s = object(|o| {
             o.obj("args", |a| {
-                a.uint("x", 1u8);
+                a.field("x", 1u8);
             })
-            .str("k", "v");
+            .field("k", "v")
+            .arr("rows", [1u8, 2], |out, r| {
+                Obj::open(out).field("r", r).close();
+            })
+            .field("none", Vec::<u8>::new());
         });
-        assert_eq!(s, r#"{"args":{"x":1},"k":"v"}"#);
+        assert_eq!(
+            s,
+            r#"{"args":{"x":1},"k":"v","rows":[{"r":1},{"r":2}],"none":[]}"#
+        );
+    }
+
+    #[test]
+    fn tuples_and_vecs_are_arrays() {
+        let v: Vec<(String, f64, Option<i16>)> =
+            vec![("a".into(), 1.5, None), ("b".into(), 2.0, Some(-3))];
+        assert_eq!(to_string(&v), r#"[["a",1.5,null],["b",2,-3]]"#);
+        assert_eq!(to_string(&vec![vec![0.5f64], vec![]]), "[[0.5],[]]");
     }
 }

@@ -29,8 +29,8 @@
 //! * [`export`] — deterministic JSONL and Chrome-trace
 //!   (`chrome://tracing`) exporters over the collected
 //!   [`TelemetryOutput`]s. They stream every record straight into one
-//!   output `String` through a small private JSON writer, so the crate
-//!   needs no serialization library.
+//!   output `String` through [`json`], the workspace's one JSON writer
+//!   (the `results/` documents use it too).
 //!
 //! Everything is off by default ([`TelemetryConfig::disabled`]); the
 //! engine's hot path only ever pays the `enabled` check.
@@ -44,7 +44,7 @@ pub mod audit;
 pub mod cluster;
 pub mod event;
 pub mod export;
-mod json;
+pub mod json;
 pub mod recorder;
 pub mod tail;
 

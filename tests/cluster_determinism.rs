@@ -18,6 +18,7 @@
 //! instead (still deterministic, still random-looking).
 
 use rhythm::prelude::*;
+use rhythm::telemetry::json;
 use std::sync::OnceLock;
 
 /// Profiling a service (Algorithm 1) is by far the most expensive step,
@@ -79,8 +80,8 @@ fn cluster_runs_are_thread_count_invariant() {
             serial.fingerprints, parallel.fingerprints,
             "case {case}: per-machine fingerprints diverged (seed={seed}, {policy:?}, {choice:?})"
         );
-        let a = serde_json::to_string(&serial.metrics).unwrap();
-        let b = serde_json::to_string(&parallel.metrics).unwrap();
+        let a = json::to_string(&serial.metrics);
+        let b = json::to_string(&parallel.metrics);
         assert_eq!(
             a, b,
             "case {case}: merged metrics diverged (seed={seed}, {policy:?}, {choice:?})"
@@ -110,14 +111,14 @@ fn warehouse_cluster_runs_are_thread_count_invariant() {
     };
     let baseline = run(1);
     assert!(baseline.metrics.completed_requests > 0, "empty run");
-    let base_metrics = serde_json::to_string(&baseline.metrics).unwrap();
+    let base_metrics = json::to_string(&baseline.metrics);
     for threads in [2usize, 3, 8] {
         let other = run(threads);
         assert_eq!(
             baseline.fingerprints, other.fingerprints,
             "fingerprints diverged at {threads} threads"
         );
-        let metrics = serde_json::to_string(&other.metrics).unwrap();
+        let metrics = json::to_string(&other.metrics);
         assert_eq!(
             base_metrics, metrics,
             "metrics diverged at {threads} threads"
@@ -188,8 +189,8 @@ fn hetero_gang_cluster_is_thread_count_invariant() {
             base_jsonl, jsonl,
             "telemetry JSONL diverged at {threads} threads"
         );
-        let a = serde_json::to_string(&baseline.metrics).unwrap();
-        let b = serde_json::to_string(&run.metrics).unwrap();
+        let a = json::to_string(&baseline.metrics);
+        let b = json::to_string(&run.metrics);
         assert_eq!(a, b, "merged metrics diverged at {threads} threads");
     }
 }

@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use rhythm::analyzer::find_loadlimit;
 use rhythm::analyzer::slacklimit::find_slacklimits;
 use rhythm::cluster::{
-    run_cluster, ClusterConfig, ClusterJob, FaultPlan, JobQueue, JobState, SchedulerState,
+    run_cluster, ClusterConfig, ClusterJob, FaultPlan, JobQueue, SchedulerState,
 };
 use rhythm::controller::Thresholds;
 use rhythm::core::experiment::{ControllerChoice, ServiceContext};
@@ -31,6 +31,7 @@ use rhythm::core::{ControlMode, Engine, EngineConfig};
 use rhythm::machine::{Allocation, Machine, MachineSpec};
 use rhythm::sim::SimRng;
 use rhythm::sim::{Arena, Calendar, LatencyHistogram, SimDuration, SimTime};
+use rhythm::telemetry::json;
 use rhythm::tracer::capture::{chain_visit, CaptureConfig, EventCapture, VisitLog, VisitNode};
 use rhythm::tracer::Pairer;
 use rhythm::workloads::{apps, BeKind, BeSpec, LoadGen};
@@ -2335,20 +2336,21 @@ proptest! {
                 )
             })
             .collect();
-        let baseline = serde_json::to_string(&runs[0].metrics).expect("metrics serialize");
+        let baseline = json::to_string(&runs[0].metrics);
         for r in &runs[1..] {
-            let other = serde_json::to_string(&r.metrics).expect("metrics serialize");
+            let other = json::to_string(&r.metrics);
             prop_assert_eq!(&other, &baseline, "metrics diverged across layouts");
             prop_assert_eq!(&r.fingerprints, &runs[0].fingerprints, "machine fingerprints diverged");
         }
     }
 
     /// Recovery accounting: a kill rolls a job back to its last banked
-    /// checkpoint, so the work a fault destroys is bounded — per job,
-    /// `wasted ≤ kills × checkpoint_fraction` (one open interval per
-    /// kill), checkpoints stay in `[0, 1]`, and a finished job is fully
-    /// checkpointed. The merged stats must agree with the ledger they
-    /// were derived from, and every kill re-enters the queue.
+    /// checkpoint, so the work a fault destroys is bounded — every job
+    /// passes `ClusterJob::check_ledger` (`wasted ≤ kills ×
+    /// checkpoint_fraction`, checkpoints in `[0, 1]`, a finished job
+    /// fully checkpointed), which the scheduler's barrier checker also
+    /// applies. The merged stats must agree with the ledger they were
+    /// derived from, and every kill re-enters the queue.
     #[test]
     fn job_ledger_accounts_for_recovery(
         crashes in prop::collection::vec((4u32..20, 0u64..32, 6u32..16), 1..4),
@@ -2369,25 +2371,8 @@ proptest! {
         let mut kills = 0u64;
         let mut wasted = 0.0;
         for j in &out.jobs {
-            prop_assert!(
-                (0.0..=1.0).contains(&j.checkpoint),
-                "job {} checkpoint {} out of range", j.id, j.checkpoint
-            );
-            prop_assert!(j.wasted.is_finite() && j.wasted >= 0.0);
-            prop_assert!(
-                j.wasted <= f64::from(j.kills) * ckpt + 1e-9,
-                "job {}: wasted {} exceeds {} kills x {} checkpoint interval",
-                j.id, j.wasted, j.kills, ckpt
-            );
-            if j.kills == 0 {
-                prop_assert_eq!(j.wasted, 0.0, "waste without a kill");
-            }
-            if j.state == JobState::Done {
-                prop_assert_eq!(j.checkpoint, 1.0, "done but not fully checkpointed");
-                prop_assert!(j.completed_s.is_some());
-            } else {
-                prop_assert!(j.completed_s.is_none(), "completed_s on an unfinished job");
-            }
+            let ledger = j.check_ledger(ckpt);
+            prop_assert!(ledger.is_ok(), "{ledger:?}");
             kills += u64::from(j.kills);
             wasted += j.wasted;
         }

@@ -7,7 +7,7 @@
 //! threading is already proven observation-invariant, so each resume
 //! must land on the same bytes.
 
-use rhythm::cluster::JobState;
+use rhythm::cluster::{ClusterJob, JobState};
 use rhythm::core::plan::Request;
 use rhythm::prelude::*;
 use rhythm::snapshot::{Reader, Writer};
@@ -111,6 +111,44 @@ fn resume_rejects_inconsistent_scheduler_state() {
             ),
             "job {running} flipped to {state:?} must be refused"
         );
+    }
+    assert!(ClusterRunner::resume(snap, &ctx, &ControllerChoice::Rhythm, &c).is_ok());
+}
+
+#[test]
+fn resume_refuses_a_forged_job_ledger() {
+    // Each edit keeps every section decodable and every job where the
+    // queue and bindings expect it; only one job's ledger lies.
+    let ctx = ctx();
+    let c = cfg(1);
+    let run = ClusterRunner::new(&ctx, &ControllerChoice::Rhythm, &c)
+        .snapshot_at(CAPTURE_EPOCH)
+        .run();
+    let snap = &run.snapshots[0].1;
+    let j = snap
+        .scheduler
+        .jobs
+        .iter()
+        .position(|job| job.kills == 0 && job.state != JobState::Done)
+        .expect("some unfinished job was never killed");
+    type Forge = fn(&mut ClusterJob);
+    let forgeries: [(&str, Forge); 4] = [
+        ("without a kill", |job| job.wasted = 0.05),
+        ("without a kill", |job| job.wasted = 1e-12),
+        ("over 1 kill", |job| {
+            job.kills = 1;
+            job.wasted = 0.5;
+        }),
+        ("completion time", |job| job.completed_s = Some(1.0)),
+    ];
+    for (fragment, forge) in forgeries {
+        let mut bad = snap.clone();
+        forge(&mut bad.scheduler.jobs[j]);
+        let bad = ClusterSnapshot::from_bytes(&bad.to_bytes()).expect("bytes still parse");
+        match ClusterRunner::resume(&bad, &ctx, &ControllerChoice::Rhythm, &c).err() {
+            Some(SnapshotError::Corrupt(why)) => assert!(why.contains(fragment), "{why}"),
+            other => panic!("a forged ledger ({fragment}) must be refused, got {other:?}"),
+        }
     }
     assert!(ClusterRunner::resume(snap, &ctx, &ControllerChoice::Rhythm, &c).is_ok());
 }

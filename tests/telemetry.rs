@@ -20,14 +20,13 @@
 //! 5. **The streaming writer renders what the value tree rendered** —
 //!    on generated telemetry with hostile strings, non-finite and extreme
 //!    floats and extreme integers, both exports are byte-equal to an
-//!    oracle that builds a `serde_json::Value` per record and prints it.
+//!    oracle that builds a JSON value tree per record and prints it.
 
 use proptest::prelude::*;
 use rhythm::prelude::*;
 use rhythm::telemetry::{
-    export_jsonl_with_events, ActionCode, AdjustKind, BeSnapshot, Event, EventKind, Trigger,
+    export_jsonl_with_events, json, ActionCode, AdjustKind, BeSnapshot, Event, EventKind, Trigger,
 };
-use serde_json::{json, Value};
 use std::sync::OnceLock;
 
 /// One shared profiled context (Algorithm 1 dominates test wall-clock).
@@ -92,8 +91,8 @@ fn telemetry_does_not_perturb_the_simulation() {
         off.fingerprints, on.fingerprints,
         "enabling telemetry changed per-machine results"
     );
-    let a = serde_json::to_string(&off.metrics).unwrap();
-    let b = serde_json::to_string(&on.metrics).unwrap();
+    let a = json::to_string(&off.metrics);
+    let b = json::to_string(&on.metrics);
     assert_eq!(a, b, "enabling telemetry changed merged metrics");
 }
 
@@ -200,9 +199,136 @@ fn streams_are_populated_and_self_describing() {
 }
 
 /// The value-tree renderers the exports were built on before the
-/// streaming writer: one `Value` per record, printed compact.
+/// streaming writer: one `Value` per record, printed compact. `Value`,
+/// its printer and `json!` are the value tree the workspace's
+/// `serde_json` stand-in used to print.
 mod oracle {
     use super::*;
+
+    /// A JSON value; object keys keep insertion order.
+    #[derive(Clone)]
+    pub enum Value {
+        Null,
+        Int(i64),
+        UInt(u64),
+        Float(f64),
+        String(String),
+        Array(Vec<Value>),
+        Object(Vec<(String, Value)>),
+    }
+
+    fn escape_into(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    impl Value {
+        fn write_compact(&self, out: &mut String) {
+            match self {
+                Value::Null => out.push_str("null"),
+                Value::Int(i) => out.push_str(&i.to_string()),
+                Value::UInt(u) => out.push_str(&u.to_string()),
+                Value::Float(f) if f.is_finite() => out.push_str(&format!("{f}")),
+                Value::Float(_) => out.push_str("null"),
+                Value::String(s) => escape_into(s, out),
+                Value::Array(items) => {
+                    out.push('[');
+                    for (i, v) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        v.write_compact(out);
+                    }
+                    out.push(']');
+                }
+                Value::Object(pairs) => {
+                    out.push('{');
+                    for (i, (k, v)) in pairs.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        escape_into(k, out);
+                        out.push(':');
+                        v.write_compact(out);
+                    }
+                    out.push('}');
+                }
+            }
+        }
+
+        pub fn to_json_string(&self) -> String {
+            let mut s = String::new();
+            self.write_compact(&mut s);
+            s
+        }
+    }
+
+    /// Conversion into a [`Value`], by reference (fields need not be `Copy`).
+    pub trait ToValue {
+        fn to_value(&self) -> Value;
+    }
+
+    macro_rules! to_value {
+        ($($t:ty => $v:ident as $w:ty),*) => {$(
+            impl ToValue for $t {
+                fn to_value(&self) -> Value {
+                    Value::$v(*self as $w)
+                }
+            }
+        )*};
+    }
+
+    to_value!(u8 => UInt as u64, u16 => UInt as u64, u32 => UInt as u64, u64 => UInt as u64,
+        usize => UInt as u64, i16 => Int as i64, i32 => Int as i64, f64 => Float as f64);
+
+    impl ToValue for str {
+        fn to_value(&self) -> Value {
+            Value::String(self.to_owned())
+        }
+    }
+
+    impl ToValue for String {
+        fn to_value(&self) -> Value {
+            Value::String(self.clone())
+        }
+    }
+
+    impl ToValue for Value {
+        fn to_value(&self) -> Value {
+            self.clone()
+        }
+    }
+
+    impl<T: ToValue + ?Sized> ToValue for &T {
+        fn to_value(&self) -> Value {
+            (**self).to_value()
+        }
+    }
+
+    impl<T: ToValue> ToValue for Option<T> {
+        fn to_value(&self) -> Value {
+            self.as_ref().map_or(Value::Null, ToValue::to_value)
+        }
+    }
+
+    /// `json!({"key": expr, ...})` or `json!(expr)`.
+    macro_rules! json {
+        ({ $($key:literal : $val:expr),* $(,)? }) => {
+            Value::Object(vec![$((String::from($key), ToValue::to_value(&$val))),*])
+        };
+        ($other:expr) => { ToValue::to_value(&$other) };
+    }
 
     fn push(v: &mut Value, key: &str, val: Value) {
         let Value::Object(pairs) = v else {
