@@ -4,7 +4,8 @@
 //! ```text
 //! repro snapshot [--machines N] [--epoch E] [--seed S] [--duration S]
 //!                [--out FILE]       # capture the standard cluster cell
-//!                                   # (N ≤ MAX_MACHINES)
+//!                                   # (N ≤ MAX_MACHINES); prints the
+//!                                   # bytes of each container section
 //! repro resume FILE [--threads T]   # continue a capture to the horizon
 //! repro snapshot-diff A B           # structural post-mortem diff
 //! ```
@@ -21,6 +22,7 @@ use crate::report::results_dir;
 use rhythm_chaos::outcome_fingerprint;
 use rhythm_cluster::{ClusterOutcome, ClusterRunner, ClusterSnapshot};
 use rhythm_core::experiment::ControllerChoice;
+use rhythm_snapshot::SnapshotFile;
 use std::io;
 use std::path::PathBuf;
 
@@ -173,6 +175,12 @@ pub fn snapshot(args: &[String]) -> io::Result<()> {
         bytes.len(),
         snap.fingerprint(),
     );
+    let file = SnapshotFile::parse(&bytes).map_err(|e| invalid(e.to_string()))?;
+    let sections: Vec<String> = file
+        .section_sizes()
+        .map(|(name, len)| format!("{name} {len}"))
+        .collect();
+    println!("sections: {}", sections.join("  "));
     println!("run:      {}", outcome_line(&run.outcome));
     Ok(())
 }

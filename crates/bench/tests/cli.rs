@@ -104,6 +104,26 @@ fn resume_refuses_a_cell_above_the_ceiling() {
     ]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let bytes = std::fs::read(&captured).expect("capture written");
+    // The capture's sections and their bytes, on a line of their own.
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let sections: Vec<(&str, usize)> = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("sections: "))
+        .expect("a sections line")
+        .split("  ")
+        .map(|s| {
+            let (name, len) = s.split_once(' ').expect("name and bytes");
+            (name, len.parse().expect("a byte count"))
+        })
+        .collect();
+    let names: Vec<&str> = sections.iter().map(|s| s.0).collect();
+    assert_eq!(names, ["meta", "scheduler", "engines", "summaries", "tail"]);
+    let body: usize = sections.iter().map(|s| s.1).sum();
+    assert!(
+        body < bytes.len() && bytes.len() - body < 512,
+        "{body} of {}",
+        bytes.len()
+    );
     let mut snap = rhythm_cluster::ClusterSnapshot::from_bytes(&bytes).expect("capture decodes");
     assert_eq!(snap.replicas, 1);
     let n = rhythm_bench::snapshotcli::MAX_MACHINES + 1;

@@ -267,8 +267,14 @@ impl ClusterSnapshot {
         let mut sched = Writer::new();
         self.scheduler.encode(&mut sched);
         b.section("scheduler", sched);
-        let mut engines = Writer::new();
-        self.engines.encode(&mut engines);
+        // `u64` count, then each stream as one length-prefixed slice,
+        // copied once into a section allocated at its exact size.
+        let mut engines =
+            Writer::with_capacity(8 + self.engines.iter().map(|e| 8 + e.len()).sum::<usize>());
+        engines.u64(self.engines.len() as u64);
+        for e in &self.engines {
+            engines.bytes(e);
+        }
         b.section("engines", engines);
         let mut summaries = Writer::new();
         self.summaries.encode(&mut summaries);
@@ -332,7 +338,11 @@ impl ClusterSnapshot {
         })?;
         let mut engines: Vec<Vec<u8>> = Vec::new();
         read("engines", &mut |r| {
-            engines = Snapshot::decode(r)?;
+            let n = r.len(8)?;
+            engines = Vec::with_capacity(n);
+            for _ in 0..n {
+                engines.push(r.bytes()?.to_vec());
+            }
             Ok(())
         })?;
         let mut summaries: Vec<EngineSummary> = Vec::new();

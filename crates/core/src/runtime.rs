@@ -2068,6 +2068,19 @@ impl Engine {
         }
         e.tail = Snapshot::decode(r)?;
         e.arrivals_ring = Snapshot::decode(r)?;
+        let now_sec = e.cal.now().as_nanos() / 1_000_000_000;
+        let mut prev_sec = None;
+        for &(sec, count) in &e.arrivals_ring {
+            // Seconds ascend and never pass the clock; no second holds
+            // 2^28 arrivals, so counting and summing the ring never
+            // overflow.
+            if prev_sec.is_some_and(|p| p >= sec) || sec > now_sec || count >= 1 << 28 {
+                return Err(SnapshotError::Corrupt(format!(
+                    "arrival ring entry ({sec} s, {count}) at clock second {now_sec}"
+                )));
+            }
+            prev_sec = Some(sec);
+        }
         e.hist = Snapshot::decode(r)?;
         e.completed = r.u64()?;
         e.completed_total = r.u64()?;
@@ -2128,6 +2141,17 @@ impl Engine {
         e.audit_prev = Snapshot::decode(r)?;
         if e.audit_prev.len() != n {
             return Err(SnapshotError::Corrupt("audit cache length mismatch".into()));
+        }
+        // The cache holds each node's count at the last tick, and counts
+        // only grow.
+        if e.audit_prev
+            .iter()
+            .zip(&e.sojourn_stats)
+            .any(|(&(prev, _), stats)| prev > stats.count())
+        {
+            return Err(SnapshotError::Corrupt(
+                "audit cache counts more sojourns than the node has seen".into(),
+            ));
         }
         // The captured run had already started; `start()` must not
         // re-run setup on the restored state.

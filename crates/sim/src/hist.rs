@@ -8,8 +8,8 @@
 //!
 //! Only the occupied bucket range is stored: latencies of a service span a
 //! few hundred buckets far above bucket 0, so an idle engine's histograms
-//! stay small. The wire format is still the dense one (see the
-//! [`Snapshot`](rhythm_snapshot::Snapshot) impl).
+//! stay small. The wire format writes that range and nothing else, as
+//! varints (see the [`Snapshot`](rhythm_snapshot::Snapshot) impl).
 
 /// Default relative error of quantile estimates.
 const DEFAULT_GAMMA_ERR: f64 = 0.01;
@@ -38,7 +38,6 @@ pub struct LatencyHistogram {
     /// Smallest distinguishable value; everything below lands in bucket 0.
     min_value: f64,
     /// Index of the first stored bucket; 0 while nothing is stored.
-    // lint:allow(S02) -- derived: encode writes `lo` leading zero buckets, decode strips them back into `lo`
     lo: usize,
     /// Counts of buckets `lo..lo + counts.len()`, where bucket `i` holds
     /// values up to `min_value · gamma^i`. Every bucket outside that range
@@ -216,8 +215,16 @@ impl LatencyHistogram {
         self.counts.capacity()
     }
 
+    /// One past the highest bucket any value reaches in the default
+    /// layout (`f64::MAX` lands in the last one). Decoders refuse
+    /// buckets at or above it.
+    pub(crate) fn bucket_limit() -> usize {
+        let h = LatencyHistogram::new();
+        h.bucket_index(f64::MAX) + 1
+    }
+
     /// The non-zero buckets as `(bucket, count)`, ascending.
-    pub(crate) fn nonzero_buckets(&self) -> impl DoubleEndedIterator<Item = (usize, u64)> + '_ {
+    pub fn nonzero_buckets(&self) -> impl DoubleEndedIterator<Item = (usize, u64)> + '_ {
         (self.lo..self.end())
             .zip(self.counts.iter().copied())
             .filter(|&(_, c)| c != 0)
@@ -324,29 +331,29 @@ impl LatencyHistogram {
 }
 
 impl rhythm_snapshot::Snapshot for LatencyHistogram {
-    /// The dense layout: the logical bucket count `lo + counts.len()`,
-    /// then every bucket from 0, with the `lo` leading zeros written out.
+    /// The layout, then the stored range as varints — `lo`, the number
+    /// of stored buckets and each stored count — then the total as a
+    /// varint and the sum and maximum as bit patterns.
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
         w.f64(self.log_gamma);
         w.f64(self.min_value);
-        w.u64(self.end() as u64);
-        for _ in 0..self.lo {
-            w.u64(0);
-        }
+        w.varint(self.lo as u64);
+        w.varint(self.counts.len() as u64);
         for &c in &self.counts {
-            w.u64(c);
+            w.varint(c);
         }
-        w.u64(self.total);
+        w.varint(self.total);
         w.f64(self.sum);
         w.f64(self.max);
     }
 
     /// Accepts only what `encode` writes for a histogram built by
-    /// [`LatencyHistogram::new`]: its exact layout, bucket counts summing
-    /// to the total, no trailing zero bucket, and a maximum that is
-    /// positive and finite (exactly 0 when empty). Anything else is
-    /// `Corrupt`, so a restored histogram never panics later in `record`
-    /// or `merge`.
+    /// [`LatencyHistogram::new`]: its exact layout, a stored range that
+    /// starts at 0 when empty, ends below the highest reachable bucket
+    /// and has non-zero first and last counts, counts summing to the
+    /// total, and a maximum that is positive and finite (exactly 0 when
+    /// empty). Anything else is `Corrupt`, so a restored histogram never
+    /// panics later in `record` or `merge`.
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
         let corrupt = |msg: &str| Err(rhythm_snapshot::SnapshotError::Corrupt(msg.into()));
         let log_gamma = r.f64()?;
@@ -357,33 +364,32 @@ impl rhythm_snapshot::Snapshot for LatencyHistogram {
         {
             return corrupt("histogram layout differs from LatencyHistogram::new()");
         }
-        let n = r.len(8)?;
-        let mut lo = 0;
-        let mut counts = Vec::new();
+        let lo: usize = r.varint_as("histogram first bucket")?;
+        let n = r.varint_len(1)?;
+        if lo.saturating_add(n) > LatencyHistogram::bucket_limit() {
+            return corrupt("histogram bucket beyond the highest reachable one");
+        }
+        if n == 0 && lo != 0 {
+            return corrupt("empty histogram with a first bucket");
+        }
+        let mut counts = Vec::with_capacity(n);
         let mut bucket_sum = 0u64;
         for _ in 0..n {
-            let c = r.u64()?;
-            if counts.is_empty() && c == 0 {
-                lo += 1;
-            } else {
-                counts.push(c);
-                let Some(s) = bucket_sum.checked_add(c) else {
-                    return corrupt("histogram bucket counts overflow");
-                };
-                bucket_sum = s;
-            }
+            let c = r.varint()?;
+            counts.push(c);
+            let Some(s) = bucket_sum.checked_add(c) else {
+                return corrupt("histogram bucket counts overflow");
+            };
+            bucket_sum = s;
         }
-        let total = r.u64()?;
+        let total = r.varint()?;
         let sum = r.f64()?;
         let max = r.f64()?;
         if bucket_sum != total {
             return corrupt("histogram bucket counts do not sum to total");
         }
-        if total == 0 && n > 0 {
-            return corrupt("histogram has buckets but no samples");
-        }
-        if counts.last() == Some(&0) {
-            return corrupt("histogram ends in an empty bucket");
+        if counts.first() == Some(&0) || counts.last() == Some(&0) {
+            return corrupt("histogram stored range starts or ends in an empty bucket");
         }
         let max_ok = if total == 0 {
             max.to_bits() == 0
@@ -426,11 +432,12 @@ mod tests {
         assert_eq!(w2.into_bytes(), bytes);
     }
 
-    /// A histogram snapshot assembled field by field: layout, the dense
-    /// buckets, total, sum and max.
+    /// A histogram snapshot assembled field by field: layout, the
+    /// stored range (`lo`, then its counts), total, sum and max.
     fn histogram_bytes(
         log_gamma: f64,
         min_value: f64,
+        lo: u64,
         buckets: &[u64],
         total: u64,
         max: f64,
@@ -438,11 +445,12 @@ mod tests {
         let mut w = rhythm_snapshot::Writer::new();
         w.f64(log_gamma);
         w.f64(min_value);
-        w.u64(buckets.len() as u64);
+        w.varint(lo);
+        w.varint(buckets.len() as u64);
         for &c in buckets {
-            w.u64(c);
+            w.varint(c);
         }
-        w.u64(total);
+        w.varint(total);
         w.f64(max * total as f64);
         w.f64(max);
         w.into_bytes()
@@ -455,54 +463,79 @@ mod tests {
         let (lg, mv) = (new.log_gamma, new.min_value);
         let decode = |bytes: &[u8]| LatencyHistogram::decode(&mut Reader::new(bytes));
 
-        // What `encode` writes decodes, leading zeros stripped into `lo`.
-        let ok = decode(&histogram_bytes(lg, mv, &[0, 0, 0, 2, 0, 1], 3, 5.0)).unwrap();
+        // What `encode` writes decodes.
+        let ok = decode(&histogram_bytes(lg, mv, 3, &[2, 0, 1], 3, 5.0)).unwrap();
         assert_eq!((ok.lo, ok.counts.as_slice()), (3, &[2, 0, 1][..]));
-        assert!(decode(&histogram_bytes(lg, mv, &[], 0, 0.0)).is_ok());
+        assert!(decode(&histogram_bytes(lg, mv, 0, &[], 0, 0.0)).is_ok());
+        let limit = LatencyHistogram::bucket_limit() as u64;
+        assert!(decode(&histogram_bytes(lg, mv, limit - 1, &[1], 1, 1.0)).is_ok());
 
         let rejected = [
-            ("log_gamma 0", histogram_bytes(0.0, mv, &[1], 1, 1.0)),
-            ("log_gamma NaN", histogram_bytes(f64::NAN, mv, &[1], 1, 1.0)),
+            ("log_gamma 0", histogram_bytes(0.0, mv, 0, &[1], 1, 1.0)),
+            (
+                "log_gamma NaN",
+                histogram_bytes(f64::NAN, mv, 0, &[1], 1, 1.0),
+            ),
             (
                 "another error bound",
                 histogram_bytes(
                     LatencyHistogram::with_error(0.05, 1e-3).log_gamma,
                     mv,
+                    0,
                     &[1],
                     1,
                     1.0,
                 ),
             ),
-            ("min_value 0", histogram_bytes(lg, 0.0, &[1], 1, 1.0)),
+            ("min_value 0", histogram_bytes(lg, 0.0, 0, &[1], 1, 1.0)),
             (
                 "min_value negative",
-                histogram_bytes(lg, -1e-3, &[1], 1, 1.0),
+                histogram_bytes(lg, -1e-3, 0, &[1], 1, 1.0),
             ),
-            ("another min_value", histogram_bytes(lg, 1.0, &[1], 1, 1.0)),
+            (
+                "another min_value",
+                histogram_bytes(lg, 1.0, 0, &[1], 1, 1.0),
+            ),
             (
                 "buckets without samples",
-                histogram_bytes(lg, mv, &[0, 0], 0, 0.0),
+                histogram_bytes(lg, mv, 0, &[0, 0], 0, 0.0),
             ),
             (
                 "samples without buckets",
-                histogram_bytes(lg, mv, &[], 2, 1.0),
+                histogram_bytes(lg, mv, 0, &[], 2, 1.0),
+            ),
+            (
+                "an empty range that starts above 0",
+                histogram_bytes(lg, mv, 4, &[], 0, 0.0),
+            ),
+            (
+                "leading empty bucket",
+                histogram_bytes(lg, mv, 2, &[0, 1], 1, 1.0),
             ),
             (
                 "trailing empty bucket",
-                histogram_bytes(lg, mv, &[0, 1, 0], 1, 1.0),
+                histogram_bytes(lg, mv, 1, &[1, 0], 1, 1.0),
+            ),
+            (
+                "a bucket past the last reachable one",
+                histogram_bytes(lg, mv, limit, &[1], 1, 1.0),
+            ),
+            (
+                "a range whose end overflows",
+                histogram_bytes(lg, mv, u64::MAX, &[1], 1, 1.0),
             ),
             (
                 "counts off the total",
-                histogram_bytes(lg, mv, &[1, 1], 3, 1.0),
+                histogram_bytes(lg, mv, 0, &[1, 1], 3, 1.0),
             ),
             (
                 "counts overflow",
-                histogram_bytes(lg, mv, &[u64::MAX, 2], 1, 1.0),
+                histogram_bytes(lg, mv, 0, &[u64::MAX, 2], 1, 1.0),
             ),
-            ("NaN max", histogram_bytes(lg, mv, &[1], 1, f64::NAN)),
+            ("NaN max", histogram_bytes(lg, mv, 0, &[1], 1, f64::NAN)),
             (
                 "max of an empty histogram",
-                histogram_bytes(lg, mv, &[], 0, 4.0),
+                histogram_bytes(lg, mv, 0, &[], 0, 4.0),
             ),
         ];
         for (what, bytes) in rejected {
@@ -511,6 +544,22 @@ mod tests {
                 other => panic!("{what}: expected Corrupt, got {other:?}"),
             }
         }
+    }
+
+    /// The stored range costs one varint per bucket, however far above
+    /// bucket 0 it sits.
+    #[test]
+    fn encoding_holds_only_the_stored_range() {
+        use rhythm_snapshot::{Snapshot, Writer};
+        let mut h = LatencyHistogram::new();
+        h.record(250.0);
+        h.record(260.0);
+        let mut w = Writer::new();
+        h.encode(&mut w);
+        // Layout, lo (2 bytes), length, 3 counts, total, sum, max.
+        assert!(h.lo > 500);
+        assert_eq!(h.counts.len(), 3);
+        assert_eq!(w.len(), 16 + 2 + 1 + 3 + 1 + 16);
     }
 
     #[test]

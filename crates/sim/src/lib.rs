@@ -44,14 +44,16 @@ pub mod window;
 /// crate. Hashed into snapshot files; **bump the text whenever an encoding
 /// here changes shape** so stale snapshots are refused instead of
 /// misdecoded.
-pub const SNAPSHOT_SCHEMA: &str = "rhythm-sim/v1: \
+pub const SNAPSHOT_SCHEMA: &str = "rhythm-sim/v2: \
      SimTime=u64ns SimDuration=u64ns \
      SimRng=(seed:u64,xoshiro256++:[u64;4]) \
      Calendar=(now:u64,next_seq:u64,entries:[(at:u64,seq:u64,event)] sorted) \
      Arena=(slots:[(gen:u32,value:Option)],free:[u32]) Key=u64 \
-     LatencyHistogram=(log_gamma:f64,min_value:f64,counts:[u64],total:u64,sum:f64,max:f64) \
+     LatencyHistogram=(log_gamma:f64,min_value:f64,lo:varint,len:varint,counts:[varint],\
+     total:varint,sum:f64,max:f64) \
      OnlineStats=(n:u64,mean:f64,m2:f64,min:f64,max:f64) \
-     TailWindow=(slot_len:u64ns,slots:[(epoch:u64,hist)])";
+     TailWindow=(slot_len:u64ns,n:varint,slots:[epoch+1:varint, if live \
+     (len:varint,[(bucket_gap:varint,count:varint)],sum:f64,max:f64)])";
 
 pub use arena::Arena;
 pub use calendar::Calendar;

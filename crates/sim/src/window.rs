@@ -19,8 +19,9 @@ use crate::time::{SimDuration, SimTime};
 /// A slot stores only its non-zero buckets of the default
 /// [`LatencyHistogram`] layout, so its memory follows the few distinct
 /// latencies one interval of a lightly loaded machine sees, not the
-/// widest interval it ever saw. Quantiles, counts and snapshot bytes
-/// are those of a ring of `LatencyHistogram`s.
+/// widest interval it ever saw. Quantiles and counts are those of a
+/// ring of `LatencyHistogram`s, and the snapshot writes the same
+/// non-zero entries.
 ///
 /// # Examples
 ///
@@ -196,46 +197,112 @@ impl TailWindow {
     pub fn reset(&mut self) {
         self.slots.fill(Slot::EMPTY);
     }
+
+    /// The slot length and each slot as the interval it holds (`None`
+    /// when empty) and its samples as a histogram of the default
+    /// layout, in ring order.
+    pub fn slot_histograms(
+        &self,
+    ) -> (
+        SimDuration,
+        impl Iterator<Item = (Option<u64>, LatencyHistogram)> + '_,
+    ) {
+        let slots = self.slots.iter().map(|s| {
+            let hist =
+                LatencyHistogram::from_parts(s.buckets.iter().copied(), s.total, s.sum, s.max);
+            ((s.epoch != u64::MAX).then_some(s.epoch), hist)
+        });
+        (self.slot_len, slots)
+    }
 }
 
 impl rhythm_snapshot::Snapshot for TailWindow {
-    /// Each slot as its epoch and the bytes of the [`LatencyHistogram`]
-    /// holding its samples.
+    /// The slot length and slot count, then per slot a varint of its
+    /// interval plus one (0 for an empty slot, which ends there), and
+    /// for a live slot its entries: their count, each bucket as the gap
+    /// above the previous one (the first from 0) and its count, all
+    /// varints, then the sum and maximum as bit patterns.
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
         self.slot_len.encode(w);
-        w.u64(self.slots.len() as u64);
+        w.varint(self.slots.len() as u64);
         for slot in &self.slots {
-            w.u64(slot.epoch);
-            let buckets = slot.buckets.iter().copied();
-            LatencyHistogram::from_parts(buckets, slot.total, slot.sum, slot.max).encode(w);
+            w.varint(slot.epoch.wrapping_add(1));
+            if slot.epoch == u64::MAX {
+                continue;
+            }
+            w.varint(slot.buckets.len() as u64);
+            let mut prev = 0;
+            for &(bucket, count) in &slot.buckets {
+                w.varint((bucket - prev) as u64);
+                w.varint(count);
+                prev = bucket;
+            }
+            w.f64(slot.sum);
+            w.f64(slot.max);
         }
     }
 
-    /// Each slot's histogram passes every check of
-    /// [`LatencyHistogram`]'s decode.
+    /// Refuses what `encode` never writes: a zero slot length or slot
+    /// count, an interval outside its ring slot, a live slot without
+    /// entries, an entry with count 0, a bucket at or below the
+    /// previous one or past the highest reachable bucket, counts that
+    /// overflow, and a maximum that is not positive and finite.
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
+        let corrupt = |msg: &str| Err(rhythm_snapshot::SnapshotError::Corrupt(msg.into()));
         let slot_len = SimDuration::decode(r)?;
         if slot_len.is_zero() {
-            return Err(rhythm_snapshot::SnapshotError::Corrupt(
-                "tail window slot length must be positive".into(),
-            ));
+            return corrupt("tail window slot length must be positive");
         }
-        let n = r.len(8)?;
+        let n = r.varint_len(1)?;
         if n == 0 {
-            return Err(rhythm_snapshot::SnapshotError::Corrupt(
-                "tail window needs at least one slot".into(),
-            ));
+            return corrupt("tail window needs at least one slot");
         }
+        let limit = LatencyHistogram::bucket_limit();
         let mut slots = Vec::with_capacity(n);
-        for _ in 0..n {
-            let epoch = r.u64()?;
-            let hist = LatencyHistogram::decode(r)?;
+        for i in 0..n as u64 {
+            let Some(epoch) = r.varint()?.checked_sub(1) else {
+                slots.push(Slot::EMPTY);
+                continue;
+            };
+            if epoch % n as u64 != i {
+                return corrupt("tail window interval held in another interval's slot");
+            }
+            let entries = r.varint_len(2)?;
+            if entries == 0 {
+                return corrupt("live tail window slot without samples");
+            }
+            let mut buckets = Vec::with_capacity(entries);
+            let mut total = 0u64;
+            for k in 0..entries {
+                let gap: usize = r.varint_as("tail window bucket gap")?;
+                let count = r.varint()?;
+                if k > 0 && gap == 0 {
+                    return corrupt("tail window buckets repeat or descend");
+                }
+                let bucket = buckets.last().map_or(0, |&(b, _)| b) + gap.min(limit);
+                if bucket >= limit {
+                    return corrupt("tail window bucket beyond the highest reachable one");
+                }
+                if count == 0 {
+                    return corrupt("tail window entry with no samples");
+                }
+                let Some(t) = total.checked_add(count) else {
+                    return corrupt("tail window counts overflow");
+                };
+                total = t;
+                buckets.push((bucket, count));
+            }
+            let sum = r.f64()?;
+            let max = r.f64()?;
+            if !(max.is_finite() && max > 0.0) {
+                return corrupt("tail window slot maximum does not match its samples");
+            }
             slots.push(Slot {
                 epoch,
-                buckets: hist.nonzero_buckets().collect(),
-                total: hist.count(),
-                sum: hist.sum(),
-                max: hist.max(),
+                buckets,
+                total,
+                sum,
+                max,
             });
         }
         Ok(TailWindow { slot_len, slots })
@@ -323,6 +390,85 @@ mod tests {
         let mut buf2 = Writer::new();
         r.encode(&mut buf2);
         assert_eq!(buf2.into_bytes(), bytes);
+    }
+
+    /// A window of `n` one-second slots whose slot `i` is written by
+    /// `slot(i, w)`.
+    fn window_bytes(n: u64, slot: impl Fn(u64, &mut rhythm_snapshot::Writer)) -> Vec<u8> {
+        use rhythm_snapshot::Snapshot;
+        let mut w = rhythm_snapshot::Writer::new();
+        SimDuration::from_secs(1).encode(&mut w);
+        w.varint(n);
+        for i in 0..n {
+            slot(i, &mut w);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn decode_rejects_slots_encode_never_writes() {
+        use rhythm_snapshot::{Reader, Snapshot, SnapshotError, Writer};
+        let live = |epoch: u64, entries: &[(u64, u64)], max: f64| {
+            let entries = entries.to_vec();
+            move |i: u64, w: &mut Writer| {
+                if i != 0 {
+                    w.varint(0);
+                    return;
+                }
+                w.varint(epoch + 1);
+                w.varint(entries.len() as u64);
+                for &(gap, count) in &entries {
+                    w.varint(gap);
+                    w.varint(count);
+                }
+                w.f64(1.0);
+                w.f64(max);
+            }
+        };
+        let decode = |bytes: Vec<u8>| TailWindow::decode(&mut Reader::new(&bytes));
+        let ok = decode(window_bytes(2, live(4, &[(0, 1), (3, 2)], 1.0))).unwrap();
+        assert_eq!(ok.slots[0].buckets, [(0, 1), (3, 2)]);
+        assert_eq!(ok.slots[0].total, 3);
+        let limit = LatencyHistogram::bucket_limit() as u64;
+        let rejected = [
+            ("no slots", window_bytes(0, |_, _| {})),
+            (
+                "interval in the wrong slot",
+                window_bytes(2, live(3, &[(0, 1)], 1.0)),
+            ),
+            (
+                "a live slot without entries",
+                window_bytes(2, live(4, &[], 1.0)),
+            ),
+            (
+                "a repeated bucket",
+                window_bytes(2, live(4, &[(5, 1), (0, 1)], 1.0)),
+            ),
+            ("an empty entry", window_bytes(2, live(4, &[(5, 0)], 1.0))),
+            (
+                "a bucket past the last",
+                window_bytes(2, live(4, &[(limit, 1)], 1.0)),
+            ),
+            (
+                "a gap past every bucket",
+                window_bytes(2, live(4, &[(1, 1), (u64::MAX, 1)], 1.0)),
+            ),
+            (
+                "overflowing counts",
+                window_bytes(2, live(4, &[(0, u64::MAX), (1, 1)], 1.0)),
+            ),
+            ("a zero maximum", window_bytes(2, live(4, &[(0, 1)], 0.0))),
+            (
+                "a NaN maximum",
+                window_bytes(2, live(4, &[(0, 1)], f64::NAN)),
+            ),
+        ];
+        for (what, bytes) in rejected {
+            match decode(bytes) {
+                Err(SnapshotError::Corrupt(_)) => {}
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]

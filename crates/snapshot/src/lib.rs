@@ -15,7 +15,14 @@
 //! make snapshot bytes *deterministic*: identical state encodes to
 //! identical bytes on every platform.
 //!
-//! * All integers are little-endian fixed width; lengths are `u64`.
+//! * Fixed-width integers are little-endian; container lengths are
+//!   `u64`. Encoders may instead write an integer as an unsigned LEB128
+//!   varint ([`Writer::varint`]: 7 bits per byte, low group first, the
+//!   high bit set on every byte but the last) or a signed one as a
+//!   zigzag varint ([`Writer::ivarint`]). A varint has exactly one
+//!   encoding: the reader refuses a redundant trailing zero group
+//!   (overlong), a tenth byte above 1 (overflow) and a buffer that ends
+//!   mid-varint.
 //! * `f64` is encoded as its IEEE-754 bit pattern (`to_bits`), never as
 //!   text — a restored accumulator continues bit-identically.
 //! * Collections encode in their iteration order, which for the
@@ -118,6 +125,13 @@ impl Writer {
         Writer::default()
     }
 
+    /// An empty writer with room for `n` bytes.
+    pub fn with_capacity(n: usize) -> Writer {
+        Writer {
+            buf: Vec::with_capacity(n),
+        }
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -189,6 +203,32 @@ impl Writer {
     pub fn bytes(&mut self, b: &[u8]) {
         self.u64(b.len() as u64);
         self.buf.extend_from_slice(b);
+    }
+
+    /// Unsigned LEB128: one byte below 128, at most ten for `u64::MAX`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "each pushed byte is masked to its low seven bits or is below 128"
+    )]
+    pub fn varint(&mut self, mut v: u64) {
+        // Groups go to a stack buffer first, so the output takes one
+        // capacity check per value, not one per byte.
+        let mut groups = [0u8; 10];
+        let mut n = 0;
+        while v >= 0x80 {
+            groups[n] = (v as u8 & 0x7f) | 0x80;
+            v >>= 7;
+            n += 1;
+        }
+        groups[n] = v as u8;
+        self.buf.extend_from_slice(&groups[..=n]);
+    }
+
+    /// A signed value as the varint of its zigzag form (0, −1, 1, −2, …
+    /// map to 0, 1, 2, 3, …), so small magnitudes of either sign take
+    /// one byte.
+    pub fn ivarint(&mut self, v: i64) {
+        self.varint(((v << 1) ^ (v >> 63)).cast_unsigned());
     }
 }
 
@@ -322,6 +362,62 @@ impl<'a> Reader<'a> {
     pub fn bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
         let n = self.len(1)?;
         self.take(n)
+    }
+
+    /// An unsigned LEB128 varint in its one canonical encoding. A buffer
+    /// that ends mid-varint is [`SnapshotError::Truncated`]; an overlong
+    /// form (a final zero group after the first byte) or a value past
+    /// `u64::MAX` is [`SnapshotError::Corrupt`].
+    pub fn varint(&mut self) -> Result<u64, SnapshotError> {
+        let mut v = 0u64;
+        let mut shift = 0;
+        loop {
+            let b = self.u8()?;
+            // The tenth group holds bit 63 alone: anything above 1 (a
+            // continuation included) overflows.
+            if shift == 63 && b > 1 {
+                return Err(SnapshotError::Corrupt("varint overflows u64".into()));
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                if b == 0 && shift > 0 {
+                    return Err(SnapshotError::Corrupt("overlong varint".into()));
+                }
+                return Ok(v);
+            }
+            shift += 7;
+        }
+    }
+
+    /// A zigzag varint ([`Writer::ivarint`]).
+    pub fn ivarint(&mut self) -> Result<i64, SnapshotError> {
+        let z = self.varint()?;
+        Ok((z >> 1).cast_signed() ^ -((z & 1).cast_signed()))
+    }
+
+    /// A varint that must fit `T` (a narrower integer or a `usize`);
+    /// a wider value is [`SnapshotError::Corrupt`] naming `what`.
+    pub fn varint_as<T: TryFrom<u64>>(&mut self, what: &str) -> Result<T, SnapshotError> {
+        let v = self.varint()?;
+        T::try_from(v).map_err(|_| SnapshotError::Corrupt(format!("{what} {v} out of range")))
+    }
+
+    /// A zigzag varint that must fit `T`; a wider value is
+    /// [`SnapshotError::Corrupt`] naming `what`.
+    pub fn ivarint_as<T: TryFrom<i64>>(&mut self, what: &str) -> Result<T, SnapshotError> {
+        let v = self.ivarint()?;
+        T::try_from(v).map_err(|_| SnapshotError::Corrupt(format!("{what} {v} out of range")))
+    }
+
+    /// A varint length, validated like [`Reader::len`]: at least
+    /// `min_elem_bytes` per element must remain.
+    pub fn varint_len(&mut self, min_elem_bytes: usize) -> Result<usize, SnapshotError> {
+        let n = self.varint()?;
+        let floor = n.saturating_mul(min_elem_bytes.max(1) as u64);
+        if floor > self.remaining() as u64 {
+            return Err(SnapshotError::Truncated);
+        }
+        usize::try_from(n).map_err(|_| SnapshotError::Truncated)
     }
 }
 
@@ -534,9 +630,24 @@ impl SnapshotBuilder {
     }
 
     /// Serializes the container. Identical builder contents produce
-    /// identical bytes.
+    /// identical bytes. The output is allocated once, at its exact size.
     pub fn finish(self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let named = |name: &str| 8 + name.len();
+        let size = MAGIC.len()
+            + 4
+            + 8
+            + self
+                .schemas
+                .iter()
+                .map(|(n, _)| named(n) + 8)
+                .sum::<usize>()
+            + 8
+            + self
+                .sections
+                .iter()
+                .map(|(n, body)| named(n) + 8 + body.len())
+                .sum::<usize>();
+        let mut w = Writer::with_capacity(size);
         w.raw(&MAGIC);
         w.u32(FORMAT_VERSION);
         w.u64(self.schemas.len() as u64);
@@ -549,25 +660,28 @@ impl SnapshotBuilder {
             w.str(name);
             w.bytes(body);
         }
+        debug_assert_eq!(w.len(), size, "container size computed exactly");
         w.into_bytes()
     }
 }
 
 /// A parsed snapshot container: validated header plus section table.
+/// Section names and bodies borrow the parsed bytes; nothing is copied.
 #[derive(Clone, Debug)]
-pub struct SnapshotFile {
+pub struct SnapshotFile<'a> {
     /// The file's declared format version (always [`FORMAT_VERSION`]
     /// after a successful parse).
     pub version: u32,
     schemas: Vec<(String, u64)>,
-    sections: Vec<(String, Vec<u8>)>,
+    sections: Vec<(&'a str, &'a [u8])>,
 }
 
-impl SnapshotFile {
+impl<'a> SnapshotFile<'a> {
     /// Parses and validates the container framing: magic, version,
-    /// schema table, section table. Section *bodies* are not decoded —
-    /// that happens against [`SnapshotFile::section`] readers.
-    pub fn parse(bytes: &[u8]) -> Result<SnapshotFile, SnapshotError> {
+    /// schema table, section table (each name at most once). Section
+    /// *bodies* are not decoded — that happens against
+    /// [`SnapshotFile::section`] readers.
+    pub fn parse(bytes: &'a [u8]) -> Result<SnapshotFile<'a>, SnapshotError> {
         let mut r = Reader::new(bytes);
         let magic = r.take(4)?;
         if magic != MAGIC {
@@ -592,11 +706,16 @@ impl SnapshotFile {
             schemas.push((name, hash));
         }
         let n_sections = r.len(9)?;
-        let mut sections = Vec::with_capacity(n_sections);
+        let mut sections: Vec<(&'a str, &'a [u8])> = Vec::with_capacity(n_sections);
         for _ in 0..n_sections {
-            let name = r.str()?;
-            let body = r.bytes()?.to_vec();
-            sections.push((name, body));
+            let name = std::str::from_utf8(r.bytes()?)
+                .map_err(|_| SnapshotError::Corrupt("non-UTF-8 section name".into()))?;
+            if sections.iter().any(|&(n, _)| n == name) {
+                return Err(SnapshotError::Corrupt(format!(
+                    "section `{name}` appears twice"
+                )));
+            }
+            sections.push((name, r.bytes()?));
         }
         if !r.is_empty() {
             return Err(SnapshotError::Corrupt(format!(
@@ -617,8 +736,13 @@ impl SnapshotFile {
     }
 
     /// Section names in file order.
-    pub fn section_names(&self) -> impl Iterator<Item = &str> {
-        self.sections.iter().map(|(n, _)| n.as_str())
+    pub fn section_names(&self) -> impl Iterator<Item = &'a str> + '_ {
+        self.sections.iter().map(|&(n, _)| n)
+    }
+
+    /// Section names and body lengths in file order.
+    pub fn section_sizes(&self) -> impl Iterator<Item = (&'a str, usize)> + '_ {
+        self.sections.iter().map(|&(n, body)| (n, body.len()))
     }
 
     /// Checks the file's schema table against what the running code
@@ -645,11 +769,11 @@ impl SnapshotFile {
     }
 
     /// A reader over one section's bytes.
-    pub fn section(&self, name: &str) -> Result<Reader<'_>, SnapshotError> {
+    pub fn section(&self, name: &str) -> Result<Reader<'a>, SnapshotError> {
         self.sections
             .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, body)| Reader::new(body))
+            .find(|&&(n, _)| n == name)
+            .map(|&(_, body)| Reader::new(body))
             .ok_or_else(|| SnapshotError::Corrupt(format!("missing section `{name}`")))
     }
 }
@@ -894,9 +1018,99 @@ mod tests {
 
     #[test]
     fn missing_section_is_corrupt() {
-        let f = SnapshotFile::parse(&demo_file()).unwrap();
+        let bytes = demo_file();
+        let f = SnapshotFile::parse(&bytes).unwrap();
         assert!(matches!(
             f.section("engines"),
+            Err(SnapshotError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn varints_round_trip_at_every_width() {
+        let mut edges = vec![0u64, 1, 127, 128, 255, 300, u64::MAX - 1, u64::MAX];
+        edges.extend((1..64).flat_map(|b| [(1u64 << b) - 1, 1 << b]));
+        for v in edges {
+            let mut w = Writer::new();
+            w.varint(v);
+            let bytes = w.into_bytes();
+            let bits = 64 - (v | 1).leading_zeros() as usize;
+            assert_eq!(bytes.len(), bits.div_ceil(7), "{v}: 7 bits a byte");
+            let mut r = Reader::new(&bytes);
+            assert_eq!(r.varint(), Ok(v));
+            assert!(r.is_empty());
+        }
+        for v in [0i64, -1, 1, -64, 63, 64, -65, i64::MIN, i64::MAX] {
+            let mut w = Writer::new();
+            w.ivarint(v);
+            let bytes = w.into_bytes();
+            assert_eq!(Reader::new(&bytes).ivarint(), Ok(v));
+            if (-64..64).contains(&v) {
+                assert_eq!(bytes.len(), 1, "{v} takes one byte");
+            }
+        }
+    }
+
+    #[test]
+    fn varints_refuse_every_form_encode_never_writes() {
+        let corrupt =
+            |bytes: &[u8]| matches!(Reader::new(bytes).varint(), Err(SnapshotError::Corrupt(_)));
+        // Overlong: a redundant zero group.
+        assert!(corrupt(&[0x80, 0x00]));
+        assert!(corrupt(&[0xff, 0x80, 0x00]));
+        // Overflow: a tenth byte above 1, or one that continues.
+        assert!(corrupt(&[
+            0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02
+        ]));
+        assert!(corrupt(&[
+            0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x81, 0x00
+        ]));
+        // Cut off: the buffer ends while the high bit promises more.
+        for cut in [&[][..], &[0x80], &[0xff, 0xff]] {
+            assert_eq!(Reader::new(cut).varint(), Err(SnapshotError::Truncated));
+        }
+        // Narrowing and lengths.
+        let mut w = Writer::new();
+        w.varint(70_000);
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            Reader::new(&bytes).varint_as::<u16>("machine"),
+            Err(SnapshotError::Corrupt(_))
+        ));
+        assert_eq!(Reader::new(&bytes).varint_as::<u32>("instance"), Ok(70_000));
+        assert_eq!(
+            Reader::new(&bytes).varint_len(1),
+            Err(SnapshotError::Truncated)
+        );
+        let mut w = Writer::new();
+        w.ivarint(-40_000);
+        assert!(matches!(
+            Reader::new(&w.into_bytes()).ivarint_as::<i16>("slack"),
+            Err(SnapshotError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn container_is_allocated_at_its_exact_size() {
+        let bytes = demo_file();
+        assert_eq!(bytes.capacity(), bytes.len());
+        let f = SnapshotFile::parse(&bytes).unwrap();
+        assert_eq!(
+            f.section_sizes().collect::<Vec<_>>(),
+            vec![("meta", 8), ("scheduler", 15)]
+        );
+    }
+
+    #[test]
+    fn duplicated_section_is_corrupt() {
+        let mut b = SnapshotBuilder::new();
+        for _ in 0..2 {
+            let mut body = Writer::new();
+            body.u64(42);
+            b.section("meta", body);
+        }
+        assert!(matches!(
+            SnapshotFile::parse(&b.finish()),
             Err(SnapshotError::Corrupt(_))
         ));
     }

@@ -221,18 +221,20 @@ impl rhythm_snapshot::Snapshot for AdjustKind {
     }
 }
 
+// The tag byte, then every multi-byte payload field as a varint
+// (zigzag for the signed ones); the one-byte fields stay bytes.
 impl rhythm_snapshot::Snapshot for EventKind {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
         match *self {
             EventKind::RequestAdmitted => w.u8(0),
             EventKind::RequestCompleted { latency_us } => {
                 w.u8(1);
-                w.u32(latency_us);
+                w.varint(latency_us.into());
             }
             EventKind::BeAdmitted { machine, instance } => {
                 w.u8(2);
-                w.u16(machine);
-                w.u32(instance);
+                w.varint(machine.into());
+                w.varint(instance.into());
             }
             EventKind::BeKilled {
                 machine,
@@ -240,8 +242,8 @@ impl rhythm_snapshot::Snapshot for EventKind {
                 progress_pct,
             } => {
                 w.u8(3);
-                w.u16(machine);
-                w.u32(instance);
+                w.varint(machine.into());
+                w.varint(instance.into());
                 w.u8(progress_pct);
             }
             EventKind::Action {
@@ -251,10 +253,10 @@ impl rhythm_snapshot::Snapshot for EventKind {
                 slack_pm,
             } => {
                 w.u8(4);
-                w.u16(machine);
+                w.varint(machine.into());
                 action.encode(w);
-                w.u16(load_pm);
-                w.i16(slack_pm);
+                w.varint(load_pm.into());
+                w.ivarint(slack_pm.into());
             }
             EventKind::Adjust {
                 machine,
@@ -262,13 +264,13 @@ impl rhythm_snapshot::Snapshot for EventKind {
                 value,
             } => {
                 w.u8(5);
-                w.u16(machine);
+                w.varint(machine.into());
                 kind.encode(w);
-                w.i32(value);
+                w.ivarint(value.into());
             }
             EventKind::Epoch { epoch } => {
                 w.u8(6);
-                w.u32(epoch);
+                w.varint(epoch.into());
             }
         }
     }
@@ -277,48 +279,36 @@ impl rhythm_snapshot::Snapshot for EventKind {
         Ok(match r.u8()? {
             0 => EventKind::RequestAdmitted,
             1 => EventKind::RequestCompleted {
-                latency_us: r.u32()?,
+                latency_us: r.varint_as("event latency")?,
             },
             2 => EventKind::BeAdmitted {
-                machine: r.u16()?,
-                instance: r.u32()?,
+                machine: r.varint_as("event machine")?,
+                instance: r.varint_as("event instance")?,
             },
             3 => EventKind::BeKilled {
-                machine: r.u16()?,
-                instance: r.u32()?,
+                machine: r.varint_as("event machine")?,
+                instance: r.varint_as("event instance")?,
                 progress_pct: r.u8()?,
             },
             4 => EventKind::Action {
-                machine: r.u16()?,
+                machine: r.varint_as("event machine")?,
                 action: rhythm_snapshot::Snapshot::decode(r)?,
-                load_pm: r.u16()?,
-                slack_pm: r.i16()?,
+                load_pm: r.varint_as("event load")?,
+                slack_pm: r.ivarint_as("event slack")?,
             },
             5 => EventKind::Adjust {
-                machine: r.u16()?,
+                machine: r.varint_as("event machine")?,
                 kind: rhythm_snapshot::Snapshot::decode(r)?,
-                value: r.i32()?,
+                value: r.ivarint_as("event value")?,
             },
-            6 => EventKind::Epoch { epoch: r.u32()? },
+            6 => EventKind::Epoch {
+                epoch: r.varint_as("event epoch")?,
+            },
             t => {
                 return Err(rhythm_snapshot::SnapshotError::Corrupt(format!(
                     "unknown event kind tag {t}"
                 )))
             }
-        })
-    }
-}
-
-impl rhythm_snapshot::Snapshot for Event {
-    fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.u64(self.t_ns);
-        self.kind.encode(w);
-    }
-
-    fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
-        Ok(Event {
-            t_ns: r.u64()?,
-            kind: rhythm_snapshot::Snapshot::decode(r)?,
         })
     }
 }
@@ -370,70 +360,64 @@ mod tests {
     #[test]
     fn snapshot_round_trips_every_variant() {
         use rhythm_snapshot::{Reader, Snapshot, Writer};
-        let events = [
-            Event {
-                t_ns: 1,
-                kind: EventKind::RequestAdmitted,
+        let kinds = [
+            EventKind::RequestAdmitted,
+            EventKind::RequestCompleted {
+                latency_us: u32::MAX,
             },
-            Event {
-                t_ns: 2,
-                kind: EventKind::RequestCompleted { latency_us: 900 },
+            EventKind::BeAdmitted {
+                machine: 4,
+                instance: 17,
             },
-            Event {
-                t_ns: 3,
-                kind: EventKind::BeAdmitted {
-                    machine: 4,
-                    instance: 17,
-                },
+            EventKind::BeKilled {
+                machine: u16::MAX,
+                instance: 2,
+                progress_pct: 63,
             },
-            Event {
-                t_ns: 4,
-                kind: EventKind::BeKilled {
-                    machine: 1,
-                    instance: 2,
-                    progress_pct: 63,
-                },
+            EventKind::Action {
+                machine: 0,
+                action: ActionCode::SuspendBe,
+                load_pm: 710,
+                slack_pm: i16::MIN,
             },
-            Event {
-                t_ns: 5,
-                kind: EventKind::Action {
-                    machine: 0,
-                    action: ActionCode::SuspendBe,
-                    load_pm: 710,
-                    slack_pm: -40,
-                },
+            EventKind::Adjust {
+                machine: 2,
+                kind: AdjustKind::BeFreqMhz,
+                value: i32::MIN,
             },
-            Event {
-                t_ns: 6,
-                kind: EventKind::Adjust {
-                    machine: 2,
-                    kind: AdjustKind::BeFreqMhz,
-                    value: -100,
-                },
-            },
-            Event {
-                t_ns: 7,
-                kind: EventKind::Epoch { epoch: 12 },
-            },
+            EventKind::Epoch { epoch: 12 },
         ];
         let mut w = Writer::new();
-        for ev in &events {
-            ev.encode(&mut w);
+        for k in &kinds {
+            k.encode(&mut w);
         }
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
-        for ev in &events {
-            assert_eq!(Event::decode(&mut r).unwrap(), *ev);
+        for k in &kinds {
+            assert_eq!(EventKind::decode(&mut r).unwrap(), *k);
         }
         assert!(r.is_empty());
     }
 
     #[test]
-    fn snapshot_rejects_unknown_tags() {
-        use rhythm_snapshot::{Reader, Snapshot, SnapshotError};
-        let bytes = [9u8; 9]; // t_ns then tag 9
-        let decoded = Event::decode(&mut Reader::new(&bytes));
+    fn snapshot_rejects_unknown_tags_and_wide_payloads() {
+        use rhythm_snapshot::{Reader, Snapshot, SnapshotError, Writer};
+        let decoded = EventKind::decode(&mut Reader::new(&[9]));
         assert!(matches!(decoded.err(), Some(SnapshotError::Corrupt(_))));
+        // A machine index past u16 and a value past i32.
+        let mut w = Writer::new();
+        w.u8(2);
+        w.varint(1 << 16);
+        w.varint(1);
+        let mut v = Writer::new();
+        v.u8(5);
+        v.varint(0);
+        v.u8(0);
+        v.ivarint(i64::from(i32::MAX) + 1);
+        for bytes in [w.into_bytes(), v.into_bytes()] {
+            let decoded = EventKind::decode(&mut Reader::new(&bytes));
+            assert!(matches!(decoded.err(), Some(SnapshotError::Corrupt(_))));
+        }
     }
 
     #[test]

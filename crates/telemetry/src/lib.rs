@@ -52,15 +52,17 @@ pub mod tail;
 /// crate. Hashed into snapshot files; **bump the text whenever an encoding
 /// here changes shape** so stale snapshots are refused instead of
 /// misdecoded.
-pub const SNAPSHOT_SCHEMA: &str = "rhythm-telemetry/v2: \
-     Event=(t_ns:u64,kind:tagged) EventKind=tag:u8+payload ActionCode=severity:u8 \
+pub const SNAPSHOT_SCHEMA: &str = "rhythm-telemetry/v3: \
+     EventKind=tag:u8+payload(u8 fields raw,wider ones varint,signed zigzag) \
+     ActionCode=severity:u8 \
      AdjustKind=tag:u8 BeSnapshot=6xu32 Trigger=tag:u8 \
      AuditRecord=(t_s,machine,pod,action,trigger,load,loadlimit,slack,slacklimit,\
      tail_ms,sla_ms,hot_pod:Option<u32>,hot_pod_name,hot_pod_ms,before,after) \
      TailPoint=(t_s:f64,count:u64,p50:f64,p95:f64,p99:f64,slack:f64) \
      TailSeries=(window,last_window,points:[TailPoint]) \
      TelemetryConfig=(enabled:bool,ring_capacity:u64,audit:bool,tail:bool) \
-     FlightRecorder=(enabled:bool,cap:u64,seq:u64,buf:[Event] raw slot order) \
+     FlightRecorder=(enabled:bool,cap:u64,seq:u64,min(seq,cap) slots in raw slot order:\
+     [(t_ns delta from previous slot:zigzag varint,kind)]) \
      Telemetry=(cfg,recorder,audit:[AuditRecord],tail) \
      ClusterEventKind=tag:u8 ClusterEvent=(t_s:f64,kind,job:u64,gang:Option<u32>)";
 

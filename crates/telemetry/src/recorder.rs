@@ -168,20 +168,28 @@ impl rhythm_snapshot::Snapshot for TelemetryConfig {
 // The ring is serialised raw (slot order, not age order) together with
 // `seq`, so a restored recorder that has already wrapped keeps writing
 // into exactly the slot the straight-through run would have used — the
-// byte-identity contract survives eviction.
+// byte-identity contract survives eviction. The slot count is not
+// written: it is `min(seq, cap)` when enabled and 0 otherwise. Each
+// slot's time is the zigzag varint of its (wrapping) difference from
+// the previous slot's, the first from 0; slot order is time order
+// except at the write cursor, where the difference goes negative once.
 impl rhythm_snapshot::Snapshot for FlightRecorder {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
         w.bool(self.enabled);
         w.u64(self.cap as u64);
         w.u64(self.seq);
-        self.buf.encode(w);
+        let mut prev = 0u64;
+        for ev in &self.buf {
+            w.ivarint(ev.t_ns.wrapping_sub(prev).cast_signed());
+            prev = ev.t_ns;
+            ev.kind.encode(w);
+        }
     }
 
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
         let enabled = r.bool()?;
         let cap = r.usize()?;
         let seq = r.u64()?;
-        let buf: Vec<Event> = rhythm_snapshot::Snapshot::decode(r)?;
         // No config builds a larger ring; refusing one here also keeps
         // the reservation below bounded.
         if cap == 0 || cap > DEFAULT_RING_CAPACITY {
@@ -189,19 +197,25 @@ impl rhythm_snapshot::Snapshot for FlightRecorder {
                 "flight recorder capacity {cap} is outside 1..={DEFAULT_RING_CAPACITY}"
             )));
         }
-        let expected = if enabled {
+        let held = if enabled {
             usize::try_from(seq).map_or(cap, |seq| seq.min(cap))
         } else {
             0
         };
-        if buf.len() != expected {
-            return Err(rhythm_snapshot::SnapshotError::Corrupt(format!(
-                "flight recorder holds {} events, expected {expected} (cap {cap}, seq {seq})",
-                buf.len()
-            )));
+        // Each slot takes a time byte and a tag byte at least.
+        if held.saturating_mul(2) > r.remaining() {
+            return Err(rhythm_snapshot::SnapshotError::Truncated);
         }
-        let mut buf = buf;
-        buf.reserve_exact(cap - buf.len());
+        let mut buf = Vec::with_capacity(if enabled { cap } else { 0 });
+        let mut prev = 0u64;
+        for _ in 0..held {
+            let t_ns = prev.wrapping_add(r.ivarint()?.cast_unsigned());
+            prev = t_ns;
+            buf.push(Event {
+                t_ns,
+                kind: rhythm_snapshot::Snapshot::decode(r)?,
+            });
+        }
         #[expect(
             clippy::cast_possible_truncation,
             reason = "the remainder is below `cap`, a `usize`"
@@ -410,13 +424,32 @@ mod tests {
         let mut r = FlightRecorder::new(4);
         r.record(at(1), EventKind::RequestAdmitted);
         let mut w = Writer::new();
-        w.bool(true);
-        w.u64(4); // cap
-        w.u64(3); // seq claims 3 events recorded...
-        r.events().encode(&mut w); // ...but only 1 is present
-        let bytes = w.into_bytes();
+        r.encode(&mut w);
+        let mut bytes = w.into_bytes();
+        // seq claims 3 events recorded, but only 1 is present.
+        bytes[9..17].copy_from_slice(&3u64.to_le_bytes());
         let decoded = FlightRecorder::decode(&mut Reader::new(&bytes));
-        assert!(matches!(decoded.err(), Some(SnapshotError::Corrupt(_))));
+        assert_eq!(decoded.err(), Some(SnapshotError::Truncated));
+    }
+
+    /// A slot costs its time gap and its payload, not 16 bytes: the
+    /// gaps of a steady event stream take a byte or two.
+    #[test]
+    fn ring_times_are_delta_coded_across_the_cursor() {
+        use rhythm_snapshot::{Reader, Snapshot, Writer};
+        let mut r = FlightRecorder::new(8);
+        for i in 0..13u64 {
+            r.record(at(1_000_000 + 50 * i), EventKind::RequestAdmitted);
+        }
+        let mut w = Writer::new();
+        r.encode(&mut w);
+        let bytes = w.into_bytes();
+        // Header, the first slot's absolute time (3 bytes), the drop
+        // at the cursor (2 bytes), six 50 ns gaps (a byte each) and the
+        // 8 tags.
+        assert_eq!(bytes.len(), 17 + 3 + 2 + 6 + 8);
+        let back = FlightRecorder::decode(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(back.events(), r.events());
     }
 
     #[test]
