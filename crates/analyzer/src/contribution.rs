@@ -274,10 +274,10 @@ mod tests {
             pod_names: vec!["master".into(), "slave".into()],
             levels: (1..=4)
                 .map(|j| crate::profile::LoadLevel {
-                    load: 0.2 * j as f64,
-                    mean_sojourn_ms: vec![10.0 + j as f64, 5.0 + 0.5 * j as f64],
+                    load: 0.2 * f64::from(j),
+                    mean_sojourn_ms: vec![10.0 + f64::from(j), 5.0 + 0.5 * f64::from(j)],
                     sojourn_cov: vec![0.3, 0.3],
-                    tail_ms: 30.0 + 5.0 * j as f64,
+                    tail_ms: 30.0 + 5.0 * f64::from(j),
                     requests: 1000,
                 })
                 .collect(),

@@ -75,7 +75,7 @@ mod tests {
     fn rising_cov_crosses_average() {
         // CoV flat then rising: the paper's MySQL case (Figure 8a) where
         // fluctuation exceeds the average around 76% load.
-        let loads: Vec<f64> = (1..=10).map(|i| i as f64 / 10.0).collect();
+        let loads: Vec<f64> = (1..=10).map(|i| f64::from(i) / 10.0).collect();
         let covs = vec![0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.2, 0.5, 0.7, 0.9];
         // Average = 0.33; first exceed is 0.5 at load 0.8.
         let avg = covs.iter().sum::<f64>() / 10.0;
@@ -108,7 +108,7 @@ mod tests {
 
     #[test]
     fn stable_pod_gets_higher_limit_than_volatile() {
-        let loads: Vec<f64> = (1..=20).map(|i| i as f64 * 0.05).collect();
+        let loads: Vec<f64> = (1..=20).map(|i| f64::from(i) * 0.05).collect();
         // Volatile pod destabilizes at 60%, stable one at 90%.
         let volatile: Vec<f64> = loads
             .iter()

@@ -255,7 +255,7 @@ pub fn bubble_comparison(seed: u64) -> Vec<(&'static str, f64)> {
             let scores = bubble_contributions(&service, b, 0.85, sla, seed);
             let indirect: Vec<f64> = scores
                 .iter()
-                .map(|s| 1.0 / (1.0 + s.tolerated_cores as f64))
+                .map(|s| 1.0 / (1.0 + f64::from(s.tolerated_cores)))
                 .collect();
             let label = match b {
                 Bubble::Cpu => "bubble: CPU",

@@ -81,24 +81,21 @@ fn run() -> std::io::Result<()> {
             "fig06" => b::fig06::run()?,
             "fig07" => b::fig07::run()?,
             "fig08" => b::fig08::run()?,
-            "grid" => {
-                let g = grid.get_or_insert_with(|| b::colocation::build(0xF09));
-                b::colocation::fig09(g)?;
-                b::colocation::fig10(g)?;
-                b::colocation::fig11(g)?;
-                b::colocation::fig12(g)?;
-                b::colocation::fig13(g)?;
-                b::colocation::fig14(g)?;
-            }
-            id if grid_ids.contains(&id) => {
-                let g = grid.get_or_insert_with(|| b::colocation::build(0xF09));
-                match id {
-                    "fig09" => b::colocation::fig09(g)?,
-                    "fig10" => b::colocation::fig10(g)?,
-                    "fig11" => b::colocation::fig11(g)?,
-                    "fig12" => b::colocation::fig12(g)?,
-                    "fig13" => b::colocation::fig13(g)?,
-                    _ => b::colocation::fig14(g)?,
+            id if id == "grid" || grid_ids.contains(&id) => {
+                let g = match grid {
+                    Some(ref g) => g,
+                    None => {
+                        let g = b::colocation::build(0xF09);
+                        b::colocation::write_grid(&g)?;
+                        grid.insert(g)
+                    }
+                };
+                use b::colocation::{fig09, fig10, fig11, fig12, fig13, fig14};
+                let figs = [fig09, fig10, fig11, fig12, fig13, fig14];
+                for (fig_id, fig) in grid_ids.iter().zip(figs) {
+                    if id == "grid" || id == *fig_id {
+                        fig(g)?;
+                    }
                 }
             }
             "fig15" => b::fig15::run()?,

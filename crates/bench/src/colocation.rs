@@ -139,9 +139,9 @@ pub fn build(seed: u64) -> Grid {
                 jobs.push(Box::new(move || {
                     let cfg = ExperimentConfig {
                         bes: vec![be.clone()],
-                        load: LoadGen::constant(load_pct as f64 / 100.0),
+                        load: LoadGen::constant(f64::from(load_pct) / 100.0),
                         duration_s: DURATION_S,
-                        seed: seed ^ ((load_pct as u64) << 8),
+                        seed: seed ^ (u64::from(load_pct) << 8),
                         record_timeline: false,
                         controller_period_ms: 2_000,
                     };
@@ -190,36 +190,53 @@ fn bes_of(grid: &Grid, service: &str) -> Vec<String> {
     seen
 }
 
-fn render_pod_figure(grid: &Grid, which: PodMetric, unit: &str) -> String {
-    let mut out = String::new();
-    for ctx in &grid.contexts {
+/// The cell of `service` × `be` at each load.
+fn cells<'g>(grid: &'g Grid, service: &str, be: &str) -> [&'g GridCell; 5] {
+    LOADS_PCT.map(|l| {
+        grid.cells
+            .iter()
+            .find(|c| c.service == service && c.be == be && c.load_pct == l)
+            .expect("cell exists")
+    })
+}
+
+/// Renders Figures 9-11 as text and writes the same series into `o`:
+/// per service, the focus Servpod's metric for each BE job at each
+/// load, under Rhythm and under Heracles.
+fn render_pod_figure(grid: &Grid, which: PodMetric, unit: &'static str, o: &mut Obj) -> String {
+    let mut text = String::new();
+    o.field("metric", unit)
+        .field("loads_pct", LOADS_PCT.as_slice());
+    o.arr("services", &grid.contexts, |out, ctx| {
         let pod = focus_pod(&ctx.service);
-        out.push_str(&format!("{} — Servpod {pod} ({unit})\n", ctx.service));
-        out.push_str(&format!("{:<18}", "BE \\ load"));
+        text.push_str(&format!("{} — Servpod {pod} ({unit})\n", ctx.service));
+        text.push_str(&format!("{:<18}", "BE \\ load"));
         for l in LOADS_PCT {
-            out.push_str(&format!("  {l:>3}%R {l:>3}%H"));
+            text.push_str(&format!("  {l:>3}%R {l:>3}%H"));
         }
-        out.push('\n');
-        for be in bes_of(grid, &ctx.service) {
-            out.push_str(&format!("{be:<18}"));
-            for l in LOADS_PCT {
-                let cell = grid
-                    .cells
-                    .iter()
-                    .find(|c| c.service == ctx.service && c.be == be && c.load_pct == l)
-                    .expect("cell exists");
-                out.push_str(&format!(
-                    " {:>5.2} {:>5.2}",
-                    pod_metric(&cell.rhythm, pod, which),
-                    pod_metric(&cell.heracles, pod, which)
-                ));
+        text.push('\n');
+        let mut svc = Obj::open(out);
+        svc.field("service", &ctx.service).field("pod", pod);
+        svc.arr("rows", bes_of(grid, &ctx.service), |out, be| {
+            let row = cells(grid, &ctx.service, &be);
+            let rhythm = row.map(|c| pod_metric(&c.rhythm, pod, which));
+            let heracles = row.map(|c| pod_metric(&c.heracles, pod, which));
+            text.push_str(&format!("{be:<18}"));
+            for (r, h) in rhythm.iter().zip(&heracles) {
+                text.push_str(&format!(" {r:>5.2} {h:>5.2}"));
             }
-            out.push('\n');
-        }
-        out.push('\n');
-    }
-    out.push_str("(columns: Rhythm then Heracles at each load)\n");
-    out
+            text.push('\n');
+            Obj::open(out)
+                .field("be", &be)
+                .field("rhythm", rhythm.as_slice())
+                .field("heracles", heracles.as_slice())
+                .close();
+        });
+        svc.close();
+        text.push('\n');
+    });
+    text.push_str("(columns: Rhythm then Heracles at each load)\n");
+    text
 }
 
 /// Service-level improvement selector for Figures 12-14.
@@ -239,46 +256,60 @@ enum SvcMetric {
     Membw,
 }
 
-fn render_improvement_figure(grid: &Grid, which: SvcMetric, what: &str) -> String {
-    let mut out = String::new();
-    for ctx in &grid.contexts {
-        out.push_str(&format!(
+/// Renders Figures 12-14 as text and writes the same series into `o`:
+/// per service, Rhythm's improvement over Heracles for each BE job at
+/// each load, each job's average, and the service average.
+fn render_improvement_figure(
+    grid: &Grid,
+    which: SvcMetric,
+    what: &'static str,
+    o: &mut Obj,
+) -> String {
+    let mut text = String::new();
+    o.field("metric", what)
+        .field("loads_pct", LOADS_PCT.as_slice());
+    o.arr("services", &grid.contexts, |out, ctx| {
+        text.push_str(&format!(
             "{} — {what} improvement over Heracles (%)\n",
             ctx.service
         ));
-        out.push_str(&format!("{:<18}", "BE \\ load"));
+        text.push_str(&format!("{:<18}", "BE \\ load"));
         for l in LOADS_PCT {
-            out.push_str(&format!(" {l:>7}%"));
+            text.push_str(&format!(" {l:>7}%"));
         }
-        out.push_str(&format!(" {:>8}\n", "avg"));
-        for be in bes_of(grid, &ctx.service) {
-            out.push_str(&format!("{be:<18}"));
+        text.push_str(&format!(" {:>8}\n", "avg"));
+        let mut svc = Obj::open(out);
+        svc.field("service", &ctx.service);
+        svc.arr("rows", bes_of(grid, &ctx.service), |out, be| {
+            let pct = cells(grid, &ctx.service, &be).map(|c| svc_improvement(c, which));
             let mut sum = 0.0;
-            for l in LOADS_PCT {
-                let cell = grid
-                    .cells
-                    .iter()
-                    .find(|c| c.service == ctx.service && c.be == be && c.load_pct == l)
-                    .expect("cell exists");
-                let v = svc_improvement(cell, which);
+            text.push_str(&format!("{be:<18}"));
+            for v in pct {
                 sum += v;
-                out.push_str(&format!(" {v:>8.1}"));
+                text.push_str(&format!(" {v:>8.1}"));
             }
-            out.push_str(&format!(" {:>8.1}\n", sum / LOADS_PCT.len() as f64));
-        }
+            let avg = sum / LOADS_PCT.len() as f64;
+            text.push_str(&format!(" {avg:>8.1}\n"));
+            Obj::open(out)
+                .field("be", &be)
+                .field("improvement_pct", pct.as_slice())
+                .field("avg", avg)
+                .close();
+        });
         let all: Vec<f64> = grid
             .cells
             .iter()
             .filter(|c| c.service == ctx.service)
             .map(|c| svc_improvement(c, which))
             .collect();
-        out.push_str(&format!(
-            "{:<18} {:>8.1}% average across all groups\n\n",
-            "=> service avg",
-            all.iter().sum::<f64>() / all.len().max(1) as f64
+        let avg = all.iter().sum::<f64>() / all.len().max(1) as f64;
+        text.push_str(&format!(
+            "{:<18} {avg:>8.1}% average across all groups\n\n",
+            "=> service avg"
         ));
-    }
-    out
+        svc.field("avg", avg).close();
+    });
+    text
 }
 
 fn thresholds_block(grid: &Grid) -> String {
@@ -295,6 +326,16 @@ fn thresholds_block(grid: &Grid) -> String {
     out
 }
 
+/// Writes the whole grid once, as `results/colocation.json`; each
+/// figure's report holds only the series its text prints.
+pub fn write_grid(grid: &Grid) -> std::io::Result<()> {
+    let (path, _) = crate::report::write_json("colocation", &json::to_string(grid))?;
+    if !crate::report::json_stdout() {
+        println!("[written {}]", path.display());
+    }
+    Ok(())
+}
+
 /// Writes the Figure 9 report from a built grid.
 pub fn fig09(grid: &Grid) -> std::io::Result<()> {
     let mut r = Report::new(
@@ -302,12 +343,12 @@ pub fn fig09(grid: &Grid) -> std::io::Result<()> {
         "BE throughput at Servpods under different loads (Figure 9)",
     );
     r.line(thresholds_block(grid));
-    r.line(render_pod_figure(
-        grid,
-        PodMetric::BeThroughput,
-        "normalized BE throughput",
-    ));
-    r.finish(json::to_string(grid))
+    let doc = json::object(|o| {
+        o.field("thresholds", &grid.contexts);
+        let unit = "normalized BE throughput";
+        r.line(render_pod_figure(grid, PodMetric::BeThroughput, unit, o));
+    });
+    r.finish(doc)
 }
 
 /// Writes the Figure 10 report.
@@ -316,8 +357,9 @@ pub fn fig10(grid: &Grid) -> std::io::Result<()> {
         "fig10",
         "CPU utilization at Servpods under different loads (Figure 10)",
     );
-    r.line(render_pod_figure(grid, PodMetric::CpuUtil, "machine CPU %"));
-    r.finish(json::to_string(grid))
+    let unit = "machine CPU %";
+    let doc = json::object(|o| r.line(render_pod_figure(grid, PodMetric::CpuUtil, unit, o)));
+    r.finish(doc)
 }
 
 /// Writes the Figure 11 report.
@@ -326,12 +368,9 @@ pub fn fig11(grid: &Grid) -> std::io::Result<()> {
         "fig11",
         "memory bandwidth utilization at Servpods under different loads (Figure 11)",
     );
-    r.line(render_pod_figure(
-        grid,
-        PodMetric::MembwUtil,
-        "machine MemBW %",
-    ));
-    r.finish(json::to_string(grid))
+    let unit = "machine MemBW %";
+    let doc = json::object(|o| r.line(render_pod_figure(grid, PodMetric::MembwUtil, unit, o)));
+    r.finish(doc)
 }
 
 /// Writes the Figure 12 report.
@@ -340,19 +379,16 @@ pub fn fig12(grid: &Grid) -> std::io::Result<()> {
         "fig12",
         "EMU improvements under different loads (Figure 12)",
     );
-    r.line(render_improvement_figure(grid, SvcMetric::Emu, "EMU"));
-    r.finish(json::to_string(grid))
+    let doc = json::object(|o| r.line(render_improvement_figure(grid, SvcMetric::Emu, "EMU", o)));
+    r.finish(doc)
 }
 
 /// Writes the Figure 13 report.
 pub fn fig13(grid: &Grid) -> std::io::Result<()> {
     let mut r = Report::new("fig13", "CPU utilization improvements (Figure 13)");
-    r.line(render_improvement_figure(
-        grid,
-        SvcMetric::Cpu,
-        "CPU utilization",
-    ));
-    r.finish(json::to_string(grid))
+    let what = "CPU utilization";
+    let doc = json::object(|o| r.line(render_improvement_figure(grid, SvcMetric::Cpu, what, o)));
+    r.finish(doc)
 }
 
 /// Writes the Figure 14 report.
@@ -361,12 +397,9 @@ pub fn fig14(grid: &Grid) -> std::io::Result<()> {
         "fig14",
         "memory bandwidth utilization improvements (Figure 14)",
     );
-    r.line(render_improvement_figure(
-        grid,
-        SvcMetric::Membw,
-        "MemBW utilization",
-    ));
-    r.finish(json::to_string(grid))
+    let what = "MemBW utilization";
+    let doc = json::object(|o| r.line(render_improvement_figure(grid, SvcMetric::Membw, what, o)));
+    r.finish(doc)
 }
 
 #[cfg(test)]
@@ -441,19 +474,32 @@ mod tests {
     #[test]
     fn pod_figure_renders_both_controllers() {
         let g = fake_grid();
-        let s = render_pod_figure(&g, PodMetric::BeThroughput, "BE tp");
+        let mut s = String::new();
+        let doc = json::object(|o| s = render_pod_figure(&g, PodMetric::BeThroughput, "BE tp", o));
         assert!(s.contains("tomcat"));
         assert!(s.contains("0.80"), "rhythm value rendered: {s}");
         assert!(s.contains("0.40"), "heracles value rendered");
+        // The JSON holds the series the text prints, and not the grid.
+        assert!(
+            doc.contains(r#""service":"e-commerce","pod":"tomcat""#),
+            "{doc}"
+        );
+        assert!(doc.contains(r#""be":"wordcount","rhythm":[0.8,0.8,0.8,0.8,0.8],"heracles":[0.4,"#));
+        assert!(!doc.contains("cells"), "{doc}");
     }
 
     #[test]
     fn improvement_figure_computes_percentages() {
         let g = fake_grid();
-        let s = render_improvement_figure(&g, SvcMetric::Cpu, "CPU");
+        let mut s = String::new();
+        let doc = json::object(|o| s = render_improvement_figure(&g, SvcMetric::Cpu, "CPU", o));
         // (0.6 - 0.3) / 0.3 = 100%.
         assert!(s.contains("100.0"), "{s}");
         assert!(s.contains("service avg"));
+        assert!(
+            doc.contains(r#""improvement_pct":[100,100,100,100,100],"avg":100}],"avg":100}"#),
+            "{doc}"
+        );
     }
 
     #[test]

@@ -127,7 +127,7 @@ fn run_cell(
     load_pct: u32,
     seed: u64,
 ) -> (f64, f64) {
-    let load = load_pct as f64 / 100.0;
+    let load = f64::from(load_pct) / 100.0;
     let solo = Engine::new(service.clone(), EngineConfig::solo(load, DURATION_S, seed)).run();
     let mut cfg = EngineConfig::solo(load, DURATION_S, seed);
     match group.be() {

@@ -38,7 +38,7 @@ impl ToJson for Fig06 {
 pub fn collect(seed: u64) -> Fig06 {
     let service = apps::ecommerce();
     let cfg = ProfileConfig {
-        load_levels: (1..=17).map(|i| i as f64 * 0.05).collect(),
+        load_levels: (1..=17).map(|i| f64::from(i) * 0.05).collect(),
         duration_s: 40,
         seed,
         min_requests: 3_000,

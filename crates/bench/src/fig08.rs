@@ -41,7 +41,7 @@ impl ToJson for Fig08 {
 pub fn collect(seed: u64) -> Fig08 {
     let service = apps::ecommerce();
     let cfg = ProfileConfig {
-        load_levels: (1..=19).map(|i| i as f64 * 0.05).collect(),
+        load_levels: (1..=19).map(|i| f64::from(i) * 0.05).collect(),
         duration_s: 80,
         seed,
         min_requests: 6_000,

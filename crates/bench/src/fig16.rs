@@ -83,9 +83,9 @@ pub fn collect(seed: u64) -> Fig16 {
             jobs.push(Box::new(move || {
                 let cfg = ExperimentConfig {
                     bes: vec![be.clone()],
-                    load: LoadGen::constant(load_pct as f64 / 100.0),
+                    load: LoadGen::constant(f64::from(load_pct) / 100.0),
                     duration_s: DURATION_S,
-                    seed: seed ^ ((load_pct as u64) << 4),
+                    seed: seed ^ (u64::from(load_pct) << 4),
                     record_timeline: false,
                     controller_period_ms: 2_000,
                 };

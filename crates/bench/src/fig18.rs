@@ -83,7 +83,7 @@ pub fn collect(seed: u64) -> Fig18 {
             let ctx = ctx.clone();
             jobs.push(Box::new(move || {
                 let mut thresholds = ctx.thresholds.thresholds.clone();
-                let scale = level as f64 / 100.0;
+                let scale = f64::from(level) / 100.0;
                 let value;
                 thresholds[mysql] = match varied {
                     "slacklimit" => {
@@ -101,7 +101,7 @@ pub fn collect(seed: u64) -> Fig18 {
                     bes: vec![BeSpec::of(BeKind::Wordcount)],
                     load,
                     duration_s: DURATION_S,
-                    seed: seed ^ ((level as u64) << 3),
+                    seed: seed ^ (u64::from(level) << 3),
                     record_timeline: false,
                     controller_period_ms: 500,
                 };

@@ -32,7 +32,6 @@ pub struct Report {
     id: String,
     title: String,
     text: String,
-    out_dir: PathBuf,
 }
 
 impl Report {
@@ -42,7 +41,6 @@ impl Report {
             id: id.to_string(),
             title: title.to_string(),
             text: format!("== {id}: {title} ==\n"),
-            out_dir: results_dir(),
         }
     }
 
@@ -72,20 +70,13 @@ impl Report {
         &self.title
     }
 
-    /// Writes `<id>.txt` and `<id>.json` under the results directory and
-    /// prints the text (or, in [`set_json_stdout`] mode, the JSON
-    /// document) to stdout. `json` is compact text from
-    /// [`rhythm_telemetry::json`]; the file (and the `--json` stdout)
-    /// holds it re-indented by `pretty`, then a newline and a blank line,
-    /// the ending every `results/` document has.
+    /// Writes `<id>.txt` and `<id>.json` (see [`write_json`]) under the
+    /// results directory and prints the text (or, in [`set_json_stdout`]
+    /// mode, the JSON document) to stdout.
     pub fn finish(self, json: String) -> std::io::Result<()> {
-        fs::create_dir_all(&self.out_dir)?;
-        let txt = self.out_dir.join(format!("{}.txt", self.id));
+        let (path, doc) = write_json(&self.id, &json)?;
+        let txt = results_dir().join(format!("{}.txt", self.id));
         fs::write(&txt, &self.text)?;
-        let path = self.out_dir.join(format!("{}.json", self.id));
-        let mut doc = pretty(&json);
-        doc.push_str("\n\n");
-        fs::write(&path, &doc)?;
         if json_stdout() {
             print!("{doc}");
         } else {
@@ -94,6 +85,20 @@ impl Report {
         }
         Ok(())
     }
+}
+
+/// Writes `<id>.json` under the results directory and returns its path
+/// and text. `json` is compact text from [`rhythm_telemetry::json`]; the
+/// file holds it re-indented by `pretty`, then a newline and a blank
+/// line, the ending every `results/` document has.
+pub fn write_json(id: &str, json: &str) -> std::io::Result<(PathBuf, String)> {
+    let dir = results_dir();
+    fs::create_dir_all(&dir)?;
+    let path = dir.join(format!("{id}.json"));
+    let mut doc = pretty(json);
+    doc.push_str("\n\n");
+    fs::write(&path, &doc)?;
+    Ok((path, doc))
 }
 
 /// Re-indents compact JSON into the `results/` layout: 2-space indent,

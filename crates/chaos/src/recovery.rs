@@ -141,11 +141,11 @@ mod tests {
     fn clean_recovery_is_measured_from_the_fault() {
         // Baseline 10ms, excursion to 40ms at t=50, back under
         // threshold from t=70 onward.
-        let mut tail: Vec<TailPoint> = (1..=4).map(|i| pt(i as f64 * 10.0, 10.0)).collect();
+        let mut tail: Vec<TailPoint> = (1..=4).map(|i| pt(f64::from(i) * 10.0, 10.0)).collect();
         tail.push(pt(50.0, 40.0));
         tail.push(pt(60.0, 20.0));
         for i in 7..=12 {
-            tail.push(pt(i as f64 * 10.0, 10.5));
+            tail.push(pt(f64::from(i) * 10.0, 10.5));
         }
         let r = recovery_time(&tail, 50.0).expect("baseline exists");
         assert_eq!(r.baseline_p99_ms, 10.0);
@@ -157,7 +157,7 @@ mod tests {
     fn single_good_window_does_not_count_as_recovered() {
         // One in-threshold window inside an oscillation, then degraded
         // to the horizon: censored.
-        let mut tail: Vec<TailPoint> = (1..=3).map(|i| pt(i as f64 * 10.0, 10.0)).collect();
+        let mut tail: Vec<TailPoint> = (1..=3).map(|i| pt(f64::from(i) * 10.0, 10.0)).collect();
         tail.push(pt(40.0, 50.0));
         tail.push(pt(50.0, 10.0)); // lone good window
         tail.push(pt(60.0, 50.0));
@@ -169,7 +169,7 @@ mod tests {
 
     #[test]
     fn unshaken_tail_reports_zero_recovery() {
-        let tail: Vec<TailPoint> = (1..=10).map(|i| pt(i as f64 * 10.0, 10.0)).collect();
+        let tail: Vec<TailPoint> = (1..=10).map(|i| pt(f64::from(i) * 10.0, 10.0)).collect();
         let r = recovery_time(&tail, 45.0).expect("baseline exists");
         assert_eq!(r.recovered_s, Some(0.0), "tail never left the threshold");
     }
@@ -178,14 +178,14 @@ mod tests {
     fn good_windows_before_the_excursion_are_not_recovery() {
         // Fault at t=40, but the tail only degrades at t=70 (queue
         // buildup lag); three good windows in between must not count.
-        let mut tail: Vec<TailPoint> = (1..=3).map(|i| pt(i as f64 * 10.0, 10.0)).collect();
+        let mut tail: Vec<TailPoint> = (1..=3).map(|i| pt(f64::from(i) * 10.0, 10.0)).collect();
         for i in 4..=6 {
-            tail.push(pt(i as f64 * 10.0, 10.5));
+            tail.push(pt(f64::from(i) * 10.0, 10.5));
         }
         tail.push(pt(70.0, 60.0));
         tail.push(pt(80.0, 55.0));
         for i in 9..=12 {
-            tail.push(pt(i as f64 * 10.0, 10.0));
+            tail.push(pt(f64::from(i) * 10.0, 10.0));
         }
         let r = recovery_time(&tail, 40.0).expect("baseline exists");
         assert_eq!(r.recovered_s, Some(50.0), "t=90 minus fault at t=40");

@@ -36,7 +36,6 @@
 //! fingerprint + [`ChaosState`]) written only when a plan is
 //! configured, so non-chaos snapshots stay byte-identical to the
 //! pre-chaos format and the golden container fixture holds.
-// lint:snapshot-state
 
 use rhythm_snapshot::{fnv1a, Reader, Snapshot, SnapshotError, Writer};
 use std::collections::BTreeSet;
@@ -263,8 +262,9 @@ impl Snapshot for FaultKind {
 
 impl Snapshot for FaultEvent {
     fn encode(&self, w: &mut Writer) {
-        w.f64(self.at_s);
-        self.kind.encode(w);
+        let FaultEvent { at_s, kind } = self;
+        w.f64(*at_s);
+        kind.encode(w);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
@@ -277,7 +277,8 @@ impl Snapshot for FaultEvent {
 
 impl Snapshot for FaultPlan {
     fn encode(&self, w: &mut Writer) {
-        self.events.encode(w);
+        let FaultPlan { events } = self;
+        events.encode(w);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
@@ -305,8 +306,9 @@ pub const CHAOS_SECTION_VERSION: u8 = 1;
 
 impl Snapshot for ChaosState {
     fn encode(&self, w: &mut Writer) {
-        w.u64(self.applied);
-        self.down.encode(w);
+        let ChaosState { applied, down } = self;
+        w.u64(*applied);
+        down.encode(w);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {

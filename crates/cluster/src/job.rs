@@ -10,9 +10,6 @@
 //! *wasted work* (progress thrown away by kills) measurable outcomes of a
 //! placement policy.
 
-// lint:snapshot-state — ClusterJob / JobState are durable snapshot
-// state (rule S01: no hash containers or raw-pointer fields).
-
 use rhythm_telemetry::json::{Obj, ToJson};
 use rhythm_workloads::BeSpec;
 use std::sync::Arc;
@@ -217,17 +214,30 @@ impl rhythm_snapshot::Snapshot for JobState {
 
 impl rhythm_snapshot::Snapshot for ClusterJob {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.u64(self.id);
-        self.spec.as_ref().encode(w);
-        w.f64(self.checkpoint);
-        w.f64(self.wasted);
-        w.u32(self.kills);
-        w.f64(self.submitted_s);
-        self.completed_s.encode(w);
-        self.state.encode(w);
-        w.u8(self.priority);
-        self.deadline_s.encode(w);
-        self.gang.encode(w);
+        let ClusterJob {
+            id,
+            spec,
+            checkpoint,
+            wasted,
+            kills,
+            submitted_s,
+            completed_s,
+            state,
+            priority,
+            deadline_s,
+            gang,
+        } = self;
+        w.u64(*id);
+        spec.as_ref().encode(w);
+        w.f64(*checkpoint);
+        w.f64(*wasted);
+        w.u32(*kills);
+        w.f64(*submitted_s);
+        completed_s.encode(w);
+        state.encode(w);
+        w.u8(*priority);
+        deadline_s.encode(w);
+        gang.encode(w);
     }
 
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
@@ -357,7 +367,10 @@ impl JobStats {
     /// past its deadline.
     pub fn from_jobs_at(jobs: &[ClusterJob], horizon_s: f64) -> JobStats {
         let mut times: Vec<f64> = jobs.iter().filter_map(|j| j.completion_time_s()).collect();
-        // PANIC: completion times derive from SimTime nanos — always finite.
+        #[expect(
+            clippy::expect_used,
+            reason = "completion times derive from SimTime nanos, so they are always finite"
+        )]
         times.sort_by(|a, b| a.partial_cmp(b).expect("completion times are finite"));
         let completed = times.len() as u64;
         let mean = if times.is_empty() {
@@ -383,7 +396,7 @@ impl JobStats {
         JobStats {
             submitted: jobs.len() as u64,
             completed,
-            kills: jobs.iter().map(|j| j.kills as u64).sum(),
+            kills: jobs.iter().map(|j| u64::from(j.kills)).sum(),
             completion_mean_s: mean,
             completion_p99_s: p99,
             wasted_jobs: jobs.iter().map(|j| j.wasted).sum(),

@@ -103,14 +103,14 @@ impl MachineRow {
         last_action: Option<BeAction>,
         catalog: &BTreeMap<String, BeSpec>,
     ) -> MachineRow {
-        let total = machine.spec().total_cores().max(1) as f64;
+        let total = f64::from(machine.spec().total_cores().max(1));
         MachineRow {
             grows: matches!(last_action, None | Some(BeAction::AllowBeGrowth)),
             pressure: Pressure::from_machine(machine, catalog),
             be_speed: machine.be_dvfs.speed_fraction(),
             nic_mbps: machine.spec().nic_mbps,
             terms: MachineTerms::of(component, machine),
-            headroom: machine.free_core_count() as f64 / total,
+            headroom: f64::from(machine.free_core_count()) / total,
             capacity: Placer::capacity(machine),
         }
     }
@@ -189,7 +189,7 @@ impl Placer {
         // Probe with a couple of cores: a fresh instance starts at one
         // core but the controller grows it, and a 1-core probe barely
         // separates job characters.
-        let probe_cores = job.solo_cores.clamp(1, 2) as f64 * row.be_speed;
+        let probe_cores = f64::from(job.solo_cores.clamp(1, 2)) * row.be_speed;
         p.cpu += job.cpu_pressure_per_core * probe_cores;
         p.llc += job.llc_pressure_per_core * probe_cores;
         p.dram += job.dram_pressure_per_core * probe_cores;
@@ -202,7 +202,7 @@ impl Placer {
     /// (40 cores × 2.0 GHz = 1.0).
     pub fn capacity(machine: &Machine) -> f64 {
         let spec = machine.spec();
-        spec.total_cores() as f64 * spec.max_freq_mhz as f64 / (40.0 * 2_000.0)
+        f64::from(spec.total_cores()) * f64::from(spec.max_freq_mhz) / (40.0 * 2_000.0)
     }
 }
 

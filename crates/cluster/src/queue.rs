@@ -15,8 +15,6 @@
 //!    waited its turn once, and resuming killed work first keeps the
 //!    wasted-work metric from compounding with extra queueing delay.
 
-// lint:snapshot-state — JobQueue / JobMeta are durable snapshot state (rule S01: no hash containers or raw-pointer fields).
-
 use crate::job::JobId;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -40,7 +38,6 @@ struct JobMeta {
 /// Deterministic shared queue of jobs awaiting placement.
 #[derive(Clone, Debug, Default)]
 pub struct JobQueue {
-    // lint:allow(S02) -- derived: exactly the Some keys of meta; decode rebuilds it
     order: BTreeSet<QueueKey>,
     meta: BTreeMap<JobId, JobMeta>,
     next_back: i64,
@@ -77,13 +74,13 @@ impl JobQueue {
     /// The effective class of a job at `now_s`: base plus one per
     /// `aging_s` seconds waited. The key stores `u8::MAX - class` so the
     /// highest class sorts first.
-    fn class_key(&self, m: &JobMeta, now_s: f64) -> u8 {
+    fn class_key(aging_s: Option<f64>, m: &JobMeta, now_s: f64) -> u8 {
         #[expect(
             clippy::cast_possible_truncation,
             clippy::cast_sign_loss,
             reason = "a positive wait over a positive period: the cast saturates at u8::MAX, as intended"
         )]
-        let boost = match self.aging_s {
+        let boost = match aging_s {
             Some(aging) if now_s > m.enqueued_s => ((now_s - m.enqueued_s) / aging) as u8,
             _ => 0,
         };
@@ -92,7 +89,7 @@ impl JobQueue {
 
     fn insert(&mut self, id: JobId, mut m: JobMeta, seq: i64, now_s: f64) {
         let key = (
-            self.class_key(&m, now_s),
+            Self::class_key(self.aging_s, &m, now_s),
             Self::deadline_bits(m.deadline_s),
             seq,
             id,
@@ -169,21 +166,16 @@ impl JobQueue {
         if self.aging_s.is_none() {
             return;
         }
-        let queued: Vec<(JobId, QueueKey)> = self
-            .meta
-            .iter()
-            .filter_map(|(&id, m)| m.key.map(|k| (id, k)))
-            .collect();
-        for (id, old_key) in queued {
-            let m = self.meta[&id];
-            let class = self.class_key(&m, now_s);
+        for m in self.meta.values_mut() {
+            let Some(old_key) = m.key else {
+                continue;
+            };
+            let class = Self::class_key(self.aging_s, m, now_s);
             if class != old_key.0 {
                 self.order.remove(&old_key);
                 let new_key = (class, old_key.1, old_key.2, old_key.3);
                 self.order.insert(new_key);
-                // PANIC: id came from a key in `order`, and `order` only
-                // holds ids present in `meta`.
-                self.meta.get_mut(&id).expect("meta exists").key = Some(new_key);
+                m.key = Some(new_key);
             }
         }
     }
@@ -194,8 +186,12 @@ impl JobQueue {
         let key = *self.order.iter().next()?;
         self.order.remove(&key);
         let id = key.3;
-        // PANIC: the popped key came from `order`, whose ids mirror `meta`.
-        self.meta.get_mut(&id).expect("queued job has meta").key = None;
+        #[expect(
+            clippy::expect_used,
+            reason = "the popped key came from `order`, whose ids mirror `meta`"
+        )]
+        let meta = self.meta.get_mut(&id).expect("queued job has meta");
+        meta.key = None;
         Some(id)
     }
 
@@ -222,10 +218,16 @@ impl JobQueue {
 
 impl rhythm_snapshot::Snapshot for JobMeta {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.u8(self.priority);
-        self.deadline_s.encode(w);
-        w.f64(self.enqueued_s);
-        self.key.encode(w);
+        let JobMeta {
+            priority,
+            deadline_s,
+            enqueued_s,
+            key,
+        } = *self;
+        w.u8(priority);
+        deadline_s.encode(w);
+        w.f64(enqueued_s);
+        key.encode(w);
     }
 
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
@@ -243,11 +245,19 @@ impl rhythm_snapshot::Snapshot for JobQueue {
     /// `meta`), so only `meta` and the counters are written; decoding
     /// rebuilds `order`, which makes an inconsistent pair unrepresentable.
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        self.meta.encode(w);
-        w.i64(self.next_back);
-        w.i64(self.next_front);
-        w.u64(self.requeues);
-        self.aging_s.encode(w);
+        let JobQueue {
+            order: _, // derived: exactly the `Some` keys of `meta`
+            meta,
+            next_back,
+            next_front,
+            requeues,
+            aging_s,
+        } = self;
+        meta.encode(w);
+        w.i64(*next_back);
+        w.i64(*next_front);
+        w.u64(*requeues);
+        aging_s.encode(w);
     }
 
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {

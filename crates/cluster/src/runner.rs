@@ -170,13 +170,16 @@ impl<'c> Scheduler<'c> {
             }
         }
         let catalog = cfg.catalog();
+        #[expect(
+            clippy::expect_used,
+            reason = "the catalog holds every spec of the effective plan"
+        )]
         let spec_slot = jobs
             .iter()
             .map(|j| {
                 catalog
                     .keys()
                     .position(|k| *k == j.spec.name)
-                    // PANIC: the catalog holds every spec of the effective plan.
                     .expect("spec in catalog")
             })
             .collect();
@@ -283,7 +286,7 @@ impl<'c> Scheduler<'c> {
                         clippy::cast_sign_loss,
                         reason = "validate() keeps factor in (0, 1]: the target is within [0, max MHz]"
                     )]
-                    let target = (factor * engines[r.replica].lc_max_mhz(r.pod) as f64) as u32;
+                    let target = (factor * f64::from(engines[r.replica].lc_max_mhz(r.pod))) as u32;
                     engines[r.replica].set_lc_frequency(r.pod, target);
                     self.stale[r.replica] = true;
                 }
@@ -481,10 +484,7 @@ impl<'c> Scheduler<'c> {
                 assignments.push((g, m));
             }
             if let Some(gid) = self.state.job(jid).gang {
-                // PANIC: a job's gang id has a roster: `check_invariants`
-                // requires it, rosters never change after `new`, and
-                // resume refuses a state that breaks it.
-                let tracker = self.state.gangs.get_mut(&gid).expect("gang tracked");
+                let tracker = self.state.gang_mut(gid);
                 tracker.forming = true;
                 tracker.patience_left = self.cfg.gang_patience_epochs.max(1);
             }
@@ -640,16 +640,11 @@ impl<'c> Scheduler<'c> {
                 .iter()
                 .all(|&m| matches!(self.state.job(m).state, JobState::Running(_)))
             {
-                // PANIC: `gid` is one of `gangs`' keys, which never change
-                // after `new`.
-                let gang = self.state.gangs.get_mut(&gid).expect("gang tracked");
-                gang.forming = false;
+                self.state.gang_mut(gid).forming = false;
                 let leader = live.first().copied().unwrap_or_default();
                 self.note(now_s, ClusterEventKind::GangFormed, leader, Some(gid));
             } else {
-                // PANIC: `gid` is one of `gangs`' keys, which never change
-                // after `new`.
-                let tracker = self.state.gangs.get_mut(&gid).expect("gang tracked");
+                let tracker = self.state.gang_mut(gid);
                 tracker.patience_left = tracker.patience_left.saturating_sub(1);
                 if tracker.patience_left == 0 {
                     self.abort_gang(gid, engines, now_s);
@@ -693,10 +688,7 @@ impl<'c> Scheduler<'c> {
                 JobState::Queued | JobState::Done => {}
             }
         }
-        // PANIC: `gid` is a key of `gangs` or a job's gang id, which
-        // has a roster: `check_invariants` requires it, rosters never
-        // change after `new`, and resume refuses a state that breaks it.
-        let tracker = self.state.gangs.get_mut(&gid).expect("gang tracked");
+        let tracker = self.state.gang_mut(gid);
         tracker.forming = false;
         tracker.patience_left = self.cfg.gang_patience_epochs.max(1);
         if let Some(&leader) = live.first() {
@@ -736,9 +728,12 @@ impl<'c> Scheduler<'c> {
         advance_all(engines, &mut self.rows, &self.catalog, threads, next);
         self.merge(engines, next);
         if cfg!(debug_assertions) {
+            #[expect(
+                clippy::panic,
+                reason = "a broken barrier invariant is a scheduler bug; debug builds stop at the \
+                          first barrier that shows it"
+            )]
             if let Err(why) = self.check_invariants() {
-                // PANIC: a broken barrier invariant is a scheduler bug;
-                // debug builds stop at the first barrier that shows it.
                 panic!(
                     "scheduler invariant broken after epoch {}: {why}",
                     epoch_idx + 1
@@ -1036,9 +1031,12 @@ impl<'a> ClusterRunner<'a> {
             cfg.machine_specs.len(),
             cfg.machines
         );
+        #[expect(
+            clippy::panic,
+            reason = "constructor contract: an invalid fault plan is a configuration bug, not a \
+                      runtime condition"
+        )]
         if let Err(why) = cfg.faults.validate(cfg.machines) {
-            // PANIC: constructor contract — an invalid fault plan is a
-            // configuration bug, not a runtime condition.
             panic!("invalid fault plan: {why}");
         }
         ClusterRunner {

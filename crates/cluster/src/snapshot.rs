@@ -73,9 +73,14 @@ pub struct GangState {
 
 impl Snapshot for GangState {
     fn encode(&self, w: &mut Writer) {
-        self.members.encode(w);
-        w.u32(self.patience_left);
-        w.bool(self.forming);
+        let GangState {
+            members,
+            patience_left,
+            forming,
+        } = self;
+        members.encode(w);
+        w.u32(*patience_left);
+        w.bool(*forming);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
@@ -119,6 +124,17 @@ impl SchedulerState {
         &self.jobs[ledger_slot(jid)]
     }
 
+    /// Gang `gid`'s state, mutably. Every gang id the scheduler holds has
+    /// a roster: `check_invariants` requires it, rosters never change
+    /// after `new`, and resume refuses a state that breaks it.
+    #[expect(
+        clippy::expect_used,
+        reason = "every gang id the scheduler holds has a roster"
+    )]
+    pub(crate) fn gang_mut(&mut self, gid: u32) -> &mut GangState {
+        self.gangs.get_mut(&gid).expect("gang tracked")
+    }
+
     /// Job `jid`'s ledger entry, mutably.
     pub(crate) fn job_mut(&mut self, jid: JobId) -> &mut ClusterJob {
         &mut self.jobs[ledger_slot(jid)]
@@ -138,13 +154,22 @@ pub(crate) fn ledger_slot(jid: JobId) -> usize {
 
 impl Snapshot for SchedulerState {
     fn encode(&self, w: &mut Writer) {
-        self.jobs.encode(w);
-        self.queue.encode(w);
-        self.offered.encode(w);
-        self.bindings.encode(w);
-        w.u64(self.rr_cursor);
-        self.gangs.encode(w);
-        self.events.encode(w);
+        let SchedulerState {
+            jobs,
+            queue,
+            offered,
+            bindings,
+            rr_cursor,
+            gangs,
+            events,
+        } = self;
+        jobs.encode(w);
+        queue.encode(w);
+        offered.encode(w);
+        bindings.encode(w);
+        w.u64(*rr_cursor);
+        gangs.encode(w);
+        events.encode(w);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
@@ -249,48 +274,65 @@ impl ClusterSnapshot {
     /// Serializes the snapshot as an `RSNP` container. Deterministic:
     /// identical state yields identical bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let ClusterSnapshot {
+            epoch,
+            t_ns,
+            machines,
+            pods,
+            replicas,
+            seed,
+            duration_s,
+            controller_period_ms,
+            managed,
+            scheduler,
+            engines,
+            summaries,
+            cluster_tail,
+            chaos,
+        } = self;
         let mut b = SnapshotBuilder::new();
         for (name, hash) in expected_schemas() {
             b.schema(name, hash);
         }
         let mut meta = Writer::new();
-        meta.u32(self.epoch);
-        meta.u64(self.t_ns);
-        meta.u64(self.machines);
-        meta.u64(self.pods);
-        meta.u64(self.replicas);
-        meta.u64(self.seed);
-        meta.u64(self.duration_s);
-        meta.u64(self.controller_period_ms);
-        meta.bool(self.managed);
+        meta.u32(*epoch);
+        meta.u64(*t_ns);
+        meta.u64(*machines);
+        meta.u64(*pods);
+        meta.u64(*replicas);
+        meta.u64(*seed);
+        meta.u64(*duration_s);
+        meta.u64(*controller_period_ms);
+        meta.bool(*managed);
         b.section("meta", meta);
         let mut sched = Writer::new();
-        self.scheduler.encode(&mut sched);
+        scheduler.encode(&mut sched);
         b.section("scheduler", sched);
         // `u64` count, then each stream as one length-prefixed slice,
         // copied once into a section allocated at its exact size.
-        let mut engines =
-            Writer::with_capacity(8 + self.engines.iter().map(|e| 8 + e.len()).sum::<usize>());
-        engines.u64(self.engines.len() as u64);
-        for e in &self.engines {
-            engines.bytes(e);
+        let mut streams =
+            Writer::with_capacity(8 + engines.iter().map(|e| 8 + e.len()).sum::<usize>());
+        streams.u64(engines.len() as u64);
+        for e in engines {
+            streams.bytes(e);
         }
-        b.section("engines", engines);
-        let mut summaries = Writer::new();
-        self.summaries.encode(&mut summaries);
-        b.section("summaries", summaries);
+        b.section("engines", streams);
+        let mut digests = Writer::new();
+        summaries.encode(&mut digests);
+        b.section("summaries", digests);
         let mut tail = Writer::new();
-        self.cluster_tail.encode(&mut tail);
+        cluster_tail.encode(&mut tail);
         b.section("tail", tail);
-        if let Some(chaos) = &self.chaos {
+        if let Some(chaos) = chaos {
             // Optional trailing section: absent for chaos-free runs, so
             // their container bytes match the pre-chaos format exactly.
             // The leading version byte lets the chaos wire format evolve
             // independently of the v1 container layout.
             let mut w = Writer::new();
             w.u8(CHAOS_SECTION_VERSION);
-            w.u64(chaos.plan_fp);
-            chaos.state.encode(&mut w);
+            let ChaosSection { plan_fp, state } = chaos;
+            w.u64(*plan_fp);
+            state.encode(&mut w);
             b.section("chaos", w);
         }
         b.finish()
@@ -372,7 +414,10 @@ impl ClusterSnapshot {
                 Ok(())
             })?;
         }
-        // PANIC: read("scheduler") either filled it or returned Missing.
+        #[expect(
+            clippy::expect_used,
+            reason = "read(\"scheduler\") either filled it or returned Missing"
+        )]
         let scheduler = scheduler.expect("scheduler section read");
         if pods == 0 || replicas == 0 || replicas.checked_mul(pods) != Some(machines) {
             return Err(SnapshotError::Corrupt(format!(

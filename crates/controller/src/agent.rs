@@ -76,10 +76,16 @@ pub struct AgentStats {
 
 impl rhythm_snapshot::Snapshot for AgentStats {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.u64(self.ticks);
-        w.u64(self.sla_violations);
-        w.u64(self.be_kills);
-        for &c in &self.action_counts {
+        let AgentStats {
+            ticks,
+            sla_violations,
+            be_kills,
+            action_counts,
+        } = *self;
+        w.u64(ticks);
+        w.u64(sla_violations);
+        w.u64(be_kills);
+        for &c in &action_counts {
             w.u64(c);
         }
     }

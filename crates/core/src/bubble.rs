@@ -65,7 +65,7 @@ pub fn press(
 ) -> BubbleScore {
     let mut tolerated = 0;
     for cores in 1..=max_size {
-        let mut cfg = EngineConfig::solo(load, 30, seed ^ ((cores as u64) << 16));
+        let mut cfg = EngineConfig::solo(load, 30, seed ^ (u64::from(cores) << 16));
         cfg.bes = vec![bubble.be()];
         cfg.mode = ControlMode::Static {
             instances: 1,
@@ -129,7 +129,7 @@ pub fn ranking_agreement(a: &[f64], b: &[f64]) -> f64 {
             total += 1;
         }
     }
-    agree / total as f64
+    agree / f64::from(total)
 }
 
 #[cfg(test)]

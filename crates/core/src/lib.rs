@@ -26,6 +26,7 @@
 // `#![deny(unsafe_op_in_unsafe_fn)]` and justify every block with a
 // `// SAFETY:` comment (clippy's `undocumented_unsafe_blocks` enforces it).
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod bubble;
 pub mod experiment;

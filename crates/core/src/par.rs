@@ -6,7 +6,7 @@
 //! same at any width.
 
 use std::num::NonZeroUsize;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// The number of jobs [`map`] should run at once on this host: the
 /// available parallelism, or 1 where it cannot be read.
@@ -34,30 +34,28 @@ where
     let work = || {
         let mut done = Vec::new();
         loop {
-            // PANIC: a job runs outside the lock, so nothing can panic
-            // while holding it and poison it.
-            let Some((i, job)) = queue.lock().expect("job queue poisoned").next() else {
+            // The lock is held only to advance the iterator, which cannot
+            // panic (a job runs outside it), so the guard is always valid.
+            let Some((i, job)) = queue.lock().unwrap_or_else(PoisonError::into_inner).next() else {
                 break done;
             };
             done.push((i, job()));
         }
     };
-    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|s| {
+    let mut done = std::thread::scope(|s| {
         let helpers: Vec<_> = (1..width).map(|_| s.spawn(work)).collect();
-        let mut batches = vec![work()];
+        let mut done = work();
         for helper in helpers {
             match helper.join() {
-                Ok(batch) => batches.push(batch),
+                Ok(batch) => done.extend(batch),
                 Err(panic) => std::panic::resume_unwind(panic),
             }
         }
-        for (i, v) in batches.into_iter().flatten() {
-            results[i] = Some(v);
-        }
+        done
     });
-    // PANIC: every index was enumerated once and every worker finished.
-    results.into_iter().map(|r| r.expect("job ran")).collect()
+    // Every index was enumerated exactly once: sorting restores input order.
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, v)| v).collect()
 }
 
 #[cfg(test)]

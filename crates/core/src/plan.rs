@@ -89,9 +89,12 @@ fn phases_for(n_children: u32, parallel: bool) -> u32 {
 }
 
 /// Narrows a visit or node index to the record width.
+#[expect(
+    clippy::expect_used,
+    reason = "a request has as many visits as its DAG walk takes calls, far below 2^32, and \
+              service node counts are tiny"
+)]
 fn narrow(i: usize) -> u32 {
-    // PANIC: a request has as many visits as its DAG walk takes calls,
-    // far below 2^32, and service node counts are tiny.
     u32::try_from(i).expect("visit index fits in u32")
 }
 
@@ -169,11 +172,14 @@ impl Request {
                 stop: v.end,
             }
         } else if !v.parallel && v.phase <= v.n_children {
+            #[expect(
+                clippy::expect_used,
+                reason = "the planner and decode keep `n_children` equal to the length of the \
+                          child walk"
+            )]
             let child = self
                 .children(i)
                 .nth(v.phase as usize - 1)
-                // PANIC: the planner and decode keep `n_children` equal to
-                // the length of the child walk.
                 .expect("sequential child in range");
             Step::Dispatch {
                 first: narrow(child),
@@ -314,10 +320,15 @@ impl Snapshot for Request {
     /// phase records so far` — the layout the `rhythm-core` schema hash
     /// pins.
     fn encode(&self, w: &mut Writer) {
-        self.arrival.encode(w);
-        w.u64(self.visits.len() as u64);
+        let Request {
+            arrival,
+            visits,
+            phases,
+        } = self;
+        arrival.encode(w);
+        w.u64(visits.len() as u64);
         let mut base = 0;
-        for (i, v) in self.visits.iter().enumerate() {
+        for (i, v) in visits.iter().enumerate() {
             w.u64(u64::from(v.node));
             v.parent().map(|(p, s)| (p as u64, s as u64)).encode(w);
             w.u64(u64::from(v.n_children));
@@ -330,9 +341,9 @@ impl Snapshot for Request {
             w.u64(u64::from(v.pending));
             v.phase_start.encode(w);
             w.u64(v.sojourn_ns);
-            let recorded = match self.phases.is_empty() {
+            let recorded = match phases.is_empty() {
                 true => &[][..],
-                false => &self.phases[base..base + v.phase as usize],
+                false => &phases[base..base + v.phase as usize],
             };
             w.u64(recorded.len() as u64);
             for rec in recorded {

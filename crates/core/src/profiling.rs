@@ -46,7 +46,7 @@ pub struct ProfileConfig {
 impl Default for ProfileConfig {
     fn default() -> Self {
         ProfileConfig {
-            load_levels: (1..=19).map(|i| i as f64 * 0.05).collect(),
+            load_levels: (1..=19).map(|i| f64::from(i) * 0.05).collect(),
             duration_s: 40,
             seed: 42,
             min_requests: 8_000,
@@ -155,11 +155,11 @@ fn sojourn_profile(service: &ServiceSpec, mut levels: Vec<LoadLevel>) -> Sojourn
 }
 
 fn extract_ground_truth(out: &EngineOutput, n: usize) -> (Vec<f64>, Vec<f64>, u64) {
-    let sojourns = out
-        .sojourns
-        .as_ref()
-        // PANIC: the calibration run above enables sojourn capture.
-        .expect("engine collected sojourns");
+    #[expect(
+        clippy::expect_used,
+        reason = "the calibration run above enables sojourn capture"
+    )]
+    let sojourns = out.sojourns.as_ref().expect("engine collected sojourns");
     let mut means = Vec::with_capacity(n);
     let mut covs = Vec::with_capacity(n);
     for pod_sojourns in sojourns.iter().take(n) {

@@ -206,7 +206,8 @@ impl Snapshot for Ledger {
     /// The bytes of the `BTreeMap<BeInstanceId, BeProgress>` this ledger
     /// replaced: a length, then `(id, progress)` pairs ascending by id.
     fn encode(&self, w: &mut Writer) {
-        self.0.encode(w);
+        let Ledger(entries) = self;
+        entries.encode(w);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
@@ -448,7 +449,7 @@ impl BeSummary {
             .filter_map(|b| {
                 specs
                     .get(&b.workload)
-                    .map(|s| s.dram_pressure_per_core * b.alloc.cores as f64 * freq)
+                    .map(|s| s.dram_pressure_per_core * f64::from(b.alloc.cores) * freq)
             })
             .sum();
         // Per-instance job rates under the same solo-machine clamp: if
@@ -996,7 +997,7 @@ impl Engine {
             .map(|&(_, c)| c)
             .sum();
         let window = 10.0_f64.min(sec.max(1) as f64);
-        total as f64 / window
+        f64::from(total) / window
     }
 
     /// Applies a busy-count transition on `node` at `now`, first
@@ -1015,7 +1016,7 @@ impl Engine {
             now.as_nanos()
         );
         let dt = now - self.nodes.last_busy_change[node];
-        self.nodes.busy_area[node] += busy as u128 * dt.as_nanos() as u128;
+        self.nodes.busy_area[node] += u128::from(busy) * u128::from(dt.as_nanos());
         self.nodes.busy[node] = if delta < 0 {
             busy.saturating_sub(delta.unsigned_abs())
         } else {
@@ -1037,7 +1038,10 @@ impl Engine {
     fn start_phase(&mut self, now: SimTime, req: ReqKey, visit: u32, node: usize) {
         let dur_ms;
         {
-            // PANIC: req keys flow from live-request calendar events.
+            #[expect(
+                clippy::expect_used,
+                reason = "req keys flow from live-request calendar events"
+            )]
             let r = self.requests.get_mut(req).expect("request exists");
             let v = &mut r.visits[visit as usize];
             v.phase_start = now;
@@ -1081,11 +1085,14 @@ impl Engine {
     fn on_phase_end(&mut self, now: SimTime, req: ReqKey, visit: u32) {
         // Advancing the visit first is safe: it touches only this
         // visit, which no queued phase can be, and draws no randomness.
+        #[expect(
+            clippy::expect_used,
+            reason = "req keys flow from calendar events scheduled while the request was live; the \
+                      arena removes a key exactly once"
+        )]
         let (node, step) = self
             .requests
             .get_mut(req)
-            // PANIC: req keys flow from calendar events scheduled while the
-            // request was live; the arena removes a key exactly once.
             .expect("request exists")
             .end_phase(visit as usize, now, self.cfg.capture_visits);
         self.update_busy(node, now, -1);
@@ -1097,7 +1104,10 @@ impl Engine {
             Step::Dispatch { first, stop } => {
                 let mut child = first;
                 while child < stop {
-                    // PANIC: req keys flow from live-request calendar events.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "req keys flow from live-request calendar events"
+                    )]
                     let r = self.requests.get(req).expect("request exists");
                     let (node, next) = r.child_and_next(child);
                     self.enqueue_phase(now, req, child, node);
@@ -1119,7 +1129,10 @@ impl Engine {
             self.on_request_complete(now, req);
             return;
         }
-        // PANIC: req keys flow from live-request calendar events.
+        #[expect(
+            clippy::expect_used,
+            reason = "req keys flow from live-request calendar events"
+        )]
         let r = self.requests.get_mut(req).expect("request exists");
         if let Some(node) = r.child_done(parent as usize) {
             self.enqueue_phase(now, req, parent, node);
@@ -1127,7 +1140,10 @@ impl Engine {
     }
 
     fn on_request_complete(&mut self, now: SimTime, req: ReqKey) {
-        // PANIC: completion fires once per request — the key is still live.
+        #[expect(
+            clippy::expect_used,
+            reason = "completion fires once per request, so the key is still live"
+        )]
         let r = self.requests.remove(req).expect("request exists");
         let latency_ms = now.saturating_since(r.arrival).as_millis_f64();
         // Every latency sketch shares `LatencyHistogram::new()`'s layout,
@@ -1235,13 +1251,13 @@ impl Engine {
     fn cpu_utils(&self, i: usize) -> (f64, f64) {
         // Instantaneous busy fraction approximated by current busy count.
         let lc_busy_frac =
-            (self.nodes.busy[i] as f64 / self.nodes.workers[i] as f64).clamp(0.0, 1.0);
+            (f64::from(self.nodes.busy[i]) / f64::from(self.nodes.workers[i])).clamp(0.0, 1.0);
         let m = &self.deployment.machines[i];
-        let lc_cores_busy = lc_busy_frac * m.lc_alloc().cores as f64;
+        let lc_cores_busy = lc_busy_frac * f64::from(m.lc_alloc().cores);
         let be_cores = self.be_summaries[i].running_cores;
         (
-            lc_cores_busy / m.spec().total_cores() as f64,
-            be_cores as f64 * m.be_dvfs.speed_fraction() / m.spec().total_cores() as f64,
+            lc_cores_busy / f64::from(m.spec().total_cores()),
+            f64::from(be_cores) * m.be_dvfs.speed_fraction() / f64::from(m.spec().total_cores()),
         )
     }
 
@@ -1365,7 +1381,10 @@ impl Engine {
                     .filter(|&id| !m.be_instances().any(|b| b.id == id))
                     .collect();
                 for id in dead {
-                    // PANIC: `dead` was collected from this ledger just above.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "`dead` was collected from this ledger just above"
+                    )]
                     let p = ledger.remove(id).expect("dead id came from ledger");
                     #[expect(
                         clippy::cast_possible_truncation,
@@ -1460,7 +1479,8 @@ impl Engine {
                 let machine = &mut deployment.machines[i];
                 let comp = &service.nodes[i].component;
                 let rate = cfg.load.fraction_at(now) * *maxload * visits[i];
-                let lc_cpu = (nodes.busy[i] as f64 / nodes.workers[i] as f64).clamp(0.0, 1.0);
+                let lc_cpu =
+                    (f64::from(nodes.busy[i]) / f64::from(nodes.workers[i])).clamp(0.0, 1.0);
                 let be_cpu = if machine.running_be_count() > 0 {
                     1.0
                 } else {
@@ -1634,9 +1654,9 @@ impl Engine {
 // mismatch is caught by the crate hash, not a garbage decode.
 //
 // Excluded by design: `request_pool` / `planner` (recycled scratch;
-// capacity only, never behaviour) and `visit_log` (the flat visit
-// buffer of profiling captures; cluster runs never enable
-// `capture_visits`).
+// capacity only, never behaviour), `visit_log` (the flat visit buffer
+// of profiling captures; cluster runs never enable `capture_visits`)
+// and `started` (a captured engine has always started).
 // ---------------------------------------------------------------------------
 
 impl Snapshot for Ev {
@@ -1669,11 +1689,18 @@ impl Snapshot for Ev {
 
 impl Snapshot for InflationInputs {
     fn encode(&self, w: &mut Writer) {
-        w.u64(self.epoch);
-        w.u32(self.lc_mhz);
-        w.u32(self.be_mhz);
-        w.u64(self.be_limit_bits);
-        w.u64(self.rate_bits);
+        let InflationInputs {
+            epoch,
+            lc_mhz,
+            be_mhz,
+            be_limit_bits,
+            rate_bits,
+        } = *self;
+        w.u64(epoch);
+        w.u32(lc_mhz);
+        w.u32(be_mhz);
+        w.u64(be_limit_bits);
+        w.u64(rate_bits);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
@@ -1693,17 +1720,26 @@ impl NodeTables {
     /// `rhythm-core` schema hash and the container byte golden, so the
     /// SoA tables serialise through the same per-node record.
     fn encode_node(&self, i: usize, w: &mut Writer) {
-        w.u32(self.workers[i]);
-        w.u32(self.busy[i]);
-        w.u64(self.queue[i].len() as u64);
-        for &(k, v) in &self.queue[i] {
+        let NodeTables {
+            workers,
+            busy,
+            inflation,
+            last_busy_change,
+            visits_done_window,
+            busy_area,
+            queue,
+        } = self;
+        w.u32(workers[i]);
+        w.u32(busy[i]);
+        w.u64(queue[i].len() as u64);
+        for &(k, v) in &queue[i] {
             k.encode(w);
             w.u64(u64::from(v));
         }
-        w.f64(self.inflation[i]);
-        w.u128(self.busy_area[i]);
-        self.last_busy_change[i].encode(w);
-        w.u64(self.visits_done_window[i]);
+        w.f64(inflation[i]);
+        w.u128(busy_area[i]);
+        last_busy_change[i].encode(w);
+        w.u64(visits_done_window[i]);
     }
 
     /// Decodes one node record into slot `i`. Rejects records whose
@@ -1733,7 +1769,7 @@ impl NodeTables {
                 self.workers[i]
             )));
         }
-        if busy_area > workers as u128 * last_busy_change.as_nanos() as u128 {
+        if busy_area > u128::from(workers) * u128::from(last_busy_change.as_nanos()) {
             return Err(SnapshotError::Corrupt(format!(
                 "node {i} busy integral exceeds workers × elapsed"
             )));
@@ -1750,8 +1786,9 @@ impl NodeTables {
 
 impl Snapshot for BeProgress {
     fn encode(&self, w: &mut Writer) {
-        w.str(&self.workload);
-        w.f64(self.done);
+        let BeProgress { workload, done } = self;
+        w.str(workload);
+        w.f64(*done);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
@@ -1764,9 +1801,14 @@ impl Snapshot for BeProgress {
 
 impl Snapshot for BeAdmission {
     fn encode(&self, w: &mut Writer) {
-        w.u64(self.machine as u64);
-        w.u64(self.instance);
-        w.str(&self.workload);
+        let BeAdmission {
+            machine,
+            instance,
+            workload,
+        } = self;
+        w.u64(*machine as u64);
+        w.u64(*instance);
+        w.str(workload);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
@@ -1780,10 +1822,16 @@ impl Snapshot for BeAdmission {
 
 impl Snapshot for BeKill {
     fn encode(&self, w: &mut Writer) {
-        w.u64(self.machine as u64);
-        w.u64(self.instance);
-        w.str(&self.workload);
-        w.f64(self.progress);
+        let BeKill {
+            machine,
+            instance,
+            workload,
+            progress,
+        } = self;
+        w.u64(*machine as u64);
+        w.u64(*instance);
+        w.str(workload);
+        w.f64(*progress);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
@@ -1798,14 +1846,24 @@ impl Snapshot for BeKill {
 
 impl Snapshot for TimelinePoint {
     fn encode(&self, w: &mut Writer) {
-        w.f64(self.t_s);
-        w.f64(self.load);
-        w.f64(self.slack);
-        self.cpu_util_pct.encode(w);
-        self.be_llc_ways.encode(w);
-        self.be_cores.encode(w);
-        self.be_instances.encode(w);
-        self.be_throughput.encode(w);
+        let TimelinePoint {
+            t_s,
+            load,
+            slack,
+            cpu_util_pct,
+            be_llc_ways,
+            be_cores,
+            be_instances,
+            be_throughput,
+        } = self;
+        w.f64(*t_s);
+        w.f64(*load);
+        w.f64(*slack);
+        cpu_util_pct.encode(w);
+        be_llc_ways.encode(w);
+        be_cores.encode(w);
+        be_instances.encode(w);
+        be_throughput.encode(w);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
@@ -1863,15 +1921,26 @@ pub struct EngineSummary {
 
 impl Snapshot for EngineMachineSummary {
     fn encode(&self, w: &mut Writer) {
-        w.str(&self.pod);
-        w.u32(self.be_instances);
-        w.u32(self.be_running);
-        w.u32(self.be_cores);
-        w.u32(self.be_llc_ways);
-        w.u32(self.lc_freq_mhz);
-        w.u32(self.be_freq_mhz);
-        w.u64(self.be_started);
-        w.u64(self.be_killed);
+        let EngineMachineSummary {
+            pod,
+            be_instances,
+            be_running,
+            be_cores,
+            be_llc_ways,
+            lc_freq_mhz,
+            be_freq_mhz,
+            be_started,
+            be_killed,
+        } = self;
+        w.str(pod);
+        w.u32(*be_instances);
+        w.u32(*be_running);
+        w.u32(*be_cores);
+        w.u32(*be_llc_ways);
+        w.u32(*lc_freq_mhz);
+        w.u32(*be_freq_mhz);
+        w.u64(*be_started);
+        w.u64(*be_killed);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
@@ -1891,10 +1960,16 @@ impl Snapshot for EngineMachineSummary {
 
 impl Snapshot for EngineSummary {
     fn encode(&self, w: &mut Writer) {
-        w.u64(self.completed_total);
-        w.u64(self.inflight);
-        w.u64(self.pending_events);
-        self.machines.encode(w);
+        let EngineSummary {
+            completed_total,
+            inflight,
+            pending_events,
+            machines,
+        } = self;
+        w.u64(*completed_total);
+        w.u64(*inflight);
+        w.u64(*pending_events);
+        machines.encode(w);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
@@ -1912,55 +1987,105 @@ impl Engine {
     /// identical state yields identical bytes, and re-encoding a restored
     /// engine reproduces the stream bit for bit.
     pub fn snapshot_encode(&self, w: &mut Writer) {
-        self.deployment.machines.encode(w);
-        w.u64(self.nodes.len() as u64);
-        for i in 0..self.nodes.len() {
-            self.nodes.encode_node(i, w);
+        // The `_` fields are rebuilt by `Engine::new` or excluded by
+        // design; see the note above `impl Snapshot for Ev`.
+        let Engine {
+            service: _,
+            cfg: _,
+            deployment,
+            nodes,
+            samplers: _,
+            agents,
+            be_specs,
+            cal,
+            rng_arrival,
+            rng_service,
+            rng_path,
+            requests,
+            request_pool: _,
+            planner: _,
+            inflation_inputs,
+            be_summaries: _,
+            maxload: _,
+            visits: _,
+            tail,
+            arrivals_ring,
+            hist,
+            completed,
+            completed_total,
+            window_hist,
+            window_epoch,
+            worst_window_p99,
+            sojourn_stats,
+            sojourns,
+            visit_log: _,
+            timeline,
+            be_progress_int,
+            be_instances_int,
+            cpu_util_int,
+            lc_cpu_util_int,
+            membw_int,
+            offered_int,
+            int_time,
+            last_integral_at,
+            measure_from: _,
+            end_at: _,
+            started: _,
+            be_offers,
+            be_job_progress,
+            last_progress_at,
+            admitted_log,
+            killed_log,
+            telemetry,
+            audit_prev,
+        } = self;
+        deployment.machines.encode(w);
+        w.u64(nodes.len() as u64);
+        for i in 0..nodes.len() {
+            nodes.encode_node(i, w);
         }
-        let agents: Vec<Option<(AgentStats, Option<BeAction>)>> = self
-            .agents
+        let agents: Vec<Option<(AgentStats, Option<BeAction>)>> = agents
             .iter()
             .map(|a| a.as_ref().map(|a| (a.stats(), a.last_action())))
             .collect();
         agents.encode(w);
-        self.be_specs.encode(w);
-        self.cal.encode(w);
-        self.rng_arrival.encode(w);
-        self.rng_service.encode(w);
-        self.rng_path.encode(w);
-        self.requests.encode(w);
-        self.inflation_inputs.encode(w);
-        self.tail.encode(w);
-        self.arrivals_ring.encode(w);
-        self.hist.encode(w);
-        w.u64(self.completed);
-        w.u64(self.completed_total);
-        self.window_hist.encode(w);
-        w.u64(self.window_epoch);
-        w.f64(self.worst_window_p99);
-        self.sojourn_stats.encode(w);
-        self.sojourns.encode(w);
-        self.timeline.encode(w);
-        self.be_progress_int.encode(w);
-        self.be_instances_int.encode(w);
-        self.cpu_util_int.encode(w);
-        self.lc_cpu_util_int.encode(w);
-        self.membw_int.encode(w);
-        w.f64(self.offered_int);
-        w.f64(self.int_time);
-        self.last_integral_at.encode(w);
-        let offers: Vec<Option<(BeSpec, u8)>> = self
-            .be_offers
+        be_specs.encode(w);
+        cal.encode(w);
+        rng_arrival.encode(w);
+        rng_service.encode(w);
+        rng_path.encode(w);
+        requests.encode(w);
+        inflation_inputs.encode(w);
+        tail.encode(w);
+        arrivals_ring.encode(w);
+        hist.encode(w);
+        w.u64(*completed);
+        w.u64(*completed_total);
+        window_hist.encode(w);
+        w.u64(*window_epoch);
+        w.f64(*worst_window_p99);
+        sojourn_stats.encode(w);
+        sojourns.encode(w);
+        timeline.encode(w);
+        be_progress_int.encode(w);
+        be_instances_int.encode(w);
+        cpu_util_int.encode(w);
+        lc_cpu_util_int.encode(w);
+        membw_int.encode(w);
+        w.f64(*offered_int);
+        w.f64(*int_time);
+        last_integral_at.encode(w);
+        let offers: Vec<Option<(BeSpec, u8)>> = be_offers
             .iter()
             .map(|o| o.as_ref().map(|(s, p)| ((**s).clone(), *p)))
             .collect();
         offers.encode(w);
-        self.be_job_progress.encode(w);
-        self.last_progress_at.encode(w);
-        self.admitted_log.encode(w);
-        self.killed_log.encode(w);
-        self.telemetry.encode(w);
-        self.audit_prev.encode(w);
+        be_job_progress.encode(w);
+        last_progress_at.encode(w);
+        admitted_log.encode(w);
+        killed_log.encode(w);
+        telemetry.encode(w);
+        audit_prev.encode(w);
     }
 
     /// Rebuilds an engine from `(service, cfg)` — which must match the
@@ -2782,8 +2907,8 @@ mod tests {
                 let workers: Vec<u32> = records.iter().map(|r| r.0).collect();
                 let mut src = NodeTables::with_workers(workers.clone());
                 for (i, &(w, busy, inflation, last, area_seed, visits)) in records.iter().enumerate() {
-                    let bound = w as u128 * last as u128;
-                    let area = if bound == 0 { 0 } else { area_seed as u128 % (bound + 1) };
+                    let bound = u128::from(w) * u128::from(last);
+                    let area = if bound == 0 { 0 } else { u128::from(area_seed) % (bound + 1) };
                     src.busy[i] = busy;
                     src.inflation[i] = inflation;
                     src.last_busy_change[i] = SimTime::from_nanos(last);

@@ -56,8 +56,11 @@ impl Deployment {
         specs: &[MachineSpec],
     ) -> Deployment {
         let service = service.into();
-        // PANIC: constructor contract — an invalid ServiceSpec is a
-        // caller bug, documented on this function.
+        #[expect(
+            clippy::expect_used,
+            reason = "constructor contract: an invalid ServiceSpec is a caller bug, documented on \
+                      this function"
+        )]
         service.validate().expect("invalid service");
         assert_eq!(
             specs.len(),

@@ -53,10 +53,10 @@ pub fn phase_summary(points: &[TimelinePoint], pod: usize) -> Vec<(f64, &'static
     let mut phases = Vec::new();
     for w in points.windows(2) {
         let (a, b) = (&w[0], &w[1]);
-        let ca = a.be_cores.get(pod).copied().unwrap_or(0) as i64;
-        let cb = b.be_cores.get(pod).copied().unwrap_or(0) as i64;
-        let ia = a.be_instances.get(pod).copied().unwrap_or(0) as i64;
-        let ib = b.be_instances.get(pod).copied().unwrap_or(0) as i64;
+        let ca = i64::from(a.be_cores.get(pod).copied().unwrap_or(0));
+        let cb = i64::from(b.be_cores.get(pod).copied().unwrap_or(0));
+        let ia = i64::from(a.be_instances.get(pod).copied().unwrap_or(0));
+        let ib = i64::from(b.be_instances.get(pod).copied().unwrap_or(0));
         let label = if ib < ia {
             "kill/stop"
         } else if cb > ca || ib > ia {

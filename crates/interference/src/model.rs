@@ -140,14 +140,14 @@ impl MachineTerms {
     /// The terms for `comp` hosted on `machine`.
     pub fn of(comp: &ComponentSpec, machine: &Machine) -> MachineTerms {
         let spec = machine.spec();
-        let lc_llc_mb = machine.cat().lc_ways() as f64 * spec.llc_mb_per_way();
+        let lc_llc_mb = f64::from(machine.cat().lc_ways()) * spec.llc_mb_per_way();
         // The LC Servpod only spans one socket's worth of cache in
         // practice; scale available cache to the component's socket
         // footprint (cores / cores_per_socket sockets, at least one).
-        let sockets_used =
-            (comp.cores as f64 / spec.cores_per_socket as f64).clamp(1.0, spec.sockets as f64);
+        let sockets_used = (f64::from(comp.cores) / f64::from(spec.cores_per_socket))
+            .clamp(1.0, f64::from(spec.sockets));
         MachineTerms {
-            llc_available: lc_llc_mb * sockets_used / spec.sockets as f64,
+            llc_available: lc_llc_mb * sockets_used / f64::from(spec.sockets),
             freq_slowdown: comp
                 .sensitivity
                 .freq_slowdown(machine.lc_dvfs.speed_fraction()),

@@ -59,7 +59,7 @@ impl Pressure {
             let Some(spec) = specs.get(&inst.workload) else {
                 continue;
             };
-            let cores = inst.alloc.cores as f64 * be_freq;
+            let cores = f64::from(inst.alloc.cores) * be_freq;
             p.cpu += spec.cpu_pressure_per_core * cores;
             p.llc += spec.llc_pressure_per_core * cores;
             p.dram += spec.dram_pressure_per_core * cores;

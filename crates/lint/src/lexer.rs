@@ -8,9 +8,8 @@
 //! A `HashMap` inside a comment or a `"thread_rng"` inside a string
 //! literal must never reach a rule.
 //!
-//! Comments are kept as tokens (rules U01/H01 and the `lint:allow`
-//! pragma parser read them); literals are kept as opaque tokens so D04
-//! can still see an `f32` suffix on a numeric literal.
+//! Comments are kept as tokens (the `lint:allow` pragma parser reads
+//! them); literals are kept as opaque tokens.
 
 /// What a token is. Deliberately coarse: rules match on identifier text
 /// and single-character punctuation, nothing finer.
@@ -32,8 +31,7 @@ pub enum TokenKind {
     Comment,
 }
 
-/// One lexed token with the 1-based line it starts on and its byte span
-/// in the source.
+/// One lexed token with the 1-based line it starts on.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Token {
     /// Coarse token class.
@@ -42,13 +40,6 @@ pub struct Token {
     pub text: String,
     /// 1-based line of the token's first character.
     pub line: u32,
-    /// Byte offset of the token's first character in the source.
-    pub offset: usize,
-    /// Byte offset one past the token's last character. `src[offset..end]`
-    /// is the exact source extent — note it can differ from `text` for
-    /// raw identifiers (`r#type` → text `type`) and lifetimes (the
-    /// leading quote is in the span but not the text).
-    pub end: usize,
 }
 
 fn is_ident_start(c: char) -> bool {
@@ -67,8 +58,6 @@ pub fn lex(src: &str) -> Vec<Token> {
         chars: src.chars().collect(),
         i: 0,
         line: 1,
-        off: 0,
-        start: 0,
         out: Vec::new(),
     }
     .run()
@@ -78,10 +67,6 @@ struct Lexer {
     chars: Vec<char>,
     i: usize,
     line: u32,
-    /// Byte offset of the cursor (`self.i`) in the source.
-    off: usize,
-    /// Byte offset where the token currently being lexed started.
-    start: usize,
     out: Vec<Token>,
 }
 
@@ -94,7 +79,6 @@ impl Lexer {
         let c = self.chars.get(self.i).copied();
         if let Some(c) = c {
             self.i += 1;
-            self.off += c.len_utf8();
             if c == '\n' {
                 self.line += 1;
             }
@@ -103,33 +87,29 @@ impl Lexer {
     }
 
     fn push(&mut self, kind: TokenKind, text: String, line: u32) {
-        let (offset, end) = (self.start, self.off);
-        self.out.push(Token {
-            kind,
-            text,
-            line,
-            offset,
-            end,
-        });
+        self.out.push(Token { kind, text, line });
     }
 
     fn run(mut self) -> Vec<Token> {
         while let Some(c) = self.peek(0) {
-            self.start = self.off;
             match c {
                 c if c.is_whitespace() => {
                     self.bump();
                 }
                 '/' if self.peek(1) == Some('/') => self.line_comment(),
                 '/' if self.peek(1) == Some('*') => self.block_comment(),
-                '"' => self.string_literal(0),
+                '"' => self.string_from_quote(self.line, String::new()),
                 '\'' => self.char_or_lifetime(),
                 'b' if self.peek(1) == Some('"') => {
                     let line = self.line;
                     self.bump();
                     self.string_from_quote(line, String::from("b"));
                 }
-                'b' if self.peek(1) == Some('\'') => self.byte_char(),
+                'b' if self.peek(1) == Some('\'') => {
+                    let line = self.line;
+                    self.bump();
+                    self.char_literal(line, String::from("b"));
+                }
                 'b' if self.peek(1) == Some('r') && self.raw_string_ahead(2) => {
                     let line = self.line;
                     self.bump();
@@ -267,11 +247,6 @@ impl Lexer {
         self.push(TokenKind::Str, text, line);
     }
 
-    fn string_literal(&mut self, _unused: usize) {
-        let line = self.line;
-        self.string_from_quote(line, String::new());
-    }
-
     /// Lexes a `"..."` (escapes honored, newlines allowed) whose opening
     /// quote is at the cursor; `prefix` is an already-consumed `b`.
     fn string_from_quote(&mut self, line: u32, prefix: String) {
@@ -326,28 +301,15 @@ impl Lexer {
             }
         } else {
             // Escaped or non-identifier char literal: `'\n'`, `' '`, `'\''`.
-            let mut text = String::new();
-            text.push(self.bump().expect("opening quote"));
-            if self.peek(0) == Some('\\') {
-                text.push(self.bump().expect("peeked"));
-                if let Some(e) = self.bump() {
-                    text.push(e);
-                }
-            } else if let Some(c) = self.bump() {
-                text.push(c);
-            }
-            if self.peek(0) == Some('\'') {
-                text.push(self.bump().expect("peeked"));
-            }
-            self.push(TokenKind::Str, text, line);
+            self.char_literal(line, String::new());
         }
     }
 
-    fn byte_char(&mut self) {
-        let line = self.line;
-        let mut text = String::new();
-        text.push(self.bump().expect("peeked")); // `b`
-        text.push(self.bump().expect("peeked")); // `'`
+    /// Lexes a char literal (one character or one escape) whose opening
+    /// quote is at the cursor; `prefix` is an already-consumed `b`.
+    fn char_literal(&mut self, line: u32, prefix: String) {
+        let mut text = prefix;
+        text.push(self.bump().expect("opening quote"));
         if self.peek(0) == Some('\\') {
             text.push(self.bump().expect("peeked"));
             if let Some(e) = self.bump() {
@@ -512,29 +474,6 @@ mod tests {
         let ids = idents(r##"let a = b"unsafe"; let c = b'x'; let r = br#"HashMap"#;"##);
         assert!(!ids.contains(&"unsafe".to_string()));
         assert!(!ids.contains(&"HashMap".to_string()));
-    }
-
-    #[test]
-    fn byte_spans_tile_the_source() {
-        let src = "let r#type = \"s\"; 'a 'b' /* c */ é_ident 1.5f32";
-        let toks = lex(src);
-        let mut last_end = 0usize;
-        for t in &toks {
-            assert!(t.offset >= last_end, "overlap at {:?}", t);
-            assert!(t.offset < t.end, "empty span at {:?}", t);
-            assert!(t.end <= src.len());
-            assert!(src.is_char_boundary(t.offset) && src.is_char_boundary(t.end));
-            last_end = t.end;
-        }
-        // Raw identifier: the span covers `r#type`, the text is bare.
-        let raw = toks.iter().find(|t| t.text == "type").expect("raw ident");
-        assert_eq!(&src[raw.offset..raw.end], "r#type");
-        // Lifetime: the span includes the quote the text drops.
-        let lt = toks
-            .iter()
-            .find(|t| t.kind == TokenKind::Lifetime)
-            .expect("lifetime");
-        assert_eq!(&src[lt.offset..lt.end], "'a");
     }
 
     #[test]

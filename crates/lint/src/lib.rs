@@ -4,17 +4,18 @@
 //! Every guarantee this repository sells — bit-identical golden
 //! fixtures, byte-identical telemetry for any worker-thread count,
 //! reproducible Rhythm-vs-Heracles numbers — rests on invariants that
-//! ordinary tests only catch *after* a fingerprint scrambles. The
-//! type-level ones (no hash containers, no entropy-seeded hashing, no
-//! `f32`, no lossy casts, justified `allow`s and `unsafe`) are clippy's:
-//! see the workspace `clippy.toml` and `[workspace.lints.clippy]`. This
-//! crate keeps the ones that rest on the repository's own conventions —
-//! wall clocks outside the benchmark harness, snapshot field coverage,
-//! `// PANIC:` justifications. A dependency-free lexer (the registry is
-//! offline, so no `syn`) feeds a rule engine that walks every workspace
-//! `.rs` file and reports findings as `file:line: rule-id message`.
+//! ordinary tests only catch *after* a fingerprint scrambles. Nearly all
+//! of them are compiler or clippy checks now (see the workspace
+//! `clippy.toml`, `[workspace.lints.clippy]` and DESIGN.md §10). This
+//! crate keeps one: no wall clock outside the benchmark harness (D02),
+//! plus A01, which holds its suppression pragmas to a reason. A
+//! dependency-free lexer (the registry is offline, so no `syn`) feeds a
+//! rule engine that walks every workspace `.rs` file and reports findings
+//! as `file:line: rule-id message`. D02 moves to clippy's
+//! `disallowed-methods` together with the benchmark harness's one
+//! suppression, and this crate goes with it.
 //!
-//! Rules and their crate-scope policy live in [`rules`]; the escape
+//! Rules and their path scopes live in [`rules`]; the escape
 //! hatch is an inline pragma that *requires* a reason:
 //!
 //! ```text
@@ -30,13 +31,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod itemtree;
 pub mod lexer;
 pub mod rules;
-pub mod scope;
 
 pub use rules::{FileLint, Finding, RuleInfo, Suppressed, RULES};
-pub use scope::{FileKind, FileScope};
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -73,9 +71,10 @@ pub fn lint_source(rel_path: &str, src: &str) -> FileLint {
 }
 
 /// Walks every workspace `.rs` file under `root` (skipping
-/// [`SKIP_DIRS`] and hidden directories) and lints each one. File order
-/// — hence finding order — is deterministic: paths are compared as
-/// UTF-8 byte strings.
+/// [`SKIP_DIRS`] and hidden directories) and lints each one. Files are
+/// linted in path order (paths compared as UTF-8 byte strings) and each
+/// file's findings come sorted by line, so the report is sorted by
+/// (file, line, rule).
 pub fn lint_workspace(root: &Path) -> io::Result<WorkspaceReport> {
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files)?;
@@ -90,16 +89,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<WorkspaceReport> {
         report.findings.extend(one.findings);
         report.suppressed.extend(one.suppressed);
     }
-    report
-        .findings
-        .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    report.suppressed.sort_by(|a, b| {
-        (&a.finding.file, a.finding.line, a.finding.rule).cmp(&(
-            &b.finding.file,
-            b.finding.line,
-            b.finding.rule,
-        ))
-    });
     Ok(report)
 }
 
@@ -178,71 +167,6 @@ pub fn render_github(report: &WorkspaceReport) -> String {
     s
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders the report as a stable JSON document (one finding per line;
-/// byte-identical across runs on identical sources).
-pub fn render_json(report: &WorkspaceReport) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"tool\": \"rhythm-lint\",\n");
-    s.push_str("  \"schema\": \"rhythm-lint/v1\",\n");
-    s.push_str(&format!("  \"files_scanned\": {},\n", report.files_scanned));
-    s.push_str(&format!("  \"unsuppressed\": {},\n", report.findings.len()));
-    s.push_str(&format!("  \"suppressed\": {},\n", report.suppressed.len()));
-    s.push_str("  \"findings\": [");
-    for (i, f) in report.findings.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}",
-            json_escape(&f.file),
-            f.line,
-            f.rule,
-            json_escape(&f.message)
-        ));
-    }
-    s.push_str(if report.findings.is_empty() {
-        "],\n"
-    } else {
-        "\n  ],\n"
-    });
-    s.push_str("  \"suppressed_findings\": [");
-    for (i, sp) in report.suppressed.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"reason\": \"{}\"}}",
-            json_escape(&sp.finding.file),
-            sp.finding.line,
-            sp.finding.rule,
-            json_escape(&sp.reason)
-        ));
-    }
-    s.push_str(if report.suppressed.is_empty() {
-        "]\n"
-    } else {
-        "\n  ]\n"
-    });
-    s.push_str("}\n");
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,39 +186,20 @@ mod tests {
     }
 
     #[test]
-    fn render_json_is_stable_and_escapes() {
-        let report = WorkspaceReport {
-            files_scanned: 1,
-            findings: vec![Finding {
-                file: "a\"b.rs".to_string(),
-                line: 3,
-                rule: "D02",
-                message: "quote \" and backslash \\".to_string(),
-            }],
-            suppressed: vec![],
-        };
-        let a = render_json(&report);
-        let b = render_json(&report);
-        assert_eq!(a, b);
-        assert!(a.contains("a\\\"b.rs"));
-        assert!(a.contains("backslash \\\\"));
-    }
-
-    #[test]
     fn render_github_escapes_workflow_commands() {
         let report = WorkspaceReport {
             files_scanned: 1,
             findings: vec![Finding {
                 file: "crates/core/src/a.rs".to_string(),
                 line: 7,
-                rule: "P01",
+                rule: "D02",
                 message: "50% done\nnext".to_string(),
             }],
             suppressed: vec![],
         };
         assert_eq!(
             render_github(&report),
-            "::error file=crates/core/src/a.rs,line=7,title=rhythm-lint P01::50%25 done%0Anext\n"
+            "::error file=crates/core/src/a.rs,line=7,title=rhythm-lint D02::50%25 done%0Anext\n"
         );
         let clean = WorkspaceReport::default();
         assert!(render_github(&clean).is_empty());

@@ -9,3 +9,6 @@ fn pragma_unknown_rule() {}
 
 // lint:allow(D01) -- a retired rule, now clippy's disallowed-types
 fn pragma_retired_rule() {}
+
+// lint:allow(S02) -- a retired rule, now an exhaustive destructure
+fn pragma_retired_snapshot_rule() {}

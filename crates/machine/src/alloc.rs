@@ -77,11 +77,18 @@ impl Allocation {
 
 impl rhythm_snapshot::Snapshot for Allocation {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.u32(self.cores);
-        w.u32(self.llc_ways);
-        w.u64(self.mem_mb);
-        w.f64(self.net_mbps);
-        w.u32(self.freq_mhz);
+        let Allocation {
+            cores,
+            llc_ways,
+            mem_mb,
+            net_mbps,
+            freq_mhz,
+        } = *self;
+        w.u32(cores);
+        w.u32(llc_ways);
+        w.u64(mem_mb);
+        w.f64(net_mbps);
+        w.u32(freq_mhz);
     }
 
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {

@@ -76,7 +76,7 @@ impl CatPartition {
 
     /// Fraction of the LLC owned by the BE class.
     pub fn be_fraction(&self) -> f64 {
-        self.be_ways as f64 / self.total_ways as f64
+        f64::from(self.be_ways) / f64::from(self.total_ways)
     }
 
     /// Moves `n` ways from the LC class to the BE class.
@@ -112,9 +112,14 @@ impl CatPartition {
 
 impl rhythm_snapshot::Snapshot for CatPartition {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.u32(self.total_ways);
-        w.u32(self.lc_ways);
-        w.u32(self.be_ways);
+        let CatPartition {
+            total_ways,
+            lc_ways,
+            be_ways,
+        } = *self;
+        w.u32(total_ways);
+        w.u32(lc_ways);
+        w.u32(be_ways);
     }
 
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {

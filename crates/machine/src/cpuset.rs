@@ -117,7 +117,8 @@ impl CpuSet {
 
 impl rhythm_snapshot::Snapshot for CpuSet {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.u128(self.bits);
+        let CpuSet { bits } = *self;
+        w.u128(bits);
     }
 
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {

@@ -44,7 +44,7 @@ impl DvfsDomain {
 
     /// Current frequency as a fraction of the maximum (1.0 = full speed).
     pub fn speed_fraction(&self) -> f64 {
-        self.current_mhz as f64 / self.max_mhz as f64
+        f64::from(self.current_mhz) / f64::from(self.max_mhz)
     }
 
     /// Steps the frequency down by one step; returns the new frequency.
@@ -87,10 +87,16 @@ impl DvfsDomain {
 
 impl rhythm_snapshot::Snapshot for DvfsDomain {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.u32(self.min_mhz);
-        w.u32(self.max_mhz);
-        w.u32(self.step_mhz);
-        w.u32(self.current_mhz);
+        let DvfsDomain {
+            min_mhz,
+            max_mhz,
+            step_mhz,
+            current_mhz,
+        } = *self;
+        w.u32(min_mhz);
+        w.u32(max_mhz);
+        w.u32(step_mhz);
+        w.u32(current_mhz);
     }
 
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {

@@ -566,13 +566,22 @@ impl rhythm_snapshot::Snapshot for BeState {
 
 impl rhythm_snapshot::Snapshot for BeInstance {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.u64(self.id);
-        w.str(&self.workload);
-        self.alloc.encode(w);
-        self.cpuset.encode(w);
-        self.state.encode(w);
-        w.u8(self.priority);
-        self.saved.encode(w);
+        let BeInstance {
+            id,
+            workload,
+            alloc,
+            cpuset,
+            state,
+            priority,
+            saved,
+        } = self;
+        w.u64(*id);
+        w.str(workload);
+        alloc.encode(w);
+        cpuset.encode(w);
+        state.encode(w);
+        w.u8(*priority);
+        saved.encode(w);
     }
 
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
@@ -595,23 +604,39 @@ impl rhythm_snapshot::Snapshot for Machine {
     /// a tampered or mismatched snapshot is refused rather than producing
     /// a machine that cannot account for its own cores.
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        self.spec.encode(w);
-        self.lc_alloc.encode(w);
-        self.lc_cpuset.encode(w);
-        self.free_cores.encode(w);
-        self.cat.encode(w);
-        self.lc_dvfs.encode(w);
-        self.be_dvfs.encode(w);
-        self.qdisc.encode(w);
-        self.power.encode(w);
-        w.u64(self.bes.len() as u64);
-        for inst in &self.bes {
+        let Machine {
+            spec,
+            lc_alloc,
+            lc_cpuset,
+            free_cores,
+            cat,
+            lc_dvfs,
+            be_dvfs,
+            qdisc,
+            power,
+            bes,
+            next_be_id,
+            change_epoch,
+            be_started,
+            be_killed,
+        } = self;
+        spec.encode(w);
+        lc_alloc.encode(w);
+        lc_cpuset.encode(w);
+        free_cores.encode(w);
+        cat.encode(w);
+        lc_dvfs.encode(w);
+        be_dvfs.encode(w);
+        qdisc.encode(w);
+        power.encode(w);
+        w.u64(bes.len() as u64);
+        for inst in bes {
             inst.encode(w);
         }
-        w.u64(self.next_be_id);
-        w.u64(self.change_epoch);
-        w.u64(self.be_started);
-        w.u64(self.be_killed);
+        w.u64(*next_be_id);
+        w.u64(*change_epoch);
+        w.u64(*be_started);
+        w.u64(*be_killed);
     }
 
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {

@@ -28,7 +28,7 @@ impl PowerModel {
         let tdp = spec.total_tdp_watts();
         PowerModel {
             idle_watts: 0.3 * tdp,
-            dynamic_watts_per_core: 0.7 * tdp / spec.total_cores() as f64,
+            dynamic_watts_per_core: 0.7 * tdp / f64::from(spec.total_cores()),
             max_freq_mhz: spec.max_freq_mhz,
             tdp_watts: tdp,
         }
@@ -46,8 +46,8 @@ impl PowerModel {
         be_freq_mhz: u32,
     ) -> f64 {
         let dyn_term = |cores: u32, util: f64, freq: u32| {
-            let f = (freq.min(self.max_freq_mhz) as f64 / self.max_freq_mhz as f64).powi(3);
-            self.dynamic_watts_per_core * cores as f64 * util.clamp(0.0, 1.0) * f
+            let f = (f64::from(freq.min(self.max_freq_mhz)) / f64::from(self.max_freq_mhz)).powi(3);
+            self.dynamic_watts_per_core * f64::from(cores) * util.clamp(0.0, 1.0) * f
         };
         self.idle_watts
             + dyn_term(lc_cores, lc_util, lc_freq_mhz)
@@ -62,10 +62,16 @@ impl PowerModel {
 
 impl rhythm_snapshot::Snapshot for PowerModel {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.f64(self.idle_watts);
-        w.f64(self.dynamic_watts_per_core);
-        w.u32(self.max_freq_mhz);
-        w.f64(self.tdp_watts);
+        let PowerModel {
+            idle_watts,
+            dynamic_watts_per_core,
+            max_freq_mhz,
+            tdp_watts,
+        } = *self;
+        w.f64(idle_watts);
+        w.f64(dynamic_watts_per_core);
+        w.u32(max_freq_mhz);
+        w.f64(tdp_watts);
     }
 
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {

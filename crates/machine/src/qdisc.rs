@@ -57,8 +57,12 @@ impl Qdisc {
 
 impl rhythm_snapshot::Snapshot for Qdisc {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.f64(self.link_mbps);
-        w.f64(self.be_limit_mbps);
+        let Qdisc {
+            link_mbps,
+            be_limit_mbps,
+        } = *self;
+        w.f64(link_mbps);
+        w.f64(be_limit_mbps);
     }
 
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {

@@ -130,27 +130,27 @@ impl MachineSpec {
 
     /// Total LLC capacity in MB.
     pub fn total_llc_mb(&self) -> f64 {
-        self.sockets as f64 * self.llc_mb_per_socket
+        f64::from(self.sockets) * self.llc_mb_per_socket
     }
 
     /// Total DRAM in MB.
     pub fn total_mem_mb(&self) -> u64 {
-        self.sockets as u64 * self.mem_mb_per_socket
+        u64::from(self.sockets) * self.mem_mb_per_socket
     }
 
     /// Total peak DRAM bandwidth in MB/s.
     pub fn total_membw_mbps(&self) -> f64 {
-        self.sockets as f64 * self.membw_mbps_per_socket
+        f64::from(self.sockets) * self.membw_mbps_per_socket
     }
 
     /// Total TDP in watts.
     pub fn total_tdp_watts(&self) -> f64 {
-        self.sockets as f64 * self.tdp_watts_per_socket
+        f64::from(self.sockets) * self.tdp_watts_per_socket
     }
 
     /// LLC capacity of one way in MB.
     pub fn llc_mb_per_way(&self) -> f64 {
-        self.llc_mb_per_socket / self.llc_ways_per_socket as f64
+        self.llc_mb_per_socket / f64::from(self.llc_ways_per_socket)
     }
 
     /// Number of DVFS operating points.
@@ -184,17 +184,30 @@ impl MachineSpec {
 
 impl rhythm_snapshot::Snapshot for MachineSpec {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.u32(self.sockets);
-        w.u32(self.cores_per_socket);
-        w.u32(self.llc_ways_per_socket);
-        w.f64(self.llc_mb_per_socket);
-        w.u64(self.mem_mb_per_socket);
-        w.f64(self.membw_mbps_per_socket);
-        w.f64(self.nic_mbps);
-        w.u32(self.max_freq_mhz);
-        w.u32(self.min_freq_mhz);
-        w.u32(self.freq_step_mhz);
-        w.f64(self.tdp_watts_per_socket);
+        let MachineSpec {
+            sockets,
+            cores_per_socket,
+            llc_ways_per_socket,
+            llc_mb_per_socket,
+            mem_mb_per_socket,
+            membw_mbps_per_socket,
+            nic_mbps,
+            max_freq_mhz,
+            min_freq_mhz,
+            freq_step_mhz,
+            tdp_watts_per_socket,
+        } = *self;
+        w.u32(sockets);
+        w.u32(cores_per_socket);
+        w.u32(llc_ways_per_socket);
+        w.f64(llc_mb_per_socket);
+        w.u64(mem_mb_per_socket);
+        w.f64(membw_mbps_per_socket);
+        w.f64(nic_mbps);
+        w.u32(max_freq_mhz);
+        w.u32(min_freq_mhz);
+        w.u32(freq_step_mhz);
+        w.f64(tdp_watts_per_socket);
     }
 
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {

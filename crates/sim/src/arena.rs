@@ -14,16 +14,14 @@
 /// Handle to one arena slot. Packs `(slot index, generation)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Key {
-    // lint:allow(S02) -- packed: encode writes pack(); decode rebuilds via unpack()
     slot: u32,
-    // lint:allow(S02) -- packed: encode writes pack(); decode rebuilds via unpack()
     gen: u32,
 }
 
 impl Key {
     /// Packs the key into one `u64` (`slot` in the high half).
     pub fn pack(self) -> u64 {
-        (self.slot as u64) << 32 | self.gen as u64
+        u64::from(self.slot) << 32 | u64::from(self.gen)
     }
 
     /// Inverse of [`Key::pack`].
@@ -171,6 +169,8 @@ impl<T> Default for Arena<T> {
 
 impl rhythm_snapshot::Snapshot for Key {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
+        // Packed: encode writes pack(); decode rebuilds via unpack().
+        let Key { slot: _, gen: _ } = self;
         w.u64(self.pack());
     }
 
@@ -184,13 +184,14 @@ impl<T: rhythm_snapshot::Snapshot> rhythm_snapshot::Snapshot for Arena<T> {
     /// free list, so outstanding [`Key`]s — including stale ones — behave
     /// identically against the restored arena.
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.u64(self.slots.len() as u64);
-        for s in &self.slots {
-            w.u32(s.gen);
-            s.value.encode(w);
+        let Arena { slots, free } = self;
+        w.u64(slots.len() as u64);
+        for Slot { gen, value } in slots {
+            w.u32(*gen);
+            value.encode(w);
         }
-        w.u64(self.free.len() as u64);
-        for &slot in &self.free {
+        w.u64(free.len() as u64);
+        for &slot in free {
             w.u32(slot);
         }
     }

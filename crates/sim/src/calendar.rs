@@ -184,16 +184,22 @@ impl<E: rhythm_snapshot::Snapshot> rhythm_snapshot::Snapshot for Calendar<E> {
     /// layout, so two calendars with the same pending set and clock
     /// encode to identical bytes.
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.u64(self.now.as_nanos());
-        w.u64(self.next_seq);
-        let mut entries: Vec<&Entry<E>> = self.heap.iter().collect();
+        let Calendar {
+            heap,
+            next_seq,
+            now,
+            spent_top,
+        } = self;
+        w.u64(now.as_nanos());
+        w.u64(*next_seq);
+        let mut entries: Vec<&Entry<E>> = heap.iter().collect();
         entries.sort_by_key(|e| (e.at, e.seq));
-        let pending = &entries[usize::from(self.spent_top)..];
+        let pending = &entries[usize::from(*spent_top)..];
         w.u64(pending.len() as u64);
-        for e in pending {
-            w.u64(e.at.as_nanos());
-            w.u64(e.seq);
-            e.event.encode(w);
+        for Entry { at, seq, event } in pending {
+            w.u64(at.as_nanos());
+            w.u64(*seq);
+            event.encode(w);
         }
     }
 

@@ -335,16 +335,25 @@ impl rhythm_snapshot::Snapshot for LatencyHistogram {
     /// of stored buckets and each stored count — then the total as a
     /// varint and the sum and maximum as bit patterns.
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.f64(self.log_gamma);
-        w.f64(self.min_value);
-        w.varint(self.lo as u64);
-        w.varint(self.counts.len() as u64);
-        for &c in &self.counts {
+        let LatencyHistogram {
+            log_gamma,
+            min_value,
+            lo,
+            ref counts,
+            total,
+            sum,
+            max,
+        } = *self;
+        w.f64(log_gamma);
+        w.f64(min_value);
+        w.varint(lo as u64);
+        w.varint(counts.len() as u64);
+        for &c in counts {
             w.varint(c);
         }
-        w.varint(self.total);
-        w.f64(self.sum);
-        w.f64(self.max);
+        w.varint(total);
+        w.f64(sum);
+        w.f64(max);
     }
 
     /// Accepts only what `encode` writes for a histogram built by
@@ -417,7 +426,7 @@ mod tests {
         use rhythm_snapshot::{Reader, Snapshot, Writer};
         let mut h = LatencyHistogram::new();
         for i in 1..=1000 {
-            h.record(i as f64 * 0.37);
+            h.record(f64::from(i) * 0.37);
         }
         let mut w = Writer::new();
         h.encode(&mut w);
@@ -579,7 +588,7 @@ mod tests {
     #[test]
     fn quantiles_within_relative_error() {
         let mut h = LatencyHistogram::new();
-        let xs: Vec<f64> = (1..=10_000).map(|i| i as f64 * 0.1).collect();
+        let xs: Vec<f64> = (1..=10_000).map(|i| f64::from(i) * 0.1).collect();
         for &x in &xs {
             h.record(x);
         }
@@ -638,12 +647,12 @@ mod tests {
         let mut b = LatencyHistogram::new();
         let mut all = LatencyHistogram::new();
         for i in 1..=500 {
-            a.record(i as f64);
-            all.record(i as f64);
+            a.record(f64::from(i));
+            all.record(f64::from(i));
         }
         for i in 500..=1000 {
-            b.record(i as f64 * 2.0);
-            all.record(i as f64 * 2.0);
+            b.record(f64::from(i) * 2.0);
+            all.record(f64::from(i) * 2.0);
         }
         a.merge(&b);
         assert_eq!(a.count(), all.count());
@@ -683,7 +692,7 @@ mod tests {
     fn quantile_p_is_clamped() {
         let mut h = LatencyHistogram::new();
         for i in 1..=100 {
-            h.record(i as f64);
+            h.record(f64::from(i));
         }
         assert_eq!(h.quantile(-0.5), h.quantile(0.0));
         assert_eq!(h.quantile(1.5), h.quantile(1.0));

@@ -53,7 +53,7 @@ fn nonzero_state(s: [u64; 4]) -> [u64; 4] {
 fn fnv1a(label: &str) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for b in label.as_bytes() {
-        h ^= *b as u64;
+        h ^= u64::from(*b);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
@@ -125,11 +125,11 @@ impl SimRng {
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "SimRng::below(0)");
         // Lemire's unbiased multiply-and-reject.
-        let mut m = self.next_u64() as u128 * n as u128;
+        let mut m = u128::from(self.next_u64()) * u128::from(n);
         if (m as u64) < n {
             let threshold = n.wrapping_neg() % n;
             while (m as u64) < threshold {
-                m = self.next_u64() as u128 * n as u128;
+                m = u128::from(self.next_u64()) * u128::from(n);
             }
         }
         (m >> 64) as u64
@@ -155,8 +155,9 @@ impl SimRng {
 
 impl rhythm_snapshot::Snapshot for SimRng {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.u64(self.seed);
-        for word in self.s {
+        let SimRng { seed, s } = *self;
+        w.u64(seed);
+        for word in s {
             w.u64(word);
         }
     }
@@ -227,7 +228,7 @@ mod tests {
     fn uniform_mean_near_half() {
         let mut rng = SimRng::from_seed(11);
         let n = 50_000;
-        let mean: f64 = (0..n).map(|_| rng.uniform()).sum::<f64>() / n as f64;
+        let mean: f64 = (0..n).map(|_| rng.uniform()).sum::<f64>() / f64::from(n);
         assert!((mean - 0.5).abs() < 0.01, "mean={mean}");
     }
 
@@ -236,8 +237,8 @@ mod tests {
         let mut rng = SimRng::from_seed(13);
         let n = 50_000;
         let xs: Vec<f64> = (0..n).map(|_| rng.standard_normal()).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
+        let mean = xs.iter().sum::<f64>() / f64::from(n);
+        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / f64::from(n);
         assert!(mean.abs() < 0.03, "mean={mean}");
         assert!((var - 1.0).abs() < 0.05, "var={var}");
     }

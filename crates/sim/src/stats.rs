@@ -147,11 +147,18 @@ impl OnlineStats {
 
 impl rhythm_snapshot::Snapshot for OnlineStats {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.u64(self.n);
-        w.f64(self.mean);
-        w.f64(self.m2);
-        w.f64(self.min);
-        w.f64(self.max);
+        let OnlineStats {
+            n,
+            mean,
+            m2,
+            min,
+            max,
+        } = *self;
+        w.u64(n);
+        w.f64(mean);
+        w.f64(m2);
+        w.f64(min);
+        w.f64(max);
     }
 
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
@@ -257,7 +264,7 @@ mod tests {
 
     #[test]
     fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
+        let xs: Vec<f64> = (0..100).map(|i| f64::from(i).sin() * 10.0).collect();
         let mut all = OnlineStats::new();
         for &x in &xs {
             all.push(x);
@@ -295,8 +302,8 @@ mod tests {
         let mut tight = OnlineStats::new();
         let mut wide = OnlineStats::new();
         for i in 0..100 {
-            tight.push(100.0 + (i % 2) as f64);
-            wide.push(100.0 + (i % 2) as f64 * 50.0);
+            tight.push(100.0 + f64::from(i % 2));
+            wide.push(100.0 + f64::from(i % 2) * 50.0);
         }
         assert!(wide.cov() > tight.cov());
     }
@@ -321,8 +328,8 @@ mod tests {
     #[test]
     fn pearson_uncorrelated_near_zero() {
         // Alternating independent pattern.
-        let xs: Vec<f64> = (0..1000).map(|i| ((i * 7919) % 1000) as f64).collect();
-        let ys: Vec<f64> = (0..1000).map(|i| ((i * 104729) % 1000) as f64).collect();
+        let xs: Vec<f64> = (0..1000).map(|i| f64::from((i * 7919) % 1000)).collect();
+        let ys: Vec<f64> = (0..1000).map(|i| f64::from((i * 104729) % 1000)).collect();
         assert!(pearson(&xs, &ys).abs() < 0.1);
     }
 
@@ -334,7 +341,7 @@ mod tests {
 
     #[test]
     fn quantile_nearest_rank() {
-        let xs: Vec<f64> = (1..=100).map(|i| i as f64).collect();
+        let xs: Vec<f64> = (1..=100).map(f64::from).collect();
         assert_eq!(quantile(&xs, 0.99), 99.0);
         assert_eq!(quantile(&xs, 0.5), 50.0);
         assert_eq!(quantile(&xs, 0.0), 1.0);

@@ -153,7 +153,8 @@ impl SimDuration {
 
 impl rhythm_snapshot::Snapshot for SimTime {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.u64(self.0);
+        let SimTime(nanos) = *self;
+        w.u64(nanos);
     }
 
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
@@ -163,7 +164,8 @@ impl rhythm_snapshot::Snapshot for SimTime {
 
 impl rhythm_snapshot::Snapshot for SimDuration {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.u64(self.0);
+        let SimDuration(nanos) = *self;
+        w.u64(nanos);
     }
 
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {

@@ -223,22 +223,31 @@ impl rhythm_snapshot::Snapshot for TailWindow {
     /// above the previous one (the first from 0) and its count, all
     /// varints, then the sum and maximum as bit patterns.
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        self.slot_len.encode(w);
-        w.varint(self.slots.len() as u64);
-        for slot in &self.slots {
-            w.varint(slot.epoch.wrapping_add(1));
-            if slot.epoch == u64::MAX {
+        let TailWindow { slot_len, slots } = self;
+        slot_len.encode(w);
+        w.varint(slots.len() as u64);
+        for slot in slots {
+            // `total` is derived: decode sums the entries' counts.
+            let Slot {
+                epoch,
+                ref buckets,
+                total: _,
+                sum,
+                max,
+            } = *slot;
+            w.varint(epoch.wrapping_add(1));
+            if epoch == u64::MAX {
                 continue;
             }
-            w.varint(slot.buckets.len() as u64);
+            w.varint(buckets.len() as u64);
             let mut prev = 0;
-            for &(bucket, count) in &slot.buckets {
+            for &(bucket, count) in buckets {
                 w.varint((bucket - prev) as u64);
                 w.varint(count);
                 prev = bucket;
             }
-            w.f64(slot.sum);
-            w.f64(slot.max);
+            w.f64(sum);
+            w.f64(max);
         }
     }
 

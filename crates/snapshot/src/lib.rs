@@ -27,8 +27,8 @@
 //!   text — a restored accumulator continues bit-identically.
 //! * Collections encode in their iteration order, which for the
 //!   workspace's state types is always a deterministic order (`Vec`,
-//!   `VecDeque`, `BTreeMap`); `HashMap`/`HashSet` are banned from
-//!   snapshot modules (rhythm-lint rule S01).
+//!   `VecDeque`, `BTreeMap`); `HashMap`/`HashSet` are banned everywhere
+//!   (`disallowed-types` in the workspace `clippy.toml`).
 //! * Decoders never panic on foreign bytes: a short buffer is
 //!   [`SnapshotError::Truncated`], an out-of-range tag is
 //!   [`SnapshotError::Corrupt`], and a magic/version/schema mismatch is
@@ -47,6 +47,7 @@
 // `#![deny(unsafe_op_in_unsafe_fn)]` and justify every block with a
 // `// SAFETY:` comment (clippy's `undocumented_unsafe_blocks` enforces it).
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -157,7 +158,7 @@ impl Writer {
     }
 
     pub fn bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
+        self.buf.push(u8::from(v));
     }
 
     pub fn u16(&mut self, v: u16) {
@@ -266,6 +267,13 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
+    /// Takes the next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        self.take(N)?
+            .try_into()
+            .map_err(|_| SnapshotError::Truncated)
+    }
+
     pub fn u8(&mut self) -> Result<u8, SnapshotError> {
         Ok(self.take(1)?[0])
     }
@@ -279,52 +287,31 @@ impl<'a> Reader<'a> {
     }
 
     pub fn u16(&mut self) -> Result<u16, SnapshotError> {
-        // PANIC: take(n) returned exactly n bytes.
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("len checked"),
-        ))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     pub fn u32(&mut self) -> Result<u32, SnapshotError> {
-        // PANIC: take(n) returned exactly n bytes.
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("len checked"),
-        ))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     pub fn u64(&mut self) -> Result<u64, SnapshotError> {
-        // PANIC: take(n) returned exactly n bytes.
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("len checked"),
-        ))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     pub fn u128(&mut self) -> Result<u128, SnapshotError> {
-        // PANIC: take(n) returned exactly n bytes.
-        Ok(u128::from_le_bytes(
-            self.take(16)?.try_into().expect("len checked"),
-        ))
+        Ok(u128::from_le_bytes(self.array()?))
     }
 
     pub fn i16(&mut self) -> Result<i16, SnapshotError> {
-        // PANIC: take(n) returned exactly n bytes.
-        Ok(i16::from_le_bytes(
-            self.take(2)?.try_into().expect("len checked"),
-        ))
+        Ok(i16::from_le_bytes(self.array()?))
     }
 
     pub fn i32(&mut self) -> Result<i32, SnapshotError> {
-        // PANIC: take(n) returned exactly n bytes.
-        Ok(i32::from_le_bytes(
-            self.take(4)?.try_into().expect("len checked"),
-        ))
+        Ok(i32::from_le_bytes(self.array()?))
     }
 
     pub fn i64(&mut self) -> Result<i64, SnapshotError> {
-        // PANIC: take(n) returned exactly n bytes.
-        Ok(i64::from_le_bytes(
-            self.take(8)?.try_into().expect("len checked"),
-        ))
+        Ok(i64::from_le_bytes(self.array()?))
     }
 
     pub fn f64(&mut self) -> Result<f64, SnapshotError> {
@@ -426,7 +413,11 @@ impl<'a> Reader<'a> {
 /// Implementations live in the *defining module* of each state type (so
 /// private fields stay private) and must satisfy the round-trip law
 /// `decode(encode(x)) == x` — property-tested for the stateful types in
-/// `tests/properties.rs`.
+/// `tests/properties.rs`. A struct's `encode` starts with an exhaustive
+/// destructure (`let T { a, b, derived: _ } = self;`, no `..`), so a
+/// field it forgets to write fails `-D warnings` as an unused variable;
+/// its `decode` builds a struct literal, so the compiler requires every
+/// field there too. Decode *order* is left to the round-trip tests.
 pub trait Snapshot: Sized {
     /// Appends this value's bytes to `w`.
     fn encode(&self, w: &mut Writer);
@@ -686,8 +677,7 @@ impl<'a> SnapshotFile<'a> {
         let magic = r.take(4)?;
         if magic != MAGIC {
             return Err(SnapshotError::Incompatible {
-                // PANIC: MAGIC is a const ASCII byte string.
-                expected: format!("magic {:?}", std::str::from_utf8(&MAGIC).expect("ascii")),
+                expected: format!("magic {:?}", String::from_utf8_lossy(&MAGIC)),
                 found: format!("magic {magic:?}"),
             });
         }

@@ -90,12 +90,20 @@ impl Trigger {
 
 impl rhythm_snapshot::Snapshot for BeSnapshot {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.u32(self.instances);
-        w.u32(self.running);
-        w.u32(self.cores);
-        w.u32(self.llc_ways);
-        w.u32(self.freq_mhz);
-        w.u32(self.net_mbps);
+        let BeSnapshot {
+            instances,
+            running,
+            cores,
+            llc_ways,
+            freq_mhz,
+            net_mbps,
+        } = *self;
+        w.u32(instances);
+        w.u32(running);
+        w.u32(cores);
+        w.u32(llc_ways);
+        w.u32(freq_mhz);
+        w.u32(net_mbps);
     }
 
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
@@ -210,22 +218,40 @@ impl AuditRecord {
 
 impl rhythm_snapshot::Snapshot for AuditRecord {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.f64(self.t_s);
-        w.u32(self.machine);
-        w.str(&self.pod);
-        self.action.encode(w);
-        self.trigger.encode(w);
-        w.f64(self.load);
-        w.f64(self.loadlimit);
-        w.f64(self.slack);
-        w.f64(self.slacklimit);
-        w.f64(self.tail_ms);
-        w.f64(self.sla_ms);
-        self.hot_pod.encode(w);
-        w.str(&self.hot_pod_name);
-        w.f64(self.hot_pod_ms);
-        self.before.encode(w);
-        self.after.encode(w);
+        let AuditRecord {
+            t_s,
+            machine,
+            pod,
+            action,
+            trigger,
+            load,
+            loadlimit,
+            slack,
+            slacklimit,
+            tail_ms,
+            sla_ms,
+            hot_pod,
+            hot_pod_name,
+            hot_pod_ms,
+            before,
+            after,
+        } = self;
+        w.f64(*t_s);
+        w.u32(*machine);
+        w.str(pod);
+        action.encode(w);
+        trigger.encode(w);
+        w.f64(*load);
+        w.f64(*loadlimit);
+        w.f64(*slack);
+        w.f64(*slacklimit);
+        w.f64(*tail_ms);
+        w.f64(*sla_ms);
+        hot_pod.encode(w);
+        w.str(hot_pod_name);
+        w.f64(*hot_pod_ms);
+        before.encode(w);
+        after.encode(w);
     }
 
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {

@@ -88,10 +88,16 @@ impl rhythm_snapshot::Snapshot for ClusterEventKind {
 
 impl rhythm_snapshot::Snapshot for ClusterEvent {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.f64(self.t_s);
-        self.kind.encode(w);
-        w.u64(self.job);
-        self.gang.encode(w);
+        let ClusterEvent {
+            t_s,
+            kind,
+            job,
+            gang,
+        } = *self;
+        w.f64(t_s);
+        kind.encode(w);
+        w.u64(job);
+        gang.encode(w);
     }
 
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {

@@ -321,7 +321,7 @@ impl rhythm_snapshot::Snapshot for EventKind {
     reason = "clamped into u16's range first; NaN saturates to 0"
 )]
 pub fn per_mille_u16(x: f64) -> u16 {
-    (x * 1000.0).clamp(0.0, u16::MAX as f64) as u16
+    (x * 1000.0).clamp(0.0, f64::from(u16::MAX)) as u16
 }
 
 /// Saturating signed per-mille encoding (slack can be negative).
@@ -330,7 +330,7 @@ pub fn per_mille_u16(x: f64) -> u16 {
     reason = "clamped into i16's range first; NaN saturates to 0"
 )]
 pub fn per_mille_i16(x: f64) -> i16 {
-    (x * 1000.0).clamp(i16::MIN as f64, i16::MAX as f64) as i16
+    (x * 1000.0).clamp(f64::from(i16::MIN), f64::from(i16::MAX)) as i16
 }
 
 #[cfg(test)]

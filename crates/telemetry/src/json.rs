@@ -98,6 +98,7 @@ impl<'a> Obj<'a> {
 macro_rules! unsigned {
     ($($t:ty),*) => {$(
         impl ToJson for $t {
+            #[allow(clippy::cast_lossless, reason = "`u64` and `usize` share the macro and have no `From` into `u64`; every listed type fits")]
             fn write_json(&self, out: &mut String) {
                 push_u64(out, *self as u64);
             }
@@ -114,7 +115,7 @@ macro_rules! signed {
                 if *self < 0 {
                     out.push('-');
                 }
-                push_u64(out, self.unsigned_abs() as u64);
+                push_u64(out, u64::from(self.unsigned_abs()));
             }
         }
     )*};

@@ -49,7 +49,6 @@ pub struct FlightRecorder {
     seq: u64,
     /// The slot the next record goes to: `seq % cap`, kept as a cursor
     /// so recording divides by nothing.
-    // lint:allow(S02) -- derived: decode recomputes it as seq % cap
     head: usize,
 }
 
@@ -146,10 +145,11 @@ impl FlightRecorder {
 // `enabled`, so anything else is no preset's encoding.
 impl rhythm_snapshot::Snapshot for TelemetryConfig {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.bool(self.enabled);
+        let TelemetryConfig { enabled } = *self;
+        w.bool(enabled);
         w.u64(DEFAULT_RING_CAPACITY as u64);
-        w.bool(self.enabled);
-        w.bool(self.enabled);
+        w.bool(enabled);
+        w.bool(enabled);
     }
 
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
@@ -175,14 +175,22 @@ impl rhythm_snapshot::Snapshot for TelemetryConfig {
 // except at the write cursor, where the difference goes negative once.
 impl rhythm_snapshot::Snapshot for FlightRecorder {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.bool(self.enabled);
-        w.u64(self.cap as u64);
-        w.u64(self.seq);
+        // `head` is derived: decode recomputes it as `seq % cap`.
+        let FlightRecorder {
+            enabled,
+            ref buf,
+            cap,
+            seq,
+            head: _,
+        } = *self;
+        w.bool(enabled);
+        w.u64(cap as u64);
+        w.u64(seq);
         let mut prev = 0u64;
-        for ev in &self.buf {
-            w.ivarint(ev.t_ns.wrapping_sub(prev).cast_signed());
-            prev = ev.t_ns;
-            ev.kind.encode(w);
+        for &Event { t_ns, kind } in buf {
+            w.ivarint(t_ns.wrapping_sub(prev).cast_signed());
+            prev = t_ns;
+            kind.encode(w);
         }
     }
 
@@ -232,10 +240,16 @@ impl rhythm_snapshot::Snapshot for FlightRecorder {
 
 impl rhythm_snapshot::Snapshot for Telemetry {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        self.cfg.encode(w);
-        self.recorder.encode(w);
-        self.audit.encode(w);
-        self.tail.encode(w);
+        let Telemetry {
+            cfg,
+            recorder,
+            audit,
+            tail,
+        } = self;
+        cfg.encode(w);
+        recorder.encode(w);
+        audit.encode(w);
+        tail.encode(w);
     }
 
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {

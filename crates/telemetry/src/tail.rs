@@ -132,12 +132,20 @@ impl Default for TailSeries {
 
 impl rhythm_snapshot::Snapshot for TailPoint {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        w.f64(self.t_s);
-        w.u64(self.count);
-        w.f64(self.p50_ms);
-        w.f64(self.p95_ms);
-        w.f64(self.p99_ms);
-        w.f64(self.slack);
+        let TailPoint {
+            t_s,
+            count,
+            p50_ms,
+            p95_ms,
+            p99_ms,
+            slack,
+        } = *self;
+        w.f64(t_s);
+        w.u64(count);
+        w.f64(p50_ms);
+        w.f64(p95_ms);
+        w.f64(p99_ms);
+        w.f64(slack);
     }
 
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {
@@ -154,9 +162,14 @@ impl rhythm_snapshot::Snapshot for TailPoint {
 
 impl rhythm_snapshot::Snapshot for TailSeries {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        self.window.encode(w);
-        self.last_window.encode(w);
-        self.points.encode(w);
+        let TailSeries {
+            window,
+            last_window,
+            points,
+        } = self;
+        window.encode(w);
+        last_window.encode(w);
+        points.encode(w);
     }
 
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {

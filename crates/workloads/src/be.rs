@@ -220,14 +220,14 @@ impl BeSpec {
         if cores == 0 {
             return 0.0;
         }
-        let core_share = cores as f64 / self.solo_cores as f64;
+        let core_share = f64::from(cores) / f64::from(self.solo_cores);
         let f = freq_fraction.clamp(0.05, 1.0);
         // A `cpu_bound` fraction of the work scales with frequency.
         let freq_factor = self.cpu_bound * f + (1.0 - self.cpu_bound);
         let starvation = if self.llc_ways_wanted == 0 {
             0.0
         } else {
-            (1.0 - llc_ways as f64 / self.llc_ways_wanted as f64).clamp(0.0, 1.0)
+            (1.0 - f64::from(llc_ways) / f64::from(self.llc_ways_wanted)).clamp(0.0, 1.0)
         };
         let cache_factor = 1.0 - self.cache_penalty * starvation;
         let net_factor = if self.net_demand_mbps > 0.0 {
@@ -286,18 +286,32 @@ impl rhythm_snapshot::Snapshot for BeKind {
 
 impl rhythm_snapshot::Snapshot for BeSpec {
     fn encode(&self, w: &mut rhythm_snapshot::Writer) {
-        self.kind.encode(w);
-        w.str(&self.name);
-        w.f64(self.cpu_pressure_per_core);
-        w.f64(self.llc_pressure_per_core);
-        w.f64(self.dram_pressure_per_core);
-        w.f64(self.net_demand_mbps);
-        w.u64(self.mem_mb);
-        w.u32(self.llc_ways_wanted);
-        w.f64(self.cpu_bound);
-        w.f64(self.cache_penalty);
-        w.u32(self.solo_cores);
-        w.f64(self.job_seconds);
+        let BeSpec {
+            kind,
+            name,
+            cpu_pressure_per_core,
+            llc_pressure_per_core,
+            dram_pressure_per_core,
+            net_demand_mbps,
+            mem_mb,
+            llc_ways_wanted,
+            cpu_bound,
+            cache_penalty,
+            solo_cores,
+            job_seconds,
+        } = self;
+        kind.encode(w);
+        w.str(name);
+        w.f64(*cpu_pressure_per_core);
+        w.f64(*llc_pressure_per_core);
+        w.f64(*dram_pressure_per_core);
+        w.f64(*net_demand_mbps);
+        w.u64(*mem_mb);
+        w.u32(*llc_ways_wanted);
+        w.f64(*cpu_bound);
+        w.f64(*cache_penalty);
+        w.u32(*solo_cores);
+        w.f64(*job_seconds);
     }
 
     fn decode(r: &mut rhythm_snapshot::Reader<'_>) -> Result<Self, rhythm_snapshot::SnapshotError> {

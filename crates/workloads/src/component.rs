@@ -61,7 +61,7 @@ impl ComponentSpec {
         if work_s <= 0.0 {
             f64::INFINITY
         } else {
-            self.workers as f64 / work_s
+            f64::from(self.workers) / work_s
         }
     }
 

@@ -69,8 +69,8 @@ impl LoadGen {
                 clippy::cast_sign_loss,
                 reason = "frac is in [0, 1): the day is a whole number below `days`"
             )]
-            let day = ((frac * days as f64) as usize).min(days as usize - 1);
-            let phase = frac * days as f64 * std::f64::consts::TAU;
+            let day = ((frac * f64::from(days)) as usize).min(days as usize - 1);
+            let phase = frac * f64::from(days) * std::f64::consts::TAU;
             // Diurnal shape: deep trough at "night", broad daytime peak.
             let diurnal = 0.5 * (1.0 - phase.cos());
             let mut v = base + (peak - base) * diurnal.powf(1.3) * day_jitter[day];
@@ -114,7 +114,7 @@ impl LoadGen {
         let amp = 0.5 * (peak - trough);
         let mut samples = Vec::with_capacity(intervals);
         for i in 0..intervals {
-            let phase = i as f64 / intervals as f64 * days as f64 * std::f64::consts::TAU;
+            let phase = i as f64 / intervals as f64 * f64::from(days) * std::f64::consts::TAU;
             // Trough at t=0 ("night"), peak mid-cycle.
             let mut v = mid - amp * phase.cos();
             v *= rng.uniform_range(1.0 - noise, 1.0 + noise);
