@@ -366,8 +366,10 @@ mod tests {
     #[test]
     fn d02_wall_clock_scoped() {
         let src = "fn f() { let t = Instant::now(); let s = SystemTime::now(); }";
-        let l = run("crates/controller/src/x.rs", src);
-        assert_eq!(rules_of(&l), vec!["D02", "D02"]);
+        // Library code of a crate and of the root facade is in scope.
+        for label in ["crates/controller/src/x.rs", "src/lib.rs"] {
+            assert_eq!(rules_of(&run(label, src)), vec!["D02", "D02"], "{label}");
+        }
         assert!(run("crates/bench/src/x.rs", src).findings.is_empty());
         assert!(run("crates/sim/examples/x.rs", src).findings.is_empty());
     }

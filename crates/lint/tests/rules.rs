@@ -73,14 +73,18 @@ fn suppressed_fixture_is_clean_but_audited() {
 
 #[test]
 fn same_source_under_exempt_scope_is_clean() {
-    // The identical bad source linted as bench code, an example or a
-    // test answers to no rule: D02 covers library code outside the
-    // benchmark harness only.
+    // The identical bad source linted as bench code, an example, a
+    // test or a bench answers to no rule: D02 covers library code
+    // outside the benchmark harness only, in a crate or at the root.
     let src = fixture("bad_determinism.rs");
     for label in [
         "crates/bench/src/bad.rs",
         "crates/sim/examples/bad.rs",
         "crates/sim/tests/bad.rs",
+        "crates/sim/benches/bad.rs",
+        "examples/quickstart.rs",
+        "tests/golden.rs",
+        "benches/bad.rs",
     ] {
         let l = lint_source(label, &src);
         assert!(l.findings.is_empty(), "{label}: {:#?}", l.findings);
