@@ -21,7 +21,7 @@ use rhythm_core::par;
 use rhythm_core::profiling::{calibrate_sla, profile_service, ProfileConfig};
 use rhythm_core::runtime::{ControlMode, Engine, EngineConfig};
 use rhythm_sim::SimDuration;
-use rhythm_telemetry::json::{self, Obj, ToJson};
+use rhythm_telemetry::json::{self, Obj, Sink, ToJson};
 use rhythm_workloads::{apps, BeSpec, LoadGen};
 
 const DURATION_S: u64 = 300;
@@ -42,7 +42,7 @@ pub struct Variant {
 }
 
 impl ToJson for Variant {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut impl Sink) {
         Obj::open(out)
             .field("name", &self.name)
             .field("emu", self.emu)

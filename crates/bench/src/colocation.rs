@@ -11,7 +11,7 @@ use crate::Report;
 use rhythm_core::experiment::{ExperimentConfig, ServiceContext};
 use rhythm_core::metrics::{improvement, RunMetrics};
 use rhythm_core::par;
-use rhythm_telemetry::json::{self, Obj, ToJson};
+use rhythm_telemetry::json::{self, Obj, Sink, ToJson};
 use rhythm_workloads::{apps, BeSpec, LoadGen};
 
 /// Loads of the constant-load experiments, in percent of max load.
@@ -49,7 +49,7 @@ pub struct GridCell {
 }
 
 impl ToJson for GridCell {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut impl Sink) {
         Obj::open(out)
             .field("service", &self.service)
             .field("be", &self.be)
@@ -72,7 +72,7 @@ pub struct CtxSummary {
 }
 
 impl ToJson for CtxSummary {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut impl Sink) {
         Obj::open(out)
             .field("service", &self.service)
             .field("sla_ms", self.sla_ms)
@@ -91,7 +91,7 @@ pub struct Grid {
 }
 
 impl ToJson for Grid {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut impl Sink) {
         Obj::open(out)
             .field("contexts", &self.contexts)
             .field("cells", &self.cells)

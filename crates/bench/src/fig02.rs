@@ -9,7 +9,7 @@
 use rhythm_core::par;
 use rhythm_core::{ControlMode, Engine, EngineConfig};
 use rhythm_machine::MachineSpec;
-use rhythm_telemetry::json::{self, Obj, ToJson};
+use rhythm_telemetry::json::{self, Obj, Sink, ToJson};
 use rhythm_workloads::{BeKind, BeSpec, ServiceSpec};
 
 /// The seven interference groups of Figure 2.
@@ -89,7 +89,7 @@ pub struct Cell {
 }
 
 impl ToJson for Cell {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut impl Sink) {
         Obj::open(out)
             .field("pod", &self.pod)
             .field("group", self.group)
@@ -109,7 +109,7 @@ pub struct Characterization {
 }
 
 impl ToJson for Characterization {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut impl Sink) {
         Obj::open(out)
             .field("service", &self.service)
             .field("cells", &self.cells)

@@ -2,7 +2,7 @@
 //! their normalized coefficients of variation, collected in solo-run.
 
 use rhythm_core::{profile_service, ProfileConfig};
-use rhythm_telemetry::json::{self, Obj, ToJson};
+use rhythm_telemetry::json::{self, Obj, Sink, ToJson};
 use rhythm_workloads::apps;
 
 /// The Figure 6 dataset.
@@ -22,7 +22,7 @@ pub struct Fig06 {
 }
 
 impl ToJson for Fig06 {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut impl Sink) {
         Obj::open(out)
             .field("pods", &self.pods)
             .field("loads", &self.loads)

@@ -9,7 +9,7 @@ use rhythm_analyzer::contributions;
 use rhythm_core::par;
 use rhythm_core::{profile_service, ControlMode, Engine, EngineConfig, ProfileConfig};
 use rhythm_sim::pearson;
-use rhythm_telemetry::json::{self, Obj, ToJson};
+use rhythm_telemetry::json::{self, Obj, Sink, ToJson};
 use rhythm_workloads::{apps, BeKind, BeSpec};
 
 /// The BE groups of Figure 7.
@@ -52,7 +52,7 @@ pub struct Point {
 }
 
 impl ToJson for Point {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut impl Sink) {
         Obj::open(out)
             .field("group", self.group)
             .field("pod", &self.pod)
@@ -72,7 +72,7 @@ pub struct Fig07 {
 }
 
 impl ToJson for Fig07 {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut impl Sink) {
         Obj::open(out)
             .field("points", &self.points)
             .field("correlation", &self.correlation)

@@ -7,7 +7,7 @@
 
 use rhythm_analyzer::loadlimit::{find_loadlimit, smooth3};
 use rhythm_core::{profile_service, ProfileConfig};
-use rhythm_telemetry::json::{self, Obj, ToJson};
+use rhythm_telemetry::json::{self, Obj, Sink, ToJson};
 use rhythm_workloads::apps;
 
 /// The Figure 8 dataset for one service.
@@ -26,7 +26,7 @@ pub struct Fig08 {
 }
 
 impl ToJson for Fig08 {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut impl Sink) {
         Obj::open(out)
             .field("pods", &self.pods)
             .field("loads", &self.loads)

@@ -11,7 +11,7 @@ use rhythm_core::experiment::ExperimentConfig;
 use rhythm_core::metrics::improvement;
 use rhythm_core::par;
 use rhythm_sim::SimDuration;
-use rhythm_telemetry::json::{self, Obj, ToJson};
+use rhythm_telemetry::json::{self, Obj, Sink, ToJson};
 use rhythm_workloads::{BeSpec, LoadGen};
 
 /// Trace length in virtual seconds (five diurnal cycles, the paper's
@@ -40,7 +40,7 @@ pub struct Cell {
 }
 
 impl ToJson for Cell {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut impl Sink) {
         Obj::open(out)
             .field("service", &self.service)
             .field("be", &self.be)
@@ -61,7 +61,7 @@ pub struct Fig15 {
 }
 
 impl ToJson for Fig15 {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut impl Sink) {
         Obj::open(out).field("cells", &self.cells).close();
     }
 }

@@ -10,7 +10,7 @@
 use crate::Report;
 use rhythm_core::experiment::{ControllerChoice, ExperimentConfig, ServiceContext};
 use rhythm_core::par;
-use rhythm_telemetry::json::{self, Obj, ToJson};
+use rhythm_telemetry::json::{self, Obj, Sink, ToJson};
 use rhythm_workloads::{apps, BeSpec, LoadGen};
 
 const LOADS_PCT: [u32; 5] = [20, 40, 60, 80, 100];
@@ -32,7 +32,7 @@ pub struct Cell {
 }
 
 impl ToJson for Cell {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut impl Sink) {
         Obj::open(out)
             .field("be", &self.be)
             .field("load_pct", self.load_pct)
@@ -55,7 +55,7 @@ pub struct Fig16 {
 }
 
 impl ToJson for Fig16 {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut impl Sink) {
         Obj::open(out)
             .field("pods", &self.pods)
             .field("cells", &self.cells)

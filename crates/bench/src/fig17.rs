@@ -10,7 +10,7 @@ use crate::Report;
 use rhythm_core::experiment::{ControllerChoice, ExperimentConfig, ServiceContext};
 use rhythm_core::timeline::{phase_summary, render};
 use rhythm_sim::SimDuration;
-use rhythm_telemetry::json::{self, Obj, ToJson};
+use rhythm_telemetry::json::{self, Obj, Sink, ToJson};
 use rhythm_workloads::{apps, BeKind, BeSpec, LoadGen};
 
 const DURATION_S: u64 = 20 * 60;
@@ -27,7 +27,7 @@ pub struct Fig17 {
 }
 
 impl ToJson for Fig17 {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut impl Sink) {
         Obj::open(out)
             .field("thresholds", &self.thresholds)
             .field("timeline", &self.timeline)

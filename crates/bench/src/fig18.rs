@@ -12,7 +12,7 @@ use rhythm_controller::Thresholds;
 use rhythm_core::experiment::{ControllerChoice, ExperimentConfig, ServiceContext};
 use rhythm_core::par;
 use rhythm_sim::SimDuration;
-use rhythm_telemetry::json::{self, Obj, ToJson};
+use rhythm_telemetry::json::{self, Obj, Sink, ToJson};
 use rhythm_workloads::{apps, BeKind, BeSpec, LoadGen};
 
 const DURATION_S: u64 = 600;
@@ -38,7 +38,7 @@ pub struct Row {
 }
 
 impl ToJson for Row {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut impl Sink) {
         Obj::open(out)
             .field("varied", self.varied)
             .field("level_pct", self.level_pct)
@@ -61,7 +61,7 @@ pub struct Fig18 {
 }
 
 impl ToJson for Fig18 {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut impl Sink) {
         Obj::open(out)
             .field("derived", self.derived)
             .field("rows", &self.rows)

@@ -26,7 +26,7 @@
 //! metric inherits the runner's determinism: same seed, same recovery
 //! time, for any worker-thread count.
 
-use rhythm_telemetry::json::{Obj, ToJson};
+use rhythm_telemetry::json::{Obj, Sink, ToJson};
 use rhythm_telemetry::TailPoint;
 
 /// A window's p99 counts as recovered when it is at or below this
@@ -53,7 +53,7 @@ pub struct Recovery {
 }
 
 impl ToJson for Recovery {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut impl Sink) {
         Obj::open(out)
             .field("baseline_p99_ms", self.baseline_p99_ms)
             .field("recovered_s", self.recovered_s)

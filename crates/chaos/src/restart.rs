@@ -14,7 +14,7 @@
 use crate::scenario::outcome_fingerprint;
 use rhythm_cluster::{ClusterConfig, ClusterOutcome, ClusterRunner, ClusterSnapshot};
 use rhythm_core::experiment::{ControllerChoice, ServiceContext};
-use rhythm_telemetry::json::{Obj, ToJson};
+use rhythm_telemetry::json::{Obj, Sink, ToJson};
 
 /// What the crash-restart drill observed.
 #[derive(Clone, Debug)]
@@ -40,7 +40,7 @@ pub struct RestartCheck {
 }
 
 impl ToJson for RestartCheck {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut impl Sink) {
         Obj::open(out)
             .field("epoch", self.epoch)
             .field("t_s", self.t_s)

@@ -28,7 +28,7 @@ use crate::restart::{crash_restart, RestartCheck};
 use rhythm_cluster::{run_cluster, ClusterConfig, ClusterMetrics, ClusterOutcome, FaultPlan};
 use rhythm_core::experiment::{ControllerChoice, ServiceContext};
 use rhythm_sim::SimDuration;
-use rhythm_telemetry::json::{Obj, ToJson};
+use rhythm_telemetry::json::{Obj, Sink, ToJson};
 use rhythm_telemetry::TelemetryConfig;
 use rhythm_workloads::LoadGen;
 
@@ -68,7 +68,7 @@ pub struct ScenarioOutcome {
 }
 
 impl ToJson for ScenarioOutcome {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut impl Sink) {
         Obj::open(out)
             .field("name", &self.name)
             .field("metrics", &self.metrics)

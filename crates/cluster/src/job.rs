@@ -10,7 +10,7 @@
 //! *wasted work* (progress thrown away by kills) measurable outcomes of a
 //! placement policy.
 
-use rhythm_telemetry::json::{Obj, ToJson};
+use rhythm_telemetry::json::{Obj, Sink, ToJson};
 use rhythm_workloads::BeSpec;
 use std::sync::Arc;
 
@@ -339,7 +339,7 @@ pub struct JobStats {
 }
 
 impl ToJson for JobStats {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut impl Sink) {
         Obj::open(out)
             .field("submitted", self.submitted)
             .field("completed", self.completed)

@@ -6,7 +6,7 @@ use crate::job::{ClusterJob, JobStats};
 use rhythm_core::metrics::RunMetrics;
 use rhythm_core::runtime::EngineOutput;
 use rhythm_sim::LatencyHistogram;
-use rhythm_telemetry::json::{Obj, ToJson};
+use rhythm_telemetry::json::{Obj, Sink, ToJson};
 use rhythm_telemetry::{ClusterEvent, TailPoint, TelemetryOutput};
 
 /// Merged metrics of one cluster run.
@@ -45,7 +45,7 @@ pub struct ClusterMetrics {
 }
 
 impl ToJson for ClusterMetrics {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut impl Sink) {
         Obj::open(out)
             .field("machines", self.machines)
             .field("replicas", self.replicas)
@@ -153,11 +153,7 @@ impl ClusterTelemetry {
     /// The full JSONL export (meta line, per-replica events/audit/tail,
     /// merged cluster tail, cluster-scheduler events).
     pub fn export_jsonl(&self) -> String {
-        rhythm_telemetry::export_jsonl_with_events(
-            &self.replicas,
-            &self.cluster_tail,
-            &self.cluster_events,
-        )
+        rhythm_telemetry::export_jsonl(&self.replicas, &self.cluster_tail, &self.cluster_events)
     }
 
     /// The Chrome-trace (`chrome://tracing`) export.

@@ -10,7 +10,7 @@
 //!   BE kills.
 
 use crate::runtime::EngineOutput;
-use rhythm_telemetry::json::{Obj, ToJson};
+use rhythm_telemetry::json::{Obj, Sink, ToJson};
 
 /// Per-Servpod metrics of one run.
 #[derive(Clone, Debug)]
@@ -32,7 +32,7 @@ pub struct PodMetrics {
 }
 
 impl ToJson for PodMetrics {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut impl Sink) {
         Obj::open(out)
             .field("name", &self.name)
             .field("be_throughput", self.be_throughput)
@@ -73,7 +73,7 @@ pub struct RunMetrics {
 }
 
 impl ToJson for RunMetrics {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut impl Sink) {
         Obj::open(out)
             .field("lc_throughput", self.lc_throughput)
             .field("be_throughput", self.be_throughput)

@@ -24,7 +24,7 @@ use rhythm_sim::{
     TailWindow,
 };
 use rhythm_snapshot::{Reader, Snapshot, SnapshotError, Writer};
-use rhythm_telemetry::json::{Obj, ToJson};
+use rhythm_telemetry::json::{Obj, Sink, ToJson};
 use rhythm_telemetry::{
     ActionCode, AuditRecord, EventKind, Telemetry, TelemetryConfig, TelemetryOutput, Trigger,
 };
@@ -243,7 +243,7 @@ pub struct TimelinePoint {
 }
 
 impl ToJson for TimelinePoint {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut impl Sink) {
         Obj::open(out)
             .field("t_s", self.t_s)
             .field("load", self.load)

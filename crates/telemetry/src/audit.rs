@@ -330,7 +330,7 @@ mod tests {
             audit: vec![rec],
             ..Default::default()
         };
-        let jsonl = crate::export_jsonl(&[rep], &[]);
+        let jsonl = crate::export_jsonl(&[rep], &[], &[]);
         jsonl.lines().nth(1).unwrap().to_owned()
     }
 

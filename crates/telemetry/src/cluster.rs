@@ -171,7 +171,7 @@ mod tests {
             job: 9,
             gang: None,
         };
-        let jsonl = crate::export_jsonl_with_events(&[], &[], &[ev, solo]);
+        let jsonl = crate::export_jsonl(&[], &[], &[ev, solo]);
         let lines: Vec<&str> = jsonl.lines().collect();
         let line = lines[1];
         assert!(line.starts_with("{\"type\":\"cluster_event\""), "{line}");

@@ -433,7 +433,7 @@ mod tests {
         };
         let mut replicas = vec![crate::TelemetryOutput::default(); 2];
         replicas[1].events.push(ev);
-        let jsonl = crate::export_jsonl(&replicas, &[]);
+        let jsonl = crate::export_jsonl(&replicas, &[], &[]);
         let s = jsonl.lines().nth(1).unwrap();
         assert!(s.contains("\"kind\":\"action\""), "{s}");
         assert!(s.contains("\"action\":\"CutBE\""), "{s}");

@@ -9,15 +9,17 @@
 //! collected identical telemetry (e.g. the same cluster run at different
 //! worker-thread counts) render byte-identical text.
 //!
-//! Sizing: the JSONL and Chrome-trace exports reserve their output once,
-//! from an upper bound summed over the records (`bound`), and hand it
-//! back trimmed to its length, so an export of tens of megabytes is never
-//! grown by doubling and copied on the way.
+//! Sizing: the JSONL and Chrome-trace exports run their line writers
+//! twice, first over the byte-counting sink (`json::Count`, exact but
+//! for floats, which count an upper bound), then over a `String`
+//! reserved to that count, which they hand back trimmed to its length.
+//! So each line's layout is written once, and an export of tens of
+//! megabytes is never grown by doubling and copied on the way.
 
 use crate::audit::{AuditRecord, BeSnapshot};
 use crate::cluster::ClusterEvent;
 use crate::event::{Event, EventKind};
-use crate::json::Obj;
+use crate::json::{Count, Obj, Sink};
 use crate::tail::TailPoint;
 
 /// Everything one engine collected during a run.
@@ -55,48 +57,54 @@ impl TelemetryOutput {
 ///
 /// Line order is fixed — a `meta` header, then per-replica events, audit
 /// records and tail points (replicas in index order), then the merged
-/// cluster tail series — so the export is byte-identical whenever the
-/// collected data is identical.
-pub fn export_jsonl(replicas: &[TelemetryOutput], cluster_tail: &[TailPoint]) -> String {
-    export_jsonl_with_events(replicas, cluster_tail, &[])
-}
-
-/// [`export_jsonl`] plus cluster-scheduler events (gang lifecycle,
-/// deadline misses), appended after the merged cluster tail so exports
-/// without events are byte-identical to the plain form.
-pub fn export_jsonl_with_events(
+/// cluster tail series, then the cluster-scheduler events (gang
+/// lifecycle, deadline misses) — so the export is byte-identical
+/// whenever the collected data is identical.
+pub fn export_jsonl(
     replicas: &[TelemetryOutput],
     cluster_tail: &[TailPoint],
     cluster_events: &[ClusterEvent],
 ) -> String {
+    let mut size = Count::default();
+    jsonl(&mut size, replicas, cluster_tail, cluster_events);
+    let mut out = String::with_capacity(size.0);
+    jsonl(&mut out, replicas, cluster_tail, cluster_events);
+    trim(out, size.0)
+}
+
+/// Writes the [`export_jsonl`] text to `out`.
+fn jsonl<S: Sink>(
+    out: &mut S,
+    replicas: &[TelemetryOutput],
+    cluster_tail: &[TailPoint],
+    cluster_events: &[ClusterEvent],
+) {
     let recorded: u64 = replicas.iter().map(|r| r.recorded).sum();
     let dropped: u64 = replicas.iter().map(|r| r.dropped).sum();
-    let size = bound::jsonl(replicas, cluster_tail, cluster_events, recorded, dropped);
-    let mut out = String::with_capacity(size);
-    Obj::open(&mut out)
+    Obj::open(out)
         .field("type", "meta")
         .field("schema", "rhythm-trace/v1")
         .field("replicas", replicas.len())
         .field("events_recorded", recorded)
         .field("events_dropped", dropped)
         .close();
-    out.push('\n');
+    out.raw("\n");
     for (idx, rep) in replicas.iter().enumerate() {
         for ev in &rep.events {
-            event_line(&mut out, ev, idx);
+            event_line(out, ev, idx);
         }
         for rec in &rep.audit {
-            audit_line(&mut out, rec, idx);
+            audit_line(out, rec, idx);
         }
         for pt in &rep.tail {
-            tail_line(&mut out, pt, Some(idx));
+            tail_line(out, pt, Some(idx));
         }
     }
     for pt in cluster_tail {
-        tail_line(&mut out, pt, None);
+        tail_line(out, pt, None);
     }
     for ev in cluster_events {
-        let mut o = Obj::open(&mut out);
+        let mut o = Obj::open(out);
         o.field("type", "cluster_event")
             .field("kind", ev.kind.name())
             .field("t_s", ev.t_s)
@@ -105,13 +113,24 @@ pub fn export_jsonl_with_events(
             o.field("gang", gid);
         }
         o.close();
-        out.push('\n');
+        out.raw("\n");
     }
-    bound::trim(out, size)
+}
+
+/// `out` trimmed to its length; debug builds check that the counted
+/// `size` covered it.
+fn trim(mut out: String, size: usize) -> String {
+    debug_assert!(
+        out.len() <= size,
+        "export of {} bytes over its counted {size}",
+        out.len()
+    );
+    out.shrink_to_fit();
+    out
 }
 
 /// One `event` line; `replica` tags which engine the event came from.
-fn event_line(out: &mut String, ev: &Event, replica: usize) {
+fn event_line<S: Sink>(out: &mut S, ev: &Event, replica: usize) {
     let mut o = Obj::open(out);
     o.field("type", "event")
         .field("replica", replica)
@@ -159,12 +178,12 @@ fn event_line(out: &mut String, ev: &Event, replica: usize) {
         }
     }
     o.close();
-    out.push('\n');
+    out.raw("\n");
 }
 
 /// One `audit` line; `hot_pod_name`/`hot_pod_ms` appear only when a
 /// hottest Servpod was attributed.
-fn audit_line(out: &mut String, rec: &AuditRecord, replica: usize) {
+fn audit_line<S: Sink>(out: &mut S, rec: &AuditRecord, replica: usize) {
     let mut o = Obj::open(out);
     o.field("type", "audit")
         .field("replica", replica)
@@ -187,10 +206,10 @@ fn audit_line(out: &mut String, rec: &AuditRecord, replica: usize) {
     o.obj("before", |b| be_snapshot(b, &rec.before))
         .obj("after", |a| be_snapshot(a, &rec.after))
         .close();
-    out.push('\n');
+    out.raw("\n");
 }
 
-fn be_snapshot(o: &mut Obj<'_>, s: &BeSnapshot) {
+fn be_snapshot<S: Sink>(o: &mut Obj<'_, S>, s: &BeSnapshot) {
     o.field("instances", s.instances)
         .field("running", s.running)
         .field("cores", s.cores)
@@ -201,7 +220,7 @@ fn be_snapshot(o: &mut Obj<'_>, s: &BeSnapshot) {
 
 /// One `tail` line: scope `replica` with its index for per-engine
 /// series, scope `cluster` for the merged one.
-fn tail_line(out: &mut String, pt: &TailPoint, replica: Option<usize>) {
+fn tail_line<S: Sink>(out: &mut S, pt: &TailPoint, replica: Option<usize>) {
     let mut o = Obj::open(out);
     o.field("type", "tail");
     match replica {
@@ -215,12 +234,12 @@ fn tail_line(out: &mut String, pt: &TailPoint, replica: Option<usize>) {
         .field("p99_ms", pt.p99_ms)
         .field("slack", pt.slack)
         .close();
-    out.push('\n');
+    out.raw("\n");
 }
 
 /// Appends `,` and one Chrome-trace instant entry for `ev`, or nothing
 /// for kinds too frequent to chart individually (per-request events).
-fn chrome_event(out: &mut String, ev: &Event, replica: usize) {
+fn chrome_event<S: Sink>(out: &mut S, ev: &Event, replica: usize) {
     let (name, machine) = match ev.kind {
         // Per-request events would swamp the viewer; the tail counters
         // already summarise them.
@@ -233,7 +252,7 @@ fn chrome_event(out: &mut String, ev: &Event, replica: usize) {
         EventKind::Adjust { machine, kind, .. } => (kind.name(), machine),
         EventKind::Epoch { .. } => ("epoch", 0),
     };
-    out.push(',');
+    out.raw(",");
     Obj::open(out)
         .field("name", name)
         .field("ph", "i")
@@ -275,16 +294,23 @@ fn chrome_event(out: &mut String, ev: &Event, replica: usize) {
 /// adjustments and BE lifecycle as instant events, per-replica tail
 /// series as counter tracks.
 pub fn chrome_trace(replicas: &[TelemetryOutput]) -> String {
-    let size = bound::chrome(replicas);
-    let mut out = String::with_capacity(size);
-    out.push_str("{\"traceEvents\":[");
+    let mut size = Count::default();
+    chrome(&mut size, replicas);
+    let mut out = String::with_capacity(size.0);
+    chrome(&mut out, replicas);
+    trim(out, size.0)
+}
+
+/// Writes the [`chrome_trace`] text to `out`.
+fn chrome<S: Sink>(out: &mut S, replicas: &[TelemetryOutput]) {
+    out.raw("{\"traceEvents\":[");
     // Every replica opens with its `process_name` entry, so only that
     // entry can be first; everything after it is comma-led.
     for (idx, rep) in replicas.iter().enumerate() {
         if idx > 0 {
-            out.push(',');
+            out.raw(",");
         }
-        Obj::open(&mut out)
+        Obj::open(out)
             .field("name", "process_name")
             .field("ph", "M")
             .field("pid", idx)
@@ -293,12 +319,12 @@ pub fn chrome_trace(replicas: &[TelemetryOutput]) -> String {
             })
             .close();
         for ev in &rep.events {
-            chrome_event(&mut out, ev, idx);
+            chrome_event(out, ev, idx);
         }
         for pt in &rep.tail {
             let ts = pt.t_s * 1e6;
-            out.push(',');
-            Obj::open(&mut out)
+            out.raw(",");
+            Obj::open(out)
                 .field("name", "tail_ms")
                 .field("ph", "C")
                 .field("ts", ts)
@@ -307,8 +333,8 @@ pub fn chrome_trace(replicas: &[TelemetryOutput]) -> String {
                     a.field("p95", pt.p95_ms).field("p99", pt.p99_ms);
                 })
                 .close();
-            out.push(',');
-            Obj::open(&mut out)
+            out.raw(",");
+            Obj::open(out)
                 .field("name", "slack")
                 .field("ph", "C")
                 .field("ts", ts)
@@ -319,393 +345,7 @@ pub fn chrome_trace(replicas: &[TelemetryOutput]) -> String {
                 .close();
         }
     }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    bound::trim(out, size)
-}
-
-/// Upper bounds on the export text of each record, summed before an
-/// export reserves its output. Integers, keys and names count exactly;
-/// a float counts its sign, point, 17 significant digits and the zeros
-/// its binary exponent allows; a string counts its escapes. Each
-/// function mirrors the writer of the same record above.
-mod bound {
-    use super::TelemetryOutput;
-    use super::{AuditRecord, BeSnapshot, ClusterEvent, Event, EventKind, TailPoint};
-
-    /// `out` trimmed to its length; debug builds check the bound held.
-    pub(super) fn trim(mut out: String, size: usize) -> String {
-        debug_assert!(
-            out.len() <= size,
-            "export of {} bytes over its bound of {size}",
-            out.len()
-        );
-        out.shrink_to_fit();
-        out
-    }
-
-    pub(super) fn uint(v: u64) -> usize {
-        v.checked_ilog10().map_or(1, |d| d as usize + 1)
-    }
-
-    pub(super) fn int(v: i64) -> usize {
-        usize::from(v < 0) + uint(v.unsigned_abs())
-    }
-
-    /// `null`, `0`/`-0`, or `{}` `Display`, which never uses an exponent:
-    /// at most 20 characters of sign, point and digits plus one digit or
-    /// leading zero per factor of ten in the magnitude, which is below
-    /// `|e2| · log10 2 + 2` for binary exponent `e2`.
-    pub(super) fn float(v: f64) -> usize {
-        if !v.is_finite() {
-            return 4;
-        }
-        if v == 0.0 {
-            return 2;
-        }
-        let biased = (v.to_bits() >> 52) & 0x7ff;
-        // Subnormals sit below 2^-1022, down to 2^-1074.
-        let e2 = if biased == 0 {
-            1074
-        } else {
-            biased.abs_diff(1023)
-        };
-        // 1233 / 4096 < log10 2 by less than 1 / 100,000.
-        24 + ((e2 * 1233) >> 12) as usize
-    }
-
-    pub(super) fn str(s: &str) -> usize {
-        2 + s
-            .bytes()
-            .map(|b| match b {
-                b'"' | b'\\' | b'\n' | b'\r' | b'\t' => 2,
-                0..=0x1f => 6,
-                _ => 1,
-            })
-            .sum::<usize>()
-    }
-
-    /// `,"key":` — one comma per key over-counts the first by one.
-    fn key(k: &str) -> usize {
-        k.len() + 4
-    }
-
-    /// `{`, `}` and the newline.
-    const LINE: usize = 3;
-
-    pub(super) fn jsonl(
-        replicas: &[TelemetryOutput],
-        cluster_tail: &[TailPoint],
-        cluster_events: &[ClusterEvent],
-        recorded: u64,
-        dropped: u64,
-    ) -> usize {
-        let meta = LINE
-            + key("type")
-            + str("meta")
-            + key("schema")
-            + str("rhythm-trace/v1")
-            + key("replicas")
-            + uint(replicas.len() as u64)
-            + key("events_recorded")
-            + uint(recorded)
-            + key("events_dropped")
-            + uint(dropped);
-        let per_replica: usize = replicas
-            .iter()
-            .enumerate()
-            .map(|(idx, rep)| {
-                let idx = idx as u64;
-                rep.events.iter().map(|ev| event(ev, idx)).sum::<usize>()
-                    + rep.audit.iter().map(|rec| audit(rec, idx)).sum::<usize>()
-                    + rep.tail.iter().map(|pt| tail(pt, Some(idx))).sum::<usize>()
-            })
-            .sum();
-        let cluster: usize = cluster_tail.iter().map(|pt| tail(pt, None)).sum::<usize>()
-            + cluster_events.iter().map(cluster_event).sum::<usize>();
-        meta + per_replica + cluster
-    }
-
-    fn event(ev: &Event, replica: u64) -> usize {
-        LINE + key("type")
-            + str("event")
-            + key("replica")
-            + uint(replica)
-            + key("t_ns")
-            + uint(ev.t_ns)
-            + key("kind")
-            + str(ev.kind.name())
-            + payload(&ev.kind)
-    }
-
-    fn payload(kind: &EventKind) -> usize {
-        match *kind {
-            EventKind::RequestAdmitted => 0,
-            EventKind::RequestCompleted { latency_us } => {
-                key("latency_us") + uint(latency_us.into())
-            }
-            EventKind::BeAdmitted { machine, instance } => {
-                key("machine") + uint(machine.into()) + key("instance") + uint(instance.into())
-            }
-            EventKind::BeKilled {
-                machine,
-                instance,
-                progress_pct,
-            } => {
-                key("machine")
-                    + uint(machine.into())
-                    + key("instance")
-                    + uint(instance.into())
-                    + key("progress_pct")
-                    + uint(progress_pct.into())
-            }
-            EventKind::Action {
-                machine,
-                action,
-                load_pm,
-                slack_pm,
-            } => {
-                key("machine")
-                    + uint(machine.into())
-                    + key("action")
-                    + str(action.name())
-                    + key("load_pm")
-                    + uint(load_pm.into())
-                    + key("slack_pm")
-                    + int(slack_pm.into())
-            }
-            EventKind::Adjust {
-                machine,
-                kind,
-                value,
-            } => {
-                key("machine")
-                    + uint(machine.into())
-                    + key("dimension")
-                    + str(kind.name())
-                    + key("value")
-                    + int(value.into())
-            }
-            EventKind::Epoch { epoch } => key("epoch") + uint(epoch.into()),
-        }
-    }
-
-    fn audit(rec: &AuditRecord, replica: u64) -> usize {
-        let hot = match rec.hot_pod {
-            Some(p) => {
-                uint(p.into())
-                    + key("hot_pod_name")
-                    + str(&rec.hot_pod_name)
-                    + key("hot_pod_ms")
-                    + float(rec.hot_pod_ms)
-            }
-            None => 4,
-        };
-        LINE + key("type")
-            + str("audit")
-            + key("replica")
-            + uint(replica)
-            + key("t_s")
-            + float(rec.t_s)
-            + key("machine")
-            + uint(rec.machine.into())
-            + key("pod")
-            + str(&rec.pod)
-            + key("action")
-            + str(rec.action.name())
-            + key("trigger")
-            + str(rec.trigger.name())
-            + key("load")
-            + float(rec.load)
-            + key("loadlimit")
-            + float(rec.loadlimit)
-            + key("slack")
-            + float(rec.slack)
-            + key("slacklimit")
-            + float(rec.slacklimit)
-            + key("tail_ms")
-            + float(rec.tail_ms)
-            + key("sla_ms")
-            + float(rec.sla_ms)
-            + key("hot_pod")
-            + hot
-            + key("before")
-            + be_snapshot(&rec.before)
-            + key("after")
-            + be_snapshot(&rec.after)
-    }
-
-    fn be_snapshot(s: &BeSnapshot) -> usize {
-        2 + key("instances")
-            + uint(s.instances.into())
-            + key("running")
-            + uint(s.running.into())
-            + key("cores")
-            + uint(s.cores.into())
-            + key("llc_ways")
-            + uint(s.llc_ways.into())
-            + key("freq_mhz")
-            + uint(s.freq_mhz.into())
-            + key("net_mbps")
-            + uint(s.net_mbps.into())
-    }
-
-    fn tail(pt: &TailPoint, replica: Option<u64>) -> usize {
-        let scope = match replica {
-            Some(r) => str("replica") + key("replica") + uint(r),
-            None => str("cluster"),
-        };
-        LINE + key("type")
-            + str("tail")
-            + key("scope")
-            + scope
-            + key("t_s")
-            + float(pt.t_s)
-            + key("count")
-            + uint(pt.count)
-            + key("p50_ms")
-            + float(pt.p50_ms)
-            + key("p95_ms")
-            + float(pt.p95_ms)
-            + key("p99_ms")
-            + float(pt.p99_ms)
-            + key("slack")
-            + float(pt.slack)
-    }
-
-    fn cluster_event(ev: &ClusterEvent) -> usize {
-        LINE + key("type")
-            + str("cluster_event")
-            + key("kind")
-            + str(ev.kind.name())
-            + key("t_s")
-            + float(ev.t_s)
-            + key("job")
-            + uint(ev.job)
-            + ev.gang.map_or(0, |g| key("gang") + uint(g.into()))
-    }
-
-    pub(super) fn chrome(replicas: &[TelemetryOutput]) -> usize {
-        let frame = "{\"traceEvents\":[".len() + "],\"displayTimeUnit\":\"ms\"}".len();
-        frame
-            + replicas
-                .iter()
-                .enumerate()
-                .map(|(idx, rep)| {
-                    let idx = idx as u64;
-                    // The comma before every entry but the first.
-                    let process = 1
-                        + 2
-                        + key("name")
-                        + str("process_name")
-                        + key("ph")
-                        + str("M")
-                        + key("pid")
-                        + uint(idx)
-                        + key("args")
-                        + 2
-                        + key("name")
-                        + str("replica ")
-                        + uint(idx);
-                    process
-                        + rep
-                            .events
-                            .iter()
-                            .map(|ev| chrome_event(ev, idx))
-                            .sum::<usize>()
-                        + rep
-                            .tail
-                            .iter()
-                            .map(|pt| chrome_tail(pt, idx))
-                            .sum::<usize>()
-                })
-                .sum::<usize>()
-    }
-
-    /// One instant entry, with its leading comma; 0 for the per-request
-    /// kinds the trace leaves out.
-    fn chrome_event(ev: &Event, replica: u64) -> usize {
-        let (name, machine, args) = match ev.kind {
-            EventKind::RequestAdmitted | EventKind::RequestCompleted { .. } => return 0,
-            EventKind::BeAdmitted { machine, instance } => (
-                "be_admitted",
-                machine,
-                key("instance") + uint(instance.into()),
-            ),
-            EventKind::BeKilled {
-                machine,
-                instance,
-                progress_pct,
-            } => (
-                "be_killed",
-                machine,
-                key("instance")
-                    + uint(instance.into())
-                    + key("progress_pct")
-                    + uint(progress_pct.into()),
-            ),
-            EventKind::Action {
-                machine,
-                action,
-                load_pm,
-                slack_pm,
-            } => (
-                action.name(),
-                machine,
-                key("load")
-                    + float(f64::from(load_pm) / 1000.0)
-                    + key("slack")
-                    + float(f64::from(slack_pm) / 1000.0),
-            ),
-            EventKind::Adjust {
-                machine,
-                kind,
-                value,
-            } => (kind.name(), machine, key("value") + int(value.into())),
-            EventKind::Epoch { epoch } => ("epoch", 0, key("epoch") + uint(epoch.into())),
-        };
-        1 + 2
-            + key("name")
-            + str(name)
-            + key("ph")
-            + str("i")
-            + key("s")
-            + str("t")
-            + key("ts")
-            + float(ev.t_ns as f64 / 1000.0)
-            + key("pid")
-            + uint(replica)
-            + key("tid")
-            + uint(machine.into())
-            + key("args")
-            + 2
-            + args
-    }
-
-    /// The two counter entries of one tail point, with their commas.
-    fn chrome_tail(pt: &TailPoint, replica: u64) -> usize {
-        let ts = float(pt.t_s * 1e6);
-        let head = |name: &str| {
-            1 + 2
-                + key("name")
-                + str(name)
-                + key("ph")
-                + str("C")
-                + key("ts")
-                + ts
-                + key("pid")
-                + uint(replica)
-                + key("args")
-                + 2
-        };
-        head("tail_ms")
-            + key("p95")
-            + float(pt.p95_ms)
-            + key("p99")
-            + float(pt.p99_ms)
-            + head("slack")
-            + key("slack")
-            + float(pt.slack)
-    }
+    out.raw("],\"displayTimeUnit\":\"ms\"}");
 }
 
 #[cfg(test)]
@@ -771,7 +411,7 @@ mod tests {
     fn jsonl_has_meta_then_lines() {
         let out = sample_output();
         let cluster = vec![out.tail[0]];
-        let text = export_jsonl(&[out], &cluster);
+        let text = export_jsonl(&[out], &cluster, &[]);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 1 + 3 + 1 + 1 + 1);
         assert!(lines[0].starts_with("{\"type\":\"meta\""), "{}", lines[0]);
@@ -786,8 +426,8 @@ mod tests {
 
     #[test]
     fn jsonl_is_deterministic() {
-        let a = export_jsonl(&[sample_output()], &[]);
-        let b = export_jsonl(&[sample_output()], &[]);
+        let a = export_jsonl(&[sample_output()], &[], &[]);
+        let b = export_jsonl(&[sample_output()], &[], &[]);
         assert_eq!(a, b);
     }
 
@@ -800,51 +440,62 @@ mod tests {
         assert!(report.contains("loadlimit"), "{report}");
     }
 
-    #[test]
-    fn float_bound_covers_display_at_every_exponent() {
-        let mut values = vec![
-            f64::MAX,
-            f64::MIN,
-            f64::MIN_POSITIVE,
-            f64::EPSILON,
-            5e-324,
-            -f64::from_bits(0x000f_ffff_ffff_ffff),
-            0.1,
-            -0.30000000000000004,
-            1e-5,
-            123_456_789.123_456_78,
-            1e21,
-            1.797_693_134_862_315_7e308,
-            -0.0,
-        ];
-        for e in -1074..=1023 {
-            let x = 2f64.powi(e);
-            values.extend([x, x * 1.999_999_999_999_999_8, -x * 1.1, x * 0.7]);
-        }
-        for v in values {
-            let text = format!("{v}");
-            assert!(
-                text.len() <= bound::float(v),
-                "{v:e}: {} > {}",
-                text.len(),
-                bound::float(v)
-            );
-        }
-        assert_eq!(bound::float(f64::NAN), "null".len());
-        assert_eq!(bound::uint(0), 1);
-        assert_eq!(bound::uint(u64::MAX), 20);
-        assert_eq!(bound::int(i64::MIN), 20);
-        assert_eq!(bound::str("a\"\u{1}"), "\"a\\\"\\u0001\"".len());
-    }
-
-    /// Both exports reserve once from their bound and come back with
-    /// no spare room, and the bound stays within a small factor of the
-    /// text.
+    /// Both exports reserve once from their count and come back with
+    /// no spare room. The count is exact for lines without floats (the
+    /// meta line and events), and within twice the text with floats.
     #[test]
     fn exports_are_sized_to_their_text() {
         let mut rep = sample_output();
         rep.audit[0].hot_pod = Some(1);
         rep.audit[0].hot_pod_name = "se\"arch\n".into();
+        let kinds = [
+            EventKind::RequestCompleted {
+                latency_us: u32::MAX,
+            },
+            EventKind::BeAdmitted {
+                machine: 9,
+                instance: 10,
+            },
+            EventKind::BeKilled {
+                machine: u16::MAX,
+                instance: 0,
+                progress_pct: 100,
+            },
+            EventKind::Action {
+                machine: 0,
+                action: ActionCode::SuspendBe,
+                load_pm: 999,
+                slack_pm: i16::MIN,
+            },
+            EventKind::Adjust {
+                machine: 1,
+                kind: crate::event::AdjustKind::BeCores,
+                value: -1,
+            },
+            EventKind::Epoch { epoch: u32::MAX },
+        ];
+        let events_only = TelemetryOutput {
+            events: (rep.events.iter().map(|e| e.kind).chain(kinds))
+                .zip([0, 1, 9, 10, 99, 100, u64::MAX].into_iter().cycle())
+                .map(|(kind, t_ns)| Event { t_ns, kind })
+                .collect(),
+            recorded: u64::MAX / 2,
+            dropped: 10,
+            audit: Vec::new(),
+            tail: Vec::new(),
+            ..rep.clone()
+        };
+        let counted = |reps: &[TelemetryOutput], cluster: &[TailPoint], events: &[ClusterEvent]| {
+            let mut size = Count::default();
+            jsonl(&mut size, reps, cluster, events);
+            size.0
+        };
+        let exact = [events_only.clone(), events_only];
+        assert_eq!(
+            counted(&exact, &[], &[]),
+            export_jsonl(&exact, &[], &[]).len()
+        );
+
         let reps = [rep.clone(), rep];
         let cluster = [reps[0].tail[0]];
         let events = [ClusterEvent {
@@ -853,10 +504,14 @@ mod tests {
             job: 7,
             gang: Some(2),
         }];
-        let jsonl = export_jsonl_with_events(&reps, &cluster, &events);
-        let chrome = chrome_trace(&reps);
-        let jsonl_bound = bound::jsonl(&reps, &cluster, &events, 6, 0);
-        for (text, size) in [(&jsonl, jsonl_bound), (&chrome, bound::chrome(&reps))] {
+        let jsonl_text = export_jsonl(&reps, &cluster, &events);
+        let chrome_text = chrome_trace(&reps);
+        let mut chrome_size = Count::default();
+        chrome(&mut chrome_size, &reps);
+        for (text, size) in [
+            (&jsonl_text, counted(&reps, &cluster, &events)),
+            (&chrome_text, chrome_size.0),
+        ] {
             assert_eq!(text.capacity(), text.len());
             assert!(
                 text.len() <= size && size <= 2 * text.len(),

@@ -69,6 +69,6 @@ pub const SNAPSHOT_SCHEMA: &str = "rhythm-telemetry/v3: \
 pub use audit::{AuditRecord, BeSnapshot, Trigger};
 pub use cluster::{ClusterEvent, ClusterEventKind};
 pub use event::{per_mille_i16, per_mille_u16, ActionCode, AdjustKind, Event, EventKind};
-pub use export::{chrome_trace, export_jsonl, export_jsonl_with_events, TelemetryOutput};
+pub use export::{chrome_trace, export_jsonl, TelemetryOutput};
 pub use recorder::{FlightRecorder, Telemetry, TelemetryConfig};
 pub use tail::{TailPoint, TailSeries};

@@ -279,7 +279,7 @@ mod tests {
         };
         let mut replicas = vec![crate::TelemetryOutput::default(); 4];
         replicas[3].tail.push(p);
-        let jsonl = crate::export_jsonl(&replicas, &[p]);
+        let jsonl = crate::export_jsonl(&replicas, &[p], &[]);
         let lines: Vec<&str> = jsonl.lines().collect();
         let (rep, clu) = (lines[1], lines[2]);
         assert!(rep.contains("\"scope\":\"replica\""), "{rep}");

@@ -24,7 +24,7 @@ use proptest::prelude::*;
 use rhythm::analyzer::find_loadlimit;
 use rhythm::analyzer::slacklimit::find_slacklimits;
 use rhythm::cluster::{
-    run_cluster, ClusterConfig, ClusterJob, FaultPlan, JobQueue, SchedulerState,
+    run_cluster, ClusterConfig, ClusterJob, FaultPlan, JobQueue, JobState, SchedulerState,
 };
 use rhythm::controller::Thresholds;
 use rhythm::core::experiment::{ControllerChoice, ServiceContext};
@@ -1941,6 +1941,47 @@ proptest! {
     }
 }
 
+/// One job-ledger entry with every field drawn (its id is set by the
+/// caller): the checkpoint in the `[0, 1)` and the waste in the `>= 0`
+/// that decode accepts.
+fn ledger_entry() -> impl Strategy<Value = ClusterJob> {
+    let kinds = [BeKind::Wordcount, BeKind::Lstm, BeKind::Iperf];
+    let state = (0u8..4, 0usize..4096).prop_map(|(tag, machine)| match tag {
+        0 => JobState::Queued,
+        1 => JobState::Offered(machine),
+        2 => JobState::Running(machine),
+        _ => JobState::Done,
+    });
+    let progress = (
+        0.0f64..1.0,
+        0.0f64..8.0,
+        any::<u32>(),
+        0.0f64..1e4,
+        prop::option::of(0.0f64..1e4),
+    );
+    let schedule = (
+        state,
+        any::<u8>(),
+        prop::option::of(0.0f64..1e4),
+        prop::option::of(any::<u32>()),
+    );
+    (0usize..kinds.len(), progress, schedule).prop_map(move |(kind, progress, schedule)| {
+        let (checkpoint, wasted, kills, submitted_s, completed_s) = progress;
+        let (state, priority, deadline_s, gang) = schedule;
+        ClusterJob {
+            checkpoint,
+            wasted,
+            kills,
+            completed_s,
+            state,
+            priority,
+            deadline_s,
+            gang,
+            ..ClusterJob::new(0, std::sync::Arc::new(BeSpec::of(kinds[kind])), submitted_s)
+        }
+    })
+}
+
 /// Encode → decode → re-encode; the re-encoding must be byte-identical
 /// (snapshot encodings are canonical) and the reader fully consumed.
 fn snapshot_round_trip<T: rhythm::snapshot::Snapshot>(x: &T) -> (T, Vec<u8>) {
@@ -2234,7 +2275,7 @@ proptest! {
     // instance bindings.
     #[test]
     fn snapshot_scheduler_section_round_trips(
-        jobs in 1u64..64,
+        ledger in prop::collection::vec(ledger_entry(), 1..64),
         ids in prop::collection::btree_set(0u64..500, 0..24),
         offered in prop::collection::vec(prop::option::of(0u64..500), 0..16),
         bindings in prop::collection::btree_map(
@@ -2245,13 +2286,17 @@ proptest! {
         rr_cursor in 0u64..16,
     ) {
         // Every id the scheduler references must name a ledger entry.
-        let spec = std::sync::Arc::new(BeSpec::of(BeKind::Wordcount));
+        let jobs = ledger.len() as u64;
         let mut queue = JobQueue::new();
         for id in ids.iter().map(|id| id % jobs).collect::<std::collections::BTreeSet<_>>() {
             queue.submit(id);
         }
         let state = SchedulerState {
-            jobs: (0..jobs).map(|id| ClusterJob::new(id, spec.clone(), 0.0)).collect(),
+            jobs: ledger
+                .into_iter()
+                .zip(0..)
+                .map(|(job, id)| ClusterJob { id, ..job })
+                .collect(),
             queue,
             offered: offered.iter().map(|o| o.map(|j| j % jobs)).collect(),
             bindings: bindings.iter().map(|(&k, &j)| (k, j % jobs)).collect(),
@@ -2260,7 +2305,8 @@ proptest! {
             events: Vec::new(),
         };
         let (decoded, _) = snapshot_round_trip(&state);
-        prop_assert_eq!(decoded.jobs.len(), state.jobs.len());
+        // Field by field: `Debug` prints every field, floats exactly.
+        prop_assert_eq!(format!("{:?}", decoded.jobs), format!("{:?}", state.jobs));
         prop_assert_eq!(decoded.offered, state.offered);
         prop_assert_eq!(decoded.bindings, state.bindings);
         prop_assert_eq!(decoded.queue.queued_ids(), state.queue.queued_ids());

@@ -25,7 +25,7 @@
 use proptest::prelude::*;
 use rhythm::prelude::*;
 use rhythm::telemetry::{
-    export_jsonl_with_events, json, ActionCode, AdjustKind, BeSnapshot, Event, EventKind, Trigger,
+    export_jsonl, json, ActionCode, AdjustKind, BeSnapshot, Event, EventKind, Trigger,
 };
 use std::sync::OnceLock;
 
@@ -713,7 +713,7 @@ proptest! {
         events in prop::collection::vec(cluster_event(), 0..6),
     ) {
         prop_assert_eq!(
-            export_jsonl_with_events(&reps, &cluster_tail, &events),
+            export_jsonl(&reps, &cluster_tail, &events),
             oracle::jsonl(&reps, &cluster_tail, &events)
         );
         prop_assert_eq!(chrome_trace(&reps), oracle::chrome(&reps));
